@@ -1,7 +1,8 @@
 """Command-line surface: thin wrappers over the library operations.
 
 Exit codes: 0 accept/solved/agreement, 1 reject/unsatisfiable/disagreement,
-2 budget exhaustion, 3 malformed or missing input.
+2 budget exhaustion, 3 malformed or missing input, 4 internal error (a
+crash, which must never read as a verdict).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 
 from . import aon, waterwalk
 from .errors import LiftError, LoopforgeError, MalformedLoopError, ParseError, \
@@ -29,7 +31,7 @@ from .reduction import (
 )
 from .render import render_ascii, render_svg
 
-OK, REJECT, BUDGET, BAD_INPUT = 0, 1, 2, 3
+OK, REJECT, BUDGET, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _read(path: str) -> str:
@@ -265,6 +267,10 @@ def main(argv=None) -> int:
     except (LoopforgeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Hamiltonian-cycle search and candidate-subgraph enumeration on grid graphs.
 
-The search is plain backtracking over vertices with two sound prunes
-(degree feasibility and connectivity of the unvisited set), so a ``None``
-answer is an exhaustive proof of absence.  Budgets are counted in search
-nodes and exhaustion is reported distinctly from "no cycle".
+The search is the package's loop engine (:mod:`loopforge.loopsearch`) run
+with every vertex required and no puzzle rules, so its prunes (parity,
+connectivity, two usable neighbors) are sound and a ``None`` answer is an
+exhaustive proof of absence.  Budgets are counted in search nodes and
+exhaustion is reported distinctly from "no cycle".
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .errors import SearchBudgetExceeded
+from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk
 from .model import (
     Edge,
     GridGraph,
     HamCycle,
-    Vertex,
     canonical_edge,
     degree_profile,
     full_grid,
@@ -24,17 +24,6 @@ from .model import (
 )
 
 ENUMERATION_FREE_EDGE_LIMIT = 12
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise SearchBudgetExceeded(self.nodes)
 
 
 def hamiltonian_cycles(g: GridGraph, budget: int | None = None) -> Iterator[HamCycle]:
@@ -48,58 +37,11 @@ def hamiltonian_cycles(g: GridGraph, budget: int | None = None) -> Iterator[HamC
     n = len(verts)
     if n < 4:
         raise ValueError(f"need at least 4 vertices, got {n}")
-    adj = {v: sorted(g.neighbors(v)) for v in verts}
-    if any(len(adj[v]) < 2 for v in verts):
+    grid = _Grid(verts, lambda v: sorted(g.neighbors(v)))
+    if any(len(adj) < 2 for adj in grid.nbrs):
         return
-    v0 = verts[0]
-    counter = _Budget(budget)
-    path = [v0]
-    on_path = {v0}
-
-    def feasible(head: Vertex) -> bool:
-        # every unvisited vertex still needs two usable loop neighbors
-        for u in verts:
-            if u in on_path:
-                continue
-            avail = 0
-            for w in adj[u]:
-                if w not in on_path or w == head or w == v0:
-                    avail += 1
-            if avail < 2:
-                return False
-        # the unvisited set must be one component reachable from the head
-        remaining = n - len(path)
-        if remaining == 0:
-            return True
-        seen = set()
-        frontier = [w for w in adj[head] if w not in on_path]
-        seen.update(frontier)
-        while frontier:
-            c = frontier.pop()
-            for w in adj[c]:
-                if w not in on_path and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == remaining
-
-    def extend(head: Vertex) -> Iterator[HamCycle]:
-        counter.tick()
-        if len(path) == n:
-            if v0 in adj[head] and path[1] < path[-1]:
-                yield HamCycle(tuple(path))
-            return
-        if not feasible(head):
-            return
-        for w in adj[head]:
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            yield from extend(w)
-            path.pop()
-            on_path.remove(w)
-
-    yield from extend(v0)
+    for cells in _walk(grid, 0, 0, range(n), LoopConstraint(), _Nodes(budget)):
+        yield HamCycle(cells)
 
 
 def find_hamiltonian_cycle(g: GridGraph, budget: int | None = None) -> HamCycle | None:

@@ -1,17 +1,26 @@
 """Exhaustive enumeration of loops and pinned-end paths on cell boards.
 
-The search extends a simple path cell by cell.  Loops are deduplicated by
-rooting each one at its lexicographically smallest cell and fixing the
-direction (second cell smaller than last), so the emitted order is
-canonical and deterministic.  Puzzle rules plug in as a constraint object;
-its incremental checks may only prune provably invalid extensions, the
-final ``close_ok``/``finish_ok`` verdict is authoritative.
+One engine serves every search in the package: loops on puzzle boards
+(:func:`search_loops`), pinned-end gadget traversals (:func:`search_paths`)
+and Hamiltonian cycles of source graphs
+(:func:`loopforge.hamilton.hamiltonian_cycles`).  It extends a simple path
+over an integer adjacency list with an explicit stack instead of
+recursion, so path length is bounded by memory alone and no search changes
+interpreter state.
+
+Loops are deduplicated by rooting each one at its lexicographically
+smallest cell and fixing the direction (second cell smaller than last), so
+the emitted order is canonical and deterministic.  Puzzle rules plug in as
+a constraint object; its incremental checks may only prune provably
+invalid extensions, the final ``close_ok``/``finish_ok`` verdict is
+authoritative.
 
 Pruning: per node the search checks connectivity of the remaining cells,
-availability of two usable neighbors for every still-required cell, and,
-when every allowed cell is required (exact cover), the two-coloring budget
-that an alternating path over the remaining cells must meet.  All prunes
-reject only provably dead branches, so a completed search is exhaustive.
+that the path can still reach its end, availability of two usable
+neighbors for every still-required cell, and, when every allowed cell is
+required (exact cover), the two-coloring budget that an alternating path
+over the remaining cells must meet.  All prunes reject only provably dead
+branches, so a completed search is exhaustive.
 
 Budgets are counted in search nodes (one per path extension considered);
 running out raises :class:`SearchBudgetExceeded`, which callers must treat
@@ -20,8 +29,7 @@ as "no verdict", never as "no solution".
 
 from __future__ import annotations
 
-import sys
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import SearchBudgetExceeded
 from .model import Cell, LoopPath, orthogonal_neighbors
@@ -52,10 +60,6 @@ class LoopConstraint:
         return True
 
 
-class _Stop(Exception):
-    pass
-
-
 class SearchResult:
     def __init__(self, loops, nodes, exhausted):
         self.loops = loops
@@ -67,23 +71,187 @@ class SearchResult:
                 f"exhausted={self.exhausted})")
 
 
-def _ensure_recursion_room(depth: int):
-    need = depth * 3 + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-
 class _Grid:
-    """Integer-indexed view of the usable cells."""
+    """Integer-indexed view of the usable cells; ``neighbors`` lists the
+    candidate neighbors of a cell in the order the search tries them."""
 
-    def __init__(self, cells: list[Cell]):
+    def __init__(self, cells: list[Cell], neighbors=orthogonal_neighbors):
         self.cells = cells
         self.index = {c: i for i, c in enumerate(cells)}
         self.nbrs = [
-            tuple(self.index[w] for w in orthogonal_neighbors(c) if w in self.index)
+            tuple(self.index[w] for w in neighbors(c) if w in self.index)
             for c in cells
         ]
-        self.color = [(c[0] + c[1]) & 1 for c in cells]
+
+
+class _Nodes:
+    """Search nodes spent so far, counted against one budget by every walk
+    of a search."""
+
+    def __init__(self, budget: int | None):
+        self.budget = budget
+        self.count = 0
+
+    def tick(self):
+        self.count += 1
+        if self.budget is not None and self.count > self.budget:
+            raise SearchBudgetExceeded(self.count)
+
+
+def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
+          constraint: LoopConstraint, nodes: _Nodes) -> Iterator[tuple[Cell, ...]]:
+    """Yield, as cell tuples, the simple paths from ``start`` that visit
+    every ``required`` index and that the constraint accepts.
+
+    With ``end == start`` the paths are loops: each closes back to the
+    start (which is on the path from the outset) and is yielded once, in
+    the direction whose second cell is smaller than its last.  Otherwise
+    ``end`` is a free, terminal goal: a path stops there and is yielded
+    when it ends there.
+    """
+    cells, index, nbrs = grid.cells, grid.index, grid.nbrs
+    n = len(cells)
+    loop = start == end
+    color = [(c[0] + c[1]) & 1 for c in cells]
+    req = bytearray(n)
+    for i in required:
+        req[i] = 1
+    exact = all(req)
+    req_idx = [i for i in range(n) if req[i]]
+    adj_end = bytearray(n)
+    for i in nbrs[end]:
+        adj_end[i] = 1
+    on = bytearray(n)
+    free_color = [color.count(0), color.count(1)]
+    pending = len(req_idx)
+    path_idx: list[int] = []
+    path_cells: list[Cell] = []
+    stamp = [0] * n
+    gen = 0
+
+    def viable(head: int) -> bool:
+        nonlocal gen
+        free_total = free_color[0] + free_color[1]
+        if exact and free_total:
+            # the free cells are entered in alternating colors, starting
+            # opposite the head; the walk's last step, onto the end, is
+            # step free_total + 1 for a loop and free_total for a path
+            sc = 1 - color[head]
+            if free_color[sc] != (free_total + 1) // 2:
+                return False
+            steps = free_total + on[end]
+            if (sc if steps & 1 else 1 - sc) != color[end]:
+                return False
+        extra = None if exact else constraint.extra_required()
+        # connectivity of the remaining cells from the head
+        gen += 1
+        g = gen
+        stack = []
+        reached = 0
+        for w in nbrs[head]:
+            if not on[w] and stamp[w] != g:
+                stamp[w] = g
+                reached += 1
+                stack.append(w)
+        while stack:
+            c = stack.pop()
+            for w in nbrs[c]:
+                if not on[w] and stamp[w] != g:
+                    stamp[w] = g
+                    reached += 1
+                    stack.append(w)
+        if exact:
+            if reached != free_total:
+                return False
+        else:
+            for i in req_idx:
+                if not on[i] and stamp[i] != g:
+                    return False
+            for c in extra:
+                i = index.get(c)
+                if i is None:
+                    return False
+                if not on[i] and stamp[i] != g:
+                    return False
+        # the path must still be able to reach its end: a loop's final cell
+        # neighbors the start, a pinned path's final cell is the goal
+        if on[end]:
+            if not adj_end[head]:
+                for w in nbrs[end]:
+                    if stamp[w] == g:
+                        break
+                else:
+                    return False
+        elif stamp[end] != g:
+            return False
+        # every pending cell except the end still needs two usable path
+        # neighbors; under exact cover only the previous cell's neighbors
+        # can have lost one since the last node
+        if exact:
+            check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
+        else:
+            check = req_idx + [index[c] for c in extra] if extra else req_idx
+        for w in check:
+            if on[w] or w == end:
+                continue
+            avail = 0
+            for x in nbrs[w]:
+                if not on[x] or x == head or x == end:
+                    avail += 1
+            if avail < 2:
+                return False
+        return True
+
+    if not constraint.push(path_cells, cells[start]):
+        return
+    frames: list[Iterator[int]] = []  # per path cell: its untried neighbors
+    head = start
+    while True:
+        on[head] = 1
+        free_color[color[head]] -= 1
+        pending -= req[head]
+        path_idx.append(head)
+        path_cells.append(cells[head])
+        nodes.tick()
+        if loop:
+            closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
+        else:
+            closes = head == end
+        if closes and pending == 0 and (exact or not constraint.extra_required()):
+            path = tuple(path_cells)
+            if (constraint.close_ok if loop else constraint.finish_ok)(path):
+                yield path
+        grows = (loop or head != end) and viable(head)
+        frames.append(iter(nbrs[head] if grows else ()))
+        # descend into the next extension the constraint admits, retracting
+        # every cell whose extensions are used up
+        while frames:
+            for head in frames[-1]:
+                if not on[head] and constraint.push(path_cells, cells[head]):
+                    break
+            else:
+                frames.pop()
+                c = path_idx.pop()
+                path_cells.pop()
+                on[c] = 0
+                free_color[color[c]] += 1
+                pending += req[c]
+                constraint.pop()
+                continue
+            break
+        else:
+            return
+
+
+def _collect(found: Iterator, cap: int | None, nodes: _Nodes) -> SearchResult:
+    """Drain ``found`` into a result, stopping once ``cap`` items are in
+    (the result is then marked non-exhausted)."""
+    items = []
+    for item in found:
+        items.append(item)
+        if cap is not None and len(items) >= cap:
+            return SearchResult(items, nodes.count, False)
+    return SearchResult(items, nodes.count, True)
 
 
 def search_loops(
@@ -101,166 +269,22 @@ def search_loops(
     required_set = set(required)
     if required_set - set(allowed_sorted):
         return SearchResult([], 0, True)
-    _ensure_recursion_room(len(allowed_sorted))
 
     anchors = allowed_sorted
     if required_set:
         limit = min(required_set)
         anchors = [a for a in anchors if a <= limit]
+    nodes = _Nodes(budget)
 
-    results: list[LoopPath] = []
-    nodes = 0
+    def loops():
+        # each loop is rooted at its smallest cell, the anchor
+        for anchor in anchors:
+            grid = _Grid([c for c in allowed_sorted if c >= anchor])
+            for cells in _walk(grid, 0, 0, map(grid.index.get, required_set),
+                               make_constraint(), nodes):
+                yield LoopPath(cells)
 
-    for anchor in anchors:
-        usable = [c for c in allowed_sorted if c >= anchor]
-        grid = _Grid(usable)
-        n = len(usable)
-        nbrs, color, cells = grid.nbrs, grid.color, grid.cells
-        req = bytearray(n)
-        for c in required_set:
-            req[grid.index[c]] = 1
-        exact = all(req)
-        req_idx = [i for i in range(n) if req[i]]
-        a_idx = grid.index[anchor]
-        anchor_color = color[a_idx]
-        adj_anchor = bytearray(n)
-        for i in nbrs[a_idx]:
-            adj_anchor[i] = 1
-
-        constraint = make_constraint()
-        if not constraint.push([], anchor):
-            continue
-        on = bytearray(n)
-        on[a_idx] = 1
-        free_color = [0, 0]
-        for i in range(n):
-            if not on[i]:
-                free_color[color[i]] += 1
-        pending_req = sum(1 for i in req_idx if not on[i])
-        path_idx = [a_idx]
-        path_cells = [anchor]
-        stamp = [0] * n
-        gen = 0
-
-        def viable(head: int) -> bool:
-            nonlocal gen
-            free_total = free_color[0] + free_color[1]
-            if exact and free_total:
-                sc = 1 - color[head]
-                if free_color[sc] != (free_total + 1) // 2:
-                    return False
-                last_color = sc if free_total & 1 else 1 - sc
-                if last_color != 1 - anchor_color:
-                    return False
-            extra = None if exact else constraint.extra_required()
-            # connectivity of the remaining cells from the head
-            gen += 1
-            g = gen
-            stack = []
-            reached = 0
-            for w in nbrs[head]:
-                if not on[w] and stamp[w] != g:
-                    stamp[w] = g
-                    reached += 1
-                    stack.append(w)
-            while stack:
-                c = stack.pop()
-                for w in nbrs[c]:
-                    if not on[w] and stamp[w] != g:
-                        stamp[w] = g
-                        reached += 1
-                        stack.append(w)
-            if exact:
-                if reached != free_total:
-                    return False
-            else:
-                for i in req_idx:
-                    if not on[i] and stamp[i] != g:
-                        return False
-                for c in extra:
-                    i = grid.index.get(c)
-                    if i is None:
-                        return False
-                    if not on[i] and stamp[i] != g:
-                        return False
-            # the loop's final cell must neighbor the anchor
-            if not adj_anchor[head]:
-                ok = False
-                for w in nbrs[a_idx]:
-                    if not on[w] and stamp[w] == g:
-                        ok = True
-                        break
-                if not ok:
-                    return False
-            # every pending cell still needs two usable loop neighbors
-            if exact:
-                if len(path_idx) >= 2:
-                    prev = path_idx[-2]
-                    for w in nbrs[prev]:
-                        if on[w]:
-                            continue
-                        avail = 0
-                        for x in nbrs[w]:
-                            if not on[x] or x == head or x == a_idx:
-                                avail += 1
-                        if avail < 2:
-                            return False
-            else:
-                check = [i for i in req_idx if not on[i]]
-                if extra:
-                    for c in extra:
-                        i = grid.index.get(c)
-                        if i is not None and not on[i]:
-                            check.append(i)
-                for w in check:
-                    avail = 0
-                    for x in nbrs[w]:
-                        if not on[x] or x == head or x == a_idx:
-                            avail += 1
-                    if avail < 2:
-                        return False
-            return True
-
-        def extend(head: int):
-            nonlocal nodes, pending_req
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            if len(path_idx) >= 4 and adj_anchor[head] and path_cells[1] < path_cells[-1]:
-                if pending_req == 0 and (exact or not constraint.extra_required()):
-                    if constraint.close_ok(tuple(path_cells)):
-                        results.append(LoopPath(tuple(path_cells)))
-                        if cap is not None and len(results) >= cap:
-                            raise _Stop
-            if not viable(head):
-                return
-            for w in nbrs[head]:
-                if on[w]:
-                    continue
-                cell = cells[w]
-                if not constraint.push(path_cells, cell):
-                    continue
-                on[w] = 1
-                free_color[color[w]] -= 1
-                pending_req -= req[w]
-                path_idx.append(w)
-                path_cells.append(cell)
-                extend(w)
-                path_idx.pop()
-                path_cells.pop()
-                on[w] = 0
-                free_color[color[w]] += 1
-                pending_req += req[w]
-                constraint.pop()
-
-        try:
-            extend(a_idx)
-        except _Stop:
-            constraint.pop()
-            return SearchResult(results, nodes, False)
-        constraint.pop()
-
-    return SearchResult(results, nodes, True)
+    return _collect(loops(), cap, nodes)
 
 
 def search_paths(
@@ -283,139 +307,9 @@ def search_paths(
     required_set = set(required)
     if required_set - allowed_set:
         return SearchResult([], 0, True)
-    _ensure_recursion_room(len(allowed_sorted))
 
     grid = _Grid(allowed_sorted)
-    n = len(allowed_sorted)
-    nbrs, color, cells = grid.nbrs, grid.color, grid.cells
-    req = bytearray(n)
-    for c in required_set:
-        req[grid.index[c]] = 1
-    exact = all(req)
-    req_idx = [i for i in range(n) if req[i]]
-    s_idx, g_idx = grid.index[start], grid.index[goal]
-    goal_color = color[g_idx]
-
-    constraint = make_constraint()
-    if not constraint.push([], start):
-        return SearchResult([], 0, True)
-    on = bytearray(n)
-    on[s_idx] = 1
-    free_color = [0, 0]
-    for i in range(n):
-        if not on[i]:
-            free_color[color[i]] += 1
-    pending_req = sum(1 for i in req_idx if not on[i])
-    path_idx = [s_idx]
-    path_cells = [start]
-    stamp = [0] * n
-    gen = 0
-    results: list[tuple[Cell, ...]] = []
-    nodes = 0
-
-    def viable(head: int) -> bool:
-        nonlocal gen
-        free_total = free_color[0] + free_color[1]
-        if exact and free_total:
-            sc = 1 - color[head]
-            if free_color[sc] != (free_total + 1) // 2:
-                return False
-            last_color = sc if free_total & 1 else 1 - sc
-            if last_color != goal_color:
-                return False
-        extra = None if exact else constraint.extra_required()
-        gen += 1
-        g = gen
-        stack = []
-        reached = 0
-        for w in nbrs[head]:
-            if not on[w] and stamp[w] != g:
-                stamp[w] = g
-                reached += 1
-                stack.append(w)
-        while stack:
-            c = stack.pop()
-            for w in nbrs[c]:
-                if not on[w] and stamp[w] != g:
-                    stamp[w] = g
-                    reached += 1
-                    stack.append(w)
-        if exact:
-            if reached != free_total:
-                return False
-        else:
-            if stamp[g_idx] != g:
-                return False
-            for i in req_idx:
-                if not on[i] and stamp[i] != g:
-                    return False
-            for c in extra:
-                i = grid.index.get(c)
-                if i is None:
-                    return False
-                if not on[i] and stamp[i] != g:
-                    return False
-        if exact:
-            if len(path_idx) >= 2:
-                prev = path_idx[-2]
-                for w in nbrs[prev]:
-                    if on[w] or w == g_idx:
-                        continue
-                    avail = 0
-                    for x in nbrs[w]:
-                        if not on[x] or x == head:
-                            avail += 1
-                    if avail < 2:
-                        return False
-        else:
-            for w in req_idx:
-                if on[w] or w == g_idx:
-                    continue
-                avail = 0
-                for x in nbrs[w]:
-                    if not on[x] or x == head:
-                        avail += 1
-                if avail < 2:
-                    return False
-        return True
-
-    def extend(head: int):
-        nonlocal nodes, pending_req
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded(nodes)
-        if head == g_idx:
-            if pending_req == 0 and (exact or not constraint.extra_required()):
-                if constraint.finish_ok(tuple(path_cells)):
-                    results.append(tuple(path_cells))
-                    if cap is not None and len(results) >= cap:
-                        raise _Stop
-            return
-        if not viable(head):
-            return
-        for w in nbrs[head]:
-            if on[w]:
-                continue
-            cell = cells[w]
-            if not constraint.push(path_cells, cell):
-                continue
-            on[w] = 1
-            free_color[color[w]] -= 1
-            pending_req -= req[w]
-            path_idx.append(w)
-            path_cells.append(cell)
-            extend(w)
-            path_idx.pop()
-            path_cells.pop()
-            on[w] = 0
-            free_color[color[w]] += 1
-            pending_req += req[w]
-            constraint.pop()
-
-    try:
-        extend(s_idx)
-    except _Stop:
-        constraint.pop()
-        return SearchResult(results, nodes, False)
-    constraint.pop()
-    return SearchResult(results, nodes, True)
+    nodes = _Nodes(budget)
+    found = _walk(grid, grid.index[start], grid.index[goal],
+                  map(grid.index.get, required_set), make_constraint(), nodes)
+    return _collect(found, cap, nodes)

@@ -9,7 +9,7 @@ row for ``y = height - 1`` comes first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import MalformedLoopError
 
@@ -261,9 +261,6 @@ class RegionDecomposition:
     def region_count(self) -> int:
         return len(self.regions)
 
-    def cells_of(self, region_id: int) -> frozenset[Cell]:
-        return self.regions[region_id]
-
 
 def regions_from_boundaries(width: int, height: int, b: BoundaryEdgeSet) -> RegionDecomposition:
     """Flood-fill the board into regions; the outer border always acts as boundary."""
@@ -309,20 +306,7 @@ def loop_runs(loop: LoopPath, classify: Callable[[Cell], object]) -> list[tuple[
     one run of the full length, otherwise adjacent runs (cyclically) carry
     distinct labels.
     """
-    labels = [classify(c) for c in loop.cells]
-    n = len(labels)
-    if all(lab == labels[0] for lab in labels):
-        return [(labels[0], n)]
-    # rotate so a run starts at index 0
-    start = next(i for i in range(n) if labels[i - 1] != labels[i])
-    rotated = labels[start:] + labels[:start]
-    runs: list[tuple[object, int]] = []
-    for lab in rotated:
-        if runs and runs[-1][0] == lab:
-            runs[-1] = (lab, runs[-1][1] + 1)
-        else:
-            runs.append((lab, 1))
-    return runs
+    return [(lab, len(cells)) for lab, cells in loop_runs_with_cells(loop, classify)]
 
 
 def loop_runs_with_cells(
@@ -368,12 +352,6 @@ def loop_arc_count(loop: LoopPath, r: RegionDecomposition, region_id: int) -> in
         return 1
     n = len(flags)
     return sum(1 for i in range(n) if flags[i] and not flags[i - 1])
-
-
-def iter_loop_edges(loop: LoopPath) -> Iterator[tuple[Cell, Cell]]:
-    n = len(loop.cells)
-    for i in range(n):
-        yield loop.cells[i], loop.cells[(i + 1) % n]
 
 
 @dataclass(frozen=True)

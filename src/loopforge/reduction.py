@@ -211,9 +211,10 @@ def emit_certificate(cert: GadgetCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ww_harness_paths(start_side: Direction, goal_side: Direction,
+def _ww_harness_paths(start_side: Direction, goal: Cell,
                       budget: int | None, turns: int = 0):
-    """All pinned-end gadget traversals under the in-frame puzzle rules."""
+    """All gadget traversals pinned from an exit to ``goal`` under the
+    in-frame puzzle rules."""
     frame = waterwalk.FRAME
     ground = frozenset(rotate_cell(frame, turns, c) for c in waterwalk.GADGET_GROUND)
     numbers = {rotate_cell(frame, turns, c): v
@@ -221,7 +222,6 @@ def _ww_harness_paths(start_side: Direction, goal_side: Direction,
     inst = waterwalk.WwInstance(frame, frame, ground, numbers)
     cells = [(x, y) for x in range(frame) for y in range(frame)]
     start = waterwalk.gadget_exit_cell(start_side, turns)
-    goal = waterwalk.gadget_exit_cell(goal_side, turns)
 
     class Harness(waterwalk.WwLoopRules):
         def finish_ok(self, path_cells) -> bool:
@@ -335,12 +335,16 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     if puzzle == "ww":
         for i, a in enumerate(exits):
             for b in exits[i + 1:]:
-                res = _ww_harness_paths(a, b, budget, turns)
+                goal = waterwalk.gadget_exit_cell(b, turns)
+                res = _ww_harness_paths(a, goal, budget, turns)
                 nodes += res.nodes
                 pair_counts[frozenset({a, b})] = len(res.loops)
                 traversals[frozenset({a, b})] = tuple(res.loops)
+        # toward the blocked side's midline border cell, no traversal
+        # should survive the rules
+        blocked_goal = _midline_cell(blocked, waterwalk.FRAME)
         for a in exits:
-            res = _ww_harness_paths_to_blocked(a, blocked, budget, turns)
+            res = _ww_harness_paths(a, blocked_goal, budget, turns)
             nodes += res.nodes
             blocked_counts[frozenset({a, blocked})] = len(res.loops)
     else:
@@ -385,28 +389,6 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
 def _on_board_neighbors(c: Cell, size: int):
     return [n for n in ((c[0] + 1, c[1]), (c[0] - 1, c[1]), (c[0], c[1] + 1),
                         (c[0], c[1] - 1)) if 0 <= n[0] < size and 0 <= n[1] < size]
-
-
-def _ww_harness_paths_to_blocked(start_side: Direction, blocked: Direction,
-                                 budget: int | None, turns: int):
-    """Traversals pinned from an exit to the midline border cell of the
-    blocked side (expected: none survive the rules)."""
-    frame = waterwalk.FRAME
-    ground = frozenset(rotate_cell(frame, turns, c) for c in waterwalk.GADGET_GROUND)
-    numbers = {rotate_cell(frame, turns, c): v
-               for c, v in waterwalk.GADGET_NUMBERS.items()}
-    inst = waterwalk.WwInstance(frame, frame, ground, numbers)
-    cells = [(x, y) for x in range(frame) for y in range(frame)]
-    start = waterwalk.gadget_exit_cell(start_side, turns)
-    canonical_blocked_cell = _midline_cell(waterwalk.GADGET_NON_EXIT, frame)
-    goal = rotate_cell(frame, turns, canonical_blocked_cell)
-
-    class Harness(waterwalk.WwLoopRules):
-        def finish_ok(self, path_cells) -> bool:
-            return _ww_path_valid(inst, path_cells)
-
-    return search_paths(cells, start, goal, sorted(numbers),
-                        lambda: Harness(inst), budget=budget)
 
 
 def _midline_cell(side: Direction, frame: int) -> Cell:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CompileError, ParseError
-from .framework import DIRECTION_ORDER, Direction, ExitPlan, rotate_cell, turns_between
+from .framework import Direction, ExitPlan, direction_between, rotate_cell, turns_between
 from .model import (
     Cell,
     GridGraph,
@@ -185,7 +185,7 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
 
     # every graph edge must cross two water border cells flanked by ground
     for u, w in sorted(g.edges):
-        d = _direction(u, w)
+        d = direction_between(u, w)
         bu = _global_exit_cell(inst, u, d)
         bw = _global_exit_cell(inst, w, d.opposite())
         if abs(bu[0] - bw[0]) + abs(bu[1] - bw[1]) != 1:
@@ -197,14 +197,6 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
             if inst.terrain(inward) != GROUND:
                 raise CompileError(f"crossing at {border} has no ground at {inward}")
     return inst
-
-
-def _direction(u, w) -> Direction:
-    delta = (w[0] - u[0], w[1] - u[1])
-    for d in DIRECTION_ORDER:
-        if d.value == delta:
-            return d
-    raise CompileError(f"{u} and {w} are not adjacent")
 
 
 def _global_exit_cell(inst: WwInstance, v, side: Direction) -> Cell:

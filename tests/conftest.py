@@ -52,3 +52,15 @@ def aon_certificate():
     from loopforge.reduction import certify_gadget
 
     return certify_gadget("aon")
+
+
+@pytest.fixture(scope="session")
+def ring_2x1000():
+    """The 2x1000 grid graph that is only its perimeter: one 2000-vertex
+    Hamiltonian cycle, far deeper than the interpreter's recursion limit."""
+    from loopforge.model import grid_graph
+
+    cols = 1000
+    edges = [((x, y), (x + 1, y)) for x in range(cols - 1) for y in (0, 1)]
+    edges += [((0, 0), (0, 1)), ((cols - 1, 0), (cols - 1, 1))]
+    return grid_graph(cols, 2, edges)

@@ -52,6 +52,16 @@ class TestExitCodes:
                      "--budget", "3", "--out", str(tmp_path / "w.loop")])
         assert code == 2
 
+    def test_crash_is_internal_error(self, square_graph_file, monkeypatch, capsys):
+        import loopforge.cli
+
+        def crash(g, budget):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(loopforge.cli, "find_hamiltonian_cycle", crash)
+        assert main(["ham", "--in", str(square_graph_file)]) == 4
+        assert "internal error: RecursionError" in capsys.readouterr().err
+
     def test_unsatisfiable_code(self, tmp_path):
         inst = tmp_path / "w.inst"
         inst.write_text("ww 3 3\n~~~\n~1~\n~~~\n")
@@ -90,6 +100,12 @@ class TestPipelines:
         assert main(["ham", "--in", str(square_graph_file), "--out", str(out)]) == 0
         cycle = parse_loop(out.read_text())
         assert len(cycle.cells) == 4
+
+    def test_ham_finds_long_cycle(self, ring_2x1000, tmp_path):
+        g, out = tmp_path / "g.graph", tmp_path / "c.loop"
+        g.write_text(emit_graph(ring_2x1000))
+        assert main(["ham", "--in", str(g), "--out", str(out)]) == 0
+        assert len(parse_loop(out.read_text()).cells) == 2000
 
     def test_ham_reports_none(self, tmp_path):
         g = tmp_path / "g.graph"

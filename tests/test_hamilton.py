@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -47,6 +48,13 @@ class TestFindHamiltonianCycle:
             oracle = {HamCycle(s).canonical().vertices
                       for s in ham_cycles_by_permutation(g)}
             assert mine == oracle
+
+    def test_long_cycle_without_recursion(self, ring_2x1000):
+        limit = sys.getrecursionlimit()
+        cycle = find_hamiltonian_cycle(ring_2x1000)
+        assert cycle is not None and cycle.is_cycle_of(ring_2x1000)
+        assert len(cycle.vertices) == 2000
+        assert sys.getrecursionlimit() == limit
 
     def test_odd_boards_have_no_cycles(self):
         for g in enumerate_candidate_subgraphs(3, 3):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from loopforge import aon, waterwalk
@@ -193,6 +195,12 @@ class TestCertificates:
         assert "rim-markers-leaves 6" in cert.findings
         assert "one-cell-enclosed-by 1" in cert.findings
         assert "locally-unique no" in cert.findings
+        assert cert.nodes == 390845
+
+    def test_certificate_leaves_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        certify_gadget("ww")
+        assert sys.getrecursionlimit() == limit
 
     @pytest.mark.parametrize("turns", [1, 2, 3])
     def test_ww_counts_invariant_under_rotation(self, turns):

@@ -1,8 +1,11 @@
+import random
+import sys
+
 import pytest
 
 from loopforge.errors import MalformedLoopError, ParseError
 from loopforge.framework import Direction, plan_for, rotate_cell
-from loopforge.hamilton import enumerate_candidate_subgraphs
+from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.model import LoopPath, full_grid
 from loopforge.waterwalk import (
     FRAME,
@@ -240,9 +243,24 @@ class TestSolve:
         res = solve_ww(inst, mode="first")
         assert res.loops and verify_ww(inst, res.loops[0]).ok
 
-    def test_solver_matches_brute_force_on_random_boards(self):
-        import random
+    def test_seed7_2x3_first_solution_node_count_pinned(self):
+        # a regression in any prune of the search engine moves this count
+        g = random_candidate_subgraph(2, 3, random.Random(7))
+        res = solve_ww(compile_ww(g, plan_for(g)), mode="first")
+        assert res.nodes == 3966 and len(res.loops) == 1
 
+    def test_large_board_leaves_recursion_limit_alone(self):
+        from loopforge.errors import SearchBudgetExceeded
+
+        # a 30x30 board: a recursive search would need more stack than
+        # the default recursion limit gives
+        g = random_candidate_subgraph(6, 6, random.Random(7))
+        limit = sys.getrecursionlimit()
+        with pytest.raises(SearchBudgetExceeded):
+            solve_ww(compile_ww(g, plan_for(g)), mode="first", budget=10)
+        assert sys.getrecursionlimit() == limit
+
+    def test_solver_matches_brute_force_on_random_boards(self):
         rng = random.Random(7)
         loops = all_loops_on_board(4, 4)
         for _ in range(25):
