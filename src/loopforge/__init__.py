@@ -47,6 +47,7 @@ from .model import (
     Verdict,
     Violation,
     boundary_crossings,
+    crossings_by_region,
     degree_bounds,
     degree_profile,
     full_grid,

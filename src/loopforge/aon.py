@@ -31,8 +31,8 @@ from .model import (
     RegionDecomposition,
     Verdict,
     Violation,
-    boundary_crossings,
     corner_segment_to_cells,
+    crossings_by_region,
     orthogonal_neighbors,
     perimeter_boundary,
     polyline_to_boundary,
@@ -273,18 +273,21 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
         raise CompileError("exit plan was built for a different graph")
     width, height = FRAME * g.cols, FRAME * g.rows
     segments = gadget_wall_segments()
+    # the gadget in each of its four rotations, as sorted frame-cell pairs;
+    # an offset keeps a pair sorted
+    rotated_walls = [
+        [corner_segment_to_cells(rotate_corner(FRAME, turns, p), rotate_corner(FRAME, turns, q))
+         for p, q in segments]
+        for turns in range(4)
+    ]
     pairs = set()
     provenance = {}
     for v in g.vertices():
         turns = gadget_turns(plan, v)
         provenance[v] = turns
         ox, oy = FRAME * v[0], FRAME * v[1]
-        for p, q in segments:
-            rp = rotate_corner(FRAME, turns, p)
-            rq = rotate_corner(FRAME, turns, q)
-            a, b = corner_segment_to_cells(
-                (rp[0] + ox, rp[1] + oy), (rq[0] + ox, rq[1] + oy))
-            pairs.add(tuple(sorted((a, b))))
+        pairs.update(((ax + ox, ay + oy), (bx + ox, by + oy))
+                     for (ax, ay), (bx, by) in rotated_walls[turns])
         for side in plan.exits(v):
             ex, ey = gadget_exit_cell(side, turns)
             mid = FRAME // 2
@@ -296,14 +299,12 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     decomp = regions_from_boundaries(width, height, boundary)
 
     big_cells_canonical = gadget_parts()["big"]
+    rotated_big = [[rotate_cell(FRAME, turns, c) for c in big_cells_canonical]
+                   for turns in range(4)]
     big_ids = set()
     for v in g.vertices():
-        turns = provenance[v]
         ox, oy = FRAME * v[0], FRAME * v[1]
-        placed = set()
-        for c in big_cells_canonical:
-            rx, ry = rotate_cell(FRAME, turns, c)
-            placed.add((ox + rx, oy + ry))
+        placed = {(ox + rx, oy + ry) for rx, ry in rotated_big[provenance[v]]}
         ids = {decomp.region_of[c] for c in placed}
         if len(ids) != 1:
             raise CompileError(f"big region of metacell {v} is fragmented")
@@ -329,6 +330,7 @@ def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
     for c in loop.cells:
         visited_count[decomp.region_of[c]] += 1
 
+    crossings_of = crossings_by_region(loop, decomp)
     for rid in sorted(decomp.regions):
         size = len(decomp.regions[rid])
         hit = visited_count[rid]
@@ -339,7 +341,7 @@ def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
                 1, f"region {name} is only partly visited ({hit} of {size} cells)",
                 tuple(missing)))
         if hit > 0:
-            crossings = boundary_crossings(loop, decomp, rid)
+            crossings = crossings_of.get(rid, 0)
             if crossings not in (0, 2):
                 violations.append(Violation(
                     2, f"loop crosses the border of region {name} {crossings} times",

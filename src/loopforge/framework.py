@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Literal
 
 from .model import GridGraph, Vertex, degree_profile
@@ -102,11 +103,20 @@ class ComplementGraph:
     internal_edges: frozenset[tuple[Vertex, Vertex]]
     half_edges: frozenset[HalfEdge]
 
+    @cached_property
+    def _incidence_index(self) -> dict[Vertex, list[Direction]]:
+        index: dict[Vertex, list[Direction]] = {}
+        for a, b in self.internal_edges:
+            index.setdefault(a, []).append(direction_between(a, b))
+            index.setdefault(b, []).append(direction_between(b, a))
+        for h in self.half_edges:
+            index.setdefault(h.vertex, []).append(h.direction)
+        for dirs in index.values():
+            dirs.sort(key=DIRECTION_ORDER.index)
+        return index
+
     def incidences(self, v: Vertex) -> list[Direction]:
-        dirs = [direction_between(v, b if a == v else a)
-                for a, b in self.internal_edges if v in (a, b)]
-        dirs.extend(h.direction for h in self.half_edges if h.vertex == v)
-        return sorted(dirs, key=DIRECTION_ORDER.index)
+        return list(self._incidence_index.get(v, ()))
 
 
 def build_complement(g: GridGraph) -> ComplementGraph:
@@ -144,27 +154,34 @@ class Orientation:
     edge_heads: dict[tuple[Vertex, Vertex], Vertex]
     half_out: dict[HalfEdge, bool]
 
-    def outgoing(self, v: Vertex) -> Direction | None:
+    @cached_property
+    def _arc_index(self) -> tuple[dict[Vertex, Direction], dict[Vertex, int], dict[Vertex, int]]:
+        """First outgoing direction (edge arcs in ``edge_heads`` order, then
+        half-edges), indegree and outdegree of every vertex with an arc."""
+        out: dict[Vertex, Direction] = {}
+        indeg: dict[Vertex, int] = {}
+        outdeg: dict[Vertex, int] = {}
         for (a, b), head in self.edge_heads.items():
-            if a == v and head == b:
-                return direction_between(v, b)
-            if b == v and head == a:
-                return direction_between(v, a)
-        for h, out in self.half_out.items():
-            if h.vertex == v and out:
-                return h.direction
-        return None
+            tail = a if head == b else b
+            out.setdefault(tail, direction_between(tail, head))
+            indeg[head] = indeg.get(head, 0) + 1
+            outdeg[tail] = outdeg.get(tail, 0) + 1
+        for h, is_out in self.half_out.items():
+            if is_out:
+                out.setdefault(h.vertex, h.direction)
+                outdeg[h.vertex] = outdeg.get(h.vertex, 0) + 1
+            else:
+                indeg[h.vertex] = indeg.get(h.vertex, 0) + 1
+        return out, indeg, outdeg
+
+    def outgoing(self, v: Vertex) -> Direction | None:
+        return self._arc_index[0].get(v)
 
     def indegree(self, v: Vertex) -> int:
-        n = sum(1 for head in self.edge_heads.values() if head == v)
-        n += sum(1 for h, out in self.half_out.items() if h.vertex == v and not out)
-        return n
+        return self._arc_index[1].get(v, 0)
 
     def outdegree(self, v: Vertex) -> int:
-        n = sum(1 for (a, b), head in self.edge_heads.items()
-                if (a == v and head == b) or (b == v and head == a))
-        n += sum(1 for h, out in self.half_out.items() if h.vertex == v and out)
-        return n
+        return self._arc_index[2].get(v, 0)
 
 
 SeedRule = Literal["lex", "antilex"]

@@ -264,38 +264,63 @@ class RegionDecomposition:
 
 def regions_from_boundaries(width: int, height: int, b: BoundaryEdgeSet) -> RegionDecomposition:
     """Flood-fill the board into regions; the outer border always acts as boundary."""
-    cells = [(x, y) for x in range(width) for y in range(height)]
-    in_board = set(cells)
-
-    def open_neighbors(c: Cell) -> list[Cell]:
-        return [n for n in orthogonal_neighbors(c) if n in in_board and not b.blocks(c, n)]
-
+    # normalise each wall once to the cell on its west or south side, so a
+    # step costs one lookup whichever order the pair was stored in
+    east_walls: set[Cell] = set()
+    north_walls: set[Cell] = set()
+    for p, q in b.edges:
+        if q < p:
+            p, q = q, p
+        (north_walls if p[0] == q[0] else east_walls).add(p)
     region_of: dict[Cell, int] = {}
     regions: dict[int, frozenset[Cell]] = {}
-    next_id = 0
-    for start in sorted(cells):
-        if start in region_of:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            c = frontier.pop()
-            for n in open_neighbors(c):
-                if n not in comp:
-                    comp.add(n)
-                    frontier.append(n)
-        for c in comp:
-            region_of[c] = next_id
-        regions[next_id] = frozenset(comp)
-        next_id += 1
+    for x0 in range(width):  # cells in sorted order, so ids follow smallest cells
+        for y0 in range(height):
+            start = (x0, y0)
+            if start in region_of:
+                continue
+            rid = len(regions)
+            region_of[start] = rid
+            comp = [start]
+            stack = [start]
+            while stack:
+                c = stack.pop()
+                x, y = c
+                if x + 1 < width and c not in east_walls:
+                    n = (x + 1, y)
+                    if n not in region_of:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+                if y + 1 < height and c not in north_walls:
+                    n = (x, y + 1)
+                    if n not in region_of:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+                if x > 0:
+                    n = (x - 1, y)
+                    if n not in region_of and n not in east_walls:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+                if y > 0:
+                    n = (x, y - 1)
+                    if n not in region_of and n not in north_walls:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+            regions[rid] = frozenset(comp)
 
-    leaves = {
-        rid: frozenset(
-            c for c in comp
-            if sum(1 for n in orthogonal_neighbors(c) if region_of.get(n) == rid) == 1
-        )
-        for rid, comp in regions.items()
-    }
+    leaf_cells: dict[int, list[Cell]] = {rid: [] for rid in regions}
+    get = region_of.get
+    for c, rid in region_of.items():
+        x, y = c
+        same = (get((x + 1, y)) == rid) + (get((x - 1, y)) == rid) \
+            + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
+        if same == 1:
+            leaf_cells[rid].append(c)
+    leaves = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
     return RegionDecomposition(width, height, region_of, regions, leaves)
 
 
@@ -329,18 +354,31 @@ def loop_runs_with_cells(
     return [(lab, tuple(cs)) for lab, cs in runs]
 
 
+def crossings_by_region(loop: LoopPath, r: RegionDecomposition) -> dict[int, int]:
+    """Border crossings of every region, in one pass over the loop.
+
+    A region the loop never crosses into or out of is absent.  Each step
+    between two different regions crosses the border of both.
+    """
+    region_of = r.region_of
+    counts: dict[int, int] = {}
+    prev = region_of.get(loop.cells[-1])
+    for c in loop.cells:
+        cur = region_of.get(c)
+        if cur != prev:
+            if prev is not None:
+                counts[prev] = counts.get(prev, 0) + 1
+            if cur is not None:
+                counts[cur] = counts.get(cur, 0) + 1
+            prev = cur
+    return counts
+
+
 def boundary_crossings(loop: LoopPath, r: RegionDecomposition, region_id: int) -> int:
     """Number of cyclic positions where the loop steps across the region's border."""
     if region_id not in r.regions:
         raise ValueError(f"unknown region id: {region_id}")
-    n = len(loop.cells)
-    count = 0
-    for i in range(n):
-        a_in = r.region_of.get(loop.cells[i]) == region_id
-        b_in = r.region_of.get(loop.cells[(i + 1) % n]) == region_id
-        if a_in != b_in:
-            count += 1
-    return count
+    return crossings_by_region(loop, r).get(region_id, 0)
 
 
 def loop_arc_count(loop: LoopPath, r: RegionDecomposition, region_id: int) -> int:

@@ -7,6 +7,7 @@ to be compared against.
 
 from itertools import permutations
 
+from loopforge.framework import DIRECTION_ORDER, direction_between
 from loopforge.model import LoopPath, full_grid, grid_graph, orthogonal_neighbors
 
 
@@ -72,3 +73,39 @@ def candidate_subgraphs_by_subset(cols, rows):
         if all(d in (2, 3) for d in deg.values()):
             out.append(grid_graph(cols, rows, chosen))
     return out
+
+
+# Per-vertex queries on the complement H and its orientation, answered by
+# scanning every H edge on each call: the definitions the per-vertex
+# indexes of ComplementGraph and Orientation must reproduce.
+
+def incidences_by_scan(h, v):
+    dirs = [direction_between(v, b if a == v else a)
+            for a, b in h.internal_edges if v in (a, b)]
+    dirs.extend(he.direction for he in h.half_edges if he.vertex == v)
+    return sorted(dirs, key=DIRECTION_ORDER.index)
+
+
+def outgoing_by_scan(o, v):
+    for (a, b), head in o.edge_heads.items():
+        if a == v and head == b:
+            return direction_between(v, b)
+        if b == v and head == a:
+            return direction_between(v, a)
+    for he, out in o.half_out.items():
+        if he.vertex == v and out:
+            return he.direction
+    return None
+
+
+def indegree_by_scan(o, v):
+    n = sum(1 for head in o.edge_heads.values() if head == v)
+    n += sum(1 for he, out in o.half_out.items() if he.vertex == v and not out)
+    return n
+
+
+def outdegree_by_scan(o, v):
+    n = sum(1 for (a, b), head in o.edge_heads.items()
+            if (a == v and head == b) or (b == v and head == a))
+    n += sum(1 for he, out in o.half_out.items() if he.vertex == v and out)
+    return n

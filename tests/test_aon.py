@@ -1,8 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from loopforge.errors import CompileError, MalformedLoopError, ParseError
-from loopforge.framework import Direction, plan_for, rotate_cell
-from loopforge.hamilton import enumerate_candidate_subgraphs
+from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
+from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.model import LoopPath, full_grid
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
@@ -172,7 +175,29 @@ class TestVerify:
         assert any(v.rule == 2 and host in v.message for v in verdict.violations)
 
 
+# sha256 of the exit-plan dump and of the compiled board file for
+# random_candidate_subgraph(6, 6, random.Random(7)), per seed rule; any
+# moved wall, region id or exit changes them
+PINNED_6X6_DIGESTS = {
+    "lex": ("4b732e6d7b5959572700a88225a88b9ef68148486558bddc2eb7d7d509848d70",
+            "9d506d563fb74e40a3f13a3aeb6cf62282e6083e3fe9bd2a0f94132bfa7338e8"),
+    "antilex": ("4272e5fad41837930158aac08297a7e2799285008b15c66429f6d1267e3f1a5c",
+                "23ffd46eb121242221f59aa0958367e7d6c958ad41c75643fab6c331138c5c9e"),
+}
+
+
 class TestCompile:
+    @pytest.mark.parametrize("rule", sorted(PINNED_6X6_DIGESTS))
+    def test_output_pinned_byte_for_byte(self, rule):
+        g = random_candidate_subgraph(6, 6, random.Random(7))
+        plan = plan_for(g, rule)
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert (digest(emit_exit_plan(plan)), digest(emit_aon(compile_aon(g, plan)))) \
+            == PINNED_6X6_DIGESTS[rule]
+
     def test_square_board_counts(self):
         g = full_grid(2, 2)
         inst = compile_aon(g, plan_for(g))

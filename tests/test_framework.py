@@ -5,6 +5,7 @@ import pytest
 from loopforge.framework import (
     Direction,
     HalfEdge,
+    Orientation,
     build_complement,
     emit_exit_plan,
     mutual_facing_holds,
@@ -17,6 +18,7 @@ from loopforge.framework import (
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.model import degree_profile, full_grid, grid_graph
 
+from oracles import incidences_by_scan, indegree_by_scan, outdegree_by_scan, outgoing_by_scan
 from test_model import graph_3x4
 
 
@@ -141,6 +143,44 @@ class TestOrientation:
         assert o.edge_heads[((0, 1), (1, 1))] == (1, 1)
         anti = orient_complement(build_complement(ring), "antilex")
         assert anti.edge_heads[((0, 1), (1, 1))] == (0, 1)
+
+
+def _small_and_random_graphs():
+    for dims in [(2, 2), (2, 3), (3, 3)]:
+        yield from enumerate_candidate_subgraphs(*dims)
+    rng = random.Random(88)
+    for _ in range(6):
+        yield random_candidate_subgraph(8, 8, rng)
+
+
+class TestIndexesMatchScans:
+    """The per-vertex indexes answer exactly what a scan over every H edge
+    answers, including the direction ``outgoing`` picks first."""
+
+    def test_incidences(self):
+        for g in _small_and_random_graphs():
+            h = build_complement(g)
+            for v in g.vertices():
+                assert h.incidences(v) == incidences_by_scan(h, v)
+
+    @pytest.mark.parametrize("rule", ["lex", "antilex"])
+    def test_orientation_queries(self, rule):
+        for g in _small_and_random_graphs():
+            o = orient_complement(build_complement(g), rule)
+            for v in g.vertices():
+                assert o.outgoing(v) == outgoing_by_scan(o, v)
+                assert o.indegree(v) == indegree_by_scan(o, v)
+                assert o.outdegree(v) == outdegree_by_scan(o, v)
+
+    def test_outgoing_takes_first_edge_arc_before_half_edges(self):
+        # a hand-built orientation where (1, 0) has two outgoing arcs: the
+        # edge arc listed first in edge_heads wins, and any edge arc beats
+        # an outgoing half-edge
+        o = Orientation({((0, 0), (1, 0)): (1, 0), ((1, 0), (2, 0)): (2, 0),
+                         ((1, 0), (1, 1)): (1, 1)},
+                        {HalfEdge((1, 0), Direction.S): True})
+        assert o.outgoing((1, 0)) == outgoing_by_scan(o, (1, 0)) == Direction.E
+        assert o.outdegree((1, 0)) == 3 and o.indegree((1, 0)) == 1
 
 
 class TestExitPlan:

@@ -9,6 +9,7 @@ from loopforge.model import (
     LoopPath,
     boundary_crossings,
     boundary_edges,
+    crossings_by_region,
     degree_bounds,
     degree_profile,
     full_grid,
@@ -164,6 +165,29 @@ class TestRegions:
         r2 = regions_from_boundaries(3, 2, with_border)
         assert r1.regions == r2.regions
 
+    def test_pair_order_does_not_change_regions(self):
+        # BoundaryEdgeSet accepts a pair in either order; the gadget frame
+        # with every wall stored reversed must decompose as with sorted pairs
+        from loopforge.aon import FRAME, gadget_boundary
+
+        sorted_b = gadget_boundary().union(perimeter_boundary(FRAME, FRAME))
+        assert all(a < b for a, b in sorted_b.edges)
+        reversed_b = BoundaryEdgeSet(frozenset((b, a) for a, b in sorted_b.edges))
+        r1 = regions_from_boundaries(FRAME, FRAME, sorted_b)
+        r2 = regions_from_boundaries(FRAME, FRAME, reversed_b)
+        assert r1.region_count() > 1
+        assert r1 == r2 and r1.regions == r2.regions and r1.leaves == r2.leaves
+
+    @given(st.data())
+    def test_mixed_pair_order_does_not_change_regions(self, data):
+        walls = sorted(data.draw(st.sets(st.sampled_from(WALLS_4X4), max_size=12)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(walls), max_size=len(walls)))
+        mixed = BoundaryEdgeSet(frozenset((b, a) if flip else (a, b)
+                                          for (a, b), flip in zip(walls, flips)))
+        r1 = regions_from_boundaries(4, 4, boundary_edges(walls))
+        r2 = regions_from_boundaries(4, 4, mixed)
+        assert r1 == r2 and r1.regions == r2.regions and r1.leaves == r2.leaves
+
     def test_polyline_decomposition(self):
         pairs = polyline_to_boundary([(1, 0), (1, 2), (0, 2)])
         assert pairs == {
@@ -227,6 +251,21 @@ class TestBoundaryCrossings:
         r = regions_from_boundaries(4, 4, boundary_edges(walls))
         for rid in r.regions:
             assert boundary_crossings(loop, r, rid) % 2 == 0
+
+    @given(st.data())
+    def test_one_pass_counts_match_per_region_counts(self, data):
+        loop = LOOPS_4X4[data.draw(st.integers(0, len(LOOPS_4X4) - 1))]
+        walls = data.draw(st.sets(st.sampled_from(WALLS_4X4), max_size=10))
+        r = regions_from_boundaries(4, 4, boundary_edges(walls))
+        counts = crossings_by_region(loop, r)
+        assert set(counts) <= set(r.regions)
+        n = len(loop.cells)
+        for rid in r.regions:
+            # the per-region definition: positions where inside flips
+            flips = sum(1 for i in range(n)
+                        if (r.region_of[loop.cells[i]] == rid)
+                        != (r.region_of[loop.cells[(i + 1) % n]] == rid))
+            assert counts.get(rid, 0) == boundary_crossings(loop, r, rid) == flips
 
     @given(st.data())
     def test_arc_count_matches_crossings(self, data):

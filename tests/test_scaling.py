@@ -1,0 +1,84 @@
+"""Layers the README calls linear stay linear, pinned by operation counts.
+
+Wall time depends on the machine; the number of Python lines a layer
+executes does not.  Each check counts the line events ``sys.settrace``
+reports inside ``loopforge`` modules while one call runs, at a source size
+n and at 2n.  Doubling n quadruples the vertices, so linear work grows
+about 4x; the bound of 8x is twice linear, and a layer that redoes an
+O(board) pass per vertex or per region (as verification and the
+complement queries once did) grows past it.
+"""
+
+import os
+import sys
+
+import pytest
+
+import loopforge
+from loopforge.aon import compile_aon, verify_aon
+from loopforge.framework import plan_for
+from loopforge.model import HamCycle, grid_graph
+from loopforge.reduction import embed_cycle
+
+PACKAGE_DIR = os.path.dirname(loopforge.__file__) + os.sep
+SIZES = (6, 12)
+MAX_GROWTH = 8.0
+
+
+def serpentine(n):
+    """The 2-regular n x n grid graph that is a single Hamiltonian cycle,
+    with that cycle: along row 0, snaking back through columns n-1 .. 1,
+    then down column 0 (n even)."""
+    order = [(x, 0) for x in range(n)]
+    for k, x in enumerate(range(n - 1, 0, -1)):
+        ys = range(1, n) if k % 2 == 0 else range(n - 1, 0, -1)
+        order += [(x, y) for y in ys]
+    order += [(0, y) for y in range(n - 1, 0, -1)]
+    edges = [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
+    return grid_graph(n, n, edges), HamCycle(tuple(order))
+
+
+def count_lines(fn, *args):
+    """Line events inside loopforge modules while ``fn(*args)`` runs; the
+    previous tracer is restored afterwards."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE_DIR) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _plan_for_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(plan_for, g)
+
+
+def _verify_aon_cost(n):
+    g, cycle = serpentine(n)
+    plan = plan_for(g)
+    inst = compile_aon(g, plan)
+    loop = embed_cycle(g, plan, cycle, "aon").loop
+    assert verify_aon(inst, loop).ok
+    return count_lines(verify_aon, inst, loop)
+
+
+@pytest.mark.parametrize("cost", [_plan_for_cost, _verify_aon_cost],
+                         ids=["plan_for", "verify_aon"])
+def test_layer_grows_at_most_twice_linear(cost):
+    small, large = (cost(n) for n in SIZES)
+    assert small > 0
+    assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
+
