@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CompileError, ParseError
-from .framework import Direction, ExitPlan, rotate_cell, rotate_corner, turns_between
+from .fileio import board_rows
+from .framework import Direction, ExitPlan, Gadget, rotate_cell, rotate_corner
 from .loopsearch import LoopConstraint, SearchResult, search_loops
 from .model import (
     BoundaryEdgeSet,
@@ -109,6 +110,8 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
     ),),
 }
 
+GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
+
 
 def gadget_wall_segments() -> set[tuple[tuple[int, int], tuple[int, int]]]:
     """Unit corner segments of the canonical gadget walls (union of polylines)."""
@@ -157,15 +160,6 @@ def gadget_parts() -> dict[str, object]:
     }
 
 
-def gadget_turns(plan: ExitPlan, v) -> int:
-    return turns_between(GADGET_NON_EXIT, plan.non_exit(v))
-
-
-def gadget_exit_cell(side: Direction, turns: int) -> Cell:
-    canonical = side.rotated(-turns)
-    return rotate_cell(FRAME, turns, GADGET_EXIT_CELLS[canonical])
-
-
 def region_token(i: int) -> str:
     """A, B, ..., Z, AA, AB, ... for region ids in files."""
     s = ""
@@ -198,21 +192,7 @@ class AonInstance:
 
 
 def parse_aon(text: str) -> AonInstance:
-    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)
-             if raw.strip() and not raw.lstrip().startswith("#")]
-    if not lines:
-        raise ParseError("empty instance file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "aon":
-        raise ParseError(f"expected 'aon <width> <height>', got {header!r}", lineno)
-    try:
-        width, height = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("width/height must be integers", lineno) from None
-    rows = lines[1:]
-    if len(rows) != height:
-        raise ParseError(f"expected {height} rows, got {len(rows)}")
+    width, height, rows = board_rows(text, "aon")
     token_of: dict[Cell, str] = {}
     for k, (lineno, row) in enumerate(rows):
         y = height - 1 - k
@@ -250,16 +230,21 @@ def instance_from_tokens(width: int, height: int, token_of: dict[Cell, str]) -> 
     return AonInstance(width, height, decomp, tuple(names), b)
 
 
-def emit_aon(inst: AonInstance) -> str:
+def board_text(inst: AonInstance, marked=frozenset()) -> str:
+    """Board rows, top row first: each cell's region id, or ``#`` on a
+    ``marked`` cell, padded to the longest id."""
     wide = max(len(n) for n in inst.region_names)
-    lines = [f"aon {inst.width} {inst.height}"]
+    names, region_of = inst.region_names, inst.regions.region_of
+    lines = []
     for y in range(inst.height - 1, -1, -1):
-        tokens = []
-        for x in range(inst.width):
-            rid = inst.regions.region_of[(x, y)]
-            tokens.append(inst.region_names[rid].ljust(wide if wide > 1 else 1))
-        lines.append(" ".join(tokens).rstrip())
+        tokens = ("#" if (x, y) in marked else names[region_of[(x, y)]]
+                  for x in range(inst.width))
+        lines.append(" ".join(tok.ljust(wide) for tok in tokens).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def emit_aon(inst: AonInstance) -> str:
+    return f"aon {inst.width} {inst.height}\n" + board_text(inst)
 
 
 def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
@@ -283,18 +268,12 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     pairs = set()
     provenance = {}
     for v in g.vertices():
-        turns = gadget_turns(plan, v)
+        turns = GADGET.turns(plan, v)
         provenance[v] = turns
         ox, oy = FRAME * v[0], FRAME * v[1]
         pairs.update(((ax + ox, ay + oy), (bx + ox, by + oy))
                      for (ax, ay), (bx, by) in rotated_walls[turns])
-        for side in plan.exits(v):
-            ex, ey = gadget_exit_cell(side, turns)
-            mid = FRAME // 2
-            if side in (Direction.N, Direction.S):
-                assert ex == mid, f"exit cell off midline at {v} side {side}"
-            else:
-                assert ey == mid, f"exit cell off midline at {v} side {side}"
+        GADGET.assert_exits_on_midlines(plan, v, turns)
     boundary = BoundaryEdgeSet(frozenset(pairs)).union(perimeter_boundary(width, height))
     decomp = regions_from_boundaries(width, height, boundary)
 

@@ -12,7 +12,6 @@ import random
 import sys
 import traceback
 
-from . import aon, waterwalk
 from .errors import LiftError, LoopforgeError, MalformedLoopError, ParseError, \
     SearchBudgetExceeded
 from .fileio import emit_graph, emit_loop, parse_graph, parse_loop
@@ -20,14 +19,13 @@ from .framework import emit_exit_plan, plan_for
 from .hamilton import find_hamiltonian_cycle, random_candidate_subgraph
 from .model import HamCycle
 from .reduction import (
+    PUZZLES,
     certify_gadget,
-    compile_instance,
     emit_certificate,
     emit_roundtrip_report,
     lift_solution,
+    puzzle_of,
     roundtrip_experiment,
-    solve_instance,
-    verify_instance,
 )
 from .render import render_ascii, render_svg
 
@@ -45,11 +43,6 @@ def _write(path: str | None, text: str):
     else:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-
-
-def _parse_instance(path: str, puzzle: str):
-    text = _read(path)
-    return aon.parse_aon(text) if puzzle == "aon" else waterwalk.parse_ww(text)
 
 
 def cmd_gen(args) -> int:
@@ -85,19 +78,17 @@ def cmd_orient(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    p = puzzle_of(args.puzzle)
     g = parse_graph(_read(args.infile))
-    plan = plan_for(g)
-    inst = compile_instance(g, plan, args.puzzle)
-    emit = aon.emit_aon if args.puzzle == "aon" else waterwalk.emit_ww
-    _write(args.out, emit(inst))
+    _write(args.out, p.emit(p.compile(g, plan_for(g))))
     return OK
 
 
 def cmd_solve(args) -> int:
-    inst = _parse_instance(args.infile, args.puzzle)
+    p = puzzle_of(args.puzzle)
+    inst = p.parse(_read(args.infile))
     mode = "all" if args.all else "first"
-    result = solve_instance(inst, args.puzzle, mode=mode,
-                            budget=args.budget, cap=args.cap)
+    result = p.solve(inst, mode=mode, budget=args.budget, cap=args.cap)
     if not result.loops:
         print("unsatisfiable" if result.exhausted else "no solution within cap",
               file=sys.stderr)
@@ -113,9 +104,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _parse_instance(args.infile, args.puzzle)
+    p = puzzle_of(args.puzzle)
+    inst = p.parse(_read(args.infile))
     loop = parse_loop(_read(args.loop))
-    verdict = verify_instance(inst, loop, args.puzzle)
+    verdict = p.verify(inst, loop)
     lines = ["accept"] if verdict.ok else [
         f"rule {v.rule}: {v.message}" for v in verdict.violations]
     text = "\n".join(lines) + "\n"
@@ -126,11 +118,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    p = puzzle_of(args.puzzle)
     g = parse_graph(_read(args.infile))
     plan = plan_for(g)
     loop = parse_loop(_read(args.loop))
-    inst = compile_instance(g, plan, args.puzzle)
-    verdict = verify_instance(inst, loop, args.puzzle)
+    verdict = p.verify(p.compile(g, plan), loop)
     if not verdict.ok:
         for v in verdict.violations:
             print(f"rule {v.rule}: {v.message}", file=sys.stderr)
@@ -164,7 +156,7 @@ def cmd_lab(args) -> int:
 
 
 def cmd_render(args) -> int:
-    inst = _parse_instance(args.infile, args.puzzle)
+    inst = puzzle_of(args.puzzle).parse(_read(args.infile))
     loop = parse_loop(_read(args.loop)) if args.loop else None
     if loop is not None:
         loop.check_on_board(inst.width, inst.height)
@@ -202,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = add("compile", cmd_compile, help="compile a graph into a puzzle instance")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", default=None)
 
     sp = add("solve", cmd_solve, help="solve a puzzle instance")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--cap", type=int, default=None)
@@ -215,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = add("verify", cmd_verify, help="check a loop against an instance")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--loop", required=True)
     sp.add_argument("--out", default=None)
 
     sp = add("lift", cmd_lift, help="map a puzzle solution back to a cycle")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--in", dest="infile", required=True,
                     help="source graph file (the instance is recompiled)")
     sp.add_argument("--loop", required=True)
@@ -229,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("roundtrip", cmd_roundtrip,
              help="equivalence experiment over all candidate subgraphs")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--rows", type=int, required=True)
     sp.add_argument("--cols", type=int, required=True)
     sp.add_argument("--budget", type=int, default=None)
@@ -237,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = add("lab", cmd_lab, help="certify gadget traversal counts")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--budget", type=int, default=50_000_000)
     sp.add_argument("--out", default=None)
 
     sp = add("render", cmd_render, help="render an instance (optionally with a loop)")
-    sp.add_argument("--puzzle", choices=("aon", "ww"), required=True)
+    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--loop", default=None)
     sp.add_argument("--format", choices=("ascii", "svg"), default="ascii")

@@ -11,7 +11,10 @@ Loop file::
     loop <n>
     <x> <y>        (n lines, cells in cyclic order)
 
-Both parsers reject anything they do not understand, naming the offending
+Puzzle board files share a ``<kind> <width> <height>`` header followed by
+one line per board row, top row first (:func:`board_rows`).
+
+All parsers reject anything they do not understand, naming the offending
 line; emitters write the canonical form, so emit(parse(text)) == text for
 canonical input.
 """
@@ -39,6 +42,25 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
         except ValueError:
             raise ParseError(f"expected an integer, got {p!r}", lineno) from None
     return out
+
+
+def board_rows(text: str, kind: str) -> tuple[int, int, list[tuple[int, str]]]:
+    """Split a puzzle board file, headed ``<kind> <width> <height>``, into
+    its size and its rows as (line_number, stripped_line), top row first."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError("empty instance file")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != kind:
+        raise ParseError(f"expected '{kind} <width> <height>', got {header!r}", lineno)
+    width, height = _ints(parts[1:], lineno)
+    if width < 1 or height < 1:
+        raise ParseError(f"board dimensions must be positive, got {width}x{height}", lineno)
+    rows = lines[1:]
+    if len(rows) != height:
+        raise ParseError(f"expected {height} rows, got {len(rows)}")
+    return width, height, rows
 
 
 def parse_graph(text: str) -> GridGraph:

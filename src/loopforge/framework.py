@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Literal
 
-from .model import GridGraph, Vertex, degree_profile
+from .model import Cell, GridGraph, Vertex, degree_profile
 
 
 class Direction(Enum):
@@ -341,6 +341,44 @@ def exit_plan(g: GridGraph, o: Orientation) -> ExitPlan:
 def plan_for(g: GridGraph, seed_rule: SeedRule = "lex") -> ExitPlan:
     """Convenience chain: complement, orientation, exit plan."""
     return exit_plan(g, orient_complement(build_complement(g), seed_rule))
+
+
+@dataclass(frozen=True)
+class Gadget:
+    """A puzzle's metacell gadget in canonical orientation: its square frame
+    size, its one non-exit side, the border cell of each exit, and stored
+    local traversals per exit pair (the first of each is canonical)."""
+
+    frame: int
+    non_exit: Direction
+    exit_cells: dict[Direction, Cell]
+    paths: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]]
+
+    def turns(self, plan: ExitPlan, v: Vertex) -> int:
+        """Quarter turns that put the gadget's non-exit side onto ``v``'s."""
+        return turns_between(self.non_exit, plan.non_exit(v))
+
+    def exit_cell(self, side: Direction, turns: int) -> Cell:
+        """Border cell of the rotated gadget's exit on ``side``."""
+        return rotate_cell(self.frame, turns, self.exit_cells[side.rotated(-turns)])
+
+    def local_path(self, entry: Direction, exit_: Direction) -> tuple[Cell, ...]:
+        """Canonical traversal from the ``entry`` exit to the ``exit_`` exit,
+        in canonical orientation."""
+        cells = self.paths[frozenset({entry, exit_})][0]
+        if cells[0] == self.exit_cells[entry]:
+            return cells
+        assert cells[0] == self.exit_cells[exit_]
+        return tuple(reversed(cells))
+
+    def assert_exits_on_midlines(self, plan: ExitPlan, v: Vertex, turns: int):
+        mid = self.frame // 2
+        for side in plan.exits(v):
+            ex, ey = self.exit_cell(side, turns)
+            if side in (Direction.N, Direction.S):
+                assert ex == mid, f"exit cell off midline at {v} side {side}"
+            else:
+                assert ey == mid, f"exit cell off midline at {v} side {side}"
 
 
 def mutual_facing_holds(g: GridGraph, plan: ExitPlan) -> bool:

@@ -7,17 +7,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import aon, waterwalk
 from .errors import LiftError, SearchBudgetExceeded
 from .framework import (
     Direction,
     ExitPlan,
+    Gadget,
     direction_between,
     plan_for,
     rotate_cell,
     rotate_corner,
-    turns_between,
 )
 from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
 from .loopsearch import search_paths
@@ -35,31 +36,34 @@ from .model import (
 PUZZLES = ("aon", "ww")
 
 
-def _module(puzzle: str):
-    if puzzle == "aon":
-        return aon
-    if puzzle == "ww":
-        return waterwalk
-    raise ValueError(f"unknown puzzle kind: {puzzle!r}")
+@dataclass(frozen=True)
+class Puzzle:
+    """What one puzzle adds to the shared reduction: its gadget, and its
+    board's compile, verify, solve, parse and emit operations."""
+
+    name: str
+    gadget: Gadget
+    compile: Callable
+    verify: Callable
+    solve: Callable
+    parse: Callable
+    emit: Callable
 
 
-def compile_instance(g: GridGraph, plan: ExitPlan, puzzle: str):
-    if puzzle == "aon":
-        return aon.compile_aon(g, plan)
-    return waterwalk.compile_ww(g, plan)
-
-
-def verify_instance(inst, loop: LoopPath, puzzle: str):
-    if puzzle == "aon":
-        return aon.verify_aon(inst, loop)
-    return waterwalk.verify_ww(inst, loop)
-
-
-def solve_instance(inst, puzzle: str, mode: str = "first",
-                   budget: int | None = None, cap: int | None = None):
-    if puzzle == "aon":
-        return aon.solve_aon(inst, mode=mode, budget=budget, cap=cap)
-    return waterwalk.solve_ww(inst, mode=mode, budget=budget, cap=cap)
+def puzzle_of(name: str) -> Puzzle:
+    """The puzzle named ``name`` ("aon" or "ww"); any other name raises
+    ``ValueError``.  The record is read from the puzzle's module on every
+    call, so a function rebound there (a tracing wrapper, say) is the one
+    the record holds."""
+    if name == "aon":
+        mod = aon
+    elif name == "ww":
+        mod = waterwalk
+    else:
+        raise ValueError(f"unknown puzzle kind: {name!r}")
+    ops = {op: getattr(mod, f"{op}_{name}")
+           for op in ("compile", "verify", "solve", "parse", "emit")}
+    return Puzzle(name, mod.GADGET, **ops)
 
 
 @dataclass(frozen=True)
@@ -73,25 +77,13 @@ class TraversalWitness:
     loop: LoopPath
 
 
-def local_path(puzzle: str, entry: Direction, exit_: Direction) -> tuple[Cell, ...]:
-    """Canonical gadget traversal from ``entry`` to ``exit_`` side, in the
-    gadget's canonical orientation (first table entry for the pair)."""
-    mod = _module(puzzle)
-    paths = mod.GADGET_PATHS[frozenset({entry, exit_})]
-    cells = paths[0]
-    if cells[0] == mod.GADGET_EXIT_CELLS[entry]:
-        return cells
-    assert cells[0] == mod.GADGET_EXIT_CELLS[exit_]
-    return tuple(reversed(cells))
-
-
 def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> TraversalWitness:
     """Assemble a puzzle loop from a Hamiltonian cycle by concatenating one
     rotated local gadget traversal per metacell."""
+    gadget = puzzle_of(puzzle).gadget
     if not cycle.is_cycle_of(g):
         raise ValueError("not a Hamiltonian cycle of the given graph")
-    mod = _module(puzzle)
-    frame = mod.FRAME
+    frame = gadget.frame
     verts = cycle.vertices
     n = len(verts)
     cells: list[Cell] = []
@@ -101,10 +93,8 @@ def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> T
         next_v = verts[(i + 1) % n]
         entry = direction_between(v, prev_v)
         exit_ = direction_between(v, next_v)
-        turns = turns_between(mod.GADGET_NON_EXIT, plan.non_exit(v))
-        canon_entry = entry.rotated(-turns)
-        canon_exit = exit_.rotated(-turns)
-        piece = local_path(puzzle, canon_entry, canon_exit)
+        turns = gadget.turns(plan, v)
+        piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
         ox, oy = frame * v[0], frame * v[1]
         for c in piece:
             rx, ry = rotate_cell(frame, turns, c)
@@ -122,8 +112,8 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
     border cells.  Any breach raises :class:`LiftError` (a soundness
     counterexample, never silently patched).
     """
-    mod = _module(puzzle)
-    frame = mod.FRAME
+    gadget = puzzle_of(puzzle).gadget
+    frame = gadget.frame
     cells = loop.cells
     n = len(cells)
 
@@ -142,8 +132,7 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
         for v, cell, side in ((ma, a, d), (mb, b, d.opposite())):
             if side not in plan.exits(v):
                 raise LiftError(f"loop crosses a non-exit side {side.name} of metacell {v}")
-            turns = turns_between(mod.GADGET_NON_EXIT, plan.non_exit(v))
-            expected = mod.gadget_exit_cell(side, turns)
+            expected = gadget.exit_cell(side, gadget.turns(plan, v))
             local = (cell[0] - frame * v[0], cell[1] - frame * v[1])
             if local != expected:
                 raise LiftError(
@@ -221,7 +210,7 @@ def _ww_harness_paths(start_side: Direction, goal: Cell,
                for c, v in waterwalk.GADGET_NUMBERS.items()}
     inst = waterwalk.WwInstance(frame, frame, ground, numbers)
     cells = [(x, y) for x in range(frame) for y in range(frame)]
-    start = waterwalk.gadget_exit_cell(start_side, turns)
+    start = waterwalk.GADGET.exit_cell(start_side, turns)
 
     class Harness(waterwalk.WwLoopRules):
         def finish_ok(self, path_cells) -> bool:
@@ -280,8 +269,8 @@ def _aon_harness_paths(start_side: Direction, goal_side: Direction,
     """
     inst = _aon_harness(turns)
     decomp = inst.regions
-    start = aon.gadget_exit_cell(start_side, turns)
-    goal = aon.gadget_exit_cell(goal_side, turns)
+    start = aon.GADGET.exit_cell(start_side, turns)
+    goal = aon.GADGET.exit_cell(goal_side, turns)
     big_id = decomp.region_of[start]
     big_cells = decomp.regions[big_id]
     return search_paths(
@@ -300,7 +289,7 @@ def _aon_escape_audit(turns: int = 0) -> int:
     """
     inst = _aon_harness(turns)
     decomp = inst.regions
-    big_id = decomp.region_of[aon.gadget_exit_cell(Direction.N.rotated(turns), turns)]
+    big_id = decomp.region_of[aon.GADGET.exit_cell(Direction.N.rotated(turns), turns)]
     escapes = 0
     for b in sorted(decomp.regions[big_id]):
         for nb in _on_board_neighbors(b, aon.FRAME):
@@ -320,6 +309,7 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
 
     ``turns`` rotates the whole harness; counts must not depend on it.
     """
+    gadget = puzzle_of(puzzle).gadget
     t0 = time.perf_counter()
     nodes = 0
     findings: list[str] = []
@@ -327,22 +317,20 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     blocked_counts: dict[frozenset[Direction], int] = {}
     traversals: dict[frozenset[Direction], tuple] = {}
 
-    mod = _module(puzzle)
-    exits = sorted(mod.GADGET_EXIT_CELLS, key=lambda d: d.name)
-    exits = [d.rotated(turns) for d in exits]
-    blocked = mod.GADGET_NON_EXIT.rotated(turns)
+    exits = [d.rotated(turns) for d in sorted(gadget.exit_cells, key=lambda d: d.name)]
+    blocked = gadget.non_exit.rotated(turns)
 
     if puzzle == "ww":
         for i, a in enumerate(exits):
             for b in exits[i + 1:]:
-                goal = waterwalk.gadget_exit_cell(b, turns)
+                goal = gadget.exit_cell(b, turns)
                 res = _ww_harness_paths(a, goal, budget, turns)
                 nodes += res.nodes
                 pair_counts[frozenset({a, b})] = len(res.loops)
                 traversals[frozenset({a, b})] = tuple(res.loops)
         # toward the blocked side's midline border cell, no traversal
         # should survive the rules
-        blocked_goal = _midline_cell(blocked, waterwalk.FRAME)
+        blocked_goal = _midline_cell(blocked, gadget.frame)
         for a in exits:
             res = _ww_harness_paths(a, blocked_goal, budget, turns)
             nodes += res.nodes
@@ -465,10 +453,11 @@ def roundtrip_experiment(
     compare.  Timeouts are reported per instance and never counted as
     agreement; disagreements dump the offending files when a directory is
     given."""
+    p = puzzle_of(puzzle)
     results = []
     for idx, g in enumerate(enumerate_candidate_subgraphs(cols, rows)):
         plan = plan_for(g)
-        inst = compile_instance(g, plan, puzzle)
+        inst = p.compile(g, plan)
 
         try:
             cycle = find_hamiltonian_cycle(g, ham_budget)
@@ -479,11 +468,11 @@ def roundtrip_experiment(
         lift_ok = None
         found_loop = None
         try:
-            res = solve_instance(inst, puzzle, mode="first", budget=solver_budget)
+            res = p.solve(inst, mode="first", budget=solver_budget)
             if res.loops:
                 solvable = "yes"
                 found_loop = res.loops[0]
-                lift_ok = verify_instance(inst, found_loop, puzzle).ok
+                lift_ok = p.verify(inst, found_loop).ok
                 if lift_ok:
                     try:
                         lift_solution(g, plan, found_loop, puzzle)
@@ -497,22 +486,21 @@ def roundtrip_experiment(
         r = InstanceResult(idx, ham, solvable, lift_ok)
         results.append(r)
         if dump_dir is not None and (r.agreement is False or lift_ok is False):
-            _dump_counterexample(dump_dir, puzzle, idx, g, inst, found_loop)
+            _dump_counterexample(dump_dir, p, idx, g, inst, found_loop)
     return RoundtripReport(puzzle, cols, rows, tuple(results))
 
 
-def _dump_counterexample(dump_dir, puzzle, idx, g, inst, loop):
+def _dump_counterexample(dump_dir, p: Puzzle, idx, g, inst, loop):
     import os
 
     from .fileio import emit_graph, emit_loop
 
     os.makedirs(dump_dir, exist_ok=True)
-    base = os.path.join(dump_dir, f"{puzzle}-{idx}")
+    base = os.path.join(dump_dir, f"{p.name}-{idx}")
     with open(base + ".graph", "w", encoding="utf-8") as f:
         f.write(emit_graph(g))
-    emit_inst = aon.emit_aon if puzzle == "aon" else waterwalk.emit_ww
     with open(base + ".inst", "w", encoding="utf-8") as f:
-        f.write(emit_inst(inst))
+        f.write(p.emit(inst))
     if loop is not None:
         with open(base + ".loop", "w", encoding="utf-8") as f:
             f.write(emit_loop(loop))

@@ -2,53 +2,20 @@
 
 from __future__ import annotations
 
-from .aon import AonInstance
+from . import aon, waterwalk
 from .model import LoopPath
-from .waterwalk import WwInstance
 
 CELL = 20  # SVG units per cell
 
 
 def render_ascii(inst, loop: LoopPath | None = None) -> str:
-    if isinstance(inst, WwInstance):
-        return _ascii_ww(inst, loop)
-    if isinstance(inst, AonInstance):
-        return _ascii_aon(inst, loop)
+    """The instance file's board rows, with ``#`` on the loop's cells."""
+    marked = frozenset(loop.cells) if loop else frozenset()
+    if isinstance(inst, waterwalk.WwInstance):
+        return waterwalk.board_text(inst, marked)
+    if isinstance(inst, aon.AonInstance):
+        return aon.board_text(inst, marked)
     raise TypeError(f"cannot render {type(inst).__name__}")
-
-
-def _ascii_ww(inst: WwInstance, loop) -> str:
-    on_loop = set(loop.cells) if loop else set()
-    lines = []
-    for y in range(inst.height - 1, -1, -1):
-        row = []
-        for x in range(inst.width):
-            c = (x, y)
-            if c in on_loop:
-                row.append("#")
-            elif c in inst.numbers:
-                row.append(str(inst.numbers[c]))
-            elif c in inst.ground:
-                row.append(".")
-            else:
-                row.append("~")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _ascii_aon(inst: AonInstance, loop) -> str:
-    # same layout as the instance file body, with '#' overlaying loop cells
-    on_loop = set(loop.cells) if loop else set()
-    wide = max(len(n) for n in inst.region_names)
-    lines = []
-    for y in range(inst.height - 1, -1, -1):
-        row = []
-        for x in range(inst.width):
-            c = (x, y)
-            tok = "#" if c in on_loop else inst.region_names[inst.regions.region_of[c]]
-            row.append(tok.ljust(wide) if wide > 1 else tok)
-        lines.append(" ".join(row).rstrip())
-    return "\n".join(lines) + "\n"
 
 
 def _svg_y(inst, y: float) -> float:
@@ -64,7 +31,7 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
         f'viewBox="0 0 {w} {h}">',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
-    if isinstance(inst, WwInstance):
+    if isinstance(inst, waterwalk.WwInstance):
         for y in range(inst.height):
             for x in range(inst.width):
                 if (x, y) not in inst.ground:
@@ -78,7 +45,7 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
                 f'<text x="{cx:.0f}" y="{cy + 5:.0f}" font-size="14" '
                 f'text-anchor="middle">{inst.numbers[c]}</text>')
         parts.append(_svg_grid_lines(inst))
-    elif isinstance(inst, AonInstance):
+    elif isinstance(inst, aon.AonInstance):
         parts.append(_svg_grid_lines(inst))
         parts.append(_svg_region_borders(inst))
     else:
@@ -107,7 +74,7 @@ def _svg_grid_lines(inst) -> str:
     return "\n".join(lines)
 
 
-def _svg_region_borders(inst: AonInstance) -> str:
+def _svg_region_borders(inst: aon.AonInstance) -> str:
     """Heavy strokes wherever two cells belong to different regions, plus
     the outer border."""
     segs = []

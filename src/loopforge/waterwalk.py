@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CompileError, ParseError
-from .framework import Direction, ExitPlan, direction_between, rotate_cell, turns_between
+from .fileio import board_rows
+from .framework import Direction, ExitPlan, Gadget, direction_between, rotate_cell
 from .model import (
     Cell,
     GridGraph,
@@ -62,6 +63,8 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
     ),
 }
 
+GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
+
 
 @dataclass(frozen=True, eq=False)
 class WwInstance:
@@ -95,25 +98,10 @@ class WwInstance:
 
 
 def parse_ww(text: str) -> WwInstance:
-    lines = [(i, raw) for i, raw in enumerate(text.splitlines(), start=1)
-             if raw.strip() and not raw.lstrip().startswith("#")]
-    if not lines:
-        raise ParseError("empty instance file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "ww":
-        raise ParseError(f"expected 'ww <width> <height>', got {header.strip()!r}", lineno)
-    try:
-        width, height = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("width/height must be integers", lineno) from None
-    rows = lines[1:]
-    if len(rows) != height:
-        raise ParseError(f"expected {height} rows, got {len(rows)}")
+    width, height, rows = board_rows(text, "ww")
     ground = set()
     numbers = {}
-    for k, (lineno, raw) in enumerate(rows):
-        row = raw.strip()
+    for k, (lineno, row) in enumerate(rows):
         y = height - 1 - k
         if len(row) != width:
             raise ParseError(f"row has {len(row)} cells, expected {width}", lineno)
@@ -130,13 +118,17 @@ def parse_ww(text: str) -> WwInstance:
     return WwInstance(width, height, frozenset(ground), numbers)
 
 
-def emit_ww(inst: WwInstance) -> str:
-    lines = [f"ww {inst.width} {inst.height}"]
+def board_text(inst: WwInstance, marked=frozenset()) -> str:
+    """Board rows, top row first: ``#`` on a ``marked`` cell, else the
+    cell's clue, ``.`` for ground or ``~`` for water."""
+    lines = []
     for y in range(inst.height - 1, -1, -1):
         row = []
         for x in range(inst.width):
             c = (x, y)
-            if c in inst.numbers:
+            if c in marked:
+                row.append("#")
+            elif c in inst.numbers:
                 row.append(str(inst.numbers[c]))
             elif c in inst.ground:
                 row.append(".")
@@ -146,14 +138,8 @@ def emit_ww(inst: WwInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gadget_turns(plan: ExitPlan, v) -> int:
-    return turns_between(GADGET_NON_EXIT, plan.non_exit(v))
-
-
-def gadget_exit_cell(side: Direction, turns: int) -> Cell:
-    """Border cell of the rotated gadget's exit on ``side``."""
-    canonical = side.rotated(-turns)
-    return rotate_cell(FRAME, turns, GADGET_EXIT_CELLS[canonical])
+def emit_ww(inst: WwInstance) -> str:
+    return f"ww {inst.width} {inst.height}\n" + board_text(inst)
 
 
 def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
@@ -165,7 +151,7 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
     numbers = {}
     provenance = {}
     for v in g.vertices():
-        turns = gadget_turns(plan, v)
+        turns = GADGET.turns(plan, v)
         provenance[v] = turns
         ox, oy = FRAME * v[0], FRAME * v[1]
         for c in GADGET_GROUND:
@@ -174,13 +160,7 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
         for c, n in GADGET_NUMBERS.items():
             rx, ry = rotate_cell(FRAME, turns, c)
             numbers[(ox + rx, oy + ry)] = n
-        for side in plan.exits(v):
-            ex, ey = gadget_exit_cell(side, turns)
-            mid = FRAME // 2
-            if side in (Direction.N, Direction.S):
-                assert ex == mid, f"exit cell off midline at {v} side {side}"
-            else:
-                assert ey == mid, f"exit cell off midline at {v} side {side}"
+        GADGET.assert_exits_on_midlines(plan, v, turns)
     inst = WwInstance(width, height, frozenset(ground), numbers, provenance)
 
     # every graph edge must cross two water border cells flanked by ground
@@ -201,7 +181,7 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
 
 def _global_exit_cell(inst: WwInstance, v, side: Direction) -> Cell:
     turns = inst.provenance[v]
-    ex, ey = gadget_exit_cell(side, turns)
+    ex, ey = GADGET.exit_cell(side, turns)
     return (FRAME * v[0] + ex, FRAME * v[1] + ey)
 
 

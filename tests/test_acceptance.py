@@ -22,11 +22,10 @@ from loopforge.hamilton import (
 from loopforge.model import HamCycle, LoopPath
 from loopforge.reduction import (
     certify_gadget,
-    compile_instance,
     embed_cycle,
     lift_solution,
+    puzzle_of,
     roundtrip_experiment,
-    verify_instance,
 )
 from loopforge.waterwalk import verify_ww
 
@@ -147,10 +146,11 @@ def test_criterion_5_forward_reduction_completeness():
         for g in enumerate_candidate_subgraphs(*dims):
             for cycle in hamiltonian_cycles(g):
                 for puzzle in ("aon", "ww"):
+                    p = puzzle_of(puzzle)
                     plan = plan_for(g)
-                    inst = compile_instance(g, plan, puzzle)
+                    inst = p.compile(g, plan)
                     witness = embed_cycle(g, plan, cycle, puzzle)
-                    assert verify_instance(inst, witness.loop, puzzle).ok
+                    assert p.verify(inst, witness.loop).ok
                     lifted = lift_solution(g, plan, witness.loop, puzzle)
                     assert lifted.canonical() == cycle.canonical()
                     checked += 1

@@ -1,11 +1,13 @@
 import pytest
 
+import loopforge.reduction
 from loopforge.cli import main
+from loopforge.errors import ParseError
 from loopforge.fileio import emit_graph, parse_graph, parse_loop
 from loopforge.framework import plan_for
-from loopforge.model import full_grid
+from loopforge.model import HamCycle, full_grid
+from loopforge.reduction import puzzle_of
 from loopforge.render import render_ascii, render_svg
-from loopforge.waterwalk import compile_ww, parse_ww, verify_ww
 
 
 @pytest.fixture
@@ -62,6 +64,16 @@ class TestExitCodes:
         assert main(["ham", "--in", str(square_graph_file)]) == 4
         assert "internal error: RecursionError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["aon 0 0\n", "aon 3 0\n", "ww 0 0\n", "ww 3 0\n"])
+    def test_zero_dimension_board_is_input_error(self, text, tmp_path):
+        puzzle = text.split()[0]
+        with pytest.raises(ParseError):
+            puzzle_of(puzzle).parse(text)
+        board = tmp_path / "b.inst"
+        board.write_text(text)
+        assert main(["solve", "--puzzle", puzzle, "--in", str(board)]) == 3
+        assert main(["render", "--puzzle", puzzle, "--in", str(board)]) == 3
+
     def test_unsatisfiable_code(self, tmp_path):
         inst = tmp_path / "w.inst"
         inst.write_text("ww 3 3\n~~~\n~1~\n~~~\n")
@@ -112,24 +124,31 @@ class TestPipelines:
         g.write_text(emit_graph(full_grid(3, 3)))
         assert main(["ham", "--in", str(g), "--out", str(tmp_path / "c.loop")]) == 1
 
-    def test_full_pipeline_matches_library(self, square_graph_file, tmp_path):
-        inst_path = tmp_path / "w.inst"
-        loop_path = tmp_path / "w.loop"
-        assert main(["compile", "--puzzle", "ww", "--in", str(square_graph_file),
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    def test_full_pipeline_matches_library(self, puzzle, square_graph_file, tmp_path):
+        p = puzzle_of(puzzle)
+        inst_path = tmp_path / "b.inst"
+        loop_path = tmp_path / "b.loop"
+        cycle_path = tmp_path / "c.loop"
+        render_path = tmp_path / "b.txt"
+        assert main(["compile", "--puzzle", puzzle, "--in", str(square_graph_file),
                      "--out", str(inst_path)]) == 0
         g = full_grid(2, 2)
-        expected = compile_ww(g, plan_for(g))
-        assert parse_ww(inst_path.read_text()) == expected
+        expected = p.compile(g, plan_for(g))
+        assert p.parse(inst_path.read_text()) == expected
 
-        assert main(["solve", "--puzzle", "ww", "--in", str(inst_path),
+        assert main(["solve", "--puzzle", puzzle, "--in", str(inst_path),
                      "--out", str(loop_path)]) == 0
         loop = parse_loop(loop_path.read_text())
-        assert verify_ww(expected, loop).ok
-        assert main(["verify", "--puzzle", "ww", "--in", str(inst_path),
+        assert p.verify(expected, loop).ok
+        assert main(["verify", "--puzzle", puzzle, "--in", str(inst_path),
                      "--loop", str(loop_path)]) == 0
-        assert main(["lift", "--puzzle", "ww", "--in", str(square_graph_file),
-                     "--loop", str(loop_path),
-                     "--out", str(tmp_path / "c.loop")]) == 0
+        assert main(["lift", "--puzzle", puzzle, "--in", str(square_graph_file),
+                     "--loop", str(loop_path), "--out", str(cycle_path)]) == 0
+        assert HamCycle(parse_loop(cycle_path.read_text()).cells).is_cycle_of(g)
+        assert main(["render", "--puzzle", puzzle, "--in", str(inst_path),
+                     "--loop", str(loop_path), "--out", str(render_path)]) == 0
+        assert render_path.read_text() == render_ascii(expected, loop)
 
     def test_orient_dump(self, square_graph_file, tmp_path):
         out = tmp_path / "plan.txt"
@@ -142,6 +161,22 @@ class TestPipelines:
         assert main(["roundtrip", "--puzzle", "ww", "--rows", "2", "--cols", "2",
                      "--out", str(out)]) == 0
         assert "summary instances 1" in out.read_text()
+
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    def test_roundtrip_dumps_counterexample(self, puzzle, tmp_path, monkeypatch):
+        # a Hamiltonicity check that wrongly says "no" makes the solved
+        # 2x2 compile a disagreement, which must be written out
+        monkeypatch.setattr(loopforge.reduction, "find_hamiltonian_cycle",
+                            lambda g, budget=None: None)
+        dump = tmp_path / "dump"
+        assert main(["roundtrip", "--puzzle", puzzle, "--rows", "2", "--cols", "2",
+                     "--dump", str(dump), "--out", str(tmp_path / "report.txt")]) == 1
+        p = puzzle_of(puzzle)
+        g = parse_graph((dump / f"{puzzle}-0.graph").read_text())
+        assert g == full_grid(2, 2)
+        inst = p.parse((dump / f"{puzzle}-0.inst").read_text())
+        assert inst == p.compile(g, plan_for(g))
+        assert p.verify(inst, parse_loop((dump / f"{puzzle}-0.loop").read_text())).ok
 
     def test_lab_command(self, tmp_path):
         out = tmp_path / "cert.txt"

@@ -1,22 +1,21 @@
+import dataclasses
 import sys
 
 import pytest
 
-from loopforge import aon, waterwalk
+from loopforge import aon, reduction, waterwalk
 from loopforge.errors import LiftError
-from loopforge.framework import Direction, plan_for, rotate_cell, turns_between
+from loopforge.framework import Direction, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, hamiltonian_cycles
 from loopforge.model import LoopPath, full_grid
 from loopforge.reduction import (
     certify_gadget,
-    compile_instance,
     emit_certificate,
     emit_roundtrip_report,
     embed_cycle,
     lift_solution,
-    local_path,
+    puzzle_of,
     roundtrip_experiment,
-    verify_instance,
 )
 
 # exhaustively measured traversal counts of the 11x11 gadget, pinned as
@@ -45,11 +44,12 @@ def hamiltonian_candidates(*dims_list):
 class TestEmbed:
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])
     def test_embedded_cycles_verify(self, puzzle):
+        p = puzzle_of(puzzle)
         for g, cycle in hamiltonian_candidates((2, 2), (2, 3)):
             plan = plan_for(g)
-            inst = compile_instance(g, plan, puzzle)
+            inst = p.compile(g, plan)
             witness = embed_cycle(g, plan, cycle, puzzle)
-            assert verify_instance(inst, witness.loop, puzzle).ok
+            assert p.verify(inst, witness.loop).ok
 
     def test_witness_sides_are_plan_exits(self):
         g = full_grid(2, 2)
@@ -63,15 +63,15 @@ class TestEmbed:
     def test_embedding_locality(self, puzzle):
         # the loop restricted to each metacell frame is exactly the rotated
         # canonical local traversal
-        mod = aon if puzzle == "aon" else waterwalk
+        gadget = puzzle_of(puzzle).gadget
         g = full_grid(2, 2)
         plan = plan_for(g)
         (cycle,) = hamiltonian_cycles(g)
         witness = embed_cycle(g, plan, cycle, puzzle)
-        frame = mod.FRAME
+        frame = gadget.frame
         for v, (entry, exit_) in zip(witness.vertex_order, witness.sides):
-            turns = turns_between(mod.GADGET_NON_EXIT, plan.non_exit(v))
-            piece = local_path(puzzle, entry.rotated(-turns), exit_.rotated(-turns))
+            turns = gadget.turns(plan, v)
+            piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
             expected = {
                 (frame * v[0] + rotate_cell(frame, turns, c)[0],
                  frame * v[1] + rotate_cell(frame, turns, c)[1])
@@ -99,7 +99,8 @@ class TestEmbed:
                 pair: paths[k % len(paths):] + paths[:k % len(paths)]
                 for pair, paths in waterwalk.GADGET_PATHS.items()
             }
-            monkeypatch.setattr(waterwalk, "GADGET_PATHS", patched)
+            monkeypatch.setattr(waterwalk, "GADGET",
+                                dataclasses.replace(waterwalk.GADGET, paths=patched))
             for g in (square, ring23):
                 plan = plan_for(g)
                 cycle = next(iter(hamiltonian_cycles(g)))
@@ -117,7 +118,7 @@ class TestEmbed:
         assert (5, 3) not in corrupted and (6, 3) not in corrupted
         patched = dict(aon.GADGET_PATHS)
         patched[key] = (corrupted,)
-        monkeypatch.setattr(aon, "GADGET_PATHS", patched)
+        monkeypatch.setattr(aon, "GADGET", dataclasses.replace(aon.GADGET, paths=patched))
 
         g = full_grid(2, 2)
         plan = plan_for(g)
@@ -156,12 +157,11 @@ class TestLift:
 
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])
     def test_solver_solutions_lift_to_hamiltonian_cycles(self, puzzle):
-        from loopforge.reduction import solve_instance
-
+        p = puzzle_of(puzzle)
         for g in enumerate_candidate_subgraphs(2, 3):
             plan = plan_for(g)
-            inst = compile_instance(g, plan, puzzle)
-            res = solve_instance(inst, puzzle, mode="first", budget=5_000_000)
+            inst = p.compile(g, plan)
+            res = p.solve(inst, mode="first", budget=5_000_000)
             assert res.loops, "expected a solution on a Hamiltonian candidate"
             lifted = lift_solution(g, plan, res.loops[0], puzzle)
             assert lifted.is_cycle_of(g)
@@ -282,9 +282,55 @@ class TestAtScale:
                 continue
             found += 1
             for puzzle in ("aon", "ww"):
+                p = puzzle_of(puzzle)
                 plan = plan_for(g)
-                inst = compile_instance(g, plan, puzzle)
+                inst = p.compile(g, plan)
                 witness = embed_cycle(g, plan, cycle, puzzle)
-                assert verify_instance(inst, witness.loop, puzzle).ok
+                assert p.verify(inst, witness.loop).ok
                 lifted = lift_solution(g, plan, witness.loop, puzzle)
                 assert lifted.canonical() == cycle.canonical()
+
+
+class TestPuzzleRecord:
+    @pytest.mark.parametrize("name", ["xyz", "AON", ""])
+    def test_unknown_name_rejected_before_any_work(self, name, monkeypatch):
+        g = full_grid(2, 2)
+        plan = plan_for(g)
+        (cycle,) = hamiltonian_cycles(g)
+        loop = embed_cycle(g, plan, cycle, "ww").loop
+        with pytest.raises(ValueError):
+            puzzle_of(name)
+        with pytest.raises(ValueError):
+            embed_cycle(g, plan, cycle, name)
+        with pytest.raises(ValueError):
+            lift_solution(g, plan, loop, name)
+        with pytest.raises(ValueError):
+            certify_gadget(name)
+
+        def no_graphs(cols, rows):
+            pytest.fail("roundtrip enumerated graphs for an unknown puzzle")
+
+        monkeypatch.setattr(reduction, "enumerate_candidate_subgraphs", no_graphs)
+        with pytest.raises(ValueError):
+            roundtrip_experiment(2, 2, name)
+
+    def test_operations_are_looked_up_at_call_time(self, monkeypatch):
+        # a function rebound on the puzzle module after import (as a
+        # tracing wrapper is) must be the one every entry point reaches
+        calls = []
+        for mod, name in ((aon, "compile_aon"), (waterwalk, "solve_ww")):
+            def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+
+        assert roundtrip_experiment(2, 2, "aon").agreements == 1
+        assert roundtrip_experiment(2, 2, "ww").agreements == 1
+        assert calls == ["compile_aon", "solve_ww"]
+
+        g = full_grid(2, 2)
+        plan = plan_for(g)
+        puzzle_of("aon").compile(g, plan)
+        ww = puzzle_of("ww")
+        assert ww.solve(ww.compile(g, plan)).loops
+        assert calls == ["compile_aon", "solve_ww", "compile_aon", "solve_ww"]

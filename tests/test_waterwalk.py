@@ -174,7 +174,7 @@ class TestCompile:
     def test_all_rotation_pairs_cross_exactly_two_water_cells(self):
         # straight crossing between side-by-side gadgets, every rotation of
         # each that leaves an exit on the shared edge
-        from loopforge.waterwalk import gadget_exit_cell
+        from loopforge.waterwalk import GADGET
 
         for turns_a in range(4):
             if Direction.E.rotated(-turns_a) is Direction.W:
@@ -185,8 +185,8 @@ class TestCompile:
                 ground = {rotate_cell(FRAME, turns_a, c) for c in GADGET_GROUND}
                 ground |= {(x + FRAME, y) for x, y in
                            (rotate_cell(FRAME, turns_b, c) for c in GADGET_GROUND)}
-                a = gadget_exit_cell(Direction.E, turns_a)
-                bx, by = gadget_exit_cell(Direction.W, turns_b)
+                a = GADGET.exit_cell(Direction.E, turns_a)
+                bx, by = GADGET.exit_cell(Direction.W, turns_b)
                 b = (bx + FRAME, by)
                 assert a[1] == b[1] and b[0] - a[0] == 1  # aligned midlines
                 crossing = [(a[0] - 1, a[1]), a, b, (b[0] + 1, b[1])]
