@@ -1,8 +1,8 @@
 """Command-line surface: thin wrappers over the library operations.
 
 Exit codes: 0 accept/solved/agreement, 1 reject/unsatisfiable/disagreement,
-2 budget exhaustion, 3 malformed or missing input, 4 internal error (a
-crash, which must never read as a verdict).
+2 budget exhaustion, 3 malformed or missing input or a usage error, 4
+internal error (a crash, which must never read as a verdict).
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def cmd_solve(args) -> int:
         for i, loop in enumerate(result.loops):
             path = args.out if args.out is None else f"{args.out}.{i}"
             _write(path, emit_loop(loop))
-        print(f"{len(result.loops)} solutions", file=sys.stderr)
+        note = "" if result.exhausted else " (stopped at the cap; not exhaustive)"
+        print(f"{len(result.loops)} solutions{note}", file=sys.stderr)
     return OK
 
 
@@ -244,7 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which here would read as a
+        # budget stop; --help exits 0
+        return BAD_INPUT if e.code else OK
     try:
         return args.fn(args)
     except SearchBudgetExceeded as e:

@@ -8,12 +8,16 @@ over an integer adjacency list with an explicit stack instead of
 recursion, so path length is bounded by memory alone and no search changes
 interpreter state.
 
-Loops are deduplicated by rooting each one at its lexicographically
-smallest cell and fixing the direction (second cell smaller than last), so
-the emitted order is canonical and deterministic.  Puzzle rules plug in as
-a constraint object; its incremental checks may only prune provably
-invalid extensions, the final ``close_ok``/``finish_ok`` verdict is
-authoritative.
+Each loop is found once, from one root cell and in one direction (second
+cell smaller than last).  When some cells are required, every accepted
+loop passes through the smallest required cell exactly once, so one walk
+from that cell over all allowed cells finds every loop.  With nothing
+required, a loop is rooted at its smallest cell: one walk per anchor, over
+the cells not smaller than it.  Every loop is returned in canonical form
+(``LoopPath.canonical``: smallest cell first); the order of the loops is
+deterministic.  Puzzle rules plug in as a constraint object; its
+incremental checks may only prune provably invalid extensions, the final
+``close_ok``/``finish_ok`` verdict is authoritative.
 
 Pruning: per node the search checks connectivity of the remaining cells,
 that the path can still reach its end, availability of two usable
@@ -243,6 +247,11 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             return
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+
+
 def _collect(found: Iterator, cap: int | None, nodes: _Nodes) -> SearchResult:
     """Drain ``found`` into a result, stopping once ``cap`` items are in
     (the result is then marked non-exhausted)."""
@@ -264,25 +273,30 @@ def search_loops(
 ) -> SearchResult:
     """Enumerate loops over ``allowed`` cells that visit every ``required``
     cell and satisfy the constraint.  Stops early once ``cap`` loops are
-    found (result marked non-exhausted)."""
+    found (result marked non-exhausted); ``cap`` must be at least 1."""
+    _check_cap(cap)
     allowed_sorted = sorted(set(allowed))
     required_set = set(required)
     if required_set - set(allowed_sorted):
         return SearchResult([], 0, True)
-
-    anchors = allowed_sorted
-    if required_set:
-        limit = min(required_set)
-        anchors = [a for a in anchors if a <= limit]
     nodes = _Nodes(budget)
 
+    def roots():
+        # (cells of the walk, its root): a loop through a required cell is
+        # rooted there; otherwise at its smallest cell, the anchor
+        if required_set:
+            yield allowed_sorted, min(required_set)
+        else:
+            for i, anchor in enumerate(allowed_sorted):
+                yield allowed_sorted[i:], anchor
+
     def loops():
-        # each loop is rooted at its smallest cell, the anchor
-        for anchor in anchors:
-            grid = _Grid([c for c in allowed_sorted if c >= anchor])
-            for cells in _walk(grid, 0, 0, map(grid.index.get, required_set),
-                               make_constraint(), nodes):
-                yield LoopPath(cells)
+        for cells, root in roots():
+            grid = _Grid(cells)
+            start = grid.index[root]
+            for path in _walk(grid, start, start, map(grid.index.get, required_set),
+                              make_constraint(), nodes):
+                yield LoopPath(path).canonical()
 
     return _collect(loops(), cap, nodes)
 
@@ -299,7 +313,8 @@ def search_paths(
 ) -> SearchResult:
     """Enumerate simple paths from ``start`` to ``goal`` over ``allowed``
     cells covering every ``required`` cell.  The goal cell is terminal: a
-    path may not pass through it and continue."""
+    path may not pass through it and continue.  ``cap`` must be at least 1."""
+    _check_cap(cap)
     allowed_sorted = sorted(set(allowed))
     allowed_set = set(allowed_sorted)
     if start not in allowed_set or goal not in allowed_set or start == goal:

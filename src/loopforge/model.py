@@ -185,7 +185,15 @@ class BoundaryEdgeSet:
         return (a, b) in self.edges or (b, a) in self.edges
 
     def union(self, other: "BoundaryEdgeSet") -> "BoundaryEdgeSet":
-        return BoundaryEdgeSet(self.edges | other.edges)
+        return BoundaryEdgeSet._unchecked(self.edges | other.edges)
+
+    @classmethod
+    def _unchecked(cls, edges: frozenset[tuple[Cell, Cell]]) -> "BoundaryEdgeSet":
+        """A set over ``edges`` known to be valid already (a union of
+        validated sets), built without checking every pair again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "edges", edges)
+        return s
 
 
 def boundary_edges(pairs: Iterable[tuple[Cell, Cell]]) -> BoundaryEdgeSet:

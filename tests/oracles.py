@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's search machinery: cycles are found
 by blunt enumeration so the clever implementations have something honest
-to be compared against.
+to be compared against.  The one exception is ``anchored_search_loops``,
+which keeps the engine's walk but roots loops the old way.
 """
 
 from itertools import permutations
+from unittest import mock
 
 from loopforge.framework import DIRECTION_ORDER, direction_between
+from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk
 from loopforge.model import LoopPath, full_grid, grid_graph, orthogonal_neighbors
 
 
@@ -109,3 +112,46 @@ def outdegree_by_scan(o, v):
             if (a == v and head == b) or (b == v and head == a))
     n += sum(1 for he, out in o.half_out.items() if he.vertex == v and out)
     return n
+
+
+def anchored_search_loops(allowed, required, make_constraint, *, cap=None, budget=None):
+    """``search_loops`` with every loop rooted at its smallest cell: one
+    walk per anchor cell up to the smallest required cell, each over the
+    allowed cells not smaller than the anchor.  Same signature and same
+    loops up to order; the node counts are those of the per-anchor walks."""
+    allowed_sorted = sorted(set(allowed))
+    required_set = set(required)
+    if required_set - set(allowed_sorted):
+        return SearchResult([], 0, True)
+    anchors = allowed_sorted
+    if required_set:
+        anchors = [a for a in anchors if a <= min(required_set)]
+    nodes = _Nodes(budget)
+
+    def loops():
+        for anchor in anchors:
+            grid = _Grid([c for c in allowed_sorted if c >= anchor])
+            for cells in _walk(grid, 0, 0, map(grid.index.get, required_set),
+                               make_constraint(), nodes):
+                yield LoopPath(cells)
+
+    return _collect(loops(), cap, nodes)
+
+
+def check_against_anchored(module, solve, inst):
+    """Solve ``inst`` with ``solve`` (a ``solve_*`` of ``module``) as it
+    stands, and again with ``anchored_search_loops`` in place of the
+    module's ``search_loops``: ``mode="all"`` must give the same canonical
+    loops, each once, and the same ``exhausted`` flag, and every returned
+    loop, ``first`` ones too, must be in canonical form.  Returns the new
+    and the anchored ``mode="all"`` results."""
+    new = solve(inst, mode="all")
+    first = solve(inst, mode="first")
+    with mock.patch.object(module, "search_loops", anchored_search_loops):
+        old = solve(inst, mode="all")
+    assert new.exhausted == old.exhausted
+    assert sorted(l.cells for l in new.loops) == \
+        sorted(l.canonical().cells for l in old.loops)
+    for l in new.loops + first.loops:
+        assert l == l.canonical()
+    return new, old

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
+from loopforge import aon
 from loopforge.errors import CompileError, MalformedLoopError, ParseError
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
@@ -27,7 +29,7 @@ from loopforge.aon import (
     verify_aon,
 )
 
-from oracles import all_loops_on_board
+from oracles import all_loops_on_board, anchored_search_loops, check_against_anchored
 
 # solver-vs-brute-force count on the worked 5x5 instance, frozen from the
 # unpruned loop enumerator over all 9349 loops of the board
@@ -51,6 +53,28 @@ T T T T T T T
 
 def loop(*cells):
     return LoopPath(tuple(cells))
+
+
+def random_wall_boards():
+    """Seeded 4x4 boards with 0-10 random walls, skipping those with a
+    region dead by enclosure: leaf-rich deadness holds on any board, so the
+    solver's pruning is complete on the rest (enclosure needs the
+    tiled-instance context)."""
+    from loopforge.aon import AonInstance, region_token
+    from loopforge.model import (boundary_edges, perimeter_boundary,
+                                 regions_from_boundaries)
+
+    rng = random.Random(13)
+    wall_pool = ([((x, y), (x + 1, y)) for x in range(3) for y in range(4)]
+                 + [((x, y), (x, y + 1)) for x in range(4) for y in range(3)])
+    for _ in range(40):
+        walls = rng.sample(wall_pool, rng.randint(0, 10))
+        b = boundary_edges(walls).union(perimeter_boundary(4, 4))
+        decomp = regions_from_boundaries(4, 4, b)
+        names = tuple(region_token(i) for i in sorted(decomp.regions))
+        inst = AonInstance(4, 4, decomp, names, b)
+        if STATUS_DEAD_ENCLOSURE not in analyze_dead_regions(inst).status.values():
+            yield inst
 
 
 class TestGadgetGeometry:
@@ -398,32 +422,34 @@ class TestSolve:
         assert [l.cells for l in a.loops] == [l.cells for l in b.loops]
 
     def test_solver_matches_brute_force_on_random_wall_boards(self):
-        # leaf-rich deadness holds on any board, so the solver's pruning is
-        # complete whenever no region is classified dead by enclosure (that
-        # argument needs the tiled-instance context)
-        import random
-
-        from loopforge.aon import AonInstance, region_token
-        from loopforge.model import (boundary_edges, perimeter_boundary,
-                                     regions_from_boundaries)
-
-        rng = random.Random(13)
         loops = all_loops_on_board(4, 4)
-        wall_pool = ([((x, y), (x + 1, y)) for x in range(3) for y in range(4)]
-                     + [((x, y), (x, y + 1)) for x in range(4) for y in range(3)])
         checked = 0
-        for _ in range(40):
-            walls = rng.sample(wall_pool, rng.randint(0, 10))
-            b = boundary_edges(walls).union(perimeter_boundary(4, 4))
-            decomp = regions_from_boundaries(4, 4, b)
-            names = tuple(region_token(i) for i in sorted(decomp.regions))
-            inst = AonInstance(4, 4, decomp, names, b)
-            report = analyze_dead_regions(inst)
-            if STATUS_DEAD_ENCLOSURE in report.status.values():
-                continue
+        for inst in random_wall_boards():
             checked += 1
             res = solve_aon(inst, mode="all")
             assert res.exhausted
             brute = {l.canonical().cells for l in loops if verify_aon(inst, l).ok}
             assert {l.canonical().cells for l in res.loops} == brute
         assert checked >= 25
+
+
+class TestRooting:
+    """The loop search's rooting rule against the per-anchor walks
+    (``oracles.anchored_search_loops``)."""
+
+    def test_fixture(self, aon_fixture):
+        check_against_anchored(aon, solve_aon, aon_fixture)
+
+    def test_random_wall_boards(self):
+        for inst in random_wall_boards():
+            check_against_anchored(aon, solve_aon, inst)
+
+    def test_compiled_board_walk_unchanged(self):
+        # a compiled board requires every allowed cell, so its one anchor is
+        # its smallest required cell and the walk is the same, node for node
+        g = full_grid(2, 2)
+        inst = compile_aon(g, plan_for(g))
+        new = solve_aon(inst, mode="first")
+        with mock.patch.object(aon, "search_loops", anchored_search_loops):
+            old = solve_aon(inst, mode="first")
+        assert new.nodes == old.nodes and new.loops == old.loops

@@ -81,6 +81,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "w.loop")])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["solve", "--puzzle", "xyz", "--in", "b.inst"],
+        ["solve", "--puzzle", "ww"],
+        ["solve", "--puzzle", "ww", "--in", "b.inst", "--cap", "many"],
+    ])
+    def test_usage_error_is_input_error(self, argv, capsys):
+        # argparse's own code for a usage error, 2, means a budget stop here
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_cap_below_one_is_input_error(self, data_dir, tmp_path, cap):
+        code = main(["solve", "--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt"),
+                     "--all", "--cap", cap, "--out", str(tmp_path / "sol")])
+        assert code == 3
+        assert not list(tmp_path.glob("sol*"))
+
 
 class TestPipelines:
     def test_gen_is_deterministic(self, tmp_path):
@@ -183,13 +207,23 @@ class TestPipelines:
         assert main(["lab", "--puzzle", "ww", "--out", str(out)]) == 0
         assert "pair N S count 3" in out.read_text()
 
-    def test_solve_all_writes_every_solution(self, data_dir, tmp_path):
+    def test_solve_all_writes_every_solution(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sol"
         assert main(["solve", "--puzzle", "ww", "--in",
                      str(data_dir / "sample_ww.txt"), "--all",
                      "--out", str(out)]) == 0
         found = sorted(tmp_path.glob("sol.*"))
         assert len(found) == 7
+        assert capsys.readouterr().err == "7 solutions\n"
+
+    def test_solve_all_capped_says_not_exhaustive(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sol"
+        assert main(["solve", "--puzzle", "ww", "--in",
+                     str(data_dir / "sample_ww.txt"), "--all", "--cap", "3",
+                     "--out", str(out)]) == 0
+        assert len(list(tmp_path.glob("sol.*"))) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("3 solutions") and "not exhaustive" in err
 
 
 class TestRender:

@@ -293,3 +293,19 @@ class TestBoundaryEdgeSet:
     def test_blocks_is_symmetric(self):
         b = boundary_edges([((0, 0), (1, 0))])
         assert b.blocks((0, 0), (1, 0)) and b.blocks((1, 0), (0, 0))
+
+    def test_union_does_not_check_its_pairs_again(self, monkeypatch):
+        import loopforge.model
+
+        walls, border = boundary_edges(WALLS_4X4[:10]), perimeter_boundary(4, 4)
+        calls = []
+        real = loopforge.model.are_orthogonal
+        monkeypatch.setattr(loopforge.model, "are_orthogonal",
+                            lambda a, b: calls.append((a, b)) or real(a, b))
+        both = walls.union(border)
+        assert calls == []
+        assert both == BoundaryEdgeSet(walls.edges | border.edges)
+        assert both.blocks((1, 0), (0, 0)) and both.blocks((0, 0), (0, -1))
+        # direct construction still checks every pair
+        with pytest.raises(ValueError):
+            BoundaryEdgeSet(both.edges | {((0, 0), (1, 1))})

@@ -1,8 +1,10 @@
 import random
 import sys
+from unittest import mock
 
 import pytest
 
+from loopforge import waterwalk
 from loopforge.errors import MalformedLoopError, ParseError
 from loopforge.framework import Direction, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
@@ -20,7 +22,7 @@ from loopforge.waterwalk import (
     verify_ww,
 )
 
-from oracles import all_loops_on_board
+from oracles import all_loops_on_board, anchored_search_loops, check_against_anchored
 
 # solver-vs-brute-force count on the worked 5x5 instance, frozen from the
 # unpruned loop enumerator over all 9349 loops of the board
@@ -29,6 +31,17 @@ SAMPLE_SOLUTION_COUNT = 7
 
 def loop(*cells):
     return LoopPath(tuple(cells))
+
+
+def random_boards():
+    """25 seeded 4x4 boards: ground at 55%, a clue of 1-4 on 30% of it."""
+    rng = random.Random(7)
+    for _ in range(25):
+        ground = frozenset((x, y) for x in range(4) for y in range(4)
+                           if rng.random() < 0.55)
+        numbers = {c: rng.randint(1, 4) for c in sorted(ground)
+                   if rng.random() < 0.3}
+        yield WwInstance(4, 4, ground, numbers)
 
 
 class TestGadgetData:
@@ -247,7 +260,28 @@ class TestSolve:
         # a regression in any prune of the search engine moves this count
         g = random_candidate_subgraph(2, 3, random.Random(7))
         res = solve_ww(compile_ww(g, plan_for(g)), mode="first")
-        assert res.nodes == 3966 and len(res.loops) == 1
+        assert res.nodes == 56 and len(res.loops) == 1
+
+    def test_seed7_2x3_all_solutions_node_count_pinned(self):
+        g = random_candidate_subgraph(2, 3, random.Random(7))
+        res = solve_ww(compile_ww(g, plan_for(g)), mode="all")
+        assert res.nodes == 9778 and len(res.loops) == 144 and res.exhausted
+
+    def test_seed7_2x3_anchored_oracle_keeps_the_old_counts(self):
+        # rooting at the smallest clue cell is what moved the two pins
+        # above; the per-anchor walks still spend what they used to
+        g = random_candidate_subgraph(2, 3, random.Random(7))
+        inst = compile_ww(g, plan_for(g))
+        with mock.patch.object(waterwalk, "search_loops", anchored_search_loops):
+            first = solve_ww(inst, mode="first")
+            every = solve_ww(inst, mode="all")
+        assert first.nodes == 3966 and len(first.loops) == 1
+        assert every.nodes == 17655 and len(every.loops) == 144
+
+    def test_cap_below_one_rejected(self, ww_fixture):
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                solve_ww(ww_fixture, mode="all", cap=cap)
 
     def test_large_board_leaves_recursion_limit_alone(self):
         from loopforge.errors import SearchBudgetExceeded
@@ -261,15 +295,31 @@ class TestSolve:
         assert sys.getrecursionlimit() == limit
 
     def test_solver_matches_brute_force_on_random_boards(self):
-        rng = random.Random(7)
         loops = all_loops_on_board(4, 4)
-        for _ in range(25):
-            ground = frozenset((x, y) for x in range(4) for y in range(4)
-                               if rng.random() < 0.55)
-            numbers = {c: rng.randint(1, 4) for c in sorted(ground)
-                       if rng.random() < 0.3}
-            inst = WwInstance(4, 4, ground, numbers)
+        for inst in random_boards():
             res = solve_ww(inst, mode="all")
             assert res.exhausted
             brute = {l.canonical().cells for l in loops if verify_ww(inst, l).ok}
             assert {l.canonical().cells for l in res.loops} == brute
+
+
+class TestRooting:
+    """The single walk from the smallest clue cell against the per-anchor
+    walks it replaced (``oracles.anchored_search_loops``)."""
+
+    def test_fixture(self, ww_fixture):
+        check_against_anchored(waterwalk, solve_ww, ww_fixture)
+
+    def test_every_small_compile(self):
+        for cols, rows in ((2, 2), (2, 3), (3, 2)):
+            for g in enumerate_candidate_subgraphs(cols, rows):
+                check_against_anchored(waterwalk, solve_ww, compile_ww(g, plan_for(g)))
+
+    def test_random_boards(self):
+        for inst in random_boards():
+            check_against_anchored(waterwalk, solve_ww, inst)
+
+    def test_board_without_numbers_keeps_per_anchor_walks(self, ww_fixture):
+        inst = WwInstance(ww_fixture.width, ww_fixture.height, ww_fixture.ground, {})
+        new, old = check_against_anchored(waterwalk, solve_ww, inst)
+        assert new.loops and new.nodes == old.nodes
