@@ -32,7 +32,6 @@ from .model import (
     RegionDecomposition,
     Verdict,
     Violation,
-    corner_segment_to_cells,
     crossings_by_region,
     orthogonal_neighbors,
     perimeter_boundary,
@@ -113,28 +112,22 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
 GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
 
 
-def gadget_wall_segments() -> set[tuple[tuple[int, int], tuple[int, int]]]:
-    """Unit corner segments of the canonical gadget walls (union of polylines)."""
-    segments = set()
-    for pts in GADGET_POLYLINES:
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-            if x1 == x2:
-                lo, hi = sorted((y1, y2))
-                segments.update(((x1, y), (x1, y + 1)) for y in range(lo, hi))
-            elif y1 == y2:
-                lo, hi = sorted((x1, x2))
-                segments.update(((x, y1), (x + 1, y1)) for x in range(lo, hi))
-            else:
-                raise AssertionError("gadget polyline not axis-aligned")
-    return segments
-
-
-@lru_cache(maxsize=1)
-def gadget_boundary() -> BoundaryEdgeSet:
+def gadget_walls(turns: int) -> set[tuple[Cell, Cell]]:
+    """Wall cell pairs of the gadget rotated by ``turns``, each pair sorted."""
     pairs = set()
     for pts in GADGET_POLYLINES:
-        pairs |= polyline_to_boundary(pts)
-    return BoundaryEdgeSet(frozenset(pairs))
+        pairs |= polyline_to_boundary([rotate_corner(FRAME, turns, p) for p in pts])
+    return pairs
+
+
+def gadget_board(turns: int) -> AonInstance:
+    """The gadget rotated by ``turns`` alone on its frame, with the frame
+    border sealed."""
+    boundary = BoundaryEdgeSet(frozenset(gadget_walls(turns))).union(
+        perimeter_boundary(FRAME, FRAME))
+    decomp = regions_from_boundaries(FRAME, FRAME, boundary)
+    names = tuple(region_token(rid) for rid in sorted(decomp.regions))
+    return AonInstance(FRAME, FRAME, decomp, names, boundary)
 
 
 @lru_cache(maxsize=1)
@@ -144,8 +137,7 @@ def gadget_parts() -> dict[str, object]:
     Returns the big region's cells, the one-cell region, and the filler
     parts as a tuple of cell sets.
     """
-    b = gadget_boundary().union(perimeter_boundary(FRAME, FRAME))
-    decomp = regions_from_boundaries(FRAME, FRAME, b)
+    decomp = gadget_board(0).regions
     big_id = decomp.region_of[GADGET_EXIT_CELLS[Direction.W]]
     one_id = decomp.region_of[ONE_CELL_REGION_CELL]
     parts = tuple(sorted(
@@ -158,6 +150,68 @@ def gadget_parts() -> dict[str, object]:
         "one_cell": decomp.regions[one_id],
         "parts": parts,
     }
+
+
+def _harness_board(turns: int) -> tuple[AonInstance, int]:
+    """The sealed gadget board rotated by ``turns`` and its big region's id."""
+    inst = gadget_board(turns)
+    exit_cell = rotate_cell(FRAME, turns, GADGET_EXIT_CELLS[Direction.W])
+    return inst, inst.regions.region_of[exit_cell]
+
+
+def gadget_harness(turns: int):
+    """Search domain of the gadget certificate with the gadget rotated by
+    ``turns``: the big region, all of it required, under rules that count
+    both of its crossings as spent.
+
+    The two pinned exit cells stand for the loop stubs continuing
+    off-frame, so a valid traversal can never step into another region
+    (any departure would be a third crossing); :func:`gadget_audit`
+    certifies that the rules reject every such step.
+    """
+    inst, big_id = _harness_board(turns)
+    big = sorted(inst.regions.regions[big_id])
+    return big, big, lambda: AonLoopRules(inst, pre_crossings={big_id: 2})
+
+
+def gadget_audit(turns: int, exits, paths):
+    """Blocked-side counts (none) and findings of the gadget certificate.
+
+    The escape audit counts the big region's border steps that the
+    harness rules permit (0 expected); the structural findings count the
+    leaves of each filler part and the regions around the one-cell region.
+    """
+    inst, big_id = _harness_board(turns)
+    region_of = inst.regions.region_of
+    escapes = 0
+    for b in sorted(inst.regions.regions[big_id]):
+        for nb in orthogonal_neighbors(b):
+            if nb not in region_of or region_of[nb] == big_id:
+                continue
+            rules = AonLoopRules(inst, pre_crossings={big_id: 2})
+            assert rules.push([], b)
+            if rules.push([b], nb):
+                escapes += 1
+    entered = "yes" if escapes else "no"
+    findings = [f"parts-entered {entered}", f"one-cell-entered {entered}",
+                f"rule-permitted-escapes {escapes}"]
+    parts = gadget_parts()
+    decomp = parts["decomposition"]
+    all_leaves = set()
+    for part in parts["parts"]:
+        rid = decomp.region_of[min(part)]
+        all_leaves |= decomp.leaves[rid]
+        findings.append(f"part {min(part)[0]} {min(part)[1]} leaves {len(decomp.leaves[rid])}")
+    fixed = sum(1 for c in FIXED_LEAF_CELLS if c in all_leaves)
+    rim = sum(1 for c in RIM_LEAF_CELLS if c in all_leaves)
+    findings.append(f"fixed-markers-leaves {fixed}")
+    findings.append(f"rim-markers-leaves {rim}")
+    one_id = decomp.region_of[ONE_CELL_REGION_CELL]
+    around = {decomp.region_of[n] for n in orthogonal_neighbors(ONE_CELL_REGION_CELL)
+              if n in decomp.region_of}
+    around.discard(one_id)
+    findings.append(f"one-cell-enclosed-by {len(around)}")
+    return {}, tuple(findings)
 
 
 def region_token(i: int) -> str:
@@ -257,14 +311,9 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     if plan.graph != g:
         raise CompileError("exit plan was built for a different graph")
     width, height = FRAME * g.cols, FRAME * g.rows
-    segments = gadget_wall_segments()
-    # the gadget in each of its four rotations, as sorted frame-cell pairs;
-    # an offset keeps a pair sorted
-    rotated_walls = [
-        [corner_segment_to_cells(rotate_corner(FRAME, turns, p), rotate_corner(FRAME, turns, q))
-         for p, q in segments]
-        for turns in range(4)
-    ]
+    # the gadget's walls in each of its four rotations; an offset keeps a
+    # pair sorted
+    rotated_walls = [gadget_walls(turns) for turns in range(4)]
     pairs = set()
     provenance = {}
     for v in g.vertices():

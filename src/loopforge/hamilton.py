@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk
+from .loopsearch import cycles_through
 from .model import (
     Edge,
     GridGraph,
@@ -37,10 +37,7 @@ def hamiltonian_cycles(g: GridGraph, budget: int | None = None) -> Iterator[HamC
     n = len(verts)
     if n < 4:
         raise ValueError(f"need at least 4 vertices, got {n}")
-    grid = _Grid(verts, lambda v: sorted(g.neighbors(v)))
-    if any(len(adj) < 2 for adj in grid.nbrs):
-        return
-    for cells in _walk(grid, 0, 0, range(n), LoopConstraint(), _Nodes(budget)):
+    for cells in cycles_through(verts, lambda v: sorted(g.neighbors(v)), budget):
         yield HamCycle(cells)
 
 

@@ -2,8 +2,8 @@
 
 One engine serves every search in the package: loops on puzzle boards
 (:func:`search_loops`), pinned-end gadget traversals (:func:`search_paths`)
-and Hamiltonian cycles of source graphs
-(:func:`loopforge.hamilton.hamiltonian_cycles`).  It extends a simple path
+and cycles through every cell (:func:`cycles_through`, behind
+:func:`loopforge.hamilton.hamiltonian_cycles`).  It extends a simple path
 over an integer adjacency list with an explicit stack instead of
 recursion, so path length is bounded by memory alone and no search changes
 interpreter state.
@@ -299,6 +299,18 @@ def search_loops(
                 yield LoopPath(path).canonical()
 
     return _collect(loops(), cap, nodes)
+
+
+def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]],
+                   budget: int | None = None) -> Iterator[tuple[Cell, ...]]:
+    """Lazily yield every cycle through all of ``cells`` under the adjacency
+    ``neighbors``, each once: rooted at ``cells[0]``, in the direction whose
+    second cell is smaller than its last.  Raises
+    :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
+    grid = _Grid(cells, neighbors)
+    if any(len(adj) < 2 for adj in grid.nbrs):
+        return
+    yield from _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), _Nodes(budget))
 
 
 def search_paths(

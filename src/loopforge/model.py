@@ -181,9 +181,6 @@ class BoundaryEdgeSet:
             if not are_orthogonal(a, b):
                 raise ValueError(f"boundary edge does not separate adjacent cells: {a}|{b}")
 
-    def blocks(self, a: Cell, b: Cell) -> bool:
-        return (a, b) in self.edges or (b, a) in self.edges
-
     def union(self, other: "BoundaryEdgeSet") -> "BoundaryEdgeSet":
         return BoundaryEdgeSet._unchecked(self.edges | other.edges)
 
@@ -266,9 +263,6 @@ class RegionDecomposition:
         return (self.width, self.height, self.region_of) == \
             (other.width, other.height, other.region_of)
 
-    def region_count(self) -> int:
-        return len(self.regions)
-
 
 def regions_from_boundaries(width: int, height: int, b: BoundaryEdgeSet) -> RegionDecomposition:
     """Flood-fill the board into regions; the outer border always acts as boundary."""
@@ -345,16 +339,24 @@ def loop_runs(loop: LoopPath, classify: Callable[[Cell], object]) -> list[tuple[
 def loop_runs_with_cells(
     loop: LoopPath, classify: Callable[[Cell], object]
 ) -> list[tuple[object, tuple[Cell, ...]]]:
-    """Like :func:`loop_runs` but carrying the cells of each run."""
-    labels = [classify(c) for c in loop.cells]
-    n = len(labels)
-    if all(lab == labels[0] for lab in labels):
-        return [(labels[0], tuple(loop.cells))]
-    start = next(i for i in range(n) if labels[i - 1] != labels[i])
-    cells = loop.cells[start:] + loop.cells[:start]
-    rotated = labels[start:] + labels[:start]
+    """Like :func:`loop_runs` but carrying the cells of each run.  Each cell
+    is classified once: the path's first and last runs join when the loop
+    closes inside one run, and that run comes last."""
+    runs = path_runs(loop.cells, classify)
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        (lab, tail), head = runs.pop(), runs.pop(0)
+        runs.append((lab, tail + head[1]))
+    return runs
+
+
+def path_runs(
+    cells: Iterable[Cell], classify: Callable[[Cell], object]
+) -> list[tuple[object, tuple[Cell, ...]]]:
+    """Maximal runs of equally labelled consecutive cells of an open path,
+    in path order, each with its cells."""
     runs: list[tuple[object, list[Cell]]] = []
-    for lab, c in zip(rotated, cells):
+    for c in cells:
+        lab = classify(c)
         if runs and runs[-1][0] == lab:
             runs[-1][1].append(c)
         else:
@@ -387,17 +389,6 @@ def boundary_crossings(loop: LoopPath, r: RegionDecomposition, region_id: int) -
     if region_id not in r.regions:
         raise ValueError(f"unknown region id: {region_id}")
     return crossings_by_region(loop, r).get(region_id, 0)
-
-
-def loop_arc_count(loop: LoopPath, r: RegionDecomposition, region_id: int) -> int:
-    """Number of maximal cyclic arcs of the loop lying inside the given region."""
-    if region_id not in r.regions:
-        raise ValueError(f"unknown region id: {region_id}")
-    flags = [r.region_of.get(c) == region_id for c in loop.cells]
-    if all(flags):
-        return 1
-    n = len(flags)
-    return sum(1 for i in range(n) if flags[i] and not flags[i - 1])
 
 
 @dataclass(frozen=True)

@@ -18,28 +18,25 @@ from .framework import (
     direction_between,
     plan_for,
     rotate_cell,
-    rotate_corner,
 )
 from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
-from .loopsearch import search_paths
-from .model import (
-    BoundaryEdgeSet,
-    Cell,
-    GridGraph,
-    HamCycle,
-    LoopPath,
-    corner_segment_to_cells,
-    perimeter_boundary,
-    regions_from_boundaries,
-)
+from .loopsearch import SearchResult, search_paths
+from .model import Cell, GridGraph, HamCycle, LoopPath
 
 PUZZLES = ("aon", "ww")
 
 
 @dataclass(frozen=True)
 class Puzzle:
-    """What one puzzle adds to the shared reduction: its gadget, and its
-    board's compile, verify, solve, parse and emit operations."""
+    """What one puzzle adds to the shared reduction: its gadget, its
+    board's compile, verify, solve, parse and emit operations, and its
+    gadget certificate's search domain and audit.
+
+    ``gadget_harness(turns)`` gives the allowed cells, the required cells
+    and the rules factory of the pinned traversal search with the gadget
+    rotated by ``turns``.  ``gadget_audit(turns, exits, paths)`` gives the
+    blocked-side counts and the puzzle's findings; ``paths(start, goal)``
+    runs one more such search, counted in the certificate's nodes."""
 
     name: str
     gadget: Gadget
@@ -48,6 +45,8 @@ class Puzzle:
     solve: Callable
     parse: Callable
     emit: Callable
+    gadget_harness: Callable
+    gadget_audit: Callable
 
 
 def puzzle_of(name: str) -> Puzzle:
@@ -63,7 +62,8 @@ def puzzle_of(name: str) -> Puzzle:
         raise ValueError(f"unknown puzzle kind: {name!r}")
     ops = {op: getattr(mod, f"{op}_{name}")
            for op in ("compile", "verify", "solve", "parse", "emit")}
-    return Puzzle(name, mod.GADGET, **ops)
+    return Puzzle(name, mod.GADGET, **ops, gadget_harness=mod.gadget_harness,
+                  gadget_audit=mod.gadget_audit)
 
 
 @dataclass(frozen=True)
@@ -200,193 +200,40 @@ def emit_certificate(cert: GadgetCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ww_harness_paths(start_side: Direction, goal: Cell,
-                      budget: int | None, turns: int = 0):
-    """All gadget traversals pinned from an exit to ``goal`` under the
-    in-frame puzzle rules."""
-    frame = waterwalk.FRAME
-    ground = frozenset(rotate_cell(frame, turns, c) for c in waterwalk.GADGET_GROUND)
-    numbers = {rotate_cell(frame, turns, c): v
-               for c, v in waterwalk.GADGET_NUMBERS.items()}
-    inst = waterwalk.WwInstance(frame, frame, ground, numbers)
-    cells = [(x, y) for x in range(frame) for y in range(frame)]
-    start = waterwalk.GADGET.exit_cell(start_side, turns)
-
-    class Harness(waterwalk.WwLoopRules):
-        def finish_ok(self, path_cells) -> bool:
-            return _ww_path_valid(inst, path_cells)
-
-    return search_paths(cells, start, goal, sorted(numbers),
-                        lambda: Harness(inst), budget=budget)
-
-
-def _ww_path_valid(inst: waterwalk.WwInstance, cells: tuple[Cell, ...]) -> bool:
-    """Open-path rule check: runs are evaluated inside the frame only."""
-    for c in inst.numbers:
-        if c not in cells:
-            return False
-    runs: list[tuple[str, list[Cell]]] = []
-    for c in cells:
-        label = inst.terrain(c)
-        if runs and runs[-1][0] == label:
-            runs[-1][1].append(c)
-        else:
-            runs.append((label, [c]))
-    for label, run in runs:
-        if label == waterwalk.WATER and len(run) >= 3:
-            return False
-        if label == waterwalk.GROUND:
-            for c in run:
-                if c in inst.numbers and inst.numbers[c] != len(run):
-                    return False
-    return True
-
-
-def _aon_harness(turns: int = 0) -> aon.AonInstance:
-    """Canonical gadget rotated by ``turns``, sealed by the frame border."""
-    frame = aon.FRAME
-    pairs = set()
-    for p, q in aon.gadget_wall_segments():
-        rp = rotate_corner(frame, turns, p)
-        rq = rotate_corner(frame, turns, q)
-        pairs.add(tuple(sorted(corner_segment_to_cells(rp, rq))))
-    boundary = BoundaryEdgeSet(frozenset(pairs)).union(perimeter_boundary(frame, frame))
-    decomp = regions_from_boundaries(frame, frame, boundary)
-    names = tuple(aon.region_token(rid) for rid in sorted(decomp.regions))
-    return aon.AonInstance(frame, frame, decomp, names, boundary)
-
-
-def _aon_harness_paths(start_side: Direction, goal_side: Direction,
-                       budget: int | None, turns: int = 0):
-    """Pinned-end traversals of the sealed canonical gadget.
-
-    The two pinned border cells stand for the loop stubs continuing
-    off-frame, so the big region starts with both its crossings spent and a
-    valid traversal can never step into another region (any departure would
-    be a third crossing).  The search domain is therefore the big region;
-    :func:`_aon_escape_audit` separately certifies that every single-step
-    departure is rejected by the rules.
-    """
-    inst = _aon_harness(turns)
-    decomp = inst.regions
-    start = aon.GADGET.exit_cell(start_side, turns)
-    goal = aon.GADGET.exit_cell(goal_side, turns)
-    big_id = decomp.region_of[start]
-    big_cells = decomp.regions[big_id]
-    return search_paths(
-        sorted(big_cells), start, goal, sorted(big_cells),
-        lambda: aon.AonLoopRules(inst, pre_crossings={big_id: 2}),
-        budget=budget,
-    ), inst, big_cells
-
-
-def _aon_escape_audit(turns: int = 0) -> int:
-    """Count big-region border adjacencies whose crossing the rules permit.
-
-    Under the harness semantics (both big-region crossings already spent on
-    the pinned stubs) every such step must be vetoed; the return value is
-    the number of escapes the rules failed to reject, expected 0.
-    """
-    inst = _aon_harness(turns)
-    decomp = inst.regions
-    big_id = decomp.region_of[aon.GADGET.exit_cell(Direction.N.rotated(turns), turns)]
-    escapes = 0
-    for b in sorted(decomp.regions[big_id]):
-        for nb in _on_board_neighbors(b, aon.FRAME):
-            if decomp.region_of[nb] == big_id:
-                continue
-            rules = aon.AonLoopRules(inst, pre_crossings={big_id: 2})
-            assert rules.push([], b)
-            if rules.push([b], nb):
-                escapes += 1
-    return escapes
-
-
 def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
                    turns: int = 0) -> GadgetCertificate:
     """Exhaustively enumerate local gadget traversals between every exit pair
-    (and toward the blocked side) and record structural findings.
+    and record the puzzle's blocked-side counts and structural findings.
 
     ``turns`` rotates the whole harness; counts must not depend on it.
     """
-    gadget = puzzle_of(puzzle).gadget
+    p = puzzle_of(puzzle)
+    gadget = p.gadget
     t0 = time.perf_counter()
+    allowed, required, make_rules = p.gadget_harness(turns)
     nodes = 0
-    findings: list[str] = []
-    pair_counts: dict[frozenset[Direction], int] = {}
-    blocked_counts: dict[frozenset[Direction], int] = {}
-    traversals: dict[frozenset[Direction], tuple] = {}
+
+    def paths(start: Cell, goal: Cell) -> SearchResult:
+        nonlocal nodes
+        res = search_paths(allowed, start, goal, required, make_rules, budget=budget)
+        nodes += res.nodes
+        return res
 
     exits = [d.rotated(turns) for d in sorted(gadget.exit_cells, key=lambda d: d.name)]
-    blocked = gadget.non_exit.rotated(turns)
-
-    if puzzle == "ww":
-        for i, a in enumerate(exits):
-            for b in exits[i + 1:]:
-                goal = gadget.exit_cell(b, turns)
-                res = _ww_harness_paths(a, goal, budget, turns)
-                nodes += res.nodes
-                pair_counts[frozenset({a, b})] = len(res.loops)
-                traversals[frozenset({a, b})] = tuple(res.loops)
-        # toward the blocked side's midline border cell, no traversal
-        # should survive the rules
-        blocked_goal = _midline_cell(blocked, gadget.frame)
-        for a in exits:
-            res = _ww_harness_paths(a, blocked_goal, budget, turns)
-            nodes += res.nodes
-            blocked_counts[frozenset({a, blocked})] = len(res.loops)
-    else:
-        stray = False
-        for i, a in enumerate(exits):
-            for b in exits[i + 1:]:
-                res, inst, big_cells = _aon_harness_paths(a, b, budget, turns)
-                nodes += res.nodes
-                pair_counts[frozenset({a, b})] = len(res.loops)
-                traversals[frozenset({a, b})] = tuple(res.loops)
-                stray = stray or any(set(p) - set(big_cells) for p in res.loops)
-        escapes = _aon_escape_audit(turns)
-        entered = stray or escapes > 0
-        findings.append(f"parts-entered {'yes' if entered else 'no'}")
-        findings.append(f"one-cell-entered {'yes' if entered else 'no'}")
-        findings.append(f"rule-permitted-escapes {escapes}")
-        parts = aon.gadget_parts()
-        decomp = parts["decomposition"]
-        all_leaves = set()
-        for part in parts["parts"]:
-            rid = decomp.region_of[min(part)]
-            all_leaves |= decomp.leaves[rid]
-            findings.append(
-                f"part {min(part)[0]} {min(part)[1]} leaves {len(decomp.leaves[rid])}")
-        fixed = sum(1 for c in aon.FIXED_LEAF_CELLS if c in all_leaves)
-        rim = sum(1 for c in aon.RIM_LEAF_CELLS if c in all_leaves)
-        findings.append(f"fixed-markers-leaves {fixed}")
-        findings.append(f"rim-markers-leaves {rim}")
-        one_id = decomp.region_of[aon.ONE_CELL_REGION_CELL]
-        around = {decomp.region_of[n]
-                  for n in _on_board_neighbors(aon.ONE_CELL_REGION_CELL, aon.FRAME)}
-        around.discard(one_id)
-        findings.append(f"one-cell-enclosed-by {len(around)}")
+    pair_counts: dict[frozenset[Direction], int] = {}
+    traversals: dict[frozenset[Direction], tuple] = {}
+    for i, a in enumerate(exits):
+        for b in exits[i + 1:]:
+            res = paths(gadget.exit_cell(a, turns), gadget.exit_cell(b, turns))
+            pair_counts[frozenset({a, b})] = len(res.loops)
+            traversals[frozenset({a, b})] = tuple(res.loops)
+    blocked_counts, findings = p.gadget_audit(turns, exits, paths)
 
     unique = all(c <= 1 for c in pair_counts.values())
-    findings.append(f"locally-unique {'yes' if unique else 'no'}")
+    findings = (*findings, f"locally-unique {'yes' if unique else 'no'}")
     elapsed = time.perf_counter() - t0
     return GadgetCertificate(puzzle, pair_counts, blocked_counts,
-                             traversals, tuple(findings), nodes, elapsed)
-
-
-def _on_board_neighbors(c: Cell, size: int):
-    return [n for n in ((c[0] + 1, c[1]), (c[0] - 1, c[1]), (c[0], c[1] + 1),
-                        (c[0], c[1] - 1)) if 0 <= n[0] < size and 0 <= n[1] < size]
-
-
-def _midline_cell(side: Direction, frame: int) -> Cell:
-    mid = frame // 2
-    return {
-        Direction.W: (0, mid),
-        Direction.E: (frame - 1, mid),
-        Direction.S: (mid, 0),
-        Direction.N: (mid, frame - 1),
-    }[side]
+                             traversals, findings, nodes, elapsed)
 
 
 @dataclass(frozen=True)

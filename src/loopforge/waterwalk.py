@@ -25,6 +25,7 @@ from .model import (
     Violation,
     loop_runs_with_cells,
     orthogonal_neighbors,
+    path_runs,
 )
 from .loopsearch import LoopConstraint, SearchResult, search_loops
 
@@ -64,6 +65,10 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
 }
 
 GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
+
+# Midline border cell of the non-exit side; certification checks that no
+# traversal from an exit can end there.
+GADGET_BLOCKED_CELL = (0, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,33 +192,38 @@ def _global_exit_cell(inst: WwInstance, v, side: Direction) -> Cell:
 
 def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:
     loop.check_on_board(inst.width, inst.height)
+    return Verdict(_violations(inst, loop.cells, loop_runs_with_cells(loop, inst.terrain)))
+
+
+def _violations(inst: WwInstance, cells: tuple[Cell, ...], runs) -> tuple[Violation, ...]:
+    """Rule breaches of a loop or an open path through ``cells``, whose
+    terrain ``runs`` are cyclic for a loop and end at a path's ends."""
     violations = []
-    on_loop = set(loop.cells)
+    on_loop = set(cells)
 
     for c in sorted(inst.numbers):
         if c not in on_loop:
             violations.append(Violation(1, f"numbered cell {c} is not on the loop", (c,)))
 
-    runs = loop_runs_with_cells(loop, inst.terrain)
-    for label, cells in runs:
+    for label, run in runs:
         if label == GROUND:
-            numbered = [c for c in cells if c in inst.numbers]
+            numbered = [c for c in run if c in inst.numbers]
             for c in numbered:
                 n = inst.numbers[c]
-                if len(cells) != n:
+                if len(run) != n:
                     violations.append(Violation(
                         2,
-                        f"ground run through {c} has length {len(cells)}, clue says {n}",
-                        tuple(cells),
+                        f"ground run through {c} has length {len(run)}, clue says {n}",
+                        tuple(run),
                     ))
         else:
-            if len(cells) >= 3:
+            if len(run) >= 3:
                 violations.append(Violation(
                     3,
-                    f"loop passes {len(cells)} consecutive water cells starting {cells[0]}",
-                    tuple(cells),
+                    f"loop passes {len(run)} consecutive water cells starting {run[0]}",
+                    tuple(run),
                 ))
-    return Verdict(tuple(violations))
+    return tuple(violations)
 
 
 class WwLoopRules(LoopConstraint):
@@ -265,6 +275,33 @@ class WwLoopRules(LoopConstraint):
 
     def close_ok(self, cells) -> bool:
         return verify_ww(self.inst, LoopPath(cells)).ok
+
+    def finish_ok(self, cells) -> bool:
+        # open-path variant (pinned gadget traversal): runs end at the
+        # path's ends, inside the frame
+        return not _violations(self.inst, cells, path_runs(cells, self.inst.terrain))
+
+
+def gadget_harness(turns: int):
+    """Search domain of the gadget certificate with the gadget rotated by
+    ``turns``: every frame cell, the clue cells as required, and the rules
+    on the lone gadget, whose runs end at the frame."""
+    ground = frozenset(rotate_cell(FRAME, turns, c) for c in GADGET_GROUND)
+    numbers = {rotate_cell(FRAME, turns, c): v for c, v in GADGET_NUMBERS.items()}
+    inst = WwInstance(FRAME, FRAME, ground, numbers)
+    cells = [(x, y) for x in range(FRAME) for y in range(FRAME)]
+    return cells, sorted(numbers), lambda: WwLoopRules(inst)
+
+
+def gadget_audit(turns: int, exits, paths):
+    """Blocked-side counts and findings of the gadget certificate: the
+    traversals ``paths`` finds from each exit to the blocked side's midline
+    cell (0 expected), and no finding of its own."""
+    blocked = GADGET_NON_EXIT.rotated(turns)
+    goal = rotate_cell(FRAME, turns, GADGET_BLOCKED_CELL)
+    counts = {frozenset({a, blocked}): len(paths(GADGET.exit_cell(a, turns), goal).loops)
+              for a in exits}
+    return counts, ()
 
 
 def solve_ww(

@@ -12,6 +12,7 @@ from unittest import mock
 from loopforge.framework import DIRECTION_ORDER, direction_between
 from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk
 from loopforge.model import LoopPath, full_grid, grid_graph, orthogonal_neighbors
+from loopforge.waterwalk import GROUND, WATER
 
 
 def all_loops_on_board(width, height):
@@ -76,6 +77,52 @@ def candidate_subgraphs_by_subset(cols, rows):
         if all(d in (2, 3) for d in deg.values()):
             out.append(grid_graph(cols, rows, chosen))
     return out
+
+
+def region_count(r):
+    """Number of regions of a ``RegionDecomposition``."""
+    return len(r.regions)
+
+
+def blocks(b, a, c):
+    """Whether the ``BoundaryEdgeSet`` ``b`` walls ``a`` off from ``c``, the
+    pair stored in either order."""
+    return (a, c) in b.edges or (c, a) in b.edges
+
+
+def loop_arc_count(loop, r, region_id):
+    """Number of maximal cyclic arcs of the loop lying inside the given region."""
+    if region_id not in r.regions:
+        raise ValueError(f"unknown region id: {region_id}")
+    flags = [r.region_of.get(c) == region_id for c in loop.cells]
+    if all(flags):
+        return 1
+    n = len(flags)
+    return sum(1 for i in range(n) if flags[i] and not flags[i - 1])
+
+
+def ww_path_valid(inst, cells):
+    """Water Walk rules on an open path (a pinned gadget traversal): every
+    clue cell on the path, and its runs, which end at the path's ends,
+    checked by their own splitting."""
+    for c in inst.numbers:
+        if c not in cells:
+            return False
+    runs = []
+    for c in cells:
+        label = inst.terrain(c)
+        if runs and runs[-1][0] == label:
+            runs[-1][1].append(c)
+        else:
+            runs.append((label, [c]))
+    for label, run in runs:
+        if label == WATER and len(run) >= 3:
+            return False
+        if label == GROUND:
+            for c in run:
+                if c in inst.numbers and inst.numbers[c] != len(run):
+                    return False
+    return True
 
 
 # Per-vertex queries on the complement H and its orientation, answered by

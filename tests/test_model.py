@@ -14,14 +14,15 @@ from loopforge.model import (
     degree_profile,
     full_grid,
     grid_graph,
-    loop_arc_count,
     loop_runs,
+    loop_runs_with_cells,
+    path_runs,
     perimeter_boundary,
     polyline_to_boundary,
     regions_from_boundaries,
 )
 
-from oracles import all_loops_on_board
+from oracles import all_loops_on_board, blocks, loop_arc_count, region_count
 
 LOOPS_3X3 = all_loops_on_board(3, 3)
 LOOPS_4X4 = all_loops_on_board(4, 4)
@@ -140,18 +141,18 @@ class TestLoopPath:
 class TestRegions:
     def test_no_boundaries_single_region(self):
         r = regions_from_boundaries(2, 2, boundary_edges([]))
-        assert r.region_count() == 1
+        assert region_count(r) == 1
         assert r.leaves[0] == frozenset()
 
     def test_path_board_has_two_leaves(self):
         r = regions_from_boundaries(1, 3, boundary_edges([]))
-        assert r.region_count() == 1
+        assert region_count(r) == 1
         assert r.leaves[0] == frozenset({(0, 0), (0, 2)})
 
     def test_wall_splits_board(self):
         b = boundary_edges([((0, y), (1, y)) for y in range(3)])
         r = regions_from_boundaries(2, 3, b)
-        assert r.region_count() == 2
+        assert region_count(r) == 2
         assert r.regions[r.region_of[(0, 0)]] == frozenset({(0, 0), (0, 1), (0, 2)})
 
     def test_sample_instance_region_sizes(self, aon_fixture):
@@ -168,14 +169,14 @@ class TestRegions:
     def test_pair_order_does_not_change_regions(self):
         # BoundaryEdgeSet accepts a pair in either order; the gadget frame
         # with every wall stored reversed must decompose as with sorted pairs
-        from loopforge.aon import FRAME, gadget_boundary
+        from loopforge.aon import FRAME, gadget_board
 
-        sorted_b = gadget_boundary().union(perimeter_boundary(FRAME, FRAME))
+        sorted_b = gadget_board(0).boundaries
         assert all(a < b for a, b in sorted_b.edges)
         reversed_b = BoundaryEdgeSet(frozenset((b, a) for a, b in sorted_b.edges))
         r1 = regions_from_boundaries(FRAME, FRAME, sorted_b)
         r2 = regions_from_boundaries(FRAME, FRAME, reversed_b)
-        assert r1.region_count() > 1
+        assert region_count(r1) > 1
         assert r1 == r2 and r1.regions == r2.regions and r1.leaves == r2.leaves
 
     @given(st.data())
@@ -224,6 +225,37 @@ class TestLoopRuns:
         if len(runs) > 1:
             for (a, _), (b, _) in zip(runs, runs[1:] + runs[:1]):
                 assert a != b
+
+
+    def test_path_runs_end_at_the_path_ends(self):
+        cells = ((0, 0), (1, 0), (1, 1), (0, 1))
+        label = {(0, 0): "a", (1, 0): "b", (1, 1): "a", (0, 1): "a"}.__getitem__
+        assert path_runs(cells, label) == [
+            ("a", ((0, 0),)), ("b", ((1, 0),)), ("a", ((1, 1), (0, 1)))]
+        assert path_runs(cells[:1], label) == [("a", ((0, 0),))]
+        assert path_runs((), label) == []
+        # closed into a loop, the first and last runs join, last
+        assert loop_runs_with_cells(LoopPath(cells), label) == [
+            ("b", ((1, 0),)), ("a", ((1, 1), (0, 1), (0, 0)))]
+
+    @given(st.data())
+    def test_each_cell_classified_once(self, data):
+        loop = LOOPS_4X4[data.draw(st.integers(0, len(LOOPS_4X4) - 1))]
+        labels = data.draw(
+            st.lists(st.integers(0, 2), min_size=16, max_size=16))
+        label = {(x, y): labels[4 * y + x] for x in range(4) for y in range(4)}
+        calls = []
+
+        def classify(c):
+            calls.append(c)
+            return label[c]
+
+        runs = loop_runs_with_cells(loop, classify)
+        assert len(calls) == len(loop)
+        # the runs start at the loop's first label change
+        cells = loop.cells
+        k = next((i for i in range(len(cells)) if label[cells[i - 1]] != label[cells[i]]), 0)
+        assert tuple(c for _, run in runs for c in run) == cells[k:] + cells[:k]
 
 
 class TestBoundaryCrossings:
@@ -292,7 +324,7 @@ class TestBoundaryEdgeSet:
 
     def test_blocks_is_symmetric(self):
         b = boundary_edges([((0, 0), (1, 0))])
-        assert b.blocks((0, 0), (1, 0)) and b.blocks((1, 0), (0, 0))
+        assert blocks(b, (0, 0), (1, 0)) and blocks(b, (1, 0), (0, 0))
 
     def test_union_does_not_check_its_pairs_again(self, monkeypatch):
         import loopforge.model
@@ -305,7 +337,7 @@ class TestBoundaryEdgeSet:
         both = walls.union(border)
         assert calls == []
         assert both == BoundaryEdgeSet(walls.edges | border.edges)
-        assert both.blocks((1, 0), (0, 0)) and both.blocks((0, 0), (0, -1))
+        assert blocks(both, (1, 0), (0, 0)) and blocks(both, (0, 0), (0, -1))
         # direct construction still checks every pair
         with pytest.raises(ValueError):
             BoundaryEdgeSet(both.edges | {((0, 0), (1, 1))})

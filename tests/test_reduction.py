@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -31,6 +32,25 @@ WW_PAIR_COUNTS = {
     frozenset({Direction.N, Direction.E}): 2,
     frozenset({Direction.S, Direction.N}): 3,
 }
+
+# sha256 of emit_certificate(certify_gadget(puzzle, turns=t)) for t = 0..3:
+# the certificates are pinned byte for byte, counts, findings and nodes
+WW_CERT_SHA256 = (
+    "317e49f3db13d9b197f0a116a7077925dd8587a076e8119f99c5590b72e7d006",
+    "4bd2c30869cc676bb5741e8fd920ff6d3bdbebf5be5abe91172bda5c278fecb4",
+    "d34b80a64d92e0d33282a8a2afa551aad1cc1bc304a21cc1a9f68be84c73de70",
+    "e585348263ab12fb02bca10ccc4c147d32d775b536742603c415999845c2d99b",
+)
+AON_CERT_SHA256 = (
+    "e21242b720a84efb69d42cc14556aaa9fb58b2a6da7e65538d877badf2568adb",
+    "72cf8ac55d43481652bf54a20ed3fab111bcdc0987b74c852a075e7d689c0f42",
+    "10108c97384e6c47eb9082aa5c03f76563e3fab261f71d74fc943264a45d8e44",
+    "aaa63ba46238ff081436b0e6dc6897b8e2e6d272bda1fd26209fc894408a4c6d",
+)
+
+
+def emit_digest(cert):
+    return hashlib.sha256(emit_certificate(cert).encode()).hexdigest()
 
 
 def hamiltonian_candidates(*dims_list):
@@ -209,6 +229,8 @@ class TestCertificates:
         base_counts = {frozenset(d.rotated(turns) for d in k): v
                        for k, v in base.pair_counts.items()}
         assert rotated.pair_counts == base_counts
+        assert rotated.findings == base.findings
+        assert rotated.nodes == base.nodes == 435
 
     @pytest.mark.parametrize("turns", [1, 2, 3])
     def test_aon_counts_invariant_under_rotation(self, turns, aon_certificate):
@@ -216,6 +238,27 @@ class TestCertificates:
         base_counts = {frozenset(d.rotated(turns) for d in k): v
                        for k, v in aon_certificate.pair_counts.items()}
         assert rotated.pair_counts == base_counts
+        assert rotated.findings == aon_certificate.findings
+        assert rotated.nodes == aon_certificate.nodes == 390845
+        assert emit_digest(rotated) == AON_CERT_SHA256[turns]
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_ww_emission_pinned(self, turns):
+        assert emit_digest(certify_gadget("ww", turns=turns)) == WW_CERT_SHA256[turns]
+
+    def test_aon_emission_pinned(self, aon_certificate):
+        assert emit_digest(aon_certificate) == AON_CERT_SHA256[0]
+
+    def test_harness_and_audit_are_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+        for name in ("gadget_harness", "gadget_audit"):
+            def counted(*args, _orig=getattr(waterwalk, name), _name=name):
+                calls.append(_name)
+                return _orig(*args)
+            monkeypatch.setattr(waterwalk, name, counted)
+        cert = certify_gadget("ww", turns=1)
+        assert calls == ["gadget_harness", "gadget_audit"]
+        assert emit_digest(cert) == WW_CERT_SHA256[1]
 
     def test_certificate_emission_schema(self):
         text = emit_certificate(certify_gadget("ww"))

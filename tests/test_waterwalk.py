@@ -22,7 +22,12 @@ from loopforge.waterwalk import (
     verify_ww,
 )
 
-from oracles import all_loops_on_board, anchored_search_loops, check_against_anchored
+from oracles import (
+    all_loops_on_board,
+    anchored_search_loops,
+    check_against_anchored,
+    ww_path_valid,
+)
 
 # solver-vs-brute-force count on the worked 5x5 instance, frozen from the
 # unpruned loop enumerator over all 9349 loops of the board
@@ -63,6 +68,29 @@ class TestGadgetData:
     def test_full_turn_is_identity_on_terrain(self):
         cells = {rotate_cell(FRAME, 4, c) for c in GADGET_GROUND}
         assert cells == set(GADGET_GROUND)
+
+
+class TestGadgetHarness:
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_open_path_rules_match_the_reference(self, turns):
+        # finish_ok against the separate run splitting of the reference, on
+        # every simple path of at most 9 frame cells from an exit cell
+        cells, _, make_rules = waterwalk.gadget_harness(turns)
+        rules = make_rules()
+        board = set(cells)
+        verdicts = []
+        stack = [(rotate_cell(FRAME, turns, c),) for c in GADGET_EXIT_CELLS.values()]
+        while stack:
+            path = stack.pop()
+            got = rules.finish_ok(path)
+            assert got == ww_path_valid(rules.inst, path), path
+            verdicts.append(got)
+            if len(path) < 9:
+                x, y = path[-1]
+                for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    if c in board and c not in path:
+                        stack.append(path + (c,))
+        assert True in verdicts and False in verdicts
 
 
 class TestInstanceFile:
