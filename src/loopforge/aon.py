@@ -34,7 +34,6 @@ from .model import (
     Violation,
     crossings_by_region,
     orthogonal_neighbors,
-    perimeter_boundary,
     polyline_to_boundary,
     regions_from_boundaries,
 )
@@ -121,10 +120,9 @@ def gadget_walls(turns: int) -> set[tuple[Cell, Cell]]:
 
 
 def gadget_board(turns: int) -> AonInstance:
-    """The gadget rotated by ``turns`` alone on its frame, with the frame
-    border sealed."""
-    boundary = BoundaryEdgeSet(frozenset(gadget_walls(turns))).union(
-        perimeter_boundary(FRAME, FRAME))
+    """The gadget rotated by ``turns`` alone on its frame, whose border
+    seals it."""
+    boundary = BoundaryEdgeSet(frozenset(gadget_walls(turns)))
     decomp = regions_from_boundaries(FRAME, FRAME, boundary)
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
     return AonInstance(FRAME, FRAME, decomp, names, boundary)
@@ -155,7 +153,7 @@ def gadget_parts() -> dict[str, object]:
 def _harness_board(turns: int) -> tuple[AonInstance, int]:
     """The sealed gadget board rotated by ``turns`` and its big region's id."""
     inst = gadget_board(turns)
-    exit_cell = rotate_cell(FRAME, turns, GADGET_EXIT_CELLS[Direction.W])
+    (exit_cell,) = GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])
     return inst, inst.regions.region_of[exit_cell]
 
 
@@ -266,7 +264,7 @@ def instance_from_tokens(width: int, height: int, token_of: dict[Cell, str]) -> 
         for n in ((x + 1, y), (x, y + 1)):
             if n in token_of and token_of[n] != tok:
                 pairs.add(((x, y), n))
-    b = BoundaryEdgeSet(frozenset(pairs)).union(perimeter_boundary(width, height))
+    b = BoundaryEdgeSet(frozenset(pairs))
     decomp = regions_from_boundaries(width, height, b)
     names = []
     for rid in sorted(decomp.regions):
@@ -304,35 +302,30 @@ def emit_aon(inst: AonInstance) -> str:
 def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     """Tile one rotated gadget per vertex on an 11x11-per-metacell board.
 
-    The walls of all gadgets are unioned with the board perimeter and the
-    regions recomputed globally: filler parts merge across open borders,
-    while every metacell keeps its own big region (asserted, not assumed).
+    The regions of all gadgets' walls are computed globally (the board
+    edge seals the outside): filler parts merge across open borders, while
+    every metacell keeps its own big region (asserted, not assumed).
     """
-    if plan.graph != g:
-        raise CompileError("exit plan was built for a different graph")
+    tiling = GADGET.tile(g, plan)
     width, height = FRAME * g.cols, FRAME * g.rows
-    # the gadget's walls in each of its four rotations; an offset keeps a
-    # pair sorted
+    # the gadget's walls and big region in each of its four rotations; an
+    # offset keeps a pair sorted
     rotated_walls = [gadget_walls(turns) for turns in range(4)]
-    pairs = set()
-    provenance = {}
-    for v in g.vertices():
-        turns = GADGET.turns(plan, v)
-        provenance[v] = turns
-        ox, oy = FRAME * v[0], FRAME * v[1]
-        pairs.update(((ax + ox, ay + oy), (bx + ox, by + oy))
-                     for (ax, ay), (bx, by) in rotated_walls[turns])
-        GADGET.assert_exits_on_midlines(plan, v, turns)
-    boundary = BoundaryEdgeSet(frozenset(pairs)).union(perimeter_boundary(width, height))
-    decomp = regions_from_boundaries(width, height, boundary)
-
     big_cells_canonical = gadget_parts()["big"]
     rotated_big = [[rotate_cell(FRAME, turns, c) for c in big_cells_canonical]
                    for turns in range(4)]
-    big_ids = set()
-    for v in g.vertices():
+    pairs = set()
+    for v, turns in tiling.items():
         ox, oy = FRAME * v[0], FRAME * v[1]
-        placed = {(ox + rx, oy + ry) for rx, ry in rotated_big[provenance[v]]}
+        pairs.update(((ax + ox, ay + oy), (bx + ox, by + oy))
+                     for (ax, ay), (bx, by) in rotated_walls[turns])
+    boundary = BoundaryEdgeSet(frozenset(pairs))
+    decomp = regions_from_boundaries(width, height, boundary)
+
+    big_ids = set()
+    for v, turns in tiling.items():
+        ox, oy = FRAME * v[0], FRAME * v[1]
+        placed = {(ox + rx, oy + ry) for rx, ry in rotated_big[turns]}
         ids = {decomp.region_of[c] for c in placed}
         if len(ids) != 1:
             raise CompileError(f"big region of metacell {v} is fragmented")
@@ -345,7 +338,7 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
 
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
     return AonInstance(width, height, decomp, names, boundary,
-                       provenance, frozenset(big_ids))
+                       tiling, frozenset(big_ids))
 
 
 def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:

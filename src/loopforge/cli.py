@@ -17,7 +17,7 @@ from .errors import LiftError, LoopforgeError, MalformedLoopError, ParseError, \
 from .fileio import emit_graph, emit_loop, parse_graph, parse_loop
 from .framework import emit_exit_plan, plan_for
 from .hamilton import find_hamiltonian_cycle, random_candidate_subgraph
-from .model import HamCycle
+from .model import LoopPath
 from .reduction import (
     PUZZLES,
     certify_gadget,
@@ -60,14 +60,8 @@ def cmd_ham(args) -> int:
     if cycle is None:
         print("no hamiltonian cycle", file=sys.stderr)
         return REJECT
-    _write(args.out, _cycle_text(cycle))
+    _write(args.out, emit_loop(LoopPath(cycle.vertices)))
     return OK
-
-
-def _cycle_text(cycle: HamCycle) -> str:
-    lines = [f"loop {len(cycle.vertices)}"]
-    lines.extend(f"{x} {y}" for x, y in cycle.vertices)
-    return "\n".join(lines) + "\n"
 
 
 def cmd_orient(args) -> int:
@@ -133,7 +127,7 @@ def cmd_lift(args) -> int:
     except LiftError as e:
         print(f"lift failure: {e}", file=sys.stderr)
         return REJECT
-    _write(args.out, _cycle_text(cycle))
+    _write(args.out, emit_loop(LoopPath(cycle.vertices)))
     return OK
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Literal
+from typing import Iterable, Literal
 
-from .model import Cell, GridGraph, Vertex, degree_profile
+from .errors import CompileError
+from .model import Cell, GridGraph, Vertex, canonical_edge, degree_profile
 
 
 class Direction(Enum):
@@ -204,128 +205,93 @@ def orient_complement(h: ComplementGraph, seed_rule: SeedRule = "lex") -> Orient
     The structure on vertices has maximum degree 2 (half-edges act as path
     endpoints), so components are simple paths and cycles; walking each one
     in a fixed direction gives every interior vertex exactly one incoming
-    and one outgoing incidence.  Free choices are resolved by comparing the
-    candidate walks: "lex" keeps the smallest, "antilex" the largest, so
-    both rules yield valid orientations and each is reproducible.
+    and one outgoing incidence.  Free choices are resolved by the order of
+    the candidate walks: "lex" keeps the smallest, "antilex" the largest,
+    so both rules yield valid orientations and each is reproducible.  The
+    smallest walk starts at the component's smallest end (its smallest
+    node, for a cycle) and steps to that node's smaller neighbour; the
+    largest starts at the largest and steps to the larger.  That walk is
+    taken directly, so the work is linear in the size of H.
     """
     if seed_rule not in ("lex", "antilex"):
         raise ValueError(f"unknown seed rule: {seed_rule!r}")
+    pick = min if seed_rule == "lex" else max
 
     adj: dict[_Node, list[_Node]] = {}
-
-    def link(a: _Node, b: _Node):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for e in sorted(h.internal_edges):
-        link(("v", e[0]), ("v", e[1]))
-    for he in sorted(h.half_edges,
-                     key=lambda x: (x.vertex, DIRECTION_ORDER.index(x.direction))):
-        link(("v", he.vertex), ("h", he))
-    for node in adj:
-        adj[node].sort(key=_node_key)
-
-    def component_of(start: _Node) -> set[_Node]:
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            c = frontier.pop()
-            for n in adj[c]:
-                if n not in comp:
-                    comp.add(n)
-                    frontier.append(n)
-        return comp
-
-    def walk_from(start: _Node, nxt: _Node) -> list[_Node]:
-        walk = [start, nxt]
-        while True:
-            options = [n for n in adj[walk[-1]] if n != walk[-2]]
-            if not options:
-                return walk
-            step = options[0]
-            if step == walk[0]:
-                return walk  # cycle closed (start not repeated)
-            walk.append(step)
-
-    def candidate_walks(comp: set[_Node]) -> list[list[_Node]]:
-        endpoints = sorted((n for n in comp if len(adj[n]) == 1), key=_node_key)
-        if endpoints:
-            return [walk_from(e, adj[e][0]) for e in endpoints]
-        return [walk_from(n, m) for n in sorted(comp, key=_node_key) for m in adj[n]]
+    for a, b in h.internal_edges:
+        adj.setdefault(("v", a), []).append(("v", b))
+        adj.setdefault(("v", b), []).append(("v", a))
+    for he in h.half_edges:
+        adj.setdefault(("v", he.vertex), []).append(("h", he))
+        adj[("h", he)] = [("v", he.vertex)]
 
     edge_heads: dict[tuple[Vertex, Vertex], Vertex] = {}
     half_out: dict[HalfEdge, bool] = {}
-
-    def orient_walk(walk: list[_Node]):
-        for a, b in zip(walk, walk[1:] + ([walk[0]] if _is_cycle(walk) else [])):
+    seen: set[_Node] = set()
+    for start in sorted(adj, key=_node_key):  # components by smallest node
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for c in comp:
+            for n in adj[c]:
+                if n not in seen:
+                    seen.add(n)
+                    comp.append(n)
+        ends = [n for n in comp if len(adj[n]) == 1]
+        first = pick(ends or comp, key=_node_key)
+        walk = [first, pick(adj[first], key=_node_key)]
+        while True:
+            step = [n for n in adj[walk[-1]] if n != walk[-2]]
+            if not step or step[0] == first:
+                break
+            walk.append(step[0])
+        if not ends:
+            walk.append(first)  # the arc that closes the cycle
+        for a, b in zip(walk, walk[1:]):
             if a[0] == "v" and b[0] == "v":
-                edge_heads[tuple(sorted((a[1], b[1])))] = b[1]
+                edge_heads[canonical_edge(a[1], b[1])] = b[1]
             elif a[0] == "h":
                 half_out[a[1]] = False  # entering the board
             else:
                 half_out[b[1]] = True  # leaving the board
 
-    def _is_cycle(walk: list[_Node]) -> bool:
-        return len(adj[walk[0]]) == 2 and len(adj[walk[-1]]) == 2 \
-            and walk[0] in adj[walk[-1]]
-
-    seen: set[_Node] = set()
-    for start in sorted(adj, key=_node_key):
-        if start in seen:
-            continue
-        comp = component_of(start)
-        seen |= comp
-        walks = candidate_walks(comp)
-        keyed = sorted(walks, key=lambda w: [_node_key(n) for n in w])
-        orient_walk(keyed[0] if seed_rule == "lex" else keyed[-1])
-
     o = Orientation(edge_heads, half_out)
-    for node in adj:
+    for node, nbrs in adj.items():
         if node[0] != "v":
             continue
         v = node[1]
         assert o.indegree(v) <= 1 and o.outdegree(v) <= 1, \
             f"orientation degree bound broken at {v}"
-        if len(adj[node]) == 2:
+        if len(nbrs) == 2:
             assert o.outdegree(v) == 1, \
                 f"vertex {v} with two incidences lacks an outgoing one"
     return o
 
 
-@dataclass(frozen=True)
-class VertexExits:
-    """Exit sides of one metacell: three exits, one non-exit."""
-
-    exits: frozenset[Direction]
-    non_exit: Direction
-
-    @property
-    def rotation_turns(self) -> int:
-        """Quarter turns mapping the reference non-exit side S onto this one."""
-        return turns_between(Direction.S, self.non_exit)
-
-    @property
-    def rotation_degrees(self) -> int:
-        return self.rotation_turns * 90
+# the three exit sides of a metacell, keyed by its non-exit side
+_EXITS = {d: frozenset(DIRECTION_ORDER) - {d} for d in DIRECTION_ORDER}
 
 
 @dataclass(frozen=True)
 class ExitPlan:
+    """Each vertex's one non-exit side; the other three are its exits."""
+
     graph: GridGraph
-    by_vertex: dict[Vertex, VertexExits]
+    non_exits: dict[Vertex, Direction]
 
     def exits(self, v: Vertex) -> frozenset[Direction]:
-        return self.by_vertex[v].exits
+        return _EXITS[self.non_exits[v]]
 
     def non_exit(self, v: Vertex) -> Direction:
-        return self.by_vertex[v].non_exit
+        return self.non_exits[v]
 
 
 def exit_plan(g: GridGraph, o: Orientation) -> ExitPlan:
     """Exit sides per vertex: all graph-edge directions, plus the outgoing
     H incidence for degree-2 vertices."""
     deg = degree_profile(g)
-    plan = {}
+    non_exits = {}
     for v in g.vertices():
         exits = {direction_between(v, w) for w in g.neighbors(v)}
         if deg[v] == 2:
@@ -333,9 +299,8 @@ def exit_plan(g: GridGraph, o: Orientation) -> ExitPlan:
             assert out is not None, f"degree-2 vertex {v} has no outgoing incidence"
             exits.add(out)
         assert len(exits) == 3, f"vertex {v} ended with exits {exits}"
-        (non_exit,) = [d for d in DIRECTION_ORDER if d not in exits]
-        plan[v] = VertexExits(frozenset(exits), non_exit)
-    return ExitPlan(g, plan)
+        (non_exits[v],) = [d for d in DIRECTION_ORDER if d not in exits]
+    return ExitPlan(g, non_exits)
 
 
 def plan_for(g: GridGraph, seed_rule: SeedRule = "lex") -> ExitPlan:
@@ -358,6 +323,29 @@ class Gadget:
         """Quarter turns that put the gadget's non-exit side onto ``v``'s."""
         return turns_between(self.non_exit, plan.non_exit(v))
 
+    def tile(self, g: GridGraph, plan: ExitPlan) -> dict[Vertex, int]:
+        """Quarter turns of the gadget at every vertex of ``g``.  Raises
+        :class:`CompileError` when ``plan`` was built for another graph;
+        every exit of the plan must land on its side's midline."""
+        if plan.graph != g:
+            raise CompileError("exit plan was built for a different graph")
+        mid = self.frame // 2
+        tiling = {}
+        for v in g.vertices():
+            turns = tiling[v] = self.turns(plan, v)
+            for side in plan.exits(v):
+                ex, ey = self.exit_cell(side, turns)
+                assert (ex if side.dx == 0 else ey) == mid, \
+                    f"exit cell off midline at {v} side {side}"
+        return tiling
+
+    def place(self, v: Vertex, turns: int, cells: Iterable[Cell]) -> list[Cell]:
+        """Board cells of the gadget-local ``cells`` with the gadget rotated
+        by ``turns`` in the metacell of ``v``."""
+        ox, oy = self.frame * v[0], self.frame * v[1]
+        return [(ox + x, oy + y) for x, y in
+                (rotate_cell(self.frame, turns, c) for c in cells)]
+
     def exit_cell(self, side: Direction, turns: int) -> Cell:
         """Border cell of the rotated gadget's exit on ``side``."""
         return rotate_cell(self.frame, turns, self.exit_cells[side.rotated(-turns)])
@@ -370,15 +358,6 @@ class Gadget:
             return cells
         assert cells[0] == self.exit_cells[exit_]
         return tuple(reversed(cells))
-
-    def assert_exits_on_midlines(self, plan: ExitPlan, v: Vertex, turns: int):
-        mid = self.frame // 2
-        for side in plan.exits(v):
-            ex, ey = self.exit_cell(side, turns)
-            if side in (Direction.N, Direction.S):
-                assert ex == mid, f"exit cell off midline at {v} side {side}"
-            else:
-                assert ey == mid, f"exit cell off midline at {v} side {side}"
 
 
 def mutual_facing_holds(g: GridGraph, plan: ExitPlan) -> bool:
@@ -397,8 +376,8 @@ def mutual_facing_holds(g: GridGraph, plan: ExitPlan) -> bool:
 def emit_exit_plan(plan: ExitPlan) -> str:
     """Debug dump: one line per vertex, rotation relative to reference side S."""
     lines = []
-    for v in sorted(plan.by_vertex):
-        ve = plan.by_vertex[v]
-        dirs = "".join(d.name for d in DIRECTION_ORDER if d in ve.exits)
-        lines.append(f"vertex {v[0]} {v[1]} exits {dirs} rot {ve.rotation_degrees}")
+    for v, non_exit in sorted(plan.non_exits.items()):
+        dirs = "".join(d.name for d in DIRECTION_ORDER if d is not non_exit)
+        rot = turns_between(Direction.S, non_exit) * 90
+        lines.append(f"vertex {v[0]} {v[1]} exits {dirs} rot {rot}")
     return "\n".join(lines) + "\n"

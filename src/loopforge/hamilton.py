@@ -24,6 +24,7 @@ from .model import (
 )
 
 ENUMERATION_FREE_EDGE_LIMIT = 12
+SAMPLE_ATTEMPTS = 1000
 
 
 def hamiltonian_cycles(g: GridGraph, budget: int | None = None) -> Iterator[HamCycle]:
@@ -95,17 +96,17 @@ def enumerate_candidate_subgraphs(cols: int, rows: int) -> Iterator[GridGraph]:
             yield g
 
 
-def random_candidate_subgraph(cols: int, rows: int, rng: random.Random,
-                              max_attempts: int = 1000) -> GridGraph:
+def random_candidate_subgraph(cols: int, rows: int, rng: random.Random) -> GridGraph:
     """Random spanning subgraph with degrees in {2, 3}, reproducible per rng state.
 
     Removes edges from the full grid while any vertex still has degree 4,
-    never dropping an endpoint below degree 2; resamples on dead ends.
+    never dropping an endpoint below degree 2; resamples on dead ends, up to
+    ``SAMPLE_ATTEMPTS`` times.
     """
     if cols < 2 or rows < 2:
         raise ValueError(f"need at least a 2x2 grid, got {cols}x{rows}")
     base = full_grid(cols, rows)
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         edges = set(base.edges)
         deg = degree_profile(base)
         stuck = False

@@ -181,31 +181,9 @@ class BoundaryEdgeSet:
             if not are_orthogonal(a, b):
                 raise ValueError(f"boundary edge does not separate adjacent cells: {a}|{b}")
 
-    def union(self, other: "BoundaryEdgeSet") -> "BoundaryEdgeSet":
-        return BoundaryEdgeSet._unchecked(self.edges | other.edges)
-
-    @classmethod
-    def _unchecked(cls, edges: frozenset[tuple[Cell, Cell]]) -> "BoundaryEdgeSet":
-        """A set over ``edges`` known to be valid already (a union of
-        validated sets), built without checking every pair again."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "edges", edges)
-        return s
-
 
 def boundary_edges(pairs: Iterable[tuple[Cell, Cell]]) -> BoundaryEdgeSet:
     return BoundaryEdgeSet(frozenset(tuple(sorted(p)) for p in pairs))
-
-
-def perimeter_boundary(width: int, height: int) -> BoundaryEdgeSet:
-    pairs = []
-    for x in range(width):
-        pairs.append(((x, 0), (x, -1)))
-        pairs.append(((x, height - 1), (x, height)))
-    for y in range(height):
-        pairs.append(((0, y), (-1, y)))
-        pairs.append(((width - 1, y), (width, y)))
-    return boundary_edges(pairs)
 
 
 def corner_segment_to_cells(p: tuple[int, int], q: tuple[int, int]) -> tuple[Cell, Cell]:

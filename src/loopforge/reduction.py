@@ -17,7 +17,6 @@ from .framework import (
     Gadget,
     direction_between,
     plan_for,
-    rotate_cell,
 )
 from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
 from .loopsearch import SearchResult, search_paths
@@ -83,7 +82,6 @@ def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> T
     gadget = puzzle_of(puzzle).gadget
     if not cycle.is_cycle_of(g):
         raise ValueError("not a Hamiltonian cycle of the given graph")
-    frame = gadget.frame
     verts = cycle.vertices
     n = len(verts)
     cells: list[Cell] = []
@@ -95,10 +93,7 @@ def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> T
         exit_ = direction_between(v, next_v)
         turns = gadget.turns(plan, v)
         piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
-        ox, oy = frame * v[0], frame * v[1]
-        for c in piece:
-            rx, ry = rotate_cell(frame, turns, c)
-            cells.append((ox + rx, oy + ry))
+        cells += gadget.place(v, turns, piece)
         sides.append((entry, exit_))
     loop = LoopPath(tuple(cells))
     return TraversalWitness(puzzle, tuple(verts), tuple(sides), loop)
@@ -188,12 +183,9 @@ def _pair_key(a: Direction, b: Direction) -> str:
 
 def emit_certificate(cert: GadgetCertificate) -> str:
     lines = [f"certificate {cert.puzzle}"]
-    for key in sorted(cert.pair_counts, key=lambda k: _pair_key(*k)):
-        a, b = sorted(key, key=lambda d: d.name)
-        lines.append(f"pair {a.name} {b.name} count {cert.pair_counts[key]}")
-    for key in sorted(cert.blocked_side_counts, key=lambda k: _pair_key(*k)):
-        a, b = sorted(key, key=lambda d: d.name)
-        lines.append(f"pair {a.name} {b.name} count {cert.blocked_side_counts[key]}")
+    for counts in (cert.pair_counts, cert.blocked_side_counts):
+        for key in sorted(counts, key=lambda k: _pair_key(*k)):
+            lines.append(f"pair {_pair_key(*key)} count {counts[key]}")
     for f in cert.findings:
         lines.append(f"finding {f}")
     lines.append(f"nodes {cert.nodes}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import CompileError, ParseError
 from .fileio import board_rows
-from .framework import Direction, ExitPlan, Gadget, direction_between, rotate_cell
+from .framework import Direction, ExitPlan, Gadget, direction_between
 from .model import (
     Cell,
     GridGraph,
@@ -149,30 +149,23 @@ def emit_ww(inst: WwInstance) -> str:
 
 def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
     """Tile one rotated gadget per vertex on a 5x5-per-metacell board."""
-    if plan.graph != g:
-        raise CompileError("exit plan was built for a different graph")
-    width, height = FRAME * g.cols, FRAME * g.rows
+    tiling = GADGET.tile(g, plan)
     ground = set()
     numbers = {}
-    provenance = {}
-    for v in g.vertices():
-        turns = GADGET.turns(plan, v)
-        provenance[v] = turns
-        ox, oy = FRAME * v[0], FRAME * v[1]
-        for c in GADGET_GROUND:
-            rx, ry = rotate_cell(FRAME, turns, c)
-            ground.add((ox + rx, oy + ry))
-        for c, n in GADGET_NUMBERS.items():
-            rx, ry = rotate_cell(FRAME, turns, c)
-            numbers[(ox + rx, oy + ry)] = n
-        GADGET.assert_exits_on_midlines(plan, v, turns)
-    inst = WwInstance(width, height, frozenset(ground), numbers, provenance)
+    for v, turns in tiling.items():
+        cells, clues = _gadget_terrain(v, turns)
+        ground.update(cells)
+        numbers.update(clues)
+    inst = WwInstance(FRAME * g.cols, FRAME * g.rows, frozenset(ground), numbers, tiling)
+
+    def crossing(v, side: Direction) -> Cell:
+        turns = tiling[v]
+        return GADGET.place(v, turns, [GADGET.exit_cells[side.rotated(-turns)]])[0]
 
     # every graph edge must cross two water border cells flanked by ground
     for u, w in sorted(g.edges):
         d = direction_between(u, w)
-        bu = _global_exit_cell(inst, u, d)
-        bw = _global_exit_cell(inst, w, d.opposite())
+        bu, bw = crossing(u, d), crossing(w, d.opposite())
         if abs(bu[0] - bw[0]) + abs(bu[1] - bw[1]) != 1:
             raise CompileError(f"exit cells misaligned across {u}-{w}")
         for border, inward_dir in ((bu, d.opposite()), (bw, d)):
@@ -184,10 +177,11 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
     return inst
 
 
-def _global_exit_cell(inst: WwInstance, v, side: Direction) -> Cell:
-    turns = inst.provenance[v]
-    ex, ey = GADGET.exit_cell(side, turns)
-    return (FRAME * v[0] + ex, FRAME * v[1] + ey)
+def _gadget_terrain(v, turns: int) -> tuple[list[Cell], dict[Cell, int]]:
+    """Ground cells and clues of the gadget rotated by ``turns`` in the
+    metacell of ``v``."""
+    clues = zip(GADGET.place(v, turns, GADGET_NUMBERS), GADGET_NUMBERS.values())
+    return GADGET.place(v, turns, GADGET_GROUND), dict(clues)
 
 
 def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:
@@ -286,9 +280,8 @@ def gadget_harness(turns: int):
     """Search domain of the gadget certificate with the gadget rotated by
     ``turns``: every frame cell, the clue cells as required, and the rules
     on the lone gadget, whose runs end at the frame."""
-    ground = frozenset(rotate_cell(FRAME, turns, c) for c in GADGET_GROUND)
-    numbers = {rotate_cell(FRAME, turns, c): v for c, v in GADGET_NUMBERS.items()}
-    inst = WwInstance(FRAME, FRAME, ground, numbers)
+    ground, numbers = _gadget_terrain((0, 0), turns)
+    inst = WwInstance(FRAME, FRAME, frozenset(ground), numbers)
     cells = [(x, y) for x in range(FRAME) for y in range(FRAME)]
     return cells, sorted(numbers), lambda: WwLoopRules(inst)
 
@@ -298,7 +291,7 @@ def gadget_audit(turns: int, exits, paths):
     traversals ``paths`` finds from each exit to the blocked side's midline
     cell (0 expected), and no finding of its own."""
     blocked = GADGET_NON_EXIT.rotated(turns)
-    goal = rotate_cell(FRAME, turns, GADGET_BLOCKED_CELL)
+    (goal,) = GADGET.place((0, 0), turns, [GADGET_BLOCKED_CELL])
     counts = {frozenset({a, blocked}): len(paths(GADGET.exit_cell(a, turns), goal).loops)
               for a in exits}
     return counts, ()

@@ -9,7 +9,7 @@ which keeps the engine's walk but roots loops the old way.
 from itertools import permutations
 from unittest import mock
 
-from loopforge.framework import DIRECTION_ORDER, direction_between
+from loopforge.framework import DIRECTION_ORDER, Orientation, direction_between
 from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk
 from loopforge.model import LoopPath, full_grid, grid_graph, orthogonal_neighbors
 from loopforge.waterwalk import GROUND, WATER
@@ -159,6 +159,76 @@ def outdegree_by_scan(o, v):
             if (a == v and head == b) or (b == v and head == a))
     n += sum(1 for he, out in o.half_out.items() if he.vertex == v and out)
     return n
+
+
+def perimeter(width, height):
+    """Cell pairs of every border side of a width x height board, each
+    pairing a board cell with the off-board cell beyond it."""
+    pairs = []
+    for x in range(width):
+        pairs += [((x, 0), (x, -1)), ((x, height - 1), (x, height))]
+    for y in range(height):
+        pairs += [((0, y), (-1, y)), ((width - 1, y), (width, y))]
+    return pairs
+
+
+def orient_by_candidate_walks(h, seed_rule="lex"):
+    """Orientation of the complement ``h`` by building every candidate walk
+    of each component (from each end of a path; from each node, both ways,
+    around a cycle) and keeping the smallest ("lex") or largest ("antilex")
+    in node-key order.  Quadratic on cycles; the reference that picking the
+    walk directly must reproduce, ``edge_heads`` insertion order included."""
+
+    def key(node):
+        if node[0] == "v":
+            return (node[1][0], node[1][1], -1)
+        return (node[1].vertex[0], node[1].vertex[1], DIRECTION_ORDER.index(node[1].direction))
+
+    adj = {}
+    for a, b in sorted(h.internal_edges):
+        adj.setdefault(("v", a), []).append(("v", b))
+        adj.setdefault(("v", b), []).append(("v", a))
+    for he in h.half_edges:
+        adj.setdefault(("v", he.vertex), []).append(("h", he))
+        adj[("h", he)] = [("v", he.vertex)]
+    for nbrs in adj.values():
+        nbrs.sort(key=key)
+
+    def walk_from(start, nxt):
+        walk = [start, nxt]
+        while True:
+            options = [n for n in adj[walk[-1]] if n != walk[-2]]
+            if not options or options[0] == start:
+                return walk
+            walk.append(options[0])
+
+    edge_heads, half_out = {}, {}
+    seen = set()
+    for start in sorted(adj, key=key):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for n in adj[stack.pop()]:
+                if n not in comp:
+                    comp.add(n)
+                    stack.append(n)
+        seen |= comp
+        ends = sorted((n for n in comp if len(adj[n]) == 1), key=key)
+        if ends:
+            walks = [walk_from(e, adj[e][0]) for e in ends]
+        else:
+            walks = [walk_from(n, m) + [n] for n in sorted(comp, key=key) for m in adj[n]]
+        walks.sort(key=lambda w: [key(n) for n in w])
+        walk = walks[0] if seed_rule == "lex" else walks[-1]
+        for a, b in zip(walk, walk[1:]):
+            if a[0] == "v" and b[0] == "v":
+                edge_heads[tuple(sorted((a[1], b[1])))] = b[1]
+            elif a[0] == "h":
+                half_out[a[1]] = False
+            else:
+                half_out[b[1]] = True
+    return Orientation(edge_heads, half_out)
 
 
 def anchored_search_loops(allowed, required, make_constraint, *, cap=None, budget=None):

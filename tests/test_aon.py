@@ -67,15 +67,14 @@ def random_wall_boards():
     solver's pruning is complete on the rest (enclosure needs the
     tiled-instance context)."""
     from loopforge.aon import AonInstance, region_token
-    from loopforge.model import (boundary_edges, perimeter_boundary,
-                                 regions_from_boundaries)
+    from loopforge.model import boundary_edges, regions_from_boundaries
 
     rng = random.Random(13)
     wall_pool = ([((x, y), (x + 1, y)) for x in range(3) for y in range(4)]
                  + [((x, y), (x, y + 1)) for x in range(4) for y in range(3)])
     for _ in range(40):
         walls = rng.sample(wall_pool, rng.randint(0, 10))
-        b = boundary_edges(walls).union(perimeter_boundary(4, 4))
+        b = boundary_edges(walls)
         decomp = regions_from_boundaries(4, 4, b)
         names = tuple(region_token(i) for i in sorted(decomp.regions))
         inst = AonInstance(4, 4, decomp, names, b)

@@ -5,7 +5,7 @@ from loopforge.cli import main
 from loopforge.errors import ParseError
 from loopforge.fileio import emit_graph, parse_graph, parse_loop
 from loopforge.framework import plan_for
-from loopforge.model import HamCycle, full_grid
+from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import puzzle_of
 from loopforge.render import render_ascii, render_svg
 
@@ -142,6 +142,23 @@ class TestPipelines:
         g.write_text(emit_graph(ring_2x1000))
         assert main(["ham", "--in", str(g), "--out", str(out)]) == 0
         assert len(parse_loop(out.read_text()).cells) == 2000
+
+    def test_ham_and_lift_write_the_loop_format(self, square_graph_file, tmp_path):
+        ring = grid_graph(2, 3, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)),
+                                 ((0, 1), (0, 2)), ((1, 1), (1, 2)), ((0, 2), (1, 2))])
+        g, out = tmp_path / "ring.graph", tmp_path / "c.loop"
+        g.write_text(emit_graph(ring))
+        assert main(["ham", "--in", str(g), "--out", str(out)]) == 0
+        assert out.read_text() == "loop 6\n0 0\n0 1\n0 2\n1 2\n1 1\n1 0\n"
+        for puzzle in ("aon", "ww"):
+            board, loop = tmp_path / "b.inst", tmp_path / "b.loop"
+            assert main(["compile", "--puzzle", puzzle, "--in", str(square_graph_file),
+                         "--out", str(board)]) == 0
+            assert main(["solve", "--puzzle", puzzle, "--in", str(board),
+                         "--out", str(loop)]) == 0
+            assert main(["lift", "--puzzle", puzzle, "--in", str(square_graph_file),
+                         "--loop", str(loop), "--out", str(out)]) == 0
+            assert out.read_text() == "loop 4\n0 0\n0 1\n1 1\n1 0\n"
 
     def test_ham_reports_none(self, tmp_path):
         g = tmp_path / "g.graph"

@@ -18,8 +18,15 @@ from loopforge.framework import (
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.model import degree_profile, full_grid, grid_graph
 
-from oracles import incidences_by_scan, indegree_by_scan, outdegree_by_scan, outgoing_by_scan
+from oracles import (
+    incidences_by_scan,
+    indegree_by_scan,
+    orient_by_candidate_walks,
+    outdegree_by_scan,
+    outgoing_by_scan,
+)
 from test_model import graph_3x4
+from test_scaling import concentric_rings
 
 
 class TestDirections:
@@ -151,6 +158,25 @@ def _small_and_random_graphs():
     rng = random.Random(88)
     for _ in range(6):
         yield random_candidate_subgraph(8, 8, rng)
+
+
+def _oracle_graphs():
+    yield from _small_and_random_graphs()
+    for dims in [(3, 2), (2, 4), (2, 5)]:
+        yield from enumerate_candidate_subgraphs(*dims)
+    for n in (4, 6, 8, 12):
+        yield concentric_rings(n)
+
+
+@pytest.mark.parametrize("rule", ["lex", "antilex"])
+def test_orientation_matches_candidate_walks(rule):
+    # the directly picked walk is the one the sort of every candidate walk
+    # kept, arcs inserted in the same order
+    for g in _oracle_graphs():
+        h = build_complement(g)
+        got, want = orient_complement(h, rule), orient_by_candidate_walks(h, rule)
+        assert list(got.edge_heads.items()) == list(want.edge_heads.items())
+        assert list(got.half_out.items()) == list(want.half_out.items())
 
 
 class TestIndexesMatchScans:

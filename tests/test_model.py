@@ -17,12 +17,11 @@ from loopforge.model import (
     loop_runs,
     loop_runs_with_cells,
     path_runs,
-    perimeter_boundary,
     polyline_to_boundary,
     regions_from_boundaries,
 )
 
-from oracles import all_loops_on_board, blocks, loop_arc_count, region_count
+from oracles import all_loops_on_board, blocks, loop_arc_count, perimeter, region_count
 
 LOOPS_3X3 = all_loops_on_board(3, 3)
 LOOPS_4X4 = all_loops_on_board(4, 4)
@@ -161,7 +160,7 @@ class TestRegions:
 
     def test_idempotent_under_outer_border(self):
         b = boundary_edges([((1, 0), (1, 1))])
-        with_border = b.union(perimeter_boundary(3, 2))
+        with_border = boundary_edges([((1, 0), (1, 1))] + perimeter(3, 2))
         r1 = regions_from_boundaries(3, 2, b)
         r2 = regions_from_boundaries(3, 2, with_border)
         assert r1.regions == r2.regions
@@ -325,19 +324,3 @@ class TestBoundaryEdgeSet:
     def test_blocks_is_symmetric(self):
         b = boundary_edges([((0, 0), (1, 0))])
         assert blocks(b, (0, 0), (1, 0)) and blocks(b, (1, 0), (0, 0))
-
-    def test_union_does_not_check_its_pairs_again(self, monkeypatch):
-        import loopforge.model
-
-        walls, border = boundary_edges(WALLS_4X4[:10]), perimeter_boundary(4, 4)
-        calls = []
-        real = loopforge.model.are_orthogonal
-        monkeypatch.setattr(loopforge.model, "are_orthogonal",
-                            lambda a, b: calls.append((a, b)) or real(a, b))
-        both = walls.union(border)
-        assert calls == []
-        assert both == BoundaryEdgeSet(walls.edges | border.edges)
-        assert blocks(both, (1, 0), (0, 0)) and blocks(both, (0, 0), (0, -1))
-        # direct construction still checks every pair
-        with pytest.raises(ValueError):
-            BoundaryEdgeSet(both.edges | {((0, 0), (1, 1))})

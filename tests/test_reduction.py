@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import sys
 
 import pytest
@@ -7,7 +8,13 @@ import pytest
 from loopforge import aon, reduction, waterwalk
 from loopforge.errors import LiftError
 from loopforge.framework import Direction, plan_for, rotate_cell
-from loopforge.hamilton import enumerate_candidate_subgraphs, hamiltonian_cycles
+from loopforge.fileio import emit_loop
+from loopforge.hamilton import (
+    enumerate_candidate_subgraphs,
+    find_hamiltonian_cycle,
+    hamiltonian_cycles,
+    random_candidate_subgraph,
+)
 from loopforge.model import LoopPath, full_grid
 from loopforge.reduction import (
     certify_gadget,
@@ -47,6 +54,16 @@ AON_CERT_SHA256 = (
     "10108c97384e6c47eb9082aa5c03f76563e3fab261f71d74fc943264a45d8e44",
     "aaa63ba46238ff081436b0e6dc6897b8e2e6d272bda1fd26209fc894408a4c6d",
 )
+
+
+# sha256 of emit_loop(embed_cycle(...).loop) for the first Hamiltonian cycle
+# of random_candidate_subgraph(4, 4, random.Random(7)), per puzzle and rule
+EMBED_4X4_SHA256 = {
+    ("aon", "lex"): "569d2fc8d5b8d4e85728c4b8f19ec36c34788a0c8a0447acaf155dabe958cac6",
+    ("aon", "antilex"): "cf6b57d3e067be486d6fa65399234dc0a06481c29b424215e2207a35a43b51f0",
+    ("ww", "lex"): "edb734eaa061c3b7b9375d4fc51045917e8045848c1f305e79e77f9d20a494b0",
+    ("ww", "antilex"): "edb734eaa061c3b7b9375d4fc51045917e8045848c1f305e79e77f9d20a494b0",
+}
 
 
 def emit_digest(cert):
@@ -99,6 +116,13 @@ class TestEmbed:
             got = {c for c in witness.loop.cells
                    if c[0] // frame == v[0] and c[1] // frame == v[1]}
             assert got == expected
+
+    @pytest.mark.parametrize("puzzle, rule", sorted(EMBED_4X4_SHA256))
+    def test_embedding_pinned_byte_for_byte(self, puzzle, rule):
+        g = random_candidate_subgraph(4, 4, random.Random(7))
+        loop = embed_cycle(g, plan_for(g, rule), find_hamiltonian_cycle(g), puzzle).loop
+        digest = hashlib.sha256(emit_loop(loop).encode()).hexdigest()
+        assert digest == EMBED_4X4_SHA256[(puzzle, rule)]
 
     def test_not_a_cycle_rejected(self):
         g = full_grid(2, 3)

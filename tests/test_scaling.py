@@ -17,7 +17,7 @@ import pytest
 import loopforge
 from loopforge.aon import compile_aon, verify_aon
 from loopforge.framework import plan_for
-from loopforge.model import HamCycle, grid_graph
+from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import embed_cycle
 
 PACKAGE_DIR = os.path.dirname(loopforge.__file__) + os.sep
@@ -36,6 +36,17 @@ def serpentine(n):
     order += [(0, y) for y in range(n - 1, 0, -1)]
     edges = [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
     return grid_graph(n, n, edges), HamCycle(tuple(order))
+
+
+def concentric_rings(n):
+    """The n x n grid graph minus the ring edges of every layer but the
+    outermost, layer k holding the vertices k steps from the border.  Every
+    degree is 2 or 3, and the complement of each inner layer is a cycle."""
+    def layer(v):
+        return min(v[0], v[1], n - 1 - v[0], n - 1 - v[1])
+
+    return grid_graph(n, n, [(u, v) for u, v in full_grid(n, n).edges
+                             if layer(u) != layer(v) or layer(u) == 0])
 
 
 def count_lines(fn, *args):
@@ -82,3 +93,9 @@ def test_layer_grows_at_most_twice_linear(cost):
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
 
+
+@pytest.mark.parametrize("rule", ["lex", "antilex"])
+def test_orientation_of_complement_cycles_grows_at_most_twice_linear(rule):
+    small, large = (count_lines(plan_for, concentric_rings(n), rule) for n in (8, 16))
+    assert small > 0
+    assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"

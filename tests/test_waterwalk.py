@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from unittest import mock
@@ -171,7 +172,21 @@ class TestVerify:
         assert verify_ww(ww_fixture, loop(*cells)).rules_broken() == {2}
 
 
+# sha256 of the compiled board file for random_candidate_subgraph(6, 6,
+# random.Random(7)), per seed rule
+PINNED_6X6_SHA256 = {
+    "lex": "908d2c1b09dce6fb1538551390fb71c95d2aa0985f766222b5fb0d09b6948a68",
+    "antilex": "4397a4fcf5cde6280a14636580f531dad4a18e22124cb2de344ce12a475bb716",
+}
+
+
 class TestCompile:
+    @pytest.mark.parametrize("rule", sorted(PINNED_6X6_SHA256))
+    def test_output_pinned_byte_for_byte(self, rule):
+        g = random_candidate_subgraph(6, 6, random.Random(7))
+        text = emit_ww(compile_ww(g, plan_for(g, rule)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_6X6_SHA256[rule]
+
     def test_square_board_counts(self):
         g = full_grid(2, 2)
         inst = compile_ww(g, plan_for(g))
