@@ -350,6 +350,11 @@ class Gadget:
         """Border cell of the rotated gadget's exit on ``side``."""
         return rotate_cell(self.frame, turns, self.exit_cells[side.rotated(-turns)])
 
+    def board_exit(self, v: Vertex, turns: int, side: Direction) -> Cell:
+        """Board cell of the exit on ``side`` of the gadget rotated by
+        ``turns`` in the metacell of ``v``."""
+        return self.place(v, turns, [self.exit_cells[side.rotated(-turns)]])[0]
+
     def local_path(self, entry: Direction, exit_: Direction) -> tuple[Cell, ...]:
         """Canonical traversal from the ``entry`` exit to the ``exit_`` exit,
         in canonical orientation."""

@@ -26,6 +26,30 @@ required (exact cover), the two-coloring budget that an alternating path
 over the remaining cells must meet.  All prunes reject only provably dead
 branches, so a completed search is exhaustive.
 
+The connectivity prune reads the node's reach set: the free cells joined
+to the head's free neighbors.  A flood fill finds it, stamping each cell
+with the fill's generation, and notes whether it is one component of the
+free cells.  The fill is skipped when the parent's reach set was one
+component and the new head is simple: its free neighbors are joined to
+each other by free cells other than the head, each neighboring two of
+them.  Removing a simple cell from a connected set leaves it connected, so
+the node's reach set is exactly the parent's less the head, and it is one
+component again.  Then:
+
+- under exact cover the reach count is the parent's less one, and the
+  parent's count equalled its free cells, so this node's does too;
+- every required cell still free was reached at the parent and is not
+  the head, so it is still reached; cells from ``extra_required`` and the
+  cells that keep the end in reach are tested against the set;
+- the set is tested without a fill: a cell is in it iff it is free and
+  stamped at the generation of the last fill on the path from the root
+  to this node, or later.  Every fill in a node's subtree runs inside
+  that node's reach set, and generations only grow, so no cell outside
+  the set carries such a stamp.
+
+The prune's verdict is the fill's at every node, so node counts and the
+order of the paths found do not depend on the skip.
+
 Budgets are counted in search nodes (one per path extension considered);
 running out raises :class:`SearchBudgetExceeded`, which callers must treat
 as "no verdict", never as "no solution".
@@ -133,6 +157,36 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     stamp = [0] * n
     gen = 0
 
+    # per path depth, the reach set of the node there: the generation that
+    # stamped it, its size, and whether it is one component of the free cells
+    base = [0] * n
+    reach = [0] * n
+    whole = bytearray(n)
+    links: list = [None] * n  # per cell, lazily: (a, b, x) with x joining neighbors a, b
+
+    def simple(head: int) -> bool:
+        """Whether the head's free neighbors are joined to each other by
+        free cells other than the head, each neighboring two of them."""
+        free = [a for a in nbrs[head] if not on[a]]
+        if len(free) < 2:
+            return True
+        lk = links[head]
+        if lk is None:
+            hn = nbrs[head]
+            lk = links[head] = tuple(
+                (a, b, x) for i, a in enumerate(hn) for b in hn[i + 1:]
+                for x in nbrs[a] if x != head and x in nbrs[b])
+        joined = {free[0]}
+        grew = True
+        while grew:
+            grew = False
+            for a, b, x in lk:
+                if (a in joined) != (b in joined) and not (on[a] or on[b] or on[x]):
+                    joined.add(a)
+                    joined.add(b)
+                    grew = True
+        return len(joined) == len(free)
+
     def viable(head: int) -> bool:
         nonlocal gen
         free_total = free_color[0] + free_color[1]
@@ -147,46 +201,60 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return False
         extra = None if exact else constraint.extra_required()
-        # connectivity of the remaining cells from the head
-        gen += 1
-        g = gen
-        stack = []
-        reached = 0
-        for w in nbrs[head]:
-            if not on[w] and stamp[w] != g:
-                stamp[w] = g
+        # the free cells connected to the head: the parent's set less the
+        # head when the head cannot cut it, else a fresh flood fill
+        d = len(path_idx) - 1
+        inherited = d > 0 and whole[d - 1] and simple(head)
+        if inherited:
+            b = base[d] = base[d - 1]
+            reached = reach[d] = reach[d - 1] - 1
+            whole[d] = 1
+        else:
+            gen += 1
+            b = base[d] = gen
+            reached = 0
+            parts = 0
+            for s in nbrs[head]:
+                if on[s] or stamp[s] == b:
+                    continue
+                parts += 1
+                stamp[s] = b
                 reached += 1
-                stack.append(w)
-        while stack:
-            c = stack.pop()
-            for w in nbrs[c]:
-                if not on[w] and stamp[w] != g:
-                    stamp[w] = g
-                    reached += 1
-                    stack.append(w)
+                stack = [s]
+                while stack:
+                    c = stack.pop()
+                    for w in nbrs[c]:
+                        if not on[w] and stamp[w] != b:
+                            stamp[w] = b
+                            reached += 1
+                            stack.append(w)
+            reach[d] = reached
+            whole[d] = parts < 2
+        # a free cell is reached iff stamped at generation b or later
         if exact:
             if reached != free_total:
                 return False
         else:
-            for i in req_idx:
-                if not on[i] and stamp[i] != g:
-                    return False
+            if not inherited:
+                for i in req_idx:
+                    if not on[i] and stamp[i] < b:
+                        return False
             for c in extra:
                 i = index.get(c)
                 if i is None:
                     return False
-                if not on[i] and stamp[i] != g:
+                if not on[i] and stamp[i] < b:
                     return False
         # the path must still be able to reach its end: a loop's final cell
         # neighbors the start, a pinned path's final cell is the goal
         if on[end]:
             if not adj_end[head]:
                 for w in nbrs[end]:
-                    if stamp[w] == g:
+                    if not on[w] and stamp[w] >= b:
                         break
                 else:
                     return False
-        elif stamp[end] != g:
+        elif stamp[end] < b:
             return False
         # every pending cell except the end still needs two usable path
         # neighbors; under exact cover only the previous cell's neighbors

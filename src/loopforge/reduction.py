@@ -127,9 +127,7 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
         for v, cell, side in ((ma, a, d), (mb, b, d.opposite())):
             if side not in plan.exits(v):
                 raise LiftError(f"loop crosses a non-exit side {side.name} of metacell {v}")
-            expected = gadget.exit_cell(side, gadget.turns(plan, v))
-            local = (cell[0] - frame * v[0], cell[1] - frame * v[1])
-            if local != expected:
+            if cell != gadget.board_exit(v, gadget.turns(plan, v), side):
                 raise LiftError(
                     f"crossing at {cell} is off the exit midline of metacell {v}")
 

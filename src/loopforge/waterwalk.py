@@ -158,14 +158,11 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
         numbers.update(clues)
     inst = WwInstance(FRAME * g.cols, FRAME * g.rows, frozenset(ground), numbers, tiling)
 
-    def crossing(v, side: Direction) -> Cell:
-        turns = tiling[v]
-        return GADGET.place(v, turns, [GADGET.exit_cells[side.rotated(-turns)]])[0]
-
     # every graph edge must cross two water border cells flanked by ground
     for u, w in sorted(g.edges):
         d = direction_between(u, w)
-        bu, bw = crossing(u, d), crossing(w, d.opposite())
+        bu = GADGET.board_exit(u, tiling[u], d)
+        bw = GADGET.board_exit(w, tiling[w], d.opposite())
         if abs(bu[0] - bw[0]) + abs(bu[1] - bw[1]) != 1:
             raise CompileError(f"exit cells misaligned across {u}-{w}")
         for border, inward_dir in ((bu, d.opposite()), (bw, d)):

@@ -2,14 +2,17 @@
 
 These deliberately avoid the package's search machinery: cycles are found
 by blunt enumeration so the clever implementations have something honest
-to be compared against.  The one exception is ``anchored_search_loops``,
-which keeps the engine's walk but roots loops the old way.
+to be compared against.  The exceptions keep an earlier form of the
+engine: ``anchored_search_loops`` roots loops the old way, and
+``full_fill_walk`` flood-fills the free cells at every node.
 """
 
 from itertools import permutations
 from unittest import mock
 
 from loopforge.framework import DIRECTION_ORDER, Orientation, direction_between
+from loopforge import loopsearch
+from loopforge.errors import SearchBudgetExceeded
 from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk
 from loopforge.model import LoopPath, full_grid, grid_graph, orthogonal_neighbors
 from loopforge.waterwalk import GROUND, WATER
@@ -272,3 +275,188 @@ def check_against_anchored(module, solve, inst):
     for l in new.loops + first.loops:
         assert l == l.canonical()
     return new, old
+
+
+def full_fill_walk(grid, start, end, required, constraint, nodes):
+    """``loopsearch._walk`` with one flood fill of the free cells at every
+    node and no reach set taken over from the parent.  Same arguments; the
+    engine's walk must give the same paths in the same order and the same
+    node counts."""
+    cells, index, nbrs = grid.cells, grid.index, grid.nbrs
+    n = len(cells)
+    loop = start == end
+    color = [(c[0] + c[1]) & 1 for c in cells]
+    req = bytearray(n)
+    for i in required:
+        req[i] = 1
+    exact = all(req)
+    req_idx = [i for i in range(n) if req[i]]
+    adj_end = bytearray(n)
+    for i in nbrs[end]:
+        adj_end[i] = 1
+    on = bytearray(n)
+    free_color = [color.count(0), color.count(1)]
+    pending = len(req_idx)
+    path_idx: list[int] = []
+    path_cells = []
+    stamp = [0] * n
+    gen = 0
+
+    def viable(head: int) -> bool:
+        nonlocal gen
+        free_total = free_color[0] + free_color[1]
+        if exact and free_total:
+            # the free cells are entered in alternating colors, starting
+            # opposite the head; the walk's last step, onto the end, is
+            # step free_total + 1 for a loop and free_total for a path
+            sc = 1 - color[head]
+            if free_color[sc] != (free_total + 1) // 2:
+                return False
+            steps = free_total + on[end]
+            if (sc if steps & 1 else 1 - sc) != color[end]:
+                return False
+        extra = None if exact else constraint.extra_required()
+        # connectivity of the remaining cells from the head
+        gen += 1
+        g = gen
+        stack = []
+        reached = 0
+        for w in nbrs[head]:
+            if not on[w] and stamp[w] != g:
+                stamp[w] = g
+                reached += 1
+                stack.append(w)
+        while stack:
+            c = stack.pop()
+            for w in nbrs[c]:
+                if not on[w] and stamp[w] != g:
+                    stamp[w] = g
+                    reached += 1
+                    stack.append(w)
+        if exact:
+            if reached != free_total:
+                return False
+        else:
+            for i in req_idx:
+                if not on[i] and stamp[i] != g:
+                    return False
+            for c in extra:
+                i = index.get(c)
+                if i is None:
+                    return False
+                if not on[i] and stamp[i] != g:
+                    return False
+        # the path must still be able to reach its end: a loop's final cell
+        # neighbors the start, a pinned path's final cell is the goal
+        if on[end]:
+            if not adj_end[head]:
+                for w in nbrs[end]:
+                    if stamp[w] == g:
+                        break
+                else:
+                    return False
+        elif stamp[end] != g:
+            return False
+        # every pending cell except the end still needs two usable path
+        # neighbors; under exact cover only the previous cell's neighbors
+        # can have lost one since the last node
+        if exact:
+            check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
+        else:
+            check = req_idx + [index[c] for c in extra] if extra else req_idx
+        for w in check:
+            if on[w] or w == end:
+                continue
+            avail = 0
+            for x in nbrs[w]:
+                if not on[x] or x == head or x == end:
+                    avail += 1
+            if avail < 2:
+                return False
+        return True
+
+    if not constraint.push(path_cells, cells[start]):
+        return
+    frames = []  # per path cell: its untried neighbors
+    head = start
+    while True:
+        on[head] = 1
+        free_color[color[head]] -= 1
+        pending -= req[head]
+        path_idx.append(head)
+        path_cells.append(cells[head])
+        nodes.tick()
+        if loop:
+            closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
+        else:
+            closes = head == end
+        if closes and pending == 0 and (exact or not constraint.extra_required()):
+            path = tuple(path_cells)
+            if (constraint.close_ok if loop else constraint.finish_ok)(path):
+                yield path
+        grows = (loop or head != end) and viable(head)
+        frames.append(iter(nbrs[head] if grows else ()))
+        # descend into the next extension the constraint admits, retracting
+        # every cell whose extensions are used up
+        while frames:
+            for head in frames[-1]:
+                if not on[head] and constraint.push(path_cells, cells[head]):
+                    break
+            else:
+                frames.pop()
+                c = path_idx.pop()
+                path_cells.pop()
+                on[c] = 0
+                free_color[color[c]] += 1
+                pending += req[c]
+                constraint.pop()
+                continue
+            break
+        else:
+            return
+
+
+def _traced(walk, trace, budget):
+    """``walk`` recording into ``trace`` each yielded path with the node
+    count at that point, then how the walk ended: ("end", nodes) or
+    ("budget", nodes).  With ``budget`` set, no search may spend more."""
+
+    def traced(grid, start, end, required, constraint, nodes):
+        if budget is not None and (nodes.budget is None or nodes.budget > budget):
+            nodes.budget = budget
+        try:
+            for path in walk(grid, start, end, required, constraint, nodes):
+                trace.append(("path", path, nodes.count))
+                yield path
+        except SearchBudgetExceeded as e:
+            trace.append(("budget", e.nodes))
+            raise
+        trace.append(("end", nodes.count))
+
+    return traced
+
+
+def _run_traced(walk, fn, args, budget):
+    trace = []
+    with mock.patch.object(loopsearch, "_walk", _traced(walk, trace, budget)):
+        try:
+            out = fn(*args)
+            if hasattr(out, "__next__"):
+                list(out)
+        except SearchBudgetExceeded as e:
+            trace.append(("raised", e.nodes))
+    return trace
+
+
+def check_against_full_fill(fn, *args, budget=2_000):
+    """Run ``fn(*args)`` (an iterator result is drained) with the engine's
+    walk as it stands and again with ``full_fill_walk`` in its place: every
+    walk must yield the same paths in the same order with the same node
+    counts and end the same way, and a budget stop must escape ``fn`` in
+    both or neither.  Then both again with no search allowed more than
+    ``budget`` nodes.  Returns the trace of the first run."""
+    trace = _run_traced(loopsearch._walk, fn, args, None)
+    assert trace == _run_traced(full_fill_walk, fn, args, None)
+    stopped = _run_traced(loopsearch._walk, fn, args, budget)
+    assert stopped == _run_traced(full_fill_walk, fn, args, budget)
+    return trace

@@ -34,6 +34,7 @@ from oracles import (
     anchored_search_loops,
     blocks,
     check_against_anchored,
+    check_against_full_fill,
     region_count,
 )
 
@@ -458,3 +459,23 @@ class TestRooting:
         with mock.patch.object(aon, "search_loops", anchored_search_loops):
             old = solve_aon(inst, mode="first")
         assert new.nodes == old.nodes and new.loops == old.loops
+
+
+class TestFullFill:
+    """The walk that reuses its parent's reach set against one that flood
+    fills at every node (``oracles.full_fill_walk``)."""
+
+    def test_every_small_compile(self):
+        # one 3x2 compile takes 2.5M nodes to its first loop: the walks are
+        # compared over their first 8,000 nodes
+        ends = []
+        for cols, rows in ((2, 2), (2, 3), (3, 2)):
+            for g in enumerate_candidate_subgraphs(cols, rows):
+                trace = check_against_full_fill(solve_aon, compile_aon(g, plan_for(g)),
+                                                "first", 8_000, budget=500)
+                ends.append(trace[-1][0])
+        assert ends == ["path", "raised", "path", "raised", "raised"]
+
+    def test_random_wall_boards(self):
+        for inst in random_wall_boards():
+            check_against_full_fill(solve_aon, inst, "all")

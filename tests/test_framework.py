@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from loopforge import aon, waterwalk
 from loopforge.framework import (
     Direction,
     HalfEdge,
@@ -251,3 +252,16 @@ class TestExitPlan:
             parts = line.split()
             assert parts[0] == "vertex" and parts[3] == "exits" and parts[5] == "rot"
             assert int(parts[6]) in (0, 90, 180, 270)
+
+
+class TestGadget:
+    @pytest.mark.parametrize("gadget", [aon.GADGET, waterwalk.GADGET], ids=["aon", "ww"])
+    def test_board_exit_is_the_exit_cell_offset_into_the_metacell(self, gadget):
+        for v in ((0, 0), (2, 1), (1, 3)):
+            for turns in range(4):
+                for side in Direction:
+                    if side is gadget.non_exit.rotated(turns):
+                        continue
+                    ex, ey = gadget.exit_cell(side, turns)
+                    assert gadget.board_exit(v, turns, side) == \
+                        (gadget.frame * v[0] + ex, gadget.frame * v[1] + ey)

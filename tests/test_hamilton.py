@@ -13,7 +13,12 @@ from loopforge.hamilton import (
 )
 from loopforge.model import HamCycle, degree_profile, full_grid
 
-from oracles import candidate_subgraphs_by_subset, ham_cycles_by_permutation
+from oracles import (
+    candidate_subgraphs_by_subset,
+    check_against_full_fill,
+    ham_cycles_by_permutation,
+)
+from test_scaling import concentric_rings, serpentine
 
 
 class TestFindHamiltonianCycle:
@@ -109,3 +114,23 @@ class TestRandomCandidates:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             random_candidate_subgraph(1, 5, random.Random(0))
+
+
+class TestFullFill:
+    """The walk that reuses its parent's reach set against one that flood
+    fills at every node (``oracles.full_fill_walk``)."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_candidates(self, dims):
+        for g in enumerate_candidate_subgraphs(*dims):
+            check_against_full_fill(hamiltonian_cycles, g)
+
+    def test_concentric_rings(self):
+        trace = check_against_full_fill(hamiltonian_cycles, concentric_rings(8))
+        assert trace == [("end", 11)]
+
+    def test_serpentine(self):
+        g, cycle = serpentine(8)
+        trace = check_against_full_fill(hamiltonian_cycles, g)
+        assert [event[0] for event in trace] == ["path", "end"]
+        assert HamCycle(trace[0][1]) == cycle.canonical()

@@ -26,6 +26,8 @@ from loopforge.reduction import (
     roundtrip_experiment,
 )
 
+from oracles import check_against_full_fill
+
 # exhaustively measured traversal counts of the 11x11 gadget, pinned as
 # regression values after the first complete enumeration
 AON_PAIR_COUNTS = {
@@ -272,6 +274,12 @@ class TestCertificates:
 
     def test_aon_emission_pinned(self, aon_certificate):
         assert emit_digest(aon_certificate) == AON_CERT_SHA256[0]
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_ww_walks_match_full_fill(self, turns):
+        # one pinned-path walk per exit pair and per blocked-side probe
+        trace = check_against_full_fill(certify_gadget, "ww", None, turns, budget=50)
+        assert sum(1 for event in trace if event[0] == "path") == 7
 
     def test_harness_and_audit_are_looked_up_at_call_time(self, monkeypatch):
         calls = []

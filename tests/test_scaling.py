@@ -17,6 +17,7 @@ import pytest
 import loopforge
 from loopforge.aon import compile_aon, verify_aon
 from loopforge.framework import plan_for
+from loopforge.hamilton import find_hamiltonian_cycle
 from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import embed_cycle
 
@@ -90,6 +91,14 @@ def _verify_aon_cost(n):
                          ids=["plan_for", "verify_aon"])
 def test_layer_grows_at_most_twice_linear(cost):
     small, large = (cost(n) for n in SIZES)
+    assert small > 0
+    assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
+
+
+def test_hamiltonian_search_on_corridor_graphs_grows_at_most_twice_linear():
+    # every vertex of a serpentine has two neighbors, so no head can cut
+    # the free vertices and the search needs no flood fill past its root
+    small, large = (count_lines(find_hamiltonian_cycle, serpentine(n)[0]) for n in (16, 32))
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
 

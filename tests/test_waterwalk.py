@@ -27,6 +27,7 @@ from oracles import (
     all_loops_on_board,
     anchored_search_loops,
     check_against_anchored,
+    check_against_full_fill,
     ww_path_valid,
 )
 
@@ -366,3 +367,23 @@ class TestRooting:
         inst = WwInstance(ww_fixture.width, ww_fixture.height, ww_fixture.ground, {})
         new, old = check_against_anchored(waterwalk, solve_ww, inst)
         assert new.loops and new.nodes == old.nodes
+
+
+class TestFullFill:
+    """The walk that reuses its parent's reach set against one that flood
+    fills at every node (``oracles.full_fill_walk``)."""
+
+    def test_every_small_compile(self):
+        for cols, rows in ((2, 2), (2, 3), (3, 2)):
+            for g in enumerate_candidate_subgraphs(cols, rows):
+                trace = check_against_full_fill(solve_ww, compile_ww(g, plan_for(g)), "all")
+                assert trace[-1][0] == "end"
+
+    def test_random_boards(self):
+        for inst in random_boards():
+            check_against_full_fill(solve_ww, inst, "all")
+
+    def test_seed7_3x4_refutation_prefix(self):
+        g = random_candidate_subgraph(3, 4, random.Random(7))
+        trace = check_against_full_fill(solve_ww, compile_ww(g, plan_for(g)), "first", 20_000)
+        assert trace == [("budget", 20_001), ("raised", 20_001)]
