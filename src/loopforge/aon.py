@@ -122,10 +122,9 @@ def gadget_walls(turns: int) -> set[tuple[Cell, Cell]]:
 def gadget_board(turns: int) -> AonInstance:
     """The gadget rotated by ``turns`` alone on its frame, whose border
     seals it."""
-    boundary = BoundaryEdgeSet(frozenset(gadget_walls(turns)))
-    decomp = regions_from_boundaries(FRAME, FRAME, boundary)
+    decomp = regions_from_boundaries(FRAME, FRAME, BoundaryEdgeSet(frozenset(gadget_walls(turns))))
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
-    return AonInstance(FRAME, FRAME, decomp, names, boundary)
+    return AonInstance(FRAME, FRAME, decomp, names)
 
 
 @lru_cache(maxsize=1)
@@ -205,9 +204,7 @@ def gadget_audit(turns: int, exits, paths):
     findings.append(f"fixed-markers-leaves {fixed}")
     findings.append(f"rim-markers-leaves {rim}")
     one_id = decomp.region_of[ONE_CELL_REGION_CELL]
-    around = {decomp.region_of[n] for n in orthogonal_neighbors(ONE_CELL_REGION_CELL)
-              if n in decomp.region_of}
-    around.discard(one_id)
+    around = {r for pair in decomp.touching if one_id in pair for r in pair} - {one_id}
     findings.append(f"one-cell-enclosed-by {len(around)}")
     return {}, tuple(findings)
 
@@ -222,22 +219,17 @@ def region_token(i: int) -> str:
     return s
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AonInstance:
     width: int
     height: int
     regions: RegionDecomposition
     region_names: tuple[str, ...]
-    boundaries: BoundaryEdgeSet
-    provenance: dict[tuple[int, int], int] | None = field(default=None, compare=False)
-    big_region_ids: frozenset[int] | None = field(default=None, compare=False)
-
-    def __eq__(self, other):
-        # board geometry and naming; provenance is compilation lineage
-        if not isinstance(other, AonInstance):
-            return NotImplemented
-        return (self.width, self.height, self.regions, self.region_names) == \
-            (other.width, other.height, other.regions, other.region_names)
+    # compilation lineage, not board geometry: equality ignores both
+    provenance: dict[tuple[int, int], int] | None = field(
+        default=None, compare=False, kw_only=True)
+    big_region_ids: frozenset[int] | None = field(
+        default=None, compare=False, kw_only=True)
 
     def region_name(self, rid: int) -> str:
         return self.region_names[rid]
@@ -264,8 +256,7 @@ def instance_from_tokens(width: int, height: int, token_of: dict[Cell, str]) -> 
         for n in ((x + 1, y), (x, y + 1)):
             if n in token_of and token_of[n] != tok:
                 pairs.add(((x, y), n))
-    b = BoundaryEdgeSet(frozenset(pairs))
-    decomp = regions_from_boundaries(width, height, b)
+    decomp = regions_from_boundaries(width, height, BoundaryEdgeSet(frozenset(pairs)))
     names = []
     for rid in sorted(decomp.regions):
         cells = decomp.regions[rid]
@@ -279,7 +270,7 @@ def instance_from_tokens(width: int, height: int, token_of: dict[Cell, str]) -> 
         if name in by_token:
             raise ParseError(f"region id {name!r} names a disconnected cell set")
         by_token[name] = rid
-    return AonInstance(width, height, decomp, tuple(names), b)
+    return AonInstance(width, height, decomp, tuple(names))
 
 
 def board_text(inst: AonInstance, marked=frozenset()) -> str:
@@ -319,8 +310,7 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
         ox, oy = FRAME * v[0], FRAME * v[1]
         pairs.update(((ax + ox, ay + oy), (bx + ox, by + oy))
                      for (ax, ay), (bx, by) in rotated_walls[turns])
-    boundary = BoundaryEdgeSet(frozenset(pairs))
-    decomp = regions_from_boundaries(width, height, boundary)
+    decomp = regions_from_boundaries(width, height, BoundaryEdgeSet(frozenset(pairs)))
 
     big_ids = set()
     for v, turns in tiling.items():
@@ -337,8 +327,8 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
         big_ids.add(rid)
 
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
-    return AonInstance(width, height, decomp, names, boundary,
-                       tiling, frozenset(big_ids))
+    return AonInstance(width, height, decomp, names,
+                       provenance=tiling, big_region_ids=frozenset(big_ids))
 
 
 def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
@@ -368,26 +358,13 @@ def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
                     2, f"loop crosses the border of region {name} {crossings} times",
                     tuple(sorted(decomp.regions[rid] & on_loop))))
 
-    unvisited = {rid for rid, hit in visited_count.items() if hit == 0}
-    reported = set()
-    for x in range(inst.width):
-        for y in range(inst.height):
-            a = (x, y)
-            for b in ((x + 1, y), (x, y + 1)):
-                if b[0] >= inst.width or b[1] >= inst.height:
-                    continue
-                ra, rb = decomp.region_of[a], decomp.region_of[b]
-                if ra == rb or ra not in unvisited or rb not in unvisited:
-                    continue
-                pair = tuple(sorted((ra, rb)))
-                if pair in reported:
-                    continue
-                reported.add(pair)
-                violations.append(Violation(
-                    3,
-                    f"unvisited regions {inst.region_name(ra)} and "
-                    f"{inst.region_name(rb)} touch at {a}|{b}",
-                    (a, b)))
+    for (r1, r2), (a, b) in decomp.touching.items():
+        if visited_count[r1] == 0 and visited_count[r2] == 0:
+            violations.append(Violation(
+                3,
+                f"unvisited regions {inst.region_name(decomp.region_of[a])} and "
+                f"{inst.region_name(decomp.region_of[b])} touch at {a}|{b}",
+                (a, b)))
     return Verdict(tuple(violations))
 
 
@@ -399,9 +376,9 @@ STATUS_UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class DeadRegionReport:
-    status: dict[int, str] = field(compare=False)
-    leaf_counts: dict[int, int] = field(compare=False)
-    enclosing: dict[int, int] = field(compare=False)
+    status: dict[int, str]
+    leaf_counts: dict[int, int]
+    enclosing: dict[int, int]
 
     def dead_ids(self) -> set[int]:
         return {rid for rid, s in self.status.items()
@@ -420,21 +397,20 @@ def analyze_dead_regions(inst: AonInstance) -> DeadRegionReport:
     they are never silently assumed dead.
     """
     decomp = inst.regions
+    around: dict[int, set[int]] = {rid: set() for rid in decomp.regions}
+    for r1, r2 in decomp.touching:
+        around[r1].add(r2)
+        around[r2].add(r1)
     status = {}
     leaf_counts = {}
     enclosing = {}
     for rid, cells in decomp.regions.items():
         leaf_counts[rid] = len(decomp.leaves[rid])
-        outside = set()
-        for c in cells:
-            for n in orthogonal_neighbors(c):
-                if n in decomp.region_of and decomp.region_of[n] != rid:
-                    outside.add(decomp.region_of[n])
         if leaf_counts[rid] >= 3:
             status[rid] = STATUS_DEAD_LEAF_RICH
-        elif len(cells) == 1 and len(outside) == 1:
+        elif len(cells) == 1 and len(around[rid]) == 1:
             status[rid] = STATUS_DEAD_ENCLOSURE
-            enclosing[rid] = next(iter(outside))
+            enclosing[rid] = next(iter(around[rid]))
         elif inst.big_region_ids and rid in inst.big_region_ids:
             status[rid] = STATUS_BIG
         else:
@@ -527,21 +503,13 @@ def solve_aon(
     decomp = inst.regions
 
     required_regions = set()
-    for x in range(inst.width):
-        for y in range(inst.height):
-            a = (x, y)
-            for b in ((x + 1, y), (x, y + 1)):
-                if b[0] >= inst.width or b[1] >= inst.height:
-                    continue
-                ra, rb = decomp.region_of[a], decomp.region_of[b]
-                if ra == rb:
-                    continue
-                if ra in dead and rb in dead:
-                    return SearchResult([], 0, True)
-                if ra in dead:
-                    required_regions.add(rb)
-                if rb in dead:
-                    required_regions.add(ra)
+    for r1, r2 in decomp.touching:
+        if r1 in dead and r2 in dead:
+            return SearchResult([], 0, True)
+        if r1 in dead:
+            required_regions.add(r2)
+        if r2 in dead:
+            required_regions.add(r1)
 
     allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
     required = [c for c in allowed if decomp.region_of[c] in required_regions]

@@ -35,12 +35,14 @@ def _content_lines(text: str):
 
 
 def _ints(parts: list[str], lineno: int) -> list[int]:
+    """ASCII decimal integers, an optional leading minus allowed; ``int``
+    alone would also take ``+2``, ``1_0`` and non-ASCII digits."""
     out = []
     for p in parts:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {p!r}", lineno) from None
+        if not (p.isdigit() and p.isascii()) and \
+                not (p[:1] == "-" and p[1:].isdigit() and p.isascii()):
+            raise ParseError(f"expected an integer, got {p!r}", lineno)
+        out.append(int(p))
     return out
 
 

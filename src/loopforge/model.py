@@ -8,7 +8,8 @@ row for ``y = height - 1`` comes first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import MalformedLoopError
@@ -218,7 +219,7 @@ def polyline_to_boundary(points: list[tuple[int, int]]) -> set[tuple[Cell, Cell]
     return pairs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RegionDecomposition:
     """Connected components of board cells under adjacency not crossed by a boundary.
 
@@ -232,14 +233,30 @@ class RegionDecomposition:
     width: int
     height: int
     region_of: dict[Cell, int]
-    regions: dict[int, frozenset[Cell]]
-    leaves: dict[int, frozenset[Cell]]
+    # both derived from region_of, so equality need not compare them
+    regions: dict[int, frozenset[Cell]] = field(compare=False)
+    leaves: dict[int, frozenset[Cell]] = field(compare=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, RegionDecomposition):
-            return NotImplemented
-        return (self.width, self.height, self.region_of) == \
-            (other.width, other.height, other.region_of)
+    @cached_property
+    def touching(self) -> dict[tuple[int, int], tuple[Cell, Cell]]:
+        """Every pair of regions that share a cell side, smaller id first,
+        mapped to its first shared side ``(a, b)`` in board order: cells by
+        x, then y, the east side before the north side.  The dict keeps
+        that order."""
+        region_of = self.region_of
+        first: dict[tuple[int, int], tuple[Cell, Cell]] = {}
+        for x in range(self.width):
+            for y in range(self.height):
+                a = (x, y)
+                ra = region_of[a]
+                for b in ((x + 1, y), (x, y + 1)):
+                    rb = region_of.get(b)
+                    if rb is None or rb == ra:
+                        continue
+                    pair = (ra, rb) if ra < rb else (rb, ra)
+                    if pair not in first:
+                        first[pair] = (a, b)
+        return first
 
 
 def regions_from_boundaries(width: int, height: int, b: BoundaryEdgeSet) -> RegionDecomposition:

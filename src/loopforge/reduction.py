@@ -160,12 +160,12 @@ class GadgetCertificate:
     """
 
     puzzle: str
-    pair_counts: dict[frozenset[Direction], int] = field(compare=False)
-    blocked_side_counts: dict[frozenset[Direction], int] = field(compare=False)
-    traversals: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = field(compare=False)
+    pair_counts: dict[frozenset[Direction], int]
+    blocked_side_counts: dict[frozenset[Direction], int]
+    traversals: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]]
     findings: tuple[str, ...]
     nodes: int
-    elapsed: float
+    elapsed: float = field(compare=False)  # wall time, not part of the result
 
     def count(self, a: Direction, b: Direction) -> int:
         key = frozenset({a, b})

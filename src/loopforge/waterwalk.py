@@ -71,19 +71,15 @@ GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
 GADGET_BLOCKED_CELL = (0, 2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WwInstance:
     width: int
     height: int
     ground: frozenset[Cell]
     numbers: dict[Cell, int]
-    provenance: dict[tuple[int, int], int] | None = field(default=None, compare=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, WwInstance):
-            return NotImplemented
-        return (self.width, self.height, self.ground, self.numbers) == \
-            (other.width, other.height, other.ground, other.numbers)
+    # compilation lineage, not board geometry: equality ignores it
+    provenance: dict[tuple[int, int], int] | None = field(
+        default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
         for c in self.ground:
@@ -115,7 +111,7 @@ def parse_ww(text: str) -> WwInstance:
                 continue
             if ch == ".":
                 ground.add((x, y))
-            elif ch.isdigit() and ch != "0":
+            elif ch in "123456789":
                 ground.add((x, y))
                 numbers[(x, y)] = int(ch)
             else:
@@ -156,7 +152,8 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
         cells, clues = _gadget_terrain(v, turns)
         ground.update(cells)
         numbers.update(clues)
-    inst = WwInstance(FRAME * g.cols, FRAME * g.rows, frozenset(ground), numbers, tiling)
+    inst = WwInstance(FRAME * g.cols, FRAME * g.rows, frozenset(ground), numbers,
+                      provenance=tiling)
 
     # every graph edge must cross two water border cells flanked by ground
     for u, w in sorted(g.edges):

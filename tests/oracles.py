@@ -10,11 +10,27 @@ engine: ``anchored_search_loops`` roots loops the old way, and
 from itertools import permutations
 from unittest import mock
 
+from loopforge.aon import (
+    STATUS_BIG,
+    STATUS_DEAD_ENCLOSURE,
+    STATUS_DEAD_LEAF_RICH,
+    STATUS_UNKNOWN,
+    AonLoopRules,
+    DeadRegionReport,
+    verify_aon,
+)
 from loopforge.framework import DIRECTION_ORDER, Orientation, direction_between
 from loopforge import loopsearch
 from loopforge.errors import SearchBudgetExceeded
-from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk
-from loopforge.model import LoopPath, full_grid, grid_graph, orthogonal_neighbors
+from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk, search_loops
+from loopforge.model import (
+    LoopPath,
+    Verdict,
+    Violation,
+    full_grid,
+    grid_graph,
+    orthogonal_neighbors,
+)
 from loopforge.waterwalk import GROUND, WATER
 
 
@@ -460,3 +476,91 @@ def check_against_full_fill(fn, *args, budget=2_000):
     stopped = _run_traced(loopsearch._walk, fn, args, budget)
     assert stopped == _run_traced(full_fill_walk, fn, args, budget)
     return trace
+
+
+# All or Nothing region adjacency found by scanning the board on every call,
+# as each of its three users did before ``RegionDecomposition.touching``:
+# the definitions the one table must reproduce.
+
+def verify_aon_by_scan(inst, loop):
+    """``verify_aon`` with rule 3 checked by scanning the east and north
+    side of every board cell, reporting each touching pair of unvisited
+    regions once, at its first side in that scan."""
+    head = tuple(v for v in verify_aon(inst, loop).violations if v.rule != 3)
+    decomp = inst.regions
+    unvisited = set(decomp.regions) - {decomp.region_of[c] for c in loop.cells}
+    violations = []
+    reported = set()
+    for x in range(inst.width):
+        for y in range(inst.height):
+            a = (x, y)
+            for b in ((x + 1, y), (x, y + 1)):
+                if b[0] >= inst.width or b[1] >= inst.height:
+                    continue
+                ra, rb = decomp.region_of[a], decomp.region_of[b]
+                if ra == rb or ra not in unvisited or rb not in unvisited:
+                    continue
+                pair = tuple(sorted((ra, rb)))
+                if pair in reported:
+                    continue
+                reported.add(pair)
+                violations.append(Violation(
+                    3,
+                    f"unvisited regions {inst.region_name(ra)} and "
+                    f"{inst.region_name(rb)} touch at {a}|{b}",
+                    (a, b)))
+    return Verdict(head + tuple(violations))
+
+
+def analyze_dead_regions_by_scan(inst):
+    """``analyze_dead_regions`` with the regions around each region found
+    by looking past every side of each of its cells."""
+    decomp = inst.regions
+    status = {}
+    leaf_counts = {}
+    enclosing = {}
+    for rid, cells in decomp.regions.items():
+        leaf_counts[rid] = len(decomp.leaves[rid])
+        outside = set()
+        for c in cells:
+            for n in orthogonal_neighbors(c):
+                if n in decomp.region_of and decomp.region_of[n] != rid:
+                    outside.add(decomp.region_of[n])
+        if leaf_counts[rid] >= 3:
+            status[rid] = STATUS_DEAD_LEAF_RICH
+        elif len(cells) == 1 and len(outside) == 1:
+            status[rid] = STATUS_DEAD_ENCLOSURE
+            enclosing[rid] = next(iter(outside))
+        elif inst.big_region_ids and rid in inst.big_region_ids:
+            status[rid] = STATUS_BIG
+        else:
+            status[rid] = STATUS_UNKNOWN
+    return DeadRegionReport(status, leaf_counts, enclosing)
+
+
+def solve_aon_by_scan(inst, mode="first", budget=None, cap=None):
+    """``solve_aon`` with the regions bordering a dead region found by
+    scanning the east and north side of every board cell, and the dead
+    regions by :func:`analyze_dead_regions_by_scan`."""
+    dead = analyze_dead_regions_by_scan(inst).dead_ids()
+    decomp = inst.regions
+    required_regions = set()
+    for x in range(inst.width):
+        for y in range(inst.height):
+            a = (x, y)
+            for b in ((x + 1, y), (x, y + 1)):
+                if b[0] >= inst.width or b[1] >= inst.height:
+                    continue
+                ra, rb = decomp.region_of[a], decomp.region_of[b]
+                if ra == rb:
+                    continue
+                if ra in dead and rb in dead:
+                    return SearchResult([], 0, True)
+                if ra in dead:
+                    required_regions.add(rb)
+                if rb in dead:
+                    required_regions.add(ra)
+    allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
+    required = [c for c in allowed if decomp.region_of[c] in required_regions]
+    return search_loops(allowed, required, lambda: AonLoopRules(inst),
+                        cap=1 if mode == "first" else cap, budget=budget)

@@ -5,10 +5,10 @@ from unittest import mock
 import pytest
 
 from loopforge import aon
-from loopforge.errors import CompileError, MalformedLoopError, ParseError
+from loopforge.errors import CompileError, MalformedLoopError, ParseError, SearchBudgetExceeded
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
-from loopforge.model import LoopPath, full_grid
+from loopforge.model import BoundaryEdgeSet, LoopPath, full_grid
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
     FRAME,
@@ -20,10 +20,12 @@ from loopforge.aon import (
     STATUS_DEAD_ENCLOSURE,
     STATUS_DEAD_LEAF_RICH,
     STATUS_UNKNOWN,
+    DeadRegionReport,
     analyze_dead_regions,
     compile_aon,
     emit_aon,
     gadget_parts,
+    gadget_walls,
     parse_aon,
     solve_aon,
     verify_aon,
@@ -31,11 +33,14 @@ from loopforge.aon import (
 
 from oracles import (
     all_loops_on_board,
+    analyze_dead_regions_by_scan,
     anchored_search_loops,
     blocks,
     check_against_anchored,
     check_against_full_fill,
     region_count,
+    solve_aon_by_scan,
+    verify_aon_by_scan,
 )
 
 # solver-vs-brute-force count on the worked 5x5 instance, frozen from the
@@ -78,7 +83,7 @@ def random_wall_boards():
         b = boundary_edges(walls)
         decomp = regions_from_boundaries(4, 4, b)
         names = tuple(region_token(i) for i in sorted(decomp.regions))
-        inst = AonInstance(4, 4, decomp, names, b)
+        inst = AonInstance(4, 4, decomp, names)
         if STATUS_DEAD_ENCLOSURE not in analyze_dead_regions(inst).status.values():
             yield inst
 
@@ -297,7 +302,7 @@ class TestCompile:
         # guarantees the region-id file format loses nothing on emit/parse
         for g in enumerate_candidate_subgraphs(*dims):
             inst = compile_aon(g, plan_for(g))
-            for a, b in inst.boundaries.edges:
+            for a, b in _compiled_walls(inst):
                 if a in inst.regions.region_of and b in inst.regions.region_of:
                     assert inst.regions.region_of[a] != inst.regions.region_of[b]
 
@@ -310,6 +315,7 @@ class TestCompile:
             inst = compile_aon(g, plan)
             decomp = inst.regions
             filler = _filler_cells(inst)
+            walls = BoundaryEdgeSet(frozenset(_compiled_walls(inst)))
             for v in g.vertices():
                 turns = inst.provenance[v]
                 ox, oy = FRAME * v[0], FRAME * v[1]
@@ -328,12 +334,23 @@ class TestCompile:
                     across = (cell[0] + out.dx, cell[1] + out.dy)
                     rid = decomp.region_of[cell]
                     off_board = across not in decomp.region_of
-                    walled = (not off_board) and blocks(inst.boundaries, cell, across)
+                    walled = (not off_board) and blocks(walls, cell, across)
                     if off_board or walled:
                         assert cell in decomp.leaves[rid]
                     else:
                         assert across in filler
                         assert decomp.region_of[across] == rid
+
+
+def _compiled_walls(inst):
+    """The walls of a compiled board: each metacell's rotated gadget walls
+    placed at its frame, as ``provenance`` records them."""
+    walls = set()
+    for (vx, vy), turns in inst.provenance.items():
+        ox, oy = FRAME * vx, FRAME * vy
+        walls.update(((ax + ox, ay + oy), (bx + ox, by + oy))
+                     for (ax, ay), (bx, by) in gadget_walls(turns))
+    return walls
 
 
 def _filler_cells(inst):
@@ -382,6 +399,17 @@ class TestDeadRegions:
         report = analyze_dead_regions(inst)
         rid = inst.regions.region_of[(3, 2)]
         assert report.status[rid] == STATUS_DEAD_ENCLOSURE
+
+    def test_report_equality_sees_fields(self):
+        base = DeadRegionReport({0: STATUS_BIG}, {0: 1}, {})
+        assert base == DeadRegionReport({0: STATUS_BIG}, {0: 1}, {})
+        assert base != DeadRegionReport({0: STATUS_UNKNOWN}, {0: 1}, {})
+        assert base != DeadRegionReport({0: STATUS_BIG}, {0: 0}, {})
+        assert base != DeadRegionReport({0: STATUS_BIG}, {0: 1}, {0: 1})
+        nested = parse_aon(NESTED_INSTANCE)
+        assert analyze_dead_regions(nested) == analyze_dead_regions(parse_aon(NESTED_INSTANCE))
+        assert analyze_dead_regions(nested) != analyze_dead_regions(parse_aon(
+            "aon 4 2\nA A B B\nA A B B\n"))
 
 
 class TestSolve:
@@ -479,3 +507,106 @@ class TestFullFill:
     def test_random_wall_boards(self):
         for inst in random_wall_boards():
             check_against_full_fill(solve_aon, inst, "all")
+
+
+# four regions that all touch each other (P, Q, R, S) beside two more (T, L):
+# the loop around L leaves all the others unvisited; Q's first side with P
+# is Q's north side, so that violation names Q before P
+TOUCHING_INSTANCE = """aon 6 4
+R P P P T T
+R Q S P T T
+R R S P L L
+P P P P L L
+"""
+TOUCHING_LOOP = loop((4, 0), (5, 0), (5, 1), (4, 1))
+
+
+def adjacency_boards(fixture):
+    """Every board the region-adjacency table is checked on, each with a
+    name and the solution loops it is known to have: all of them on the
+    small boards, the embedded source cycle on a Hamiltonian compile."""
+    from loopforge.hamilton import find_hamiltonian_cycle
+    from loopforge.reduction import embed_cycle
+
+    yield "fixture", fixture, solve_aon_by_scan(fixture, mode="all").loops
+    yield "touching", parse_aon(TOUCHING_INSTANCE), [TOUCHING_LOOP]
+    for k, inst in enumerate(random_wall_boards()):
+        yield f"random{k}", inst, solve_aon_by_scan(inst, mode="all").loops
+    for cols, rows in ((2, 2), (2, 3), (3, 2)):
+        for k, g in enumerate(enumerate_candidate_subgraphs(cols, rows)):
+            plan = plan_for(g)
+            cycle = find_hamiltonian_cycle(g)
+            sols = [] if cycle is None else [embed_cycle(g, plan, cycle, "aon").loop]
+            yield f"{cols}x{rows}#{k}", compile_aon(g, plan), sols
+
+
+def _shifted(lp, inst):
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        cells = tuple((x + dx, y + dy) for x, y in lp.cells)
+        if all(0 <= x < inst.width and 0 <= y < inst.height for x, y in cells):
+            yield LoopPath(cells)
+
+
+def _rectangles(inst, stride):
+    for w, h in ((2, 2), (3, 2), (2, 4), (5, 3)):
+        for x0 in range(0, inst.width - w + 1, stride):
+            for y0 in range(0, inst.height - h + 1, stride):
+                ring = [(x, y0) for x in range(x0, x0 + w)]
+                ring += [(x0 + w - 1, y) for y in range(y0 + 1, y0 + h)]
+                ring += [(x, y0 + h - 1) for x in range(x0 + w - 2, x0 - 1, -1)]
+                ring += [(x0, y) for y in range(y0 + h - 2, y0, -1)]
+                yield LoopPath(tuple(ring))
+
+
+def _solve_outcome(solve, inst, mode, budget):
+    try:
+        res = solve(inst, mode=mode, budget=budget)
+    except SearchBudgetExceeded as e:
+        return ("budget", e.nodes)
+    return (res.loops, res.nodes, res.exhausted)
+
+
+class TestRegionAdjacency:
+    """``RegionDecomposition.touching`` against the board scans its three
+    users made before it (``oracles.*_by_scan``)."""
+
+    def test_touching_board_pins_violation_order(self):
+        inst = parse_aon(TOUCHING_INSTANCE)
+        verdict = verify_aon(inst, TOUCHING_LOOP)
+        assert verdict == verify_aon_by_scan(inst, TOUCHING_LOOP)
+        assert [v.message for v in verdict.violations] == [
+            "unvisited regions P and R touch at (0, 0)|(0, 1)",
+            "unvisited regions R and Q touch at (0, 2)|(1, 2)",
+            "unvisited regions R and S touch at (1, 1)|(2, 1)",
+            "unvisited regions Q and S touch at (1, 2)|(2, 2)",
+            "unvisited regions Q and P touch at (1, 2)|(1, 3)",
+            "unvisited regions P and S touch at (2, 0)|(2, 1)",
+            "unvisited regions P and T touch at (3, 2)|(4, 2)",
+        ]
+
+    def test_verify_matches_scan(self, aon_fixture):
+        checked = 0
+        for name, inst, sols in adjacency_boards(aon_fixture):
+            # the solutions, their one-cell shifts that stay on the board,
+            # and rectangle perimeters at a stride
+            loops = list(sols)
+            for lp in sols:
+                loops.extend(_shifted(lp, inst))
+            loops.extend(_rectangles(inst, 1 if inst.width < 10 else 4))
+            for lp in loops:
+                assert verify_aon(inst, lp) == verify_aon_by_scan(inst, lp), name
+                checked += 1
+        assert checked > 1000
+
+    def test_dead_region_reports_match_scan(self, aon_fixture):
+        for name, inst, _ in adjacency_boards(aon_fixture):
+            assert analyze_dead_regions(inst) == analyze_dead_regions_by_scan(inst), name
+
+    def test_solve_matches_scan(self, aon_fixture):
+        # compiled boards are solved to a first loop under a node budget
+        # (one 3x2 compile takes 2.5M nodes to its first loop); the 2x2
+        # compile finds its loop within it
+        for name, inst, _ in adjacency_boards(aon_fixture):
+            mode, budget = ("all", None) if inst.width < 10 else ("first", 3_000)
+            assert _solve_outcome(solve_aon, inst, mode, budget) == \
+                _solve_outcome(solve_aon_by_scan, inst, mode, budget), name

@@ -74,6 +74,23 @@ class TestExitCodes:
         assert main(["solve", "--puzzle", puzzle, "--in", str(board)]) == 3
         assert main(["render", "--puzzle", puzzle, "--in", str(board)]) == 3
 
+    @pytest.mark.parametrize("clue", ["\u0663", "\u00b2"])  # Arabic-Indic 3, superscript 2
+    def test_non_ascii_digit_clue_is_input_error(self, clue, tmp_path):
+        board = tmp_path / "b.inst"
+        board.write_text(f"ww 2 2\n..\n.{clue}\n", encoding="utf-8")
+        assert main(["solve", "--puzzle", "ww", "--in", str(board)]) == 3
+
+    @pytest.mark.parametrize("token", ["+2", "1_0", "\u0661"])
+    def test_non_decimal_integer_is_input_error(self, token, data_dir, tmp_path):
+        graph = tmp_path / "g.graph"
+        graph.write_text(f"grid 2 {token}\n", encoding="utf-8")
+        assert main(["compile", "--puzzle", "ww", "--in", str(graph),
+                     "--out", str(tmp_path / "w.inst")]) == 3
+        bad = tmp_path / "bad.loop"
+        bad.write_text(f"loop 4\n0 0\n{token} 0\n1 1\n0 1\n", encoding="utf-8")
+        assert main(["verify", "--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt"),
+                     "--loop", str(bad)]) == 3
+
     def test_unsatisfiable_code(self, tmp_path):
         inst = tmp_path / "w.inst"
         inst.write_text("ww 3 3\n~~~\n~1~\n~~~\n")

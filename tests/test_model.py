@@ -101,6 +101,15 @@ class TestGraphFile:
         with pytest.raises(ParseError):
             parse_graph("graph 2 2\n")
 
+    @pytest.mark.parametrize("token", ["+2", "1_0", "\u0661", "\u00b2", "-", "--1"])
+    def test_only_ascii_decimal_integers(self, token):
+        with pytest.raises(ParseError) as e:
+            parse_graph(f"grid {token} 2\n")
+        assert e.value.line == 1
+        with pytest.raises(ParseError) as e:
+            parse_graph(f"grid 2 2\nedge 0 0 {token} 0\n")
+        assert e.value.line == 2
+
 
 class TestLoopFile:
     def test_roundtrip(self):
@@ -110,6 +119,12 @@ class TestLoopFile:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ParseError):
             parse_loop("loop 3\n0 0\n1 0\n")
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0661"])
+    def test_only_ascii_decimal_integers(self, token):
+        with pytest.raises(ParseError) as e:
+            parse_loop(f"loop 4\n0 0\n{token} 0\n1 1\n0 1\n")
+        assert e.value.line == 3
 
     def test_repeated_cell_is_malformed(self):
         with pytest.raises(MalformedLoopError):
@@ -168,9 +183,9 @@ class TestRegions:
     def test_pair_order_does_not_change_regions(self):
         # BoundaryEdgeSet accepts a pair in either order; the gadget frame
         # with every wall stored reversed must decompose as with sorted pairs
-        from loopforge.aon import FRAME, gadget_board
+        from loopforge.aon import FRAME, gadget_walls
 
-        sorted_b = gadget_board(0).boundaries
+        sorted_b = BoundaryEdgeSet(frozenset(gadget_walls(0)))
         assert all(a < b for a, b in sorted_b.edges)
         reversed_b = BoundaryEdgeSet(frozenset((b, a) for a, b in sorted_b.edges))
         r1 = regions_from_boundaries(FRAME, FRAME, sorted_b)

@@ -243,6 +243,16 @@ class TestCertificates:
         assert "locally-unique no" in cert.findings
         assert cert.nodes == 390845
 
+    def test_equality_sees_counts_not_wall_time(self):
+        a, b = certify_gadget("ww"), certify_gadget("ww")
+        assert a == b
+        assert a == dataclasses.replace(a, elapsed=a.elapsed + 1.0)
+        raised = {k: n + 1 for k, n in a.pair_counts.items()}
+        assert a != dataclasses.replace(a, pair_counts=raised)
+        blocked = {k: n + 1 for k, n in a.blocked_side_counts.items()}
+        assert a != dataclasses.replace(a, blocked_side_counts=blocked)
+        assert a != dataclasses.replace(a, traversals={})
+
     def test_certificate_leaves_recursion_limit_alone(self):
         limit = sys.getrecursionlimit()
         certify_gadget("ww")

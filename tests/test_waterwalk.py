@@ -115,6 +115,12 @@ class TestInstanceFile:
         with pytest.raises(ParseError):
             parse_ww("ww 2 2\n...\n..\n")
 
+    @pytest.mark.parametrize("clue", ["\u0663", "\u00b2"])  # Arabic-Indic 3, superscript 2
+    def test_non_ascii_digit_clue_rejected(self, clue):
+        with pytest.raises(ParseError) as e:
+            parse_ww(f"ww 2 2\n..\n.{clue}\n")
+        assert e.value.line == 3
+
     def test_equality_sees_numbers(self):
         a = parse_ww("ww 2 1\n.3\n")
         b = parse_ww("ww 2 1\n.2\n")
