@@ -39,7 +39,6 @@ from .hamilton import (
     random_candidate_subgraph,
 )
 from .model import (
-    BoundaryEdgeSet,
     GridGraph,
     HamCycle,
     LoopPath,
@@ -53,7 +52,7 @@ from .model import (
     full_grid,
     grid_graph,
     loop_runs,
-    regions_from_boundaries,
+    regions_from_labels,
 )
 from .reduction import (
     GadgetCertificate,

@@ -8,10 +8,11 @@ Rules enforced by the verifier:
    region's border 0 or 2 times);
 3. two unvisited regions may not be orthogonally adjacent.
 
-The metacell gadget lives on an 11x11 frame.  In canonical orientation the
-non-exit side is S and the exits are W, E, N with border cells on the
-midline of their sides.  Its walls split the frame into one big walkable
-region, a single enclosed one-cell region, and three partially enclosed
+A board is a partition of the grid into regions, read from and written as
+one region id per cell.  The metacell gadget is such a board on an 11x11
+frame.  In canonical orientation the non-exit side is S and the exits are
+W, E, N with border cells on the midline of their sides.  The frame holds
+one big walkable region, a single enclosed one-cell region, and three
 filler parts that merge into dead regions once gadgets are tiled.
 """
 
@@ -22,10 +23,9 @@ from functools import lru_cache
 
 from .errors import CompileError, ParseError
 from .fileio import board_rows
-from .framework import Direction, ExitPlan, Gadget, rotate_cell, rotate_corner
+from .framework import Direction, ExitPlan, Gadget
 from .loopsearch import LoopConstraint, SearchResult, search_loops
 from .model import (
-    BoundaryEdgeSet,
     Cell,
     GridGraph,
     LoopPath,
@@ -34,8 +34,7 @@ from .model import (
     Violation,
     crossings_by_region,
     orthogonal_neighbors,
-    polyline_to_boundary,
-    regions_from_boundaries,
+    regions_from_labels,
 )
 
 FRAME = 11
@@ -47,23 +46,23 @@ GADGET_EXIT_CELLS = {
     Direction.N: (5, 10),
 }
 
-# Wall polylines of the canonical gadget, in frame-corner coordinates.
-# The two three-sided squares are deliberately open on one side: that gap
-# joins their single cell to the surrounding filler part.
-GADGET_POLYLINES = (
-    [(0, 4), (1, 4), (1, 1), (3, 1), (3, 4), (5, 4), (5, 3), (7, 3), (7, 4),
-     (8, 4), (8, 1), (10, 1), (10, 5), (11, 5)],
-    [(0, 6), (1, 6), (1, 7)],
-    [(1, 8), (1, 10), (4, 10), (4, 11)],
-    [(1, 7), (2, 7), (2, 8), (1, 8)],
-    [(6, 11), (6, 10), (7, 10)],
-    [(8, 10), (10, 10), (10, 7), (11, 7)],
-    [(7, 10), (7, 9), (8, 9), (8, 10)],
-    [(5, 6), (6, 6), (6, 7), (5, 7), (5, 6)],
-    [(0, 4), (0, 6)],
-    [(11, 5), (11, 7)],
-    [(4, 11), (6, 11)],
-)
+# The canonical gadget as an AoN board, top row first: B is the big
+# region, D the one-cell region, and A, C, E the filler parts.  No two
+# filler parts touch inside the frame; each reaches the frame border, where
+# it merges with any filler of a neighboring gadget across the side.
+GADGET_ROWS = """\
+C C C C B B E E E E E
+C B B B B B B E B B E
+C B B B B B B B B B E
+C C B B B B B B B B E
+C B B B B D B B B B B
+B B B B B B B B B B B
+B B B B B B B B B B A
+A B B A A B B A B B A
+A B B A A A A A B B A
+A B B A A A A A B B A
+A A A A A A A A A A A
+"""
 
 # Marker cells of the filler parts: fixed leaves stay leaves in every
 # tiling; rim leaves sit on the frame border and stop being leaves when an
@@ -111,25 +110,28 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
 GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
 
 
-def gadget_walls(turns: int) -> set[tuple[Cell, Cell]]:
-    """Wall cell pairs of the gadget rotated by ``turns``, each pair sorted."""
-    pairs = set()
-    for pts in GADGET_POLYLINES:
-        pairs |= polyline_to_boundary([rotate_corner(FRAME, turns, p) for p in pts])
-    return pairs
+_GADGET_TOKENS = {(x, FRAME - 1 - k): tok
+                  for k, row in enumerate(GADGET_ROWS.splitlines())
+                  for x, tok in enumerate(row.split())}
+
+
+@lru_cache(maxsize=None)
+def _gadget_labels(turns: int) -> tuple[tuple[Cell, str], ...]:
+    """Every frame cell of the gadget rotated by ``turns`` with its letter
+    in ``GADGET_ROWS``."""
+    return tuple(zip(GADGET.place((0, 0), turns, _GADGET_TOKENS), _GADGET_TOKENS.values()))
 
 
 def gadget_board(turns: int) -> AonInstance:
-    """The gadget rotated by ``turns`` alone on its frame, whose border
-    seals it."""
-    decomp = regions_from_boundaries(FRAME, FRAME, BoundaryEdgeSet(frozenset(gadget_walls(turns))))
+    """The gadget rotated by ``turns`` alone on its frame."""
+    decomp = regions_from_labels(FRAME, FRAME, dict(_gadget_labels(turns)))
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
     return AonInstance(FRAME, FRAME, decomp, names)
 
 
 @lru_cache(maxsize=1)
 def gadget_parts() -> dict[str, object]:
-    """Canonical gadget decomposition with the frame border sealed.
+    """Canonical gadget decomposition.
 
     Returns the big region's cells, the one-cell region, and the filler
     parts as a tuple of cell sets.
@@ -247,30 +249,15 @@ def parse_aon(text: str) -> AonInstance:
             if not tok.isalnum():
                 raise ParseError(f"region id {tok!r} is not alphanumeric", lineno)
             token_of[(x, y)] = tok
-    return instance_from_tokens(width, height, token_of)
-
-
-def instance_from_tokens(width: int, height: int, token_of: dict[Cell, str]) -> AonInstance:
-    pairs = set()
-    for (x, y), tok in token_of.items():
-        for n in ((x + 1, y), (x, y + 1)):
-            if n in token_of and token_of[n] != tok:
-                pairs.add(((x, y), n))
-    decomp = regions_from_boundaries(width, height, BoundaryEdgeSet(frozenset(pairs)))
-    names = []
-    for rid in sorted(decomp.regions):
-        cells = decomp.regions[rid]
-        tokens = {token_of[c] for c in cells}
-        if len(tokens) != 1:
-            raise ParseError("region decomposition does not match tokens")
-        names.append(tokens.pop())
+    decomp = regions_from_labels(width, height, token_of)
+    names = tuple(token_of[min(cells)] for cells in decomp.regions.values())
     # a token must name one connected region, not scattered patches
-    by_token: dict[str, int] = {}
-    for rid, name in enumerate(names):
-        if name in by_token:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
             raise ParseError(f"region id {name!r} names a disconnected cell set")
-        by_token[name] = rid
-    return AonInstance(width, height, decomp, tuple(names))
+        seen.add(name)
+    return AonInstance(width, height, decomp, names)
 
 
 def board_text(inst: AonInstance, marked=frozenset()) -> str:
@@ -293,25 +280,22 @@ def emit_aon(inst: AonInstance) -> str:
 def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     """Tile one rotated gadget per vertex on an 11x11-per-metacell board.
 
-    The regions of all gadgets' walls are computed globally (the board
-    edge seals the outside): filler parts merge across open borders, while
-    every metacell keeps its own big region (asserted, not assumed).
+    Each metacell's big region and one-cell region get labels of their
+    own; all filler cells share one label, so filler parts that meet
+    across a metacell side merge.  Every metacell keeps its own big region
+    (asserted, not assumed).
     """
     tiling = GADGET.tile(g, plan)
     width, height = FRAME * g.cols, FRAME * g.rows
-    # the gadget's walls and big region in each of its four rotations; an
-    # offset keeps a pair sorted
-    rotated_walls = [gadget_walls(turns) for turns in range(4)]
-    big_cells_canonical = gadget_parts()["big"]
-    rotated_big = [[rotate_cell(FRAME, turns, c) for c in big_cells_canonical]
-                   for turns in range(4)]
-    pairs = set()
+    rotated = [_gadget_labels(turns) for turns in range(4)]
+    label_of: dict[Cell, object] = {}
     for v, turns in tiling.items():
         ox, oy = FRAME * v[0], FRAME * v[1]
-        pairs.update(((ax + ox, ay + oy), (bx + ox, by + oy))
-                     for (ax, ay), (bx, by) in rotated_walls[turns])
-    decomp = regions_from_boundaries(width, height, BoundaryEdgeSet(frozenset(pairs)))
+        own = {"B": (v, "B"), "D": (v, "D")}  # filler cells get None
+        label_of.update(((ox + x, oy + y), own.get(tok)) for (x, y), tok in rotated[turns])
+    decomp = regions_from_labels(width, height, label_of)
 
+    rotated_big = [[c for c, tok in cells if tok == "B"] for cells in rotated]
     big_ids = set()
     for v, turns in tiling.items():
         ox, oy = FRAME * v[0], FRAME * v[1]

@@ -79,16 +79,6 @@ def rotate_cell(size: int, quarter_turns: int, cell: tuple[int, int]) -> tuple[i
     return (x, y)
 
 
-def rotate_corner(size: int, quarter_turns: int, corner: tuple[int, int]) -> tuple[int, int]:
-    """Rotate a frame corner point (coordinates 0..size) counterclockwise."""
-    x, y = corner
-    if not (0 <= x <= size and 0 <= y <= size):
-        raise ValueError(f"corner {corner} outside {size}x{size} frame")
-    for _ in range(quarter_turns % 4):
-        x, y = size - y, x
-    return (x, y)
-
-
 @dataclass(frozen=True)
 class HalfEdge:
     """An H incidence pointing off the board at a border vertex."""

@@ -1,4 +1,4 @@
-"""Shared geometric substrate: grids, graphs, loops, boundaries, and regions.
+"""Shared geometric substrate: grids, graphs, loops, and regions.
 
 Coordinate convention used everywhere: a cell or vertex is an ``(x, y)``
 pair with the origin at the bottom-left, ``x`` increasing rightward and
@@ -167,67 +167,13 @@ class LoopPath:
 
 
 @dataclass(frozen=True)
-class BoundaryEdgeSet:
-    """Unit segments separating two orthogonally adjacent cell positions.
-
-    Each segment is stored as the canonically ordered pair of the two cell
-    positions it separates; one of them may lie off the board (the exterior
-    side of a border segment).
-    """
-
-    edges: frozenset[tuple[Cell, Cell]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not are_orthogonal(a, b):
-                raise ValueError(f"boundary edge does not separate adjacent cells: {a}|{b}")
-
-
-def boundary_edges(pairs: Iterable[tuple[Cell, Cell]]) -> BoundaryEdgeSet:
-    return BoundaryEdgeSet(frozenset(tuple(sorted(p)) for p in pairs))
-
-
-def corner_segment_to_cells(p: tuple[int, int], q: tuple[int, int]) -> tuple[Cell, Cell]:
-    """Convert a unit segment between grid corners into the cell pair it separates.
-
-    A horizontal segment from (x, y) to (x+1, y) separates cell (x, y-1) from
-    (x, y); a vertical segment from (x, y) to (x, y+1) separates (x-1, y) from
-    (x, y).
-    """
-    (x1, y1), (x2, y2) = sorted((p, q))
-    if (x2 - x1, y2 - y1) == (1, 0):
-        return ((x1, y1 - 1), (x1, y1))
-    if (x2 - x1, y2 - y1) == (0, 1):
-        return ((x1 - 1, y1), (x1, y1))
-    raise ValueError(f"not a unit corner segment: {p}-{q}")
-
-
-def polyline_to_boundary(points: list[tuple[int, int]]) -> set[tuple[Cell, Cell]]:
-    """Decompose an axis-aligned corner polyline into separated cell pairs."""
-    pairs = set()
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        if x1 != x2 and y1 != y2:
-            raise ValueError(f"polyline segment not axis-aligned: ({x1},{y1})-({x2},{y2})")
-        if x1 == x2:
-            lo, hi = sorted((y1, y2))
-            for y in range(lo, hi):
-                pairs.add(tuple(sorted(corner_segment_to_cells((x1, y), (x1, y + 1)))))
-        else:
-            lo, hi = sorted((x1, x2))
-            for x in range(lo, hi):
-                pairs.add(tuple(sorted(corner_segment_to_cells((x, y1), (x + 1, y1)))))
-    return pairs
-
-
-@dataclass(frozen=True)
 class RegionDecomposition:
-    """Connected components of board cells under adjacency not crossed by a boundary.
+    """A partition of the board into regions, each an orthogonally
+    connected set of cells.
 
     ``region_of`` is total over the board; region ids are assigned in order of
     each region's lexicographically smallest cell.  A leaf is a cell with
-    exactly one orthogonal neighbor in the same region; walls between
-    same-region cells do not count, because a loop crossing one never
-    leaves the region.
+    exactly one orthogonal neighbor in the same region.
     """
 
     width: int
@@ -259,16 +205,16 @@ class RegionDecomposition:
         return first
 
 
-def regions_from_boundaries(width: int, height: int, b: BoundaryEdgeSet) -> RegionDecomposition:
-    """Flood-fill the board into regions; the outer border always acts as boundary."""
-    # normalise each wall once to the cell on its west or south side, so a
-    # step costs one lookup whichever order the pair was stored in
-    east_walls: set[Cell] = set()
-    north_walls: set[Cell] = set()
-    for p, q in b.edges:
-        if q < p:
-            p, q = q, p
-        (north_walls if p[0] == q[0] else east_walls).add(p)
+_OFF_BOARD = object()  # the label past the board's edge, equal to no label
+
+
+def regions_from_labels(width: int, height: int, label_of: dict[Cell, object]) -> RegionDecomposition:
+    """Flood-fill the board into regions: maximal orthogonally connected
+    sets of equally labelled cells.  ``label_of`` maps every board cell,
+    and no other, to its label; any value is a label, ``None`` too."""
+    if len(label_of) != width * height:
+        raise ValueError(f"{len(label_of)} labels for a {width}x{height} board")
+    label = label_of.get
     region_of: dict[Cell, int] = {}
     regions: dict[int, frozenset[Cell]] = {}
     for x0 in range(width):  # cells in sorted order, so ids follow smallest cells
@@ -277,33 +223,14 @@ def regions_from_boundaries(width: int, height: int, b: BoundaryEdgeSet) -> Regi
             if start in region_of:
                 continue
             rid = len(regions)
+            lab = label_of[start]
             region_of[start] = rid
             comp = [start]
             stack = [start]
             while stack:
-                c = stack.pop()
-                x, y = c
-                if x + 1 < width and c not in east_walls:
-                    n = (x + 1, y)
-                    if n not in region_of:
-                        region_of[n] = rid
-                        comp.append(n)
-                        stack.append(n)
-                if y + 1 < height and c not in north_walls:
-                    n = (x, y + 1)
-                    if n not in region_of:
-                        region_of[n] = rid
-                        comp.append(n)
-                        stack.append(n)
-                if x > 0:
-                    n = (x - 1, y)
-                    if n not in region_of and n not in east_walls:
-                        region_of[n] = rid
-                        comp.append(n)
-                        stack.append(n)
-                if y > 0:
-                    n = (x, y - 1)
-                    if n not in region_of and n not in north_walls:
+                x, y = stack.pop()
+                for n in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
+                    if n not in region_of and label(n, _OFF_BOARD) == lab:
                         region_of[n] = rid
                         comp.append(n)
                         stack.append(n)

@@ -78,10 +78,12 @@ class TraversalWitness:
 
 def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> TraversalWitness:
     """Assemble a puzzle loop from a Hamiltonian cycle by concatenating one
-    rotated local gadget traversal per metacell."""
+    rotated local gadget traversal per metacell.  Raises
+    :class:`CompileError` when ``plan`` was built for another graph."""
     gadget = puzzle_of(puzzle).gadget
     if not cycle.is_cycle_of(g):
         raise ValueError("not a Hamiltonian cycle of the given graph")
+    tiling = gadget.tile(g, plan)
     verts = cycle.vertices
     n = len(verts)
     cells: list[Cell] = []
@@ -91,7 +93,7 @@ def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> T
         next_v = verts[(i + 1) % n]
         entry = direction_between(v, prev_v)
         exit_ = direction_between(v, next_v)
-        turns = gadget.turns(plan, v)
+        turns = tiling[v]
         piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
         cells += gadget.place(v, turns, piece)
         sides.append((entry, exit_))
@@ -105,9 +107,11 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
     Checks the reduction's structural promises along the way: every metacell
     is visited, crossed exactly twice, and only through aligned mutual-exit
     border cells.  Any breach raises :class:`LiftError` (a soundness
-    counterexample, never silently patched).
+    counterexample, never silently patched); a ``plan`` built for another
+    graph raises :class:`CompileError`.
     """
     gadget = puzzle_of(puzzle).gadget
+    tiling = gadget.tile(g, plan)
     frame = gadget.frame
     cells = loop.cells
     n = len(cells)
@@ -125,9 +129,11 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
         crossings[mb] = crossings.get(mb, 0) + 1
         d = direction_between(ma, mb)
         for v, cell, side in ((ma, a, d), (mb, b, d.opposite())):
+            if v not in tiling:
+                raise LiftError(f"loop enters metacell {v} outside the graph")
             if side not in plan.exits(v):
                 raise LiftError(f"loop crosses a non-exit side {side.name} of metacell {v}")
-            if cell != gadget.board_exit(v, gadget.turns(plan, v), side):
+            if cell != gadget.board_exit(v, tiling[v], side):
                 raise LiftError(
                     f"crossing at {cell} is off the exit midline of metacell {v}")
 

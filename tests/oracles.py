@@ -4,13 +4,19 @@ These deliberately avoid the package's search machinery: cycles are found
 by blunt enumeration so the clever implementations have something honest
 to be compared against.  The exceptions keep an earlier form of the
 engine: ``anchored_search_loops`` roots loops the old way, and
-``full_fill_walk`` flood-fills the free cells at every node.
+``full_fill_walk`` flood-fills the free cells at every node.  The All or
+Nothing gadget is transcribed a second time, as wall polylines, and
+``regions_from_boundaries`` fills a board between walls: the wall model
+the region labels must reproduce.
 """
 
 from itertools import permutations
 from unittest import mock
 
 from loopforge.aon import (
+    FRAME,
+    GADGET,
+    GADGET_EXIT_CELLS,
     STATUS_BIG,
     STATUS_DEAD_ENCLOSURE,
     STATUS_DEAD_LEAF_RICH,
@@ -19,12 +25,13 @@ from loopforge.aon import (
     DeadRegionReport,
     verify_aon,
 )
-from loopforge.framework import DIRECTION_ORDER, Orientation, direction_between
+from loopforge.framework import DIRECTION_ORDER, Direction, Orientation, direction_between
 from loopforge import loopsearch
 from loopforge.errors import SearchBudgetExceeded
 from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk, search_loops
 from loopforge.model import (
     LoopPath,
+    RegionDecomposition,
     Verdict,
     Violation,
     full_grid,
@@ -103,10 +110,10 @@ def region_count(r):
     return len(r.regions)
 
 
-def blocks(b, a, c):
-    """Whether the ``BoundaryEdgeSet`` ``b`` walls ``a`` off from ``c``, the
-    pair stored in either order."""
-    return (a, c) in b.edges or (c, a) in b.edges
+def blocks(walls, a, c):
+    """Whether the wall set ``walls`` walls ``a`` off from ``c``, the pair
+    stored in either order."""
+    return (a, c) in walls or (c, a) in walls
 
 
 def loop_arc_count(loop, r, region_id):
@@ -564,3 +571,164 @@ def solve_aon_by_scan(inst, mode="first", budget=None, cap=None):
     required = [c for c in allowed if decomp.region_of[c] in required_regions]
     return search_loops(allowed, required, lambda: AonLoopRules(inst),
                         cap=1 if mode == "first" else cap, budget=budget)
+
+
+# The All or Nothing board as walls between cells, as the package built it
+# before boards became region labels.  A wall set holds cell pairs, each
+# separating two orthogonally adjacent cell positions; one of them may lie
+# off the board (the exterior side of a border segment).
+
+# Wall polylines of the canonical gadget, in frame-corner coordinates.
+# The two three-sided squares are deliberately open on one side: that gap
+# joins their single cell to the surrounding filler part.
+GADGET_POLYLINES = (
+    [(0, 4), (1, 4), (1, 1), (3, 1), (3, 4), (5, 4), (5, 3), (7, 3), (7, 4),
+     (8, 4), (8, 1), (10, 1), (10, 5), (11, 5)],
+    [(0, 6), (1, 6), (1, 7)],
+    [(1, 8), (1, 10), (4, 10), (4, 11)],
+    [(1, 7), (2, 7), (2, 8), (1, 8)],
+    [(6, 11), (6, 10), (7, 10)],
+    [(8, 10), (10, 10), (10, 7), (11, 7)],
+    [(7, 10), (7, 9), (8, 9), (8, 10)],
+    [(5, 6), (6, 6), (6, 7), (5, 7), (5, 6)],
+    [(0, 4), (0, 6)],
+    [(11, 5), (11, 7)],
+    [(4, 11), (6, 11)],
+)
+
+
+def boundary_edges(pairs):
+    """A wall set of the given cell pairs, each stored sorted."""
+    return frozenset(tuple(sorted(p)) for p in pairs)
+
+
+def rotate_corner(size, quarter_turns, corner):
+    """Rotate a frame corner point (coordinates 0..size) counterclockwise."""
+    x, y = corner
+    if not (0 <= x <= size and 0 <= y <= size):
+        raise ValueError(f"corner {corner} outside {size}x{size} frame")
+    for _ in range(quarter_turns % 4):
+        x, y = size - y, x
+    return (x, y)
+
+
+def corner_segment_to_cells(p, q):
+    """Convert a unit segment between grid corners into the cell pair it separates.
+
+    A horizontal segment from (x, y) to (x+1, y) separates cell (x, y-1) from
+    (x, y); a vertical segment from (x, y) to (x, y+1) separates (x-1, y) from
+    (x, y).
+    """
+    (x1, y1), (x2, y2) = sorted((p, q))
+    if (x2 - x1, y2 - y1) == (1, 0):
+        return ((x1, y1 - 1), (x1, y1))
+    if (x2 - x1, y2 - y1) == (0, 1):
+        return ((x1 - 1, y1), (x1, y1))
+    raise ValueError(f"not a unit corner segment: {p}-{q}")
+
+
+def polyline_to_boundary(points):
+    """Decompose an axis-aligned corner polyline into separated cell pairs."""
+    pairs = set()
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
+        if x1 != x2 and y1 != y2:
+            raise ValueError(f"polyline segment not axis-aligned: ({x1},{y1})-({x2},{y2})")
+        if x1 == x2:
+            lo, hi = sorted((y1, y2))
+            for y in range(lo, hi):
+                pairs.add(tuple(sorted(corner_segment_to_cells((x1, y), (x1, y + 1)))))
+        else:
+            lo, hi = sorted((x1, x2))
+            for x in range(lo, hi):
+                pairs.add(tuple(sorted(corner_segment_to_cells((x, y1), (x + 1, y1)))))
+    return pairs
+
+
+def gadget_walls(turns):
+    """Wall cell pairs of the gadget rotated by ``turns``, each pair sorted."""
+    pairs = set()
+    for pts in GADGET_POLYLINES:
+        pairs |= polyline_to_boundary([rotate_corner(FRAME, turns, p) for p in pts])
+    return pairs
+
+
+def compiled_walls(inst):
+    """The walls of a compiled board: each metacell's rotated gadget walls
+    placed at its frame, as ``provenance`` records them."""
+    walls = set()
+    for (vx, vy), turns in inst.provenance.items():
+        ox, oy = FRAME * vx, FRAME * vy
+        walls.update(((ax + ox, ay + oy), (bx + ox, by + oy))
+                     for (ax, ay), (bx, by) in gadget_walls(turns))
+    return walls
+
+
+def regions_from_boundaries(width, height, walls):
+    """Flood-fill the board into regions between the walls, each pair in
+    either order; the outer border always acts as a wall."""
+    # normalise each wall once to the cell on its west or south side, so a
+    # step costs one lookup whichever order the pair was stored in
+    east_walls = set()
+    north_walls = set()
+    for p, q in walls:
+        if q < p:
+            p, q = q, p
+        (north_walls if p[0] == q[0] else east_walls).add(p)
+    region_of = {}
+    regions = {}
+    for x0 in range(width):  # cells in sorted order, so ids follow smallest cells
+        for y0 in range(height):
+            start = (x0, y0)
+            if start in region_of:
+                continue
+            rid = len(regions)
+            region_of[start] = rid
+            comp = [start]
+            stack = [start]
+            while stack:
+                c = stack.pop()
+                x, y = c
+                if x + 1 < width and c not in east_walls:
+                    n = (x + 1, y)
+                    if n not in region_of:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+                if y + 1 < height and c not in north_walls:
+                    n = (x, y + 1)
+                    if n not in region_of:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+                if x > 0:
+                    n = (x - 1, y)
+                    if n not in region_of and n not in east_walls:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+                if y > 0:
+                    n = (x, y - 1)
+                    if n not in region_of and n not in north_walls:
+                        region_of[n] = rid
+                        comp.append(n)
+                        stack.append(n)
+            regions[rid] = frozenset(comp)
+
+    leaf_cells = {rid: [] for rid in regions}
+    get = region_of.get
+    for c, rid in region_of.items():
+        x, y = c
+        same = (get((x + 1, y)) == rid) + (get((x - 1, y)) == rid) \
+            + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
+        if same == 1:
+            leaf_cells[rid].append(c)
+    leaves = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
+    return RegionDecomposition(width, height, region_of, regions, leaves)
+
+
+def big_region_ids_of_walls(inst, decomp):
+    """Ids in ``decomp`` of the big region of every metacell of the
+    compiled board ``inst``, found at each metacell's W exit cell."""
+    return frozenset(
+        decomp.region_of[GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
+        for v, turns in inst.provenance.items())

@@ -8,12 +8,14 @@ from loopforge import aon
 from loopforge.errors import CompileError, MalformedLoopError, ParseError, SearchBudgetExceeded
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
-from loopforge.model import BoundaryEdgeSet, LoopPath, full_grid
+from loopforge.model import LoopPath, full_grid
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
     FRAME,
+    GADGET,
     GADGET_EXIT_CELLS,
     GADGET_PATHS,
+    GADGET_ROWS,
     ONE_CELL_REGION_CELL,
     RIM_LEAF_CELLS,
     STATUS_BIG,
@@ -22,10 +24,11 @@ from loopforge.aon import (
     STATUS_UNKNOWN,
     DeadRegionReport,
     analyze_dead_regions,
+    board_text,
     compile_aon,
     emit_aon,
+    gadget_board,
     gadget_parts,
-    gadget_walls,
     parse_aon,
     solve_aon,
     verify_aon,
@@ -35,10 +38,15 @@ from oracles import (
     all_loops_on_board,
     analyze_dead_regions_by_scan,
     anchored_search_loops,
+    big_region_ids_of_walls,
     blocks,
+    boundary_edges,
     check_against_anchored,
     check_against_full_fill,
+    compiled_walls,
+    gadget_walls,
     region_count,
+    regions_from_boundaries,
     solve_aon_by_scan,
     verify_aon_by_scan,
 )
@@ -73,7 +81,6 @@ def random_wall_boards():
     solver's pruning is complete on the rest (enclosure needs the
     tiled-instance context)."""
     from loopforge.aon import AonInstance, region_token
-    from loopforge.model import boundary_edges, regions_from_boundaries
 
     rng = random.Random(13)
     wall_pool = ([((x, y), (x + 1, y)) for x in range(3) for y in range(4)]
@@ -302,7 +309,7 @@ class TestCompile:
         # guarantees the region-id file format loses nothing on emit/parse
         for g in enumerate_candidate_subgraphs(*dims):
             inst = compile_aon(g, plan_for(g))
-            for a, b in _compiled_walls(inst):
+            for a, b in compiled_walls(inst):
                 if a in inst.regions.region_of and b in inst.regions.region_of:
                     assert inst.regions.region_of[a] != inst.regions.region_of[b]
 
@@ -315,7 +322,7 @@ class TestCompile:
             inst = compile_aon(g, plan)
             decomp = inst.regions
             filler = _filler_cells(inst)
-            walls = BoundaryEdgeSet(frozenset(_compiled_walls(inst)))
+            walls = frozenset(compiled_walls(inst))
             for v in g.vertices():
                 turns = inst.provenance[v]
                 ox, oy = FRAME * v[0], FRAME * v[1]
@@ -342,17 +349,6 @@ class TestCompile:
                         assert decomp.region_of[across] == rid
 
 
-def _compiled_walls(inst):
-    """The walls of a compiled board: each metacell's rotated gadget walls
-    placed at its frame, as ``provenance`` records them."""
-    walls = set()
-    for (vx, vy), turns in inst.provenance.items():
-        ox, oy = FRAME * vx, FRAME * vy
-        walls.update(((ax + ox, ay + oy), (bx + ox, by + oy))
-                     for (ax, ay), (bx, by) in gadget_walls(turns))
-    return walls
-
-
 def _filler_cells(inst):
     big = set()
     for rid in inst.big_region_ids:
@@ -361,6 +357,79 @@ def _filler_cells(inst):
                  for cells in inst.regions.regions.values() if len(cells) == 1}
     return {c for c in inst.regions.region_of
             if c not in big and c not in one_cells}
+
+
+def assert_same_regions(labelled, walled):
+    """The region-label decomposition ``labelled`` equals the wall fill's
+    ``walled``: ids, cell order, regions, leaves and touching pairs."""
+    assert list(labelled.region_of.items()) == list(walled.region_of.items())
+    assert labelled.regions == walled.regions
+    assert labelled.leaves == walled.leaves
+    assert list(labelled.touching.items()) == list(walled.touching.items())
+
+
+def assert_compile_matches_walls(inst):
+    """``inst``, a compile, and its emit-parse round trip decompose as the
+    wall fill over its metacells' gadget walls does."""
+    walled = regions_from_boundaries(inst.width, inst.height, compiled_walls(inst))
+    assert_same_regions(inst.regions, walled)
+    assert inst.big_region_ids == big_region_ids_of_walls(inst, walled)
+    assert_same_regions(parse_aon(emit_aon(inst)).regions, walled)
+
+
+class TestWallOracle:
+    """Region labels against the gadget's independent transcription as
+    wall polylines (``oracles.GADGET_POLYLINES``) and the wall fill."""
+
+    def test_gadget_rows_print_the_gadget_board(self):
+        assert GADGET_ROWS == board_text(gadget_board(0))
+
+    @pytest.mark.parametrize("turns", range(4))
+    def test_gadget_board_matches_walls(self, turns):
+        walled = regions_from_boundaries(FRAME, FRAME, gadget_walls(turns))
+        assert_same_regions(gadget_board(turns).regions, walled)
+
+    @pytest.mark.parametrize("turns", range(4))
+    def test_no_wall_inside_a_region_and_no_filler_parts_touch(self, turns):
+        decomp = gadget_board(turns).regions
+        walls = gadget_walls(turns)
+        assert len(walls) == 58
+        for a, b in walls:
+            if a in decomp.region_of and b in decomp.region_of:
+                assert decomp.region_of[a] != decomp.region_of[b]
+        big = decomp.region_of[GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
+        one = decomp.region_of[GADGET.place((0, 0), turns, [ONE_CELL_REGION_CELL])[0]]
+        for pair in decomp.touching:
+            assert big in pair or one in pair
+
+    @pytest.mark.parametrize("turns", range(4))
+    def test_border_walls_flank_the_exits_only(self, turns):
+        # so filler cells that meet across a metacell side are never
+        # walled apart, and one label for all filler cells is exact
+        decomp = gadget_board(turns).regions
+        exits = GADGET.place((0, 0), turns, GADGET_EXIT_CELLS.values())
+        big = decomp.regions[decomp.region_of[exits[0]]]
+        flanked = set()
+        for a, b in gadget_walls(turns):
+            if (a in decomp.region_of) != (b in decomp.region_of):
+                cell = a if a in decomp.region_of else b
+                assert cell in big
+                assert min(abs(cell[0] - e[0]) + abs(cell[1] - e[1]) for e in exits) <= 1
+                flanked.add(cell)
+        assert set(exits) <= flanked
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_small_compiles_match_walls(self, dims):
+        for g in enumerate_candidate_subgraphs(*dims):
+            for rule in ("lex", "antilex"):
+                assert_compile_matches_walls(compile_aon(g, plan_for(g, rule)))
+
+    def test_random_compiles_match_walls(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            cols, rows = rng.randint(2, 8), rng.randint(2, 8)
+            g = random_candidate_subgraph(cols, rows, rng)
+            assert_compile_matches_walls(compile_aon(g, plan_for(g)))
 
 
 class TestDeadRegions:

@@ -13,7 +13,6 @@ from loopforge.framework import (
     orient_complement,
     plan_for,
     rotate_cell,
-    rotate_corner,
     turns_between,
 )
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
@@ -25,6 +24,7 @@ from oracles import (
     orient_by_candidate_walks,
     outdegree_by_scan,
     outgoing_by_scan,
+    rotate_corner,
 )
 from test_model import graph_3x4
 from test_scaling import concentric_rings

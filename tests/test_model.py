@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 from loopforge.errors import MalformedLoopError, ParseError
 from loopforge.fileio import emit_graph, emit_loop, parse_graph, parse_loop
 from loopforge.model import (
-    BoundaryEdgeSet,
     HamCycle,
     LoopPath,
     boundary_crossings,
-    boundary_edges,
     crossings_by_region,
     degree_bounds,
     degree_profile,
@@ -17,11 +15,19 @@ from loopforge.model import (
     loop_runs,
     loop_runs_with_cells,
     path_runs,
-    polyline_to_boundary,
-    regions_from_boundaries,
+    regions_from_labels,
 )
 
-from oracles import all_loops_on_board, blocks, loop_arc_count, perimeter, region_count
+from oracles import (
+    all_loops_on_board,
+    boundary_edges,
+    gadget_walls,
+    loop_arc_count,
+    perimeter,
+    polyline_to_boundary,
+    region_count,
+    regions_from_boundaries,
+)
 
 LOOPS_3X3 = all_loops_on_board(3, 3)
 LOOPS_4X4 = all_loops_on_board(4, 4)
@@ -152,22 +158,46 @@ class TestLoopPath:
         assert a.canonical() == b.canonical()
 
 
+def labels(width, height, label=lambda c: "A"):
+    """A label for every cell of a width x height board."""
+    return {(x, y): label((x, y)) for x in range(width) for y in range(height)}
+
+
 class TestRegions:
     def test_no_boundaries_single_region(self):
-        r = regions_from_boundaries(2, 2, boundary_edges([]))
+        r = regions_from_labels(2, 2, labels(2, 2))
         assert region_count(r) == 1
         assert r.leaves[0] == frozenset()
 
     def test_path_board_has_two_leaves(self):
-        r = regions_from_boundaries(1, 3, boundary_edges([]))
+        r = regions_from_labels(1, 3, labels(1, 3))
         assert region_count(r) == 1
         assert r.leaves[0] == frozenset({(0, 0), (0, 2)})
 
     def test_wall_splits_board(self):
-        b = boundary_edges([((0, y), (1, y)) for y in range(3)])
-        r = regions_from_boundaries(2, 3, b)
+        r = regions_from_labels(2, 3, labels(2, 3, lambda c: c[0]))
         assert region_count(r) == 2
         assert r.regions[r.region_of[(0, 0)]] == frozenset({(0, 0), (0, 1), (0, 2)})
+
+    def test_none_labels_stay_on_the_board(self):
+        # None is a label like any other: it must not match the cells past
+        # the edge, which no label matches
+        r = regions_from_labels(3, 2, labels(3, 2, lambda c: None))
+        assert region_count(r) == 1
+        assert r.regions[0] == frozenset(labels(3, 2))
+        assert set(r.region_of) == set(labels(3, 2))
+        assert r.leaves[0] == frozenset()
+
+    def test_equal_labels_apart_are_separate_regions(self):
+        r = regions_from_labels(3, 1, labels(3, 1, lambda c: c[0] == 1))
+        assert r.region_of == {(0, 0): 0, (1, 0): 1, (2, 0): 2}
+        assert r.leaves == {0: frozenset(), 1: frozenset(), 2: frozenset()}
+
+    def test_labels_must_cover_the_board_exactly(self):
+        with pytest.raises(ValueError):
+            regions_from_labels(2, 2, labels(2, 1))
+        with pytest.raises(ValueError):
+            regions_from_labels(2, 2, labels(2, 3))
 
     def test_sample_instance_region_sizes(self, aon_fixture):
         sizes = sorted(len(c) for c in aon_fixture.regions.regions.values())
@@ -181,13 +211,13 @@ class TestRegions:
         assert r1.regions == r2.regions
 
     def test_pair_order_does_not_change_regions(self):
-        # BoundaryEdgeSet accepts a pair in either order; the gadget frame
+        # the wall fill accepts a pair in either order; the gadget frame
         # with every wall stored reversed must decompose as with sorted pairs
-        from loopforge.aon import FRAME, gadget_walls
+        from loopforge.aon import FRAME
 
-        sorted_b = BoundaryEdgeSet(frozenset(gadget_walls(0)))
-        assert all(a < b for a, b in sorted_b.edges)
-        reversed_b = BoundaryEdgeSet(frozenset((b, a) for a, b in sorted_b.edges))
+        sorted_b = frozenset(gadget_walls(0))
+        assert all(a < b for a, b in sorted_b)
+        reversed_b = frozenset((b, a) for a, b in sorted_b)
         r1 = regions_from_boundaries(FRAME, FRAME, sorted_b)
         r2 = regions_from_boundaries(FRAME, FRAME, reversed_b)
         assert region_count(r1) > 1
@@ -197,8 +227,8 @@ class TestRegions:
     def test_mixed_pair_order_does_not_change_regions(self, data):
         walls = sorted(data.draw(st.sets(st.sampled_from(WALLS_4X4), max_size=12)))
         flips = data.draw(st.lists(st.booleans(), min_size=len(walls), max_size=len(walls)))
-        mixed = BoundaryEdgeSet(frozenset((b, a) if flip else (a, b)
-                                          for (a, b), flip in zip(walls, flips)))
+        mixed = frozenset((b, a) if flip else (a, b)
+                          for (a, b), flip in zip(walls, flips))
         r1 = regions_from_boundaries(4, 4, boundary_edges(walls))
         r2 = regions_from_boundaries(4, 4, mixed)
         assert r1 == r2 and r1.regions == r2.regions and r1.leaves == r2.leaves
@@ -274,13 +304,13 @@ class TestLoopRuns:
 
 class TestBoundaryCrossings:
     def test_unknown_region_rejected(self):
-        r = regions_from_boundaries(2, 2, boundary_edges([]))
+        r = regions_from_labels(2, 2, labels(2, 2))
         loop = LoopPath(((0, 0), (1, 0), (1, 1), (0, 1)))
         with pytest.raises(ValueError):
             boundary_crossings(loop, r, 99)
 
     def test_loop_inside_region_crosses_zero(self):
-        r = regions_from_boundaries(3, 3, boundary_edges([]))
+        r = regions_from_labels(3, 3, labels(3, 3))
         loop = LoopPath(((0, 0), (1, 0), (1, 1), (0, 1)))
         assert boundary_crossings(loop, r, 0) == 0
 
@@ -329,13 +359,3 @@ class TestBoundaryCrossings:
             else:
                 assert crossings == 2 * arcs
             assert (arcs <= 1) == (crossings in (0, 2))
-
-
-class TestBoundaryEdgeSet:
-    def test_rejects_non_adjacent_pair(self):
-        with pytest.raises(ValueError):
-            BoundaryEdgeSet(frozenset({((0, 0), (2, 0))}))
-
-    def test_blocks_is_symmetric(self):
-        b = boundary_edges([((0, 0), (1, 0))])
-        assert blocks(b, (0, 0), (1, 0)) and blocks(b, (1, 0), (0, 0))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from loopforge import aon, reduction, waterwalk
-from loopforge.errors import LiftError
+from loopforge.errors import CompileError, LiftError
 from loopforge.framework import Direction, plan_for, rotate_cell
 from loopforge.fileio import emit_loop
 from loopforge.hamilton import (
@@ -134,6 +134,18 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed_cycle(g, plan, cycle, "ww")
 
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    def test_plan_for_another_graph_rejected(self, puzzle):
+        # the compiler refuses this pair; the embedding must too, not
+        # assemble a loop from the other graph's exits
+        g = full_grid(2, 2)
+        (cycle,) = hamiltonian_cycles(g)
+        other_plan = plan_for(full_grid(2, 3))
+        with pytest.raises(CompileError):
+            puzzle_of(puzzle).compile(g, other_plan)
+        with pytest.raises(CompileError):
+            embed_cycle(g, other_plan, cycle, puzzle)
+
     def test_every_stored_ww_path_embeds_cleanly(self, monkeypatch):
         # rotate the path tables so each stored traversal gets picked as the
         # canonical one somewhere; junction water runs and clue runs must
@@ -200,6 +212,28 @@ class TestLift:
         bad = LoopPath(((1, 1), (2, 1), (2, 2), (1, 2)))
         with pytest.raises(LiftError):
             lift_solution(g, plan, bad, "ww")
+
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    def test_plan_for_another_graph_rejected(self, puzzle):
+        g = full_grid(2, 2)
+        (cycle,) = hamiltonian_cycles(g)
+        loop = embed_cycle(g, plan_for(g), cycle, puzzle).loop
+        with pytest.raises(CompileError):
+            lift_solution(g, plan_for(full_grid(2, 3)), loop, puzzle)
+
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    @pytest.mark.parametrize("dx, dy", [(-1, 0), (1, 0), (0, -1), (0, 1)])
+    def test_crossing_into_a_metacell_outside_the_graph_fails(self, puzzle, dx, dy):
+        # the embedded loop moved one frame over crosses into metacells
+        # beyond the 2x2 graph
+        g = full_grid(2, 2)
+        plan = plan_for(g)
+        (cycle,) = hamiltonian_cycles(g)
+        frame = puzzle_of(puzzle).gadget.frame
+        cells = embed_cycle(g, plan, cycle, puzzle).loop.cells
+        moved = LoopPath(tuple((x + dx * frame, y + dy * frame) for x, y in cells))
+        with pytest.raises(LiftError):
+            lift_solution(g, plan, moved, puzzle)
 
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])
     def test_solver_solutions_lift_to_hamiltonian_cycles(self, puzzle):

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import loopforge
-from loopforge.aon import compile_aon, verify_aon
+from loopforge.aon import compile_aon, emit_aon, parse_aon, verify_aon
 from loopforge.framework import plan_for
 from loopforge.hamilton import find_hamiltonian_cycle
 from loopforge.model import HamCycle, full_grid, grid_graph
@@ -87,8 +87,19 @@ def _verify_aon_cost(n):
     return count_lines(verify_aon, inst, loop)
 
 
-@pytest.mark.parametrize("cost", [_plan_for_cost, _verify_aon_cost],
-                         ids=["plan_for", "verify_aon"])
+def _compile_aon_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(compile_aon, g, plan_for(g))
+
+
+def _parse_aon_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(parse_aon, emit_aon(compile_aon(g, plan_for(g))))
+
+
+@pytest.mark.parametrize("cost", [_plan_for_cost, _verify_aon_cost,
+                                  _compile_aon_cost, _parse_aon_cost],
+                         ids=["plan_for", "verify_aon", "compile_aon", "parse_aon"])
 def test_layer_grows_at_most_twice_linear(cost):
     small, large = (cost(n) for n in SIZES)
     assert small > 0
