@@ -142,16 +142,44 @@ class TestInstanceFile:
         assert emit_aon(aon_fixture) == (data_dir / "sample_aon.txt").read_text()
 
     def test_disconnected_token_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_aon("aon 3 1\nA B A\n")
+        assert e.value.line is None
 
     def test_non_alnum_token_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_aon("aon 2 1\nA !\n")
+        assert e.value.line == 2
+        # comment and blank lines count towards the reported line
+        with pytest.raises(ParseError) as e:
+            parse_aon("aon 2 2\n# top\nA A\n\nA B-1\n")
+        assert e.value.line == 5
 
     def test_token_count_mismatch_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_aon("aon 3 1\nA B\n")
+        assert e.value.line == 2
+        with pytest.raises(ParseError) as e:
+            parse_aon("aon 2 2\nA A\n# gap\nA B C\n")
+        assert e.value.line == 4
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ParseError) as e:
+            parse_aon("aon 2 2\nA A\n")
+        assert e.value.line is None
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty instance file"),
+        ("aon 2\nA A\n", "line 1: expected 'aon <width> <height>', got 'aon 2'"),
+        ("aon 2 2\nA A\n", "expected 2 rows, got 1"),
+        ("aon 2 2\nA A\n# gap\nA B C\n", "line 4: row has 3 tokens, expected 2"),
+        ("aon 2 2\n# top\nA A\n\nA B-1\n", "line 5: region id 'B-1' is not alphanumeric"),
+        ("aon 3 1\nA B A\n", "region id 'A' names a disconnected cell set"),
+    ])
+    def test_parse_error_messages_pinned(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_aon(text)
+        assert str(e.value) == message
 
 
 class TestVerify:

@@ -20,6 +20,7 @@ from loopforge.framework import plan_for
 from loopforge.hamilton import find_hamiltonian_cycle
 from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import embed_cycle
+from loopforge.waterwalk import compile_ww, emit_ww, parse_ww
 
 PACKAGE_DIR = os.path.dirname(loopforge.__file__) + os.sep
 SIZES = (6, 12)
@@ -97,9 +98,31 @@ def _parse_aon_cost(n):
     return count_lines(parse_aon, emit_aon(compile_aon(g, plan_for(g))))
 
 
+def _emit_aon_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(emit_aon, compile_aon(g, plan_for(g)))
+
+
+def _compile_ww_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(compile_ww, g, plan_for(g))
+
+
+def _parse_ww_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(parse_ww, emit_ww(compile_ww(g, plan_for(g))))
+
+
+def _emit_ww_cost(n):
+    g, _ = serpentine(n)
+    return count_lines(emit_ww, compile_ww(g, plan_for(g)))
+
+
 @pytest.mark.parametrize("cost", [_plan_for_cost, _verify_aon_cost,
-                                  _compile_aon_cost, _parse_aon_cost],
-                         ids=["plan_for", "verify_aon", "compile_aon", "parse_aon"])
+                                  _compile_aon_cost, _parse_aon_cost, _emit_aon_cost,
+                                  _compile_ww_cost, _parse_ww_cost, _emit_ww_cost],
+                         ids=["plan_for", "verify_aon", "compile_aon", "parse_aon",
+                              "emit_aon", "compile_ww", "parse_ww", "emit_ww"])
 def test_layer_grows_at_most_twice_linear(cost):
     small, large = (cost(n) for n in SIZES)
     assert small > 0

@@ -104,16 +104,39 @@ class TestInstanceFile:
             WwInstance(2, 2, frozenset(), {(0, 0): 3})
 
     def test_bad_character_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_ww("ww 2 1\n.x\n")
+        assert e.value.line == 2
+        # comment and blank lines count towards the reported line
+        with pytest.raises(ParseError) as e:
+            parse_ww("ww 2 2\n# top\n..\n\n.!\n")
+        assert e.value.line == 5
 
     def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_ww("ww 2 2\n..\n")
+        assert e.value.line is None
 
     def test_row_width_mismatch_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_ww("ww 2 2\n...\n..\n")
+        assert e.value.line == 2
+        with pytest.raises(ParseError) as e:
+            parse_ww("ww 2 2\n..\n# gap\n.\n")
+        assert e.value.line == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty instance file"),
+        ("aon 2 2\n", "line 1: expected 'ww <width> <height>', got 'aon 2 2'"),
+        ("ww 0 2\n", "line 1: board dimensions must be positive, got 0x2"),
+        ("ww 2 2\n..\n", "expected 2 rows, got 1"),
+        ("ww 2 2\n..\n# gap\n.\n", "line 4: row has 1 cells, expected 2"),
+        ("ww 2 2\n# top\n..\n\n.!\n", "line 5: unknown terrain character '!'"),
+    ])
+    def test_parse_error_messages_pinned(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_ww(text)
+        assert str(e.value) == message
 
     @pytest.mark.parametrize("clue", ["\u0663", "\u00b2"])  # Arabic-Indic 3, superscript 2
     def test_non_ascii_digit_clue_rejected(self, clue):
