@@ -45,13 +45,10 @@ from .model import (
     RegionDecomposition,
     Verdict,
     Violation,
-    boundary_crossings,
     crossings_by_region,
-    degree_bounds,
     degree_profile,
     full_grid,
     grid_graph,
-    loop_runs,
     regions_from_labels,
 )
 from .reduction import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CompileError, ParseError
-from .fileio import board_rows
+from .fileio import AON_BOARD
 from .framework import Direction, ExitPlan, Gadget
 from .loopsearch import LoopConstraint, SearchResult, search_loops
 from .model import (
@@ -31,13 +31,12 @@ from .model import (
     LoopPath,
     RegionDecomposition,
     Verdict,
+    Vertex,
     Violation,
     crossings_by_region,
     orthogonal_neighbors,
     regions_from_labels,
 )
-
-FRAME = 11
 
 GADGET_NON_EXIT = Direction.S
 GADGET_EXIT_CELLS = {
@@ -107,24 +106,14 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
     ),),
 }
 
-GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
-
-
-_GADGET_TOKENS = {(x, FRAME - 1 - k): tok
-                  for k, row in enumerate(GADGET_ROWS.splitlines())
-                  for x, tok in enumerate(row.split())}
-
-
-@lru_cache(maxsize=None)
-def _gadget_labels(turns: int) -> tuple[tuple[Cell, str], ...]:
-    """Every frame cell of the gadget rotated by ``turns`` with its letter
-    in ``GADGET_ROWS``."""
-    return tuple(zip(GADGET.place((0, 0), turns, _GADGET_TOKENS), _GADGET_TOKENS.values()))
+GADGET = Gadget(GADGET_ROWS, AON_BOARD, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
+FRAME = GADGET.frame
 
 
 def gadget_board(turns: int) -> AonInstance:
     """The gadget rotated by ``turns`` alone on its frame."""
-    decomp = regions_from_labels(FRAME, FRAME, dict(_gadget_labels(turns)))
+    ((_, cells),) = GADGET.lay({(0, 0): turns})
+    decomp = regions_from_labels(FRAME, FRAME, dict(cells))
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
     return AonInstance(FRAME, FRAME, decomp, names)
 
@@ -238,17 +227,7 @@ class AonInstance:
 
 
 def parse_aon(text: str) -> AonInstance:
-    width, height, rows = board_rows(text, "aon")
-    token_of: dict[Cell, str] = {}
-    for k, (lineno, row) in enumerate(rows):
-        y = height - 1 - k
-        tokens = row.split()
-        if len(tokens) != width:
-            raise ParseError(f"row has {len(tokens)} tokens, expected {width}", lineno)
-        for x, tok in enumerate(tokens):
-            if not tok.isalnum():
-                raise ParseError(f"region id {tok!r} is not alphanumeric", lineno)
-            token_of[(x, y)] = tok
+    width, height, token_of = AON_BOARD.read(text)
     decomp = regions_from_labels(width, height, token_of)
     names = tuple(token_of[min(cells)] for cells in decomp.regions.values())
     # a token must name one connected region, not scattered patches
@@ -262,15 +241,9 @@ def parse_aon(text: str) -> AonInstance:
 
 def board_text(inst: AonInstance, marked=frozenset()) -> str:
     """Board rows, top row first: each cell's region id, or ``#`` on a
-    ``marked`` cell, padded to the longest id."""
-    wide = max(len(n) for n in inst.region_names)
+    ``marked`` cell."""
     names, region_of = inst.region_names, inst.regions.region_of
-    lines = []
-    for y in range(inst.height - 1, -1, -1):
-        tokens = ("#" if (x, y) in marked else names[region_of[(x, y)]]
-                  for x in range(inst.width))
-        lines.append(" ".join(tok.ljust(wide) for tok in tokens).rstrip())
-    return "\n".join(lines) + "\n"
+    return AON_BOARD.write(inst.width, inst.height, lambda c: names[region_of[c]], marked)
 
 
 def emit_aon(inst: AonInstance) -> str:
@@ -287,19 +260,16 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     """
     tiling = GADGET.tile(g, plan)
     width, height = FRAME * g.cols, FRAME * g.rows
-    rotated = [_gadget_labels(turns) for turns in range(4)]
     label_of: dict[Cell, object] = {}
-    for v, turns in tiling.items():
-        ox, oy = FRAME * v[0], FRAME * v[1]
+    big_cells: dict[Vertex, list[Cell]] = {}
+    for v, cells in GADGET.lay(tiling):
         own = {"B": (v, "B"), "D": (v, "D")}  # filler cells get None
-        label_of.update(((ox + x, oy + y), own.get(tok)) for (x, y), tok in rotated[turns])
+        label_of.update((cell, own.get(tok)) for cell, tok in cells)
+        big_cells[v] = [cell for cell, tok in cells if tok == "B"]
     decomp = regions_from_labels(width, height, label_of)
 
-    rotated_big = [[c for c, tok in cells if tok == "B"] for cells in rotated]
     big_ids = set()
-    for v, turns in tiling.items():
-        ox, oy = FRAME * v[0], FRAME * v[1]
-        placed = {(ox + rx, oy + ry) for rx, ry in rotated_big[turns]}
+    for v, placed in big_cells.items():
         ids = {decomp.region_of[c] for c in placed}
         if len(ids) != 1:
             raise CompileError(f"big region of metacell {v} is fragmented")

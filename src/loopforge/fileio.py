@@ -1,4 +1,4 @@
-"""Line-based text formats for graphs and loops.
+"""Line-based text formats for graphs, loops and puzzle boards.
 
 Graph file::
 
@@ -12,7 +12,10 @@ Loop file::
     <x> <y>        (n lines, cells in cyclic order)
 
 Puzzle board files share a ``<kind> <width> <height>`` header followed by
-one line per board row, top row first (:func:`board_rows`).
+one line per board row, top row first, holding one token per cell
+(:class:`BoardFormat`).  An All or Nothing row holds whitespace-separated
+alphanumeric region ids; a Water Walk row holds one character per cell,
+``~`` water, ``.`` ground or a clue ``1``-``9`` on ground.
 
 All parsers reject anything they do not understand, naming the offending
 line; emitters write the canonical form, so emit(parse(text)) == text for
@@ -21,8 +24,12 @@ canonical input.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import chain, filterfalse, repeat
+from typing import Callable
+
 from .errors import ParseError
-from .model import GridGraph, LoopPath, canonical_edge, grid_graph
+from .model import Cell, GridGraph, LoopPath, canonical_edge, grid_graph
 
 
 def _content_lines(text: str):
@@ -46,44 +53,85 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
     return out
 
 
-def board_rows(text: str, kind: str) -> tuple[int, int, list[tuple[int, str]]]:
-    """Split a puzzle board file, headed ``<kind> <width> <height>``, into
-    its size and its rows as (line_number, stripped_line), top row first."""
+def _fields(lineno: int, line: str, form: str) -> list[int]:
+    """The integers of a line that must read ``form``, a keyword and then
+    integer fields, such as ``grid <cols> <rows>``."""
+    parts, words = line.split(), form.split()
+    if len(parts) != len(words) or parts[0] != words[0]:
+        raise ParseError(f"expected '{form}', got {line!r}", lineno)
+    return _ints(parts[1:], lineno)
+
+
+def _headed(text: str, what: str, form: str) -> tuple[int, list[int], list[tuple[int, str]]]:
+    """The header's line number and integers, and the other content lines,
+    of a ``what`` file whose first content line reads ``form``."""
     lines = list(_content_lines(text))
     if not lines:
-        raise ParseError("empty instance file")
+        raise ParseError(f"empty {what} file")
     lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != kind:
-        raise ParseError(f"expected '{kind} <width> <height>', got {header!r}", lineno)
-    width, height = _ints(parts[1:], lineno)
-    if width < 1 or height < 1:
-        raise ParseError(f"board dimensions must be positive, got {width}x{height}", lineno)
-    rows = lines[1:]
-    if len(rows) != height:
-        raise ParseError(f"expected {height} rows, got {len(rows)}")
-    return width, height, rows
+    return lineno, _fields(lineno, header, form), lines[1:]
+
+
+@dataclass(frozen=True)
+class BoardFormat:
+    """One puzzle's board file.  A ``spaced`` row separates its tokens by
+    whitespace and pads each to the board's longest token; otherwise each
+    character is a cell's token.  A token that fails ``valid`` is reported
+    with the ``invalid`` message, formatted with the token."""
+
+    kind: str
+    spaced: bool
+    valid: Callable[[str], bool]
+    invalid: str
+
+    def read(self, text: str) -> tuple[int, int, dict[Cell, str]]:
+        """The width and height of a board file and the token of every cell."""
+        lineno, (width, height), rows = _headed(text, "instance", f"{self.kind} <width> <height>")
+        if width < 1 or height < 1:
+            raise ParseError(f"board dimensions must be positive, got {width}x{height}", lineno)
+        if len(rows) != height:
+            raise ParseError(f"expected {height} rows, got {len(rows)}")
+        unit = "tokens" if self.spaced else "cells"
+        token_of: dict[Cell, str] = {}
+        for y, (lineno, row) in zip(range(height - 1, -1, -1), rows):
+            tokens = row.split() if self.spaced else row
+            if len(tokens) != width:
+                raise ParseError(f"row has {len(tokens)} {unit}, expected {width}", lineno)
+            bad = next(filterfalse(self.valid, tokens), None)
+            if bad is not None:
+                raise ParseError(self.invalid.format(bad), lineno)
+            token_of.update(zip(zip(range(width), repeat(y)), tokens))
+        return width, height, token_of
+
+    def write(self, width: int, height: int, token: Callable[[Cell], str],
+              marked=frozenset()) -> str:
+        """Board rows, top row first: each cell's ``token``, or ``#`` on a
+        ``marked`` cell."""
+        rows = [[token((x, y)) for x in range(width)] for y in range(height - 1, -1, -1)]
+        wide = max(map(len, chain.from_iterable(rows))) if self.spaced else 1
+        for x, y in marked:
+            if 0 <= x < width and 0 <= y < height:
+                rows[height - 1 - y][x] = "#"
+        if wide > 1:
+            rows = [[tok.ljust(wide) for tok in row] for row in rows]
+        sep = " " if self.spaced else ""
+        return "".join(sep.join(row).rstrip() + "\n" for row in rows)
+
+
+AON_BOARD = BoardFormat("aon", True, str.isalnum, "region id {!r} is not alphanumeric")
+WW_BOARD = BoardFormat("ww", False, frozenset("~.123456789").__contains__,
+                       "unknown terrain character {!r}")
 
 
 def parse_graph(text: str) -> GridGraph:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty graph file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "grid":
-        raise ParseError(f"expected 'grid <cols> <rows>', got {header!r}", lineno)
-    cols, rows = _ints(parts[1:], lineno)
+    lineno, (cols, rows), body = _headed(text, "graph", "grid <cols> <rows>")
     if cols < 1 or rows < 1:
         raise ParseError(f"grid dimensions must be positive, got {cols}x{rows}", lineno)
 
     edges = []
     seen = set()
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if parts[0] != "edge" or len(parts) != 5:
-            raise ParseError(f"expected 'edge <x1> <y1> <x2> <y2>', got {line!r}", lineno)
-        x1, y1, x2, y2 = _ints(parts[1:], lineno)
+    for lineno, line in body:
+        x1, y1, x2, y2 = _fields(lineno, line, "edge <x1> <y1> <x2> <y2>")
         u, v = (x1, y1), (x2, y2)
         for w in (u, v):
             if not (0 <= w[0] < cols and 0 <= w[1] < rows):
@@ -106,15 +154,7 @@ def emit_graph(g: GridGraph) -> str:
 
 
 def parse_loop(text: str) -> LoopPath:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty loop file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "loop":
-        raise ParseError(f"expected 'loop <n>', got {header!r}", lineno)
-    (n,) = _ints(parts[1:], lineno)
-    body = lines[1:]
+    lineno, (n,), body = _headed(text, "loop", "loop <n>")
     if len(body) != n:
         lineno = body[-1][0] if body else lineno
         raise ParseError(f"expected {n} cell lines, got {len(body)}", lineno)

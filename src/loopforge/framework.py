@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .errors import CompileError
+from .fileio import BoardFormat
 from .model import Cell, GridGraph, Vertex, canonical_edge, degree_profile
 
 
@@ -301,13 +302,29 @@ def plan_for(g: GridGraph, seed_rule: SeedRule = "lex") -> ExitPlan:
 @dataclass(frozen=True)
 class Gadget:
     """A puzzle's metacell gadget in canonical orientation: its square frame
-    size, its one non-exit side, the border cell of each exit, and stored
-    local traversals per exit pair (the first of each is canonical)."""
+    written as board rows of its puzzle's ``board`` format, top row first,
+    its one non-exit side, the border cell of each exit, and stored local
+    traversals per exit pair (the first of each is canonical)."""
 
-    frame: int
+    rows: str
+    board: BoardFormat
     non_exit: Direction
     exit_cells: dict[Direction, Cell]
     paths: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]]
+
+    @cached_property
+    def frame(self) -> int:
+        """Side of the square frame: the number of rows."""
+        return len(self.rows.splitlines())
+
+    @cached_property
+    def _rotations(self) -> list[list[tuple[Cell, str]]]:
+        """Every frame cell with its token, read from ``rows``, for the
+        gadget at 0-3 turns."""
+        n = self.frame
+        _, _, tokens = self.board.read(f"{self.board.kind} {n} {n}\n{self.rows}")
+        return [list(zip(self.place((0, 0), turns, tokens), tokens.values()))
+                for turns in range(4)]
 
     def turns(self, plan: ExitPlan, v: Vertex) -> int:
         """Quarter turns that put the gadget's non-exit side onto ``v``'s."""
@@ -328,6 +345,14 @@ class Gadget:
                 assert (ex if side.dx == 0 else ey) == mid, \
                     f"exit cell off midline at {v} side {side}"
         return tiling
+
+    def lay(self, tiling: dict[Vertex, int]) -> Iterator[tuple[Vertex, list[tuple[Cell, str]]]]:
+        """Each vertex of ``tiling`` (the turns per vertex, as :meth:`tile`
+        gives them) with every board cell of its metacell and the token of
+        the gadget rotated there."""
+        for v, turns in tiling.items():
+            ox, oy = self.frame * v[0], self.frame * v[1]
+            yield v, [((ox + x, oy + y), tok) for (x, y), tok in self._rotations[turns]]
 
     def place(self, v: Vertex, turns: int, cells: Iterable[Cell]) -> list[Cell]:
         """Board cells of the gadget-local ``cells`` with the gadget rotated

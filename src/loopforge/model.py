@@ -98,12 +98,6 @@ def degree_profile(g: GridGraph) -> dict[Vertex, int]:
     return deg
 
 
-def degree_bounds(g: GridGraph) -> tuple[int, int]:
-    """(minimum, maximum) vertex degree."""
-    deg = degree_profile(g)
-    return min(deg.values()), max(deg.values())
-
-
 def _canonical_cycle(seq: tuple[Cell, ...]) -> tuple[Cell, ...]:
     """Rotate the smallest element to the front, then pick the direction with
     the smaller second element.  Used to compare cycles up to rotation/reversal."""
@@ -211,7 +205,8 @@ _OFF_BOARD = object()  # the label past the board's edge, equal to no label
 def regions_from_labels(width: int, height: int, label_of: dict[Cell, object]) -> RegionDecomposition:
     """Flood-fill the board into regions: maximal orthogonally connected
     sets of equally labelled cells.  ``label_of`` maps every board cell,
-    and no other, to its label; any value is a label, ``None`` too."""
+    and no other, to its label (else :class:`ValueError`); any value is a
+    label, ``None`` too."""
     if len(label_of) != width * height:
         raise ValueError(f"{len(label_of)} labels for a {width}x{height} board")
     label = label_of.get
@@ -223,7 +218,9 @@ def regions_from_labels(width: int, height: int, label_of: dict[Cell, object]) -
             if start in region_of:
                 continue
             rid = len(regions)
-            lab = label_of[start]
+            lab = label(start, _OFF_BOARD)
+            if lab is _OFF_BOARD:  # the count is right, so a label lies off the board
+                raise ValueError(f"no label for board cell {start}")
             region_of[start] = rid
             comp = [start]
             stack = [start]
@@ -248,20 +245,12 @@ def regions_from_labels(width: int, height: int, label_of: dict[Cell, object]) -
     return RegionDecomposition(width, height, region_of, regions, leaves)
 
 
-def loop_runs(loop: LoopPath, classify: Callable[[Cell], object]) -> list[tuple[object, int]]:
-    """Cyclic run-length encoding of the loop's cells under a labelling.
-
-    Returns ``(label, length)`` pairs; a loop with a single label collapses to
-    one run of the full length, otherwise adjacent runs (cyclically) carry
-    distinct labels.
-    """
-    return [(lab, len(cells)) for lab, cells in loop_runs_with_cells(loop, classify)]
-
-
 def loop_runs_with_cells(
     loop: LoopPath, classify: Callable[[Cell], object]
 ) -> list[tuple[object, tuple[Cell, ...]]]:
-    """Like :func:`loop_runs` but carrying the cells of each run.  Each cell
+    """Cyclic runs of the loop's cells under a labelling, each with its
+    cells: a loop with a single label is one run of the full length,
+    otherwise adjacent runs (cyclically) carry distinct labels.  Each cell
     is classified once: the path's first and last runs join when the loop
     closes inside one run, and that run comes last."""
     runs = path_runs(loop.cells, classify)
@@ -304,13 +293,6 @@ def crossings_by_region(loop: LoopPath, r: RegionDecomposition) -> dict[int, int
                 counts[cur] = counts.get(cur, 0) + 1
             prev = cur
     return counts
-
-
-def boundary_crossings(loop: LoopPath, r: RegionDecomposition, region_id: int) -> int:
-    """Number of cyclic positions where the loop steps across the region's border."""
-    if region_id not in r.regions:
-        raise ValueError(f"unknown region id: {region_id}")
-    return crossings_by_region(loop, r).get(region_id, 0)
 
 
 @dataclass(frozen=True)

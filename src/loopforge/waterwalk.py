@@ -13,9 +13,11 @@ Runs are cyclic, so wrap-around runs count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
-from .errors import CompileError, ParseError
-from .fileio import board_rows
+from .errors import CompileError
+from .fileio import WW_BOARD
 from .framework import Direction, ExitPlan, Gadget, direction_between
 from .model import (
     Cell,
@@ -32,13 +34,17 @@ from .loopsearch import LoopConstraint, SearchResult, search_loops
 GROUND = "ground"
 WATER = "water"
 
-FRAME = 5
-
-# Canonical gadget: non-exit side W; a 4-cell ground cluster with a single
-# "3" clue, everything else water.  Exit border cells sit on the midline of
-# their side (index 2), one step outside the ground cluster.
-GADGET_GROUND = frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
-GADGET_NUMBERS = {(2, 2): 3}
+# Canonical gadget as a Water Walk board, top row first: non-exit side W;
+# a 4-cell ground cluster with a single "3" clue, everything else water.
+# Exit border cells sit on the midline of their side (index 2), one step
+# outside the ground cluster.
+GADGET_ROWS = """\
+~~~~~
+~~.~~
+~~3.~
+~~.~~
+~~~~~
+"""
 GADGET_NON_EXIT = Direction.W
 GADGET_EXIT_CELLS = {
     Direction.S: (2, 0),
@@ -64,7 +70,8 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
     ),
 }
 
-GADGET = Gadget(FRAME, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
+GADGET = Gadget(GADGET_ROWS, WW_BOARD, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
+FRAME = GADGET.frame
 
 # Midline border cell of the non-exit side; certification checks that no
 # traversal from an exit can end there.
@@ -98,45 +105,33 @@ class WwInstance:
         return GROUND if c in self.ground else WATER
 
 
+def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
+           **lineage) -> WwInstance:
+    """The board whose cells hold the ``(cell, token)`` pairs ``tokens``:
+    ``~`` water, ``.`` ground, a digit a clue on ground."""
+    ground, numbers = set(), {}
+    for cell, tok in tokens:
+        if tok != "~":
+            ground.add(cell)
+            if tok != ".":
+                numbers[cell] = int(tok)
+    return WwInstance(width, height, frozenset(ground), numbers, **lineage)
+
+
 def parse_ww(text: str) -> WwInstance:
-    width, height, rows = board_rows(text, "ww")
-    ground = set()
-    numbers = {}
-    for k, (lineno, row) in enumerate(rows):
-        y = height - 1 - k
-        if len(row) != width:
-            raise ParseError(f"row has {len(row)} cells, expected {width}", lineno)
-        for x, ch in enumerate(row):
-            if ch == "~":
-                continue
-            if ch == ".":
-                ground.add((x, y))
-            elif ch in "123456789":
-                ground.add((x, y))
-                numbers[(x, y)] = int(ch)
-            else:
-                raise ParseError(f"unknown terrain character {ch!r}", lineno)
-    return WwInstance(width, height, frozenset(ground), numbers)
+    width, height, token_of = WW_BOARD.read(text)
+    return _board(width, height, token_of.items())
 
 
 def board_text(inst: WwInstance, marked=frozenset()) -> str:
     """Board rows, top row first: ``#`` on a ``marked`` cell, else the
     cell's clue, ``.`` for ground or ``~`` for water."""
-    lines = []
-    for y in range(inst.height - 1, -1, -1):
-        row = []
-        for x in range(inst.width):
-            c = (x, y)
-            if c in marked:
-                row.append("#")
-            elif c in inst.numbers:
-                row.append(str(inst.numbers[c]))
-            elif c in inst.ground:
-                row.append(".")
-            else:
-                row.append("~")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+    numbers, ground = inst.numbers, inst.ground
+
+    def token(c: Cell) -> str:
+        return str(numbers[c]) if c in numbers else "." if c in ground else "~"
+
+    return WW_BOARD.write(inst.width, inst.height, token, marked)
 
 
 def emit_ww(inst: WwInstance) -> str:
@@ -146,14 +141,8 @@ def emit_ww(inst: WwInstance) -> str:
 def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
     """Tile one rotated gadget per vertex on a 5x5-per-metacell board."""
     tiling = GADGET.tile(g, plan)
-    ground = set()
-    numbers = {}
-    for v, turns in tiling.items():
-        cells, clues = _gadget_terrain(v, turns)
-        ground.update(cells)
-        numbers.update(clues)
-    inst = WwInstance(FRAME * g.cols, FRAME * g.rows, frozenset(ground), numbers,
-                      provenance=tiling)
+    laid = chain.from_iterable(cells for _, cells in GADGET.lay(tiling))
+    inst = _board(FRAME * g.cols, FRAME * g.rows, laid, provenance=tiling)
 
     # every graph edge must cross two water border cells flanked by ground
     for u, w in sorted(g.edges):
@@ -169,13 +158,6 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
             if inst.terrain(inward) != GROUND:
                 raise CompileError(f"crossing at {border} has no ground at {inward}")
     return inst
-
-
-def _gadget_terrain(v, turns: int) -> tuple[list[Cell], dict[Cell, int]]:
-    """Ground cells and clues of the gadget rotated by ``turns`` in the
-    metacell of ``v``."""
-    clues = zip(GADGET.place(v, turns, GADGET_NUMBERS), GADGET_NUMBERS.values())
-    return GADGET.place(v, turns, GADGET_GROUND), dict(clues)
 
 
 def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:
@@ -274,10 +256,10 @@ def gadget_harness(turns: int):
     """Search domain of the gadget certificate with the gadget rotated by
     ``turns``: every frame cell, the clue cells as required, and the rules
     on the lone gadget, whose runs end at the frame."""
-    ground, numbers = _gadget_terrain((0, 0), turns)
-    inst = WwInstance(FRAME, FRAME, frozenset(ground), numbers)
+    ((_, laid),) = GADGET.lay({(0, 0): turns})
+    inst = _board(FRAME, FRAME, laid)
     cells = [(x, y) for x in range(FRAME) for y in range(FRAME)]
-    return cells, sorted(numbers), lambda: WwLoopRules(inst)
+    return cells, sorted(inst.numbers), lambda: WwLoopRules(inst)
 
 
 def gadget_audit(turns: int, exits, paths):

@@ -7,7 +7,8 @@ engine: ``anchored_search_loops`` roots loops the old way, and
 ``full_fill_walk`` flood-fills the free cells at every node.  The All or
 Nothing gadget is transcribed a second time, as wall polylines, and
 ``regions_from_boundaries`` fills a board between walls: the wall model
-the region labels must reproduce.
+the region labels must reproduce.  Each puzzle's own gadget placement,
+from before the shared tiler, is kept too.
 """
 
 from itertools import permutations
@@ -26,7 +27,8 @@ from loopforge.aon import (
     verify_aon,
 )
 from loopforge.framework import DIRECTION_ORDER, Direction, Orientation, direction_between
-from loopforge import loopsearch
+from loopforge import aon, loopsearch
+from loopforge import waterwalk as ww
 from loopforge.errors import SearchBudgetExceeded
 from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk, search_loops
 from loopforge.model import (
@@ -34,8 +36,11 @@ from loopforge.model import (
     RegionDecomposition,
     Verdict,
     Violation,
+    crossings_by_region,
+    degree_profile,
     full_grid,
     grid_graph,
+    loop_runs_with_cells,
     orthogonal_neighbors,
 )
 from loopforge.waterwalk import GROUND, WATER
@@ -103,6 +108,26 @@ def candidate_subgraphs_by_subset(cols, rows):
         if all(d in (2, 3) for d in deg.values()):
             out.append(grid_graph(cols, rows, chosen))
     return out
+
+
+def degree_bounds(g):
+    """(minimum, maximum) vertex degree."""
+    deg = degree_profile(g)
+    return min(deg.values()), max(deg.values())
+
+
+def loop_runs(loop, classify):
+    """Cyclic run-length encoding of the loop's cells under a labelling:
+    ``(label, length)`` pairs of :func:`loop_runs_with_cells`' runs."""
+    return [(lab, len(cells)) for lab, cells in loop_runs_with_cells(loop, classify)]
+
+
+def boundary_crossings(loop, r, region_id):
+    """Number of cyclic positions where the loop steps across the region's
+    border, read from the one-pass :func:`crossings_by_region`."""
+    if region_id not in r.regions:
+        raise ValueError(f"unknown region id: {region_id}")
+    return crossings_by_region(loop, r).get(region_id, 0)
 
 
 def region_count(r):
@@ -732,3 +757,56 @@ def big_region_ids_of_walls(inst, decomp):
     return frozenset(
         decomp.region_of[GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
         for v, turns in inst.provenance.items())
+
+
+# ---------------------------------------------------------------------------
+# Gadget placement as each puzzle did it before ``Gadget.lay``: the Water
+# Walk gadget as literal ground cells and clues, and All or Nothing's
+# ``GADGET_ROWS`` split into letters, rotated once per turn count and
+# offset into each metacell by hand.
+
+WW_GADGET_GROUND = frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
+WW_GADGET_NUMBERS = {(2, 2): 3}
+
+
+def ww_gadget_terrain(v, turns):
+    """Ground cells and clues of the Water Walk gadget rotated by ``turns``
+    in the metacell of ``v``."""
+    clues = zip(ww.GADGET.place(v, turns, WW_GADGET_NUMBERS), WW_GADGET_NUMBERS.values())
+    return ww.GADGET.place(v, turns, WW_GADGET_GROUND), dict(clues)
+
+
+def ww_terrain_by_vertex(tiling):
+    """Ground cells and clues of a Water Walk board tiled by ``tiling``
+    (turns per vertex), one metacell at a time."""
+    ground, numbers = set(), {}
+    for v, turns in tiling.items():
+        cells, clues = ww_gadget_terrain(v, turns)
+        ground.update(cells)
+        numbers.update(clues)
+    return frozenset(ground), numbers
+
+
+_AON_GADGET_TOKENS = {(x, FRAME - 1 - k): tok
+                      for k, row in enumerate(aon.GADGET_ROWS.splitlines())
+                      for x, tok in enumerate(row.split())}
+
+
+def aon_gadget_labels(turns):
+    """Every frame cell of the All or Nothing gadget rotated by ``turns``
+    with its letter in ``GADGET_ROWS``."""
+    return tuple(zip(GADGET.place((0, 0), turns, _AON_GADGET_TOKENS),
+                     _AON_GADGET_TOKENS.values()))
+
+
+def aon_labels_by_offsets(tiling):
+    """The region label of every cell of an All or Nothing board tiled by
+    ``tiling``: ``(v, letter)`` on metacell ``v``'s big and one-cell
+    regions, ``None`` on every filler cell."""
+    rotated = [aon_gadget_labels(turns) for turns in range(4)]
+    label_of = {}
+    for v, turns in tiling.items():
+        ox, oy = FRAME * v[0], FRAME * v[1]
+        own = {"B": (v, "B"), "D": (v, "D")}  # filler cells get None
+        label_of.update(((ox + x, oy + y), own.get(tok)) for (x, y), tok in rotated[turns])
+    return label_of

@@ -16,15 +16,19 @@ from loopforge.framework import (
     turns_between,
 )
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
-from loopforge.model import degree_profile, full_grid, grid_graph
+from loopforge.model import degree_profile, full_grid, grid_graph, regions_from_labels
 
 from oracles import (
+    aon_gadget_labels,
+    aon_labels_by_offsets,
     incidences_by_scan,
     indegree_by_scan,
     orient_by_candidate_walks,
     outdegree_by_scan,
     outgoing_by_scan,
     rotate_corner,
+    ww_gadget_terrain,
+    ww_terrain_by_vertex,
 )
 from test_model import graph_3x4
 from test_scaling import concentric_rings
@@ -265,3 +269,63 @@ class TestGadget:
                     ex, ey = gadget.exit_cell(side, turns)
                     assert gadget.board_exit(v, turns, side) == \
                         (gadget.frame * v[0] + ex, gadget.frame * v[1] + ey)
+
+
+def small_and_random_graphs():
+    """Every 2x2/2x3/3x2/3x3 candidate under both seed rules, then 30
+    seeded random candidates up to 8x8."""
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for g in enumerate_candidate_subgraphs(*dims):
+            for rule in ("lex", "antilex"):
+                yield g, rule
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_candidate_subgraph(rng.randint(2, 8), rng.randint(2, 8), rng)
+        yield g, "lex"
+
+
+def laid_cells(gadget, tiling):
+    """``gadget.lay(tiling)`` as (vertex, cell, token) triples, after
+    checking that it lays each vertex once, in ``tiling``'s order, on a
+    frame's worth of distinct cells."""
+    laid = list(gadget.lay(tiling))
+    assert [v for v, _ in laid] == list(tiling)
+    triples = [(v, cell, tok) for v, cells in laid for cell, tok in cells]
+    assert len({cell for _, cell, _ in triples}) == len(triples) == gadget.frame ** 2 * len(tiling)
+    return triples
+
+
+def ww_terrain(triples):
+    """Ground cells and clues of laid Water Walk cells."""
+    ground = frozenset(cell for _, cell, tok in triples if tok != "~")
+    return ground, {cell: int(tok) for _, cell, tok in triples if tok.isdigit()}
+
+
+class TestTiler:
+    """``Gadget.lay`` against each puzzle's own placement from before it,
+    kept in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("turns", range(4))
+    def test_lone_gadget(self, turns):
+        laid = laid_cells(aon.GADGET, {(0, 0): turns})
+        assert [(cell, tok) for _, cell, tok in laid] == list(aon_gadget_labels(turns))
+        ground, numbers = ww_gadget_terrain((0, 0), turns)
+        laid = laid_cells(waterwalk.GADGET, {(0, 0): turns})
+        assert ww_terrain(laid) == (frozenset(ground), numbers)
+
+    def test_compiles(self):
+        for g, rule in small_and_random_graphs():
+            plan = plan_for(g, rule)
+            inst = aon.compile_aon(g, plan)
+            labels = aon_labels_by_offsets(inst.provenance)
+            laid = laid_cells(aon.GADGET, inst.provenance)
+            assert {cell: (v, tok) if tok in "BD" else None for v, cell, tok in laid} == labels
+            assert len(labels) == inst.width * inst.height
+            assert inst.regions == regions_from_labels(inst.width, inst.height, labels)
+
+            inst = waterwalk.compile_ww(g, plan)
+            ground, numbers = ww_terrain_by_vertex(inst.provenance)
+            laid = laid_cells(waterwalk.GADGET, inst.provenance)
+            assert len(laid) == inst.width * inst.height
+            assert ww_terrain(laid) == (ground, numbers)
+            assert (inst.ground, inst.numbers) == (ground, numbers)

@@ -6,13 +6,10 @@ from loopforge.fileio import emit_graph, emit_loop, parse_graph, parse_loop
 from loopforge.model import (
     HamCycle,
     LoopPath,
-    boundary_crossings,
     crossings_by_region,
-    degree_bounds,
     degree_profile,
     full_grid,
     grid_graph,
-    loop_runs,
     loop_runs_with_cells,
     path_runs,
     regions_from_labels,
@@ -20,9 +17,12 @@ from loopforge.model import (
 
 from oracles import (
     all_loops_on_board,
+    boundary_crossings,
     boundary_edges,
+    degree_bounds,
     gadget_walls,
     loop_arc_count,
+    loop_runs,
     perimeter,
     polyline_to_boundary,
     region_count,
@@ -198,6 +198,11 @@ class TestRegions:
             regions_from_labels(2, 2, labels(2, 1))
         with pytest.raises(ValueError):
             regions_from_labels(2, 2, labels(2, 3))
+        # the right count, but a label off the board in place of one on it
+        with pytest.raises(ValueError):
+            regions_from_labels(1, 1, {(5, 5): "a"})
+        with pytest.raises(ValueError):
+            regions_from_labels(2, 1, {(0, 0): "a", (-1, 0): "a"})
 
     def test_sample_instance_region_sizes(self, aon_fixture):
         sizes = sorted(len(c) for c in aon_fixture.regions.regions.values())

@@ -12,10 +12,11 @@ from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_s
 from loopforge.model import LoopPath, full_grid
 from loopforge.waterwalk import (
     FRAME,
+    GADGET,
     GADGET_EXIT_CELLS,
-    GADGET_GROUND,
-    GADGET_NUMBERS,
+    GADGET_ROWS,
     WwInstance,
+    board_text,
     compile_ww,
     emit_ww,
     parse_ww,
@@ -51,10 +52,28 @@ def random_boards():
         yield WwInstance(4, 4, ground, numbers)
 
 
+def gadget_terrain():
+    """Ground cells and clues of the canonical gadget, read from its rows."""
+    inst = parse_ww(f"ww {FRAME} {FRAME}\n" + GADGET_ROWS)
+    return inst.ground, inst.numbers
+
+
+def harness_board(turns):
+    """The lone gadget rotated by ``turns``, as its certificate harness sees it."""
+    return waterwalk.gadget_harness(turns)[2]().inst
+
+
 class TestGadgetData:
     def test_ground_cluster(self):
-        assert GADGET_GROUND == frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
-        assert GADGET_NUMBERS == {(2, 2): 3}
+        ground, numbers = gadget_terrain()
+        assert ground == frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
+        assert numbers == {(2, 2): 3}
+        ((_, cells),) = GADGET.lay({(0, 0): 0})
+        assert {c for c, tok in cells if tok != "~"} == ground
+
+    def test_gadget_rows_print_the_gadget_board(self):
+        assert GADGET_ROWS == board_text(harness_board(0))
+        assert parse_ww(f"ww {FRAME} {FRAME}\n" + GADGET_ROWS) == harness_board(0)
 
     def test_exit_cells_sit_on_midlines(self):
         assert GADGET_EXIT_CELLS[Direction.S] == (2, 0)
@@ -62,14 +81,16 @@ class TestGadgetData:
         assert GADGET_EXIT_CELLS[Direction.E] == (4, 2)
 
     def test_exit_border_cells_are_water_with_ground_inward(self):
+        ground, _ = gadget_terrain()
         for side, cell in GADGET_EXIT_CELLS.items():
-            assert cell not in GADGET_GROUND
+            assert cell not in ground
             inward = (cell[0] - side.dx, cell[1] - side.dy)
-            assert inward in GADGET_GROUND
+            assert inward in ground
 
     def test_full_turn_is_identity_on_terrain(self):
-        cells = {rotate_cell(FRAME, 4, c) for c in GADGET_GROUND}
-        assert cells == set(GADGET_GROUND)
+        ground, _ = gadget_terrain()
+        cells = {rotate_cell(FRAME, 4, c) for c in ground}
+        assert cells == set(ground)
 
 
 class TestGadgetHarness:
@@ -260,17 +281,17 @@ class TestCompile:
     def test_all_rotation_pairs_cross_exactly_two_water_cells(self):
         # straight crossing between side-by-side gadgets, every rotation of
         # each that leaves an exit on the shared edge
-        from loopforge.waterwalk import GADGET
-
+        ground_0, _ = gadget_terrain()
+        assert ground_0 == frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
         for turns_a in range(4):
             if Direction.E.rotated(-turns_a) is Direction.W:
                 continue  # east side of the left gadget is blocked
             for turns_b in range(4):
                 if Direction.W.rotated(-turns_b) is Direction.W:
                     continue
-                ground = {rotate_cell(FRAME, turns_a, c) for c in GADGET_GROUND}
+                ground = {rotate_cell(FRAME, turns_a, c) for c in ground_0}
                 ground |= {(x + FRAME, y) for x, y in
-                           (rotate_cell(FRAME, turns_b, c) for c in GADGET_GROUND)}
+                           (rotate_cell(FRAME, turns_b, c) for c in ground_0)}
                 a = GADGET.exit_cell(Direction.E, turns_a)
                 bx, by = GADGET.exit_cell(Direction.W, turns_b)
                 b = (bx + FRAME, by)
