@@ -112,8 +112,8 @@ FRAME = GADGET.frame
 
 def gadget_board(turns: int) -> AonInstance:
     """The gadget rotated by ``turns`` alone on its frame."""
-    ((_, cells),) = GADGET.lay({(0, 0): turns})
-    decomp = regions_from_labels(FRAME, FRAME, dict(cells))
+    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
+    decomp = regions_from_labels(FRAME, FRAME, dict(zip(cells, tokens)))
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
     return AonInstance(FRAME, FRAME, decomp, names)
 
@@ -241,7 +241,7 @@ def parse_aon(text: str) -> AonInstance:
 
 def board_text(inst: AonInstance, marked=frozenset()) -> str:
     """Board rows, top row first: each cell's region id, or ``#`` on a
-    ``marked`` cell."""
+    ``marked`` cell, padded to the longest id."""
     names, region_of = inst.region_names, inst.regions.region_of
     return AON_BOARD.write(inst.width, inst.height, lambda c: names[region_of[c]], marked)
 
@@ -262,10 +262,10 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     width, height = FRAME * g.cols, FRAME * g.rows
     label_of: dict[Cell, object] = {}
     big_cells: dict[Vertex, list[Cell]] = {}
-    for v, cells in GADGET.lay(tiling):
+    for v, cells, tokens in GADGET.lay(tiling):
         own = {"B": (v, "B"), "D": (v, "D")}  # filler cells get None
-        label_of.update((cell, own.get(tok)) for cell, tok in cells)
-        big_cells[v] = [cell for cell, tok in cells if tok == "B"]
+        label_of.update(zip(cells, map(own.get, tokens)))
+        big_cells[v] = [cell for cell, tok in zip(cells, tokens) if tok == "B"]
     decomp = regions_from_labels(width, height, label_of)
 
     big_ids = set()

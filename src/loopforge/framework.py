@@ -318,13 +318,13 @@ class Gadget:
         return len(self.rows.splitlines())
 
     @cached_property
-    def _rotations(self) -> list[list[tuple[Cell, str]]]:
-        """Every frame cell with its token, read from ``rows``, for the
-        gadget at 0-3 turns."""
+    def _layout(self) -> tuple[tuple[str, ...], list[list[Cell]]]:
+        """The token of every frame cell, read from ``rows``, and in the
+        same order the cells they land on with the gadget at 0-3 turns."""
         n = self.frame
-        _, _, tokens = self.board.read(f"{self.board.kind} {n} {n}\n{self.rows}")
-        return [list(zip(self.place((0, 0), turns, tokens), tokens.values()))
-                for turns in range(4)]
+        _, _, token_of = self.board.read(f"{self.board.kind} {n} {n}\n{self.rows}")
+        return tuple(token_of.values()), [self.place((0, 0), turns, token_of)
+                                          for turns in range(4)]
 
     def turns(self, plan: ExitPlan, v: Vertex) -> int:
         """Quarter turns that put the gadget's non-exit side onto ``v``'s."""
@@ -346,13 +346,16 @@ class Gadget:
                     f"exit cell off midline at {v} side {side}"
         return tiling
 
-    def lay(self, tiling: dict[Vertex, int]) -> Iterator[tuple[Vertex, list[tuple[Cell, str]]]]:
+    def lay(
+        self, tiling: dict[Vertex, int]
+    ) -> Iterator[tuple[Vertex, list[Cell], tuple[str, ...]]]:
         """Each vertex of ``tiling`` (the turns per vertex, as :meth:`tile`
-        gives them) with every board cell of its metacell and the token of
-        the gadget rotated there."""
+        gives them) with every board cell of its metacell and, in the same
+        order, the tokens of the gadget rotated there."""
+        tokens, rotations = self._layout
         for v, turns in tiling.items():
             ox, oy = self.frame * v[0], self.frame * v[1]
-            yield v, [((ox + x, oy + y), tok) for (x, y), tok in self._rotations[turns]]
+            yield v, [(ox + x, oy + y) for x, y in rotations[turns]], tokens
 
     def place(self, v: Vertex, turns: int, cells: Iterable[Cell]) -> list[Cell]:
         """Board cells of the gadget-local ``cells`` with the gadget rotated

@@ -141,7 +141,7 @@ def emit_ww(inst: WwInstance) -> str:
 def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
     """Tile one rotated gadget per vertex on a 5x5-per-metacell board."""
     tiling = GADGET.tile(g, plan)
-    laid = chain.from_iterable(cells for _, cells in GADGET.lay(tiling))
+    laid = chain.from_iterable(zip(cells, tokens) for _, cells, tokens in GADGET.lay(tiling))
     inst = _board(FRAME * g.cols, FRAME * g.rows, laid, provenance=tiling)
 
     # every graph edge must cross two water border cells flanked by ground
@@ -256,8 +256,8 @@ def gadget_harness(turns: int):
     """Search domain of the gadget certificate with the gadget rotated by
     ``turns``: every frame cell, the clue cells as required, and the rules
     on the lone gadget, whose runs end at the frame."""
-    ((_, laid),) = GADGET.lay({(0, 0): turns})
-    inst = _board(FRAME, FRAME, laid)
+    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
+    inst = _board(FRAME, FRAME, zip(cells, tokens))
     cells = [(x, y) for x in range(FRAME) for y in range(FRAME)]
     return cells, sorted(inst.numbers), lambda: WwLoopRules(inst)
 

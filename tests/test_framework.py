@@ -289,8 +289,9 @@ def laid_cells(gadget, tiling):
     checking that it lays each vertex once, in ``tiling``'s order, on a
     frame's worth of distinct cells."""
     laid = list(gadget.lay(tiling))
-    assert [v for v, _ in laid] == list(tiling)
-    triples = [(v, cell, tok) for v, cells in laid for cell, tok in cells]
+    assert [v for v, _, _ in laid] == list(tiling)
+    assert all(len(cells) == len(tokens) for _, cells, tokens in laid)
+    triples = [(v, cell, tok) for v, cells, tokens in laid for cell, tok in zip(cells, tokens)]
     assert len({cell for _, cell, _ in triples}) == len(triples) == gadget.frame ** 2 * len(tiling)
     return triples
 
