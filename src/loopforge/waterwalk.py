@@ -106,7 +106,7 @@ class WwInstance:
 
 
 def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
-           **lineage) -> WwInstance:
+           provenance: dict[tuple[int, int], int] | None = None) -> WwInstance:
     """The board whose cells hold the ``(cell, token)`` pairs ``tokens``:
     ``~`` water, ``.`` ground, a digit a clue on ground."""
     ground, numbers = set(), {}
@@ -115,7 +115,7 @@ def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
             ground.add(cell)
             if tok != ".":
                 numbers[cell] = int(tok)
-    return WwInstance(width, height, frozenset(ground), numbers, **lineage)
+    return WwInstance(width, height, frozenset(ground), numbers, provenance=provenance)
 
 
 def parse_ww(text: str) -> WwInstance:

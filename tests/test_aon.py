@@ -168,6 +168,13 @@ class TestInstanceFile:
             parse_aon("aon 2 2\nA A\n")
         assert e.value.line is None
 
+    def test_marked_rows_keep_the_longest_id_padding(self):
+        # "#" covers the only two-letter id and stays padded to its width;
+        # marks off the board are ignored
+        inst = parse_aon("aon 2 2\nAA B\nC D\n")
+        assert board_text(inst) == "AA B\nC  D\n"
+        assert board_text(inst, frozenset({(0, 1), (1, 2), (0, -1)})) == "#  B\nC  D\n"
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty instance file"),
         ("aon 2\nA A\n", "line 1: expected 'aon <width> <height>', got 'aon 2'"),

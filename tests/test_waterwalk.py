@@ -68,8 +68,6 @@ class TestGadgetData:
         ground, numbers = gadget_terrain()
         assert ground == frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
         assert numbers == {(2, 2): 3}
-        ((_, cells, tokens),) = GADGET.lay({(0, 0): 0})
-        assert {c for c, tok in zip(cells, tokens) if tok != "~"} == ground
 
     def test_gadget_rows_print_the_gadget_board(self):
         assert GADGET_ROWS == board_text(harness_board(0))
