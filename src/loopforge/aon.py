@@ -255,8 +255,9 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
 
     Each metacell's big region and one-cell region get labels of their
     own; all filler cells share one label, so filler parts that meet
-    across a metacell side merge.  Every metacell keeps its own big region
-    (asserted, not assumed).
+    across a metacell side merge.  A big region's label is its metacell's
+    alone, so it can neither leak out of the metacell nor be shared; the
+    gadget's big cells must still form one region (checked).
     """
     tiling = GADGET.tile(g, plan)
     width, height = FRAME * g.cols, FRAME * g.rows
@@ -273,12 +274,7 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
         ids = {decomp.region_of[c] for c in placed}
         if len(ids) != 1:
             raise CompileError(f"big region of metacell {v} is fragmented")
-        rid = ids.pop()
-        if decomp.regions[rid] != frozenset(placed):
-            raise CompileError(f"big region of metacell {v} leaks outside its frame")
-        if rid in big_ids:
-            raise CompileError(f"metacell {v} shares a big region with another metacell")
-        big_ids.add(rid)
+        big_ids |= ids
 
     names = tuple(region_token(rid) for rid in sorted(decomp.regions))
     return AonInstance(width, height, decomp, names,
@@ -389,36 +385,42 @@ class AonLoopRules(LoopConstraint):
         if pre_crossings:
             self.crossings.update(pre_crossings)
         self.inside = dict.fromkeys(self.sizes, 0)
+        self.partial: set[int] = set()  # regions with 0 < inside < size
         self.visited: set[Cell] = set()
         self.start_region: int | None = None
         self.trail: list[tuple[Cell, int, int | None]] = []
 
     def push(self, path, cell) -> bool:
         r = self.region_of[cell]
+        crossed = None
         if not path:
             self.start_region = r
-            self.inside[r] += 1
-            self.visited.add(cell)
-            self.trail.append((cell, r, None))
-            return True
-        rp = self.region_of[path[-1]]
-        crossed = None
-        if rp != r:
-            if self.crossings[rp] + 1 > 2 or self.crossings[r] + 1 > 2:
-                return False
-            if rp != self.start_region and self.inside[rp] != self.sizes[rp]:
-                return False
-            self.crossings[rp] += 1
-            self.crossings[r] += 1
-            crossed = rp
-        self.inside[r] += 1
+        else:
+            rp = self.region_of[path[-1]]
+            if rp != r:
+                if self.crossings[rp] + 1 > 2 or self.crossings[r] + 1 > 2:
+                    return False
+                if rp != self.start_region and self.inside[rp] != self.sizes[rp]:
+                    return False
+                self.crossings[rp] += 1
+                self.crossings[r] += 1
+                crossed = rp
+        n = self.inside[r] = self.inside[r] + 1
+        if n < self.sizes[r]:
+            self.partial.add(r)
+        else:
+            self.partial.discard(r)
         self.visited.add(cell)
         self.trail.append((cell, r, crossed))
         return True
 
     def pop(self):
         cell, r, crossed = self.trail.pop()
-        self.inside[r] -= 1
+        n = self.inside[r] = self.inside[r] - 1
+        if n:
+            self.partial.add(r)
+        else:
+            self.partial.discard(r)
         self.visited.discard(cell)
         if crossed is not None:
             self.crossings[r] -= 1
@@ -428,9 +430,8 @@ class AonLoopRules(LoopConstraint):
 
     def extra_required(self) -> set[Cell]:
         need: set[Cell] = set()
-        for rid, n in self.inside.items():
-            if 0 < n < self.sizes[rid]:
-                need |= self.inst.regions.regions[rid] - self.visited
+        for rid in self.partial:
+            need |= self.inst.regions.regions[rid] - self.visited
         return need
 
     def close_ok(self, cells) -> bool:

@@ -27,27 +27,49 @@ over the remaining cells must meet.  All prunes reject only provably dead
 branches, so a completed search is exhaustive.
 
 The connectivity prune reads the node's reach set: the free cells joined
-to the head's free neighbors.  A flood fill finds it, stamping each cell
-with the fill's generation, and notes whether it is one component of the
-free cells.  The fill is skipped when the parent's reach set was one
-component and the new head is simple: its free neighbors are joined to
-each other by free cells other than the head, each neighboring two of
-them.  Removing a simple cell from a connected set leaves it connected, so
-the node's reach set is exactly the parent's less the head, and it is one
-component again.  Then:
+to the head's free neighbors, found by a flood fill that stamps each cell
+with a generation.  The pending cells are the required cells not yet on
+the path, the cells from ``extra_required`` and a pinned path's goal.
 
-- under exact cover the reach count is the parent's less one, and the
-  parent's count equalled its free cells, so this node's does too;
-- every required cell still free was reached at the parent and is not
-  the head, so it is still reached; cells from ``extra_required`` and the
-  cells that keep the end in reach are tested against the set;
+When the head cuts the free cells into components, the path leaves the
+head into one of them and, the head being on the path, can never come back
+to another.  So:
+
+- under exact cover the node is dead unless the free cells are one
+  component: the fill stops after its first component, which must hold
+  every free cell;
+- otherwise, when cells are pending, the one component the path enters
+  must hold all of them.  The fill starts from the first pending cell; the
+  node is dead unless that component holds every pending cell and a free
+  neighbor of the head.  The node takes the component over: it becomes its
+  reach set, and the node steps only into it;
+- a loop with nothing pending fills every component joined to the head,
+  each with a generation of its own, and keeps them all.
+
+A loop's last cell neighbors its start, so some free neighbor of the start
+must be in the reach set.
+
+The fill is skipped when the parent's reach set was one component and the
+new head is simple: its free neighbors are joined to each other by free
+cells other than the head, each neighboring two of them.  Removing a
+simple cell from a connected set leaves it connected, so the node's reach
+set is exactly the parent's less the head, and it is one component again.
+Then:
+
+- under exact cover the parent's set held every free cell, so this node's
+  set still does;
+- every pending cell still free, other than a new one from
+  ``extra_required``, was in the parent's set and is not the head, so it is
+  still in; cells from ``extra_required`` and the start's neighbors are
+  tested against the set;
 - the set is tested without a fill: a cell is in it iff it is free and
-  stamped at the generation of the last fill on the path from the root
-  to this node, or later.  Every fill in a node's subtree runs inside
-  that node's reach set, and generations only grow, so no cell outside
-  the set carries such a stamp.
+  stamped at the first generation of the last fill on the path from the
+  root to this node, or later.  A fill stamps only the reach set it finds.
+  Every later fill runs in the subtree of the node that filled, inside its
+  reach set, and generations only grow, so no cell outside the set
+  carries such a stamp.
 
-The prune's verdict is the fill's at every node, so node counts and the
+The prunes' verdicts are the fill's at every node, so node counts and the
 order of the paths found do not depend on the skip.
 
 Budgets are counted in search nodes (one per path extension considered);
@@ -78,7 +100,8 @@ class LoopConstraint:
         pass
 
     def extra_required(self) -> set[Cell]:
-        """Cells that have become mandatory given the current prefix."""
+        """Cells that have become mandatory given the current prefix: every
+        path the constraint accepts that extends the prefix visits them."""
         return set()
 
     def close_ok(self, cells: tuple[Cell, ...]) -> bool:
@@ -157,10 +180,10 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     stamp = [0] * n
     gen = 0
 
-    # per path depth, the reach set of the node there: the generation that
-    # stamped it, its size, and whether it is one component of the free cells
+    # per path depth, the reach set of the node there: the free cells
+    # stamped at generation base or later, and whether it is one component
+    # of the free cells
     base = [0] * n
-    reach = [0] * n
     whole = bytearray(n)
     links: list = [None] * n  # per cell, lazily: (a, b, x) with x joining neighbors a, b
 
@@ -187,7 +210,25 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                     grew = True
         return len(joined) == len(free)
 
-    def viable(head: int) -> bool:
+    def flood(s: int, g: int) -> int:
+        """Stamp generation ``g`` on the free cells joined to the free cell
+        ``s``, and count them."""
+        stamp[s] = g
+        count = 1
+        stack = [s]
+        while stack:
+            c = stack.pop()
+            for w in nbrs[c]:
+                if not on[w] and stamp[w] != g:
+                    stamp[w] = g
+                    count += 1
+                    stack.append(w)
+        return count
+
+    def extensions(head: int):
+        """The head's neighbors the node may step to: none once a prune
+        shows the node dead, and after a fill with cells pending only
+        those in the component that holds them."""
         nonlocal gen
         free_total = free_color[0] + free_color[1]
         if exact and free_total:
@@ -196,73 +237,70 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             # step free_total + 1 for a loop and free_total for a path
             sc = 1 - color[head]
             if free_color[sc] != (free_total + 1) // 2:
-                return False
+                return ()
             steps = free_total + on[end]
             if (sc if steps & 1 else 1 - sc) != color[end]:
-                return False
-        extra = None if exact else constraint.extra_required()
+                return ()
+        extra = () if exact else constraint.extra_required()
+        if extra:
+            extra = [index.get(c) for c in extra]
+            if None in extra:
+                return ()
+        steps_to = nbrs[head]
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh flood fill
         d = len(path_idx) - 1
-        inherited = d > 0 and whole[d - 1] and simple(head)
-        if inherited:
+        if d > 0 and whole[d - 1] and simple(head):
             b = base[d] = base[d - 1]
-            reached = reach[d] = reach[d - 1] - 1
             whole[d] = 1
-        else:
-            gen += 1
-            b = base[d] = gen
-            reached = 0
-            parts = 0
-            for s in nbrs[head]:
-                if on[s] or stamp[s] == b:
-                    continue
-                parts += 1
-                stamp[s] = b
-                reached += 1
-                stack = [s]
-                while stack:
-                    c = stack.pop()
-                    for w in nbrs[c]:
-                        if not on[w] and stamp[w] != b:
-                            stamp[w] = b
-                            reached += 1
-                            stack.append(w)
-            reach[d] = reached
-            whole[d] = parts < 2
-        # a free cell is reached iff stamped at generation b or later
-        if exact:
-            if reached != free_total:
-                return False
-        else:
-            if not inherited:
-                for i in req_idx:
-                    if not on[i] and stamp[i] < b:
-                        return False
-            for c in extra:
-                i = index.get(c)
-                if i is None:
-                    return False
+            # required cells and a path's goal were reached at the parent
+            # and are not the head, so only cells from extra_required are
+            # tested
+            for i in extra:
                 if not on[i] and stamp[i] < b:
-                    return False
-        # the path must still be able to reach its end: a loop's final cell
-        # neighbors the start, a pinned path's final cell is the goal
-        if on[end]:
-            if not adj_end[head]:
-                for w in nbrs[end]:
-                    if not on[w] and stamp[w] >= b:
-                        break
-                else:
-                    return False
-        elif stamp[end] < b:
-            return False
+                    return ()
+        else:
+            pend = () if exact else [i for i in (*req_idx, *extra, end) if not on[i]]
+            if pend:
+                # the path can enter one component only, and must reach
+                # every pending cell: take over the first one's component
+                gen += 1
+                b = gen
+                flood(pend[0], b)
+                for i in pend:
+                    if stamp[i] != b:
+                        return ()
+                steps_to = tuple(w for w in steps_to if stamp[w] == b)
+            else:
+                # the components joined to the head's free neighbors, each
+                # with a generation of its own; under exact cover the first
+                # must hold every free cell
+                b = gen + 1
+                reached = 0
+                for s in nbrs[head]:
+                    if not on[s] and stamp[s] < b:
+                        gen += 1
+                        reached += flood(s, gen)
+                        if exact:
+                            break
+                if exact and reached != free_total:
+                    return ()
+            base[d] = b
+            whole[d] = 1 if exact or pend or gen == b else 0
+        # a loop's last cell neighbors its start, so one must be in the set
+        if loop:
+            for w in nbrs[end]:
+                if not on[w] and stamp[w] >= b:
+                    break
+            else:
+                return ()
         # every pending cell except the end still needs two usable path
         # neighbors; under exact cover only the previous cell's neighbors
         # can have lost one since the last node
         if exact:
             check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
         else:
-            check = req_idx + [index[c] for c in extra] if extra else req_idx
+            check = req_idx + extra if extra else req_idx
         for w in check:
             if on[w] or w == end:
                 continue
@@ -271,8 +309,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 if not on[x] or x == head or x == end:
                     avail += 1
             if avail < 2:
-                return False
-        return True
+                return ()
+        return steps_to
 
     if not constraint.push(path_cells, cells[start]):
         return
@@ -293,8 +331,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             path = tuple(path_cells)
             if (constraint.close_ok if loop else constraint.finish_ok)(path):
                 yield path
-        grows = (loop or head != end) and viable(head)
-        frames.append(iter(nbrs[head] if grows else ()))
+        frames.append(iter(extensions(head) if loop or head != end else ()))
         # descend into the next extension the constraint admits, retracting
         # every cell whose extensions are used up
         while frames:

@@ -3,8 +3,9 @@
 These deliberately avoid the package's search machinery: cycles are found
 by blunt enumeration so the clever implementations have something honest
 to be compared against.  The exceptions keep an earlier form of the
-engine: ``anchored_search_loops`` roots loops the old way, and
-``full_fill_walk`` flood-fills the free cells at every node.  The All or
+engine: ``anchored_search_loops`` roots loops the old way,
+``full_fill_walk`` flood-fills the free cells at every node, and
+``unsplit_walk`` keeps every node whose head cuts the free cells.  The All or
 Nothing gadget is transcribed a second time, as wall polylines, and
 ``regions_from_boundaries`` fills a board between walls: the wall model
 the region labels must reproduce.  Each puzzle's own gadget placement,
@@ -325,11 +326,12 @@ def check_against_anchored(module, solve, inst):
     return new, old
 
 
-def full_fill_walk(grid, start, end, required, constraint, nodes):
-    """``loopsearch._walk`` with one flood fill of the free cells at every
-    node and no reach set taken over from the parent.  Same arguments; the
-    engine's walk must give the same paths in the same order and the same
-    node counts."""
+def unsplit_walk(grid, start, end, required, constraint, nodes):
+    """``loopsearch._walk`` as it was before it acted on split fills: a node
+    whose head cuts the free cells survives unless a required cell or the
+    end is out of reach, and a fill stamps all its components with one
+    generation.  Same arguments; the engine's walk must give the same paths
+    in the same order, never with more nodes."""
     cells, index, nbrs = grid.cells, grid.index, grid.nbrs
     n = len(cells)
     loop = start == end
@@ -345,10 +347,40 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     on = bytearray(n)
     free_color = [color.count(0), color.count(1)]
     pending = len(req_idx)
-    path_idx: list[int] = []
+    path_idx = []
     path_cells = []
     stamp = [0] * n
     gen = 0
+
+    # per path depth, the reach set of the node there: the generation that
+    # stamped it, its size, and whether it is one component of the free cells
+    base = [0] * n
+    reach = [0] * n
+    whole = bytearray(n)
+    links: list = [None] * n  # per cell, lazily: (a, b, x) with x joining neighbors a, b
+
+    def simple(head: int) -> bool:
+        """Whether the head's free neighbors are joined to each other by
+        free cells other than the head, each neighboring two of them."""
+        free = [a for a in nbrs[head] if not on[a]]
+        if len(free) < 2:
+            return True
+        lk = links[head]
+        if lk is None:
+            hn = nbrs[head]
+            lk = links[head] = tuple(
+                (a, b, x) for i, a in enumerate(hn) for b in hn[i + 1:]
+                for x in nbrs[a] if x != head and x in nbrs[b])
+        joined = {free[0]}
+        grew = True
+        while grew:
+            grew = False
+            for a, b, x in lk:
+                if (a in joined) != (b in joined) and not (on[a] or on[b] or on[x]):
+                    joined.add(a)
+                    joined.add(b)
+                    grew = True
+        return len(joined) == len(free)
 
     def viable(head: int) -> bool:
         nonlocal gen
@@ -364,46 +396,60 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return False
         extra = None if exact else constraint.extra_required()
-        # connectivity of the remaining cells from the head
-        gen += 1
-        g = gen
-        stack = []
-        reached = 0
-        for w in nbrs[head]:
-            if not on[w] and stamp[w] != g:
-                stamp[w] = g
+        # the free cells connected to the head: the parent's set less the
+        # head when the head cannot cut it, else a fresh flood fill
+        d = len(path_idx) - 1
+        inherited = d > 0 and whole[d - 1] and simple(head)
+        if inherited:
+            b = base[d] = base[d - 1]
+            reached = reach[d] = reach[d - 1] - 1
+            whole[d] = 1
+        else:
+            gen += 1
+            b = base[d] = gen
+            reached = 0
+            parts = 0
+            for s in nbrs[head]:
+                if on[s] or stamp[s] == b:
+                    continue
+                parts += 1
+                stamp[s] = b
                 reached += 1
-                stack.append(w)
-        while stack:
-            c = stack.pop()
-            for w in nbrs[c]:
-                if not on[w] and stamp[w] != g:
-                    stamp[w] = g
-                    reached += 1
-                    stack.append(w)
+                stack = [s]
+                while stack:
+                    c = stack.pop()
+                    for w in nbrs[c]:
+                        if not on[w] and stamp[w] != b:
+                            stamp[w] = b
+                            reached += 1
+                            stack.append(w)
+            reach[d] = reached
+            whole[d] = parts < 2
+        # a free cell is reached iff stamped at generation b or later
         if exact:
             if reached != free_total:
                 return False
         else:
-            for i in req_idx:
-                if not on[i] and stamp[i] != g:
-                    return False
+            if not inherited:
+                for i in req_idx:
+                    if not on[i] and stamp[i] < b:
+                        return False
             for c in extra:
                 i = index.get(c)
                 if i is None:
                     return False
-                if not on[i] and stamp[i] != g:
+                if not on[i] and stamp[i] < b:
                     return False
         # the path must still be able to reach its end: a loop's final cell
         # neighbors the start, a pinned path's final cell is the goal
         if on[end]:
             if not adj_end[head]:
                 for w in nbrs[end]:
-                    if stamp[w] == g:
+                    if not on[w] and stamp[w] >= b:
                         break
                 else:
                     return False
-        elif stamp[end] != g:
+        elif stamp[end] < b:
             return False
         # every pending cell except the end still needs two usable path
         # neighbors; under exact cover only the previous cell's neighbors
@@ -444,6 +490,136 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 yield path
         grows = (loop or head != end) and viable(head)
         frames.append(iter(nbrs[head] if grows else ()))
+        # descend into the next extension the constraint admits, retracting
+        # every cell whose extensions are used up
+        while frames:
+            for head in frames[-1]:
+                if not on[head] and constraint.push(path_cells, cells[head]):
+                    break
+            else:
+                frames.pop()
+                c = path_idx.pop()
+                path_cells.pop()
+                on[c] = 0
+                free_color[color[c]] += 1
+                pending += req[c]
+                constraint.pop()
+                continue
+            break
+        else:
+            return
+
+
+def full_fill_walk(grid, start, end, required, constraint, nodes):
+    """``loopsearch._walk`` with one flood fill of the free cells at every
+    node and no reach set taken over from the parent.  It acts on a split
+    fill as the engine does: under exact cover the node is dead; otherwise
+    it is dead unless one component holds every pending cell (and a path's
+    goal) and, for a loop, a neighbor of the start, and it then steps only
+    into that component.  Same arguments; the engine's walk must give the
+    same paths in the same order and the same node counts."""
+    cells, index, nbrs = grid.cells, grid.index, grid.nbrs
+    n = len(cells)
+    loop = start == end
+    color = [(c[0] + c[1]) & 1 for c in cells]
+    req = bytearray(n)
+    for i in required:
+        req[i] = 1
+    exact = all(req)
+    req_idx = [i for i in range(n) if req[i]]
+    adj_end = bytearray(n)
+    for i in nbrs[end]:
+        adj_end[i] = 1
+    on = bytearray(n)
+    free_color = [color.count(0), color.count(1)]
+    pending = len(req_idx)
+    path_idx = []
+    path_cells = []
+
+    def extensions(head):
+        free_total = free_color[0] + free_color[1]
+        if exact and free_total:
+            # the free cells are entered in alternating colors, starting
+            # opposite the head; the walk's last step, onto the end, is
+            # step free_total + 1 for a loop and free_total for a path
+            sc = 1 - color[head]
+            if free_color[sc] != (free_total + 1) // 2:
+                return ()
+            steps = free_total + on[end]
+            if (sc if steps & 1 else 1 - sc) != color[end]:
+                return ()
+        extra = [] if exact else [index.get(c) for c in constraint.extra_required()]
+        if None in extra:
+            return ()
+        # the components of the free cells joined to the head's free
+        # neighbors, numbered in the order of those neighbors
+        comp_of = [None] * n
+        parts = 0
+        for s in nbrs[head]:
+            if on[s] or comp_of[s] is not None:
+                continue
+            comp_of[s] = parts
+            stack = [s]
+            while stack:
+                c = stack.pop()
+                for w in nbrs[c]:
+                    if not on[w] and comp_of[w] is None:
+                        comp_of[w] = parts
+                        stack.append(w)
+            parts += 1
+        # every pending cell (every free cell under exact cover) and a
+        # path's goal lie in one component
+        pend = {comp_of[i] for i in req_idx + extra + [end] if not on[i]}
+        if None in pend or len(pend) > 1:
+            return ()
+        # a loop's last cell neighbors its start, so one must be in reach:
+        # in that component when there is one
+        if loop:
+            closing = {comp_of[w] for w in nbrs[end] if not on[w]} - {None}
+            if not closing or not pend <= closing:
+                return ()
+        steps_to = nbrs[head]
+        if parts > 1 and pend:
+            (k,) = pend
+            steps_to = [w for w in steps_to if comp_of[w] == k]
+        # every pending cell except the end still needs two usable path
+        # neighbors; under exact cover only the previous cell's neighbors
+        # can have lost one since the last node
+        if exact:
+            check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
+        else:
+            check = req_idx + extra
+        for w in check:
+            if on[w] or w == end:
+                continue
+            avail = 0
+            for x in nbrs[w]:
+                if not on[x] or x == head or x == end:
+                    avail += 1
+            if avail < 2:
+                return ()
+        return steps_to
+
+    if not constraint.push(path_cells, cells[start]):
+        return
+    frames = []  # per path cell: its untried neighbors
+    head = start
+    while True:
+        on[head] = 1
+        free_color[color[head]] -= 1
+        pending -= req[head]
+        path_idx.append(head)
+        path_cells.append(cells[head])
+        nodes.tick()
+        if loop:
+            closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
+        else:
+            closes = head == end
+        if closes and pending == 0 and (exact or not constraint.extra_required()):
+            path = tuple(path_cells)
+            if (constraint.close_ok if loop else constraint.finish_ok)(path):
+                yield path
+        frames.append(iter(extensions(head) if loop or head != end else ()))
         # descend into the next extension the constraint admits, retracting
         # every cell whose extensions are used up
         while frames:
@@ -507,6 +683,25 @@ def check_against_full_fill(fn, *args, budget=2_000):
     assert trace == _run_traced(full_fill_walk, fn, args, None)
     stopped = _run_traced(loopsearch._walk, fn, args, budget)
     assert stopped == _run_traced(full_fill_walk, fn, args, budget)
+    return trace
+
+
+def check_against_unsplit(fn, *args, budget=2_000):
+    """Run ``fn(*args)`` (an iterator result is drained) with the engine's
+    walk as it stands and again with ``unsplit_walk`` in its place: every
+    walk must yield the same paths in the same order and end the same way,
+    each event at no more nodes than the unsplit walk spent on it.  Then
+    both again with no search allowed more than ``budget`` nodes: the
+    engine's walk visits a subsequence of the unsplit walk's nodes, so it
+    must yield at least the paths the unsplit walk yields, in their order.
+    Returns the trace of the first run."""
+    trace = _run_traced(loopsearch._walk, fn, args, None)
+    old = _run_traced(unsplit_walk, fn, args, None)
+    assert [e[:-1] for e in trace] == [e[:-1] for e in old]
+    assert all(e[-1] <= o[-1] for e, o in zip(trace, old))
+    stopped = _run_traced(loopsearch._walk, fn, args, budget)
+    old_paths = [e[1] for e in _run_traced(unsplit_walk, fn, args, budget) if e[0] == "path"]
+    assert [e[1] for e in stopped if e[0] == "path"][:len(old_paths)] == old_paths
     return trace
 
 

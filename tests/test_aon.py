@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from unittest import mock
@@ -43,6 +44,7 @@ from oracles import (
     boundary_edges,
     check_against_anchored,
     check_against_full_fill,
+    check_against_unsplit,
     compiled_walls,
     gadget_walls,
     region_count,
@@ -324,6 +326,16 @@ class TestCompile:
         with pytest.raises(CompileError):
             compile_aon(other, plan_for(g))
 
+    def test_fragmented_big_region_rejected(self, monkeypatch):
+        # a big cell in the top right corner, walled off by filler
+        rows = GADGET_ROWS.splitlines()
+        rows[0] = rows[0][:-1] + "B"
+        split = dataclasses.replace(GADGET, rows="\n".join(rows) + "\n")
+        monkeypatch.setattr(aon, "GADGET", split)
+        g = full_grid(2, 2)
+        with pytest.raises(CompileError, match=r"big region of metacell \(0, 0\) is fragmented"):
+            compile_aon(g, plan_for(g))
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_no_two_dead_regions_adjacent(self, dims):
         for g in enumerate_candidate_subgraphs(*dims):
@@ -603,14 +615,16 @@ class TestFullFill:
         ends = []
         for cols, rows in ((2, 2), (2, 3), (3, 2)):
             for g in enumerate_candidate_subgraphs(cols, rows):
-                trace = check_against_full_fill(solve_aon, compile_aon(g, plan_for(g)),
-                                                "first", 8_000, budget=500)
+                inst = compile_aon(g, plan_for(g))
+                trace = check_against_full_fill(solve_aon, inst, "first", 8_000, budget=500)
+                check_against_unsplit(solve_aon, inst, "first", 8_000, budget=500)
                 ends.append(trace[-1][0])
         assert ends == ["path", "raised", "path", "raised", "raised"]
 
     def test_random_wall_boards(self):
         for inst in random_wall_boards():
             check_against_full_fill(solve_aon, inst, "all")
+            check_against_unsplit(solve_aon, inst, "all")
 
 
 # four regions that all touch each other (P, Q, R, S) beside two more (T, L):

@@ -16,6 +16,7 @@ from loopforge.model import HamCycle, degree_profile, full_grid
 from oracles import (
     candidate_subgraphs_by_subset,
     check_against_full_fill,
+    check_against_unsplit,
     ham_cycles_by_permutation,
 )
 from test_scaling import concentric_rings, serpentine
@@ -124,13 +125,16 @@ class TestFullFill:
     def test_candidates(self, dims):
         for g in enumerate_candidate_subgraphs(*dims):
             check_against_full_fill(hamiltonian_cycles, g)
+            check_against_unsplit(hamiltonian_cycles, g)
 
     def test_concentric_rings(self):
         trace = check_against_full_fill(hamiltonian_cycles, concentric_rings(8))
-        assert trace == [("end", 11)]
+        check_against_unsplit(hamiltonian_cycles, concentric_rings(8))
+        assert trace == [("end", 9)]
 
     def test_serpentine(self):
         g, cycle = serpentine(8)
         trace = check_against_full_fill(hamiltonian_cycles, g)
+        check_against_unsplit(hamiltonian_cycles, g)
         assert [event[0] for event in trace] == ["path", "end"]
         assert HamCycle(trace[0][1]) == cycle.canonical()

@@ -1,9 +1,17 @@
-import pytest
+import random
+from functools import lru_cache
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from loopforge.framework import plan_for
+from loopforge.hamilton import random_candidate_subgraph
 from loopforge.loopsearch import LoopConstraint, search_loops, search_paths
 from loopforge.model import orthogonal_neighbors
+from loopforge.reduction import certify_gadget, puzzle_of
 
-from oracles import all_loops_on_board, check_against_full_fill
+from oracles import all_loops_on_board, check_against_full_fill, check_against_unsplit
 
 BOARD = [(x, y) for x in range(3) for y in range(3)]
 
@@ -62,13 +70,18 @@ RING = board("####",
              "####")
 
 
+@lru_cache(maxsize=None)
+def board_loops(width, height):
+    return tuple(l.canonical().cells for l in all_loops_on_board(width, height))
+
+
 def brute_loops(cells, required):
     """Canonical loops over ``cells`` through every ``required`` cell, from
     the unpruned enumeration of the bounding board."""
     width = 1 + max(x for x, _ in cells)
     height = 1 + max(y for _, y in cells)
-    return sorted(l.canonical().cells for l in all_loops_on_board(width, height)
-                  if set(l.cells) <= set(cells) and set(required) <= set(l.cells))
+    return sorted(l for l in board_loops(width, height)
+                  if set(l) <= set(cells) and set(required) <= set(l))
 
 
 def brute_paths(cells, start, goal, required):
@@ -103,6 +116,7 @@ def brute_paths(cells, start, goal, required):
 ])
 def test_loops_where_the_head_cuts_the_free_cells(cells, required, count):
     trace = check_against_full_fill(search_loops, cells, required, LoopConstraint, budget=20)
+    check_against_unsplit(search_loops, cells, required, LoopConstraint, budget=20)
     assert sum(1 for event in trace if event[0] == "path") == count
     found = search_loops(cells, required, LoopConstraint)
     assert found.exhausted
@@ -118,6 +132,147 @@ def test_pinned_goal_behind_a_corridor(start, goal, required, count):
     cells = BRIDGE if goal == (6, 1) else CORRIDOR
     check_against_full_fill(search_paths, cells, start, goal, required, LoopConstraint,
                             budget=20)
+    check_against_unsplit(search_paths, cells, start, goal, required, LoopConstraint,
+                          budget=20)
     res = search_paths(cells, start, goal, required, LoopConstraint)
     assert res.exhausted and len(res.loops) == count
     assert sorted(res.loops) == brute_paths(cells, start, goal, required)
+
+
+@st.composite
+def cut_boards(draw):
+    """Cells of a board up to 4x4, often cut by one cell into pieces, and
+    required cells: every cell (exact cover) or a few of them."""
+    width, height = draw(st.sampled_from([(4, 4), (4, 3), (3, 4), (3, 3), (4, 2), (2, 4)]))
+    full = [(x, y) for x in range(width) for y in range(height)]
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(full), max_size=len(full)))
+    cells = [c for c, k in zip(full, keep) if k < 3]
+    if len(cells) < 2:
+        cells = full
+    required = draw(st.one_of(st.just(cells),
+                              st.lists(st.sampled_from(cells), max_size=3, unique=True)))
+    return cells, required
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_boards())
+def test_search_loops_matches_brute_force(board):
+    cells, required = board
+    res = search_loops(cells, required, LoopConstraint)
+    assert res.exhausted
+    assert sorted(l.cells for l in res.loops) == brute_loops(cells, required)
+    check_against_full_fill(search_loops, cells, required, LoopConstraint, budget=20)
+    check_against_unsplit(search_loops, cells, required, LoopConstraint, budget=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_boards(), st.data())
+def test_search_paths_matches_brute_force(board, data):
+    cells, required = board
+    start = data.draw(st.sampled_from(cells))
+    goal = data.draw(st.sampled_from([c for c in cells if c != start]))
+    res = search_paths(cells, start, goal, required, LoopConstraint)
+    assert res.exhausted
+    assert sorted(res.loops) == brute_paths(cells, start, goal, required)
+    args = cells, start, goal, required, LoopConstraint
+    check_against_full_fill(search_paths, *args, budget=20)
+    check_against_unsplit(search_paths, *args, budget=20)
+
+
+class LateRequired(LoopConstraint):
+    """Requires ``cell`` of every path that grows to ``depth`` cells, and
+    names it in ``extra_required`` only from that depth on."""
+
+    def __init__(self, cell, depth):
+        self.cell, self.depth = cell, depth
+        self.path = []
+
+    def push(self, path, cell):
+        self.path.append(cell)
+        return True
+
+    def pop(self):
+        self.path.pop()
+
+    def extra_required(self):
+        late = len(self.path) >= self.depth and self.cell not in self.path
+        return {self.cell} if late else set()
+
+    def close_ok(self, cells):
+        return len(cells) < self.depth or self.cell in cells
+
+    finish_ok = close_ok
+
+
+@st.composite
+def late_cases(draw):
+    """A board of ``cut_boards`` with at most two required cells, a cell
+    required late and the path length from which it is, and a start and
+    goal for paths."""
+    cells, _ = draw(cut_boards())
+    required = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
+    late = draw(st.sampled_from(cells))
+    depth = draw(st.integers(2, len(cells)))
+    ends = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    return cells, required, late, depth, ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(late_cases())
+@example((board("####", ".###", "####", "####"), [], (1, 0), 7, [(0, 0), (3, 3)]))
+@example((board("####", "####", ".###"), [(2, 2), (3, 1)], (1, 0), 6, [(0, 1), (1, 2)]))
+def test_cells_required_late_match_brute_force(case):
+    # a cell named mandatory mid-walk is tested against a reach set the
+    # walk took over or inherited, not one filled for it; exact cover
+    # never asks for such cells.  On the two boards given, a walk that
+    # skips that test, or that counts in the components filled before the
+    # one taken over, spends extra nodes
+    cells, required, late, depth, (start, goal) = case
+    rules = lambda: LateRequired(late, depth)
+    res = search_loops(cells, required, rules)
+    assert res.exhausted
+    assert sorted(l.cells for l in res.loops) == [
+        l for l in brute_loops(cells, required) if len(l) < depth or late in l]
+    res = search_paths(cells, start, goal, required, rules)
+    assert res.exhausted
+    assert sorted(res.loops) == [
+        p for p in brute_paths(cells, start, goal, required) if len(p) < depth or late in p]
+    for fn, args in ((search_loops, (cells, required, rules)),
+                     (search_paths, (cells, start, goal, required, rules))):
+        check_against_full_fill(fn, *args, budget=20)
+        check_against_unsplit(fn, *args, budget=20)
+
+
+def seed7_first(puzzle, cols, rows):
+    p = puzzle_of(puzzle)
+    g = random_candidate_subgraph(cols, rows, random.Random(7))
+    return p.solve(p.compile(g, plan_for(g)), mode="first")
+
+
+# Search nodes on the boards the README and ROADMAP measure, with what each
+# search finds: loops for a seed-7 board solved to a first loop (0 is a
+# refutation), traversals per exit pair for a gadget certificate.  A change
+# to any prune moves the node counts here.
+BASELINE_BOARDS = {
+    "ww 3x3 seed 7": lambda request: seed7_first("ww", 3, 3),
+    "ww 4x4 seed 7": lambda request: seed7_first("ww", 4, 4),
+    "aon 2x4 seed 7": lambda request: seed7_first("aon", 2, 4),
+    "aon certificate": lambda request: request.getfixturevalue("aon_certificate"),
+    "ww certificate": lambda request: certify_gadget("ww"),
+}
+
+
+@pytest.mark.parametrize("board, nodes, found", [
+    ("ww 3x3 seed 7", 28_167, 0),
+    ("ww 4x4 seed 7", 64_629, 1),
+    ("aon 2x4 seed 7", 9_902, 1),
+    ("aon certificate", 276_467, [593, 694, 853]),
+    ("ww certificate", 408, [2, 2, 3]),
+])
+def test_baseline_node_counts_pinned(board, nodes, found, request):
+    res = BASELINE_BOARDS[board](request)
+    if isinstance(found, int):
+        assert len(res.loops) == found and res.exhausted == (found == 0)
+    else:
+        assert sorted(res.pair_counts.values()) == found
+    assert res.nodes == nodes

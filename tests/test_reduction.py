@@ -26,7 +26,7 @@ from loopforge.reduction import (
     roundtrip_experiment,
 )
 
-from oracles import check_against_full_fill
+from oracles import check_against_full_fill, check_against_unsplit
 
 # exhaustively measured traversal counts of the 11x11 gadget, pinned as
 # regression values after the first complete enumeration
@@ -45,16 +45,16 @@ WW_PAIR_COUNTS = {
 # sha256 of emit_certificate(certify_gadget(puzzle, turns=t)) for t = 0..3:
 # the certificates are pinned byte for byte, counts, findings and nodes
 WW_CERT_SHA256 = (
-    "317e49f3db13d9b197f0a116a7077925dd8587a076e8119f99c5590b72e7d006",
-    "4bd2c30869cc676bb5741e8fd920ff6d3bdbebf5be5abe91172bda5c278fecb4",
-    "d34b80a64d92e0d33282a8a2afa551aad1cc1bc304a21cc1a9f68be84c73de70",
-    "e585348263ab12fb02bca10ccc4c147d32d775b536742603c415999845c2d99b",
+    "cb1ac7148572cc9ea1db72b087238f8730f0d9cf94604df1f900ce6327fd3daf",
+    "3acc48acf577cd4205571c594cb5c4bdb454d43e94f457091c1bdc4958f9ff17",
+    "84cfeac8219a63059ea0c1dfe20f8fa73a154ca60c3fd2b607a43a8573d57820",
+    "c02b2f2281d60f1cf3e50169a1e03b1ab51bdd46a5033d1d5ce1cf8f8ef9ecdb",
 )
 AON_CERT_SHA256 = (
-    "e21242b720a84efb69d42cc14556aaa9fb58b2a6da7e65538d877badf2568adb",
-    "72cf8ac55d43481652bf54a20ed3fab111bcdc0987b74c852a075e7d689c0f42",
-    "10108c97384e6c47eb9082aa5c03f76563e3fab261f71d74fc943264a45d8e44",
-    "aaa63ba46238ff081436b0e6dc6897b8e2e6d272bda1fd26209fc894408a4c6d",
+    "c273e7950e5af3fe609671c0ccafed321a98d41756c2923ddf1d256b44cdae3e",
+    "a0bd2c92f72f1b94a39c5766f88f55d3724fb380a03bf502fa1b6063ba246b7a",
+    "f089436383891053a6099205268429d8b04edd4c9e382fd2d961ecb1db789c9d",
+    "dcb323b4aa8b14b272ed3ce79dca7f3d7df2af3b8079d856e31934c926567787",
 )
 
 
@@ -275,7 +275,6 @@ class TestCertificates:
         assert "rim-markers-leaves 6" in cert.findings
         assert "one-cell-enclosed-by 1" in cert.findings
         assert "locally-unique no" in cert.findings
-        assert cert.nodes == 390845
 
     def test_equality_sees_counts_not_wall_time(self):
         a, b = certify_gadget("ww"), certify_gadget("ww")
@@ -300,7 +299,7 @@ class TestCertificates:
                        for k, v in base.pair_counts.items()}
         assert rotated.pair_counts == base_counts
         assert rotated.findings == base.findings
-        assert rotated.nodes == base.nodes == 435
+        assert rotated.nodes == base.nodes
 
     @pytest.mark.parametrize("turns", [1, 2, 3])
     def test_aon_counts_invariant_under_rotation(self, turns, aon_certificate):
@@ -309,7 +308,7 @@ class TestCertificates:
                        for k, v in aon_certificate.pair_counts.items()}
         assert rotated.pair_counts == base_counts
         assert rotated.findings == aon_certificate.findings
-        assert rotated.nodes == aon_certificate.nodes == 390845
+        assert rotated.nodes == aon_certificate.nodes
         assert emit_digest(rotated) == AON_CERT_SHA256[turns]
 
     @pytest.mark.parametrize("turns", [0, 1, 2, 3])
@@ -323,6 +322,7 @@ class TestCertificates:
     def test_ww_walks_match_full_fill(self, turns):
         # one pinned-path walk per exit pair and per blocked-side probe
         trace = check_against_full_fill(certify_gadget, "ww", None, turns, budget=50)
+        check_against_unsplit(certify_gadget, "ww", None, turns, budget=50)
         assert sum(1 for event in trace if event[0] == "path") == 7
 
     def test_harness_and_audit_are_looked_up_at_call_time(self, monkeypatch):

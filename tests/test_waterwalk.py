@@ -24,11 +24,14 @@ from loopforge.waterwalk import (
     verify_ww,
 )
 
+import oracles
 from oracles import (
     all_loops_on_board,
     anchored_search_loops,
     check_against_anchored,
     check_against_full_fill,
+    check_against_unsplit,
+    unsplit_walk,
     ww_path_valid,
 )
 
@@ -352,19 +355,21 @@ class TestSolve:
         # a regression in any prune of the search engine moves this count
         g = random_candidate_subgraph(2, 3, random.Random(7))
         res = solve_ww(compile_ww(g, plan_for(g)), mode="first")
-        assert res.nodes == 56 and len(res.loops) == 1
+        assert res.nodes == 52 and len(res.loops) == 1
 
     def test_seed7_2x3_all_solutions_node_count_pinned(self):
         g = random_candidate_subgraph(2, 3, random.Random(7))
         res = solve_ww(compile_ww(g, plan_for(g)), mode="all")
-        assert res.nodes == 9778 and len(res.loops) == 144 and res.exhausted
+        assert res.nodes == 7684 and len(res.loops) == 144 and res.exhausted
 
     def test_seed7_2x3_anchored_oracle_keeps_the_old_counts(self):
-        # rooting at the smallest clue cell is what moved the two pins
-        # above; the per-anchor walks still spend what they used to
+        # rooting at the smallest clue cell, and then acting on split
+        # fills, moved the two pins above; the per-anchor walks over the
+        # walk from before the split prune still spend what they used to
         g = random_candidate_subgraph(2, 3, random.Random(7))
         inst = compile_ww(g, plan_for(g))
-        with mock.patch.object(waterwalk, "search_loops", anchored_search_loops):
+        with mock.patch.object(waterwalk, "search_loops", anchored_search_loops), \
+                mock.patch.object(oracles, "_walk", unsplit_walk):
             first = solve_ww(inst, mode="first")
             every = solve_ww(inst, mode="all")
         assert first.nodes == 3966 and len(first.loops) == 1
@@ -424,14 +429,19 @@ class TestFullFill:
     def test_every_small_compile(self):
         for cols, rows in ((2, 2), (2, 3), (3, 2)):
             for g in enumerate_candidate_subgraphs(cols, rows):
-                trace = check_against_full_fill(solve_ww, compile_ww(g, plan_for(g)), "all")
+                inst = compile_ww(g, plan_for(g))
+                trace = check_against_full_fill(solve_ww, inst, "all")
+                check_against_unsplit(solve_ww, inst, "all")
                 assert trace[-1][0] == "end"
 
     def test_random_boards(self):
         for inst in random_boards():
             check_against_full_fill(solve_ww, inst, "all")
+            check_against_unsplit(solve_ww, inst, "all")
 
     def test_seed7_3x4_refutation_prefix(self):
         g = random_candidate_subgraph(3, 4, random.Random(7))
-        trace = check_against_full_fill(solve_ww, compile_ww(g, plan_for(g)), "first", 20_000)
+        inst = compile_ww(g, plan_for(g))
+        trace = check_against_full_fill(solve_ww, inst, "first", 20_000)
+        check_against_unsplit(solve_ww, inst, "first", 20_000)
         assert trace == [("budget", 20_001), ("raised", 20_001)]
