@@ -171,15 +171,15 @@ def gadget_audit(turns: int, exits, paths):
     """
     inst, big_id = _harness_board(turns)
     region_of = inst.regions.region_of
+    rules = AonLoopRules(inst, pre_crossings={big_id: 2})
     escapes = 0
     for b in sorted(inst.regions.regions[big_id]):
+        rules.push(b)  # a walk's first cell is always accepted
         for nb in orthogonal_neighbors(b):
-            if nb not in region_of or region_of[nb] == big_id:
-                continue
-            rules = AonLoopRules(inst, pre_crossings={big_id: 2})
-            assert rules.push([], b)
-            if rules.push([b], nb):
+            if nb in region_of and region_of[nb] != big_id and rules.push(nb):
                 escapes += 1
+                rules.pop()
+        rules.pop()
     entered = "yes" if escapes else "no"
     findings = [f"parts-entered {entered}", f"one-cell-entered {entered}",
                 f"rule-permitted-escapes {escapes}"]
@@ -387,20 +387,18 @@ class AonLoopRules(LoopConstraint):
         self.inside = dict.fromkeys(self.sizes, 0)
         self.partial: set[int] = set()  # regions with 0 < inside < size
         self.visited: set[Cell] = set()
-        self.start_region: int | None = None
+        # per pushed cell: the cell, its region and the region it left
         self.trail: list[tuple[Cell, int, int | None]] = []
 
-    def push(self, path, cell) -> bool:
+    def push(self, cell) -> bool:
         r = self.region_of[cell]
         crossed = None
-        if not path:
-            self.start_region = r
-        else:
-            rp = self.region_of[path[-1]]
+        if self.trail:
+            rp = self.trail[-1][1]
             if rp != r:
                 if self.crossings[rp] + 1 > 2 or self.crossings[r] + 1 > 2:
                     return False
-                if rp != self.start_region and self.inside[rp] != self.sizes[rp]:
+                if rp != self.trail[0][1] and self.inside[rp] != self.sizes[rp]:
                     return False
                 self.crossings[rp] += 1
                 self.crossings[r] += 1
@@ -425,8 +423,6 @@ class AonLoopRules(LoopConstraint):
         if crossed is not None:
             self.crossings[r] -= 1
             self.crossings[crossed] -= 1
-        if not self.trail:
-            self.start_region = None
 
     def extra_required(self) -> set[Cell]:
         need: set[Cell] = set()

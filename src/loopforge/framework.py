@@ -341,7 +341,7 @@ class Gadget:
         for v in g.vertices():
             turns = tiling[v] = self.turns(plan, v)
             for side in plan.exits(v):
-                ex, ey = self.exit_cell(side, turns)
+                ex, ey = self.board_exit((0, 0), turns, side)
                 assert (ex if side.dx == 0 else ey) == mid, \
                     f"exit cell off midline at {v} side {side}"
         return tiling
@@ -363,10 +363,6 @@ class Gadget:
         ox, oy = self.frame * v[0], self.frame * v[1]
         return [(ox + x, oy + y) for x, y in
                 (rotate_cell(self.frame, turns, c) for c in cells)]
-
-    def exit_cell(self, side: Direction, turns: int) -> Cell:
-        """Border cell of the rotated gadget's exit on ``side``."""
-        return rotate_cell(self.frame, turns, self.exit_cells[side.rotated(-turns)])
 
     def board_exit(self, v: Vertex, turns: int, side: Direction) -> Cell:
         """Board cell of the exit on ``side`` of the gadget rotated by

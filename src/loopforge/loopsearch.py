@@ -15,9 +15,10 @@ from that cell over all allowed cells finds every loop.  With nothing
 required, a loop is rooted at its smallest cell: one walk per anchor, over
 the cells not smaller than it.  Every loop is returned in canonical form
 (``LoopPath.canonical``: smallest cell first); the order of the loops is
-deterministic.  Puzzle rules plug in as a constraint object; its
-incremental checks may only prune provably invalid extensions, the final
-``close_ok``/``finish_ok`` verdict is authoritative.
+deterministic.  Puzzle rules plug in as a constraint object, told of one
+cell at a time as the path grows and shrinks; its incremental checks may
+only prune provably invalid extensions, the final ``close_ok``/``finish_ok``
+verdict is authoritative.
 
 Pruning: per node the search checks connectivity of the remaining cells,
 that the path can still reach its end, availability of two usable
@@ -30,6 +31,10 @@ The connectivity prune reads the node's reach set: the free cells joined
 to the head's free neighbors, found by a flood fill that stamps each cell
 with a generation.  The pending cells are the required cells not yet on
 the path, the cells from ``extra_required`` and a pinned path's goal.
+A path never leaves its node's reach set, so a node is dead when a pending
+cell lies outside its parent's.  Required cells and the goal were pending
+at the parent too; every node tests the cells from ``extra_required``
+before it fills, so no fill starts outside the parent's set.
 
 When the head cuts the free cells into components, the path leaves the
 head into one of them and, the head being on the path, can never come back
@@ -58,10 +63,8 @@ Then:
 
 - under exact cover the parent's set held every free cell, so this node's
   set still does;
-- every pending cell still free, other than a new one from
-  ``extra_required``, was in the parent's set and is not the head, so it is
-  still in; cells from ``extra_required`` and the start's neighbors are
-  tested against the set;
+- every pending cell is in the parent's set and is not the head, so it is
+  still in; the start's neighbors are tested against the set;
 - the set is tested without a fill: a cell is in it iff it is free and
   stamped at the first generation of the last fill on the path from the
   root to this node, or later.  A fill stamps only the reach set it finds.
@@ -79,6 +82,7 @@ as "no verdict", never as "no solution".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import SearchBudgetExceeded
@@ -88,12 +92,13 @@ from .model import Cell, LoopPath, orthogonal_neighbors
 class LoopConstraint:
     """Base: no puzzle rules.  Subclasses override the hooks they need.
 
-    ``push`` is called before a cell is committed and must leave internal
-    state untouched when it returns False; on True the engine will balance
-    it with exactly one ``pop``.
+    ``push(cell)`` offers the cell that would follow those pushed and not
+    popped, the walk's start first; rules keep the earlier cells they read.
+    It must leave internal state untouched when it returns False; on True
+    the engine will balance it with exactly one ``pop``.
     """
 
-    def push(self, path: list[Cell], cell: Cell) -> bool:
+    def push(self, cell: Cell) -> bool:
         return True
 
     def pop(self) -> None:
@@ -111,11 +116,11 @@ class LoopConstraint:
         return True
 
 
+@dataclass(frozen=True)
 class SearchResult:
-    def __init__(self, loops, nodes, exhausted):
-        self.loops = loops
-        self.nodes = nodes
-        self.exhausted = exhausted  # True when the whole space was covered
+    loops: list
+    nodes: int
+    exhausted: bool  # True when the whole space was covered
 
     def __repr__(self):
         return (f"SearchResult({len(self.loops)} found, nodes={self.nodes}, "
@@ -156,9 +161,10 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
 
     With ``end == start`` the paths are loops: each closes back to the
     start (which is on the path from the outset) and is yielded once, in
-    the direction whose second cell is smaller than its last.  Otherwise
-    ``end`` is a free, terminal goal: a path stops there and is yielded
-    when it ends there.
+    the direction whose second cell comes before its last in ``grid.cells``.
+    Otherwise ``end`` is a free, terminal goal: a path stops there and is
+    yielded when it ends there.  Cell tuples are built only for paths that
+    close or finish.
     """
     cells, index, nbrs = grid.cells, grid.index, grid.nbrs
     n = len(cells)
@@ -176,7 +182,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     free_color = [color.count(0), color.count(1)]
     pending = len(req_idx)
     path_idx: list[int] = []
-    path_cells: list[Cell] = []
     stamp = [0] * n
     gen = 0
 
@@ -247,18 +252,16 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if None in extra:
                 return ()
         steps_to = nbrs[head]
+        d = len(path_idx) - 1
+        # every pending cell must be in the parent's reach set; only cells
+        # from extra_required can be new, so no fill starts outside it
+        if extra and d > 0 and any(not on[i] and stamp[i] < base[d - 1] for i in extra):
+            return ()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh flood fill
-        d = len(path_idx) - 1
         if d > 0 and whole[d - 1] and simple(head):
             b = base[d] = base[d - 1]
             whole[d] = 1
-            # required cells and a path's goal were reached at the parent
-            # and are not the head, so only cells from extra_required are
-            # tested
-            for i in extra:
-                if not on[i] and stamp[i] < b:
-                    return ()
         else:
             pend = () if exact else [i for i in (*req_idx, *extra, end) if not on[i]]
             if pend:
@@ -312,7 +315,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         return steps_to
 
-    if not constraint.push(path_cells, cells[start]):
+    if not constraint.push(cells[start]):
         return
     frames: list[Iterator[int]] = []  # per path cell: its untried neighbors
     head = start
@@ -321,14 +324,13 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         free_color[color[head]] -= 1
         pending -= req[head]
         path_idx.append(head)
-        path_cells.append(cells[head])
         nodes.tick()
         if loop:
-            closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
+            closes = adj_end[head] and len(path_idx) >= 4 and path_idx[1] < path_idx[-1]
         else:
             closes = head == end
         if closes and pending == 0 and (exact or not constraint.extra_required()):
-            path = tuple(path_cells)
+            path = tuple(cells[i] for i in path_idx)
             if (constraint.close_ok if loop else constraint.finish_ok)(path):
                 yield path
         frames.append(iter(extensions(head) if loop or head != end else ()))
@@ -336,12 +338,11 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         # every cell whose extensions are used up
         while frames:
             for head in frames[-1]:
-                if not on[head] and constraint.push(path_cells, cells[head]):
+                if not on[head] and constraint.push(cells[head]):
                     break
             else:
                 frames.pop()
                 c = path_idx.pop()
-                path_cells.pop()
                 on[c] = 0
                 free_color[color[c]] += 1
                 pending += req[c]
@@ -410,7 +411,8 @@ def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]
                    budget: int | None = None) -> Iterator[tuple[Cell, ...]]:
     """Lazily yield every cycle through all of ``cells`` under the adjacency
     ``neighbors``, each once: rooted at ``cells[0]``, in the direction whose
-    second cell is smaller than its last.  Raises
+    second cell comes before its last in ``cells`` (for sorted ``cells``,
+    the smaller one).  Raises
     :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
     grid = _Grid(cells, neighbors)
     if any(len(adj) < 2 for adj in grid.nbrs):

@@ -220,7 +220,8 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     traversals: dict[frozenset[Direction], tuple] = {}
     for i, a in enumerate(exits):
         for b in exits[i + 1:]:
-            res = paths(gadget.exit_cell(a, turns), gadget.exit_cell(b, turns))
+            res = paths(gadget.board_exit((0, 0), turns, a),
+                        gadget.board_exit((0, 0), turns, b))
             pair_counts[frozenset({a, b})] = len(res.loops)
             traversals[frozenset({a, b})] = tuple(res.loops)
     blocked_counts, findings = p.gadget_audit(turns, exits, paths)

@@ -204,17 +204,17 @@ class WwLoopRules(LoopConstraint):
 
     def __init__(self, inst: WwInstance):
         self.inst = inst
-        # stack of (run_len, run_min, run_max, run_start) for the current
-        # ground run, or None when the head is water
+        # per pushed cell, (run_len, run_min, run_max, run_start) for the
+        # ground run it ends, or None for water; run_start is a path index
         self.run_stack: list[tuple[int, int, int, int] | None] = []
 
-    def push(self, path, cell) -> bool:
+    def push(self, cell) -> bool:
         inst = self.inst
         is_ground = cell in inst.ground
         prev_run = self.run_stack[-1] if self.run_stack else None
 
         if not is_ground:
-            if len(path) >= 2 and path[-1] not in inst.ground and path[-2] not in inst.ground:
+            if self.run_stack[-2:] == [None, None]:  # a third water cell in a row
                 return False
             if prev_run is not None:
                 run_len, run_min, run_max, run_start = prev_run
@@ -226,7 +226,7 @@ class WwLoopRules(LoopConstraint):
 
         if prev_run is None:
             n = inst.numbers.get(cell)
-            entry = (1, n if n else 10, n if n else 0, len(path))
+            entry = (1, n if n else 10, n if n else 0, len(self.run_stack))
         else:
             run_len, run_min, run_max, run_start = prev_run
             n = inst.numbers.get(cell)
@@ -268,8 +268,8 @@ def gadget_audit(turns: int, exits, paths):
     cell (0 expected), and no finding of its own."""
     blocked = GADGET_NON_EXIT.rotated(turns)
     (goal,) = GADGET.place((0, 0), turns, [GADGET_BLOCKED_CELL])
-    counts = {frozenset({a, blocked}): len(paths(GADGET.exit_cell(a, turns), goal).loops)
-              for a in exits}
+    counts = {frozenset({a, blocked}):
+              len(paths(GADGET.board_exit((0, 0), turns, a), goal).loops) for a in exits}
     return counts, ()
 
 

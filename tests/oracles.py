@@ -5,13 +5,16 @@ by blunt enumeration so the clever implementations have something honest
 to be compared against.  The exceptions keep an earlier form of the
 engine: ``anchored_search_loops`` roots loops the old way,
 ``full_fill_walk`` flood-fills the free cells at every node, and
-``unsplit_walk`` keeps every node whose head cuts the free cells.  The All or
-Nothing gadget is transcribed a second time, as wall polylines, and
+``unsplit_walk`` keeps every node whose head cuts the free cells; both
+walks close a loop by comparing cells, not indexes, an independent check
+that the engine's index order is cell order.  The All or Nothing gadget
+is transcribed a second time, as wall polylines, and
 ``regions_from_boundaries`` fills a board between walls: the wall model
 the region labels must reproduce.  Each puzzle's own gadget placement,
 from before the shared tiler, is kept too.
 """
 
+import operator
 from itertools import permutations
 from unittest import mock
 
@@ -469,7 +472,7 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
                 return False
         return True
 
-    if not constraint.push(path_cells, cells[start]):
+    if not constraint.push(cells[start]):
         return
     frames = []  # per path cell: its untried neighbors
     head = start
@@ -494,7 +497,7 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
         # every cell whose extensions are used up
         while frames:
             for head in frames[-1]:
-                if not on[head] and constraint.push(path_cells, cells[head]):
+                if not on[head] and constraint.push(cells[head]):
                     break
             else:
                 frames.pop()
@@ -600,7 +603,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 return ()
         return steps_to
 
-    if not constraint.push(path_cells, cells[start]):
+    if not constraint.push(cells[start]):
         return
     frames = []  # per path cell: its untried neighbors
     head = start
@@ -624,7 +627,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         # every cell whose extensions are used up
         while frames:
             for head in frames[-1]:
-                if not on[head] and constraint.push(path_cells, cells[head]):
+                if not on[head] and constraint.push(cells[head]):
                     break
             else:
                 frames.pop()
@@ -672,6 +675,23 @@ def _run_traced(walk, fn, args, budget):
     return trace
 
 
+def _parting(trace, other, name, differ):
+    """Where the engine's ``trace`` and ``other``, the trace of the walk
+    ``name``, part: the first event at which ``differ`` holds or one trace
+    has run out, and the nodes each spent by its last event."""
+    i = next((i for i, pair in enumerate(zip(trace, other)) if differ(*pair)),
+             min(len(trace), len(other)))
+
+    def event(t):
+        return repr(t[i]) if i < len(t) else "none"
+
+    def spent(t):
+        return t[-1][-1] if t else 0
+
+    return (f"first difference at event {i}: engine {event(trace)}, {name} "
+            f"{event(other)}; nodes: engine {spent(trace)}, {name} {spent(other)}")
+
+
 def check_against_full_fill(fn, *args, budget=2_000):
     """Run ``fn(*args)`` (an iterator result is drained) with the engine's
     walk as it stands and again with ``full_fill_walk`` in its place: every
@@ -680,9 +700,11 @@ def check_against_full_fill(fn, *args, budget=2_000):
     both or neither.  Then both again with no search allowed more than
     ``budget`` nodes.  Returns the trace of the first run."""
     trace = _run_traced(loopsearch._walk, fn, args, None)
-    assert trace == _run_traced(full_fill_walk, fn, args, None)
+    old = _run_traced(full_fill_walk, fn, args, None)
+    assert trace == old, _parting(trace, old, "full fill", operator.ne)
     stopped = _run_traced(loopsearch._walk, fn, args, budget)
-    assert stopped == _run_traced(full_fill_walk, fn, args, budget)
+    old = _run_traced(full_fill_walk, fn, args, budget)
+    assert stopped == old, _parting(stopped, old, "full fill", operator.ne)
     return trace
 
 
@@ -697,11 +719,14 @@ def check_against_unsplit(fn, *args, budget=2_000):
     Returns the trace of the first run."""
     trace = _run_traced(loopsearch._walk, fn, args, None)
     old = _run_traced(unsplit_walk, fn, args, None)
-    assert [e[:-1] for e in trace] == [e[:-1] for e in old]
-    assert all(e[-1] <= o[-1] for e, o in zip(trace, old))
-    stopped = _run_traced(loopsearch._walk, fn, args, budget)
-    old_paths = [e[1] for e in _run_traced(unsplit_walk, fn, args, budget) if e[0] == "path"]
-    assert [e[1] for e in stopped if e[0] == "path"][:len(old_paths)] == old_paths
+    assert [e[:-1] for e in trace] == [e[:-1] for e in old], \
+        _parting(trace, old, "unsplit", lambda e, o: e[:-1] != o[:-1])
+    assert all(e[-1] <= o[-1] for e, o in zip(trace, old)), \
+        _parting(trace, old, "unsplit", lambda e, o: e[-1] > o[-1])
+    stopped = [e for e in _run_traced(loopsearch._walk, fn, args, budget) if e[0] == "path"]
+    old = [e for e in _run_traced(unsplit_walk, fn, args, budget) if e[0] == "path"]
+    assert [e[1] for e in stopped][:len(old)] == [e[1] for e in old], \
+        _parting(stopped, old, "unsplit", lambda e, o: e[1] != o[1])
     return trace
 
 

@@ -266,7 +266,8 @@ class TestGadget:
                 for side in Direction:
                     if side is gadget.non_exit.rotated(turns):
                         continue
-                    ex, ey = gadget.exit_cell(side, turns)
+                    canonical = gadget.exit_cells[side.rotated(-turns)]
+                    ex, ey = rotate_cell(gadget.frame, turns, canonical)
                     assert gadget.board_exit(v, turns, side) == \
                         (gadget.frame * v[0] + ex, gadget.frame * v[1] + ey)
 

@@ -187,7 +187,7 @@ class LateRequired(LoopConstraint):
         self.cell, self.depth = cell, depth
         self.path = []
 
-    def push(self, path, cell):
+    def push(self, cell):
         self.path.append(cell)
         return True
 
@@ -221,12 +221,15 @@ def late_cases(draw):
 @given(late_cases())
 @example((board("####", ".###", "####", "####"), [], (1, 0), 7, [(0, 0), (3, 3)]))
 @example((board("####", "####", ".###"), [(2, 2), (3, 1)], (1, 0), 6, [(0, 1), (1, 2)]))
+@example((board("####", "####", "###.", "####"), [], (2, 3), 5, [(0, 2), (0, 0)]))
+@example((board("####", "####", "###.", "####"), [], (2, 3), 7, [(0, 2), (0, 0)]))
 def test_cells_required_late_match_brute_force(case):
-    # a cell named mandatory mid-walk is tested against a reach set the
-    # walk took over or inherited, not one filled for it; exact cover
-    # never asks for such cells.  On the two boards given, a walk that
-    # skips that test, or that counts in the components filled before the
-    # one taken over, spends extra nodes
+    # a cell named mandatory mid-walk is tested against the parent's reach
+    # set, not one filled for it; exact cover never asks for such cells.
+    # On the first two boards given, a walk that skips that test, or that
+    # counts in the components filled before the one taken over, spends
+    # extra nodes.  On the last two, a walk that fills from a late cell
+    # outside the parent's set stamps cells that a later sibling counts in
     cells, required, late, depth, (start, goal) = case
     rules = lambda: LateRequired(late, depth)
     res = search_loops(cells, required, rules)

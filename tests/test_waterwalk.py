@@ -293,9 +293,8 @@ class TestCompile:
                 ground = {rotate_cell(FRAME, turns_a, c) for c in ground_0}
                 ground |= {(x + FRAME, y) for x, y in
                            (rotate_cell(FRAME, turns_b, c) for c in ground_0)}
-                a = GADGET.exit_cell(Direction.E, turns_a)
-                bx, by = GADGET.exit_cell(Direction.W, turns_b)
-                b = (bx + FRAME, by)
+                a = GADGET.board_exit((0, 0), turns_a, Direction.E)
+                b = GADGET.board_exit((1, 0), turns_b, Direction.W)
                 assert a[1] == b[1] and b[0] - a[0] == 1  # aligned midlines
                 crossing = [(a[0] - 1, a[1]), a, b, (b[0] + 1, b[1])]
                 labels = ["g" if c in ground else "w" for c in crossing]
