@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
 from .framework import Direction, ExitPlan, Gadget
-from .loopsearch import LoopConstraint, SearchResult, search_loops
+from .loopsearch import LoopConstraint, SearchResult, search_loops, solver_cap
 from .model import (
     Cell,
     GridGraph,
@@ -447,8 +447,7 @@ def solve_aon(
     """Search for verified loops; dead regions are pre-excluded and regions
     bordering them become mandatory (two adjacent dead regions make the
     instance unsatisfiable outright)."""
-    if mode not in ("first", "all"):
-        raise ValueError(f"unknown mode: {mode!r}")
+    cap = solver_cap(mode, cap)
     report = analyze_dead_regions(inst)
     dead = report.dead_ids()
     decomp = inst.regions
@@ -464,11 +463,10 @@ def solve_aon(
 
     allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
     required = [c for c in allowed if decomp.region_of[c] in required_regions]
-    effective_cap = 1 if mode == "first" else cap
     return search_loops(
         allowed,
         required,
         lambda: AonLoopRules(inst),
-        cap=effective_cap,
+        cap=cap,
         budget=budget,
     )

@@ -79,6 +79,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.cap is not None and not args.all:
+        raise ValueError("--cap applies only with --all")
     p = puzzle_of(args.puzzle)
     inst = p.parse(_read(args.infile))
     mode = "all" if args.all else "first"

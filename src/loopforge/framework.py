@@ -27,47 +27,32 @@ class Direction(Enum):
     S = (0, -1)
     W = (-1, 0)
 
-    @property
-    def dx(self) -> int:
-        return self.value[0]
-
-    @property
-    def dy(self) -> int:
-        return self.value[1]
+    def __init__(self, dx: int, dy: int):
+        self.dx = dx
+        self.dy = dy
 
     def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
+        return self.rotated(2)
 
     def rotated(self, quarter_turns: int) -> "Direction":
         """Counterclockwise rotation: one quarter turn maps N->W->S->E->N."""
-        d = self
-        for _ in range(quarter_turns % 4):
-            d = _CCW[d]
-        return d
+        return DIRECTION_ORDER[(DIRECTION_ORDER.index(self) - quarter_turns) % 4]
 
 
-_CCW = {Direction.N: Direction.W, Direction.W: Direction.S,
-        Direction.S: Direction.E, Direction.E: Direction.N}
-_OPPOSITE = {Direction.N: Direction.S, Direction.S: Direction.N,
-             Direction.E: Direction.W, Direction.W: Direction.E}
-
+# clockwise, so a counterclockwise quarter turn steps one place back
 DIRECTION_ORDER = (Direction.N, Direction.E, Direction.S, Direction.W)
 
 
 def direction_between(u: Vertex, v: Vertex) -> Direction:
-    delta = (v[0] - u[0], v[1] - u[1])
-    for d in DIRECTION_ORDER:
-        if d.value == delta:
-            return d
-    raise ValueError(f"{u} and {v} are not grid-adjacent")
+    try:
+        return Direction((v[0] - u[0], v[1] - u[1]))
+    except ValueError:
+        raise ValueError(f"{u} and {v} are not grid-adjacent") from None
 
 
 def turns_between(src: Direction, dst: Direction) -> int:
     """Quarter turns (counterclockwise) mapping ``src`` onto ``dst``."""
-    for q in range(4):
-        if src.rotated(q) is dst:
-            return q
-    raise AssertionError("unreachable")
+    return (DIRECTION_ORDER.index(src) - DIRECTION_ORDER.index(dst)) % 4
 
 
 def rotate_cell(size: int, quarter_turns: int, cell: tuple[int, int]) -> tuple[int, int]:
@@ -304,13 +289,24 @@ class Gadget:
     """A puzzle's metacell gadget in canonical orientation: its square frame
     written as board rows of its puzzle's ``board`` format, top row first,
     its one non-exit side, the border cell of each exit, and stored local
-    traversals per exit pair (the first of each is canonical)."""
+    traversals per exit pair (the first of each is canonical).  Construction
+    asserts that every exit cell sits on its side's midline at each of the
+    four rotations, so no tiling needs to check it again."""
 
     rows: str
     board: BoardFormat
     non_exit: Direction
     exit_cells: dict[Direction, Cell]
     paths: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]]
+
+    def __post_init__(self):
+        mid = self.frame // 2
+        for turns in range(4):
+            for side, cell in self.exit_cells.items():
+                x, y = rotate_cell(self.frame, turns, cell)
+                out = side.rotated(turns)
+                assert (x if out.dx == 0 else y) == mid, \
+                    f"exit cell off midline on side {out.name} at {turns} turns"
 
     @cached_property
     def frame(self) -> int:
@@ -326,25 +322,13 @@ class Gadget:
         return tuple(token_of.values()), [self.place((0, 0), turns, token_of)
                                           for turns in range(4)]
 
-    def turns(self, plan: ExitPlan, v: Vertex) -> int:
-        """Quarter turns that put the gadget's non-exit side onto ``v``'s."""
-        return turns_between(self.non_exit, plan.non_exit(v))
-
     def tile(self, g: GridGraph, plan: ExitPlan) -> dict[Vertex, int]:
-        """Quarter turns of the gadget at every vertex of ``g``.  Raises
-        :class:`CompileError` when ``plan`` was built for another graph;
-        every exit of the plan must land on its side's midline."""
+        """Quarter turns at every vertex of ``g`` that put the gadget's
+        non-exit side onto the plan's.  Raises :class:`CompileError` when
+        ``plan`` was built for another graph."""
         if plan.graph != g:
             raise CompileError("exit plan was built for a different graph")
-        mid = self.frame // 2
-        tiling = {}
-        for v in g.vertices():
-            turns = tiling[v] = self.turns(plan, v)
-            for side in plan.exits(v):
-                ex, ey = self.board_exit((0, 0), turns, side)
-                assert (ex if side.dx == 0 else ey) == mid, \
-                    f"exit cell off midline at {v} side {side}"
-        return tiling
+        return {v: turns_between(self.non_exit, plan.non_exit(v)) for v in g.vertices()}
 
     def lay(
         self, tiling: dict[Vertex, int]

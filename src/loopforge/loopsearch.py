@@ -358,6 +358,16 @@ def _check_cap(cap: int | None) -> None:
         raise ValueError(f"cap must be at least 1, got {cap}")
 
 
+def solver_cap(mode: str, cap: int | None) -> int | None:
+    """The search cap of a puzzle solver in ``mode``: 1 for "first" and
+    ``cap`` for "all".  Raises :class:`ValueError` for another mode and, in
+    either mode, for a ``cap`` below 1."""
+    if mode not in ("first", "all"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    _check_cap(cap)
+    return 1 if mode == "first" else cap
+
+
 def _collect(found: Iterator, cap: int | None, nodes: _Nodes) -> SearchResult:
     """Drain ``found`` into a result, stopping once ``cap`` items are in
     (the result is then marked non-exhausted)."""

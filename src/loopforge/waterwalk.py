@@ -29,7 +29,7 @@ from .model import (
     orthogonal_neighbors,
     path_runs,
 )
-from .loopsearch import LoopConstraint, SearchResult, search_loops
+from .loopsearch import LoopConstraint, SearchResult, search_loops, solver_cap
 
 GROUND = "ground"
 WATER = "water"
@@ -282,8 +282,7 @@ def solve_ww(
     """Search for verified loops.  ``mode`` is "first" or "all"; "all" may be
     capped.  The result's ``exhausted`` flag reports whether the search space
     was fully covered (meaningful for empty results and exact counts)."""
-    if mode not in ("first", "all"):
-        raise ValueError(f"unknown mode: {mode!r}")
+    cap = solver_cap(mode, cap)
     # a water run is at most 2 long, so every water cell on a loop has a
     # ground loop-neighbor; cells with no adjacent ground can never be used
     cells = [
@@ -293,11 +292,10 @@ def solve_ww(
         if (x, y) in inst.ground
         or any(n in inst.ground for n in orthogonal_neighbors((x, y)))
     ]
-    effective_cap = 1 if mode == "first" else cap
     return search_loops(
         cells,
         sorted(inst.numbers),
         lambda: WwLoopRules(inst),
-        cap=effective_cap,
+        cap=cap,
         budget=budget,
     )

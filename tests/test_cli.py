@@ -117,9 +117,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cap", ["0", "-2"])
     def test_cap_below_one_is_input_error(self, data_dir, tmp_path, cap):
+        for all_ in (["--all"], []):
+            code = main(["solve", "--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt"),
+                         *all_, "--cap", cap, "--out", str(tmp_path / "sol")])
+            assert code == 3
+            assert not list(tmp_path.glob("sol*"))
+
+    def test_cap_without_all_is_usage_error(self, data_dir, tmp_path, capsys):
         code = main(["solve", "--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt"),
-                     "--all", "--cap", cap, "--out", str(tmp_path / "sol")])
+                     "--cap", "3", "--out", str(tmp_path / "sol")])
         assert code == 3
+        assert "--cap" in capsys.readouterr().err
         assert not list(tmp_path.glob("sol*"))
 
 

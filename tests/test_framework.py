@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from loopforge.framework import (
     HalfEdge,
     Orientation,
     build_complement,
+    direction_between,
     emit_exit_plan,
     mutual_facing_holds,
     orient_complement,
@@ -48,6 +50,26 @@ class TestDirections:
     def test_turns_between(self):
         assert turns_between(Direction.S, Direction.W) == 3
         assert turns_between(Direction.S, Direction.S) == 0
+
+    def test_turns_between_maps_every_pair(self):
+        for src in Direction:
+            for dst in Direction:
+                assert src.rotated(turns_between(src, dst)) is dst
+
+    def test_opposite_is_a_half_turn(self):
+        for d in Direction:
+            assert d.opposite() is d.rotated(2)
+
+    def test_direction_between_unit_offsets(self):
+        assert direction_between((3, 3), (3, 4)) is Direction.N
+        assert direction_between((3, 3), (4, 3)) is Direction.E
+        assert direction_between((3, 3), (3, 2)) is Direction.S
+        assert direction_between((3, 3), (2, 3)) is Direction.W
+
+    @pytest.mark.parametrize("v", [(1, 1), (0, 0)])
+    def test_direction_between_rejects_non_neighbours(self, v):
+        with pytest.raises(ValueError, match=rf"\(0, 0\) and \({v[0]}, {v[1]}\) are not grid-adjacent"):
+            direction_between((0, 0), v)
 
 
 class TestRotation:
@@ -270,6 +292,14 @@ class TestGadget:
                     ex, ey = rotate_cell(gadget.frame, turns, canonical)
                     assert gadget.board_exit(v, turns, side) == \
                         (gadget.frame * v[0] + ex, gadget.frame * v[1] + ey)
+
+    @pytest.mark.parametrize("gadget, side, cell", [
+        (aon.GADGET, Direction.W, (0, 4)),
+        (waterwalk.GADGET, Direction.E, (4, 1)),
+    ], ids=["aon", "ww"])
+    def test_exit_moved_off_its_midline_fails_construction(self, gadget, side, cell):
+        with pytest.raises(AssertionError, match="off midline"):
+            dataclasses.replace(gadget, exit_cells={**gadget.exit_cells, side: cell})
 
 
 def small_and_random_graphs():

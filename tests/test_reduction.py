@@ -109,7 +109,7 @@ class TestEmbed:
         witness = embed_cycle(g, plan, cycle, puzzle)
         frame = gadget.frame
         for v, (entry, exit_) in zip(witness.vertex_order, witness.sides):
-            turns = gadget.turns(plan, v)
+            turns = gadget.tile(g, plan)[v]
             piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
             expected = {
                 (frame * v[0] + rotate_cell(frame, turns, c)[0],
@@ -432,6 +432,16 @@ class TestPuzzleRecord:
         monkeypatch.setattr(reduction, "enumerate_candidate_subgraphs", no_graphs)
         with pytest.raises(ValueError):
             roundtrip_experiment(2, 2, name)
+
+    @pytest.mark.parametrize("mode, cap", [("first", 0), ("first", -2), ("all", 0),
+                                           ("every", None)])
+    def test_solvers_reject_a_cap_below_one_in_every_mode(self, mode, cap):
+        g = full_grid(2, 2)
+        plan = plan_for(g)
+        for solve, inst in ((aon.solve_aon, aon.compile_aon(g, plan)),
+                            (waterwalk.solve_ww, waterwalk.compile_ww(g, plan))):
+            with pytest.raises(ValueError, match="cap must be at least 1|unknown mode"):
+                solve(inst, mode=mode, cap=cap)
 
     def test_operations_are_looked_up_at_call_time(self, monkeypatch):
         # a function rebound on the puzzle module after import (as a

@@ -19,12 +19,13 @@ from loopforge.aon import compile_aon, emit_aon, parse_aon, verify_aon
 from loopforge.framework import plan_for
 from loopforge.hamilton import find_hamiltonian_cycle
 from loopforge.model import HamCycle, full_grid, grid_graph
-from loopforge.reduction import embed_cycle
+from loopforge.reduction import embed_cycle, puzzle_of
 from loopforge.waterwalk import compile_ww, emit_ww, parse_ww
 
 PACKAGE_DIR = os.path.dirname(loopforge.__file__) + os.sep
 SIZES = (6, 12)
 MAX_GROWTH = 8.0
+MAX_TILE_LINES_PER_VERTEX = 8
 
 
 def serpentine(n):
@@ -142,3 +143,15 @@ def test_orientation_of_complement_cycles_grows_at_most_twice_linear(rule):
     small, large = (count_lines(plan_for, concentric_rings(n), rule) for n in (8, 16))
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
+
+
+@pytest.mark.parametrize("puzzle", ["aon", "ww"])
+def test_tile_is_a_lookup_per_vertex(puzzle):
+    # the gadget checks its exit midlines once, when it is built, so a
+    # tiling reads one non-exit side per vertex and rotates nothing
+    gadget = puzzle_of(puzzle).gadget
+    for n in SIZES:
+        g, _ = serpentine(n)
+        plan = plan_for(g)
+        lines = count_lines(gadget.tile, g, plan)
+        assert lines <= MAX_TILE_LINES_PER_VERTEX * n * n, f"{lines} line events at {n}x{n}"
