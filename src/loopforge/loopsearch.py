@@ -28,28 +28,34 @@ over the remaining cells must meet.  All prunes reject only provably dead
 branches, so a completed search is exhaustive.
 
 The connectivity prune reads the node's reach set: the free cells joined
-to the head's free neighbors, found by a flood fill that stamps each cell
-with a generation.  The pending cells are the required cells not yet on
-the path, the cells from ``extra_required`` and a pinned path's goal.
-A path never leaves its node's reach set, so a node is dead when a pending
-cell lies outside its parent's.  Required cells and the goal were pending
-at the parent too; every node tests the cells from ``extra_required``
-before it fills, so no fill starts outside the parent's set.
+to the head's free neighbors.  Sets of cells are Python ints, one bit per
+cell in column-major order (bit ``(x - x0) * height + (y - y0)`` of the
+cells' bounding box), so a step north is a shift by one and a step east a
+shift by ``height``, each through the mask of the cells that have that
+neighbor.  A fill dilates its seed within the free cells until it stops
+growing: its cost is the fill's breadth-first depth in machine words, not
+its cells.  The pending cells are the required cells not yet on the path,
+the cells from ``extra_required`` and a pinned path's goal.  A path never
+leaves its node's reach set, so a node is dead when a pending cell lies
+outside its parent's.  Required cells and the goal were pending at the
+parent too; every node tests the cells from ``extra_required`` before it
+fills, so no fill starts outside the parent's set.
 
 When the head cuts the free cells into components, the path leaves the
 head into one of them and, the head being on the path, can never come back
 to another.  So:
 
 - under exact cover the node is dead unless the free cells are one
-  component: the fill stops after its first component, which must hold
-  every free cell;
+  component: the fill from the head's first free neighbor must reach every
+  free cell;
 - otherwise, when cells are pending, the one component the path enters
-  must hold all of them.  The fill starts from the first pending cell; the
-  node is dead unless that component holds every pending cell and a free
-  neighbor of the head.  The node takes the component over: it becomes its
-  reach set, and the node steps only into it;
-- a loop with nothing pending fills every component joined to the head,
-  each with a generation of its own, and keeps them all.
+  must hold all of them.  The fill starts from a pending cell; the node is
+  dead unless that component holds every pending cell and a free neighbor
+  of the head.  The node takes the component over: it becomes its reach
+  set, and the node steps only into it;
+- a loop with nothing pending fills the component of the head's first free
+  neighbor, and when another free neighbor lies outside it, fills on to
+  every component joined to the head and keeps them all.
 
 A loop's last cell neighbors its start, so some free neighbor of the start
 must be in the reach set.
@@ -59,18 +65,19 @@ new head is simple: its free neighbors are joined to each other by free
 cells other than the head, each neighboring two of them.  Removing a
 simple cell from a connected set leaves it connected, so the node's reach
 set is exactly the parent's less the head, and it is one component again.
+The node shares the parent's int and reads it through the free cells.
 Then:
 
 - under exact cover the parent's set held every free cell, so this node's
   set still does;
 - every pending cell is in the parent's set and is not the head, so it is
-  still in; the start's neighbors are tested against the set;
-- the set is tested without a fill: a cell is in it iff it is free and
-  stamped at the first generation of the last fill on the path from the
-  root to this node, or later.  A fill stamps only the reach set it finds.
-  Every later fill runs in the subtree of the node that filled, inside its
-  reach set, and generations only grow, so no cell outside the set
-  carries such a stamp.
+  still in;
+- the parent's set held a free neighbor of the start; only when the head
+  is one is the set tested again.
+
+Whether a head is simple depends only on which of its neighbors and of
+the diagonal cells linking two of them are free, so it is read from a
+table of those 256 patterns.
 
 The prunes' verdicts are the fill's at every node, so node counts and the
 order of the paths found do not depend on the skip.
@@ -86,7 +93,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import SearchBudgetExceeded
-from .model import Cell, LoopPath, orthogonal_neighbors
+from .model import ORTHO_STEPS, Cell, LoopPath, orthogonal_neighbors
 
 
 class LoopConstraint:
@@ -127,17 +134,89 @@ class SearchResult:
                 f"exhausted={self.exhausted})")
 
 
+def _simple(key: int) -> bool:
+    """Whether a head is simple, from the free cells around it: bit ``k``
+    of ``key`` for its neighbor at ``ORTHO_STEPS[k]``, bit ``4 + k`` for the
+    diagonal cell that neighbors it and the next one clockwise.  The free
+    neighbors sit on a cycle of four slots, a free diagonal linking two
+    free ones next to each other, so they are joined iff the links number
+    at least one less than they do."""
+    free = key & 15
+    links = key >> 4 & free & (free >> 1 | free << 3)
+    return links.bit_count() >= free.bit_count() - 1
+
+
+_SIMPLE = bytes(_simple(key) for key in range(256))
+_STEP_FLAG = {step: 2 << k for k, step in enumerate(ORTHO_STEPS)}
+# per flag bit, the table that writes a byte of flags as "1" where it is set
+_DIGITS = [bytes(b"01"[v >> f & 1] for v in range(256)) for f in range(5)]
+
+
 class _Grid:
     """Integer-indexed view of the usable cells; ``neighbors`` lists the
-    candidate neighbors of a cell in the order the search tries them."""
+    candidate neighbors of a cell in the order the search tries them.  Those
+    among ``cells`` must be orthogonal unit steps (else :class:`ValueError`);
+    the others are ignored.
+
+    A set of cells is an int, one bit per cell of the bounding box in
+    column-major order: ``pos`` holds each cell's bit and ``height`` is the
+    distance of a step east.  ``full`` is the set of every cell, and
+    ``steps`` the sets of cells with a neighbor north, east, south and west
+    (the order of ``ORTHO_STEPS``)."""
 
     def __init__(self, cells: list[Cell], neighbors=orthogonal_neighbors):
         self.cells = cells
-        self.index = {c: i for i, c in enumerate(cells)}
-        self.nbrs = [
-            tuple(self.index[w] for w in neighbors(c) if w in self.index)
-            for c in cells
-        ]
+        self.index = index = {c: i for i, c in enumerate(cells)}
+        xs, ys = zip(*cells) if cells else ((0,), (0,))
+        x0, y0 = min(xs), min(ys)
+        self.height = h = max(ys) - y0 + 1
+        self.pos = pos = [(x - x0) * h + y - y0 for x, y in cells]
+        self.top = top = max(pos, default=0)
+        # per bit, highest first: 1 for a cell, 2 << k for a cell with a
+        # neighbor at ORTHO_STEPS[k]
+        flags = bytearray(top + 1)
+        self.nbrs = nbrs = []
+        for c, p in zip(cells, pos):
+            x, y = c
+            adj = []
+            f = 1
+            for w in neighbors(c):
+                j = index.get(w)
+                if j is not None:
+                    try:
+                        f |= _STEP_FLAG[w[0] - x, w[1] - y]
+                    except KeyError:
+                        raise ValueError(f"{w} is not an orthogonal unit step from {c}") from None
+                    adj.append(j)
+            nbrs.append(tuple(adj))
+            flags[top - p] = f
+        self.full, *self.steps = (int(flags.translate(t), 2) for t in _DIGITS)
+
+    def mask(self, indices: Iterable[int]) -> int:
+        """The set of the cells at ``indices``."""
+        flags = bytearray(self.top + 1)
+        top, pos = self.top, self.pos
+        for i in indices:
+            flags[top - pos[i]] = 1
+        return int(flags.translate(_DIGITS[0]), 2)
+
+    def reads(self, head: int) -> tuple[tuple[int, int], ...]:
+        """The cells whose occupancy decides whether ``head`` is simple,
+        each with its bit in the index of ``_SIMPLE``: the head's neighbors
+        and each diagonal cell neighboring two of them."""
+        index, nbrs = self.index, self.nbrs
+        x, y = self.cells[head]
+        out = []
+        for k, (dx, dy) in enumerate(ORTHO_STEPS):
+            a = index.get((x + dx, y + dy))
+            if a in nbrs[head]:
+                out.append((a, 1 << k))
+                ex, ey = ORTHO_STEPS[(k + 1) % 4]
+                b = index.get((x + ex, y + ey))
+                d = index.get((x + dx + ex, y + dy + ey))
+                if b in nbrs[head] and d in nbrs[a] and d in nbrs[b]:
+                    out.append((d, 16 << k))
+        return tuple(out)
 
 
 class _Nodes:
@@ -166,7 +245,9 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     yielded when it ends there.  Cell tuples are built only for paths that
     close or finish.
     """
-    cells, index, nbrs = grid.cells, grid.index, grid.nbrs
+    cells, index, nbrs, pos = grid.cells, grid.index, grid.nbrs, grid.pos
+    north, east, south, west = grid.steps
+    h = grid.height
     n = len(cells)
     loop = start == end
     color = [(c[0] + c[1]) & 1 for c in cells]
@@ -182,59 +263,48 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     free_color = [color.count(0), color.count(1)]
     pending = len(req_idx)
     path_idx: list[int] = []
-    stamp = [0] * n
-    gen = 0
+    # sets of cells: the free ones, the neighbors of the start and the cells
+    # pending while free (the required ones and a path's goal)
+    free = grid.full
+    start_nbrs = grid.mask(nbrs[end])
+    pend_cells = 0 if exact else grid.mask(req_idx if loop else [*req_idx, end])
 
-    # per path depth, the reach set of the node there: the free cells
-    # stamped at generation base or later, and whether it is one component
-    # of the free cells
-    base = [0] * n
+    # per path depth, the reach set of the node there (a simple head's is
+    # its parent's, read through the free cells), and whether it is one
+    # component of the free cells
+    reach = [0] * n
     whole = bytearray(n)
-    links: list = [None] * n  # per cell, lazily: (a, b, x) with x joining neighbors a, b
+    reads: list = [None] * n  # per cell, lazily: grid.reads
 
     def simple(head: int) -> bool:
         """Whether the head's free neighbors are joined to each other by
         free cells other than the head, each neighboring two of them."""
-        free = [a for a in nbrs[head] if not on[a]]
-        if len(free) < 2:
-            return True
-        lk = links[head]
-        if lk is None:
-            hn = nbrs[head]
-            lk = links[head] = tuple(
-                (a, b, x) for i, a in enumerate(hn) for b in hn[i + 1:]
-                for x in nbrs[a] if x != head and x in nbrs[b])
-        joined = {free[0]}
-        grew = True
-        while grew:
-            grew = False
-            for a, b, x in lk:
-                if (a in joined) != (b in joined) and not (on[a] or on[b] or on[x]):
-                    joined.add(a)
-                    joined.add(b)
-                    grew = True
-        return len(joined) == len(free)
+        rd = reads[head]
+        if rd is None:
+            # on a corridor most heads come once, each with one free neighbor
+            if len([a for a in nbrs[head] if not on[a]]) < 2:
+                return True
+            rd = reads[head] = grid.reads(head)
+        key = 0
+        for i, bit in rd:
+            if not on[i]:
+                key |= bit
+        return _SIMPLE[key]
 
-    def flood(s: int, g: int) -> int:
-        """Stamp generation ``g`` on the free cells joined to the free cell
-        ``s``, and count them."""
-        stamp[s] = g
-        count = 1
-        stack = [s]
-        while stack:
-            c = stack.pop()
-            for w in nbrs[c]:
-                if not on[w] and stamp[w] != g:
-                    stamp[w] = g
-                    count += 1
-                    stack.append(w)
-        return count
+    def fill(r: int) -> int:
+        """The free cells joined to the free cells ``r``: ``r`` grown one
+        step in every direction at a time until it stops growing."""
+        while True:
+            g = (r | (r & north) << 1 | (r & east) << h
+                 | (r & south) >> 1 | (r & west) >> h) & free
+            if g == r:
+                return r
+            r = g
 
     def extensions(head: int):
         """The head's neighbors the node may step to: none once a prune
         shows the node dead, and after a fill with cells pending only
         those in the component that holds them."""
-        nonlocal gen
         free_total = free_color[0] + free_color[1]
         if exact and free_total:
             # the free cells are entered in alternating colors, starting
@@ -247,63 +317,64 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return ()
         extra = () if exact else constraint.extra_required()
+        steps_to = nbrs[head]
+        d = len(path_idx) - 1
+        late = 0  # the free cells from extra_required
         if extra:
             extra = [index.get(c) for c in extra]
             if None in extra:
                 return ()
-        steps_to = nbrs[head]
-        d = len(path_idx) - 1
-        # every pending cell must be in the parent's reach set; only cells
-        # from extra_required can be new, so no fill starts outside it
-        if extra and d > 0 and any(not on[i] and stamp[i] < base[d - 1] for i in extra):
-            return ()
+            for i in extra:
+                if not on[i]:
+                    late |= 1 << pos[i]
+            # every pending cell must be in the parent's reach set; only
+            # cells from extra_required can be new, so no fill starts outside it
+            if d > 0 and late & reach[d - 1] != late:
+                return ()
         # the free cells connected to the head: the parent's set less the
-        # head when the head cannot cut it, else a fresh flood fill
+        # head when the head cannot cut it, else a fresh fill
         if d > 0 and whole[d - 1] and simple(head):
-            b = base[d] = base[d - 1]
+            r = reach[d] = reach[d - 1]
             whole[d] = 1
+            # the parent's set held a free neighbor of the start
+            if loop and adj_end[head] and not r & free & start_nbrs:
+                return ()
         else:
-            pend = () if exact else [i for i in (*req_idx, *extra, end) if not on[i]]
+            pend = 0 if exact else pend_cells & free | late
+            seeds = [w for w in steps_to if not on[w]]
             if pend:
                 # the path can enter one component only, and must reach
-                # every pending cell: take over the first one's component
-                gen += 1
-                b = gen
-                flood(pend[0], b)
-                for i in pend:
-                    if stamp[i] != b:
-                        return ()
-                steps_to = tuple(w for w in steps_to if stamp[w] == b)
-            else:
-                # the components joined to the head's free neighbors, each
-                # with a generation of its own; under exact cover the first
-                # must hold every free cell
-                b = gen + 1
-                reached = 0
-                for s in nbrs[head]:
-                    if not on[s] and stamp[s] < b:
-                        gen += 1
-                        reached += flood(s, gen)
-                        if exact:
-                            break
-                if exact and reached != free_total:
+                # every pending cell: take over their component
+                r = fill(pend & -pend)
+                if r & pend != pend:
                     return ()
-            base[d] = b
-            whole[d] = 1 if exact or pend or gen == b else 0
-        # a loop's last cell neighbors its start, so one must be in the set
-        if loop:
-            for w in nbrs[end]:
-                if not on[w] and stamp[w] >= b:
-                    break
+                steps_to = tuple(w for w in seeds if r >> pos[w] & 1)
+                whole[d] = 1
             else:
+                # the component of the head's first free neighbor, which
+                # under exact cover must hold every free cell; else also
+                # every other component joined to the head
+                r = fill(1 << pos[seeds[0]]) if seeds else 0
+                if exact and r != free:
+                    return ()
+                rest = sum(1 << pos[w] for w in seeds) & ~r
+                if rest:
+                    r = fill(r | rest)
+                whole[d] = not rest
+            reach[d] = r
+            # a loop's last cell neighbors its start, so one must be in the set
+            if loop and not r & start_nbrs:
                 return ()
         # every pending cell except the end still needs two usable path
-        # neighbors; under exact cover only the previous cell's neighbors
-        # can have lost one since the last node
+        # neighbors; since the last node only the previous cell can have
+        # stopped being usable, so only its required neighbors and the
+        # cells from extra_required are checked
         if exact:
-            check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
+            check = nbrs[path_idx[-2]] if d else ()
         else:
-            check = req_idx + extra if extra else req_idx
+            check = [w for w in nbrs[path_idx[-2]] if req[w]] if d else req_idx
+            if extra:
+                check = [*check, *extra]
         for w in check:
             if on[w] or w == end:
                 continue
@@ -321,6 +392,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     head = start
     while True:
         on[head] = 1
+        free ^= 1 << pos[head]
         free_color[color[head]] -= 1
         pending -= req[head]
         path_idx.append(head)
@@ -344,6 +416,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 frames.pop()
                 c = path_idx.pop()
                 on[c] = 0
+                free ^= 1 << pos[c]
                 free_color[color[c]] += 1
                 pending += req[c]
                 constraint.pop()
@@ -422,12 +495,14 @@ def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]
     """Lazily yield every cycle through all of ``cells`` under the adjacency
     ``neighbors``, each once: rooted at ``cells[0]``, in the direction whose
     second cell comes before its last in ``cells`` (for sorted ``cells``,
-    the smaller one).  Raises
+    the smaller one).  A neighbor among ``cells`` must be an orthogonal unit
+    step from its cell; any other step between two of ``cells`` raises
+    :class:`ValueError` at the call.  The iterator raises
     :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
     grid = _Grid(cells, neighbors)
     if any(len(adj) < 2 for adj in grid.nbrs):
-        return
-    yield from _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), _Nodes(budget))
+        return iter(())
+    return _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), _Nodes(budget))
 
 
 def search_paths(

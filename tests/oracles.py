@@ -702,10 +702,19 @@ def check_against_full_fill(fn, *args, budget=2_000):
     trace = _run_traced(loopsearch._walk, fn, args, None)
     old = _run_traced(full_fill_walk, fn, args, None)
     assert trace == old, _parting(trace, old, "full fill", operator.ne)
+    check_budgeted_against_full_fill(fn, *args, budget=budget)
+    return trace
+
+
+def check_budgeted_against_full_fill(fn, *args, budget=2_000):
+    """The second half of ``check_against_full_fill`` alone, for searches
+    too long to run to their end: ``fn(*args)`` with no search allowed more
+    than ``budget`` nodes must give the same trace under the engine's walk
+    and under ``full_fill_walk``.  Returns the engine's trace."""
     stopped = _run_traced(loopsearch._walk, fn, args, budget)
     old = _run_traced(full_fill_walk, fn, args, budget)
     assert stopped == old, _parting(stopped, old, "full fill", operator.ne)
-    return trace
+    return stopped
 
 
 def check_against_unsplit(fn, *args, budget=2_000):

@@ -45,6 +45,7 @@ from oracles import (
     check_against_anchored,
     check_against_full_fill,
     check_against_unsplit,
+    check_budgeted_against_full_fill,
     compiled_walls,
     gadget_walls,
     region_count,
@@ -625,6 +626,14 @@ class TestFullFill:
         for inst in random_wall_boards():
             check_against_full_fill(solve_aon, inst, "all")
             check_against_unsplit(solve_aon, inst, "all")
+
+    def test_frontier_compile_within_a_budget(self):
+        # a 3x4 compile of about 1,000 cells, where a fill reaches ten times
+        # more cells than its breadth-first depth; the search runs far past
+        # any budget, so the walks are compared over their first 2,000 nodes
+        g = random_candidate_subgraph(3, 4, random.Random("frontier/2"))
+        trace = check_budgeted_against_full_fill(solve_aon, compile_aon(g, plan_for(g)), "first")
+        assert [event[0] for event in trace] == ["budget", "raised"]
 
 
 # four regions that all touch each other (P, Q, R, S) beside two more (T, L):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from loopforge.framework import plan_for
 from loopforge.hamilton import random_candidate_subgraph
-from loopforge.loopsearch import LoopConstraint, search_loops, search_paths
+from loopforge.loopsearch import LoopConstraint, cycles_through, search_loops, search_paths
 from loopforge.model import orthogonal_neighbors
 from loopforge.reduction import certify_gadget, puzzle_of
 
@@ -41,6 +41,20 @@ def test_search_paths_rejects_cap_below_one(cap):
 def test_cap_of_one_stops_after_one_loop():
     res = search_loops(BOARD, [], LoopConstraint, cap=1)
     assert len(res.loops) == 1 and not res.exhausted
+
+
+@pytest.mark.parametrize("step", [(1, 1), (2, 0), (0, -2), (0, 0)])
+def test_cycles_through_rejects_a_step_that_is_not_an_orthogonal_unit(step):
+    # the engine's sets of cells step a bit at a time north and south and a
+    # column at a time east and west, so it takes no other adjacency
+    def neighbors(cell):
+        return [*orthogonal_neighbors(cell), (cell[0] + step[0], cell[1] + step[1])]
+
+    with pytest.raises(ValueError, match="orthogonal unit step"):
+        cycles_through(BOARD, neighbors)
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(cycles_through(square, orthogonal_neighbors)) == [
+        ((0, 0), (0, 1), (1, 1), (1, 0))]
 
 
 # Boards on which the head often cuts the free cells, so that a node's reach

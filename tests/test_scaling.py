@@ -11,6 +11,7 @@ complement queries once did) grows past it.
 
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,22 @@ def count_lines(fn, *args):
     return count
 
 
+def peak_bytes(fn, *args):
+    """The peak of memory traced by ``tracemalloc`` while ``fn(*args)``
+    runs, above what was allocated when it was called."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def _plan_for_cost(n):
     g, _ = serpentine(n)
     return count_lines(plan_for, g)
@@ -132,10 +149,19 @@ def test_layer_grows_at_most_twice_linear(cost):
 
 def test_hamiltonian_search_on_corridor_graphs_grows_at_most_twice_linear():
     # every vertex of a serpentine has two neighbors, so no head can cut
-    # the free vertices and the search needs no flood fill past its root
+    # the free vertices and the search needs no fill past its root
     small, large = (count_lines(find_hamiltonian_cycle, serpentine(n)[0]) for n in (16, 32))
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
+
+
+def test_hamiltonian_search_memory_on_corridor_graphs_grows_at_most_twice_linear():
+    # a node whose head cannot cut the free cells shares its parent's set of
+    # reachable cells, so the search holds one such set per fill on the
+    # path; one per depth would be n^2 sets of n^2 / 30 words each
+    small, large = (peak_bytes(find_hamiltonian_cycle, serpentine(n)[0]) for n in (16, 32))
+    assert small > 0
+    assert large / small <= MAX_GROWTH, f"{small} -> {large} bytes"
 
 
 @pytest.mark.parametrize("rule", ["lex", "antilex"])
