@@ -149,17 +149,18 @@ def _harness_board(turns: int) -> tuple[AonInstance, int]:
 
 def gadget_harness(turns: int):
     """Search domain of the gadget certificate with the gadget rotated by
-    ``turns``: the big region, all of it required, under rules that count
-    both of its crossings as spent.
+    ``turns``: the big region, all of it required, and no rules, since a
+    path that stays in one region and covers it breaks none.
 
     The two pinned exit cells stand for the loop stubs continuing
     off-frame, so a valid traversal can never step into another region
     (any departure would be a third crossing); :func:`gadget_audit`
-    certifies that the rules reject every such step.
+    certifies that the rules, with both crossings spent, reject every such
+    step.
     """
     inst, big_id = _harness_board(turns)
     big = sorted(inst.regions.regions[big_id])
-    return big, big, lambda: AonLoopRules(inst, pre_crossings={big_id: 2})
+    return big, big, LoopConstraint
 
 
 def gadget_audit(turns: int, exits, paths):
@@ -385,57 +386,35 @@ class AonLoopRules(LoopConstraint):
         if pre_crossings:
             self.crossings.update(pre_crossings)
         self.inside = dict.fromkeys(self.sizes, 0)
-        self.partial: set[int] = set()  # regions with 0 < inside < size
-        self.visited: set[Cell] = set()
-        # per pushed cell: the cell, its region and the region it left
-        self.trail: list[tuple[Cell, int, int | None]] = []
+        # per pushed cell: its region and the region it left
+        self.trail: list[tuple[int, int | None]] = []
 
     def push(self, cell) -> bool:
         r = self.region_of[cell]
         crossed = None
         if self.trail:
-            rp = self.trail[-1][1]
+            rp = self.trail[-1][0]
             if rp != r:
                 if self.crossings[rp] + 1 > 2 or self.crossings[r] + 1 > 2:
                     return False
-                if rp != self.trail[0][1] and self.inside[rp] != self.sizes[rp]:
+                if rp != self.trail[0][0] and self.inside[rp] != self.sizes[rp]:
                     return False
                 self.crossings[rp] += 1
                 self.crossings[r] += 1
                 crossed = rp
-        n = self.inside[r] = self.inside[r] + 1
-        if n < self.sizes[r]:
-            self.partial.add(r)
-        else:
-            self.partial.discard(r)
-        self.visited.add(cell)
-        self.trail.append((cell, r, crossed))
+        self.inside[r] += 1
+        self.trail.append((r, crossed))
         return True
 
     def pop(self):
-        cell, r, crossed = self.trail.pop()
-        n = self.inside[r] = self.inside[r] - 1
-        if n:
-            self.partial.add(r)
-        else:
-            self.partial.discard(r)
-        self.visited.discard(cell)
+        r, crossed = self.trail.pop()
+        self.inside[r] -= 1
         if crossed is not None:
             self.crossings[r] -= 1
             self.crossings[crossed] -= 1
 
-    def extra_required(self) -> set[Cell]:
-        need: set[Cell] = set()
-        for rid in self.partial:
-            need |= self.inst.regions.regions[rid] - self.visited
-        return need
-
     def close_ok(self, cells) -> bool:
         return verify_aon(self.inst, LoopPath(cells)).ok
-
-    def finish_ok(self, cells) -> bool:
-        # open-path variant (pinned gadget traversal): all-or-nothing per region
-        return all(n == 0 or n == self.sizes[rid] for rid, n in self.inside.items())
 
 
 def solve_aon(

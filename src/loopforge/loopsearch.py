@@ -34,12 +34,11 @@ cells' bounding box), so a step north is a shift by one and a step east a
 shift by ``height``, each through the mask of the cells that have that
 neighbor.  A fill dilates its seed within the free cells until it stops
 growing: its cost is the fill's breadth-first depth in machine words, not
-its cells.  The pending cells are the required cells not yet on the path,
-the cells from ``extra_required`` and a pinned path's goal.  A path never
-leaves its node's reach set, so a node is dead when a pending cell lies
-outside its parent's.  Required cells and the goal were pending at the
-parent too; every node tests the cells from ``extra_required`` before it
-fills, so no fill starts outside the parent's set.
+its cells.  The pending cells are the required cells not yet on the path
+and a pinned path's goal, fixed at the call: a rule that makes more cells
+mandatory as the path grows can only reject the path at its close.  A path
+never leaves its node's reach set, so every live node's set holds every
+pending cell.
 
 When the head cuts the free cells into components, the path leaves the
 head into one of them and, the head being on the path, can never come back
@@ -110,11 +109,6 @@ class LoopConstraint:
 
     def pop(self) -> None:
         pass
-
-    def extra_required(self) -> set[Cell]:
-        """Cells that have become mandatory given the current prefix: every
-        path the constraint accepts that extends the prefix visits them."""
-        return set()
 
     def close_ok(self, cells: tuple[Cell, ...]) -> bool:
         return True
@@ -245,7 +239,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     yielded when it ends there.  Cell tuples are built only for paths that
     close or finish.
     """
-    cells, index, nbrs, pos = grid.cells, grid.index, grid.nbrs, grid.pos
+    cells, nbrs, pos = grid.cells, grid.nbrs, grid.pos
     north, east, south, west = grid.steps
     h = grid.height
     n = len(cells)
@@ -316,21 +310,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             steps = free_total + on[end]
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return ()
-        extra = () if exact else constraint.extra_required()
         steps_to = nbrs[head]
         d = len(path_idx) - 1
-        late = 0  # the free cells from extra_required
-        if extra:
-            extra = [index.get(c) for c in extra]
-            if None in extra:
-                return ()
-            for i in extra:
-                if not on[i]:
-                    late |= 1 << pos[i]
-            # every pending cell must be in the parent's reach set; only
-            # cells from extra_required can be new, so no fill starts outside it
-            if d > 0 and late & reach[d - 1] != late:
-                return ()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh fill
         if d > 0 and whole[d - 1] and simple(head):
@@ -340,7 +321,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if loop and adj_end[head] and not r & free & start_nbrs:
                 return ()
         else:
-            pend = 0 if exact else pend_cells & free | late
+            pend = pend_cells & free
             seeds = [w for w in steps_to if not on[w]]
             if pend:
                 # the path can enter one component only, and must reach
@@ -367,14 +348,11 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         # every pending cell except the end still needs two usable path
         # neighbors; since the last node only the previous cell can have
-        # stopped being usable, so only its required neighbors and the
-        # cells from extra_required are checked
+        # stopped being usable, so only its required neighbors are checked
         if exact:
             check = nbrs[path_idx[-2]] if d else ()
         else:
             check = [w for w in nbrs[path_idx[-2]] if req[w]] if d else req_idx
-            if extra:
-                check = [*check, *extra]
         for w in check:
             if on[w] or w == end:
                 continue
@@ -401,7 +379,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             closes = adj_end[head] and len(path_idx) >= 4 and path_idx[1] < path_idx[-1]
         else:
             closes = head == end
-        if closes and pending == 0 and (exact or not constraint.extra_required()):
+        if closes and pending == 0:
             path = tuple(cells[i] for i in path_idx)
             if (constraint.close_ok if loop else constraint.finish_ok)(path):
                 yield path

@@ -335,7 +335,7 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
     end is out of reach, and a fill stamps all its components with one
     generation.  Same arguments; the engine's walk must give the same paths
     in the same order, never with more nodes."""
-    cells, index, nbrs = grid.cells, grid.index, grid.nbrs
+    cells, nbrs = grid.cells, grid.nbrs
     n = len(cells)
     loop = start == end
     color = [(c[0] + c[1]) & 1 for c in cells]
@@ -398,7 +398,6 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
             steps = free_total + on[end]
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return False
-        extra = None if exact else constraint.extra_required()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh flood fill
         d = len(path_idx) - 1
@@ -432,15 +431,8 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
         if exact:
             if reached != free_total:
                 return False
-        else:
-            if not inherited:
-                for i in req_idx:
-                    if not on[i] and stamp[i] < b:
-                        return False
-            for c in extra:
-                i = index.get(c)
-                if i is None:
-                    return False
+        elif not inherited:
+            for i in req_idx:
                 if not on[i] and stamp[i] < b:
                     return False
         # the path must still be able to reach its end: a loop's final cell
@@ -460,7 +452,7 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
         if exact:
             check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
         else:
-            check = req_idx + [index[c] for c in extra] if extra else req_idx
+            check = req_idx
         for w in check:
             if on[w] or w == end:
                 continue
@@ -487,7 +479,7 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
             closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
         else:
             closes = head == end
-        if closes and pending == 0 and (exact or not constraint.extra_required()):
+        if closes and pending == 0:
             path = tuple(path_cells)
             if (constraint.close_ok if loop else constraint.finish_ok)(path):
                 yield path
@@ -521,7 +513,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     goal) and, for a loop, a neighbor of the start, and it then steps only
     into that component.  Same arguments; the engine's walk must give the
     same paths in the same order and the same node counts."""
-    cells, index, nbrs = grid.cells, grid.index, grid.nbrs
+    cells, nbrs = grid.cells, grid.nbrs
     n = len(cells)
     loop = start == end
     color = [(c[0] + c[1]) & 1 for c in cells]
@@ -551,9 +543,6 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             steps = free_total + on[end]
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return ()
-        extra = [] if exact else [index.get(c) for c in constraint.extra_required()]
-        if None in extra:
-            return ()
         # the components of the free cells joined to the head's free
         # neighbors, numbered in the order of those neighbors
         comp_of = [None] * n
@@ -572,7 +561,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             parts += 1
         # every pending cell (every free cell under exact cover) and a
         # path's goal lie in one component
-        pend = {comp_of[i] for i in req_idx + extra + [end] if not on[i]}
+        pend = {comp_of[i] for i in req_idx + [end] if not on[i]}
         if None in pend or len(pend) > 1:
             return ()
         # a loop's last cell neighbors its start, so one must be in reach:
@@ -591,7 +580,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         if exact:
             check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
         else:
-            check = req_idx + extra
+            check = req_idx
         for w in check:
             if on[w] or w == end:
                 continue
@@ -618,7 +607,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
         else:
             closes = head == end
-        if closes and pending == 0 and (exact or not constraint.extra_required()):
+        if closes and pending == 0:
             path = tuple(path_cells)
             if (constraint.close_ok if loop else constraint.finish_ok)(path):
                 yield path

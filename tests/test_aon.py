@@ -9,6 +9,7 @@ from loopforge import aon
 from loopforge.errors import CompileError, MalformedLoopError, ParseError, SearchBudgetExceeded
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
+from loopforge.loopsearch import SearchResult
 from loopforge.model import LoopPath, full_grid
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
@@ -582,6 +583,31 @@ class TestSolve:
             brute = {l.canonical().cells for l in loops if verify_aon(inst, l).ok}
             assert {l.canonical().cells for l in res.loops} == brute
         assert checked >= 25
+
+    def test_compiled_boards_are_exact_cover(self):
+        # the filler regions of a compile are dead, and each big region
+        # borders a dead region (its enclosed one-cell region, and filler),
+        # so the solver requires every cell it allows; the search then has
+        # no use for cells a rule makes mandatory mid-walk, and prunes for
+        # none.  A gadget edit that breaks this fails here
+        graphs = [g for cols, rows in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))
+                  for g in enumerate_candidate_subgraphs(cols, rows)]
+        rng = random.Random("exact-cover")
+        graphs += [random_candidate_subgraph(rng.randint(2, 8), rng.randint(2, 8), rng)
+                   for _ in range(30)]
+        calls = []
+
+        def recorded(allowed, required, make_constraint, **kwargs):
+            calls.append((set(allowed), set(required)))
+            return SearchResult([], 0, False)
+
+        with mock.patch.object(aon, "search_loops", recorded):
+            for g in graphs:
+                for seed_rule in ("lex", "antilex"):
+                    solve_aon(compile_aon(g, plan_for(g, seed_rule)))
+        assert len(calls) == 2 * len(graphs) == 118
+        for allowed, required in calls:
+            assert required and allowed == required
 
 
 class TestRooting:
