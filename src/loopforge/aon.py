@@ -14,17 +14,23 @@ frame.  In canonical orientation the non-exit side is S and the exits are
 W, E, N with border cells on the midline of their sides.  The frame holds
 one big walkable region, a single enclosed one-cell region, and three
 filler parts that merge into dead regions once gadgets are tiled.
+
+The solver works by region (:mod:`loopforge.regionsearch`): a loop that
+visits two or more regions visits a cycle of them, each once, along one
+Hamiltonian path of each; a compile's loop crosses each metacell's big
+region once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
 from .framework import Direction, ExitPlan, Gadget
-from .loopsearch import LoopConstraint, SearchResult, search_loops, solver_cap
+from .loopsearch import LoopConstraint, SearchResult, _collect, _Nodes, search_loops, solver_cap
 from .model import (
     Cell,
     GridGraph,
@@ -37,6 +43,7 @@ from .model import (
     orthogonal_neighbors,
     regions_from_labels,
 )
+from .regionsearch import RegionCycles, metered
 
 GADGET_NON_EXIT = Direction.S
 GADGET_EXIT_CELLS = {
@@ -155,8 +162,8 @@ def gadget_harness(turns: int):
     The two pinned exit cells stand for the loop stubs continuing
     off-frame, so a valid traversal can never step into another region
     (any departure would be a third crossing); :func:`gadget_audit`
-    certifies that the rules, with both crossings spent, reject every such
-    step.
+    certifies that the crossing rule, with both crossings spent, rejects
+    every such step.
     """
     inst, big_id = _harness_board(turns)
     big = sorted(inst.regions.regions[big_id])
@@ -167,20 +174,19 @@ def gadget_audit(turns: int, exits, paths):
     """Blocked-side counts (none) and findings of the gadget certificate.
 
     The escape audit counts the big region's border steps that the
-    harness rules permit (0 expected); the structural findings count the
-    leaves of each filler part and the regions around the one-cell region.
+    crossing rule permits with both of its crossings spent (0 expected);
+    the structural findings count the leaves of each filler part and the
+    regions around the one-cell region.
     """
     inst, big_id = _harness_board(turns)
     region_of = inst.regions.region_of
-    rules = AonLoopRules(inst, pre_crossings={big_id: 2})
-    escapes = 0
-    for b in sorted(inst.regions.regions[big_id]):
-        rules.push(b)  # a walk's first cell is always accepted
-        for nb in orthogonal_neighbors(b):
-            if nb in region_of and region_of[nb] != big_id and rules.push(nb):
-                escapes += 1
-                rules.pop()
-        rules.pop()
+    # a loop crosses a region's border twice, and the two pinned exits
+    # spend both of the big region's crossings: a step into another region
+    # would be a third
+    crossings = 2
+    escapes = sum(1 for b in sorted(inst.regions.regions[big_id])
+                  for nb in orthogonal_neighbors(b)
+                  if nb in region_of and region_of[nb] != big_id and crossings + 1 <= 2)
     entered = "yes" if escapes else "no"
     findings = [f"parts-entered {entered}", f"one-cell-entered {entered}",
                 f"rule-permitted-escapes {escapes}"]
@@ -341,8 +347,9 @@ def analyze_dead_regions(inst: AonInstance) -> DeadRegionReport:
 
     A region with three or more leaves cannot be covered by a single arc.
     A one-cell region whose neighbors all lie in one single other region
-    cannot be visited either: passing through it spends two of the host
-    region's crossings on top of the two the host needs for its own visit.
+    cannot be visited by a loop that visits a third region: passing through
+    it spends both of the host region's crossings, so the loop covers the
+    host and the one cell alone (``solve_aon`` looks for such loops apart).
     Regions matching neither argument stay "unknown" (or "big" when
     compilation provenance marks them as a metacell's walkable region);
     they are never silently assumed dead.
@@ -369,83 +376,63 @@ def analyze_dead_regions(inst: AonInstance) -> DeadRegionReport:
     return DeadRegionReport(status, leaf_counts, enclosing)
 
 
-class AonLoopRules(LoopConstraint):
-    """Incremental region bookkeeping for the loop search.
-
-    Tracks per-region border crossings and coverage along the open path:
-    crossing a region border more than twice is fatal, and a region (other
-    than the one the path started in) must be fully covered before the path
-    leaves it.  Completed loops are re-checked by the full verifier.
-    """
-
-    def __init__(self, inst: AonInstance, pre_crossings: dict[int, int] | None = None):
-        self.inst = inst
-        self.region_of = inst.regions.region_of
-        self.sizes = {rid: len(cells) for rid, cells in inst.regions.regions.items()}
-        self.crossings = dict.fromkeys(self.sizes, 0)
-        if pre_crossings:
-            self.crossings.update(pre_crossings)
-        self.inside = dict.fromkeys(self.sizes, 0)
-        # per pushed cell: its region and the region it left
-        self.trail: list[tuple[int, int | None]] = []
-
-    def push(self, cell) -> bool:
-        r = self.region_of[cell]
-        crossed = None
-        if self.trail:
-            rp = self.trail[-1][0]
-            if rp != r:
-                if self.crossings[rp] + 1 > 2 or self.crossings[r] + 1 > 2:
-                    return False
-                if rp != self.trail[0][0] and self.inside[rp] != self.sizes[rp]:
-                    return False
-                self.crossings[rp] += 1
-                self.crossings[r] += 1
-                crossed = rp
-        self.inside[r] += 1
-        self.trail.append((r, crossed))
-        return True
-
-    def pop(self):
-        r, crossed = self.trail.pop()
-        self.inside[r] -= 1
-        if crossed is not None:
-            self.crossings[r] -= 1
-            self.crossings[crossed] -= 1
-
-    def close_ok(self, cells) -> bool:
-        return verify_aon(self.inst, LoopPath(cells)).ok
-
-
 def solve_aon(
     inst: AonInstance,
     mode: str = "first",
     budget: int | None = None,
     cap: int | None = None,
 ) -> SearchResult:
-    """Search for verified loops; dead regions are pre-excluded and regions
-    bordering them become mandatory (two adjacent dead regions make the
-    instance unsatisfiable outright)."""
+    """Search for verified loops region by region.
+
+    Dead regions are left out and the regions bordering them are required
+    (two touching dead regions make the board unsatisfiable outright).  A
+    loop that leaves every other region unvisited may stay inside one
+    region, or pass through an enclosed one-cell region and its host
+    alone: those come from the cell search on their cells.  Every other
+    loop visits a cycle of two or more live regions, each once, covering
+    each by one Hamiltonian path between the cells it enters and leaves
+    at; :class:`~loopforge.regionsearch.RegionCycles` searches those
+    cycles, rooted at the smallest required region, else at each live
+    region in turn over the regions above it, and the verifier checks
+    every loop they give.  When every live region is required, a loop
+    covers every live cell, so unequal colour counts refute that search
+    before it starts.  The nodes, counted toward ``budget``, are those of
+    the cell searches, the rows' included (see
+    :mod:`loopforge.regionsearch`), and one per region step."""
     cap = solver_cap(mode, cap)
     report = analyze_dead_regions(inst)
     dead = report.dead_ids()
     decomp = inst.regions
-
-    required_regions = set()
+    required = set()
     for r1, r2 in decomp.touching:
         if r1 in dead and r2 in dead:
             return SearchResult([], 0, True)
         if r1 in dead:
-            required_regions.add(r2)
+            required.add(r2)
         if r2 in dead:
-            required_regions.add(r1)
+            required.add(r1)
+    live = [r for r in sorted(decomp.regions) if r not in dead]
+    nodes = _Nodes(budget)
+    # per region, the touching pairs it is in: a loop over some regions
+    # alone must leave no touching pair outside them
+    degree = Counter(r for pair in decomp.touching for r in pair)
 
-    allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
-    required = [c for c in allowed if decomp.region_of[c] in required_regions]
-    return search_loops(
-        allowed,
-        required,
-        lambda: AonLoopRules(inst),
-        cap=cap,
-        budget=budget,
-    )
+    def found():
+        alone = [(r,) for r in live] + [(h, d) for d, h in report.enclosing.items()]
+        for rids in alone:
+            # an enclosed cell and its host share one pair
+            if sum(degree[r] for r in rids) - len(rids) + 1 == len(decomp.touching):
+                cells = [c for r in rids for c in decomp.regions[r]]
+                yield from metered(nodes, search_loops, cells, cells, LoopConstraint,
+                                   cap=cap).loops
+        if set(live) == required:
+            live_cells = [c for r in live for c in decomp.regions[r]]
+            if 2 * sum((x + y) & 1 for x, y in live_cells) != len(live_cells):
+                return
+        search = RegionCycles(decomp, live, nodes, mode == "all")
+        for root in [min(required)] if required else live:
+            for loop in search.loops(root, 0 if required else root):
+                if verify_aon(inst, loop).ok:
+                    yield loop
+
+    return _collect(found(), cap, nodes)

@@ -226,6 +226,18 @@ class _Nodes:
         if self.budget is not None and self.count > self.budget:
             raise SearchBudgetExceeded(self.count)
 
+    def left(self) -> int | None:
+        """The nodes the budget still allows, or None without a budget."""
+        return None if self.budget is None else self.budget - self.count
+
+    def charge(self, n: int):
+        """Count ``n`` nodes spent elsewhere; past the budget, stop as a
+        tick would, at one node over it."""
+        self.count += n
+        if self.budget is not None and self.count > self.budget:
+            self.count = self.budget + 1
+            raise SearchBudgetExceeded(self.count)
+
 
 def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
           constraint: LoopConstraint, nodes: _Nodes) -> Iterator[tuple[Cell, ...]]:

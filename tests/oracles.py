@@ -11,7 +11,9 @@ that the engine's index order is cell order.  The All or Nothing gadget
 is transcribed a second time, as wall polylines, and
 ``regions_from_boundaries`` fills a board between walls: the wall model
 the region labels must reproduce.  Each puzzle's own gadget placement,
-from before the shared tiler, is kept too.
+from before the shared tiler, is kept too, and so is the All or Nothing
+solver from before it searched by region, ``solve_aon_by_cells``: the
+cell walk the region search is checked against.
 """
 
 import operator
@@ -26,15 +28,24 @@ from loopforge.aon import (
     STATUS_DEAD_ENCLOSURE,
     STATUS_DEAD_LEAF_RICH,
     STATUS_UNKNOWN,
-    AonLoopRules,
     DeadRegionReport,
+    analyze_dead_regions,
     verify_aon,
 )
 from loopforge.framework import DIRECTION_ORDER, Direction, Orientation, direction_between
 from loopforge import aon, loopsearch
 from loopforge import waterwalk as ww
 from loopforge.errors import SearchBudgetExceeded
-from loopforge.loopsearch import SearchResult, _collect, _Grid, _Nodes, _walk, search_loops
+from loopforge.loopsearch import (
+    LoopConstraint,
+    SearchResult,
+    _collect,
+    _Grid,
+    _Nodes,
+    _walk,
+    search_loops,
+    solver_cap,
+)
 from loopforge.model import (
     LoopPath,
     RegionDecomposition,
@@ -788,10 +799,79 @@ def analyze_dead_regions_by_scan(inst):
     return DeadRegionReport(status, leaf_counts, enclosing)
 
 
+class AonLoopRules(LoopConstraint):
+    """The cell walk's All or Nothing rules: incremental region bookkeeping.
+
+    Tracks per-region border crossings and coverage along the open path:
+    crossing a region border more than twice is fatal, and a region (other
+    than the one the path started in) must be fully covered before the path
+    leaves it.  Completed loops are re-checked by the full verifier.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.region_of = inst.regions.region_of
+        self.sizes = {rid: len(cells) for rid, cells in inst.regions.regions.items()}
+        self.crossings = dict.fromkeys(self.sizes, 0)
+        self.inside = dict.fromkeys(self.sizes, 0)
+        # per pushed cell: its region and the region it left
+        self.trail = []
+
+    def push(self, cell):
+        r = self.region_of[cell]
+        crossed = None
+        if self.trail:
+            rp = self.trail[-1][0]
+            if rp != r:
+                if self.crossings[rp] + 1 > 2 or self.crossings[r] + 1 > 2:
+                    return False
+                if rp != self.trail[0][0] and self.inside[rp] != self.sizes[rp]:
+                    return False
+                self.crossings[rp] += 1
+                self.crossings[r] += 1
+                crossed = rp
+        self.inside[r] += 1
+        self.trail.append((r, crossed))
+        return True
+
+    def pop(self):
+        r, crossed = self.trail.pop()
+        self.inside[r] -= 1
+        if crossed is not None:
+            self.crossings[r] -= 1
+            self.crossings[crossed] -= 1
+
+    def close_ok(self, cells):
+        return verify_aon(self.inst, LoopPath(cells)).ok
+
+
+def solve_aon_by_cells(inst, mode="first", budget=None, cap=None):
+    """``aon.solve_aon`` as a cell walk, as the package solved All or
+    Nothing boards before it searched by region: one ``search_loops`` over
+    the cells of every region that is not dead, requiring the cells of the
+    regions that border a dead region, under ``AonLoopRules``.  It takes
+    an enclosed one-cell region as dead on any board, so it misses a loop
+    through such a region and its host alone."""
+    cap = solver_cap(mode, cap)
+    dead = analyze_dead_regions(inst).dead_ids()
+    decomp = inst.regions
+    required_regions = set()
+    for r1, r2 in decomp.touching:
+        if r1 in dead and r2 in dead:
+            return SearchResult([], 0, True)
+        if r1 in dead:
+            required_regions.add(r2)
+        if r2 in dead:
+            required_regions.add(r1)
+    allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
+    required = [c for c in allowed if decomp.region_of[c] in required_regions]
+    return search_loops(allowed, required, lambda: AonLoopRules(inst), cap=cap, budget=budget)
+
+
 def solve_aon_by_scan(inst, mode="first", budget=None, cap=None):
-    """``solve_aon`` with the regions bordering a dead region found by
-    scanning the east and north side of every board cell, and the dead
-    regions by :func:`analyze_dead_regions_by_scan`."""
+    """:func:`solve_aon_by_cells` with the regions bordering a dead region
+    found by scanning the east and north side of every board cell, and the
+    dead regions by :func:`analyze_dead_regions_by_scan`."""
     dead = analyze_dead_regions_by_scan(inst).dead_ids()
     decomp = inst.regions
     required_regions = set()

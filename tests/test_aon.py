@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from loopforge.errors import CompileError, MalformedLoopError, ParseError, Searc
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.loopsearch import SearchResult
-from loopforge.model import LoopPath, full_grid
+from loopforge.model import LoopPath, full_grid, regions_from_labels
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
     FRAME,
@@ -24,6 +25,7 @@ from loopforge.aon import (
     STATUS_DEAD_ENCLOSURE,
     STATUS_DEAD_LEAF_RICH,
     STATUS_UNKNOWN,
+    AonInstance,
     DeadRegionReport,
     analyze_dead_regions,
     board_text,
@@ -32,10 +34,12 @@ from loopforge.aon import (
     gadget_board,
     gadget_parts,
     parse_aon,
+    region_token,
     solve_aon,
     verify_aon,
 )
 
+import oracles
 from oracles import (
     all_loops_on_board,
     analyze_dead_regions_by_scan,
@@ -51,6 +55,7 @@ from oracles import (
     gadget_walls,
     region_count,
     regions_from_boundaries,
+    solve_aon_by_cells,
     solve_aon_by_scan,
     verify_aon_by_scan,
 )
@@ -535,7 +540,7 @@ class TestSolve:
         res = solve_aon(aon_fixture, mode="all")
         assert res.exhausted
         assert len(res.loops) == SAMPLE_SOLUTION_COUNT
-        brute = {l.canonical().cells for l in all_loops_on_board(5, 5)
+        brute = {l.canonical().cells for l in board_loops(5, 5)
                  if verify_aon(aon_fixture, l).ok}
         assert {l.canonical().cells for l in res.loops} == brute
 
@@ -574,7 +579,7 @@ class TestSolve:
         assert [l.cells for l in a.loops] == [l.cells for l in b.loops]
 
     def test_solver_matches_brute_force_on_random_wall_boards(self):
-        loops = all_loops_on_board(4, 4)
+        loops = board_loops(4, 4)
         checked = 0
         for inst in random_wall_boards():
             checked += 1
@@ -587,9 +592,10 @@ class TestSolve:
     def test_compiled_boards_are_exact_cover(self):
         # the filler regions of a compile are dead, and each big region
         # borders a dead region (its enclosed one-cell region, and filler),
-        # so the solver requires every cell it allows; the search then has
-        # no use for cells a rule makes mandatory mid-walk, and prunes for
-        # none.  A gadget edit that breaks this fails here
+        # so the cell walk requires every cell it allows; it then has no
+        # use for cells a rule makes mandatory mid-walk, and prunes for
+        # none, and the region search may refute a compile by colour
+        # count.  A gadget edit that breaks this fails here
         graphs = [g for cols, rows in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))
                   for g in enumerate_candidate_subgraphs(cols, rows)]
         rng = random.Random("exact-cover")
@@ -601,10 +607,10 @@ class TestSolve:
             calls.append((set(allowed), set(required)))
             return SearchResult([], 0, False)
 
-        with mock.patch.object(aon, "search_loops", recorded):
+        with mock.patch.object(oracles, "search_loops", recorded):
             for g in graphs:
                 for seed_rule in ("lex", "antilex"):
-                    solve_aon(compile_aon(g, plan_for(g, seed_rule)))
+                    solve_aon_by_cells(compile_aon(g, plan_for(g, seed_rule)))
         assert len(calls) == 2 * len(graphs) == 118
         for allowed, required in calls:
             assert required and allowed == required
@@ -612,53 +618,57 @@ class TestSolve:
 
 class TestRooting:
     """The loop search's rooting rule against the per-anchor walks
-    (``oracles.anchored_search_loops``)."""
+    (``oracles.anchored_search_loops``), on All or Nothing boards through
+    the cell walk (``oracles.solve_aon_by_cells``)."""
 
     def test_fixture(self, aon_fixture):
-        check_against_anchored(aon, solve_aon, aon_fixture)
+        check_against_anchored(oracles, solve_aon_by_cells, aon_fixture)
 
     def test_random_wall_boards(self):
         for inst in random_wall_boards():
-            check_against_anchored(aon, solve_aon, inst)
+            check_against_anchored(oracles, solve_aon_by_cells, inst)
 
     def test_compiled_board_walk_unchanged(self):
         # a compiled board requires every allowed cell, so its one anchor is
         # its smallest required cell and the walk is the same, node for node
         g = full_grid(2, 2)
         inst = compile_aon(g, plan_for(g))
-        new = solve_aon(inst, mode="first")
-        with mock.patch.object(aon, "search_loops", anchored_search_loops):
-            old = solve_aon(inst, mode="first")
+        new = solve_aon_by_cells(inst, mode="first")
+        with mock.patch.object(oracles, "search_loops", anchored_search_loops):
+            old = solve_aon_by_cells(inst, mode="first")
         assert new.nodes == old.nodes and new.loops == old.loops
 
 
 class TestFullFill:
     """The walk that reuses its parent's reach set against one that flood
-    fills at every node (``oracles.full_fill_walk``)."""
+    fills at every node (``oracles.full_fill_walk``), on All or Nothing
+    boards through the cell walk (``oracles.solve_aon_by_cells``)."""
 
     def test_every_small_compile(self):
-        # one 3x2 compile takes 2.5M nodes to its first loop: the walks are
+        # one 3x2 compile takes 1.6M nodes to its first loop: the walks are
         # compared over their first 8,000 nodes
         ends = []
         for cols, rows in ((2, 2), (2, 3), (3, 2)):
             for g in enumerate_candidate_subgraphs(cols, rows):
                 inst = compile_aon(g, plan_for(g))
-                trace = check_against_full_fill(solve_aon, inst, "first", 8_000, budget=500)
-                check_against_unsplit(solve_aon, inst, "first", 8_000, budget=500)
+                trace = check_against_full_fill(solve_aon_by_cells, inst, "first", 8_000,
+                                                budget=500)
+                check_against_unsplit(solve_aon_by_cells, inst, "first", 8_000, budget=500)
                 ends.append(trace[-1][0])
         assert ends == ["path", "raised", "path", "raised", "raised"]
 
     def test_random_wall_boards(self):
         for inst in random_wall_boards():
-            check_against_full_fill(solve_aon, inst, "all")
-            check_against_unsplit(solve_aon, inst, "all")
+            check_against_full_fill(solve_aon_by_cells, inst, "all")
+            check_against_unsplit(solve_aon_by_cells, inst, "all")
 
     def test_frontier_compile_within_a_budget(self):
         # a 3x4 compile of about 1,000 cells, where a fill reaches ten times
         # more cells than its breadth-first depth; the search runs far past
         # any budget, so the walks are compared over their first 2,000 nodes
         g = random_candidate_subgraph(3, 4, random.Random("frontier/2"))
-        trace = check_budgeted_against_full_fill(solve_aon, compile_aon(g, plan_for(g)), "first")
+        trace = check_budgeted_against_full_fill(solve_aon_by_cells, compile_aon(g, plan_for(g)),
+                                                 "first")
         assert [event[0] for event in trace] == ["budget", "raised"]
 
 
@@ -756,10 +766,126 @@ class TestRegionAdjacency:
             assert analyze_dead_regions(inst) == analyze_dead_regions_by_scan(inst), name
 
     def test_solve_matches_scan(self, aon_fixture):
+        # the cell walk, which reads the table, against the one that scans;
         # compiled boards are solved to a first loop under a node budget
-        # (one 3x2 compile takes 2.5M nodes to its first loop); the 2x2
+        # (one 3x2 compile takes 1.6M nodes to its first loop); the 2x2
         # compile finds its loop within it
         for name, inst, _ in adjacency_boards(aon_fixture):
             mode, budget = ("all", None) if inst.width < 10 else ("first", 3_000)
-            assert _solve_outcome(solve_aon, inst, mode, budget) == \
+            assert _solve_outcome(solve_aon_by_cells, inst, mode, budget) == \
                 _solve_outcome(solve_aon_by_scan, inst, mode, budget), name
+
+
+@lru_cache(maxsize=None)
+def board_loops(width, height):
+    """Every loop on a width x height board (``oracles.all_loops_on_board``)."""
+    return all_loops_on_board(width, height)
+
+
+def label_boards():
+    """300 seeded 4x4 boards of up to five labels: ``randrange(5)`` per
+    cell from ``Random(5)``, columns outer."""
+    rng = random.Random(5)
+    for _ in range(300):
+        labels = {(x, y): rng.randrange(5) for x in range(4) for y in range(4)}
+        decomp = regions_from_labels(4, 4, labels)
+        yield AonInstance(4, 4, decomp, tuple(region_token(r) for r in sorted(decomp.regions)))
+
+
+# hand-made edge cases: two one-cell regions side by side, and a board on
+# which no region borders a dead one, so no region is required
+EDGE_BOARDS = ("aon 3 3\nA B C\nC C C\nC C C\n", "aon 4 2\nA A B B\nA A B B\n")
+# a one-cell region that its host encloses: a loop through the two alone
+# leaves no other region unvisited, so the cell walk, which takes the one
+# cell as dead, misses it
+ENCLOSED_BOARD = "aon 4 3\nH H H H\nH D H H\nH H H H\n"
+
+
+def _frontier_board():
+    g = random_candidate_subgraph(3, 4, random.Random("frontier/2"))
+    return compile_aon(g, plan_for(g))
+
+
+class TestRegionSolve:
+    """The region search against the cell walk (``oracles.solve_aon_by_cells``)
+    and against brute force."""
+
+    @staticmethod
+    def check(inst):
+        """``mode="all"`` gives brute force's loops, each once and in
+        canonical form, and so does the cell walk; ``mode="first"`` gives
+        one of them.  Returns the brute-force loops."""
+        brute = sorted({l.canonical().cells for l in board_loops(inst.width, inst.height)
+                        if verify_aon(inst, l).ok})
+        res = solve_aon(inst, mode="all")
+        assert res.exhausted
+        assert sorted(l.cells for l in res.loops) == brute
+        assert all(l == l.canonical() for l in res.loops)
+        assert len({l.cells for l in res.loops}) == len(res.loops)
+        first = solve_aon(inst, mode="first")
+        assert len(first.loops) == min(1, len(brute))
+        assert all(l.cells in brute for l in first.loops)
+        return brute
+
+    def test_fixture_and_touching_board(self, aon_fixture):
+        # the touching board's loop around L alone leaves touching regions
+        # unvisited, so that board has no solution
+        for inst, count in ((aon_fixture, SAMPLE_SOLUTION_COUNT),
+                            (parse_aon(TOUCHING_INSTANCE), 0)):
+            brute = self.check(inst)
+            assert len(brute) == count
+            assert sorted(l.cells for l in solve_aon_by_cells(inst, mode="all").loops) == brute
+
+    def test_random_wall_and_label_boards(self):
+        boards = [*random_wall_boards(), *label_boards(), *map(parse_aon, EDGE_BOARDS)]
+        found = 0
+        for inst in boards:
+            brute = self.check(inst)
+            assert sorted(l.cells for l in solve_aon_by_cells(inst, mode="all").loops) == brute
+            found += len(brute)
+        assert len(boards) == 336 and found == 177 + 1_267 + 4
+
+    def test_loop_through_an_enclosed_cell_and_its_host(self):
+        inst = parse_aon(ENCLOSED_BOARD)
+        assert analyze_dead_regions(inst).status[1] == STATUS_DEAD_ENCLOSURE
+        assert len(self.check(inst)) == 2
+        assert solve_aon_by_cells(inst, mode="all").loops == []
+
+    def test_compiled_boards_decide_and_lift(self):
+        from loopforge.hamilton import find_hamiltonian_cycle
+        from loopforge.reduction import lift_solution
+
+        for cols, rows in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
+            for g in enumerate_candidate_subgraphs(cols, rows):
+                plan = plan_for(g)
+                inst = compile_aon(g, plan)
+                res = solve_aon(inst)
+                assert bool(res.loops) == (find_hamiltonian_cycle(g) is not None)
+                assert res.exhausted != bool(res.loops)
+                for l in res.loops:
+                    assert verify_aon(inst, l).ok
+                    lift_solution(g, plan, l, "aon")
+
+    def test_colour_count_refutes_before_any_search(self):
+        # every 3x3 source has an odd vertex count, and every compile is
+        # exact cover with one colour in excess
+        for g in enumerate_candidate_subgraphs(3, 3):
+            assert solve_aon(compile_aon(g, plan_for(g))) == SearchResult([], 0, True)
+
+    def test_repeat_solves_and_budgets_agree(self, aon_fixture):
+        # a solve keeps nothing for the next: a repeat gives the same loops,
+        # nodes and budget stops, a budget of exactly the nodes suffices,
+        # and a smaller one stops one node over it, as the cell walk does
+        # (a 3x4 compile has about 700^12 loops, so it is solved to a first one)
+        for inst, modes in ((aon_fixture, ("first", "all")), (_frontier_board(), ("first",))):
+            for mode in modes:
+                once = _solve_outcome(solve_aon, inst, mode, None)
+                assert _solve_outcome(solve_aon, inst, mode, None) == once
+                nodes = once[1]
+                assert _solve_outcome(solve_aon, inst, mode, nodes) == once
+                assert _solve_outcome(solve_aon, inst, mode, nodes - 1) == ("budget", nodes)
+            for budget in range(0, 5_001, 50):
+                once = _solve_outcome(solve_aon, inst, "first", budget)
+                assert _solve_outcome(solve_aon, inst, "first", budget) == once, budget
+                if once[0] == "budget":
+                    assert once == ("budget", budget + 1)

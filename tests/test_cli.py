@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import loopforge.reduction
@@ -53,6 +55,20 @@ class TestExitCodes:
         code = main(["solve", "--puzzle", "ww", "--in", str(inst),
                      "--budget", "3", "--out", str(tmp_path / "w.loop")])
         assert code == 2
+
+    def test_aon_all_capped_at_one_stops_at_its_first_loop(self, square_graph_file, tmp_path):
+        # the first loop of `solve --all --cap 1` on the compiled 2x2 board
+        # comes within the 574 nodes a first-loop solve spends (before the
+        # region search walked traversals only for closed cycles, it took
+        # 148,422 nodes and about 1.2 s)
+        inst = tmp_path / "a.inst"
+        assert main(["compile", "--puzzle", "aon", "--in", str(square_graph_file),
+                     "--out", str(inst)]) == 0
+        t0 = time.perf_counter()
+        code = main(["solve", "--puzzle", "aon", "--in", str(inst), "--all", "--cap", "1",
+                     "--budget", "574", "--out", str(tmp_path / "a.loop")])
+        assert code == 0 and time.perf_counter() - t0 < 0.5
+        assert (tmp_path / "a.loop.0").exists()
 
     def test_crash_is_internal_error(self, square_graph_file, monkeypatch, capsys):
         import loopforge.cli

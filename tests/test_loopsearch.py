@@ -5,14 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopforge.aon import solve_aon
+from loopforge.aon import compile_aon, solve_aon
 from loopforge.framework import plan_for
 from loopforge.hamilton import random_candidate_subgraph
 from loopforge.loopsearch import LoopConstraint, cycles_through, search_loops, search_paths
-from loopforge.model import orthogonal_neighbors
+from loopforge.model import full_grid, orthogonal_neighbors
 from loopforge.reduction import certify_gadget, puzzle_of
 
-from oracles import all_loops_on_board, check_against_full_fill, check_against_unsplit
+from oracles import (
+    all_loops_on_board,
+    check_against_full_fill,
+    check_against_unsplit,
+    solve_aon_by_cells,
+)
 
 BOARD = [(x, y) for x in range(3) for y in range(3)]
 
@@ -249,27 +254,37 @@ def test_cells_required_late_match_brute_force(case):
         check_against_unsplit(fn, *args, budget=20)
 
 
-def seed7_first(puzzle, cols, rows):
+def seed7_first(puzzle, cols, rows, solve=None):
     p = puzzle_of(puzzle)
     g = random_candidate_subgraph(cols, rows, random.Random(7))
-    return p.solve(p.compile(g, plan_for(g)), mode="first")
+    return (solve or p.solve)(p.compile(g, plan_for(g)), mode="first")
 
 
 # Search nodes on the boards the README and ROADMAP measure, with what each
 # search finds: loops for a seed-7 board solved to a first loop (0 is a
 # refutation) or for a board solved for all its loops, traversals per exit
 # pair for a gadget certificate.  A change to any prune moves the node
-# counts here.  The hand-made AoN fixture is not exact cover, so its count
-# is the one that a prune for cells a rule makes mandatory mid-walk would
-# lower.
+# counts here.  The AoN boards without "by region" are solved by the cell
+# walk (``oracles.solve_aon_by_cells``), the package's AoN solver before it
+# searched by region.  The hand-made AoN fixture is not exact cover, so its
+# cell-walk count is the one that a prune for cells a rule makes mandatory
+# mid-walk would lower.  A region search's nodes are its rows' searches,
+# most of them on a compile, and one per region step; asked for every
+# loop but capped at one, it spends no more than for a first loop.
 BASELINE_BOARDS = {
     "ww 3x3 seed 7": lambda request: seed7_first("ww", 3, 3),
     "ww 4x4 seed 7": lambda request: seed7_first("ww", 4, 4),
-    "aon 2x4 seed 7": lambda request: seed7_first("aon", 2, 4),
+    "aon 2x4 seed 7": lambda request: seed7_first("aon", 2, 4, solve_aon_by_cells),
     "aon certificate": lambda request: request.getfixturevalue("aon_certificate"),
     "ww certificate": lambda request: certify_gadget("ww"),
-    "aon fixture all": lambda request: solve_aon(request.getfixturevalue("aon_fixture"),
-                                                 mode="all"),
+    "aon fixture all": lambda request: solve_aon_by_cells(
+        request.getfixturevalue("aon_fixture"), mode="all"),
+    "aon by region 2x4 seed 7": lambda request: seed7_first("aon", 2, 4),
+    "aon by region 3x4 seed 7": lambda request: seed7_first("aon", 3, 4),
+    "aon by region fixture all": lambda request: solve_aon(
+        request.getfixturevalue("aon_fixture"), mode="all"),
+    "aon by region 2x2 all, cap 1": lambda request: solve_aon(
+        compile_aon(full_grid(2, 2), plan_for(full_grid(2, 2))), mode="all", cap=1),
 }
 
 
@@ -280,6 +295,10 @@ BASELINE_BOARDS = {
     ("aon certificate", 276_467, [593, 694, 853]),
     ("ww certificate", 408, [2, 2, 3]),
     ("aon fixture all", 956, 2),
+    ("aon by region 2x4 seed 7", 931, 1),
+    ("aon by region 3x4 seed 7", 1_072, 0),
+    ("aon by region fixture all", 191, 2),
+    ("aon by region 2x2 all, cap 1", 574, 1),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):
     res = BASELINE_BOARDS[board](request)

@@ -384,6 +384,16 @@ class TestRoundtrip:
             assert all(r.hamiltonian == "no" and r.solvable == "no"
                        for r in report.results)
 
+    @pytest.mark.parametrize("cols, rows", [(3, 4), (4, 3)])
+    def test_aon_3x4_decided_within_the_frontier_budget(self, cols, rows):
+        # the AoN solver decides every 3x4 and 4x3 compile within 5,000
+        # nodes, the budget of the benchmark's AoN frontier boards
+        report = roundtrip_experiment(cols, rows, "aon", solver_budget=5_000)
+        assert len(report.results) == report.agreements == 93
+        assert report.timeouts == 0
+        solved = [r for r in report.results if r.solvable == "yes"]
+        assert len(solved) == 35 and all(r.lift_ok is True for r in solved)
+
 
 class TestAtScale:
     def test_embed_lift_on_random_6x6_graphs(self):
