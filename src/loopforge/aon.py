@@ -25,12 +25,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
 from .framework import Direction, ExitPlan, Gadget
-from .loopsearch import LoopConstraint, SearchResult, _collect, _Nodes, search_loops, solver_cap
+from .loopsearch import (
+    LoopConstraint,
+    SearchResult,
+    _collect,
+    _Nodes,
+    metered,
+    search_loops,
+    solver_cap,
+)
 from .model import (
     Cell,
     GridGraph,
@@ -40,10 +47,9 @@ from .model import (
     Vertex,
     Violation,
     crossings_by_region,
-    orthogonal_neighbors,
     regions_from_labels,
 )
-from .regionsearch import RegionCycles, metered
+from .regionsearch import RegionCycles
 
 GADGET_NON_EXIT = Direction.S
 GADGET_EXIT_CELLS = {
@@ -125,85 +131,59 @@ def gadget_board(turns: int) -> AonInstance:
     return AonInstance(FRAME, FRAME, decomp, names)
 
 
-@lru_cache(maxsize=1)
-def gadget_parts() -> dict[str, object]:
-    """Canonical gadget decomposition.
-
-    Returns the big region's cells, the one-cell region, and the filler
-    parts as a tuple of cell sets.
-    """
-    decomp = gadget_board(0).regions
-    big_id = decomp.region_of[GADGET_EXIT_CELLS[Direction.W]]
-    one_id = decomp.region_of[ONE_CELL_REGION_CELL]
-    parts = tuple(sorted(
-        (decomp.regions[rid] for rid in decomp.regions if rid not in (big_id, one_id)),
-        key=lambda cells: min(cells),
-    ))
-    return {
-        "decomposition": decomp,
-        "big": decomp.regions[big_id],
-        "one_cell": decomp.regions[one_id],
-        "parts": parts,
-    }
-
-
-def _harness_board(turns: int) -> tuple[AonInstance, int]:
-    """The sealed gadget board rotated by ``turns`` and its big region's id."""
-    inst = gadget_board(turns)
-    (exit_cell,) = GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])
-    return inst, inst.regions.region_of[exit_cell]
-
-
 def gadget_harness(turns: int):
     """Search domain of the gadget certificate with the gadget rotated by
-    ``turns``: the big region, all of it required, and no rules, since a
-    path that stays in one region and covers it breaks none.
+    ``turns``: the region of the W exit on :func:`gadget_board`, all of it
+    required, and no rules, since a path that stays in one region and
+    covers it breaks none.
 
     The two pinned exit cells stand for the loop stubs continuing
-    off-frame, so a valid traversal can never step into another region
-    (any departure would be a third crossing); :func:`gadget_audit`
-    certifies that the crossing rule, with both crossings spent, rejects
-    every such step.
+    off-frame, so a valid traversal never steps into another region (that
+    would cross the big region's border a third time); :func:`gadget_audit`
+    reports every traversal that does.
     """
-    inst, big_id = _harness_board(turns)
-    big = sorted(inst.regions.regions[big_id])
+    decomp = gadget_board(turns).regions
+    (exit_cell,) = GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])
+    big = sorted(decomp.regions[decomp.region_of[exit_cell]])
     return big, big, LoopConstraint
 
 
-def gadget_audit(turns: int, exits, paths):
-    """Blocked-side counts (none) and findings of the gadget certificate.
+def gadget_audit(turns: int, traversals, paths):
+    """Blocked-side counts (none) and findings of the gadget certificate,
+    read from the board it certifies, :func:`gadget_board` rotated by
+    ``turns``.
 
-    The escape audit counts the big region's border steps that the
-    crossing rule permits with both of its crossings spent (0 expected);
-    the structural findings count the leaves of each filler part and the
-    regions around the one-cell region.
+    The ``traversals`` the certificate enumerated give the entered
+    findings: whether one steps into a filler part or into the one-cell
+    region, and how many leave the big region (0 expected).  The
+    dead-region analysis ``solve_aon`` relies on gives the rest: each
+    filler part's leaf count, the part named by its smallest cell in
+    canonical orientation, the marker cells among the parts' leaves, and 1
+    when the one-cell region is dead, enclosed by the big region alone
+    (else 0).
     """
-    inst, big_id = _harness_board(turns)
-    region_of = inst.regions.region_of
-    # a loop crosses a region's border twice, and the two pinned exits
-    # spend both of the big region's crossings: a step into another region
-    # would be a third
-    crossings = 2
-    escapes = sum(1 for b in sorted(inst.regions.regions[big_id])
-                  for nb in orthogonal_neighbors(b)
-                  if nb in region_of and region_of[nb] != big_id and crossings + 1 <= 2)
-    entered = "yes" if escapes else "no"
-    findings = [f"parts-entered {entered}", f"one-cell-entered {entered}",
-                f"rule-permitted-escapes {escapes}"]
-    parts = gadget_parts()
-    decomp = parts["decomposition"]
-    all_leaves = set()
-    for part in parts["parts"]:
-        rid = decomp.region_of[min(part)]
-        all_leaves |= decomp.leaves[rid]
-        findings.append(f"part {min(part)[0]} {min(part)[1]} leaves {len(decomp.leaves[rid])}")
-    fixed = sum(1 for c in FIXED_LEAF_CELLS if c in all_leaves)
-    rim = sum(1 for c in RIM_LEAF_CELLS if c in all_leaves)
-    findings.append(f"fixed-markers-leaves {fixed}")
-    findings.append(f"rim-markers-leaves {rim}")
-    one_id = decomp.region_of[ONE_CELL_REGION_CELL]
-    around = {r for pair in decomp.touching if one_id in pair for r in pair} - {one_id}
-    findings.append(f"one-cell-enclosed-by {len(around)}")
+    inst = gadget_board(turns)
+    decomp, report = inst.regions, analyze_dead_regions(inst)
+    region_of = decomp.region_of
+    big_cell, one_cell = GADGET.place(
+        (0, 0), turns, [GADGET_EXIT_CELLS[Direction.W], ONE_CELL_REGION_CELL])
+    big_id, one_id = region_of[big_cell], region_of[one_cell]
+    left = [{region_of[c] for c in path} - {big_id}
+            for found in traversals.values() for path in found]
+    entered = set().union(*left)
+    findings = [f"parts-entered {'yes' if entered - {one_id} else 'no'}",
+                f"one-cell-entered {'yes' if one_id in entered else 'no'}",
+                f"rule-permitted-escapes {sum(1 for regions in left if regions)}"]
+    parts = sorted((min(GADGET.place((0, 0), -turns, cells)), rid)
+                   for rid, cells in decomp.regions.items() if rid not in (big_id, one_id))
+    leaves = set()
+    for (x, y), rid in parts:
+        leaves |= decomp.leaves[rid]
+        findings.append(f"part {x} {y} leaves {report.leaf_counts[rid]}")
+    for name, markers in (("fixed", FIXED_LEAF_CELLS), ("rim", RIM_LEAF_CELLS)):
+        placed = GADGET.place((0, 0), turns, markers)
+        findings.append(f"{name}-markers-leaves {sum(1 for c in placed if c in leaves)}")
+    findings.append(f"one-cell-enclosed-by {int(report.enclosing.get(one_id) == big_id)}")
     return {}, tuple(findings)
 
 
@@ -400,6 +380,7 @@ def solve_aon(
     the cell searches, the rows' included (see
     :mod:`loopforge.regionsearch`), and one per region step."""
     cap = solver_cap(mode, cap)
+    nodes = _Nodes(budget)
     report = analyze_dead_regions(inst)
     dead = report.dead_ids()
     decomp = inst.regions
@@ -412,7 +393,6 @@ def solve_aon(
         if r2 in dead:
             required.add(r1)
     live = [r for r in sorted(decomp.regions) if r not in dead]
-    nodes = _Nodes(budget)
     # per region, the touching pairs it is in: a loop over some regions
     # alone must leave no touching pair outside them
     degree = Counter(r for pair in decomp.touching for r in pair)

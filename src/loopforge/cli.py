@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("lab", cmd_lab, help="certify gadget traversal counts")
     sp.add_argument("--puzzle", choices=PUZZLES, required=True)
-    sp.add_argument("--budget", type=int, default=50_000_000)
+    sp.add_argument("--budget", type=int, default=50_000_000,
+                    help="node budget of the whole certificate, all of its searches together")
     sp.add_argument("--out", default=None)
 
     sp = add("render", cmd_render, help="render an instance (optionally with a loop)")

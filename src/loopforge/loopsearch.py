@@ -215,9 +215,12 @@ class _Grid:
 
 class _Nodes:
     """Search nodes spent so far, counted against one budget by every walk
-    of a search."""
+    of a search.  A budget of 0 stops at the first node; a negative one
+    raises :class:`ValueError`."""
 
     def __init__(self, budget: int | None):
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be at least 0, got {budget}")
         self.budget = budget
         self.count = 0
 
@@ -237,6 +240,23 @@ class _Nodes:
         if self.budget is not None and self.count > self.budget:
             self.count = self.budget + 1
             raise SearchBudgetExceeded(self.count)
+
+
+def metered(nodes: _Nodes, search, *args, most: int | None = None, **kwargs):
+    """``search(*args, **kwargs)`` under what is left of the call's budget
+    and at most ``most`` nodes, its nodes charged to the call; None when
+    ``most`` stops it first.  A stop that neither set escapes as it came."""
+    left = nodes.left()
+    budget = most if left is None else left if most is None else min(most, left)
+    try:
+        res: SearchResult = search(*args, budget=budget, **kwargs)
+    except SearchBudgetExceeded as e:
+        nodes.charge(e.nodes)  # raises when the call's budget is spent
+        if budget is None or e.nodes <= budget:
+            raise
+        return None
+    nodes.charge(res.nodes)
+    return res
 
 
 def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
@@ -454,11 +474,11 @@ def search_loops(
     cell and satisfy the constraint.  Stops early once ``cap`` loops are
     found (result marked non-exhausted); ``cap`` must be at least 1."""
     _check_cap(cap)
+    nodes = _Nodes(budget)
     allowed_sorted = sorted(set(allowed))
     required_set = set(required)
     if required_set - set(allowed_sorted):
         return SearchResult([], 0, True)
-    nodes = _Nodes(budget)
 
     def roots():
         # (cells of the walk, its root): a loop through a required cell is
@@ -489,10 +509,11 @@ def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]
     step from its cell; any other step between two of ``cells`` raises
     :class:`ValueError` at the call.  The iterator raises
     :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
+    nodes = _Nodes(budget)
     grid = _Grid(cells, neighbors)
     if any(len(adj) < 2 for adj in grid.nbrs):
         return iter(())
-    return _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), _Nodes(budget))
+    return _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), nodes)
 
 
 def search_paths(
@@ -509,6 +530,7 @@ def search_paths(
     cells covering every ``required`` cell.  The goal cell is terminal: a
     path may not pass through it and continue.  ``cap`` must be at least 1."""
     _check_cap(cap)
+    nodes = _Nodes(budget)
     allowed_sorted = sorted(set(allowed))
     allowed_set = set(allowed_sorted)
     if start not in allowed_set or goal not in allowed_set or start == goal:
@@ -518,7 +540,6 @@ def search_paths(
         return SearchResult([], 0, True)
 
     grid = _Grid(allowed_sorted)
-    nodes = _Nodes(budget)
     found = _walk(grid, grid.index[start], grid.index[goal],
                   map(grid.index.get, required_set), make_constraint(), nodes)
     return _collect(found, cap, nodes)

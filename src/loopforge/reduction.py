@@ -19,7 +19,7 @@ from .framework import (
     plan_for,
 )
 from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
-from .loopsearch import SearchResult, search_paths
+from .loopsearch import SearchResult, _Nodes, metered, search_paths
 from .model import Cell, GridGraph, HamCycle, LoopPath
 
 PUZZLES = ("aon", "ww")
@@ -33,9 +33,10 @@ class Puzzle:
 
     ``gadget_harness(turns)`` gives the allowed cells, the required cells
     and the rules factory of the pinned traversal search with the gadget
-    rotated by ``turns``.  ``gadget_audit(turns, exits, paths)`` gives the
-    blocked-side counts and the puzzle's findings; ``paths(start, goal)``
-    runs one more such search, counted in the certificate's nodes."""
+    rotated by ``turns``.  ``gadget_audit(turns, traversals, paths)`` gives
+    the blocked-side counts and the puzzle's findings from the traversals
+    found per exit pair; ``paths(start, goal)`` runs one more such search,
+    under the certificate's budget and counted in its nodes."""
 
     name: str
     gadget: Gadget
@@ -201,36 +202,32 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     """Exhaustively enumerate local gadget traversals between every exit pair
     and record the puzzle's blocked-side counts and structural findings.
 
+    ``budget`` bounds the certificate's nodes, every search's together.
     ``turns`` rotates the whole harness; counts must not depend on it.
     """
     p = puzzle_of(puzzle)
     gadget = p.gadget
     t0 = time.perf_counter()
+    nodes = _Nodes(budget)
     allowed, required, make_rules = p.gadget_harness(turns)
-    nodes = 0
 
     def paths(start: Cell, goal: Cell) -> SearchResult:
-        nonlocal nodes
-        res = search_paths(allowed, start, goal, required, make_rules, budget=budget)
-        nodes += res.nodes
-        return res
+        return metered(nodes, search_paths, allowed, start, goal, required, make_rules)
 
     exits = [d.rotated(turns) for d in sorted(gadget.exit_cells, key=lambda d: d.name)]
-    pair_counts: dict[frozenset[Direction], int] = {}
     traversals: dict[frozenset[Direction], tuple] = {}
     for i, a in enumerate(exits):
         for b in exits[i + 1:]:
-            res = paths(gadget.board_exit((0, 0), turns, a),
-                        gadget.board_exit((0, 0), turns, b))
-            pair_counts[frozenset({a, b})] = len(res.loops)
+            res = paths(gadget.board_exit((0, 0), turns, a), gadget.board_exit((0, 0), turns, b))
             traversals[frozenset({a, b})] = tuple(res.loops)
-    blocked_counts, findings = p.gadget_audit(turns, exits, paths)
+    pair_counts = {pair: len(found) for pair, found in traversals.items()}
+    blocked_counts, findings = p.gadget_audit(turns, traversals, paths)
 
     unique = all(c <= 1 for c in pair_counts.values())
     findings = (*findings, f"locally-unique {'yes' if unique else 'no'}")
     elapsed = time.perf_counter() - t0
     return GadgetCertificate(puzzle, pair_counts, blocked_counts,
-                             traversals, findings, nodes, elapsed)
+                             traversals, findings, nodes.count, elapsed)
 
 
 @dataclass(frozen=True)

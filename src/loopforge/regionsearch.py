@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .errors import SearchBudgetExceeded
-from .loopsearch import LoopConstraint, SearchResult, _Grid, _Nodes, _walk, search_paths
+from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk, metered, search_paths
 from .model import Cell, LoopPath, RegionDecomposition
 
 ROW_FIRST_BUDGET = 128
@@ -58,21 +57,6 @@ def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[tuple[int, i
         if shape == best:
             moves.append((k, x0, y0))
     return best, tuple(moves)
-
-
-def metered(nodes: _Nodes, search, *args, most: int | None = None, **kwargs):
-    """``search(*args, **kwargs)`` under what is left of the call's budget
-    and at most ``most`` nodes, its nodes charged to the call; None when
-    ``most`` stops it first."""
-    left = nodes.left()
-    budget = most if left is None else left if most is None else min(most, left)
-    try:
-        res: SearchResult = search(*args, budget=budget, **kwargs)
-    except SearchBudgetExceeded as e:
-        nodes.charge(e.nodes)  # raises when the call's budget is spent
-        return None
-    nodes.charge(res.nodes)
-    return res
 
 
 def _unturn(path, way) -> tuple[Cell, ...]:
@@ -116,20 +100,17 @@ def _walk_way(shape, way, nodes: _Nodes):
 
 
 class _Drawn:
-    """A pair's traversals, drawn as they are asked for from the iterator
-    that ``more`` makes; ``joined`` says whether there is one."""
+    """A pair's traversals, drawn from the iterator ``more`` as they are
+    asked for; ``joined`` says whether there is one."""
 
     def __init__(self, joined: bool, more):
         self.joined, self.more = joined, more if joined else None
         self.paths: list = []
-        self.it = None
 
     def has(self, i: int) -> bool:
         """Whether there are more than ``i`` traversals."""
-        while len(self.paths) <= i and self.more:
-            if self.it is None:
-                self.it = self.more()
-            path = next(self.it, None)
+        while len(self.paths) <= i and self.more is not None:
+            path = next(self.more, None)
             if path is None:
                 self.more = None
             else:
@@ -202,7 +183,7 @@ class RegionCycles:
         if got is not None:
             return got
         if a == b:
-            got = self.pairs[key] = _Drawn(True, lambda: iter([(a,)]))
+            got = self.pairs[key] = _Drawn(True, iter([(a,)]))
             return got
         if r not in self.frames:
             cells = self.cells[r]
@@ -230,9 +211,9 @@ class RegionCycles:
         if row not in self.rows:
             path, way = _find_row(*row, self.nodes)
             rest = islice(_walk_way(shape, way, self.nodes), 1, None) if self.every else ()
-            self.rows[row] = _Drawn(path is not None, lambda: chain([path], rest))
+            self.rows[row] = _Drawn(path is not None, chain([path], rest))
         found = self.rows[row]
-        got = self.pairs[key] = _Drawn(found.joined, lambda: map(back, found))
+        got = self.pairs[key] = _Drawn(found.joined, map(back, found))
         return got
 
     def exits(self, r: int, a: Cell):

@@ -262,12 +262,14 @@ def gadget_harness(turns: int):
     return cells, sorted(inst.numbers), lambda: WwLoopRules(inst)
 
 
-def gadget_audit(turns: int, exits, paths):
+def gadget_audit(turns: int, traversals, paths):
     """Blocked-side counts and findings of the gadget certificate: the
-    traversals ``paths`` finds from each exit to the blocked side's midline
-    cell (0 expected), and no finding of its own."""
+    traversals ``paths`` finds from each exit of the certified pairs
+    ``traversals`` to the blocked side's midline cell (0 expected), and no
+    finding of its own."""
     blocked = GADGET_NON_EXIT.rotated(turns)
     (goal,) = GADGET.place((0, 0), turns, [GADGET_BLOCKED_CELL])
+    exits = sorted({d for pair in traversals for d in pair}, key=lambda d: d.name)
     counts = {frozenset({a, blocked}):
               len(paths(GADGET.board_exit((0, 0), turns, a), goal).loops) for a in exits}
     return counts, ()

@@ -32,7 +32,6 @@ from loopforge.aon import (
     compile_aon,
     emit_aon,
     gadget_board,
-    gadget_parts,
     parse_aon,
     region_token,
     solve_aon,
@@ -104,18 +103,27 @@ def random_wall_boards():
             yield inst
 
 
+def gadget_regions():
+    """The canonical gadget board's decomposition, its big region (the W
+    exit's), its one-cell region and its filler parts (the other regions)."""
+    decomp = gadget_board(0).regions
+    big_id = decomp.region_of[GADGET_EXIT_CELLS[Direction.W]]
+    one_id = decomp.region_of[ONE_CELL_REGION_CELL]
+    parts = [cells for rid, cells in decomp.regions.items() if rid not in (big_id, one_id)]
+    return decomp, decomp.regions[big_id], decomp.regions[one_id], parts
+
+
 class TestGadgetGeometry:
     def test_part_sizes(self):
-        parts = gadget_parts()
-        assert len(parts["big"]) == 71
-        assert parts["one_cell"] == frozenset({ONE_CELL_REGION_CELL})
-        assert sorted(len(p) for p in parts["parts"]) == [9, 9, 31]
+        _, big, one_cell, parts = gadget_regions()
+        assert len(big) == 71
+        assert one_cell == frozenset({ONE_CELL_REGION_CELL})
+        assert sorted(len(p) for p in parts) == [9, 9, 31]
 
     def test_each_part_has_exactly_its_three_marker_leaves(self):
-        parts = gadget_parts()
-        decomp = parts["decomposition"]
+        decomp, _, _, parts = gadget_regions()
         markers = set(FIXED_LEAF_CELLS) | set(RIM_LEAF_CELLS)
-        for part in parts["parts"]:
+        for part in parts:
             rid = decomp.region_of[min(part)]
             leaves = decomp.leaves[rid]
             assert len(leaves) == 3
@@ -126,10 +134,10 @@ class TestGadgetGeometry:
         assert GADGET_EXIT_CELLS[Direction.E] == (10, 5)
         assert GADGET_EXIT_CELLS[Direction.N] == (5, 10)
         for cell in GADGET_EXIT_CELLS.values():
-            assert cell in gadget_parts()["big"]
+            assert cell in gadget_regions()[1]
 
     def test_local_paths_cover_big_region_exactly(self):
-        big = gadget_parts()["big"]
+        big = gadget_regions()[1]
         for pair, paths in GADGET_PATHS.items():
             for path in paths:
                 assert len(path) == len(set(path)) == 71

@@ -139,6 +139,19 @@ class TestExitCodes:
             assert code == 3
             assert not list(tmp_path.glob("sol*"))
 
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    @pytest.mark.parametrize("command", ["solve", "ham", "lab", "roundtrip"])
+    def test_negative_budget_is_input_error(self, command, budget, data_dir,
+                                            square_graph_file, tmp_path, capsys):
+        args = {"solve": ["--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt")],
+                "ham": ["--in", str(square_graph_file)],
+                "lab": ["--puzzle", "ww"],
+                "roundtrip": ["--puzzle", "ww", "--rows", "2", "--cols", "2"]}[command]
+        out = tmp_path / "out"
+        assert main([command, *args, "--budget", budget, "--out", str(out)]) == 3
+        assert f"budget must be at least 0, got {budget}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cap_without_all_is_usage_error(self, data_dir, tmp_path, capsys):
         code = main(["solve", "--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt"),
                      "--cap", "3", "--out", str(tmp_path / "sol")])

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from loopforge import aon, reduction, waterwalk
-from loopforge.errors import CompileError, LiftError
+from loopforge.errors import CompileError, LiftError, SearchBudgetExceeded
 from loopforge.framework import Direction, plan_for, rotate_cell
 from loopforge.fileio import emit_loop
 from loopforge.hamilton import (
@@ -15,7 +15,8 @@ from loopforge.hamilton import (
     hamiltonian_cycles,
     random_candidate_subgraph,
 )
-from loopforge.model import LoopPath, full_grid
+from loopforge.loopsearch import LoopConstraint, search_loops, search_paths
+from loopforge.model import LoopPath, full_grid, regions_from_labels
 from loopforge.reduction import (
     certify_gadget,
     emit_certificate,
@@ -336,6 +337,54 @@ class TestCertificates:
         assert calls == ["gadget_harness", "gadget_audit"]
         assert emit_digest(cert) == WW_CERT_SHA256[1]
 
+    @pytest.mark.parametrize("puzzle, nodes, digest", [("ww", 408, WW_CERT_SHA256[0]),
+                                                       ("aon", 276_467, AON_CERT_SHA256[0])],
+                             ids=["ww", "aon"])
+    def test_budget_bounds_the_whole_certificate(self, puzzle, nodes, digest):
+        # every search of the certificate needs fewer nodes than it does
+        with pytest.raises(SearchBudgetExceeded) as e:
+            certify_gadget(puzzle, budget=nodes - 1)
+        assert e.value.nodes == nodes
+        assert emit_digest(certify_gadget(puzzle, budget=nodes)) == digest
+
+    @pytest.mark.parametrize("arm, entered", [
+        ([(10, y) for y in range(6, 11)] + [(x, 10) for x in range(5, 10)],
+         ("parts-entered yes", "one-cell-entered no")),
+        ([(5, y) for y in range(6, 11)], ("parts-entered no", "one-cell-entered yes")),
+    ])
+    def test_traversals_out_of_the_big_region_flip_the_audit(self, monkeypatch, arm, entered):
+        # a harness domain of the W-E midline and one arm up to the N exit,
+        # through the east and north filler parts or through the one-cell
+        # region: both traversals that end at N leave the big region
+        domain = sorted({(x, 5) for x in range(aon.FRAME)} | set(arm))
+        monkeypatch.setattr(aon, "gadget_harness", lambda turns: (domain, [], LoopConstraint))
+        cert = certify_gadget("aon")
+        assert cert.findings[:3] == (*entered, "rule-permitted-escapes 2")
+
+    @pytest.mark.parametrize("turns", [1, 2, 3])
+    def test_aon_audit_reads_the_rotated_board(self, monkeypatch, turns):
+        # the fixed marker (1, 7) moved into the big region on the board
+        # rotated by ``turns`` alone: its part keeps two leaves
+        board = aon.gadget_board
+
+        def altered(t):
+            inst = board(t)
+            if t != turns:
+                return inst
+            marker, exit_cell = aon.GADGET.place(
+                (0, 0), t, [aon.FIXED_LEAF_CELLS[0], aon.GADGET_EXIT_CELLS[Direction.W]])
+            labels = dict(inst.regions.region_of)
+            labels[marker] = labels[exit_cell]
+            return dataclasses.replace(
+                inst, regions=regions_from_labels(aon.FRAME, aon.FRAME, labels))
+
+        _, before = aon.gadget_audit(turns, {}, None)
+        monkeypatch.setattr(aon, "gadget_board", altered)
+        _, after = aon.gadget_audit(turns, {}, None)
+        assert [(a, b) for a, b in zip(before, after) if a != b] == [
+            ("part 0 6 leaves 3", "part 0 6 leaves 2"),
+            ("fixed-markers-leaves 3", "fixed-markers-leaves 2")]
+
     def test_certificate_emission_schema(self):
         text = emit_certificate(certify_gadget("ww"))
         lines = text.strip().splitlines()
@@ -349,6 +398,39 @@ class TestCertificates:
         a = emit_certificate(certify_gadget("ww"))
         b = emit_certificate(certify_gadget("ww"))
         assert a == b
+
+
+class TestBudgets:
+    @staticmethod
+    def entries(budget):
+        g = full_grid(2, 2)
+        plan = plan_for(g)
+        cells = sorted(g.vertices())
+        return {
+            "search_loops": lambda: search_loops(cells, cells, LoopConstraint, budget=budget),
+            "search_paths": lambda: search_paths(cells, (0, 0), (1, 0), cells, LoopConstraint,
+                                                 budget=budget),
+            "find_hamiltonian_cycle": lambda: find_hamiltonian_cycle(g, budget),
+            "solve_aon": lambda: aon.solve_aon(aon.compile_aon(g, plan), budget=budget),
+            "solve_ww": lambda: waterwalk.solve_ww(waterwalk.compile_ww(g, plan), budget=budget),
+            "certify_gadget": lambda: certify_gadget("ww", budget=budget),
+            "roundtrip_experiment solver": lambda: roundtrip_experiment(
+                2, 2, "ww", solver_budget=budget),
+            "roundtrip_experiment ham": lambda: roundtrip_experiment(2, 2, "ww", ham_budget=budget),
+        }
+
+    @pytest.mark.parametrize("name", sorted(entries(0)))
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_rejected(self, name, budget):
+        with pytest.raises(ValueError, match=f"budget must be at least 0, got {budget}"):
+            self.entries(budget)[name]()
+
+    @pytest.mark.parametrize("name", ["search_loops", "search_paths", "find_hamiltonian_cycle",
+                                      "solve_aon", "solve_ww", "certify_gadget"])
+    def test_zero_budget_stops_at_the_first_node(self, name):
+        with pytest.raises(SearchBudgetExceeded) as e:
+            self.entries(0)[name]()
+        assert e.value.nodes == 1
 
 
 class TestRoundtrip:
