@@ -409,7 +409,7 @@ def solve_aon(
             live_cells = [c for r in live for c in decomp.regions[r]]
             if 2 * sum((x + y) & 1 for x, y in live_cells) != len(live_cells):
                 return
-        search = RegionCycles(decomp, live, nodes, mode == "all")
+        search = RegionCycles(decomp, live, nodes)
         for root in [min(required)] if required else live:
             for loop in search.loops(root, 0 if required else root):
                 if verify_aon(inst, loop).ok:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Literal
 
 from .errors import CompileError
 from .fileio import BoardFormat
-from .model import Cell, GridGraph, Vertex, canonical_edge, degree_profile
+from .model import Cell, GridGraph, Vertex, canonical_edge, degree_profile, turn
 
 
 class Direction(Enum):
@@ -36,11 +36,14 @@ class Direction(Enum):
 
     def rotated(self, quarter_turns: int) -> "Direction":
         """Counterclockwise rotation: one quarter turn maps N->W->S->E->N."""
-        return DIRECTION_ORDER[(DIRECTION_ORDER.index(self) - quarter_turns) % 4]
+        return _ROTATIONS[self.dx, self.dy][quarter_turns % 4]
 
 
 # clockwise, so a counterclockwise quarter turn steps one place back
 DIRECTION_ORDER = (Direction.N, Direction.E, Direction.S, Direction.W)
+# per step, its direction at 0-3 quarter turns
+_ROTATIONS = {d.value: tuple(Direction(turn(d.value, k)) for k in range(4))
+              for d in DIRECTION_ORDER}
 
 
 def direction_between(u: Vertex, v: Vertex) -> Direction:
@@ -56,13 +59,14 @@ def turns_between(src: Direction, dst: Direction) -> int:
 
 
 def rotate_cell(size: int, quarter_turns: int, cell: tuple[int, int]) -> tuple[int, int]:
-    """Rotate a cell counterclockwise within a size x size frame."""
+    """Rotate a cell counterclockwise within a size x size frame: turn its
+    offset from the frame's centre, doubled to stay whole, about the origin."""
     x, y = cell
     if not (0 <= x < size and 0 <= y < size):
         raise ValueError(f"cell {cell} outside {size}x{size} frame")
-    for _ in range(quarter_turns % 4):
-        x, y = size - 1 - y, x
-    return (x, y)
+    m = size - 1
+    x, y = turn((2 * x - m, 2 * y - m), quarter_turns)
+    return (x + m) // 2, (y + m) // 2
 
 
 @dataclass(frozen=True)
@@ -339,7 +343,7 @@ class Gadget:
         tokens, rotations = self._layout
         for v, turns in tiling.items():
             ox, oy = self.frame * v[0], self.frame * v[1]
-            yield v, [(ox + x, oy + y) for x, y in rotations[turns]], tokens
+            yield v, [(ox + x, oy + y) for x, y in rotations[turns % 4]], tokens
 
     def place(self, v: Vertex, turns: int, cells: Iterable[Cell]) -> list[Cell]:
         """Board cells of the gadget-local ``cells`` with the gadget rotated

@@ -234,27 +234,22 @@ class _Nodes:
         return None if self.budget is None else self.budget - self.count
 
     def charge(self, n: int):
-        """Count ``n`` nodes spent elsewhere; past the budget, stop as a
-        tick would, at one node over it."""
+        """Count ``n`` nodes spent elsewhere, stopping as a tick would once
+        they are past the budget."""
         self.count += n
         if self.budget is not None and self.count > self.budget:
-            self.count = self.budget + 1
             raise SearchBudgetExceeded(self.count)
 
 
-def metered(nodes: _Nodes, search, *args, most: int | None = None, **kwargs):
-    """``search(*args, **kwargs)`` under what is left of the call's budget
-    and at most ``most`` nodes, its nodes charged to the call; None when
-    ``most`` stops it first.  A stop that neither set escapes as it came."""
-    left = nodes.left()
-    budget = most if left is None else left if most is None else min(most, left)
+def metered(nodes: _Nodes, search, *args, **kwargs):
+    """``search(*args, **kwargs)`` under what is left of the call's budget,
+    its nodes charged to the call.  A stop set inside the search escapes as
+    it came."""
     try:
-        res: SearchResult = search(*args, budget=budget, **kwargs)
+        res: SearchResult = search(*args, budget=nodes.left(), **kwargs)
     except SearchBudgetExceeded as e:
         nodes.charge(e.nodes)  # raises when the call's budget is spent
-        if budget is None or e.nodes <= budget:
-            raise
-        return None
+        raise
     nodes.charge(res.nodes)
     return res
 

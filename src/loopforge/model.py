@@ -20,6 +20,17 @@ Edge = tuple[Vertex, Vertex]
 
 ORTHO_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
+# per quarter turn counterclockwise, the matrix (a, b, c, d) of the map
+# (x, y) -> (ax + by, cx + dy)
+_TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
+
+
+def turn(cell: Cell, k: int) -> Cell:
+    """``cell`` turned ``k`` quarter turns counterclockwise about the origin."""
+    a, b, c, d = _TURNS[k % 4]
+    x, y = cell
+    return a * x + b * y, c * x + d * y
+
 
 def orthogonal_neighbors(cell: Cell) -> list[Cell]:
     x, y = cell
@@ -173,9 +184,21 @@ class RegionDecomposition:
     width: int
     height: int
     region_of: dict[Cell, int]
-    # both derived from region_of, so equality need not compare them
+    # derived from region_of, so equality need not compare it
     regions: dict[int, frozenset[Cell]] = field(compare=False)
-    leaves: dict[int, frozenset[Cell]] = field(compare=False)
+
+    @cached_property
+    def leaves(self) -> dict[int, frozenset[Cell]]:
+        """Per region, its leaves, built on first use."""
+        get = self.region_of.get
+        leaf_cells: dict[int, list[Cell]] = {rid: [] for rid in self.regions}
+        for c, rid in self.region_of.items():
+            x, y = c
+            same = (get((x + 1, y)) == rid) + (get((x - 1, y)) == rid) \
+                + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
+            if same == 1:
+                leaf_cells[rid].append(c)
+        return {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
 
     @cached_property
     def touching(self) -> dict[tuple[int, int], tuple[Cell, Cell]]:
@@ -232,17 +255,7 @@ def regions_from_labels(width: int, height: int, label_of: dict[Cell, object]) -
                         comp.append(n)
                         stack.append(n)
             regions[rid] = frozenset(comp)
-
-    leaf_cells: dict[int, list[Cell]] = {rid: [] for rid in regions}
-    get = region_of.get
-    for c, rid in region_of.items():
-        x, y = c
-        same = (get((x + 1, y)) == rid) + (get((x - 1, y)) == rid) \
-            + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
-        if same == 1:
-            leaf_cells[rid].append(c)
-    leaves = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
-    return RegionDecomposition(width, height, region_of, regions, leaves)
+    return RegionDecomposition(width, height, region_of, regions)
 
 
 def loop_runs_with_cells(

@@ -5,40 +5,30 @@ a cycle of them, each once, and covers each by one Hamiltonian path of the
 region between the cell it enters at and the cell it leaves from.  Those
 cells are ports: cells of a live (not dead) region with a neighbor in
 another live region.  Whether a Hamiltonian path of a region joins two
-ports is a row, found by the cell search (:func:`search_paths`) on the
-region alone, so budgets and node counts see its nodes.
+ports is a row, decided by the cell engine's walk on the region alone,
+stepped on the search's own node meter, so budgets and node counts see
+its nodes.
 
 Rows are kept for one search, keyed on the region's shape up to
 translation and rotation (its canonical frame) with the port pair
 unordered: every big region of a metacell compile has the gadget's shape,
-so a compile searches three rows.  A search for every loop decides the
-pairs by their rows too, and walks a pair's other traversals only for the
-cycles that close, drawing them as the combinations need them: a capped
-search stops after one traversal per pair.
+so a compile searches three rows.  A row keeps the walk that decided it:
+a pair's other traversals are that walk's later paths, walked on only
+when the combinations of a cycle that closes need them, so a search that
+stops at its first loop walks no row past its first path.
 
 The search over cycles keeps an explicit stack, so it never recurses.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 
-from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk, metered, search_paths
-from .model import Cell, LoopPath, RegionDecomposition
+from .errors import SearchBudgetExceeded
+from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk
+from .model import Cell, LoopPath, RegionDecomposition, turn
 
 ROW_FIRST_BUDGET = 128
-
-
-# per quarter turn counterclockwise, the matrix (a, b, c, d) of the map
-# (x, y) -> (ax + by, cx + dy)
-_TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
-
-
-def _turn(cell: Cell, k: int) -> Cell:
-    """``cell`` turned ``k`` quarter turns counterclockwise about the origin."""
-    a, b, c, d = _TURNS[k % 4]
-    x, y = cell
-    return a * x + b * y, c * x + d * y
 
 
 def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]]:
@@ -48,7 +38,7 @@ def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[tuple[int, i
     by ``-(x0, y0)``)."""
     best, moves = None, []
     for k in range(4):
-        turned = [_turn(c, k) for c in cells]
+        turned = [turn(c, k) for c in cells]
         x0 = min(x for x, _ in turned)
         y0 = min(y for _, y in turned)
         shape = tuple(sorted((x - x0, y - y0) for x, y in turned))
@@ -59,52 +49,11 @@ def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[tuple[int, i
     return best, tuple(moves)
 
 
-def _unturn(path, way) -> tuple[Cell, ...]:
-    """A path found the way ``(k, s, t)`` back in the frame, from the
-    smaller of its ends."""
-    k, s, t = way
-    back = tuple(_turn(c, -k) for c in path)
-    return back if s < t else back[::-1]
-
-
-def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes):
-    """A Hamiltonian path of ``shape`` from ``a`` to ``b`` (``a < b``), or
-    None, and the way ``(k, s, t)`` it was found: from ``s`` to ``t`` on
-    the shape turned by ``k``.  The cost of a path depends on the way it is
-    searched (for one pair of the gadget's ports, from 75 to 14,293
-    nodes), so the eight ways are tried in turn under budgets that double
-    from ROW_FIRST_BUDGET until one decides."""
-    turned = [[_turn(c, k) for c in shape] for k in range(4)]
-    most = ROW_FIRST_BUDGET
-    while True:
-        for k, cells in enumerate(turned):
-            for s, t in ((a, b), (b, a)):
-                res = metered(nodes, search_paths, cells, _turn(s, k), _turn(t, k), cells,
-                              LoopConstraint, cap=1, most=most)
-                if res is not None:
-                    way = (k, s, t)
-                    return (_unturn(res.loops[0], way) if res.loops else None), way
-        most *= 2
-
-
-def _walk_way(shape, way, nodes: _Nodes):
-    """Every Hamiltonian path of ``shape`` between a row's ports, walked the
-    way that found the row, as :func:`search_paths` walks it, so the first
-    is the row's path."""
-    k, s, t = way
-    cells = sorted(_turn(c, k) for c in shape)
-    grid = _Grid(cells)
-    for path in _walk(grid, grid.index[_turn(s, k)], grid.index[_turn(t, k)],
-                      range(len(cells)), LoopConstraint(), nodes):
-        yield _unturn(path, way)
-
-
 class _Drawn:
-    """A pair's traversals, drawn from the iterator ``more`` as they are
-    asked for; ``joined`` says whether there is one."""
+    """Traversals drawn from the iterator ``more`` as they are asked for."""
 
-    def __init__(self, joined: bool, more):
-        self.joined, self.more = joined, more if joined else None
+    def __init__(self, more):
+        self.more = more
         self.paths: list = []
 
     def has(self, i: int) -> bool:
@@ -122,6 +71,43 @@ class _Drawn:
         while self.has(i):
             yield self.paths[i]
             i += 1
+
+
+def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes):
+    """The way ``k, s`` that decides whether a Hamiltonian path of
+    ``shape`` joins ``a`` and ``b``: the walk from ``s`` (``a`` or ``b``) on
+    the shape turned by ``k``.  Returned with the walk's paths, in the
+    turned shape, drawn as they are asked for: the first, which decided
+    the row, then the rest, walked on from there.
+
+    The cost of the first path depends on the way (for one pair of the
+    gadget's ports, from 75 to 14,293 nodes), so the eight ways are tried
+    in turn, each under a ceiling on ``nodes`` of ``most`` nodes more,
+    ``most`` doubling from ROW_FIRST_BUDGET each round, until one decides.
+    The call's budget still bounds every attempt; the ceiling is lifted
+    once the way decides."""
+    grids: dict[int, _Grid] = {}  # per turn, built when first tried
+    budget, most = nodes.budget, ROW_FIRST_BUDGET
+    while True:
+        for k in range(4):
+            if k not in grids:
+                grids[k] = _Grid(sorted(turn(c, k) for c in shape))
+            grid = grids[k]
+            for s, t in ((a, b), (b, a)):
+                walk = _walk(grid, grid.index[turn(s, k)], grid.index[turn(t, k)],
+                             range(len(shape)), LoopConstraint(), nodes)
+                ceiling = nodes.count + most
+                nodes.budget = ceiling if budget is None else min(ceiling, budget)
+                try:
+                    first = next(walk, None)
+                except SearchBudgetExceeded:
+                    if budget is not None and nodes.count > budget:
+                        raise
+                    continue
+                finally:
+                    nodes.budget = budget
+                return k, s, _Drawn(chain([first], walk) if first else None)
+        most *= 2
 
 
 def _combinations(drawn: list[_Drawn]):
@@ -145,13 +131,10 @@ def _combinations(drawn: list[_Drawn]):
 
 class RegionCycles:
     """One search's view of a board's ``live`` regions: their ports, their
-    rows, and the cycles of regions.  ``every`` draws every traversal of
-    the pairs of each cycle that closes; otherwise each pair has its row's
-    one path.  Every node is charged to ``nodes``."""
+    rows, and the cycles of regions.  Every node is charged to ``nodes``."""
 
-    def __init__(self, decomp: RegionDecomposition, live: list[int], nodes: _Nodes,
-                 every: bool):
-        self.nodes, self.every = nodes, every
+    def __init__(self, decomp: RegionDecomposition, live: list[int], nodes: _Nodes):
+        self.nodes = nodes
         self.region_of = region_of = decomp.region_of
         self.cells = decomp.regions
         self.need = [1 << r1 | 1 << r2 for r1, r2 in decomp.touching]
@@ -169,21 +152,21 @@ class RegionCycles:
                     self.cross[c] = out
         self.shapes: dict[frozenset, tuple] = {}  # per region shape at the origin, its frame
         self.frames: dict[int, tuple] = {}  # per region, its frame and offset
-        # per row key (shape, a, b) in the frame, its traversals: the row's
-        # path, then, drawing every traversal, the rest
-        self.rows: dict[tuple, _Drawn] = {}
-        self.pairs: dict[tuple[int, Cell, Cell], _Drawn] = {}  # the same on the board
+        # per row key (shape, a, b) in the frame, the way that decided it and
+        # its traversals in the way's turned shape
+        self.rows: dict[tuple, tuple] = {}
+        self.pairs: dict[tuple[int, Cell, Cell], _Drawn] = {}  # the traversals on the board
 
     def pair(self, r: int, a: Cell, b: Cell) -> _Drawn:
-        """The traversals of region ``r`` from ``a`` to ``b`` on the board:
-        its row's one path (none when no path joins them), or, drawing every
-        traversal, that path and the rest."""
+        """The traversals of region ``r`` from ``a`` to ``b`` on the board,
+        its row's mapped back as they are asked for: none when no path joins
+        them."""
         key = (r, a, b)
         got = self.pairs.get(key)
         if got is not None:
             return got
         if a == b:
-            got = self.pairs[key] = _Drawn(True, iter([(a,)]))
+            got = self.pairs[key] = _Drawn(iter([(a,)]))
             return got
         if r not in self.frames:
             cells = self.cells[r]
@@ -197,23 +180,26 @@ class RegionCycles:
 
         def onto(move, c):
             k, x0, y0 = move
-            x, y = _turn((c[0] - tx, c[1] - ty), k)
+            x, y = turn((c[0] - tx, c[1] - ty), k)
             return x - x0, y - y0
 
-        ends, (k, x0, y0) = min((tuple(sorted((onto(m, a), onto(m, b)))), m) for m in moves)
-        flip = onto((k, x0, y0), a) != ends[0]
-
-        def back(path):
-            turned = [_turn((x + x0, y + y0), -k) for x, y in (path[::-1] if flip else path)]
-            return tuple((x + tx, y + ty) for x, y in turned)
-
+        ends, move = min((tuple(sorted((onto(m, a), onto(m, b)))), m) for m in moves)
         row = (shape, *ends)
         if row not in self.rows:
-            path, way = _find_row(*row, self.nodes)
-            rest = islice(_walk_way(shape, way, self.nodes), 1, None) if self.every else ()
-            self.rows[row] = _Drawn(path is not None, chain([path], rest))
-        found = self.rows[row]
-        got = self.pairs[key] = _Drawn(found.joined, map(back, found))
+            self.rows[row] = _find_row(*row, self.nodes)
+        kw, s, found = self.rows[row]
+        # a path of the row runs from ``s`` in the way's turned shape: the
+        # way's turn and the move's undone together are one turn, then a shift
+        k, x0, y0 = move
+        ox, oy = turn((x0, y0), -k)
+        ox, oy, k = ox + tx, oy + ty, -kw - k
+        flip = s != onto(move, a)
+
+        def back(path):
+            return tuple((x + ox, y + oy) for x, y in
+                         (turn(c, k) for c in (path[::-1] if flip else path)))
+
+        got = self.pairs[key] = _Drawn(map(back, found))
         return got
 
     def exits(self, r: int, a: Cell):
@@ -221,7 +207,7 @@ class RegionCycles:
         leave from."""
         if len(self.cells[r]) == 1:
             return (a,)
-        return (b for b in self.ports[r] if b != a and self.pair(r, a, b).joined)
+        return (b for b in self.ports[r] if b != a and self.pair(r, a, b).has(0))
 
     def cycles(self, root: int, floor: int):
         """Each cycle of live regions, ``root`` and regions from ``floor`` up,

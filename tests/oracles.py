@@ -1045,8 +1045,11 @@ def regions_from_boundaries(width, height, walls):
             + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
         if same == 1:
             leaf_cells[rid].append(c)
-    leaves = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
-    return RegionDecomposition(width, height, region_of, regions, leaves)
+    decomp = RegionDecomposition(width, height, region_of, regions)
+    # ``leaves`` is a cached property: storing this fill's own leaves where
+    # it caches them keeps them independent of the package's computation
+    decomp.__dict__["leaves"] = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
+    return decomp
 
 
 def big_region_ids_of_walls(inst, decomp):

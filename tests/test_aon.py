@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from unittest import mock
 
 import pytest
@@ -882,18 +882,21 @@ class TestRegionSolve:
 
     def test_repeat_solves_and_budgets_agree(self, aon_fixture):
         # a solve keeps nothing for the next: a repeat gives the same loops,
-        # nodes and budget stops, a budget of exactly the nodes suffices,
-        # and a smaller one stops one node over it, as the cell walk does
-        # (a 3x4 compile has about 700^12 loops, so it is solved to a first one)
-        for inst, modes in ((aon_fixture, ("first", "all")), (_frontier_board(), ("first",))):
-            for mode in modes:
-                once = _solve_outcome(solve_aon, inst, mode, None)
-                assert _solve_outcome(solve_aon, inst, mode, None) == once
-                nodes = once[1]
-                assert _solve_outcome(solve_aon, inst, mode, nodes) == once
-                assert _solve_outcome(solve_aon, inst, mode, nodes - 1) == ("budget", nodes)
-            for budget in range(0, 5_001, 50):
-                once = _solve_outcome(solve_aon, inst, "first", budget)
-                assert _solve_outcome(solve_aon, inst, "first", budget) == once, budget
-                if once[0] == "budget":
-                    assert once == ("budget", budget + 1)
+        # nodes and budget stops, a budget of at least the nodes gives the
+        # unbounded result, and a smaller one stops one node over it, as the
+        # cell walk does.  Asked for every loop, a row walks on under the
+        # call's budget once its way has decided (a 3x4 compile has about
+        # 700^12 loops, so it is solved to a first one, the 2x2 compile's
+        # loops are capped at 20)
+        two = compile_aon(full_grid(2, 2), plan_for(full_grid(2, 2)))
+        for inst, mode, cap in ((aon_fixture, "first", None), (aon_fixture, "all", None),
+                                (_frontier_board(), "first", None), (two, "all", 20)):
+            solve = partial(solve_aon, cap=cap)
+            once = _solve_outcome(solve, inst, mode, None)
+            assert once[0] != "budget" and _solve_outcome(solve, inst, mode, None) == once
+            nodes = once[1]
+            assert _solve_outcome(solve, inst, mode, nodes - 1) == ("budget", nodes)
+            for budget in [*range(0, 5_001, 50), nodes]:
+                got = _solve_outcome(solve, inst, mode, budget)
+                assert _solve_outcome(solve, inst, mode, budget) == got, budget
+                assert got == (once if budget >= nodes else ("budget", budget + 1)), budget

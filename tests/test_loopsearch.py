@@ -297,7 +297,7 @@ BASELINE_BOARDS = {
     ("aon fixture all", 956, 2),
     ("aon by region 2x4 seed 7", 931, 1),
     ("aon by region 3x4 seed 7", 1_072, 0),
-    ("aon by region fixture all", 191, 2),
+    ("aon by region fixture all", 166, 2),
     ("aon by region 2x2 all, cap 1", 574, 1),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):

@@ -312,6 +312,14 @@ class TestCertificates:
         assert rotated.nodes == aon_certificate.nodes
         assert emit_digest(rotated) == AON_CERT_SHA256[turns]
 
+    @pytest.mark.parametrize("puzzle", ["ww", "aon"])
+    @pytest.mark.parametrize("turns", [4, 5, -1])
+    def test_turns_are_taken_modulo_four(self, puzzle, turns):
+        # the emission holds the pair counts, blocked-side counts and
+        # findings: any turns give the certificate of their remainder by 4
+        pins = {"ww": WW_CERT_SHA256, "aon": AON_CERT_SHA256}[puzzle]
+        assert emit_digest(certify_gadget(puzzle, turns=turns)) == pins[turns % 4]
+
     @pytest.mark.parametrize("turns", [0, 1, 2, 3])
     def test_ww_emission_pinned(self, turns):
         assert emit_digest(certify_gadget("ww", turns=turns)) == WW_CERT_SHA256[turns]
