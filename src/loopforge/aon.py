@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
@@ -44,8 +46,8 @@ from .model import (
     LoopPath,
     RegionDecomposition,
     Verdict,
-    Vertex,
     Violation,
+    board_cells,
     crossings_by_region,
     regions_from_labels,
 )
@@ -214,9 +216,10 @@ class AonInstance:
 
 
 def parse_aon(text: str) -> AonInstance:
-    width, height, token_of = AON_BOARD.read(text)
-    decomp = regions_from_labels(width, height, token_of)
-    names = tuple(token_of[min(cells)] for cells in decomp.regions.values())
+    width, height, rows = AON_BOARD.read_rows(text)
+    labels = list(chain.from_iterable(map(reversed, zip(*rows))))  # board order
+    decomp = regions_from_labels(width, height, labels)
+    names = tuple(labels[x * height + y] for x, y in map(min, decomp.regions.values()))
     # a token must name one connected region, not scattered patches
     seen: set[str] = set()
     for name in names:
@@ -237,35 +240,85 @@ def emit_aon(inst: AonInstance) -> str:
     return f"aon {inst.width} {inst.height}\n" + board_text(inst)
 
 
+@lru_cache(maxsize=None)
+def _rotation(rows: str, turns: int):
+    """The gadget rotated by ``turns`` as :func:`compile_aon` composes
+    boards from it: the regions of :func:`gadget_board`, called parts here,
+    as the part of each frame cell in board order, each part's token, and
+    the filler parts (neither big nor the one-cell region) with the pairs
+    of them that touch in the frame.  Cached under the gadget's ``rows``
+    too, so a replaced ``GADGET`` is read afresh."""
+    decomp = gadget_board(turns).regions
+    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
+    token_of = dict(zip(cells, tokens))
+    kinds = [token_of[min(cs)] for cs in decomp.regions.values()]
+    filler = {p for p, kind in enumerate(kinds) if kind not in ("B", "D")}
+    inner = [pair for pair in decomp.touching if filler.issuperset(pair)]
+    return tuple(decomp.region_of.values()), kinds, filler, inner
+
+
 def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     """Tile one rotated gadget per vertex on an 11x11-per-metacell board.
 
-    Each metacell's big region and one-cell region get labels of their
-    own; all filler cells share one label, so filler parts that meet
-    across a metacell side merge.  A big region's label is its metacell's
-    alone, so it can neither leak out of the metacell nor be shared; the
-    gadget's big cells must still form one region (checked).
+    The board's regions are composed from the parts of each rotation the
+    tiling uses (:func:`_rotation`), with no fill over the board: a
+    metacell's big region and one-cell region stay its own, and filler
+    parts that touch, in a metacell or across a metacell side, merge, as
+    if all filler cells shared one label.  So a big region can neither
+    leak out of its metacell nor be shared; the gadget's big cells must
+    still form one region (checked).
     """
     tiling = GADGET.tile(g, plan)
-    width, height = FRAME * g.cols, FRAME * g.rows
-    label_of: dict[Cell, object] = {}
-    big_cells: dict[Vertex, list[Cell]] = {}
-    for v, cells, tokens in GADGET.lay(tiling):
-        own = {"B": (v, "B"), "D": (v, "D")}  # filler cells get None
-        label_of.update(zip(cells, map(own.get, tokens)))
-        big_cells[v] = [cell for cell, tok in zip(cells, tokens) if tok == "B"]
-    decomp = regions_from_labels(width, height, label_of)
+    n, width, height = FRAME, FRAME * g.cols, FRAME * g.rows
+    rots = {t: _rotation(GADGET.rows, t) for t in set(tiling.values())}
+    # the parts of all metacells, k each at any rotation, in one union-find
+    k = len(rots[tiling[0, 0]][1])
+    base = {v: k * m for m, v in enumerate(tiling)}
+    parent = list(range(k * len(tiling)))
 
-    big_ids = set()
-    for v, placed in big_cells.items():
-        ids = {decomp.region_of[c] for c in placed}
-        if len(ids) != 1:
-            raise CompileError(f"big region of metacell {v} is fragmented")
-        big_ids |= ids
+    def find(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
 
-    names = tuple(region_token(rid) for rid in sorted(decomp.regions))
-    return AonInstance(width, height, decomp, names,
-                       provenance=tiling, big_region_ids=frozenset(big_ids))
+    meets: dict[tuple, list[tuple[int, int]]] = {}  # filler parts meeting across a side
+    big = []
+    for (x, y), t in tiling.items():
+        ids, kinds, filler, inner = rots[t]
+        if kinds.count("B") != 1:
+            raise CompileError(f"big region of metacell {(x, y)} is fragmented")
+        b = base[x, y]
+        big.append(b + kinds.index("B"))
+        pairs = [(b + p, b + q) for p, q in inner]
+        for w, east in (((x + 1, y), True), ((x, y + 1), False)):
+            if w in tiling:
+                u = tiling[w]
+                if (t, u, east) not in meets:
+                    far, _, far_filler, _ = rots[u]
+                    sides = zip(ids[-n:], far[:n]) if east else zip(ids[n - 1::n], far[::n])
+                    meets[t, u, east] = [(p, q) for p, q in dict.fromkeys(sides)
+                                         if p in filler and q in far_filler]
+                pairs += [(b + p, base[w] + q) for p, q in meets[t, u, east]]
+        for p, q in pairs:
+            parent[find(p)] = find(q)
+
+    roots = list(map(find, range(len(parent))))
+    values: list[int] = []
+    for x in range(g.cols):
+        column = [(rots[tiling[x, y]][0], roots[base[x, y]:base[x, y] + k]) for y in range(g.rows)]
+        for i in range(0, n * n, n):  # the board's columns, one metacell's chunk at a time
+            for ids, local in column:
+                values += map(local.__getitem__, ids[i:i + n])
+    # region ids follow smallest cells: the order in which the roots first
+    # appear in board order
+    rid = {r: i for i, r in enumerate(dict.fromkeys(values))}
+    region_of = dict(zip(board_cells(width, height), map(rid.__getitem__, values)))
+    members: list[list[Cell]] = [[] for _ in rid]
+    for c, r in region_of.items():
+        members[r].append(c)
+    decomp = RegionDecomposition(width, height, region_of, dict(enumerate(map(frozenset, members))))
+    return AonInstance(width, height, decomp, tuple(map(region_token, range(len(rid)))),
+                       provenance=tiling, big_region_ids=frozenset(rid[roots[p]] for p in big))
 
 
 def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:

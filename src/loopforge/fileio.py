@@ -25,7 +25,7 @@ canonical input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from typing import Callable
 
 from .errors import ParseError
@@ -84,24 +84,25 @@ class BoardFormat:
     valid: Callable[[str], bool]
     invalid: str
 
-    def read(self, text: str) -> tuple[int, int, dict[Cell, str]]:
-        """The width and height of a board file and the token of every cell."""
-        lineno, (width, height), rows = _headed(text, "instance", f"{self.kind} <width> <height>")
+    def read_rows(self, text: str) -> tuple[int, int, list]:
+        """The width and height of a board file and its rows, top row
+        first, each the sequence of its cells' tokens."""
+        lineno, (width, height), lines = _headed(text, "instance", f"{self.kind} <width> <height>")
         if width < 1 or height < 1:
             raise ParseError(f"board dimensions must be positive, got {width}x{height}", lineno)
-        if len(rows) != height:
-            raise ParseError(f"expected {height} rows, got {len(rows)}")
+        if len(lines) != height:
+            raise ParseError(f"expected {height} rows, got {len(lines)}")
         unit = "tokens" if self.spaced else "cells"
-        token_of: dict[Cell, str] = {}
-        for y, (lineno, row) in zip(range(height - 1, -1, -1), rows):
-            tokens = row.split() if self.spaced else row
+        rows = []
+        for lineno, line in lines:
+            tokens = line.split() if self.spaced else line
             if len(tokens) != width:
                 raise ParseError(f"row has {len(tokens)} {unit}, expected {width}", lineno)
             bad = next(filterfalse(self.valid, tokens), None)
             if bad is not None:
                 raise ParseError(self.invalid.format(bad), lineno)
-            token_of.update(zip(zip(range(width), repeat(y)), tokens))
-        return width, height, token_of
+            rows.append(tokens)
+        return width, height, rows
 
     def write(self, width: int, height: int, token: Callable[[Cell], str],
               marked=frozenset()) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Literal
 
 from .errors import CompileError
@@ -322,9 +323,10 @@ class Gadget:
         """The token of every frame cell, read from ``rows``, and in the
         same order the cells they land on with the gadget at 0-3 turns."""
         n = self.frame
-        _, _, token_of = self.board.read(f"{self.board.kind} {n} {n}\n{self.rows}")
-        return tuple(token_of.values()), [self.place((0, 0), turns, token_of)
-                                          for turns in range(4)]
+        _, _, rows = self.board.read_rows(f"{self.board.kind} {n} {n}\n{self.rows}")
+        cells = [(x, y) for y in range(n - 1, -1, -1) for x in range(n)]
+        return tuple(chain.from_iterable(rows)), [self.place((0, 0), turns, cells)
+                                                  for turns in range(4)]
 
     def tile(self, g: GridGraph, plan: ExitPlan) -> dict[Vertex, int]:
         """Quarter turns at every vertex of ``g`` that put the gadget's

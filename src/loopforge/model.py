@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable
 
 from .errors import MalformedLoopError
@@ -176,7 +177,9 @@ class RegionDecomposition:
     """A partition of the board into regions, each an orthogonally
     connected set of cells.
 
-    ``region_of`` is total over the board; region ids are assigned in order of
+    ``region_of`` is total over the board and lists its cells in board
+    order, by x and then y, so its values read as a list put cell ``(x,
+    y)`` at index ``x * height + y``.  Region ids are assigned in order of
     each region's lexicographically smallest cell.  A leaf is a cell with
     exactly one orthogonal neighbor in the same region.
     """
@@ -190,12 +193,13 @@ class RegionDecomposition:
     @cached_property
     def leaves(self) -> dict[int, frozenset[Cell]]:
         """Per region, its leaves, built on first use."""
-        get = self.region_of.get
+        ids, h = list(self.region_of.values()), self.height
+        n = len(ids)
         leaf_cells: dict[int, list[Cell]] = {rid: [] for rid in self.regions}
-        for c, rid in self.region_of.items():
-            x, y = c
-            same = (get((x + 1, y)) == rid) + (get((x - 1, y)) == rid) \
-                + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
+        for i, (c, rid) in enumerate(self.region_of.items()):
+            y = i % h
+            same = (i + h < n and ids[i + h] == rid) + (i >= h and ids[i - h] == rid) \
+                + (y + 1 < h and ids[i + 1] == rid) + (y > 0 and ids[i - 1] == rid)
             if same == 1:
                 leaf_cells[rid].append(c)
         return {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
@@ -206,56 +210,59 @@ class RegionDecomposition:
         mapped to its first shared side ``(a, b)`` in board order: cells by
         x, then y, the east side before the north side.  The dict keeps
         that order."""
-        region_of = self.region_of
+        cells, ids, h = list(self.region_of), list(self.region_of.values()), self.height
+        n = len(ids)
         first: dict[tuple[int, int], tuple[Cell, Cell]] = {}
-        for x in range(self.width):
-            for y in range(self.height):
-                a = (x, y)
-                ra = region_of[a]
-                for b in ((x + 1, y), (x, y + 1)):
-                    rb = region_of.get(b)
-                    if rb is None or rb == ra:
-                        continue
+        for i, ra in enumerate(ids):
+            for j in (i + h, i + 1 if (i + 1) % h else n):  # east, north
+                if j < n and ids[j] != ra:
+                    rb = ids[j]
                     pair = (ra, rb) if ra < rb else (rb, ra)
                     if pair not in first:
-                        first[pair] = (a, b)
+                        first[pair] = (cells[i], cells[j])
         return first
 
 
-_OFF_BOARD = object()  # the label past the board's edge, equal to no label
+def board_cells(width: int, height: int) -> list[Cell]:
+    """Every cell of the board in board order, by x and then y."""
+    return list(product(range(width), range(height)))
 
 
-def regions_from_labels(width: int, height: int, label_of: dict[Cell, object]) -> RegionDecomposition:
+def regions_from_labels(width: int, height: int,
+                        labels: dict[Cell, object] | list) -> RegionDecomposition:
     """Flood-fill the board into regions: maximal orthogonally connected
-    sets of equally labelled cells.  ``label_of`` maps every board cell,
-    and no other, to its label (else :class:`ValueError`); any value is a
-    label, ``None`` too."""
-    if len(label_of) != width * height:
-        raise ValueError(f"{len(label_of)} labels for a {width}x{height} board")
-    label = label_of.get
-    region_of: dict[Cell, int] = {}
-    regions: dict[int, frozenset[Cell]] = {}
-    for x0 in range(width):  # cells in sorted order, so ids follow smallest cells
-        for y0 in range(height):
-            start = (x0, y0)
-            if start in region_of:
-                continue
-            rid = len(regions)
-            lab = label(start, _OFF_BOARD)
-            if lab is _OFF_BOARD:  # the count is right, so a label lies off the board
-                raise ValueError(f"no label for board cell {start}")
-            region_of[start] = rid
-            comp = [start]
-            stack = [start]
-            while stack:
-                x, y = stack.pop()
-                for n in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
-                    if n not in region_of and label(n, _OFF_BOARD) == lab:
-                        region_of[n] = rid
-                        comp.append(n)
-                        stack.append(n)
-            regions[rid] = frozenset(comp)
-    return RegionDecomposition(width, height, region_of, regions)
+    sets of equally labelled cells.  ``labels`` maps every board cell, and
+    no other, to its label, or lists the labels in board order (else
+    :class:`ValueError`); any value is a label, ``None`` too."""
+    n = width * height
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for a {width}x{height} board")
+    cells = board_cells(width, height)
+    if isinstance(labels, dict):
+        try:
+            labels = list(map(labels.__getitem__, cells))
+        except KeyError as e:  # the count is right, so a label lies off the board
+            raise ValueError(f"no label for board cell {e.args[0]}") from None
+    rid_of = [-1] * n
+    comps: list[list[int]] = []
+    for start in range(n):  # cells in board order, so ids follow smallest cells
+        if rid_of[start] >= 0:
+            continue
+        lab, rid = labels[start], len(comps)
+        rid_of[start] = rid
+        comp = [start]
+        for i in comp:
+            y = i % height
+            # south, north, west, east; the cell itself stands for a side
+            # past the board's edge, as it is already filled
+            for j in (i - 1 if y else i, i + 1 if y + 1 < height else i,
+                      i - height if i >= height else i, i + height if i + height < n else i):
+                if rid_of[j] < 0 and labels[j] == lab:
+                    rid_of[j] = rid
+                    comp.append(j)
+        comps.append(comp)
+    regions = {rid: frozenset(map(cells.__getitem__, comp)) for rid, comp in enumerate(comps)}
+    return RegionDecomposition(width, height, dict(zip(cells, rid_of)), regions)
 
 
 def loop_runs_with_cells(

@@ -12,6 +12,7 @@ Runs are cyclic, so wrap-around runs count.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -105,6 +106,9 @@ class WwInstance:
         return GROUND if c in self.ground else WATER
 
 
+_LAND = re.compile("[^~]")  # a ground cell's token in a board row
+
+
 def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
            provenance: dict[tuple[int, int], int] | None = None) -> WwInstance:
     """The board whose cells hold the ``(cell, token)`` pairs ``tokens``:
@@ -119,8 +123,10 @@ def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
 
 
 def parse_ww(text: str) -> WwInstance:
-    width, height, token_of = WW_BOARD.read(text)
-    return _board(width, height, token_of.items())
+    width, height, rows = WW_BOARD.read_rows(text)
+    return _board(width, height, (((m.start(), y), m.group())
+                                  for y, row in zip(range(height - 1, -1, -1), rows)
+                                  for m in _LAND.finditer(row)))
 
 
 def board_text(inst: WwInstance, marked=frozenset()) -> str:

@@ -988,7 +988,9 @@ def compiled_walls(inst):
 
 def regions_from_boundaries(width, height, walls):
     """Flood-fill the board into regions between the walls, each pair in
-    either order; the outer border always acts as a wall."""
+    either order; the outer border always acts as a wall.  ``region_of``
+    lists the cells in board order, by x and then y, as the package's
+    decompositions do."""
     # normalise each wall once to the cell on its west or south side, so a
     # step costs one lookup whichever order the pair was stored in
     east_walls = set()
@@ -1036,6 +1038,7 @@ def regions_from_boundaries(width, height, walls):
                         comp.append(n)
                         stack.append(n)
             regions[rid] = frozenset(comp)
+    region_of = dict(sorted(region_of.items()))
 
     leaf_cells = {rid: [] for rid in regions}
     get = region_of.get

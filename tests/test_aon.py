@@ -58,6 +58,7 @@ from oracles import (
     solve_aon_by_scan,
     verify_aon_by_scan,
 )
+from test_scaling import serpentine
 
 # solver-vs-brute-force count on the worked 5x5 instance, frozen from the
 # unpruned loop enumerator over all 9349 loops of the board
@@ -351,6 +352,41 @@ class TestCompile:
         with pytest.raises(CompileError, match=r"big region of metacell \(0, 0\) is fragmented"):
             compile_aon(g, plan_for(g))
 
+    @pytest.mark.parametrize("source, rule", [
+        ("serpentine8", "lex"), ("serpentine16", "lex"),
+        ("16x16/1", "lex"), ("16x16/1", "antilex"), ("16x16/2", "lex"), ("16x16/2", "antilex")])
+    def test_composed_regions_match_the_label_fill(self, source, rule):
+        if source.startswith("serpentine"):
+            g, _ = serpentine(int(source[len("serpentine"):]))
+        else:
+            g = random_candidate_subgraph(16, 16, random.Random(source))
+        assert_compile_matches_labels(compile_aon(g, plan_for(g, rule)))
+
+    def test_replaced_gadget_is_decomposed_afresh(self, monkeypatch):
+        g = full_grid(2, 3)
+        plan = plan_for(g)
+        before = compile_aon(g, plan)  # decomposes the gadget's rotations
+        # the one-cell region joins the big one
+        monkeypatch.setattr(aon, "GADGET", dataclasses.replace(
+            GADGET, rows=GADGET_ROWS.replace("D", "B")))
+        inst = compile_aon(g, plan)
+        assert region_count(inst.regions) == region_count(before.regions) - 6
+        assert_compile_matches_labels(inst)
+
+    def test_filler_parts_touching_in_the_frame_merge(self, monkeypatch):
+        # the corner cell of the top right part written as a part of its
+        # own: all filler cells share one label, so nothing changes
+        rows = GADGET_ROWS.splitlines()
+        rows[0] = rows[0][:-1] + "F"
+        g = random_candidate_subgraph(4, 3, random.Random(3))
+        plan = plan_for(g)
+        before = compile_aon(g, plan)
+        monkeypatch.setattr(aon, "GADGET", dataclasses.replace(GADGET, rows="\n".join(rows) + "\n"))
+        inst = compile_aon(g, plan)
+        assert_same_regions(inst.regions, before.regions)
+        assert inst.big_region_ids == before.big_region_ids
+        assert_compile_matches_labels(inst)
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_no_two_dead_regions_adjacent(self, dims):
         for g in enumerate_candidate_subgraphs(*dims):
@@ -428,6 +464,21 @@ def assert_same_regions(labelled, walled):
     assert labelled.regions == walled.regions
     assert labelled.leaves == walled.leaves
     assert list(labelled.touching.items()) == list(walled.touching.items())
+
+
+def assert_compile_matches_labels(inst):
+    """``inst``, a compile, decomposes as :func:`regions_from_labels` does
+    over the labels of the gadget ``aon.GADGET`` lays: its own label on
+    each metacell's big and one-cell cells, one label on every filler
+    cell."""
+    labels = {cell: (v, tok) if tok in ("B", "D") else None
+              for v, cells, tokens in aon.GADGET.lay(inst.provenance)
+              for cell, tok in zip(cells, tokens)}
+    filled = regions_from_labels(inst.width, inst.height, labels)
+    assert_same_regions(inst.regions, filled)
+    assert list(inst.regions.regions) == list(filled.regions)
+    assert inst.big_region_ids == {filled.region_of[c] for c, lab in labels.items()
+                                   if lab and lab[1] == "B"}
 
 
 def assert_compile_matches_walls(inst):
