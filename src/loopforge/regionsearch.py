@@ -5,9 +5,10 @@ a cycle of them, each once, and covers each by one Hamiltonian path of the
 region between the cell it enters at and the cell it leaves from.  Those
 cells are ports: cells of a live (not dead) region with a neighbor in
 another live region.  Whether a Hamiltonian path of a region joins two
-ports is a row, decided by the cell engine's walk on the region alone,
-stepped on the search's own node meter, so budgets and node counts see
-its nodes.
+ports is a row, decided by one walk of the cell engine on the region
+alone, stepped on the search's own node meter, so budgets and node counts
+see its nodes.  The walk tries a cell's neighbors fewest neighbors first
+(Warnsdorff's rule).
 
 Rows are kept for one search, keyed on the region's shape up to
 translation and rotation (its canonical frame) with the port pair
@@ -24,11 +25,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import SearchBudgetExceeded
 from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk
-from .model import Cell, LoopPath, RegionDecomposition, turn
-
-ROW_FIRST_BUDGET = 128
+from .model import Cell, LoopPath, RegionDecomposition, orthogonal_neighbors, turn
 
 
 def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]]:
@@ -73,41 +71,25 @@ class _Drawn:
             i += 1
 
 
-def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes):
-    """The way ``k, s`` that decides whether a Hamiltonian path of
-    ``shape`` joins ``a`` and ``b``: the walk from ``s`` (``a`` or ``b``) on
-    the shape turned by ``k``.  Returned with the walk's paths, in the
-    turned shape, drawn as they are asked for: the first, which decided
-    the row, then the rest, walked on from there.
+def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes) -> _Drawn:
+    """The Hamiltonian paths of ``shape`` from ``a`` to ``b``, drawn as they
+    are asked for from one walk on ``nodes``: the first decides the row, the
+    rest are walked on from there.
 
-    The cost of the first path depends on the way (for one pair of the
-    gadget's ports, from 75 to 14,293 nodes), so the eight ways are tried
-    in turn, each under a ceiling on ``nodes`` of ``most`` nodes more,
-    ``most`` doubling from ROW_FIRST_BUDGET each round, until one decides.
-    The call's budget still bounds every attempt; the ceiling is lifted
-    once the way decides."""
-    grids: dict[int, _Grid] = {}  # per turn, built when first tried
-    budget, most = nodes.budget, ROW_FIRST_BUDGET
-    while True:
-        for k in range(4):
-            if k not in grids:
-                grids[k] = _Grid(sorted(turn(c, k) for c in shape))
-            grid = grids[k]
-            for s, t in ((a, b), (b, a)):
-                walk = _walk(grid, grid.index[turn(s, k)], grid.index[turn(t, k)],
-                             range(len(shape)), LoopConstraint(), nodes)
-                ceiling = nodes.count + most
-                nodes.budget = ceiling if budget is None else min(ceiling, budget)
-                try:
-                    first = next(walk, None)
-                except SearchBudgetExceeded:
-                    if budget is not None and nodes.count > budget:
-                        raise
-                    continue
-                finally:
-                    nodes.budget = budget
-                return k, s, _Drawn(chain([first], walk) if first else None)
-        most *= 2
+    The walk tries each cell's neighbors fewest own neighbors in the shape
+    first, ties in ``ORTHO_STEPS`` order (Warnsdorff's rule): a path must
+    take a cell with few ways in while it still can.  On the gadget a row's
+    first path then takes 76 to 206 nodes; in ``ORTHO_STEPS`` order it took
+    up to 14,293, by the end and the turn of the shape it started from."""
+    cells = set(shape)
+    degree = {c: sum(n in cells for n in orthogonal_neighbors(c)) for c in shape}
+
+    def neighbors(c: Cell) -> list[Cell]:
+        return sorted((n for n in orthogonal_neighbors(c) if n in cells), key=degree.__getitem__)
+
+    grid = _Grid(list(shape), neighbors)
+    return _Drawn(_walk(grid, grid.index[a], grid.index[b], range(len(shape)),
+                        LoopConstraint(), nodes))
 
 
 def _combinations(drawn: list[_Drawn]):
@@ -152,9 +134,8 @@ class RegionCycles:
                     self.cross[c] = out
         self.shapes: dict[frozenset, tuple] = {}  # per region shape at the origin, its frame
         self.frames: dict[int, tuple] = {}  # per region, its frame and offset
-        # per row key (shape, a, b) in the frame, the way that decided it and
-        # its traversals in the way's turned shape
-        self.rows: dict[tuple, tuple] = {}
+        # per row key (shape, a, b) in the frame, its traversals from a to b
+        self.rows: dict[tuple, _Drawn] = {}
         self.pairs: dict[tuple[int, Cell, Cell], _Drawn] = {}  # the traversals on the board
 
     def pair(self, r: int, a: Cell, b: Cell) -> _Drawn:
@@ -187,17 +168,17 @@ class RegionCycles:
         row = (shape, *ends)
         if row not in self.rows:
             self.rows[row] = _find_row(*row, self.nodes)
-        kw, s, found = self.rows[row]
-        # a path of the row runs from ``s`` in the way's turned shape: the
-        # way's turn and the move's undone together are one turn, then a shift
+        found = self.rows[row]
+        # a path of the row runs from ``ends[0]``: undo the move, a turn
+        # back and then a shift, reversed when ``a`` maps to ``ends[1]``
         k, x0, y0 = move
         ox, oy = turn((x0, y0), -k)
-        ox, oy, k = ox + tx, oy + ty, -kw - k
-        flip = s != onto(move, a)
+        ox, oy = ox + tx, oy + ty
+        flip = onto(move, a) != ends[0]
 
         def back(path):
             return tuple((x + ox, y + oy) for x, y in
-                         (turn(c, k) for c in (path[::-1] if flip else path)))
+                         (turn(c, -k) for c in (path[::-1] if flip else path)))
 
         got = self.pairs[key] = _Drawn(map(back, found))
         return got
@@ -259,7 +240,10 @@ class RegionCycles:
 
     def loops(self, root: int, floor: int):
         """The loops of :meth:`cycles`, in canonical form: each cycle's
-        traversals joined, in every combination."""
+        traversals joined, in every combination.  One node per combination
+        after a cycle's first, whose region steps paid for it."""
         for segs in self.cycles(root, floor):
-            for parts in _combinations([self.pair(*s) for s in segs]):
+            for i, parts in enumerate(_combinations([self.pair(*s) for s in segs])):
+                if i:
+                    self.nodes.tick()
                 yield LoopPath(tuple(chain.from_iterable(parts))).canonical()

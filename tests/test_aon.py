@@ -10,8 +10,9 @@ from loopforge import aon
 from loopforge.errors import CompileError, MalformedLoopError, ParseError, SearchBudgetExceeded
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
-from loopforge.loopsearch import SearchResult
-from loopforge.model import LoopPath, full_grid, regions_from_labels
+from loopforge.loopsearch import SearchResult, _Nodes
+from loopforge.model import LoopPath, are_orthogonal, full_grid, regions_from_labels
+from loopforge.regionsearch import RegionCycles
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
     FRAME,
@@ -931,14 +932,49 @@ class TestRegionSolve:
         for g in enumerate_candidate_subgraphs(3, 3):
             assert solve_aon(compile_aon(g, plan_for(g))) == SearchResult([], 0, True)
 
+    @pytest.mark.parametrize("rule", ["lex", "antilex"])
+    def test_rows_shared_across_rotations(self, rule):
+        # every big region has the gadget's shape, at each of the four
+        # turns here, so all its port pairs are answered by three rows;
+        # each pair's first traversal, mapped back onto the board, is a
+        # Hamiltonian path of its region between the pair's ports
+        g, _ = serpentine(4)
+        inst = compile_aon(g, plan_for(g, rule))
+        assert set(inst.provenance.values()) == {0, 1, 2, 3}
+        dead = analyze_dead_regions(inst).dead_ids()
+        nodes = _Nodes(None)
+        search = RegionCycles(inst.regions, [r for r in inst.regions.regions if r not in dead],
+                              nodes)
+        for r in inst.big_region_ids:
+            for a in search.ports[r]:
+                for b in search.ports[r]:
+                    if a != b:
+                        drawn = search.pair(r, a, b)
+                        assert drawn.has(0)
+                        path = drawn.paths[0]
+                        assert (path[0], path[-1]) == (a, b)
+                        assert sorted(path) == sorted(inst.regions.regions[r])
+                        assert all(map(are_orthogonal, path, path[1:]))
+        assert (len(search.rows), nodes.count) == (3, 379)
+
+    def test_every_loop_search_is_bounded_by_its_budget(self):
+        # once its rows are walked, each further loop of a cycle costs a
+        # node, so a larger cap costs nodes in step
+        two = compile_aon(full_grid(2, 2), plan_for(full_grid(2, 2)))
+
+        def nodes(cap):
+            return solve_aon(two, mode="all", cap=cap).nodes
+
+        assert nodes(5_000) - nodes(2_000) >= 3_000
+
     def test_repeat_solves_and_budgets_agree(self, aon_fixture):
         # a solve keeps nothing for the next: a repeat gives the same loops,
         # nodes and budget stops, a budget of at least the nodes gives the
         # unbounded result, and a smaller one stops one node over it, as the
         # cell walk does.  Asked for every loop, a row walks on under the
-        # call's budget once its way has decided (a 3x4 compile has about
-        # 700^12 loops, so it is solved to a first one, the 2x2 compile's
-        # loops are capped at 20)
+        # call's budget past the first path that decided it (a 3x4 compile
+        # has about 700^12 loops, so it is solved to a first one, the 2x2
+        # compile's loops are capped at 20)
         two = compile_aon(full_grid(2, 2), plan_for(full_grid(2, 2)))
         for inst, mode, cap in ((aon_fixture, "first", None), (aon_fixture, "all", None),
                                 (_frontier_board(), "first", None), (two, "all", 20)):

@@ -269,8 +269,9 @@ def seed7_first(puzzle, cols, rows, solve=None):
 # searched by region.  The hand-made AoN fixture is not exact cover, so its
 # cell-walk count is the one that a prune for cells a rule makes mandatory
 # mid-walk would lower.  A region search's nodes are its rows' searches,
-# most of them on a compile, and one per region step; asked for every
-# loop but capped at one, it spends no more than for a first loop.
+# most of them on a compile, one per region step and one per loop of a
+# cycle after its first; asked for every loop but capped at one, it spends
+# no more than for a first loop.
 BASELINE_BOARDS = {
     "ww 3x3 seed 7": lambda request: seed7_first("ww", 3, 3),
     "ww 4x4 seed 7": lambda request: seed7_first("ww", 4, 4),
@@ -295,10 +296,10 @@ BASELINE_BOARDS = {
     ("aon certificate", 276_467, [593, 694, 853]),
     ("ww certificate", 408, [2, 2, 3]),
     ("aon fixture all", 956, 2),
-    ("aon by region 2x4 seed 7", 931, 1),
-    ("aon by region 3x4 seed 7", 1_072, 0),
-    ("aon by region fixture all", 166, 2),
-    ("aon by region 2x2 all, cap 1", 574, 1),
+    ("aon by region 2x4 seed 7", 407, 1),
+    ("aon by region 3x4 seed 7", 548, 0),
+    ("aon by region fixture all", 164, 2),
+    ("aon by region 2x2 all, cap 1", 307, 1),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):
     res = BASELINE_BOARDS[board](request)
