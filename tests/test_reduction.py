@@ -474,17 +474,17 @@ class TestRoundtrip:
             assert all(r.hamiltonian == "no" and r.solvable == "no"
                        for r in report.results)
 
-    @pytest.mark.parametrize("budget", [5_000, 600])
     @pytest.mark.parametrize("cols, rows", [(3, 4), (4, 3)])
-    def test_aon_3x4_decided_within_the_frontier_budget(self, cols, rows, budget):
+    def test_aon_3x4_decided_within_the_frontier_budget(self, cols, rows):
         # the AoN solver decides every 3x4 and 4x3 compile within 5,000
         # nodes, the budget of the benchmark's AoN frontier boards, and
         # within 600, a little over the costliest compile's 548
-        report = roundtrip_experiment(cols, rows, "aon", solver_budget=budget)
-        assert len(report.results) == report.agreements == 93
-        assert report.timeouts == 0
-        solved = [r for r in report.results if r.solvable == "yes"]
-        assert len(solved) == 35 and all(r.lift_ok is True for r in solved)
+        for budget in (5_000, 600):
+            report = roundtrip_experiment(cols, rows, "aon", solver_budget=budget)
+            assert len(report.results) == report.agreements == 93
+            assert report.timeouts == 0
+            solved = [r for r in report.results if r.solvable == "yes"]
+            assert len(solved) == 35 and all(r.lift_ok is True for r in solved)
 
 
 class TestAtScale:
