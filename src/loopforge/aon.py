@@ -24,7 +24,7 @@ region once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -205,11 +205,6 @@ class AonInstance:
     height: int
     regions: RegionDecomposition
     region_names: tuple[str, ...]
-    # compilation lineage, not board geometry: equality ignores both
-    provenance: dict[tuple[int, int], int] | None = field(
-        default=None, compare=False, kw_only=True)
-    big_region_ids: frozenset[int] | None = field(
-        default=None, compare=False, kw_only=True)
 
     def region_name(self, rid: int) -> str:
         return self.region_names[rid]
@@ -282,13 +277,11 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
         return p
 
     meets: dict[tuple, list[tuple[int, int]]] = {}  # filler parts meeting across a side
-    big = []
     for (x, y), t in tiling.items():
         ids, kinds, filler, inner = rots[t]
         if kinds.count("B") != 1:
             raise CompileError(f"big region of metacell {(x, y)} is fragmented")
         b = base[x, y]
-        big.append(b + kinds.index("B"))
         pairs = [(b + p, b + q) for p, q in inner]
         for w, east in (((x + 1, y), True), ((x, y + 1), False)):
             if w in tiling:
@@ -317,8 +310,7 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     for c, r in region_of.items():
         members[r].append(c)
     decomp = RegionDecomposition(width, height, region_of, dict(enumerate(map(frozenset, members))))
-    return AonInstance(width, height, decomp, tuple(map(region_token, range(len(rid)))),
-                       provenance=tiling, big_region_ids=frozenset(rid[roots[p]] for p in big))
+    return AonInstance(width, height, decomp, tuple(map(region_token, range(len(rid)))))
 
 
 def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
@@ -358,55 +350,39 @@ def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
     return Verdict(tuple(violations))
 
 
-STATUS_BIG = "big"
-STATUS_DEAD_ENCLOSURE = "dead-by-enclosure"
-STATUS_DEAD_LEAF_RICH = "dead-by-leaf-rich"
-STATUS_UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class DeadRegionReport:
-    status: dict[int, str]
+    """Each region's leaf count, and for each one-cell region that borders
+    a single other region, that region."""
+
     leaf_counts: dict[int, int]
     enclosing: dict[int, int]
 
     def dead_ids(self) -> set[int]:
-        return {rid for rid, s in self.status.items()
-                if s in (STATUS_DEAD_ENCLOSURE, STATUS_DEAD_LEAF_RICH)}
+        """The regions with three or more leaves, and the enclosed one-cell
+        regions."""
+        return {rid for rid, n in self.leaf_counts.items() if n >= 3} | self.enclosing.keys()
 
 
 def analyze_dead_regions(inst: AonInstance) -> DeadRegionReport:
-    """Classify regions by the two deadness arguments.
+    """Find the regions dead by the two deadness arguments.
 
     A region with three or more leaves cannot be covered by a single arc.
     A one-cell region whose neighbors all lie in one single other region
     cannot be visited by a loop that visits a third region: passing through
     it spends both of the host region's crossings, so the loop covers the
     host and the one cell alone (``solve_aon`` looks for such loops apart).
-    Regions matching neither argument stay "unknown" (or "big" when
-    compilation provenance marks them as a metacell's walkable region);
-    they are never silently assumed dead.
+    No other region is assumed dead.
     """
     decomp = inst.regions
     around: dict[int, set[int]] = {rid: set() for rid in decomp.regions}
     for r1, r2 in decomp.touching:
         around[r1].add(r2)
         around[r2].add(r1)
-    status = {}
-    leaf_counts = {}
-    enclosing = {}
-    for rid, cells in decomp.regions.items():
-        leaf_counts[rid] = len(decomp.leaves[rid])
-        if leaf_counts[rid] >= 3:
-            status[rid] = STATUS_DEAD_LEAF_RICH
-        elif len(cells) == 1 and len(around[rid]) == 1:
-            status[rid] = STATUS_DEAD_ENCLOSURE
-            enclosing[rid] = next(iter(around[rid]))
-        elif inst.big_region_ids and rid in inst.big_region_ids:
-            status[rid] = STATUS_BIG
-        else:
-            status[rid] = STATUS_UNKNOWN
-    return DeadRegionReport(status, leaf_counts, enclosing)
+    leaf_counts = {rid: len(leaves) for rid, leaves in decomp.leaves.items()}
+    enclosing = {rid: next(iter(around[rid])) for rid, cells in decomp.regions.items()
+                 if len(cells) == 1 and len(around[rid]) == 1}
+    return DeadRegionReport(leaf_counts, enclosing)
 
 
 def solve_aon(

@@ -293,7 +293,10 @@ def roundtrip_experiment(
     """For every candidate subgraph: check Hamiltonicity, compile, solve, and
     compare.  Timeouts are reported per instance and never counted as
     agreement; disagreements dump the offending files when a directory is
-    given."""
+    given.  A grid narrower than 2 has no candidate, so it raises
+    ``ValueError`` rather than report agreement on nothing."""
+    if cols < 2 or rows < 2:
+        raise ValueError(f"need at least a 2x2 grid, got {cols}x{rows}")
     p = puzzle_of(puzzle)
     results = []
     for idx, g in enumerate(enumerate_candidate_subgraphs(cols, rows)):

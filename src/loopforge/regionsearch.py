@@ -16,7 +16,9 @@ unordered: every big region of a metacell compile has the gadget's shape,
 so a compile searches three rows.  A row keeps the walk that decided it:
 a pair's other traversals are that walk's later paths, walked on only
 when the combinations of a cycle that closes need them, so a search that
-stops at its first loop walks no row past its first path.
+stops at its first loop walks no row past its first path.  A traversal
+stays in its row's frame until it is joined into a loop, where the frame
+cell map of its region, made once per region, places it on the board.
 
 The search over cycles keeps an explicit stack, so it never recurses.
 """
@@ -29,21 +31,22 @@ from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk
 from .model import Cell, LoopPath, RegionDecomposition, orthogonal_neighbors, turn
 
 
-def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]]:
+def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[dict[Cell, Cell], ...]]:
     """The canonical frame of a region's ``cells``: their least sorted
-    tuple over the four turns, shifted to the origin, and each move
-    ``(k, x0, y0)`` that takes the cells there (turn by ``k``, then shift
-    by ``-(x0, y0)``)."""
+    tuple over the four turns, shifted to the origin, and for each move
+    that takes the cells there (a turn, then a shift), in turn order, each
+    cell's frame cell."""
     best, moves = None, []
     for k in range(4):
         turned = [turn(c, k) for c in cells]
         x0 = min(x for x, _ in turned)
         y0 = min(y for _, y in turned)
-        shape = tuple(sorted((x - x0, y - y0) for x, y in turned))
+        placed = [(x - x0, y - y0) for x, y in turned]
+        shape = tuple(sorted(placed))
         if best is None or shape < best:
             best, moves = shape, []
         if shape == best:
-            moves.append((k, x0, y0))
+            moves.append(dict(zip(cells, placed)))
     return best, tuple(moves)
 
 
@@ -63,12 +66,6 @@ class _Drawn:
             else:
                 self.paths.append(path)
         return i < len(self.paths)
-
-    def __iter__(self):
-        i = 0
-        while self.has(i):
-            yield self.paths[i]
-            i += 1
 
 
 def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes) -> _Drawn:
@@ -133,22 +130,18 @@ class RegionCycles:
                     self.ports[r].append(c)
                     self.cross[c] = out
         self.shapes: dict[frozenset, tuple] = {}  # per region shape at the origin, its frame
-        self.frames: dict[int, tuple] = {}  # per region, its frame and offset
+        # per region, its frame and, per move, each cell's frame cell and back
+        self.frames: dict[int, tuple] = {}
         # per row key (shape, a, b) in the frame, its traversals from a to b
         self.rows: dict[tuple, _Drawn] = {}
-        self.pairs: dict[tuple[int, Cell, Cell], _Drawn] = {}  # the traversals on the board
 
-    def pair(self, r: int, a: Cell, b: Cell) -> _Drawn:
-        """The traversals of region ``r`` from ``a`` to ``b`` on the board,
-        its row's mapped back as they are asked for: none when no path joins
-        them."""
-        key = (r, a, b)
-        got = self.pairs.get(key)
-        if got is not None:
-            return got
+    def pair(self, r: int, a: Cell, b: Cell) -> tuple[_Drawn, dict[Cell, Cell], bool]:
+        """The traversals of region ``r`` from ``a`` to ``b`` (none when no
+        path joins them) as the row that holds them, the map from its frame
+        cells to board cells, and whether the row's paths run from ``b``.
+        A traversal reaches the board only in a loop, through the map."""
         if a == b:
-            got = self.pairs[key] = _Drawn(iter([(a,)]))
-            return got
+            return _Drawn(iter([(a,)])), {a: a}, False
         if r not in self.frames:
             cells = self.cells[r]
             tx = min(x for x, _ in cells)
@@ -156,39 +149,27 @@ class RegionCycles:
             at_origin = frozenset((x - tx, y - ty) for x, y in cells)
             if at_origin not in self.shapes:
                 self.shapes[at_origin] = _frame(at_origin)
-            self.frames[r] = self.shapes[at_origin], tx, ty
-        (shape, moves), tx, ty = self.frames[r]
-
-        def onto(move, c):
-            k, x0, y0 = move
-            x, y = turn((c[0] - tx, c[1] - ty), k)
-            return x - x0, y - y0
-
-        ends, move = min((tuple(sorted((onto(m, a), onto(m, b)))), m) for m in moves)
+            shape, moves = self.shapes[at_origin]
+            maps = []
+            for move in moves:
+                onto = {(x + tx, y + ty): f for (x, y), f in move.items()}
+                maps.append((onto, {f: c for c, f in onto.items()}))
+            self.frames[r] = shape, maps
+        shape, maps = self.frames[r]
+        # the first move in turn order among those giving the least ends
+        onto, back = min(maps, key=lambda m: sorted((m[0][a], m[0][b])))
+        ends = sorted((onto[a], onto[b]))
         row = (shape, *ends)
         if row not in self.rows:
             self.rows[row] = _find_row(*row, self.nodes)
-        found = self.rows[row]
-        # a path of the row runs from ``ends[0]``: undo the move, a turn
-        # back and then a shift, reversed when ``a`` maps to ``ends[1]``
-        k, x0, y0 = move
-        ox, oy = turn((x0, y0), -k)
-        ox, oy = ox + tx, oy + ty
-        flip = onto(move, a) != ends[0]
-
-        def back(path):
-            return tuple((x + ox, y + oy) for x, y in
-                         (turn(c, -k) for c in (path[::-1] if flip else path)))
-
-        got = self.pairs[key] = _Drawn(map(back, found))
-        return got
+        return self.rows[row], back, onto[a] != ends[0]
 
     def exits(self, r: int, a: Cell):
         """The ports of region ``r`` that a traversal entering at ``a`` can
         leave from."""
         if len(self.cells[r]) == 1:
             return (a,)
-        return (b for b in self.ports[r] if b != a and self.pair(r, a, b).has(0))
+        return (b for b in self.ports[r] if b != a and self.pair(r, a, b)[0].has(0))
 
     def cycles(self, root: int, floor: int):
         """Each cycle of live regions, ``root`` and regions from ``floor`` up,
@@ -243,7 +224,10 @@ class RegionCycles:
         traversals joined, in every combination.  One node per combination
         after a cycle's first, whose region steps paid for it."""
         for segs in self.cycles(root, floor):
-            for i, parts in enumerate(_combinations([self.pair(*s) for s in segs])):
+            pairs = [self.pair(*s) for s in segs]
+            for i, paths in enumerate(_combinations([row for row, _, _ in pairs])):
                 if i:
                     self.nodes.tick()
-                yield LoopPath(tuple(chain.from_iterable(parts))).canonical()
+                yield LoopPath(tuple(chain.from_iterable(
+                    map(back.__getitem__, path[::-1] if flip else path)
+                    for path, (_, back, flip) in zip(paths, pairs)))).canonical()

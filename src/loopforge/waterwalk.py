@@ -13,13 +13,13 @@ Runs are cyclic, so wrap-around runs count.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 from .errors import CompileError
 from .fileio import WW_BOARD
-from .framework import Direction, ExitPlan, Gadget, direction_between
+from .framework import Direction, ExitPlan, Gadget
 from .model import (
     Cell,
     GridGraph,
@@ -74,6 +74,25 @@ GADGET_PATHS: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]] = {
 GADGET = Gadget(GADGET_ROWS, WW_BOARD, GADGET_NON_EXIT, GADGET_EXIT_CELLS, GADGET_PATHS)
 FRAME = GADGET.frame
 
+
+def check_crossings(gadget: Gadget) -> None:
+    """Raise :class:`CompileError` unless each exit cell of ``gadget`` is
+    water with ground one step inward.  Rotation carries the terrain with
+    the cells and the exit cells sit on their sides' midlines, so across
+    every graph edge of a compile the loop then passes ground, water,
+    water, ground."""
+    ((_, cells, tokens),) = gadget.lay({(0, 0): 0})
+    token_of = dict(zip(cells, tokens))
+    for side, (x, y) in gadget.exit_cells.items():
+        inward = (x - side.dx, y - side.dy)
+        if token_of[x, y] != "~":
+            raise CompileError(f"exit cell {(x, y)} on side {side.name} is not water")
+        if token_of[inward] == "~":
+            raise CompileError(f"exit on side {side.name} has no ground at {inward}")
+
+
+check_crossings(GADGET)
+
 # Midline border cell of the non-exit side; certification checks that no
 # traversal from an exit can end there.
 GADGET_BLOCKED_CELL = (0, 2)
@@ -85,9 +104,6 @@ class WwInstance:
     height: int
     ground: frozenset[Cell]
     numbers: dict[Cell, int]
-    # compilation lineage, not board geometry: equality ignores it
-    provenance: dict[tuple[int, int], int] | None = field(
-        default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
         for c in self.ground:
@@ -109,8 +125,7 @@ class WwInstance:
 _LAND = re.compile("[^~]")  # a ground cell's token in a board row
 
 
-def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
-           provenance: dict[tuple[int, int], int] | None = None) -> WwInstance:
+def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]]) -> WwInstance:
     """The board whose cells hold the ``(cell, token)`` pairs ``tokens``:
     ``~`` water, ``.`` ground, a digit a clue on ground."""
     ground, numbers = set(), {}
@@ -119,7 +134,7 @@ def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]],
             ground.add(cell)
             if tok != ".":
                 numbers[cell] = int(tok)
-    return WwInstance(width, height, frozenset(ground), numbers, provenance=provenance)
+    return WwInstance(width, height, frozenset(ground), numbers)
 
 
 def parse_ww(text: str) -> WwInstance:
@@ -145,25 +160,14 @@ def emit_ww(inst: WwInstance) -> str:
 
 
 def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
-    """Tile one rotated gadget per vertex on a 5x5-per-metacell board."""
-    tiling = GADGET.tile(g, plan)
-    laid = chain.from_iterable(zip(cells, tokens) for _, cells, tokens in GADGET.lay(tiling))
-    inst = _board(FRAME * g.cols, FRAME * g.rows, laid, provenance=tiling)
+    """Tile one rotated gadget per vertex on a 5x5-per-metacell board.
 
-    # every graph edge must cross two water border cells flanked by ground
-    for u, w in sorted(g.edges):
-        d = direction_between(u, w)
-        bu = GADGET.board_exit(u, tiling[u], d)
-        bw = GADGET.board_exit(w, tiling[w], d.opposite())
-        if abs(bu[0] - bw[0]) + abs(bu[1] - bw[1]) != 1:
-            raise CompileError(f"exit cells misaligned across {u}-{w}")
-        for border, inward_dir in ((bu, d.opposite()), (bw, d)):
-            if inst.terrain(border) != WATER:
-                raise CompileError(f"border cell {border} is not water")
-            inward = (border[0] + inward_dir.dx, border[1] + inward_dir.dy)
-            if inst.terrain(inward) != GROUND:
-                raise CompileError(f"crossing at {border} has no ground at {inward}")
-    return inst
+    Every graph edge crosses two water exit cells flanked by ground, as
+    :func:`check_crossings` checked once for the gadget, so the board is
+    laid without looking at the edges again."""
+    laid = GADGET.lay(GADGET.tile(g, plan))
+    return _board(FRAME * g.cols, FRAME * g.rows,
+                  chain.from_iterable(zip(cells, tokens) for _, cells, tokens in laid))
 
 
 def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:

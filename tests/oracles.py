@@ -24,10 +24,6 @@ from loopforge.aon import (
     FRAME,
     GADGET,
     GADGET_EXIT_CELLS,
-    STATUS_BIG,
-    STATUS_DEAD_ENCLOSURE,
-    STATUS_DEAD_LEAF_RICH,
-    STATUS_UNKNOWN,
     DeadRegionReport,
     analyze_dead_regions,
     verify_aon,
@@ -777,7 +773,6 @@ def analyze_dead_regions_by_scan(inst):
     """``analyze_dead_regions`` with the regions around each region found
     by looking past every side of each of its cells."""
     decomp = inst.regions
-    status = {}
     leaf_counts = {}
     enclosing = {}
     for rid, cells in decomp.regions.items():
@@ -787,16 +782,9 @@ def analyze_dead_regions_by_scan(inst):
             for n in orthogonal_neighbors(c):
                 if n in decomp.region_of and decomp.region_of[n] != rid:
                     outside.add(decomp.region_of[n])
-        if leaf_counts[rid] >= 3:
-            status[rid] = STATUS_DEAD_LEAF_RICH
-        elif len(cells) == 1 and len(outside) == 1:
-            status[rid] = STATUS_DEAD_ENCLOSURE
+        if len(cells) == 1 and len(outside) == 1:
             enclosing[rid] = next(iter(outside))
-        elif inst.big_region_ids and rid in inst.big_region_ids:
-            status[rid] = STATUS_BIG
-        else:
-            status[rid] = STATUS_UNKNOWN
-    return DeadRegionReport(status, leaf_counts, enclosing)
+    return DeadRegionReport(leaf_counts, enclosing)
 
 
 class AonLoopRules(LoopConstraint):
@@ -975,15 +963,25 @@ def gadget_walls(turns):
     return pairs
 
 
-def compiled_walls(inst):
-    """The walls of a compiled board: each metacell's rotated gadget walls
-    placed at its frame, as ``provenance`` records them."""
+def compiled_walls(tiling):
+    """The walls of a board compiled with ``tiling`` (the turns per vertex,
+    as ``GADGET.tile`` gives them): each metacell's rotated gadget walls
+    placed at its frame."""
     walls = set()
-    for (vx, vy), turns in inst.provenance.items():
+    for (vx, vy), turns in tiling.items():
         ox, oy = FRAME * vx, FRAME * vy
         walls.update(((ax + ox, ay + oy), (bx + ox, by + oy))
                      for (ax, ay), (bx, by) in gadget_walls(turns))
     return walls
+
+
+def big_region_ids(inst, tiling):
+    """The big region of each metacell of ``inst``, compiled with
+    ``tiling``: the region of its placed W exit cell, as
+    :func:`~loopforge.aon.gadget_harness` finds it."""
+    region_of = inst.regions.region_of
+    return {region_of[GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
+            for v, turns in tiling.items()}
 
 
 def regions_from_boundaries(width, height, walls):
@@ -1053,14 +1051,6 @@ def regions_from_boundaries(width, height, walls):
     # it caches them keeps them independent of the package's computation
     decomp.__dict__["leaves"] = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
     return decomp
-
-
-def big_region_ids_of_walls(inst, decomp):
-    """Ids in ``decomp`` of the big region of every metacell of the
-    compiled board ``inst``, found at each metacell's W exit cell."""
-    return frozenset(
-        decomp.region_of[GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
-        for v, turns in inst.provenance.items())
 
 
 # ---------------------------------------------------------------------------

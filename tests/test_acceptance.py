@@ -6,8 +6,7 @@ import random
 import time
 
 from loopforge.aon import (
-    STATUS_DEAD_ENCLOSURE,
-    STATUS_DEAD_LEAF_RICH,
+    GADGET,
     analyze_dead_regions,
     compile_aon,
     verify_aon,
@@ -29,7 +28,7 @@ from loopforge.reduction import (
 )
 from loopforge.waterwalk import verify_ww
 
-from oracles import candidate_subgraphs_by_subset, ham_cycles_by_permutation
+from oracles import big_region_ids, candidate_subgraphs_by_subset, ham_cycles_by_permutation
 
 
 def _report(n, elapsed, detail):
@@ -118,17 +117,18 @@ def test_criterion_4_dead_region_suite_on_compiled_instances():
     for dims in ((2, 2), (2, 3)):
         for g in enumerate_candidate_subgraphs(*dims):
             for rule in ("lex", "antilex"):
-                inst = compile_aon(g, plan_for(g, rule))
+                plan = plan_for(g, rule)
+                inst = compile_aon(g, plan)
                 instances += 1
                 report = analyze_dead_regions(inst)
                 decomp = inst.regions
+                big = big_region_ids(inst, GADGET.tile(g, plan))
+                dead = report.dead_ids()
                 for rid, cells in decomp.regions.items():
                     if len(cells) == 1:
-                        assert report.status[rid] == STATUS_DEAD_ENCLOSURE
-                    elif rid not in inst.big_region_ids:
-                        assert report.status[rid] == STATUS_DEAD_LEAF_RICH
-                        assert report.leaf_counts[rid] >= 3
-                dead = report.dead_ids()
+                        assert rid in report.enclosing
+                    elif rid not in big:
+                        assert rid in dead and report.leaf_counts[rid] >= 3
                 for (x, y), rid in decomp.region_of.items():
                     for n in ((x + 1, y), (x, y + 1)):
                         other = decomp.region_of.get(n)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from loopforge import aon
+from loopforge import aon, regionsearch
 from loopforge.errors import CompileError, MalformedLoopError, ParseError, SearchBudgetExceeded
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
@@ -22,10 +22,6 @@ from loopforge.aon import (
     GADGET_ROWS,
     ONE_CELL_REGION_CELL,
     RIM_LEAF_CELLS,
-    STATUS_BIG,
-    STATUS_DEAD_ENCLOSURE,
-    STATUS_DEAD_LEAF_RICH,
-    STATUS_UNKNOWN,
     AonInstance,
     DeadRegionReport,
     analyze_dead_regions,
@@ -44,7 +40,7 @@ from oracles import (
     all_loops_on_board,
     analyze_dead_regions_by_scan,
     anchored_search_loops,
-    big_region_ids_of_walls,
+    big_region_ids,
     blocks,
     boundary_edges,
     check_against_anchored,
@@ -101,7 +97,7 @@ def random_wall_boards():
         decomp = regions_from_boundaries(4, 4, b)
         names = tuple(region_token(i) for i in sorted(decomp.regions))
         inst = AonInstance(4, 4, decomp, names)
-        if STATUS_DEAD_ENCLOSURE not in analyze_dead_regions(inst).status.values():
+        if not analyze_dead_regions(inst).enclosing:
             yield inst
 
 
@@ -296,10 +292,11 @@ class TestCompile:
 
     def test_square_board_counts(self):
         g = full_grid(2, 2)
-        inst = compile_aon(g, plan_for(g))
+        plan = plan_for(g)
+        inst = compile_aon(g, plan)
         assert (inst.width, inst.height) == (22, 22)
         assert len(inst.regions.region_of) == 484
-        assert len(inst.big_region_ids) == 4
+        assert len(big_region_ids(inst, GADGET.tile(g, plan))) == 4
         one_cells = [rid for rid, cells in inst.regions.regions.items()
                      if len(cells) == 1]
         assert len(one_cells) == 4
@@ -361,7 +358,8 @@ class TestCompile:
             g, _ = serpentine(int(source[len("serpentine"):]))
         else:
             g = random_candidate_subgraph(16, 16, random.Random(source))
-        assert_compile_matches_labels(compile_aon(g, plan_for(g, rule)))
+        plan = plan_for(g, rule)
+        assert_compile_matches_labels(compile_aon(g, plan), GADGET.tile(g, plan))
 
     def test_replaced_gadget_is_decomposed_afresh(self, monkeypatch):
         g = full_grid(2, 3)
@@ -372,7 +370,7 @@ class TestCompile:
             GADGET, rows=GADGET_ROWS.replace("D", "B")))
         inst = compile_aon(g, plan)
         assert region_count(inst.regions) == region_count(before.regions) - 6
-        assert_compile_matches_labels(inst)
+        assert_compile_matches_labels(inst, GADGET.tile(g, plan))
 
     def test_filler_parts_touching_in_the_frame_merge(self, monkeypatch):
         # the corner cell of the top right part written as a part of its
@@ -385,8 +383,7 @@ class TestCompile:
         monkeypatch.setattr(aon, "GADGET", dataclasses.replace(GADGET, rows="\n".join(rows) + "\n"))
         inst = compile_aon(g, plan)
         assert_same_regions(inst.regions, before.regions)
-        assert inst.big_region_ids == before.big_region_ids
-        assert_compile_matches_labels(inst)
+        assert_compile_matches_labels(inst, GADGET.tile(g, plan))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_no_two_dead_regions_adjacent(self, dims):
@@ -407,8 +404,9 @@ class TestCompile:
     def test_no_wall_between_same_region_cells(self, dims):
         # guarantees the region-id file format loses nothing on emit/parse
         for g in enumerate_candidate_subgraphs(*dims):
-            inst = compile_aon(g, plan_for(g))
-            for a, b in compiled_walls(inst):
+            plan = plan_for(g)
+            inst = compile_aon(g, plan)
+            for a, b in compiled_walls(GADGET.tile(g, plan)):
                 if a in inst.regions.region_of and b in inst.regions.region_of:
                     assert inst.regions.region_of[a] != inst.regions.region_of[b]
 
@@ -420,10 +418,11 @@ class TestCompile:
             plan = plan_for(g)
             inst = compile_aon(g, plan)
             decomp = inst.regions
-            filler = _filler_cells(inst)
-            walls = frozenset(compiled_walls(inst))
+            tiling = GADGET.tile(g, plan)
+            filler = _filler_cells(inst, tiling)
+            walls = frozenset(compiled_walls(tiling))
             for v in g.vertices():
-                turns = inst.provenance[v]
+                turns = tiling[v]
                 ox, oy = FRAME * v[0], FRAME * v[1]
 
                 def place(c):
@@ -448,9 +447,9 @@ class TestCompile:
                         assert decomp.region_of[across] == rid
 
 
-def _filler_cells(inst):
+def _filler_cells(inst, tiling):
     big = set()
-    for rid in inst.big_region_ids:
+    for rid in big_region_ids(inst, tiling):
         big |= inst.regions.regions[rid]
     one_cells = {next(iter(cells))
                  for cells in inst.regions.regions.values() if len(cells) == 1}
@@ -467,27 +466,29 @@ def assert_same_regions(labelled, walled):
     assert list(labelled.touching.items()) == list(walled.touching.items())
 
 
-def assert_compile_matches_labels(inst):
-    """``inst``, a compile, decomposes as :func:`regions_from_labels` does
-    over the labels of the gadget ``aon.GADGET`` lays: its own label on
-    each metacell's big and one-cell cells, one label on every filler
-    cell."""
+def assert_compile_matches_labels(inst, tiling):
+    """``inst``, compiled with ``tiling``, decomposes as
+    :func:`regions_from_labels` does over the labels of the gadget
+    ``aon.GADGET`` lays: its own label on each metacell's big and one-cell
+    cells, one label on every filler cell.  Each metacell's W exit cell
+    lies in its big cells' region."""
     labels = {cell: (v, tok) if tok in ("B", "D") else None
-              for v, cells, tokens in aon.GADGET.lay(inst.provenance)
+              for v, cells, tokens in aon.GADGET.lay(tiling)
               for cell, tok in zip(cells, tokens)}
     filled = regions_from_labels(inst.width, inst.height, labels)
     assert_same_regions(inst.regions, filled)
     assert list(inst.regions.regions) == list(filled.regions)
-    assert inst.big_region_ids == {filled.region_of[c] for c, lab in labels.items()
-                                   if lab and lab[1] == "B"}
+    assert big_region_ids(inst, tiling) == {filled.region_of[c] for c, lab in labels.items()
+                                            if lab and lab[1] == "B"}
 
 
-def assert_compile_matches_walls(inst):
-    """``inst``, a compile, and its emit-parse round trip decompose as the
-    wall fill over its metacells' gadget walls does."""
-    walled = regions_from_boundaries(inst.width, inst.height, compiled_walls(inst))
+def assert_compile_matches_walls(g, plan):
+    """The compile of ``g`` under ``plan`` and its emit-parse round trip
+    decompose as the wall fill over its metacells' gadget walls does."""
+    inst = compile_aon(g, plan)
+    walled = regions_from_boundaries(inst.width, inst.height,
+                                     compiled_walls(GADGET.tile(g, plan)))
     assert_same_regions(inst.regions, walled)
-    assert inst.big_region_ids == big_region_ids_of_walls(inst, walled)
     assert_same_regions(parse_aon(emit_aon(inst)).regions, walled)
 
 
@@ -536,59 +537,62 @@ class TestWallOracle:
     def test_small_compiles_match_walls(self, dims):
         for g in enumerate_candidate_subgraphs(*dims):
             for rule in ("lex", "antilex"):
-                assert_compile_matches_walls(compile_aon(g, plan_for(g, rule)))
+                assert_compile_matches_walls(g, plan_for(g, rule))
 
     def test_random_compiles_match_walls(self):
         rng = random.Random(5)
         for _ in range(30):
             cols, rows = rng.randint(2, 8), rng.randint(2, 8)
             g = random_candidate_subgraph(cols, rows, rng)
-            assert_compile_matches_walls(compile_aon(g, plan_for(g)))
+            assert_compile_matches_walls(g, plan_for(g))
 
 
 class TestDeadRegions:
     def test_compiled_square_statuses(self):
+        # 4 enclosed one-cell regions, each in a big region, and every
+        # region dead or one of the 4 big regions
         g = full_grid(2, 2)
-        inst = compile_aon(g, plan_for(g))
+        plan = plan_for(g)
+        inst = compile_aon(g, plan)
         report = analyze_dead_regions(inst)
-        statuses = sorted(report.status.values())
-        assert statuses.count(STATUS_BIG) == 4
-        assert statuses.count(STATUS_DEAD_ENCLOSURE) == 4
-        assert statuses.count(STATUS_UNKNOWN) == 0
-        for rid, s in report.status.items():
-            if s == STATUS_DEAD_LEAF_RICH:
-                assert report.leaf_counts[rid] >= 3
-            if s == STATUS_DEAD_ENCLOSURE:
-                assert len(inst.regions.regions[rid]) == 1
-                assert report.enclosing[rid] in inst.big_region_ids
+        big = big_region_ids(inst, GADGET.tile(g, plan))
+        dead = report.dead_ids()
+        assert len(big) == 4 and not big & dead
+        assert dead | big == set(inst.regions.regions)
+        assert len(report.enclosing) == 4
+        for rid, host in report.enclosing.items():
+            assert len(inst.regions.regions[rid]) == 1
+            assert host in big
+        for rid in dead - report.enclosing.keys():
+            assert report.leaf_counts[rid] >= 3
 
     def test_merged_filler_regions_are_leaf_rich(self):
         for g in enumerate_candidate_subgraphs(2, 3):
-            inst = compile_aon(g, plan_for(g))
+            plan = plan_for(g)
+            inst = compile_aon(g, plan)
             report = analyze_dead_regions(inst)
-            filler = _filler_cells(inst)
+            filler = _filler_cells(inst, GADGET.tile(g, plan))
             filler_ids = {inst.regions.region_of[c] for c in filler}
             for rid in filler_ids:
-                assert report.status[rid] == STATUS_DEAD_LEAF_RICH
+                assert rid in report.dead_ids() and rid not in report.enclosing
                 assert report.leaf_counts[rid] >= 3
 
     def test_split_rectangle_is_unknown(self):
         inst = parse_aon("aon 4 2\nA A B B\nA A B B\n")
         report = analyze_dead_regions(inst)
-        assert set(report.status.values()) == {STATUS_UNKNOWN}
+        assert report.dead_ids() == set() and report.enclosing == {}
 
     def test_nested_singleton_is_enclosure_dead(self):
         inst = parse_aon(NESTED_INSTANCE)
         report = analyze_dead_regions(inst)
         rid = inst.regions.region_of[(3, 2)]
-        assert report.status[rid] == STATUS_DEAD_ENCLOSURE
+        assert rid in report.enclosing and rid in report.dead_ids()
 
     def test_report_equality_sees_fields(self):
-        base = DeadRegionReport({0: STATUS_BIG}, {0: 1}, {})
-        assert base == DeadRegionReport({0: STATUS_BIG}, {0: 1}, {})
-        assert base != DeadRegionReport({0: STATUS_UNKNOWN}, {0: 1}, {})
-        assert base != DeadRegionReport({0: STATUS_BIG}, {0: 0}, {})
-        assert base != DeadRegionReport({0: STATUS_BIG}, {0: 1}, {0: 1})
+        base = DeadRegionReport({0: 1}, {})
+        assert base == DeadRegionReport({0: 1}, {})
+        assert base != DeadRegionReport({0: 0}, {})
+        assert base != DeadRegionReport({0: 1}, {0: 1})
         nested = parse_aon(NESTED_INSTANCE)
         assert analyze_dead_regions(nested) == analyze_dead_regions(parse_aon(NESTED_INSTANCE))
         assert analyze_dead_regions(nested) != analyze_dead_regions(parse_aon(
@@ -623,7 +627,7 @@ class TestSolve:
                 "C C C C C C C\n")
         inst = parse_aon(text)
         report = analyze_dead_regions(inst)
-        assert sorted(report.status.values()).count(STATUS_DEAD_LEAF_RICH) == 2
+        assert len(report.dead_ids()) == 2 and not report.enclosing
         res = solve_aon(inst, mode="all")
         assert res.loops == [] and res.exhausted
 
@@ -907,7 +911,7 @@ class TestRegionSolve:
 
     def test_loop_through_an_enclosed_cell_and_its_host(self):
         inst = parse_aon(ENCLOSED_BOARD)
-        assert analyze_dead_regions(inst).status[1] == STATUS_DEAD_ENCLOSURE
+        assert 1 in analyze_dead_regions(inst).enclosing
         assert len(self.check(inst)) == 2
         assert solve_aon_by_cells(inst, mode="all").loops == []
 
@@ -936,26 +940,38 @@ class TestRegionSolve:
     def test_rows_shared_across_rotations(self, rule):
         # every big region has the gadget's shape, at each of the four
         # turns here, so all its port pairs are answered by three rows;
-        # each pair's first traversal, mapped back onto the board, is a
+        # each pair's first traversal, mapped onto the board, is a
         # Hamiltonian path of its region between the pair's ports
         g, _ = serpentine(4)
-        inst = compile_aon(g, plan_for(g, rule))
-        assert set(inst.provenance.values()) == {0, 1, 2, 3}
+        plan = plan_for(g, rule)
+        inst = compile_aon(g, plan)
+        tiling = GADGET.tile(g, plan)
+        assert set(tiling.values()) == {0, 1, 2, 3}
         dead = analyze_dead_regions(inst).dead_ids()
         nodes = _Nodes(None)
         search = RegionCycles(inst.regions, [r for r in inst.regions.regions if r not in dead],
                               nodes)
-        for r in inst.big_region_ids:
+        for r in big_region_ids(inst, tiling):
             for a in search.ports[r]:
                 for b in search.ports[r]:
                     if a != b:
-                        drawn = search.pair(r, a, b)
-                        assert drawn.has(0)
-                        path = drawn.paths[0]
+                        row, back, flip = search.pair(r, a, b)
+                        assert row.has(0)
+                        first = row.paths[0]
+                        path = tuple(map(back.__getitem__, first[::-1] if flip else first))
                         assert (path[0], path[-1]) == (a, b)
                         assert sorted(path) == sorted(inst.regions.regions[r])
                         assert all(map(are_orthogonal, path, path[1:]))
         assert (len(search.rows), nodes.count) == (3, 379)
+
+    def test_traversals_reach_the_board_only_in_loops(self):
+        # each region shape is turned once, 4 times its cells: the gadget's
+        # 71 big cells at each of the 4 turns the 3x4 compile uses
+        g = random_candidate_subgraph(3, 4, random.Random(7))
+        inst = compile_aon(g, plan_for(g))
+        with mock.patch.object(regionsearch, "turn", wraps=regionsearch.turn) as turn:
+            solve_aon(inst)
+        assert turn.call_count <= 1_136
 
     def test_every_loop_search_is_bounded_by_its_budget(self):
         # once its rows are walked, each further loop of a cycle costs a

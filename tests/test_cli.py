@@ -257,6 +257,15 @@ class TestPipelines:
                      "--out", str(out)]) == 0
         assert "summary instances 1" in out.read_text()
 
+    @pytest.mark.parametrize("cols, rows", [(1, 4), (4, 1)])
+    def test_roundtrip_below_2x2_is_input_error(self, cols, rows, tmp_path, capsys):
+        # no candidate exists, so there is no agreement to report
+        out = tmp_path / "report.txt"
+        assert main(["roundtrip", "--puzzle", "ww", "--cols", str(cols), "--rows", str(rows),
+                     "--out", str(out)]) == 3
+        assert f"need at least a 2x2 grid, got {cols}x{rows}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])
     def test_roundtrip_dumps_counterexample(self, puzzle, tmp_path, monkeypatch):
         # a Hamiltonicity check that wrongly says "no" makes the solved

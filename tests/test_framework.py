@@ -349,15 +349,17 @@ class TestTiler:
         for g, rule in small_and_random_graphs():
             plan = plan_for(g, rule)
             inst = aon.compile_aon(g, plan)
-            labels = aon_labels_by_offsets(inst.provenance)
-            laid = laid_cells(aon.GADGET, inst.provenance)
+            tiling = aon.GADGET.tile(g, plan)
+            labels = aon_labels_by_offsets(tiling)
+            laid = laid_cells(aon.GADGET, tiling)
             assert {cell: (v, tok) if tok in "BD" else None for v, cell, tok in laid} == labels
             assert len(labels) == inst.width * inst.height
             assert inst.regions == regions_from_labels(inst.width, inst.height, labels)
 
             inst = waterwalk.compile_ww(g, plan)
-            ground, numbers = ww_terrain_by_vertex(inst.provenance)
-            laid = laid_cells(waterwalk.GADGET, inst.provenance)
+            tiling = waterwalk.GADGET.tile(g, plan)
+            ground, numbers = ww_terrain_by_vertex(tiling)
+            laid = laid_cells(waterwalk.GADGET, tiling)
             assert len(laid) == inst.width * inst.height
             assert ww_terrain(laid) == (ground, numbers)
             assert (inst.ground, inst.numbers) == (ground, numbers)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -6,8 +7,8 @@ from unittest import mock
 import pytest
 
 from loopforge import waterwalk
-from loopforge.errors import MalformedLoopError, ParseError
-from loopforge.framework import Direction, plan_for, rotate_cell
+from loopforge.errors import CompileError, MalformedLoopError, ParseError
+from loopforge.framework import Direction, direction_between, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.model import LoopPath, full_grid
 from loopforge.waterwalk import (
@@ -17,6 +18,7 @@ from loopforge.waterwalk import (
     GADGET_ROWS,
     WwInstance,
     board_text,
+    check_crossings,
     compile_ww,
     emit_ww,
     parse_ww,
@@ -265,12 +267,36 @@ class TestCompile:
                 assert len(comp) == 4
 
     def test_every_graph_edge_crossing_passes_two_water_cells(self):
-        # checked structurally at compile time; recheck here by hand for all
-        # candidate subgraphs of 2x3 (misalignment raises CompileError)
+        # read off the compiled boards: across every graph edge of every
+        # 2x3 candidate, the aligned exit cells and the cells one step
+        # inward from them are ground, water, water, ground
         for g in enumerate_candidate_subgraphs(2, 3):
             for rule in ("lex", "antilex"):
-                inst = compile_ww(g, plan_for(g, rule))
-                assert inst.provenance is not None
+                plan = plan_for(g, rule)
+                inst = compile_ww(g, plan)
+                tiling = GADGET.tile(g, plan)
+                for u, w in sorted(g.edges):
+                    d = direction_between(u, w)
+                    a = GADGET.board_exit(u, tiling[u], d)
+                    b = GADGET.board_exit(w, tiling[w], d.opposite())
+                    assert b == (a[0] + d.dx, a[1] + d.dy)
+                    crossing = [(a[0] - d.dx, a[1] - d.dy), a, b, (b[0] + d.dx, b[1] + d.dy)]
+                    assert [inst.terrain(c) for c in crossing] == \
+                        [waterwalk.GROUND, waterwalk.WATER, waterwalk.WATER, waterwalk.GROUND]
+
+    @pytest.mark.parametrize("side", sorted(GADGET_EXIT_CELLS, key=lambda d: d.name))
+    def test_crossing_check_rejects_a_dry_exit_or_a_wet_inward_cell(self, side):
+        def retoken(cell, token):
+            rows = [list(row) for row in GADGET_ROWS.splitlines()]
+            rows[FRAME - 1 - cell[1]][cell[0]] = token
+            return dataclasses.replace(GADGET, rows="".join("".join(r) + "\n" for r in rows))
+
+        check_crossings(GADGET)
+        x, y = GADGET_EXIT_CELLS[side]
+        with pytest.raises(CompileError, match="is not water"):
+            check_crossings(retoken((x, y), "."))
+        with pytest.raises(CompileError, match="has no ground"):
+            check_crossings(retoken((x - side.dx, y - side.dy), "~"))
 
     def test_plan_graph_mismatch_rejected(self):
         from loopforge.errors import CompileError
