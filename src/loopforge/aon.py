@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
@@ -50,6 +50,7 @@ from .model import (
     board_cells,
     crossings_by_region,
     regions_from_labels,
+    union_root,
 )
 from .regionsearch import RegionCycles
 
@@ -270,12 +271,6 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     k = len(rots[tiling[0, 0]][1])
     base = {v: k * m for m, v in enumerate(tiling)}
     parent = list(range(k * len(tiling)))
-
-    def find(p: int) -> int:
-        while parent[p] != p:
-            parent[p] = p = parent[parent[p]]
-        return p
-
     meets: dict[tuple, list[tuple[int, int]]] = {}  # filler parts meeting across a side
     for (x, y), t in tiling.items():
         ids, kinds, filler, inner = rots[t]
@@ -293,9 +288,9 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
                                          if p in filler and q in far_filler]
                 pairs += [(b + p, base[w] + q) for p, q in meets[t, u, east]]
         for p, q in pairs:
-            parent[find(p)] = find(q)
+            parent[union_root(parent, p)] = union_root(parent, q)
 
-    roots = list(map(find, range(len(parent))))
+    roots = list(map(union_root, repeat(parent), range(len(parent))))
     values: list[int] = []
     for x in range(g.cols):
         column = [(rots[tiling[x, y]][0], roots[base[x, y]:base[x, y] + k]) for y in range(g.rows)]

@@ -24,33 +24,38 @@ canonical input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain, compress, count, filterfalse
+from operator import itemgetter, not_
 from typing import Callable
 
 from .errors import ParseError
 from .model import Cell, GridGraph, LoopPath, canonical_edge, grid_graph
 
 
-def _content_lines(text: str):
-    """Yield (line_number, stripped_line), skipping blanks and comments."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield i, line
+def _content_lines(text: str) -> tuple[list[int], list[str]]:
+    """The line numbers and stripped text of every line but blanks and
+    comments, as two lists; a blank line's first character, "", is in "#"
+    as a comment's is."""
+    lines = list(map(str.strip, text.splitlines()))
+    keep = list(map(not_, map("#".__contains__, map(itemgetter(slice(1)), lines))))
+    return list(compress(count(1), keep)), list(compress(lines, keep))
+
+
+# an ASCII decimal integer (``int`` alone would also take ``+2``, ``1_0``
+# and non-ASCII digits), and the start of a line, in lines joined by
+# newlines, that is not a cell line (``[^\S\n]`` is what ``split`` splits at)
+_INT = "-?[0-9]+"
+_NOT_A_CELL_LINE = re.compile(rf"^(?!{_INT}[^\S\n]+{_INT}$)", re.MULTILINE)
 
 
 def _ints(parts: list[str], lineno: int) -> list[int]:
-    """ASCII decimal integers, an optional leading minus allowed; ``int``
-    alone would also take ``+2``, ``1_0`` and non-ASCII digits."""
-    out = []
+    """The integers ``parts`` spell, each an ASCII decimal integer."""
     for p in parts:
-        if not (p.isdigit() and p.isascii()) and \
-                not (p[:1] == "-" and p[1:].isdigit() and p.isascii()):
+        if not re.fullmatch(_INT, p):
             raise ParseError(f"expected an integer, got {p!r}", lineno)
-        out.append(int(p))
-    return out
+    return list(map(int, parts))
 
 
 def _fields(lineno: int, line: str, form: str) -> list[int]:
@@ -62,14 +67,14 @@ def _fields(lineno: int, line: str, form: str) -> list[int]:
     return _ints(parts[1:], lineno)
 
 
-def _headed(text: str, what: str, form: str) -> tuple[int, list[int], list[tuple[int, str]]]:
-    """The header's line number and integers, and the other content lines,
-    of a ``what`` file whose first content line reads ``form``."""
-    lines = list(_content_lines(text))
+def _headed(text: str, what: str, form: str) -> tuple[int, list[int], list[int], list[str]]:
+    """The header's line number and integers, and the line numbers and
+    text of the other content lines, of a ``what`` file whose first
+    content line reads ``form``."""
+    numbers, lines = _content_lines(text)
     if not lines:
         raise ParseError(f"empty {what} file")
-    lineno, header = lines[0]
-    return lineno, _fields(lineno, header, form), lines[1:]
+    return numbers[0], _fields(numbers[0], lines[0], form), numbers[1:], lines[1:]
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,15 @@ class BoardFormat:
     def read_rows(self, text: str) -> tuple[int, int, list]:
         """The width and height of a board file and its rows, top row
         first, each the sequence of its cells' tokens."""
-        lineno, (width, height), lines = _headed(text, "instance", f"{self.kind} <width> <height>")
+        lineno, (width, height), numbers, lines = _headed(
+            text, "instance", f"{self.kind} <width> <height>")
         if width < 1 or height < 1:
             raise ParseError(f"board dimensions must be positive, got {width}x{height}", lineno)
         if len(lines) != height:
             raise ParseError(f"expected {height} rows, got {len(lines)}")
         unit = "tokens" if self.spaced else "cells"
         rows = []
-        for lineno, line in lines:
+        for lineno, line in zip(numbers, lines):
             tokens = line.split() if self.spaced else line
             if len(tokens) != width:
                 raise ParseError(f"row has {len(tokens)} {unit}, expected {width}", lineno)
@@ -125,13 +131,13 @@ WW_BOARD = BoardFormat("ww", False, frozenset("~.123456789").__contains__,
 
 
 def parse_graph(text: str) -> GridGraph:
-    lineno, (cols, rows), body = _headed(text, "graph", "grid <cols> <rows>")
+    lineno, (cols, rows), numbers, body = _headed(text, "graph", "grid <cols> <rows>")
     if cols < 1 or rows < 1:
         raise ParseError(f"grid dimensions must be positive, got {cols}x{rows}", lineno)
 
     edges = []
     seen = set()
-    for lineno, line in body:
+    for lineno, line in zip(numbers, body):
         x1, y1, x2, y2 = _fields(lineno, line, "edge <x1> <y1> <x2> <y2>")
         u, v = (x1, y1), (x2, y2)
         for w in (u, v):
@@ -155,17 +161,23 @@ def emit_graph(g: GridGraph) -> str:
 
 
 def parse_loop(text: str) -> LoopPath:
-    lineno, (n,), body = _headed(text, "loop", "loop <n>")
+    """The loop of a loop file.  One search checks every cell line; only if
+    it finds a bad one are the lines read one by one, to name the first."""
+    lineno, (n,), numbers, body = _headed(text, "loop", "loop <n>")
     if len(body) != n:
-        lineno = body[-1][0] if body else lineno
+        lineno = numbers[-1] if numbers else lineno
         raise ParseError(f"expected {n} cell lines, got {len(body)}", lineno)
-    cells = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected '<x> <y>', got {line!r}", lineno)
-        x, y = _ints(parts, lineno)
-        cells.append((x, y))
+    if _NOT_A_CELL_LINE.search("\n".join(body)):
+        for lineno, line in zip(numbers, body):
+            fields = line.split()
+            if len(fields) != 2:
+                raise ParseError(f"expected '<x> <y>', got {line!r}", lineno)
+            _ints(fields, lineno)
+    # a chunk of lines at a time, so as to hold one chunk's field strings
+    cells: list[Cell] = []
+    for i in range(0, n, 2048):
+        ints = map(int, " ".join(body[i:i + 2048]).split())
+        cells += zip(ints, ints)
     return LoopPath(tuple(cells))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator, Literal
 
 from .errors import CompileError
@@ -42,15 +42,16 @@ class Direction(Enum):
 
 # clockwise, so a counterclockwise quarter turn steps one place back
 DIRECTION_ORDER = (Direction.N, Direction.E, Direction.S, Direction.W)
-# per step, its direction at 0-3 quarter turns
+# per step, its direction, and its direction at 0-3 quarter turns
+_STEPS = {d.value: d for d in DIRECTION_ORDER}
 _ROTATIONS = {d.value: tuple(Direction(turn(d.value, k)) for k in range(4))
               for d in DIRECTION_ORDER}
 
 
 def direction_between(u: Vertex, v: Vertex) -> Direction:
     try:
-        return Direction((v[0] - u[0], v[1] - u[1]))
-    except ValueError:
+        return _STEPS[v[0] - u[0], v[1] - u[1]]
+    except KeyError:
         raise ValueError(f"{u} and {v} are not grid-adjacent") from None
 
 
@@ -347,12 +348,22 @@ class Gadget:
             ox, oy = self.frame * v[0], self.frame * v[1]
             yield v, [(ox + x, oy + y) for x, y in rotations[turns % 4]], tokens
 
+    @cached_property
+    def _turned(self) -> list[dict[Cell, Cell]]:
+        """Per quarter turn 0-3, every frame cell and the cell it lands on."""
+        cells = list(product(range(self.frame), repeat=2))
+        return [{c: rotate_cell(self.frame, turns, c) for c in cells} for turns in range(4)]
+
     def place(self, v: Vertex, turns: int, cells: Iterable[Cell]) -> list[Cell]:
         """Board cells of the gadget-local ``cells`` with the gadget rotated
-        by ``turns`` in the metacell of ``v``."""
+        by ``turns`` in the metacell of ``v``.  Each rotated cell is read
+        from the gadget's table for that turn; a cell outside the frame
+        raises ``ValueError``."""
         ox, oy = self.frame * v[0], self.frame * v[1]
-        return [(ox + x, oy + y) for x, y in
-                (rotate_cell(self.frame, turns, c) for c in cells)]
+        try:
+            return [(ox + x, oy + y) for x, y in map(self._turned[turns % 4].__getitem__, cells)]
+        except KeyError as e:
+            raise ValueError(f"cell {e.args[0]} outside {self.frame}x{self.frame} frame") from None
 
     def board_exit(self, v: Vertex, turns: int, side: Direction) -> Cell:
         """Board cell of the exit on ``side`` of the gadget rotated by

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, compress, count, islice, product, repeat
+from operator import and_, eq, itemgetter, ne, or_, sub
 from typing import Callable, Iterable
 
 from .errors import MalformedLoopError
@@ -20,6 +21,7 @@ Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
 
 ORTHO_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
+_UNIT_STEPS = frozenset(ORTHO_STEPS)
 
 # per quarter turn counterclockwise, the matrix (a, b, c, d) of the map
 # (x, y) -> (ax + by, cx + dy)
@@ -155,10 +157,13 @@ class LoopPath:
             raise MalformedLoopError(f"loop too short: {n} cells")
         if len(set(self.cells)) != n:
             raise MalformedLoopError("loop revisits a cell")
-        for i in range(n):
-            a, b = self.cells[i], self.cells[(i + 1) % n]
-            if not are_orthogonal(a, b):
-                raise MalformedLoopError(f"cells {a} and {b} are not orthogonally adjacent")
+        ring = self.cells + self.cells[:1]
+        xs, ys = list(map(itemgetter(0), ring)), list(map(itemgetter(1), ring))
+        # every step, the closing one last, is one of the four unit steps
+        if not _UNIT_STEPS.issuperset(zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))):
+            a, b = next((a, b) for a, b in zip(ring, ring[1:])
+                        if (b[0] - a[0], b[1] - a[1]) not in _UNIT_STEPS)
+            raise MalformedLoopError(f"cells {a} and {b} are not orthogonally adjacent")
 
     def __len__(self):
         return len(self.cells)
@@ -230,10 +235,15 @@ def board_cells(width: int, height: int) -> list[Cell]:
 
 def regions_from_labels(width: int, height: int,
                         labels: dict[Cell, object] | list) -> RegionDecomposition:
-    """Flood-fill the board into regions: maximal orthogonally connected
-    sets of equally labelled cells.  ``labels`` maps every board cell, and
-    no other, to its label, or lists the labels in board order (else
-    :class:`ValueError`); any value is a label, ``None`` too."""
+    """Fill the board into regions: maximal orthogonally connected sets of
+    equally labelled cells.  ``labels`` maps every board cell, and no
+    other, to its label, or lists the labels in board order (else
+    :class:`ValueError`); any value is a label, ``None`` too.
+
+    The fill visits runs, not cells: a run is a maximal stretch of equal
+    labels up one column, a list slice in board order.  Runs with equal
+    labels side by side in adjacent columns join in a union-find, and
+    region ids follow smallest cells, as the runs' first cells do."""
     n = width * height
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for a {width}x{height} board")
@@ -243,26 +253,40 @@ def regions_from_labels(width: int, height: int,
             labels = list(map(labels.__getitem__, cells))
         except KeyError as e:  # the count is right, so a label lies off the board
             raise ValueError(f"no label for board cell {e.args[0]}") from None
-    rid_of = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):  # cells in board order, so ids follow smallest cells
-        if rid_of[start] >= 0:
-            continue
-        lab, rid = labels[start], len(comps)
-        rid_of[start] = rid
-        comp = [start]
-        for i in comp:
-            y = i % height
-            # south, north, west, east; the cell itself stands for a side
-            # past the board's edge, as it is already filled
-            for j in (i - 1 if y else i, i + 1 if y + 1 < height else i,
-                      i - height if i >= height else i, i + height if i + height < n else i):
-                if rid_of[j] < 0 and labels[j] == lab:
-                    rid_of[j] = rid
-                    comp.append(j)
-        comps.append(comp)
-    regions = {rid: frozenset(map(cells.__getitem__, comp)) for rid, comp in enumerate(comps)}
-    return RegionDecomposition(width, height, dict(zip(cells, rid_of)), regions)
+    if not n:
+        return RegionDecomposition(width, height, {}, {})
+    # per cell, whether a run starts there: at the foot of each column and
+    # wherever a label differs from the one below it; the runs count from 1.
+    # Lists are read a cell or a column on through ``islice``: a copy would
+    # be one more board-sized list to allocate and for the collector to scan.
+    is_start = [True, *map(ne, islice(labels, 1, None), labels)]
+    is_start[::height] = [True] * width
+    run_of = list(accumulate(is_start))
+    parent = list(range(run_of[-1] + 1))
+    # two runs a column apart meet first where one of them starts, so each
+    # pair that meets is joined once, when their labels are equal
+    meets = map(and_, map(or_, is_start, islice(is_start, height, None)),
+                map(eq, labels, islice(labels, height, None)))
+    for p, q in compress(zip(run_of, islice(run_of, height, None)), meets):
+        parent[union_root(parent, q)] = union_root(parent, p)
+    roots = list(map(union_root, repeat(parent), range(len(parent))))
+    rid = dict(zip(dict.fromkeys(roots[1:]), count()))  # runs in board order
+    run_rid = list(map(rid.get, roots))
+    ids = list(map(run_rid.__getitem__, run_of))
+    members: list[list[Cell]] = [[] for _ in rid]
+    starts = [*compress(range(n), is_start), n]
+    for start, end in zip(starts, islice(starts, 1, None)):
+        members[ids[start]] += cells[start:end]
+    return RegionDecomposition(width, height, dict(zip(cells, ids)),
+                               dict(enumerate(map(frozenset, members))))
+
+
+def union_root(parent: list[int], p: int) -> int:
+    """The root of ``p`` in the union-find forest ``parent``, halving the
+    path on the way."""
+    while parent[p] != p:
+        parent[p] = p = parent[parent[p]]
+    return p
 
 
 def loop_runs_with_cells(

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import floordiv, itemgetter, ne, or_
 from typing import Callable
 
 from . import aon, waterwalk
@@ -86,20 +88,15 @@ def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> T
         raise ValueError("not a Hamiltonian cycle of the given graph")
     tiling = gadget.tile(g, plan)
     verts = cycle.vertices
-    n = len(verts)
+    # per vertex, its sides toward the vertices before and after it
+    sides = tuple(zip(map(direction_between, verts, verts[-1:] + verts[:-1]),
+                      map(direction_between, verts, verts[1:] + verts[:1])))
     cells: list[Cell] = []
-    sides = []
-    for i, v in enumerate(verts):
-        prev_v = verts[(i - 1) % n]
-        next_v = verts[(i + 1) % n]
-        entry = direction_between(v, prev_v)
-        exit_ = direction_between(v, next_v)
+    for v, (entry, exit_) in zip(verts, sides):
         turns = tiling[v]
         piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
         cells += gadget.place(v, turns, piece)
-        sides.append((entry, exit_))
-    loop = LoopPath(tuple(cells))
-    return TraversalWitness(puzzle, tuple(verts), tuple(sides), loop)
+    return TraversalWitness(puzzle, tuple(verts), sides, LoopPath(tuple(cells)))
 
 
 def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> HamCycle:
@@ -113,19 +110,20 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
     """
     gadget = puzzle_of(puzzle).gadget
     tiling = gadget.tile(g, plan)
-    frame = gadget.frame
     cells = loop.cells
     n = len(cells)
-
-    def metacell(c: Cell):
-        return (c[0] // frame, c[1] // frame)
+    # the metacell of every cell, as its column and its row, in one pass
+    # over the loop, and the steps that cross into another metacell
+    mx = list(map(floordiv, map(itemgetter(0), cells), repeat(gadget.frame)))
+    my = list(map(floordiv, map(itemgetter(1), cells), repeat(gadget.frame)))
+    steps = list(compress(range(n), map(or_, map(ne, mx, mx[1:] + mx[:1]),
+                                        map(ne, my, my[1:] + my[:1]))))
 
     crossings: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        a, b = cells[i], cells[(i + 1) % n]
-        ma, mb = metacell(a), metacell(b)
-        if ma == mb:
-            continue
+    for i in steps:
+        j = (i + 1) % n
+        a, b = cells[i], cells[j]
+        ma, mb = (mx[i], my[i]), (mx[j], my[j])
         crossings[ma] = crossings.get(ma, 0) + 1
         crossings[mb] = crossings.get(mb, 0) + 1
         d = direction_between(ma, mb)
@@ -143,11 +141,10 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
         if got != 2:
             raise LiftError(f"metacell {v} is crossed {got} times, expected 2")
 
-    order = []
-    for c in cells:
-        m = metacell(c)
-        if not order or order[-1] != m:
-            order.append(m)
+    # the metacell of each piece of the loop, in loop order: cell 0's, and
+    # each crossing's far end's but that of the crossing back to cell 0
+    firsts = [0] + [i + 1 for i in steps if i + 1 < n]
+    order = list(zip(map(mx.__getitem__, firsts), map(my.__getitem__, firsts)))
     if order and order[0] == order[-1]:
         order.pop()
     if len(order) != len(g.vertices()):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import add, itemgetter, ne
+
 from . import aon, waterwalk
 from .model import LoopPath
 
@@ -18,13 +21,16 @@ def render_ascii(inst, loop: LoopPath | None = None) -> str:
     raise TypeError(f"cannot render {type(inst).__name__}")
 
 
-def _svg_y(inst, y: float) -> float:
-    return (inst.height - y) * CELL
-
-
 def render_svg(inst, loop: LoopPath | None = None) -> str:
     """Board with heavy region borders (or terrain fills) and the loop as a
-    polyline through cell centers; byte-identical output for equal input."""
+    polyline through cell centers; byte-identical output for equal input.
+
+    Nothing is formatted per cell: a board row joins the elements, each
+    made once per column with the row's height left open, that a mask over
+    the row selects, and fills in its height once.  The mask is a Water
+    Walk row's water, or where an All or Nothing row's ``region_of``
+    values, read as a list in board order, differ from their east or north
+    neighbours'."""
     w, h = inst.width * CELL, inst.height * CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -32,15 +38,21 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
     if isinstance(inst, waterwalk.WwInstance):
+        width = inst.width
+        # per column, the start of a water cell's rect, which the row's
+        # tail, its height and the rest, completes; and the board's water,
+        # row by row from the bottom
+        heads = [f'<rect x="{x * CELL}" y="' for x in range(width)]
+        wet = bytearray(b"\x01") * (width * inst.height)
+        for x, y in inst.ground:
+            wet[y * width + x] = 0
         for y in range(inst.height):
-            for x in range(inst.width):
-                if (x, y) not in inst.ground:
-                    parts.append(
-                        f'<rect x="{x * CELL}" y="{_svg_y(inst, y + 1):.0f}" '
-                        f'width="{CELL}" height="{CELL}" fill="#bfe4f2"/>')
+            tail = f'{h - (y + 1) * CELL}" width="{CELL}" height="{CELL}" fill="#bfe4f2"/>'
+            rects = (tail + "\n").join(compress(heads, wet[y * width:(y + 1) * width]))
+            parts += [rects + tail] if rects else []
         for c in sorted(inst.numbers):
             cx = c[0] * CELL + CELL // 2
-            cy = _svg_y(inst, c[1]) - CELL // 2
+            cy = (inst.height - c[1]) * CELL - CELL // 2
             parts.append(
                 f'<text x="{cx:.0f}" y="{cy + 5:.0f}" font-size="14" '
                 f'text-anchor="middle">{inst.numbers[c]}</text>')
@@ -52,10 +64,11 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
         raise TypeError(f"cannot render {type(inst).__name__}")
 
     if loop is not None:
-        pts = " ".join(
-            f"{c[0] * CELL + CELL // 2},{_svg_y(inst, c[1]) - CELL // 2:.0f}"
-            for c in loop.cells + (loop.cells[0],)
-        )
+        ring = loop.cells + loop.cells[:1]
+        xs, ys = list(map(itemgetter(0), ring)), list(map(itemgetter(1), ring))
+        cx = {x: f"{x * CELL + CELL // 2}," for x in set(xs)}
+        cy = {y: f"{(inst.height - y) * CELL - CELL // 2:.0f}" for y in set(ys)}
+        pts = " ".join(map(add, map(cx.__getitem__, xs), map(cy.__getitem__, ys)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="#2a8f2a" stroke-width="4"/>')
     parts.append("</svg>")
@@ -74,26 +87,33 @@ def _svg_grid_lines(inst) -> str:
     return "\n".join(lines)
 
 
+_BORDER = '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="#aa2222" stroke-width="3"/>'
+
+
 def _svg_region_borders(inst: aon.AonInstance) -> str:
     """Heavy strokes wherever two cells belong to different regions, plus
-    the outer border."""
+    the outer border: row by row from the bottom, and in a row cell by
+    cell, each cell's east side before its north side."""
+    width, height = inst.width, inst.height
+    ids = list(inst.regions.region_of.values())  # cell (x, y) at x * height + y
+    # per cell in board order, whether its east and its north side part
+    # two regions
+    east = list(map(ne, ids, ids[height:])) + [False] * height
+    north = list(map(ne, ids, ids[1:])) + [False]
+    north[height - 1::height] = [False] * width
+    # per cell of a row, its east side, then its north side, with the
+    # heights of the row's bottom and top left open
+    sides, mask = [], [False] * (2 * width)
+    for x in range(width):
+        sides += (_BORDER.format((x + 1) * CELL, "%(bottom)s", (x + 1) * CELL, "%(top)s"),
+                  _BORDER.format(x * CELL, "%(top)s", (x + 1) * CELL, "%(top)s"))
     segs = []
-
-    def seg(x1, y1, x2, y2):
-        segs.append(
-            f'<line x1="{x1 * CELL}" y1="{_svg_y(inst, y1):.0f}" '
-            f'x2="{x2 * CELL}" y2="{_svg_y(inst, y2):.0f}" '
-            f'stroke="#aa2222" stroke-width="3"/>')
-
-    region_of = inst.regions.region_of
-    for y in range(inst.height):
-        for x in range(inst.width):
-            if x + 1 < inst.width and region_of[(x, y)] != region_of[(x + 1, y)]:
-                seg(x + 1, y, x + 1, y + 1)
-            if y + 1 < inst.height and region_of[(x, y)] != region_of[(x, y + 1)]:
-                seg(x, y + 1, x + 1, y + 1)
-    seg(0, 0, inst.width, 0)
-    seg(0, inst.height, inst.width, inst.height)
-    seg(0, 0, 0, inst.height)
-    seg(inst.width, 0, inst.width, inst.height)
+    for y in range(height):
+        mask[::2], mask[1::2] = east[y::height], north[y::height]
+        text = "\n".join(compress(sides, mask))
+        heights = {"bottom": str((height - y) * CELL), "top": str((height - y - 1) * CELL)}
+        segs += [text % heights] if text else []
+    w, h = width * CELL, height * CELL
+    segs += (_BORDER.format(0, h, w, h), _BORDER.format(0, 0, w, 0),
+             _BORDER.format(0, h, 0, 0), _BORDER.format(w, h, w, 0))
     return "\n".join(segs)

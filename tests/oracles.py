@@ -13,7 +13,8 @@ is transcribed a second time, as wall polylines, and
 the region labels must reproduce.  Each puzzle's own gadget placement,
 from before the shared tiler, is kept too, and so is the All or Nothing
 solver from before it searched by region, ``solve_aon_by_cells``: the
-cell walk the region search is checked against.
+cell walk the region search is checked against.  ``regions_from_labels_by_cells``
+is the label fill from before it filled runs: one cell at a time.
 """
 
 import operator
@@ -47,6 +48,7 @@ from loopforge.model import (
     RegionDecomposition,
     Verdict,
     Violation,
+    board_cells,
     crossings_by_region,
     degree_profile,
     full_grid,
@@ -1104,3 +1106,38 @@ def aon_labels_by_offsets(tiling):
         own = {"B": (v, "B"), "D": (v, "D")}  # filler cells get None
         label_of.update(((ox + x, oy + y), own.get(tok)) for (x, y), tok in rotated[turns])
     return label_of
+
+
+def regions_from_labels_by_cells(width, height, labels):
+    """``regions_from_labels`` as it was before it filled runs: a flood
+    fill that visits one cell at a time, from each unfilled cell in board
+    order, so region ids follow smallest cells."""
+    n = width * height
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for a {width}x{height} board")
+    cells = board_cells(width, height)
+    if isinstance(labels, dict):
+        try:
+            labels = list(map(labels.__getitem__, cells))
+        except KeyError as e:  # the count is right, so a label lies off the board
+            raise ValueError(f"no label for board cell {e.args[0]}") from None
+    rid_of = [-1] * n
+    comps = []
+    for start in range(n):
+        if rid_of[start] >= 0:
+            continue
+        lab, rid = labels[start], len(comps)
+        rid_of[start] = rid
+        comp = [start]
+        for i in comp:
+            y = i % height
+            # south, north, west, east; the cell itself stands for a side
+            # past the board's edge, as it is already filled
+            for j in (i - 1 if y else i, i + 1 if y + 1 < height else i,
+                      i - height if i >= height else i, i + height if i + height < n else i):
+                if rid_of[j] < 0 and labels[j] == lab:
+                    rid_of[j] = rid
+                    comp.append(j)
+        comps.append(comp)
+    regions = {rid: frozenset(map(cells.__getitem__, comp)) for rid, comp in enumerate(comps)}
+    return RegionDecomposition(width, height, dict(zip(cells, rid_of)), regions)

@@ -1,8 +1,14 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from loopforge.aon import compile_aon
 from loopforge.errors import MalformedLoopError, ParseError
 from loopforge.fileio import emit_graph, emit_loop, parse_graph, parse_loop
+from loopforge.framework import plan_for
+from loopforge.hamilton import enumerate_candidate_subgraphs
 from loopforge.model import (
     HamCycle,
     LoopPath,
@@ -14,6 +20,7 @@ from loopforge.model import (
     path_runs,
     regions_from_labels,
 )
+from loopforge.waterwalk import compile_ww
 
 from oracles import (
     all_loops_on_board,
@@ -27,6 +34,7 @@ from oracles import (
     polyline_to_boundary,
     region_count,
     regions_from_boundaries,
+    regions_from_labels_by_cells,
 )
 
 LOOPS_3X3 = all_loops_on_board(3, 3)
@@ -117,6 +125,65 @@ class TestGraphFile:
         assert e.value.line == 2
 
 
+SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+# loop files and what parse_loop makes of them: the cells, or the error's
+# type, message and line number
+LOOP_FILE_CONTRACT = [
+    # str.splitlines breaks: \r\n, form feed, line separator
+    ("loop 4\r\n0 0\r\n1 0\r\n1 1\r\n0 1\r\n", SQUARE),
+    ("loop 4\x0c0 0\x0c1 0\x0c1 1\x0c0 1", SQUARE),
+    ("loop 4\u20280 0\u20281 0\u20281 1\u20280 1\u2028", SQUARE),
+    ("loop 4\r\n0 0\r\n1 0\r\n1 x\r\n0 1\r\n",
+     (ParseError, "line 4: expected an integer, got 'x'", 4)),
+    ("loop 4\x0c0 0\x0c\x0c1 +1\x0c1 1\x0c0 1",
+     (ParseError, "line 4: expected an integer, got '+1'", 4)),
+    ("loop 4\u20280 0\u20281 0\u2028\u20281 1 1\u20280 1",
+     (ParseError, "line 5: expected '<x> <y>', got '1 1 1'", 5)),
+    # comments and blank lines between cell lines keep their line numbers
+    ("loop 4\n0 0\n# a comment\n\n1 0\n   \n1 1\n  # indented comment\n0 1\n", SQUARE),
+    ("loop 4\n0 0\n# a comment\n\n1 0\n1 q\n0 1\n",
+     (ParseError, "line 6: expected an integer, got 'q'", 6)),
+    # tabs, surrounding spaces and -0
+    ("  loop\t4 \n\t0\t0 \n  1 0\n1   1\n-0 1\n", SQUARE),
+    ("loop 4\n0 -0\n1 -0\n1 1\n0 1\n", SQUARE),
+    # one field or three
+    ("loop 4\n0 0\n1\n1 1\n0 1\n", (ParseError, "line 3: expected '<x> <y>', got '1'", 3)),
+    ("loop 4\n0 0\n1 0 0\n1 1\n0 1\n",
+     (ParseError, "line 3: expected '<x> <y>', got '1 0 0'", 3)),
+    ("loop 4\n0 0\n1 0\n1 1\n0 1 2\n",
+     (ParseError, "line 5: expected '<x> <y>', got '0 1 2'", 5)),
+    # the first bad line is named, whichever check it fails
+    ("loop 4\n0 0\n1 x\n1 1 1\n0 1\n", (ParseError, "line 3: expected an integer, got 'x'", 3)),
+    ("loop 4\n0 0\n1 1 1\n1 x\n0 1\n",
+     (ParseError, "line 3: expected '<x> <y>', got '1 1 1'", 3)),
+    # integers that int() alone would take
+    ("loop 4\n0 0\n+1 0\n1 1\n0 1\n", (ParseError, "line 3: expected an integer, got '+1'", 3)),
+    ("loop 4\n0 0\n1_0 0\n1 1\n0 1\n",
+     (ParseError, "line 3: expected an integer, got '1_0'", 3)),
+    ("loop 4\n0 0\n\u0661 0\n1 1\n0 1\n",
+     (ParseError, "line 3: expected an integer, got '\u0661'", 3)),
+    ("loop 4 4\n", (ParseError, "line 1: expected 'loop <n>', got 'loop 4 4'", 1)),
+    ("loop x\n", (ParseError, "line 1: expected an integer, got 'x'", 1)),
+    # a count mismatch names the last cell line, or the header without one
+    ("loop 4\n0 0\n1 0\n1 1\n", (ParseError, "line 4: expected 4 cell lines, got 3", 4)),
+    ("loop 3\n0 0\n1 0\n1 1\n0 1\n", (ParseError, "line 5: expected 3 cell lines, got 4", 5)),
+    ("# only\nloop 5\n0 0\n1 0\n1 1\n0 1\n# trailing\n",
+     (ParseError, "line 6: expected 5 cell lines, got 4", 6)),
+    ("loop 4\n", (ParseError, "line 1: expected 4 cell lines, got 0", 1)),
+    ("loop -1\n", (ParseError, "line 1: expected -1 cell lines, got 0", 1)),
+    ("", (ParseError, "empty loop file", None)),
+    ("# nothing\n\n", (ParseError, "empty loop file", None)),
+    # a revisit, a gap, a gap across the closing step, and too few cells
+    ("loop 4\n0 0\n1 0\n0 0\n0 1\n", (MalformedLoopError, "loop revisits a cell", None)),
+    ("loop 4\n0 0\n1 0\n1 2\n0 1\n",
+     (MalformedLoopError, "cells (1, 0) and (1, 2) are not orthogonally adjacent", None)),
+    ("loop 4\n0 0\n1 0\n1 1\n1 2\n",
+     (MalformedLoopError, "cells (1, 2) and (0, 0) are not orthogonally adjacent", None)),
+    ("loop 3\n0 0\n1 0\n0 1\n", (MalformedLoopError, "loop too short: 3 cells", None)),
+]
+
+
 class TestLoopFile:
     def test_roundtrip(self):
         loop = LoopPath(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -139,6 +206,18 @@ class TestLoopFile:
     def test_gap_is_malformed(self):
         with pytest.raises(MalformedLoopError):
             parse_loop("loop 4\n0 0\n1 0\n1 2\n0 1\n")
+
+    @pytest.mark.parametrize("text,expected", LOOP_FILE_CONTRACT)
+    def test_contract_pinned(self, text, expected):
+        # the cells read, or the error's type, message and line
+        if isinstance(expected[0], tuple):
+            assert parse_loop(text).cells == expected
+            return
+        kind, message, line = expected
+        with pytest.raises(kind) as e:
+            parse_loop(text)
+        assert str(e.value) == message
+        assert getattr(e.value, "line", None) == line
 
 
 class TestLoopPath:
@@ -244,6 +323,76 @@ class TestRegions:
             ((0, 0), (1, 0)), ((0, 1), (1, 1)),  # vertical wall at x=1
             ((0, 1), (0, 2)),  # horizontal wall at y=2
         }
+
+
+def assert_fills_agree(width, height, labels):
+    """The run fill and the cell fill give the same decomposition: the
+    same ``region_of`` in the same key order, and the same regions, leaves
+    and touching pairs, the last in the same order."""
+    got = regions_from_labels(width, height, labels)
+    want = regions_from_labels_by_cells(width, height, labels)
+    assert list(got.region_of.items()) == list(want.region_of.items())
+    assert list(got.regions.items()) == list(want.regions.items())
+    assert got.leaves == want.leaves
+    assert list(got.touching.items()) == list(want.touching.items())
+
+
+class TestRunFill:
+    """``regions_from_labels`` fills runs of equal labels up each column;
+    the cell fill it replaced is the oracle."""
+
+    def test_random_boards(self):
+        rng = random.Random("run-fill")
+        for width in range(1, 13):
+            for height in range(1, 13):
+                for k in range(1, 7):
+                    tokens = [rng.randrange(k) for _ in range(width * height)]
+                    assert_fills_agree(width, height, tokens)
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 17), (17, 1), (1, 2), (2, 1)])
+    def test_single_column_and_row(self, width, height):
+        rng = random.Random(f"line/{width}x{height}")
+        for k in range(1, 4):
+            assert_fills_agree(width, height, [rng.randrange(k) for _ in range(width * height)])
+
+    def test_none_labels(self):
+        rng = random.Random("none")
+        for width, height in ((3, 4), (7, 5), (9, 9)):
+            tokens = [rng.choice([None, "a", "b"]) for _ in range(width * height)]
+            assert_fills_agree(width, height, tokens)
+
+    def test_dict_labels_in_any_order(self):
+        rng = random.Random("dict")
+        for width, height in ((1, 1), (4, 3), (6, 8)):
+            cells = [(x, y) for x in range(width) for y in range(height)]
+            rng.shuffle(cells)
+            assert_fills_agree(width, height, {c: rng.randrange(3) for c in cells})
+
+    @pytest.mark.parametrize("width,height,labels", [
+        (2, 2, {(0, 0): "a"}),
+        (1, 1, {(5, 5): "a"}),
+        (2, 1, {(0, 0): "a", (-1, 0): "a"}),
+        (2, 2, ["a"] * 5),
+    ])
+    def test_same_value_errors(self, width, height, labels):
+        with pytest.raises(ValueError) as got:
+            regions_from_labels(width, height, labels)
+        with pytest.raises(ValueError) as want:
+            regions_from_labels_by_cells(width, height, labels)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cols,rows", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_every_compiled_board(self, cols, rows):
+        # an All or Nothing board's region names and a Water Walk board's
+        # terrain, each as labels
+        for g in enumerate_candidate_subgraphs(cols, rows):
+            plan = plan_for(g)
+            inst = compile_aon(g, plan)
+            names = list(map(inst.region_name, inst.regions.region_of.values()))
+            assert_fills_agree(inst.width, inst.height, names)
+            ww = compile_ww(g, plan)
+            cells = product(range(ww.width), range(ww.height))
+            assert_fills_agree(ww.width, ww.height, list(map(ww.terrain, cells)))
 
 
 class TestLoopRuns:

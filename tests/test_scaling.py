@@ -17,10 +17,12 @@ import pytest
 
 import loopforge
 from loopforge.aon import compile_aon, emit_aon, parse_aon, verify_aon
+from loopforge.fileio import emit_loop, parse_loop
 from loopforge.framework import plan_for
 from loopforge.hamilton import find_hamiltonian_cycle
 from loopforge.model import HamCycle, full_grid, grid_graph
-from loopforge.reduction import embed_cycle, puzzle_of
+from loopforge.reduction import embed_cycle, lift_solution, puzzle_of
+from loopforge.render import render_svg
 from loopforge.waterwalk import compile_ww, emit_ww, parse_ww
 
 PACKAGE_DIR = os.path.dirname(loopforge.__file__) + os.sep
@@ -136,15 +138,75 @@ def _emit_ww_cost(n):
     return count_lines(emit_ww, compile_ww(g, plan_for(g)))
 
 
+def _layer_call(layer, puzzle, n):
+    """``layer`` on serpentine n compiled for ``puzzle``: the function, its
+    arguments, and the units of its cost, board cells for ``render_svg``
+    and ``parse_aon`` and loop cells for the others."""
+    g, cycle = serpentine(n)
+    plan = plan_for(g)
+    inst = puzzle_of(puzzle).compile(g, plan)
+    loop = embed_cycle(g, plan, cycle, puzzle).loop
+    cells = inst.width * inst.height
+    if layer == "render_svg":
+        return render_svg, (inst, loop), cells
+    if layer == "parse_aon":
+        return parse_aon, (emit_aon(inst),), cells
+    if layer == "parse_loop":
+        return parse_loop, (emit_loop(loop),), len(loop)
+    if layer == "embed_cycle":
+        return embed_cycle, (g, plan, cycle, puzzle), len(loop)
+    return lift_solution, (g, plan, loop, puzzle), len(loop)
+
+
+def _layer_cost(layer, puzzle):
+    def cost(n):
+        fn, args, _ = _layer_call(layer, puzzle, n)
+        return count_lines(fn, *args)
+    return cost
+
+
 @pytest.mark.parametrize("cost", [_plan_for_cost, _verify_aon_cost,
                                   _compile_aon_cost, _parse_aon_cost, _emit_aon_cost,
-                                  _compile_ww_cost, _parse_ww_cost, _emit_ww_cost],
+                                  _compile_ww_cost, _parse_ww_cost, _emit_ww_cost,
+                                  _layer_cost("render_svg", "aon"),
+                                  _layer_cost("render_svg", "ww"),
+                                  _layer_cost("parse_loop", "aon"),
+                                  _layer_cost("embed_cycle", "aon"),
+                                  _layer_cost("embed_cycle", "ww"),
+                                  _layer_cost("lift_solution", "aon"),
+                                  _layer_cost("lift_solution", "ww")],
                          ids=["plan_for", "verify_aon", "compile_aon", "parse_aon",
-                              "emit_aon", "compile_ww", "parse_ww", "emit_ww"])
+                              "emit_aon", "compile_ww", "parse_ww", "emit_ww",
+                              "render_svg_aon", "render_svg_ww", "parse_loop",
+                              "embed_cycle_aon", "embed_cycle_ww",
+                              "lift_solution_aon", "lift_solution_ww"])
 def test_layer_grows_at_most_twice_linear(cost):
     small, large = (cost(n) for n in SIZES)
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
+
+
+# Line events per unit at serpentine 12 when these layers did per-cell
+# Python work (tuple-keyed lookups, a call or a split per cell); reading
+# board-order arrays and per-gadget tables, each makes at most half as many.
+PER_CELL_LINES = {
+    ("render_svg", "aon"): 10.7,
+    ("render_svg", "ww"): 10.2,
+    ("parse_aon", "aon"): 18.2,
+    ("parse_loop", "aon"): 22.0,
+    ("embed_cycle", "aon"): 14.5,
+    ("embed_cycle", "ww"): 20.6,
+    ("lift_solution", "aon"): 12.0,
+    ("lift_solution", "ww"): 24.6,
+}
+
+
+@pytest.mark.parametrize("layer,puzzle", list(PER_CELL_LINES),
+                         ids=[f"{layer}-{puzzle}" for layer, puzzle in PER_CELL_LINES])
+def test_layer_makes_at_most_half_its_per_cell_line_events(layer, puzzle):
+    fn, args, units = _layer_call(layer, puzzle, 12)
+    per_unit = count_lines(fn, *args) / units
+    assert per_unit <= PER_CELL_LINES[layer, puzzle] / 2, f"{per_unit:.2f} line events per unit"
 
 
 def test_hamiltonian_search_on_corridor_graphs_grows_at_most_twice_linear():
