@@ -24,7 +24,8 @@ Pruning: per node the search checks connectivity of the remaining cells,
 that the path can still reach its end, availability of two usable
 neighbors for every still-required cell, and, when every allowed cell is
 required (exact cover), the two-coloring budget that an alternating path
-over the remaining cells must meet.  All prunes reject only provably dead
+over the remaining cells must meet; otherwise, that no required cell lies
+in a pocket the path has walled off.  All prunes reject only provably dead
 branches, so a completed search is exhaustive.
 
 The connectivity prune reads the node's reach set: the free cells joined
@@ -81,6 +82,23 @@ table of those 256 patterns.
 The prunes' verdicts are the fill's at every node, so node counts and the
 order of the paths found do not depend on the skip.
 
+Past depth 1, a search that is not exact cover and still has required
+cells pending looks for pockets next to the previous path cell.  From each
+of that cell's free neighbors it grows breadth-first layers inside the
+free cells less a path's goal, each layer one shift-and-mask step as in a
+fill, and stops once a layer holds a neighbor of the head or of the end.
+A layer of exactly one cell seals the cells grown before it; a growth that
+dies out seals every cell it reached.  A sealed set that holds a pending
+cell kills the node.  The proof: no sealed cell neighbors the head or the
+end, the goal is outside the growth and the other path cells are closed,
+so the path's remaining stretch, from the head to the end over free cells,
+can reach a sealed set only through its one-cell layer (or not at all).
+It would have to enter and leave through that one cell, which a simple
+path cannot.  This holds for any seed cell; the previous cell is where a
+step leaves pockets behind.  The test runs whether or not the fill is
+skipped.  Under exact cover the parity and fill prunes leave it little
+to find, and there it costs more than it saves.
+
 Budgets are counted in search nodes (one per path extension considered);
 running out raises :class:`SearchBudgetExceeded`, which callers must treat
 as "no verdict", never as "no solution".
@@ -89,6 +107,7 @@ as "no verdict", never as "no solution".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import SearchBudgetExceeded
@@ -156,7 +175,10 @@ class _Grid:
     column-major order: ``pos`` holds each cell's bit and ``height`` is the
     distance of a step east.  ``full`` is the set of every cell, and
     ``steps`` the sets of cells with a neighbor north, east, south and west
-    (the order of ``ORTHO_STEPS``)."""
+    (the order of ``ORTHO_STEPS``).
+
+    ``reads`` holds, per cell, :meth:`reads_of` once a walk has asked for
+    it, so every walk on the grid shares what earlier walks found."""
 
     def __init__(self, cells: list[Cell], neighbors=orthogonal_neighbors):
         self.cells = cells
@@ -185,6 +207,19 @@ class _Grid:
             nbrs.append(tuple(adj))
             flags[top - p] = f
         self.full, *self.steps = (int(flags.translate(t), 2) for t in _DIGITS)
+        self.reads: list = [None] * len(cells)
+        self._flags = flags
+
+    @cached_property
+    def around(self) -> list[int]:
+        """Per bit, the set of its cell's neighbors (0 for a bit of no
+        cell)."""
+        h = self.height
+        # per byte of flags, the neighbors of a cell at bit h: north at
+        # h + 1, east at 2h, south at h - 1 and west at 0
+        near = [(f >> 1 & 1) << h + 1 | (f >> 2 & 1) << 2 * h | (f >> 3 & 1) << h - 1
+                | f >> 4 & 1 for f in range(32)]
+        return [near[f] << p >> h for p, f in enumerate(reversed(self._flags))]
 
     def mask(self, indices: Iterable[int]) -> int:
         """The set of the cells at ``indices``."""
@@ -194,7 +229,7 @@ class _Grid:
             flags[top - pos[i]] = 1
         return int(flags.translate(_DIGITS[0]), 2)
 
-    def reads(self, head: int) -> tuple[tuple[int, int], ...]:
+    def reads_of(self, head: int) -> tuple[tuple[int, int], ...]:
         """The cells whose occupancy decides whether ``head`` is simple,
         each with its bit in the index of ``_SIMPLE``: the head's neighbors
         and each diagonal cell neighboring two of them."""
@@ -289,13 +324,15 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     free = grid.full
     start_nbrs = grid.mask(nbrs[end])
     pend_cells = 0 if exact else grid.mask(req_idx if loop else [*req_idx, end])
+    goal = 0 if loop else 1 << pos[end]
+    around = None if exact else grid.around  # only the pocket test reads it
 
     # per path depth, the reach set of the node there (a simple head's is
     # its parent's, read through the free cells), and whether it is one
     # component of the free cells
     reach = [0] * n
     whole = bytearray(n)
-    reads: list = [None] * n  # per cell, lazily: grid.reads
+    reads = grid.reads
 
     def simple(head: int) -> bool:
         """Whether the head's free neighbors are joined to each other by
@@ -305,7 +342,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             # on a corridor most heads come once, each with one free neighbor
             if len([a for a in nbrs[head] if not on[a]]) < 2:
                 return True
-            rd = reads[head] = grid.reads(head)
+            rd = reads[head] = grid.reads_of(head)
         key = 0
         for i, bit in rd:
             if not on[i]:
@@ -321,6 +358,33 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if g == r:
                 return r
             r = g
+
+    def sealed(head: int, prev: int) -> bool:
+        """Whether a pending cell lies in a pocket grown from a free
+        neighbor of ``prev``: free cells, the goal aside, that the path
+        could enter and leave only through one cell."""
+        stop = start_nbrs | around[pos[head]]
+        inside = free ^ goal
+        for s in nbrs[prev]:
+            if on[s] or s == end:
+                continue
+            layer = seen = 1 << pos[s]
+            avail = inside ^ layer
+            one = True
+            while not layer & stop:
+                if one:
+                    layer = around[layer.bit_length() - 1] & avail
+                else:
+                    layer = ((layer & north) << 1 | (layer & east) << h
+                             | (layer & south) >> 1 | (layer & west) >> h) & avail
+                one = not layer & (layer - 1)
+                if one and seen & pend_cells:
+                    return True
+                if not layer:
+                    break
+                seen |= layer
+                avail ^= layer
+        return False
 
     def extensions(head: int):
         """The head's neighbors the node may step to: none once a prune
@@ -339,6 +403,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         steps_to = nbrs[head]
         d = len(path_idx) - 1
+        if pending and d > 1 and not exact and sealed(head, path_idx[-2]):
+            return ()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh fill
         if d > 0 and whole[d - 1] and simple(head):
@@ -511,6 +577,35 @@ def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]
     return _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), nodes)
 
 
+def path_search(
+    allowed: Iterable[Cell],
+    required: Iterable[Cell],
+    make_constraint: Callable[[], LoopConstraint],
+) -> Callable[..., SearchResult]:
+    """The search ``paths(start, goal, *, cap=None, budget=None)`` of
+    :func:`search_paths` over ``allowed`` cells covering every ``required``
+    cell: the cells are indexed once, and every call walks the same grid."""
+    allowed_sorted = sorted(set(allowed))
+    grid = _Grid(allowed_sorted)
+    index = grid.index
+    required_set = set(required)
+    missing = not required_set <= index.keys()
+    req_idx = [index[c] for c in required_set if c in index]
+
+    def paths(start: Cell, goal: Cell, *, cap: int | None = None,
+              budget: int | None = None) -> SearchResult:
+        _check_cap(cap)
+        nodes = _Nodes(budget)
+        if start not in index or goal not in index or start == goal:
+            raise ValueError("start/goal must be distinct allowed cells")
+        if missing:
+            return SearchResult([], 0, True)
+        found = _walk(grid, index[start], index[goal], req_idx, make_constraint(), nodes)
+        return _collect(found, cap, nodes)
+
+    return paths
+
+
 def search_paths(
     allowed: Iterable[Cell],
     start: Cell,
@@ -524,17 +619,4 @@ def search_paths(
     """Enumerate simple paths from ``start`` to ``goal`` over ``allowed``
     cells covering every ``required`` cell.  The goal cell is terminal: a
     path may not pass through it and continue.  ``cap`` must be at least 1."""
-    _check_cap(cap)
-    nodes = _Nodes(budget)
-    allowed_sorted = sorted(set(allowed))
-    allowed_set = set(allowed_sorted)
-    if start not in allowed_set or goal not in allowed_set or start == goal:
-        raise ValueError("start/goal must be distinct allowed cells")
-    required_set = set(required)
-    if required_set - allowed_set:
-        return SearchResult([], 0, True)
-
-    grid = _Grid(allowed_sorted)
-    found = _walk(grid, grid.index[start], grid.index[goal],
-                  map(grid.index.get, required_set), make_constraint(), nodes)
-    return _collect(found, cap, nodes)
+    return path_search(allowed, required, make_constraint)(start, goal, cap=cap, budget=budget)

@@ -520,7 +520,9 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     fill as the engine does: under exact cover the node is dead; otherwise
     it is dead unless one component holds every pending cell (and a path's
     goal) and, for a loop, a neighbor of the start, and it then steps only
-    into that component.  Same arguments; the engine's walk must give the
+    into that component.  Past depth 1 of a search that is not exact cover
+    and has required cells left, it runs the engine's pocket test, here
+    over sets of indices.  Same arguments; the engine's walk must give the
     same paths in the same order and the same node counts."""
     cells, nbrs = grid.cells, grid.nbrs
     n = len(cells)
@@ -540,6 +542,25 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     path_idx = []
     path_cells = []
 
+    def pocketed(head, prev):
+        """From each free neighbor of ``prev``, breadth-first layers over
+        the free cells but a path's goal, until a layer holds a neighbor of
+        the head or of the end: whether a required cell lies in the layers
+        before a layer of one cell, or in a growth that dies out."""
+        stop = set(nbrs[head]) | set(nbrs[end])
+        for s in nbrs[prev]:
+            if on[s] or s == end:
+                continue
+            seen = {s}
+            layer = {s}
+            while layer and not layer & stop:
+                layer = {w for c in layer for w in nbrs[c]
+                         if not on[w] and w != end and w not in seen}
+                if len(layer) <= 1 and any(req[c] for c in seen):
+                    return True
+                seen |= layer
+        return False
+
     def extensions(head):
         free_total = free_color[0] + free_color[1]
         if exact and free_total:
@@ -552,6 +573,8 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             steps = free_total + on[end]
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return ()
+        if not exact and pending and len(path_idx) > 2 and pocketed(head, path_idx[-2]):
+            return ()
         # the components of the free cells joined to the head's free
         # neighbors, numbered in the order of those neighbors
         comp_of = [None] * n

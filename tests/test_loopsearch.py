@@ -159,6 +159,44 @@ def test_pinned_goal_behind_a_corridor(start, goal, required, count):
     assert sorted(res.loops) == brute_paths(cells, start, goal, required)
 
 
+# a 5x3 room and a 2x2 pocket joined to it by one cell, (5, 1): a path
+# through a pocket cell and a cell of the room must cross that neck twice
+NECK = board("#####.##",
+             "########",
+             "#####...")
+
+
+@pytest.mark.parametrize("required, count, nodes", [
+    ([(0, 0), (7, 0)], 0, 119),
+    ([(1, 1), (6, 1)], 0, 147),
+    ([(7, 0)], 1, 9),
+    ([(0, 0)], 48, 498),
+])
+def test_loops_through_a_one_cell_neck(required, count, nodes):
+    check_against_full_fill(search_loops, NECK, required, LoopConstraint, budget=20)
+    check_against_unsplit(search_loops, NECK, required, LoopConstraint, budget=20)
+    res = search_loops(NECK, required, LoopConstraint)
+    assert res.exhausted and res.nodes == nodes
+    assert sorted(l.cells for l in res.loops) == brute_loops(NECK, required)
+    assert len(res.loops) == count
+
+
+@pytest.mark.parametrize("goal, required, count, nodes", [
+    ((4, 2), [(7, 0)], 0, 335),
+    ((4, 2), [(7, 1), (2, 0)], 0, 286),
+    ((7, 0), [], 218, 1_027),
+])
+def test_paths_through_a_one_cell_neck(goal, required, count, nodes):
+    # the pocket test saves four nodes on the second (290 without it)
+    args = NECK, (0, 0), goal, required, LoopConstraint
+    check_against_full_fill(search_paths, *args, budget=20)
+    check_against_unsplit(search_paths, *args, budget=20)
+    res = search_paths(*args)
+    assert res.exhausted and res.nodes == nodes
+    assert sorted(res.loops) == brute_paths(NECK, (0, 0), goal, required)
+    assert len(res.loops) == count
+
+
 @st.composite
 def cut_boards(draw):
     """Cells of a board up to 4x4, often cut by one cell into pieces, and
@@ -197,6 +235,34 @@ def test_search_paths_matches_brute_force(board, data):
     args = cells, start, goal, required, LoopConstraint
     check_against_full_fill(search_paths, *args, budget=20)
     check_against_unsplit(search_paths, *args, budget=20)
+
+
+@st.composite
+def pocket_boards(draw):
+    """Cells of a board up to 5x5, a few cells missing, with one to three
+    required cells and a start and goal for paths: searches that are not
+    exact cover, where the pocket test runs."""
+    width, height = draw(st.sampled_from([(5, 5), (5, 4), (4, 5), (5, 3), (4, 4)]))
+    full = [(x, y) for x in range(width) for y in range(height)]
+    keep = draw(st.lists(st.integers(0, 5), min_size=len(full), max_size=len(full)))
+    cells = [c for c, k in zip(full, keep) if k]
+    if len(cells) < 3:
+        cells = full
+    required = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
+    ends = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    return cells, required, ends
+
+
+@settings(max_examples=100, deadline=None)
+@given(pocket_boards())
+def test_pocket_test_keeps_the_unsplit_walks_paths(case):
+    # the same loops and paths as the walk without the pocket test or the
+    # split prune, in the same order, each at no more nodes
+    cells, required, (start, goal) = case
+    for fn, args in ((search_loops, (cells, required, LoopConstraint)),
+                     (search_paths, (cells, start, goal, required, LoopConstraint))):
+        check_against_unsplit(fn, *args, budget=50)
+        check_against_full_fill(fn, *args, budget=50)
 
 
 class LateRequired(LoopConstraint):
@@ -275,6 +341,7 @@ def seed7_first(puzzle, cols, rows, solve=None):
 BASELINE_BOARDS = {
     "ww 3x3 seed 7": lambda request: seed7_first("ww", 3, 3),
     "ww 4x4 seed 7": lambda request: seed7_first("ww", 4, 4),
+    "ww 3x4 seed 7": lambda request: seed7_first("ww", 3, 4),
     "aon 2x4 seed 7": lambda request: seed7_first("aon", 2, 4, solve_aon_by_cells),
     "aon certificate": lambda request: request.getfixturevalue("aon_certificate"),
     "ww certificate": lambda request: certify_gadget("ww"),
@@ -290,8 +357,8 @@ BASELINE_BOARDS = {
 
 
 @pytest.mark.parametrize("board, nodes, found", [
-    ("ww 3x3 seed 7", 28_167, 0),
-    ("ww 4x4 seed 7", 64_629, 1),
+    ("ww 3x3 seed 7", 6_858, 0),
+    ("ww 4x4 seed 7", 144, 1),
     ("aon 2x4 seed 7", 9_902, 1),
     ("aon certificate", 276_467, [593, 694, 853]),
     ("ww certificate", 408, [2, 2, 3]),
@@ -300,6 +367,7 @@ BASELINE_BOARDS = {
     ("aon by region 3x4 seed 7", 548, 0),
     ("aon by region fixture all", 164, 2),
     ("aon by region 2x2 all, cap 1", 307, 1),
+    ("ww 3x4 seed 7", 11_471, 0),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):
     res = BASELINE_BOARDS[board](request)
