@@ -28,6 +28,10 @@ class Direction(Enum):
     S = (0, -1)
     W = (-1, 0)
 
+    # members are singletons, equal only to themselves: hash by identity in
+    # C rather than through Enum.__hash__, a Python call per dict or set use
+    __hash__ = object.__hash__
+
     def __init__(self, dx: int, dy: int):
         self.dx = dx
         self.dy = dy

@@ -99,6 +99,23 @@ step leaves pockets behind.  The test runs whether or not the fill is
 skipped.  Under exact cover the parity and fill prunes leave it little
 to find, and there it costs more than it saves.
 
+A walk under exact cover with the base :class:`LoopConstraint` (no rules)
+keeps a table of its resolved nodes.  There a node's completions, the
+ways to extend its path to one the walk yields, depend only on its head,
+its free cells and, for a loop, its second cell, which the closing
+direction reads: every free cell must be entered, no rule reads the cells
+before the head, and each prune rejects only dead branches, so the walk
+finds every completion and finds them in the order of the neighbor
+lists.  When a node is popped, its subtree done, the table maps its key
+(those three packed into one int) to the keys of its children that have
+completions, in the order found: a DAG, in which a key with no entry is a
+node that closed.  A node that was a leaf is not stored, since walking it
+again costs what finding it costs.  Keys are looked up only once the table
+holds one.  A node whose key is there costs its node and yields its path
+extended by each completion, read from the DAG with a stack, in the order
+its first walk found them, and is not expanded.  So the paths and their
+order are the unmemoized walk's, at fewer nodes.
+
 Budgets are counted in search nodes (one per path extension considered);
 running out raises :class:`SearchBudgetExceeded`, which callers must treat
 as "no verdict", never as "no solution".
@@ -457,6 +474,43 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         return steps_to
 
+    # under exact cover and no rules, per resolved node's key, the keys of
+    # its children that have completions, in the order found; per path
+    # depth, those keys so far, once a child there is resolved; and whether
+    # the top node, if it has no child, has a completion: it closed, or its
+    # table entry has one
+    memo: dict[int, tuple[int, ...]] | None = (
+        {} if exact and type(constraint) is LoopConstraint else None)
+    kids: list[list[int] | None] = [None] * n if memo is not None else []
+    complete = False
+    shift = n.bit_length()
+    low = (1 << shift) - 1
+
+    def key() -> int:
+        """The top node's state: its free cells, a loop's second cell and
+        its head."""
+        second = path_idx[1] if loop and len(path_idx) > 1 else 0
+        return (free << shift | second) << shift | path_idx[-1]
+
+    def replay(stored: tuple[int, ...]) -> Iterator[tuple[Cell, ...]]:
+        """The top node's path extended by each completion in the table
+        from ``stored``, its children's keys, in the order found."""
+        path = [cells[i] for i in path_idx]
+        below = [iter(stored)]
+        while below:
+            for k in below[-1]:
+                path.append(cells[k & low])
+                more = memo.get(k)
+                if more is None:  # a node that closed
+                    yield tuple(path)
+                    path.pop()
+                else:
+                    below.append(iter(more))
+                break
+            else:
+                below.pop()
+                path.pop()
+
     if not constraint.push(cells[start]):
         return
     frames: list[Iterator[int]] = []  # per path cell: its untried neighbors
@@ -475,8 +529,16 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         if closes and pending == 0:
             path = tuple(cells[i] for i in path_idx)
             if (constraint.close_ok if loop else constraint.finish_ok)(path):
+                complete = True
                 yield path
-        frames.append(iter(extensions(head) if loop or head != end else ()))
+        stored = memo.get(key()) if memo else None
+        if stored is not None:
+            # resolved before: its completions are the table's
+            complete = bool(stored)
+            frames.append(iter(()))
+            yield from replay(stored)
+        else:
+            frames.append(iter(extensions(head) if loop or head != end else ()))
         # descend into the next extension the constraint admits, retracting
         # every cell whose extensions are used up
         while frames:
@@ -485,6 +547,25 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                     break
             else:
                 frames.pop()
+                if memo is not None:
+                    # a node with a child is stored, and a node with a
+                    # completion is listed under its parent
+                    d = len(path_idx) - 1
+                    found = kids[d]
+                    if found is not None:
+                        kids[d] = None
+                        complete = bool(found)
+                        k = key()
+                        memo[k] = tuple(found)
+                    elif complete:
+                        k = key()
+                    if d:
+                        up = kids[d - 1]
+                        if up is None:
+                            up = kids[d - 1] = []
+                        if complete:
+                            up.append(k)
+                    complete = False
                 c = path_idx.pop()
                 on[c] = 0
                 free ^= 1 << pos[c]

@@ -522,8 +522,12 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     goal) and, for a loop, a neighbor of the start, and it then steps only
     into that component.  Past depth 1 of a search that is not exact cover
     and has required cells left, it runs the engine's pocket test, here
-    over sets of indices.  Same arguments; the engine's walk must give the
-    same paths in the same order and the same node counts."""
+    over sets of indices.  Under exact cover and no rules it keeps, per
+    resolved node, a leaf too, the completions found below it, keyed on its
+    head, the cells on the path and a loop's second cell: a node with a key
+    already kept costs its node, yields its path extended by each of them
+    and goes no deeper.  Same arguments; the engine's walk must give the same paths
+    in the same order and the same node counts."""
     cells, nbrs = grid.cells, grid.nbrs
     n = len(cells)
     loop = start == end
@@ -624,6 +628,20 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 return ()
         return steps_to
 
+    # per resolved node's key, the cells after its head of each path found
+    # from it, in order; per path depth, those found so far
+    memo = {} if exact and type(constraint) is LoopConstraint else None
+    below = []
+
+    def state():
+        return path_idx[-1], path_idx[1] if loop and len(path_idx) > 1 else None, bytes(on)
+
+    def found(path):
+        if memo is not None:
+            for d in range(len(below)):
+                below[d].append(path[d + 1:])
+        return path
+
     if not constraint.push(cells[start]):
         return
     frames = []  # per path cell: its untried neighbors
@@ -634,16 +652,22 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         pending -= req[head]
         path_idx.append(head)
         path_cells.append(cells[head])
+        below.append([])
         nodes.tick()
-        if loop:
-            closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
+        if memo is not None and state() in memo:
+            frames.append(iter(()))
+            for rest in memo[state()]:
+                yield found(tuple(path_cells) + rest)
         else:
-            closes = head == end
-        if closes and pending == 0:
-            path = tuple(path_cells)
-            if (constraint.close_ok if loop else constraint.finish_ok)(path):
-                yield path
-        frames.append(iter(extensions(head) if loop or head != end else ()))
+            if loop:
+                closes = adj_end[head] and len(path_idx) >= 4 and path_cells[1] < path_cells[-1]
+            else:
+                closes = head == end
+            if closes and pending == 0:
+                path = tuple(path_cells)
+                if (constraint.close_ok if loop else constraint.finish_ok)(path):
+                    yield found(path)
+            frames.append(iter(extensions(head) if loop or head != end else ()))
         # descend into the next extension the constraint admits, retracting
         # every cell whose extensions are used up
         while frames:
@@ -652,6 +676,9 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                     break
             else:
                 frames.pop()
+                if memo is not None:
+                    memo[state()] = below[-1]
+                below.pop()
                 c = path_idx.pop()
                 path_cells.pop()
                 on[c] = 0

@@ -962,7 +962,7 @@ class TestRegionSolve:
                         assert (path[0], path[-1]) == (a, b)
                         assert sorted(path) == sorted(inst.regions.regions[r])
                         assert all(map(are_orthogonal, path, path[1:]))
-        assert (len(search.rows), nodes.count) == (3, 379)
+        assert (len(search.rows), nodes.count) == (3, 338)
 
     def test_traversals_reach_the_board_only_in_loops(self):
         # each region shape is turned once, 4 times its cells: the gadget's

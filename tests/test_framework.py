@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,22 @@ class TestDirections:
         assert direction_between((3, 3), (4, 3)) is Direction.E
         assert direction_between((3, 3), (3, 2)) is Direction.S
         assert direction_between((3, 3), (2, 3)) is Direction.W
+
+    def test_hashing_calls_no_python_function(self):
+        # dicts and sets keyed by a side hash it in C, by identity, with
+        # no call of a Python-level __hash__
+        members = list(Direction)
+        pairs = [(d, d.opposite()) for d in members]
+        calls, profiler = [], sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        try:
+            table = dict.fromkeys(members)
+            sides = set(map(frozenset, pairs))
+        finally:
+            sys.setprofile(profiler)
+        assert calls == []
+        assert list(table) == members
+        assert sides == {frozenset({Direction.N, Direction.S}), frozenset({Direction.E, Direction.W})}
 
     @pytest.mark.parametrize("v", [(1, 1), (0, 0)])
     def test_direction_between_rejects_non_neighbours(self, v):

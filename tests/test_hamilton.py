@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -34,6 +35,25 @@ class TestFindHamiltonianCycle:
     def test_2x3_count_matches_permutation_oracle(self):
         g = full_grid(2, 3)
         assert count_hamiltonian_cycles(g) == len(ham_cycles_by_permutation(g)) == 1
+
+    @pytest.mark.parametrize("cols, rows, cycles, nodes, digest", [
+        (6, 6, 1_072, 17_177, "676c7b934297ff8d5869ccf66f1cc72dd7c43591907c43caf410fbdd0486c1da"),
+        (6, 7, 5_320, 65_624, "79946441b48213b521d33f3c37e35d600eb91c38e2b8a32e9a4f4d5afd3f71bb"),
+    ], ids=["6x6", "6x7"])
+    def test_full_grid_cycles_pinned(self, cols, rows, cycles, nodes, digest):
+        # every cycle once, in the order found (the sha256 of one line per
+        # cycle), with each resolved node's cycles read back from the walk's
+        # table: 60,815 and 331,919 nodes when every node was walked
+        g = full_grid(cols, rows)
+        h = hashlib.sha256()
+        found = 0
+        for cycle in hamiltonian_cycles(g, budget=nodes):
+            h.update((" ".join(f"{x},{y}" for x, y in cycle.vertices) + "\n").encode())
+            found += 1
+        assert (found, h.hexdigest()) == (cycles, digest)
+        with pytest.raises(SearchBudgetExceeded) as e:
+            count_hamiltonian_cycles(g, budget=nodes - 1)
+        assert e.value.nodes == nodes
 
     def test_budget_exhaustion_is_distinct(self):
         with pytest.raises(SearchBudgetExceeded):

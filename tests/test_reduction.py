@@ -52,11 +52,25 @@ WW_CERT_SHA256 = (
     "c02b2f2281d60f1cf3e50169a1e03b1ab51bdd46a5033d1d5ce1cf8f8ef9ecdb",
 )
 AON_CERT_SHA256 = (
-    "c273e7950e5af3fe609671c0ccafed321a98d41756c2923ddf1d256b44cdae3e",
-    "a0bd2c92f72f1b94a39c5766f88f55d3724fb380a03bf502fa1b6063ba246b7a",
-    "f089436383891053a6099205268429d8b04edd4c9e382fd2d961ecb1db789c9d",
-    "dcb323b4aa8b14b272ed3ce79dca7f3d7df2af3b8079d856e31934c926567787",
+    "d7c9806cd6a8ba8b8a5080fb8c6cfbf2684eb5e04b5c516ad373253fc211b81f",
+    "47ae6c0532beaebdc0e2209c029db7668c99819c18a71c3f1dfce4fe85a79c49",
+    "9af05d3663de78e2daeb24ddee90d89c8707d15b635c4e1d2eb17afc37464dc1",
+    "630f305dda938ccff4fe60a065eba7c35dd81bc0cef6ce07d8a67647fca1a89b",
 )
+
+# sha256 of every traversal list of certify_gadget(puzzle, turns=t), in the
+# order the search found them (see ``traversal_digest``), for t = 0..3: the
+# paths themselves, not only their counts
+TRAVERSAL_SHA256 = {
+    "aon": ("918e320f827fa46ff15cf301170f726874d33bad3a452a228ea3e65c929da01a",
+            "2b41678b184f9c771c77fd5f038bd0fbaca307f3a72b45eee2de12ccd5d392cb",
+            "fc799ee2f45cf787f77cbccce4e378515789994f0767ef10d95b3a908a0f70a3",
+            "e192f5b0dd7200e15efccd64dedd83ed392f9598e17def496e92244d34bf601c"),
+    "ww": ("f38a1239d9476c9d356ccf58266c9c07e9617981196fc7983bf0f61d526f24ba",
+           "7ed65e76508514ee2db8284acba56646e1ec5863c08aca32bcb0ac592e2279ef",
+           "15a420007dd8573b49cc492b05c29448712f574a5895e2cbca28578cb5f99c79",
+           "3bd9dd7a02716dac494700d5deda84d35cd37573e236ec49e919795a644a5970"),
+}
 
 
 # sha256 of emit_loop(embed_cycle(...).loop) for the first Hamiltonian cycle
@@ -71,6 +85,17 @@ EMBED_4X4_SHA256 = {
 
 def emit_digest(cert):
     return hashlib.sha256(emit_certificate(cert).encode()).hexdigest()
+
+
+def traversal_digest(cert):
+    """sha256 of the certificate's traversals: per exit pair, by name, a
+    line naming it, then one line per path in the order it was found."""
+    h = hashlib.sha256()
+    for pair in sorted(cert.traversals, key=lambda k: sorted(d.name for d in k)):
+        h.update(("pair " + " ".join(sorted(d.name for d in pair)) + "\n").encode())
+        for path in cert.traversals[pair]:
+            h.update((" ".join(f"{x},{y}" for x, y in path) + "\n").encode())
+    return h.hexdigest()
 
 
 def hamiltonian_candidates(*dims_list):
@@ -311,6 +336,14 @@ class TestCertificates:
         assert rotated.findings == aon_certificate.findings
         assert rotated.nodes == aon_certificate.nodes
         assert emit_digest(rotated) == AON_CERT_SHA256[turns]
+        assert traversal_digest(rotated) == TRAVERSAL_SHA256["aon"][turns]
+
+    def test_aon_certificate_spends_as_much_again(self, aon_certificate):
+        # each walk keeps its own table of resolved nodes, so a second
+        # certificate in the process walks as many nodes as the first
+        again = certify_gadget("aon")
+        assert again == aon_certificate
+        assert again.nodes == aon_certificate.nodes == 69_623
 
     @pytest.mark.parametrize("puzzle", ["ww", "aon"])
     @pytest.mark.parametrize("turns", [4, 5, -1])
@@ -322,10 +355,14 @@ class TestCertificates:
 
     @pytest.mark.parametrize("turns", [0, 1, 2, 3])
     def test_ww_emission_pinned(self, turns):
-        assert emit_digest(certify_gadget("ww", turns=turns)) == WW_CERT_SHA256[turns]
+        cert = certify_gadget("ww", turns=turns)
+        assert emit_digest(cert) == WW_CERT_SHA256[turns]
+        assert traversal_digest(cert) == TRAVERSAL_SHA256["ww"][turns]
 
     def test_aon_emission_pinned(self, aon_certificate):
         assert emit_digest(aon_certificate) == AON_CERT_SHA256[0]
+        assert traversal_digest(aon_certificate) == TRAVERSAL_SHA256["aon"][0]
+
 
     @pytest.mark.parametrize("turns", [0, 1, 2, 3])
     def test_ww_walks_match_full_fill(self, turns):
@@ -346,7 +383,7 @@ class TestCertificates:
         assert emit_digest(cert) == WW_CERT_SHA256[1]
 
     @pytest.mark.parametrize("puzzle, nodes, digest", [("ww", 408, WW_CERT_SHA256[0]),
-                                                       ("aon", 276_467, AON_CERT_SHA256[0])],
+                                                       ("aon", 69_623, AON_CERT_SHA256[0])],
                              ids=["ww", "aon"])
     def test_budget_bounds_the_whole_certificate(self, puzzle, nodes, digest):
         # every search of the certificate needs fewer nodes than it does
@@ -478,7 +515,7 @@ class TestRoundtrip:
     def test_aon_3x4_decided_within_the_frontier_budget(self, cols, rows):
         # the AoN solver decides every 3x4 and 4x3 compile within 5,000
         # nodes, the budget of the benchmark's AoN frontier boards, and
-        # within 600, a little over the costliest compile's 548
+        # within 600, over the costliest compile's 507
         for budget in (5_000, 600):
             report = roundtrip_experiment(cols, rows, "aon", solver_budget=budget)
             assert len(report.results) == report.agreements == 93
