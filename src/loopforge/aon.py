@@ -26,7 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import gt
 
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
@@ -47,7 +48,6 @@ from .model import (
     RegionDecomposition,
     Verdict,
     Violation,
-    board_cells,
     crossings_by_region,
     regions_from_labels,
     union_root,
@@ -130,7 +130,7 @@ def gadget_board(turns: int) -> AonInstance:
     """The gadget rotated by ``turns`` alone on its frame."""
     ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
     decomp = regions_from_labels(FRAME, FRAME, dict(zip(cells, tokens)))
-    names = tuple(region_token(rid) for rid in sorted(decomp.regions))
+    names = tuple(map(region_token, range(len(decomp.regions))))
     return AonInstance(FRAME, FRAME, decomp, names)
 
 
@@ -147,7 +147,7 @@ def gadget_harness(turns: int):
     """
     decomp = gadget_board(turns).regions
     (exit_cell,) = GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])
-    big = sorted(decomp.regions[decomp.region_of[exit_cell]])
+    big = decomp.regions[decomp.region_at(exit_cell)]
     return big, big, LoopConstraint
 
 
@@ -167,21 +167,21 @@ def gadget_audit(turns: int, traversals, paths):
     """
     inst = gadget_board(turns)
     decomp, report = inst.regions, analyze_dead_regions(inst)
-    region_of = decomp.region_of
+    ids = decomp.ids  # traversals stay on the frame
     big_cell, one_cell = GADGET.place(
         (0, 0), turns, [GADGET_EXIT_CELLS[Direction.W], ONE_CELL_REGION_CELL])
-    big_id, one_id = region_of[big_cell], region_of[one_cell]
-    left = [{region_of[c] for c in path} - {big_id}
+    big_id, one_id = decomp.region_at(big_cell), decomp.region_at(one_cell)
+    left = [{ids[x * FRAME + y] for x, y in path} - {big_id}
             for found in traversals.values() for path in found]
     entered = set().union(*left)
     findings = [f"parts-entered {'yes' if entered - {one_id} else 'no'}",
                 f"one-cell-entered {'yes' if one_id in entered else 'no'}",
                 f"rule-permitted-escapes {sum(1 for regions in left if regions)}"]
     parts = sorted((min(GADGET.place((0, 0), -turns, cells)), rid)
-                   for rid, cells in decomp.regions.items() if rid not in (big_id, one_id))
+                   for rid, cells in enumerate(decomp.regions) if rid not in (big_id, one_id))
     leaves = set()
     for (x, y), rid in parts:
-        leaves |= decomp.leaves[rid]
+        leaves.update(decomp.leaves[rid])
         findings.append(f"part {x} {y} leaves {report.leaf_counts[rid]}")
     for name, markers in (("fixed", FIXED_LEAF_CELLS), ("rim", RIM_LEAF_CELLS)):
         placed = GADGET.place((0, 0), turns, markers)
@@ -207,15 +207,13 @@ class AonInstance:
     regions: RegionDecomposition
     region_names: tuple[str, ...]
 
-    def region_name(self, rid: int) -> str:
-        return self.region_names[rid]
-
 
 def parse_aon(text: str) -> AonInstance:
     width, height, rows = AON_BOARD.read_rows(text)
     labels = list(chain.from_iterable(map(reversed, zip(*rows))))  # board order
     decomp = regions_from_labels(width, height, labels)
-    names = tuple(labels[x * height + y] for x, y in map(min, decomp.regions.values()))
+    ids = decomp.ids  # each region is named by its label where its id first appears
+    names = tuple(compress(labels, map(gt, ids, chain([-1], accumulate(ids, max)))))
     # a token must name one connected region, not scattered patches
     seen: set[str] = set()
     for name in names:
@@ -228,8 +226,8 @@ def parse_aon(text: str) -> AonInstance:
 def board_text(inst: AonInstance, marked=frozenset()) -> str:
     """Board rows, top row first: each cell's region id, or ``#`` on a
     ``marked`` cell, padded to the longest id."""
-    names, region_of = inst.region_names, inst.regions.region_of
-    return AON_BOARD.write(inst.width, inst.height, lambda c: names[region_of[c]], marked)
+    names, ids, h = inst.region_names, inst.regions.ids, inst.height
+    return AON_BOARD.write(inst.width, inst.height, lambda c: names[ids[c[0] * h + c[1]]], marked)
 
 
 def emit_aon(inst: AonInstance) -> str:
@@ -247,10 +245,10 @@ def _rotation(rows: str, turns: int):
     decomp = gadget_board(turns).regions
     ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
     token_of = dict(zip(cells, tokens))
-    kinds = [token_of[min(cs)] for cs in decomp.regions.values()]
+    kinds = [token_of[cs[0]] for cs in decomp.regions]
     filler = {p for p, kind in enumerate(kinds) if kind not in ("B", "D")}
     inner = [pair for pair in decomp.touching if filler.issuperset(pair)]
-    return tuple(decomp.region_of.values()), kinds, filler, inner
+    return decomp.ids, kinds, filler, inner
 
 
 def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
@@ -300,47 +298,36 @@ def compile_aon(g: GridGraph, plan: ExitPlan) -> AonInstance:
     # region ids follow smallest cells: the order in which the roots first
     # appear in board order
     rid = {r: i for i, r in enumerate(dict.fromkeys(values))}
-    region_of = dict(zip(board_cells(width, height), map(rid.__getitem__, values)))
-    members: list[list[Cell]] = [[] for _ in rid]
-    for c, r in region_of.items():
-        members[r].append(c)
-    decomp = RegionDecomposition(width, height, region_of, dict(enumerate(map(frozenset, members))))
+    decomp = RegionDecomposition(width, height, list(map(rid.__getitem__, values)))
     return AonInstance(width, height, decomp, tuple(map(region_token, range(len(rid)))))
 
 
 def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
     loop.check_on_board(inst.width, inst.height)
-    on_loop = set(loop.cells)
-    decomp = inst.regions
-    violations = []
-
-    visited_count = {rid: 0 for rid in decomp.regions}
-    for c in loop.cells:
-        visited_count[decomp.region_of[c]] += 1
-
+    decomp, names = inst.regions, inst.region_names
+    ids, h = decomp.ids, decomp.height
+    sizes = Counter(ids)
+    hits = Counter(ids[x * h + y] for x, y in loop.cells)
     crossings_of = crossings_by_region(loop, decomp)
-    for rid in sorted(decomp.regions):
-        size = len(decomp.regions[rid])
-        hit = visited_count[rid]
-        name = inst.region_name(rid)
-        if 0 < hit < size:
-            missing = sorted(decomp.regions[rid] - on_loop)
+    on_loop = set(loop.cells)
+    violations = []
+    for rid in sorted(hits):
+        size, hit, crossings = sizes[rid], hits[rid], crossings_of.get(rid, 0)
+        if hit < size:
             violations.append(Violation(
-                1, f"region {name} is only partly visited ({hit} of {size} cells)",
-                tuple(missing)))
-        if hit > 0:
-            crossings = crossings_of.get(rid, 0)
-            if crossings not in (0, 2):
-                violations.append(Violation(
-                    2, f"loop crosses the border of region {name} {crossings} times",
-                    tuple(sorted(decomp.regions[rid] & on_loop))))
+                1, f"region {names[rid]} is only partly visited ({hit} of {size} cells)",
+                tuple(c for c in decomp.regions[rid] if c not in on_loop)))
+        if crossings not in (0, 2):
+            violations.append(Violation(
+                2, f"loop crosses the border of region {names[rid]} {crossings} times",
+                tuple(c for c in decomp.regions[rid] if c in on_loop)))
 
     for (r1, r2), (a, b) in decomp.touching.items():
-        if visited_count[r1] == 0 and visited_count[r2] == 0:
+        if not hits[r1] and not hits[r2]:
             violations.append(Violation(
                 3,
-                f"unvisited regions {inst.region_name(decomp.region_of[a])} and "
-                f"{inst.region_name(decomp.region_of[b])} touch at {a}|{b}",
+                f"unvisited regions {names[decomp.region_at(a)]} and "
+                f"{names[decomp.region_at(b)]} touch at {a}|{b}",
                 (a, b)))
     return Verdict(tuple(violations))
 
@@ -370,13 +357,10 @@ def analyze_dead_regions(inst: AonInstance) -> DeadRegionReport:
     No other region is assumed dead.
     """
     decomp = inst.regions
-    around: dict[int, set[int]] = {rid: set() for rid in decomp.regions}
-    for r1, r2 in decomp.touching:
-        around[r1].add(r2)
-        around[r2].add(r1)
-    leaf_counts = {rid: len(leaves) for rid, leaves in decomp.leaves.items()}
-    enclosing = {rid: next(iter(around[rid])) for rid, cells in decomp.regions.items()
-                 if len(cells) == 1 and len(around[rid]) == 1}
+    around = decomp.neighbours
+    leaf_counts = {rid: len(leaves) for rid, leaves in enumerate(decomp.leaves)}
+    enclosing = {rid: around[rid].bit_length() - 1 for rid, cells in enumerate(decomp.regions)
+                 if len(cells) == 1 and around[rid].bit_count() == 1}
     return DeadRegionReport(leaf_counts, enclosing)
 
 
@@ -416,10 +400,10 @@ def solve_aon(
             required.add(r2)
         if r2 in dead:
             required.add(r1)
-    live = [r for r in sorted(decomp.regions) if r not in dead]
+    live = [r for r in range(len(decomp.regions)) if r not in dead]
     # per region, the touching pairs it is in: a loop over some regions
     # alone must leave no touching pair outside them
-    degree = Counter(r for pair in decomp.touching for r in pair)
+    degree = [mask.bit_count() for mask in decomp.neighbours]
 
     def found():
         alone = [(r,) for r in live] + [(h, d) for d, h in report.enclosing.items()]

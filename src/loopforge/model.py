@@ -8,7 +8,7 @@ row for ``y = height - 1`` comes first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, product, repeat
 from operator import and_, eq, itemgetter, ne, or_, sub
@@ -182,32 +182,46 @@ class RegionDecomposition:
     """A partition of the board into regions, each an orthogonally
     connected set of cells.
 
-    ``region_of`` is total over the board and lists its cells in board
-    order, by x and then y, so its values read as a list put cell ``(x,
-    y)`` at index ``x * height + y``.  Region ids are assigned in order of
-    each region's lexicographically smallest cell.  A leaf is a cell with
-    exactly one orthogonal neighbor in the same region.
+    ``ids`` lists the region of every board cell in board order, by x and
+    then y: cell ``(x, y)`` at index ``x * height + y``.  Region ids are
+    assigned in order of each region's lexicographically smallest cell,
+    which is its first in board order.  A leaf is a cell with exactly one
+    orthogonal neighbor in the same region.  The per-region lists are built
+    from ``ids`` on first use, so equality compares ``ids`` alone.
     """
 
     width: int
     height: int
-    region_of: dict[Cell, int]
-    # derived from region_of, so equality need not compare it
-    regions: dict[int, frozenset[Cell]] = field(compare=False)
+    ids: list[int]
+
+    def region_at(self, cell: Cell) -> int | None:
+        """The region of ``cell``, or ``None`` off the board."""
+        x, y = cell
+        if 0 <= x < self.width and 0 <= y < self.height:
+            return self.ids[x * self.height + y]
+        return None
 
     @cached_property
-    def leaves(self) -> dict[int, frozenset[Cell]]:
-        """Per region, its leaves, built on first use."""
-        ids, h = list(self.region_of.values()), self.height
+    def regions(self) -> list[list[Cell]]:
+        """Per region id, its cells in board order, which is sorted order."""
+        members: list[list[Cell]] = [[] for _ in range(max(self.ids, default=-1) + 1)]
+        for c, r in zip(board_cells(self.width, self.height), self.ids):
+            members[r].append(c)
+        return members
+
+    @cached_property
+    def leaves(self) -> list[list[Cell]]:
+        """Per region id, its leaves in board order."""
+        ids, h = self.ids, self.height
         n = len(ids)
-        leaf_cells: dict[int, list[Cell]] = {rid: [] for rid in self.regions}
-        for i, (c, rid) in enumerate(self.region_of.items()):
+        leaf_cells: list[list[Cell]] = [[] for _ in self.regions]
+        for i, rid in enumerate(ids):
             y = i % h
             same = (i + h < n and ids[i + h] == rid) + (i >= h and ids[i - h] == rid) \
                 + (y + 1 < h and ids[i + 1] == rid) + (y > 0 and ids[i - 1] == rid)
             if same == 1:
-                leaf_cells[rid].append(c)
-        return {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
+                leaf_cells[rid].append(divmod(i, h))
+        return leaf_cells
 
     @cached_property
     def touching(self) -> dict[tuple[int, int], tuple[Cell, Cell]]:
@@ -215,7 +229,7 @@ class RegionDecomposition:
         mapped to its first shared side ``(a, b)`` in board order: cells by
         x, then y, the east side before the north side.  The dict keeps
         that order."""
-        cells, ids, h = list(self.region_of), list(self.region_of.values()), self.height
+        ids, h = self.ids, self.height
         n = len(ids)
         first: dict[tuple[int, int], tuple[Cell, Cell]] = {}
         for i, ra in enumerate(ids):
@@ -224,8 +238,17 @@ class RegionDecomposition:
                     rb = ids[j]
                     pair = (ra, rb) if ra < rb else (rb, ra)
                     if pair not in first:
-                        first[pair] = (cells[i], cells[j])
+                        first[pair] = (divmod(i, h), divmod(j, h))
         return first
+
+    @cached_property
+    def neighbours(self) -> list[int]:
+        """Per region id, the mask of the regions it touches, bit ``r`` for region ``r``."""
+        masks = [0] * len(self.regions)
+        for a, b in self.touching:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return masks
 
 
 def board_cells(width: int, height: int) -> list[Cell]:
@@ -247,14 +270,13 @@ def regions_from_labels(width: int, height: int,
     n = width * height
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for a {width}x{height} board")
-    cells = board_cells(width, height)
     if isinstance(labels, dict):
         try:
-            labels = list(map(labels.__getitem__, cells))
+            labels = list(map(labels.__getitem__, board_cells(width, height)))
         except KeyError as e:  # the count is right, so a label lies off the board
             raise ValueError(f"no label for board cell {e.args[0]}") from None
     if not n:
-        return RegionDecomposition(width, height, {}, {})
+        return RegionDecomposition(width, height, [])
     # per cell, whether a run starts there: at the foot of each column and
     # wherever a label differs from the one below it; the runs count from 1.
     # Lists are read a cell or a column on through ``islice``: a copy would
@@ -272,13 +294,7 @@ def regions_from_labels(width: int, height: int,
     roots = list(map(union_root, repeat(parent), range(len(parent))))
     rid = dict(zip(dict.fromkeys(roots[1:]), count()))  # runs in board order
     run_rid = list(map(rid.get, roots))
-    ids = list(map(run_rid.__getitem__, run_of))
-    members: list[list[Cell]] = [[] for _ in rid]
-    starts = [*compress(range(n), is_start), n]
-    for start, end in zip(starts, islice(starts, 1, None)):
-        members[ids[start]] += cells[start:end]
-    return RegionDecomposition(width, height, dict(zip(cells, ids)),
-                               dict(enumerate(map(frozenset, members))))
+    return RegionDecomposition(width, height, list(map(run_rid.__getitem__, run_of)))
 
 
 def union_root(parent: list[int], p: int) -> int:
@@ -325,11 +341,12 @@ def crossings_by_region(loop: LoopPath, r: RegionDecomposition) -> dict[int, int
     A region the loop never crosses into or out of is absent.  Each step
     between two different regions crosses the border of both.
     """
-    region_of = r.region_of
+    ids, w, h = r.ids, r.width, r.height
     counts: dict[int, int] = {}
-    prev = region_of.get(loop.cells[-1])
-    for c in loop.cells:
-        cur = region_of.get(c)
+    x, y = loop.cells[-1]
+    prev = ids[x * h + y] if 0 <= x < w and 0 <= y < h else None  # off the board: None
+    for x, y in loop.cells:
+        cur = ids[x * h + y] if 0 <= x < w and 0 <= y < h else None
         if cur != prev:
             if prev is not None:
                 counts[prev] = counts.get(prev, 0) + 1

@@ -114,18 +114,18 @@ class RegionCycles:
 
     def __init__(self, decomp: RegionDecomposition, live: list[int], nodes: _Nodes):
         self.nodes = nodes
-        self.region_of = region_of = decomp.region_of
         self.cells = decomp.regions
         self.need = [1 << r1 | 1 << r2 for r1, r2 in decomp.touching]
-        live_set = set(live)
+        live_set, region_at = set(live), decomp.region_at
         self.ports: dict[int, list[Cell]] = {}
-        self.cross: dict[Cell, list[Cell]] = {}  # per port, its cells over the border
+        # per port, the cells over the border, each with its region
+        self.cross: dict[Cell, list[tuple[Cell, int]]] = {}
         for r in live:
             self.ports[r] = []
-            for c in sorted(decomp.regions[r]):
+            for c in decomp.regions[r]:
                 x, y = c
-                out = [n for n in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
-                       if region_of.get(n, r) != r and region_of[n] in live_set]
+                out = [(n, q) for n in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
+                       if (q := region_at(n)) != r and q in live_set]
                 if out:
                     self.ports[r].append(c)
                     self.cross[c] = out
@@ -178,7 +178,7 @@ class RegionCycles:
         the larger of its two ports, or for a one-cell root, the cell
         after it is the smaller of its two neighbors on the loop.  One node
         per segment placed."""
-        cells, region_of, cross = self.cells, self.region_of, self.cross
+        cells, cross = self.cells, self.cross
         segs: list[tuple[int, Cell, Cell]] = []
         visited = size = 0
 
@@ -189,8 +189,7 @@ class RegionCycles:
                         yield root, a, b
 
         def steps(b):
-            for c in cross[b]:
-                r = region_of[c]
+            for c, r in cross[b]:
                 if r == root:
                     if c == segs[0][1]:
                         yield None  # the loop closes

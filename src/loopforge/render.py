@@ -28,9 +28,8 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
     Nothing is formatted per cell: a board row joins the elements, each
     made once per column with the row's height left open, that a mask over
     the row selects, and fills in its height once.  The mask is a Water
-    Walk row's water, or where an All or Nothing row's ``region_of``
-    values, read as a list in board order, differ from their east or north
-    neighbours'."""
+    Walk row's water, or where an All or Nothing row's region ``ids``, a
+    list in board order, differ from their east or north neighbours'."""
     w, h = inst.width * CELL, inst.height * CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -95,7 +94,7 @@ def _svg_region_borders(inst: aon.AonInstance) -> str:
     the outer border: row by row from the bottom, and in a row cell by
     cell, each cell's east side before its north side."""
     width, height = inst.width, inst.height
-    ids = list(inst.regions.region_of.values())  # cell (x, y) at x * height + y
+    ids = inst.regions.ids  # cell (x, y) at x * height + y
     # per cell in board order, whether its east and its north side part
     # two regions
     east = list(map(ne, ids, ids[height:])) + [False] * height

@@ -18,7 +18,7 @@ is the label fill from before it filled runs: one cell at a time.
 """
 
 import operator
-from itertools import permutations
+from itertools import chain, permutations
 from unittest import mock
 
 from loopforge.aon import (
@@ -138,7 +138,7 @@ def loop_runs(loop, classify):
 def boundary_crossings(loop, r, region_id):
     """Number of cyclic positions where the loop steps across the region's
     border, read from the one-pass :func:`crossings_by_region`."""
-    if region_id not in r.regions:
+    if region_id not in range(len(r.regions)):
         raise ValueError(f"unknown region id: {region_id}")
     return crossings_by_region(loop, r).get(region_id, 0)
 
@@ -156,9 +156,9 @@ def blocks(walls, a, c):
 
 def loop_arc_count(loop, r, region_id):
     """Number of maximal cyclic arcs of the loop lying inside the given region."""
-    if region_id not in r.regions:
+    if region_id not in range(len(r.regions)):
         raise ValueError(f"unknown region id: {region_id}")
-    flags = [r.region_of.get(c) == region_id for c in loop.cells]
+    flags = [r.region_at(c) == region_id for c in loop.cells]
     if all(flags):
         return 1
     n = len(flags)
@@ -796,8 +796,8 @@ def verify_aon_by_scan(inst, loop):
     side of every board cell, reporting each touching pair of unvisited
     regions once, at its first side in that scan."""
     head = tuple(v for v in verify_aon(inst, loop).violations if v.rule != 3)
-    decomp = inst.regions
-    unvisited = set(decomp.regions) - {decomp.region_of[c] for c in loop.cells}
+    decomp, names = inst.regions, inst.region_names
+    unvisited = set(range(len(decomp.regions))) - set(map(decomp.region_at, loop.cells))
     violations = []
     reported = set()
     for x in range(inst.width):
@@ -806,7 +806,7 @@ def verify_aon_by_scan(inst, loop):
             for b in ((x + 1, y), (x, y + 1)):
                 if b[0] >= inst.width or b[1] >= inst.height:
                     continue
-                ra, rb = decomp.region_of[a], decomp.region_of[b]
+                ra, rb = decomp.region_at(a), decomp.region_at(b)
                 if ra == rb or ra not in unvisited or rb not in unvisited:
                     continue
                 pair = tuple(sorted((ra, rb)))
@@ -815,8 +815,8 @@ def verify_aon_by_scan(inst, loop):
                 reported.add(pair)
                 violations.append(Violation(
                     3,
-                    f"unvisited regions {inst.region_name(ra)} and "
-                    f"{inst.region_name(rb)} touch at {a}|{b}",
+                    f"unvisited regions {names[ra]} and "
+                    f"{names[rb]} touch at {a}|{b}",
                     (a, b)))
     return Verdict(head + tuple(violations))
 
@@ -827,13 +827,10 @@ def analyze_dead_regions_by_scan(inst):
     decomp = inst.regions
     leaf_counts = {}
     enclosing = {}
-    for rid, cells in decomp.regions.items():
+    for rid, cells in enumerate(decomp.regions):
         leaf_counts[rid] = len(decomp.leaves[rid])
-        outside = set()
-        for c in cells:
-            for n in orthogonal_neighbors(c):
-                if n in decomp.region_of and decomp.region_of[n] != rid:
-                    outside.add(decomp.region_of[n])
+        outside = set(map(decomp.region_at, chain.from_iterable(map(orthogonal_neighbors, cells))))
+        outside -= {None, rid}
         if len(cells) == 1 and len(outside) == 1:
             enclosing[rid] = next(iter(outside))
     return DeadRegionReport(leaf_counts, enclosing)
@@ -850,15 +847,15 @@ class AonLoopRules(LoopConstraint):
 
     def __init__(self, inst):
         self.inst = inst
-        self.region_of = inst.regions.region_of
-        self.sizes = {rid: len(cells) for rid, cells in inst.regions.regions.items()}
+        self.region_at = inst.regions.region_at
+        self.sizes = {rid: len(cells) for rid, cells in enumerate(inst.regions.regions)}
         self.crossings = dict.fromkeys(self.sizes, 0)
         self.inside = dict.fromkeys(self.sizes, 0)
         # per pushed cell: its region and the region it left
         self.trail = []
 
     def push(self, cell):
-        r = self.region_of[cell]
+        r = self.region_at(cell)
         crossed = None
         if self.trail:
             rp = self.trail[-1][0]
@@ -903,8 +900,8 @@ def solve_aon_by_cells(inst, mode="first", budget=None, cap=None):
             required_regions.add(r2)
         if r2 in dead:
             required_regions.add(r1)
-    allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
-    required = [c for c in allowed if decomp.region_of[c] in required_regions]
+    allowed = [c for c in board_cells(inst.width, inst.height) if decomp.region_at(c) not in dead]
+    required = [c for c in allowed if decomp.region_at(c) in required_regions]
     return search_loops(allowed, required, lambda: AonLoopRules(inst), cap=cap, budget=budget)
 
 
@@ -921,7 +918,7 @@ def solve_aon_by_scan(inst, mode="first", budget=None, cap=None):
             for b in ((x + 1, y), (x, y + 1)):
                 if b[0] >= inst.width or b[1] >= inst.height:
                     continue
-                ra, rb = decomp.region_of[a], decomp.region_of[b]
+                ra, rb = decomp.region_at(a), decomp.region_at(b)
                 if ra == rb:
                     continue
                 if ra in dead and rb in dead:
@@ -930,8 +927,8 @@ def solve_aon_by_scan(inst, mode="first", budget=None, cap=None):
                     required_regions.add(rb)
                 if rb in dead:
                     required_regions.add(ra)
-    allowed = [c for c in decomp.region_of if decomp.region_of[c] not in dead]
-    required = [c for c in allowed if decomp.region_of[c] in required_regions]
+    allowed = [c for c in board_cells(inst.width, inst.height) if decomp.region_at(c) not in dead]
+    required = [c for c in allowed if decomp.region_at(c) in required_regions]
     return search_loops(allowed, required, lambda: AonLoopRules(inst),
                         cap=1 if mode == "first" else cap, budget=budget)
 
@@ -1031,16 +1028,16 @@ def big_region_ids(inst, tiling):
     """The big region of each metacell of ``inst``, compiled with
     ``tiling``: the region of its placed W exit cell, as
     :func:`~loopforge.aon.gadget_harness` finds it."""
-    region_of = inst.regions.region_of
-    return {region_of[GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
+    region_at = inst.regions.region_at
+    return {region_at(GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0])
             for v, turns in tiling.items()}
 
 
 def regions_from_boundaries(width, height, walls):
     """Flood-fill the board into regions between the walls, each pair in
-    either order; the outer border always acts as a wall.  ``region_of``
-    lists the cells in board order, by x and then y, as the package's
-    decompositions do."""
+    either order; the outer border always acts as a wall.  The fill keys
+    cells by tuple; only the decomposition it returns lists the regions
+    in board order, by x and then y, as the package's decompositions do."""
     # normalise each wall once to the cell on its west or south side, so a
     # step costs one lookup whichever order the pair was stored in
     east_walls = set()
@@ -1087,7 +1084,7 @@ def regions_from_boundaries(width, height, walls):
                         region_of[n] = rid
                         comp.append(n)
                         stack.append(n)
-            regions[rid] = frozenset(comp)
+            regions[rid] = sorted(comp)
     region_of = dict(sorted(region_of.items()))
 
     leaf_cells = {rid: [] for rid in regions}
@@ -1098,10 +1095,12 @@ def regions_from_boundaries(width, height, walls):
             + (get((x, y + 1)) == rid) + (get((x, y - 1)) == rid)
         if same == 1:
             leaf_cells[rid].append(c)
-    decomp = RegionDecomposition(width, height, region_of, regions)
-    # ``leaves`` is a cached property: storing this fill's own leaves where
-    # it caches them keeps them independent of the package's computation
-    decomp.__dict__["leaves"] = {rid: frozenset(cs) for rid, cs in leaf_cells.items()}
+    decomp = RegionDecomposition(width, height, list(region_of.values()))
+    # ``regions`` and ``leaves`` are cached properties: storing this fill's
+    # own where they are cached keeps them independent of the package's
+    # computation
+    decomp.__dict__["regions"] = list(regions.values())
+    decomp.__dict__["leaves"] = list(leaf_cells.values())
     return decomp
 
 
@@ -1189,5 +1188,7 @@ def regions_from_labels_by_cells(width, height, labels):
                     rid_of[j] = rid
                     comp.append(j)
         comps.append(comp)
-    regions = {rid: frozenset(map(cells.__getitem__, comp)) for rid, comp in enumerate(comps)}
-    return RegionDecomposition(width, height, dict(zip(cells, rid_of)), regions)
+    decomp = RegionDecomposition(width, height, rid_of)
+    # this fill's own regions, where the package caches its own
+    decomp.__dict__["regions"] = [list(map(cells.__getitem__, sorted(comp))) for comp in comps]
+    return decomp

@@ -18,7 +18,7 @@ from loopforge.hamilton import (
     hamiltonian_cycles,
     random_candidate_subgraph,
 )
-from loopforge.model import HamCycle, LoopPath
+from loopforge.model import HamCycle, LoopPath, board_cells
 from loopforge.reduction import (
     certify_gadget,
     embed_cycle,
@@ -124,14 +124,15 @@ def test_criterion_4_dead_region_suite_on_compiled_instances():
                 decomp = inst.regions
                 big = big_region_ids(inst, GADGET.tile(g, plan))
                 dead = report.dead_ids()
-                for rid, cells in decomp.regions.items():
+                for rid, cells in enumerate(decomp.regions):
                     if len(cells) == 1:
                         assert rid in report.enclosing
                     elif rid not in big:
                         assert rid in dead and report.leaf_counts[rid] >= 3
-                for (x, y), rid in decomp.region_of.items():
+                for x, y in board_cells(inst.width, inst.height):
+                    rid = decomp.region_at((x, y))
                     for n in ((x + 1, y), (x, y + 1)):
-                        other = decomp.region_of.get(n)
+                        other = decomp.region_at(n)
                         if other is not None and other != rid:
                             assert not (rid in dead and other in dead)
     elapsed = time.perf_counter() - t0

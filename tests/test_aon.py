@@ -11,7 +11,7 @@ from loopforge.errors import CompileError, MalformedLoopError, ParseError, Searc
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.loopsearch import SearchResult, _Nodes
-from loopforge.model import LoopPath, are_orthogonal, full_grid, regions_from_labels
+from loopforge.model import LoopPath, are_orthogonal, board_cells, full_grid, regions_from_labels
 from loopforge.regionsearch import RegionCycles
 from loopforge.aon import (
     FIXED_LEAF_CELLS,
@@ -95,7 +95,7 @@ def random_wall_boards():
         walls = rng.sample(wall_pool, rng.randint(0, 10))
         b = boundary_edges(walls)
         decomp = regions_from_boundaries(4, 4, b)
-        names = tuple(region_token(i) for i in sorted(decomp.regions))
+        names = tuple(map(region_token, range(region_count(decomp))))
         inst = AonInstance(4, 4, decomp, names)
         if not analyze_dead_regions(inst).enclosing:
             yield inst
@@ -105,9 +105,9 @@ def gadget_regions():
     """The canonical gadget board's decomposition, its big region (the W
     exit's), its one-cell region and its filler parts (the other regions)."""
     decomp = gadget_board(0).regions
-    big_id = decomp.region_of[GADGET_EXIT_CELLS[Direction.W]]
-    one_id = decomp.region_of[ONE_CELL_REGION_CELL]
-    parts = [cells for rid, cells in decomp.regions.items() if rid not in (big_id, one_id)]
+    big_id = decomp.region_at(GADGET_EXIT_CELLS[Direction.W])
+    one_id = decomp.region_at(ONE_CELL_REGION_CELL)
+    parts = [cells for rid, cells in enumerate(decomp.regions) if rid not in (big_id, one_id)]
     return decomp, decomp.regions[big_id], decomp.regions[one_id], parts
 
 
@@ -115,17 +115,17 @@ class TestGadgetGeometry:
     def test_part_sizes(self):
         _, big, one_cell, parts = gadget_regions()
         assert len(big) == 71
-        assert one_cell == frozenset({ONE_CELL_REGION_CELL})
+        assert one_cell == [ONE_CELL_REGION_CELL]
         assert sorted(len(p) for p in parts) == [9, 9, 31]
 
     def test_each_part_has_exactly_its_three_marker_leaves(self):
         decomp, _, _, parts = gadget_regions()
         markers = set(FIXED_LEAF_CELLS) | set(RIM_LEAF_CELLS)
         for part in parts:
-            rid = decomp.region_of[min(part)]
+            rid = decomp.region_at(min(part))
             leaves = decomp.leaves[rid]
             assert len(leaves) == 3
-            assert leaves <= markers
+            assert set(leaves) <= markers
 
     def test_exit_cells_on_midlines_of_their_sides(self):
         assert GADGET_EXIT_CELLS[Direction.W] == (0, 5)
@@ -263,7 +263,7 @@ class TestVerify:
         cells = ((3, 2), (3, 1), (4, 1), (4, 0), (5, 0), (5, 1), (5, 2), (4, 2))
         verdict = verify_aon(inst, loop(*cells))
         assert 2 in verdict.rules_broken()
-        host = inst.region_names[inst.regions.region_of[(3, 1)]]
+        host = inst.region_names[inst.regions.region_at((3, 1))]
         assert any(v.rule == 2 and host in v.message for v in verdict.violations)
 
 
@@ -295,9 +295,9 @@ class TestCompile:
         plan = plan_for(g)
         inst = compile_aon(g, plan)
         assert (inst.width, inst.height) == (22, 22)
-        assert len(inst.regions.region_of) == 484
+        assert len(inst.regions.ids) == 484
         assert len(big_region_ids(inst, GADGET.tile(g, plan))) == 4
-        one_cells = [rid for rid, cells in inst.regions.regions.items()
+        one_cells = [rid for rid, cells in enumerate(inst.regions.regions)
                      if len(cells) == 1]
         assert len(one_cells) == 4
 
@@ -331,9 +331,9 @@ class TestCompile:
         g = full_grid(2, 2)
         inst = compile_aon(g, plan_for(g))
         back = parse_aon(emit_aon(inst))
-        assert back.regions.regions.keys() == inst.regions.regions.keys()
-        for rid in inst.regions.regions:
-            assert back.regions.regions[rid] == inst.regions.regions[rid]
+        assert region_count(back.regions) == region_count(inst.regions)
+        for rid, cells in enumerate(inst.regions.regions):
+            assert back.regions.regions[rid] == cells
 
     def test_plan_graph_mismatch_rejected(self):
         g, other = full_grid(2, 2), full_grid(2, 3)
@@ -392,10 +392,11 @@ class TestCompile:
                 inst = compile_aon(g, plan_for(g, rule))
                 report = analyze_dead_regions(inst)
                 dead = report.dead_ids()
-                region_of = inst.regions.region_of
-                for (x, y), rid in region_of.items():
+                region_at = inst.regions.region_at
+                for x, y in board_cells(inst.width, inst.height):
+                    rid = region_at((x, y))
                     for n in ((x + 1, y), (x, y + 1)):
-                        other = region_of.get(n)
+                        other = region_at(n)
                         if other is None or other == rid:
                             continue
                         assert not (rid in dead and other in dead)
@@ -407,8 +408,9 @@ class TestCompile:
             plan = plan_for(g)
             inst = compile_aon(g, plan)
             for a, b in compiled_walls(GADGET.tile(g, plan)):
-                if a in inst.regions.region_of and b in inst.regions.region_of:
-                    assert inst.regions.region_of[a] != inst.regions.region_of[b]
+                ra, rb = inst.regions.region_at(a), inst.regions.region_at(b)
+                if ra is not None and rb is not None:
+                    assert ra != rb
 
     def test_marker_cells_in_tiled_instances(self):
         # rim markers stay leaves when walled (outer border or a facing
@@ -431,36 +433,35 @@ class TestCompile:
 
                 for marker in FIXED_LEAF_CELLS:
                     cell = place(marker)
-                    rid = decomp.region_of[cell]
+                    rid = decomp.region_at(cell)
                     assert cell in decomp.leaves[rid]
                 for marker, side in RIM_MARKER_SIDES.items():
                     cell = place(marker)
                     out = side.rotated(turns)
                     across = (cell[0] + out.dx, cell[1] + out.dy)
-                    rid = decomp.region_of[cell]
-                    off_board = across not in decomp.region_of
+                    rid = decomp.region_at(cell)
+                    off_board = decomp.region_at(across) is None
                     walled = (not off_board) and blocks(walls, cell, across)
                     if off_board or walled:
                         assert cell in decomp.leaves[rid]
                     else:
                         assert across in filler
-                        assert decomp.region_of[across] == rid
+                        assert decomp.region_at(across) == rid
 
 
 def _filler_cells(inst, tiling):
     big = set()
     for rid in big_region_ids(inst, tiling):
-        big |= inst.regions.regions[rid]
-    one_cells = {next(iter(cells))
-                 for cells in inst.regions.regions.values() if len(cells) == 1}
-    return {c for c in inst.regions.region_of
+        big.update(inst.regions.regions[rid])
+    one_cells = {cells[0] for cells in inst.regions.regions if len(cells) == 1}
+    return {c for c in board_cells(inst.width, inst.height)
             if c not in big and c not in one_cells}
 
 
 def assert_same_regions(labelled, walled):
     """The region-label decomposition ``labelled`` equals the wall fill's
     ``walled``: ids, cell order, regions, leaves and touching pairs."""
-    assert list(labelled.region_of.items()) == list(walled.region_of.items())
+    assert labelled.ids == walled.ids
     assert labelled.regions == walled.regions
     assert labelled.leaves == walled.leaves
     assert list(labelled.touching.items()) == list(walled.touching.items())
@@ -477,8 +478,8 @@ def assert_compile_matches_labels(inst, tiling):
               for cell, tok in zip(cells, tokens)}
     filled = regions_from_labels(inst.width, inst.height, labels)
     assert_same_regions(inst.regions, filled)
-    assert list(inst.regions.regions) == list(filled.regions)
-    assert big_region_ids(inst, tiling) == {filled.region_of[c] for c, lab in labels.items()
+    assert region_count(inst.regions) == region_count(filled)
+    assert big_region_ids(inst, tiling) == {filled.region_at(c) for c, lab in labels.items()
                                             if lab and lab[1] == "B"}
 
 
@@ -510,10 +511,11 @@ class TestWallOracle:
         walls = gadget_walls(turns)
         assert len(walls) == 58
         for a, b in walls:
-            if a in decomp.region_of and b in decomp.region_of:
-                assert decomp.region_of[a] != decomp.region_of[b]
-        big = decomp.region_of[GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])[0]]
-        one = decomp.region_of[GADGET.place((0, 0), turns, [ONE_CELL_REGION_CELL])[0]]
+            ra, rb = decomp.region_at(a), decomp.region_at(b)
+            if ra is not None and rb is not None:
+                assert ra != rb
+        big = decomp.region_at(GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])[0])
+        one = decomp.region_at(GADGET.place((0, 0), turns, [ONE_CELL_REGION_CELL])[0])
         for pair in decomp.touching:
             assert big in pair or one in pair
 
@@ -523,11 +525,11 @@ class TestWallOracle:
         # walled apart, and one label for all filler cells is exact
         decomp = gadget_board(turns).regions
         exits = GADGET.place((0, 0), turns, GADGET_EXIT_CELLS.values())
-        big = decomp.regions[decomp.region_of[exits[0]]]
+        big = decomp.regions[decomp.region_at(exits[0])]
         flanked = set()
         for a, b in gadget_walls(turns):
-            if (a in decomp.region_of) != (b in decomp.region_of):
-                cell = a if a in decomp.region_of else b
+            if (decomp.region_at(a) is None) != (decomp.region_at(b) is None):
+                cell = a if decomp.region_at(a) is not None else b
                 assert cell in big
                 assert min(abs(cell[0] - e[0]) + abs(cell[1] - e[1]) for e in exits) <= 1
                 flanked.add(cell)
@@ -558,7 +560,7 @@ class TestDeadRegions:
         big = big_region_ids(inst, GADGET.tile(g, plan))
         dead = report.dead_ids()
         assert len(big) == 4 and not big & dead
-        assert dead | big == set(inst.regions.regions)
+        assert dead | big == set(range(region_count(inst.regions)))
         assert len(report.enclosing) == 4
         for rid, host in report.enclosing.items():
             assert len(inst.regions.regions[rid]) == 1
@@ -572,7 +574,7 @@ class TestDeadRegions:
             inst = compile_aon(g, plan)
             report = analyze_dead_regions(inst)
             filler = _filler_cells(inst, GADGET.tile(g, plan))
-            filler_ids = {inst.regions.region_of[c] for c in filler}
+            filler_ids = {inst.regions.region_at(c) for c in filler}
             for rid in filler_ids:
                 assert rid in report.dead_ids() and rid not in report.enclosing
                 assert report.leaf_counts[rid] >= 3
@@ -585,7 +587,7 @@ class TestDeadRegions:
     def test_nested_singleton_is_enclosure_dead(self):
         inst = parse_aon(NESTED_INSTANCE)
         report = analyze_dead_regions(inst)
-        rid = inst.regions.region_of[(3, 2)]
+        rid = inst.regions.region_at((3, 2))
         assert rid in report.enclosing and rid in report.dead_ids()
 
     def test_report_equality_sees_fields(self):
@@ -853,7 +855,7 @@ def label_boards():
     for _ in range(300):
         labels = {(x, y): rng.randrange(5) for x in range(4) for y in range(4)}
         decomp = regions_from_labels(4, 4, labels)
-        yield AonInstance(4, 4, decomp, tuple(region_token(r) for r in sorted(decomp.regions)))
+        yield AonInstance(4, 4, decomp, tuple(map(region_token, range(region_count(decomp)))))
 
 
 # hand-made edge cases: two one-cell regions side by side, and a board on
@@ -949,8 +951,8 @@ class TestRegionSolve:
         assert set(tiling.values()) == {0, 1, 2, 3}
         dead = analyze_dead_regions(inst).dead_ids()
         nodes = _Nodes(None)
-        search = RegionCycles(inst.regions, [r for r in inst.regions.regions if r not in dead],
-                              nodes)
+        search = RegionCycles(inst.regions, [r for r in range(region_count(inst.regions))
+                                             if r not in dead], nodes)
         for r in big_region_ids(inst, tiling):
             for a in search.ports[r]:
                 for b in search.ports[r]:
@@ -960,7 +962,7 @@ class TestRegionSolve:
                         first = row.paths[0]
                         path = tuple(map(back.__getitem__, first[::-1] if flip else first))
                         assert (path[0], path[-1]) == (a, b)
-                        assert sorted(path) == sorted(inst.regions.regions[r])
+                        assert sorted(path) == inst.regions.regions[r]
                         assert all(map(are_orthogonal, path, path[1:]))
         assert (len(search.rows), nodes.count) == (3, 338)
 

@@ -246,31 +246,32 @@ class TestRegions:
     def test_no_boundaries_single_region(self):
         r = regions_from_labels(2, 2, labels(2, 2))
         assert region_count(r) == 1
-        assert r.leaves[0] == frozenset()
+        assert r.leaves[0] == []
 
     def test_path_board_has_two_leaves(self):
         r = regions_from_labels(1, 3, labels(1, 3))
         assert region_count(r) == 1
-        assert r.leaves[0] == frozenset({(0, 0), (0, 2)})
+        assert r.leaves[0] == [(0, 0), (0, 2)]
 
     def test_wall_splits_board(self):
         r = regions_from_labels(2, 3, labels(2, 3, lambda c: c[0]))
         assert region_count(r) == 2
-        assert r.regions[r.region_of[(0, 0)]] == frozenset({(0, 0), (0, 1), (0, 2)})
+        assert r.regions[r.region_at((0, 0))] == [(0, 0), (0, 1), (0, 2)]
 
     def test_none_labels_stay_on_the_board(self):
         # None is a label like any other: it must not match the cells past
         # the edge, which no label matches
         r = regions_from_labels(3, 2, labels(3, 2, lambda c: None))
         assert region_count(r) == 1
-        assert r.regions[0] == frozenset(labels(3, 2))
-        assert set(r.region_of) == set(labels(3, 2))
-        assert r.leaves[0] == frozenset()
+        assert r.regions[0] == sorted(labels(3, 2))
+        assert r.ids == [0] * 6
+        assert r.leaves[0] == []
 
     def test_equal_labels_apart_are_separate_regions(self):
         r = regions_from_labels(3, 1, labels(3, 1, lambda c: c[0] == 1))
-        assert r.region_of == {(0, 0): 0, (1, 0): 1, (2, 0): 2}
-        assert r.leaves == {0: frozenset(), 1: frozenset(), 2: frozenset()}
+        assert r.ids == [0, 1, 2]
+        assert r.leaves == [[], [], []]
+        assert r.neighbours == [0b010, 0b101, 0b010]
 
     def test_labels_must_cover_the_board_exactly(self):
         with pytest.raises(ValueError):
@@ -284,7 +285,7 @@ class TestRegions:
             regions_from_labels(2, 1, {(0, 0): "a", (-1, 0): "a"})
 
     def test_sample_instance_region_sizes(self, aon_fixture):
-        sizes = sorted(len(c) for c in aon_fixture.regions.regions.values())
+        sizes = sorted(len(c) for c in aon_fixture.regions.regions)
         assert sizes == [1, 2, 4, 5, 5, 8]
 
     def test_idempotent_under_outer_border(self):
@@ -327,12 +328,12 @@ class TestRegions:
 
 def assert_fills_agree(width, height, labels):
     """The run fill and the cell fill give the same decomposition: the
-    same ``region_of`` in the same key order, and the same regions, leaves
-    and touching pairs, the last in the same order."""
+    same region ids in board order, and the same regions, leaves and
+    touching pairs, the last in the same order."""
     got = regions_from_labels(width, height, labels)
     want = regions_from_labels_by_cells(width, height, labels)
-    assert list(got.region_of.items()) == list(want.region_of.items())
-    assert list(got.regions.items()) == list(want.regions.items())
+    assert got.ids == want.ids
+    assert got.regions == want.regions
     assert got.leaves == want.leaves
     assert list(got.touching.items()) == list(want.touching.items())
 
@@ -388,7 +389,7 @@ class TestRunFill:
         for g in enumerate_candidate_subgraphs(cols, rows):
             plan = plan_for(g)
             inst = compile_aon(g, plan)
-            names = list(map(inst.region_name, inst.regions.region_of.values()))
+            names = list(map(inst.region_names.__getitem__, inst.regions.ids))
             assert_fills_agree(inst.width, inst.height, names)
             ww = compile_ww(g, plan)
             cells = product(range(ww.width), range(ww.height))
@@ -463,6 +464,18 @@ class TestBoundaryCrossings:
         with pytest.raises(ValueError):
             boundary_crossings(loop, r, 99)
 
+    def test_off_board_cells_lie_in_no_region(self):
+        # two columns, one region each: a cell at x = -1 or y = height must
+        # not wrap round the board-order list onto another column's region
+        r = regions_from_labels(2, 2, labels(2, 2, lambda c: c[0]))
+        for cell in ((-1, 0), (-1, 1), (0, -1), (0, 2), (2, 0), (1, 2)):
+            assert r.region_at(cell) is None
+        assert [r.region_at(c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 0, 1, 1]
+        around = LoopPath(((-1, 0), (0, 0), (1, 0), (1, 1), (1, 2), (0, 2), (-1, 2), (-1, 1)))
+        assert crossings_by_region(around, r) == {0: 2, 1: 2}
+        top = LoopPath(((0, 1), (0, 2), (1, 2), (1, 1)))
+        assert crossings_by_region(top, r) == {0: 2, 1: 2}
+
     def test_loop_inside_region_crosses_zero(self):
         r = regions_from_labels(3, 3, labels(3, 3))
         loop = LoopPath(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -470,7 +483,7 @@ class TestBoundaryCrossings:
 
     def test_single_cell_region_crossed_twice(self, aon_fixture, aon_fixture_loop):
         decomp = aon_fixture.regions
-        rid = decomp.region_of[(2, 2)]
+        rid = decomp.region_at((2, 2))
         assert len(decomp.regions[rid]) == 1
         assert boundary_crossings(aon_fixture_loop, decomp, rid) == 2
 
@@ -479,7 +492,7 @@ class TestBoundaryCrossings:
         loop = LOOPS_4X4[data.draw(st.integers(0, len(LOOPS_4X4) - 1))]
         walls = data.draw(st.sets(st.sampled_from(WALLS_4X4), max_size=10))
         r = regions_from_boundaries(4, 4, boundary_edges(walls))
-        for rid in r.regions:
+        for rid in range(region_count(r)):
             assert boundary_crossings(loop, r, rid) % 2 == 0
 
     @given(st.data())
@@ -488,13 +501,13 @@ class TestBoundaryCrossings:
         walls = data.draw(st.sets(st.sampled_from(WALLS_4X4), max_size=10))
         r = regions_from_boundaries(4, 4, boundary_edges(walls))
         counts = crossings_by_region(loop, r)
-        assert set(counts) <= set(r.regions)
+        assert set(counts) <= set(range(region_count(r)))
         n = len(loop.cells)
-        for rid in r.regions:
+        for rid in range(region_count(r)):
             # the per-region definition: positions where inside flips
             flips = sum(1 for i in range(n)
-                        if (r.region_of[loop.cells[i]] == rid)
-                        != (r.region_of[loop.cells[(i + 1) % n]] == rid))
+                        if (r.region_at(loop.cells[i]) == rid)
+                        != (r.region_at(loop.cells[(i + 1) % n]) == rid))
             assert counts.get(rid, 0) == boundary_crossings(loop, r, rid) == flips
 
     @given(st.data())
@@ -504,10 +517,10 @@ class TestBoundaryCrossings:
         loop = LOOPS_4X4[data.draw(st.integers(0, len(LOOPS_4X4) - 1))]
         walls = data.draw(st.sets(st.sampled_from(WALLS_4X4), max_size=10))
         r = regions_from_boundaries(4, 4, boundary_edges(walls))
-        for rid in r.regions:
+        for rid in range(region_count(r)):
             crossings = boundary_crossings(loop, r, rid)
             arcs = loop_arc_count(loop, r, rid)
-            inside = sum(1 for c in loop.cells if r.region_of[c] == rid)
+            inside = sum(1 for c in loop.cells if r.region_at(c) == rid)
             if inside == len(loop):
                 assert crossings == 0 and arcs == 1
             else:

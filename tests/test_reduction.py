@@ -16,7 +16,7 @@ from loopforge.hamilton import (
     random_candidate_subgraph,
 )
 from loopforge.loopsearch import LoopConstraint, search_loops, search_paths
-from loopforge.model import LoopPath, full_grid, regions_from_labels
+from loopforge.model import LoopPath, board_cells, full_grid, regions_from_labels
 from loopforge.reduction import (
     certify_gadget,
     emit_certificate,
@@ -418,7 +418,7 @@ class TestCertificates:
                 return inst
             marker, exit_cell = aon.GADGET.place(
                 (0, 0), t, [aon.FIXED_LEAF_CELLS[0], aon.GADGET_EXIT_CELLS[Direction.W]])
-            labels = dict(inst.regions.region_of)
+            labels = dict(zip(board_cells(aon.FRAME, aon.FRAME), inst.regions.ids))
             labels[marker] = labels[exit_cell]
             return dataclasses.replace(
                 inst, regions=regions_from_labels(aon.FRAME, aon.FRAME, labels))

@@ -140,8 +140,8 @@ def _emit_ww_cost(n):
 
 def _layer_call(layer, puzzle, n):
     """``layer`` on serpentine n compiled for ``puzzle``: the function, its
-    arguments, and the units of its cost, board cells for ``render_svg``
-    and ``parse_aon`` and loop cells for the others."""
+    arguments, and the units of its cost, board cells for ``render_svg``,
+    ``compile_aon`` and ``parse_aon`` and loop cells for the others."""
     g, cycle = serpentine(n)
     plan = plan_for(g)
     inst = puzzle_of(puzzle).compile(g, plan)
@@ -149,6 +149,8 @@ def _layer_call(layer, puzzle, n):
     cells = inst.width * inst.height
     if layer == "render_svg":
         return render_svg, (inst, loop), cells
+    if layer == "compile_aon":
+        return compile_aon, (g, plan), cells
     if layer == "parse_aon":
         return parse_aon, (emit_aon(inst),), cells
     if layer == "parse_loop":
@@ -192,6 +194,7 @@ def test_layer_grows_at_most_twice_linear(cost):
 PER_CELL_LINES = {
     ("render_svg", "aon"): 10.7,
     ("render_svg", "ww"): 10.2,
+    ("compile_aon", "aon"): 3.06,
     ("parse_aon", "aon"): 18.2,
     ("parse_loop", "aon"): 22.0,
     ("embed_cycle", "aon"): 14.5,
