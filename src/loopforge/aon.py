@@ -32,14 +32,16 @@ from operator import gt
 from .errors import CompileError, ParseError
 from .fileio import AON_BOARD
 from .framework import Direction, ExitPlan, Gadget
-from .loopsearch import (
+# search_loops stays importable from here: perfbench's tracer rebinds it
+# wherever a module holds it, and its tests read it from this module
+from .loopsearch import (  # noqa: F401
     LoopConstraint,
     SearchResult,
     _collect,
     _Nodes,
-    metered,
     search_loops,
     solver_cap,
+    walk_loops,
 )
 from .model import (
     Cell,
@@ -376,7 +378,8 @@ def solve_aon(
     (two touching dead regions make the board unsatisfiable outright).  A
     loop that leaves every other region unvisited may stay inside one
     region, or pass through an enclosed one-cell region and its host
-    alone: those come from the cell search on their cells.  Every other
+    alone: those are drawn from the cell search on their cells, one loop
+    at a time, so the search stops once ``cap`` loops are in.  Every other
     loop visits a cycle of two or more live regions, each once, covering
     each by one Hamiltonian path between the cells it enters and leaves
     at; :class:`~loopforge.regionsearch.RegionCycles` searches those
@@ -411,8 +414,7 @@ def solve_aon(
             # an enclosed cell and its host share one pair
             if sum(degree[r] for r in rids) - len(rids) + 1 == len(decomp.touching):
                 cells = [c for r in rids for c in decomp.regions[r]]
-                yield from metered(nodes, search_loops, cells, cells, LoopConstraint,
-                                   cap=cap).loops
+                yield from walk_loops(cells, cells, LoopConstraint, nodes)
         if set(live) == required:
             live_cells = [c for r in live for c in decomp.regions[r]]
             if 2 * sum((x + y) & 1 for x, y in live_cells) != len(live_cells):

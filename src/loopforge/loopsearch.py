@@ -267,8 +267,9 @@ class _Grid:
 
 class _Nodes:
     """Search nodes spent so far, counted against one budget by every walk
-    of a search.  A budget of 0 stops at the first node; a negative one
-    raises :class:`ValueError`."""
+    of a search: each solve, certificate and public search call makes one
+    and passes it to every walk under it.  A budget of 0 stops at the first
+    node; a negative one raises :class:`ValueError`."""
 
     def __init__(self, budget: int | None):
         if budget is not None and budget < 0:
@@ -280,30 +281,6 @@ class _Nodes:
         self.count += 1
         if self.budget is not None and self.count > self.budget:
             raise SearchBudgetExceeded(self.count)
-
-    def left(self) -> int | None:
-        """The nodes the budget still allows, or None without a budget."""
-        return None if self.budget is None else self.budget - self.count
-
-    def charge(self, n: int):
-        """Count ``n`` nodes spent elsewhere, stopping as a tick would once
-        they are past the budget."""
-        self.count += n
-        if self.budget is not None and self.count > self.budget:
-            raise SearchBudgetExceeded(self.count)
-
-
-def metered(nodes: _Nodes, search, *args, **kwargs):
-    """``search(*args, **kwargs)`` under what is left of the call's budget,
-    its nodes charged to the call.  A stop set inside the search escapes as
-    it came."""
-    try:
-        res: SearchResult = search(*args, budget=nodes.left(), **kwargs)
-    except SearchBudgetExceeded as e:
-        nodes.charge(e.nodes)  # raises when the call's budget is spent
-        raise
-    nodes.charge(res.nodes)
-    return res
 
 
 def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
@@ -604,6 +581,30 @@ def _collect(found: Iterator, cap: int | None, nodes: _Nodes) -> SearchResult:
     return SearchResult(items, nodes.count, True)
 
 
+def walk_loops(allowed: Iterable[Cell], required: Iterable[Cell],
+               make_constraint: Callable[[], LoopConstraint],
+               nodes: _Nodes) -> Iterator[LoopPath]:
+    """Lazily yield, in canonical form, the loops over ``allowed`` cells
+    that visit every ``required`` cell and satisfy the constraint, every
+    walk ticking ``nodes``."""
+    allowed_sorted = sorted(set(allowed))
+    required_set = set(required)
+    if required_set - set(allowed_sorted):
+        return
+    # (cells of the walk, its root): a loop through a required cell is
+    # rooted there; otherwise at its smallest cell, the anchor
+    if required_set:
+        roots = [(allowed_sorted, min(required_set))]
+    else:
+        roots = ((allowed_sorted[i:], anchor) for i, anchor in enumerate(allowed_sorted))
+    for cells, root in roots:
+        grid = _Grid(cells)
+        start = grid.index[root]
+        for path in _walk(grid, start, start, map(grid.index.get, required_set),
+                          make_constraint(), nodes):
+            yield LoopPath(path).canonical()
+
+
 def search_loops(
     allowed: Iterable[Cell],
     required: Iterable[Cell],
@@ -617,29 +618,7 @@ def search_loops(
     found (result marked non-exhausted); ``cap`` must be at least 1."""
     _check_cap(cap)
     nodes = _Nodes(budget)
-    allowed_sorted = sorted(set(allowed))
-    required_set = set(required)
-    if required_set - set(allowed_sorted):
-        return SearchResult([], 0, True)
-
-    def roots():
-        # (cells of the walk, its root): a loop through a required cell is
-        # rooted there; otherwise at its smallest cell, the anchor
-        if required_set:
-            yield allowed_sorted, min(required_set)
-        else:
-            for i, anchor in enumerate(allowed_sorted):
-                yield allowed_sorted[i:], anchor
-
-    def loops():
-        for cells, root in roots():
-            grid = _Grid(cells)
-            start = grid.index[root]
-            for path in _walk(grid, start, start, map(grid.index.get, required_set),
-                              make_constraint(), nodes):
-                yield LoopPath(path).canonical()
-
-    return _collect(loops(), cap, nodes)
+    return _collect(walk_loops(allowed, required, make_constraint, nodes), cap, nodes)
 
 
 def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]],
@@ -662,27 +641,27 @@ def path_search(
     allowed: Iterable[Cell],
     required: Iterable[Cell],
     make_constraint: Callable[[], LoopConstraint],
-) -> Callable[..., SearchResult]:
-    """The search ``paths(start, goal, *, cap=None, budget=None)`` of
-    :func:`search_paths` over ``allowed`` cells covering every ``required``
-    cell: the cells are indexed once, and every call walks the same grid."""
-    allowed_sorted = sorted(set(allowed))
-    grid = _Grid(allowed_sorted)
+    neighbors: Callable[[Cell], Iterable[Cell]] = orthogonal_neighbors,
+) -> Callable[[Cell, Cell, _Nodes], Iterator[tuple[Cell, ...]]]:
+    """The search ``paths(start, goal, nodes)`` over ``allowed`` cells
+    covering every ``required`` cell: a lazy iterator of the paths of
+    :func:`search_paths` as cell tuples, its walk ticking ``nodes``.  The
+    cells are indexed once, their neighbors tried in the order
+    ``neighbors`` gives, and every call walks the same grid.  A call raises
+    :class:`ValueError` unless ``start`` and ``goal`` are distinct allowed
+    cells."""
+    grid = _Grid(sorted(set(allowed)), neighbors)
     index = grid.index
     required_set = set(required)
     missing = not required_set <= index.keys()
     req_idx = [index[c] for c in required_set if c in index]
 
-    def paths(start: Cell, goal: Cell, *, cap: int | None = None,
-              budget: int | None = None) -> SearchResult:
-        _check_cap(cap)
-        nodes = _Nodes(budget)
+    def paths(start: Cell, goal: Cell, nodes: _Nodes) -> Iterator[tuple[Cell, ...]]:
         if start not in index or goal not in index or start == goal:
             raise ValueError("start/goal must be distinct allowed cells")
         if missing:
-            return SearchResult([], 0, True)
-        found = _walk(grid, index[start], index[goal], req_idx, make_constraint(), nodes)
-        return _collect(found, cap, nodes)
+            return iter(())
+        return _walk(grid, index[start], index[goal], req_idx, make_constraint(), nodes)
 
     return paths
 
@@ -700,4 +679,7 @@ def search_paths(
     """Enumerate simple paths from ``start`` to ``goal`` over ``allowed``
     cells covering every ``required`` cell.  The goal cell is terminal: a
     path may not pass through it and continue.  ``cap`` must be at least 1."""
-    return path_search(allowed, required, make_constraint)(start, goal, cap=cap, budget=budget)
+    _check_cap(cap)
+    nodes = _Nodes(budget)
+    found = path_search(allowed, required, make_constraint)(start, goal, nodes)
+    return _collect(found, cap, nodes)

@@ -23,7 +23,7 @@ from .framework import (
 from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
 # search_paths stays importable from here: perfbench's tracer rebinds it
 # wherever a module holds it, and its tests read it from this module
-from .loopsearch import SearchResult, _Nodes, metered, path_search, search_paths  # noqa: F401
+from .loopsearch import _Nodes, path_search, search_paths  # noqa: F401
 from .model import Cell, GridGraph, HamCycle, LoopPath
 
 PUZZLES = ("aon", "ww")
@@ -39,7 +39,8 @@ class Puzzle:
     and the rules factory of the pinned traversal search with the gadget
     rotated by ``turns``.  ``gadget_audit(turns, traversals, paths)`` gives
     the blocked-side counts and the puzzle's findings from the traversals
-    found per exit pair; ``paths(start, goal)`` runs one more such search,
+    found per exit pair; ``paths(start, goal)`` gives, as a tuple, the
+    traversals of one more such search from ``start`` to ``goal``, walked
     under the certificate's budget and counted in its nodes."""
 
     name: str
@@ -173,12 +174,6 @@ class GadgetCertificate:
     nodes: int
     elapsed: float = field(compare=False)  # wall time, not part of the result
 
-    def count(self, a: Direction, b: Direction) -> int:
-        key = frozenset({a, b})
-        if key in self.pair_counts:
-            return self.pair_counts[key]
-        return self.blocked_side_counts[key]
-
 
 def _pair_key(a: Direction, b: Direction) -> str:
     names = sorted((a.name, b.name))
@@ -210,15 +205,15 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     nodes = _Nodes(budget)
     search = path_search(*p.gadget_harness(turns))
 
-    def paths(start: Cell, goal: Cell) -> SearchResult:
-        return metered(nodes, search, start, goal)
+    def paths(start: Cell, goal: Cell) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(search(start, goal, nodes))
 
     exits = [d.rotated(turns) for d in sorted(gadget.exit_cells, key=lambda d: d.name)]
     traversals: dict[frozenset[Direction], tuple] = {}
     for i, a in enumerate(exits):
         for b in exits[i + 1:]:
-            res = paths(gadget.board_exit((0, 0), turns, a), gadget.board_exit((0, 0), turns, b))
-            traversals[frozenset({a, b})] = tuple(res.loops)
+            traversals[frozenset({a, b})] = paths(gadget.board_exit((0, 0), turns, a),
+                                                  gadget.board_exit((0, 0), turns, b))
     pair_counts = {pair: len(found) for pair, found in traversals.items()}
     blocked_counts, findings = p.gadget_audit(turns, traversals, paths)
 

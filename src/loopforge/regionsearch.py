@@ -5,10 +5,10 @@ a cycle of them, each once, and covers each by one Hamiltonian path of the
 region between the cell it enters at and the cell it leaves from.  Those
 cells are ports: cells of a live (not dead) region with a neighbor in
 another live region.  Whether a Hamiltonian path of a region joins two
-ports is a row, decided by one walk of the cell engine on the region
-alone, stepped on the search's own node meter, so budgets and node counts
-see its nodes.  The walk tries a cell's neighbors fewest neighbors first
-(Warnsdorff's rule).
+ports is a row, decided by one walk of the cell engine's path search on
+the region alone, ticking the search's node meter, so budgets and node
+counts see its nodes.  The walk tries a cell's neighbors fewest neighbors
+first (Warnsdorff's rule).
 
 Rows are kept for one search, keyed on the region's shape up to
 translation and rotation (its canonical frame) with the port pair
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .loopsearch import LoopConstraint, _Grid, _Nodes, _walk
+from .loopsearch import LoopConstraint, _Nodes, path_search
 from .model import Cell, LoopPath, RegionDecomposition, orthogonal_neighbors, turn
 
 
@@ -84,9 +84,7 @@ def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes) -> _Drawn:
     def neighbors(c: Cell) -> list[Cell]:
         return sorted((n for n in orthogonal_neighbors(c) if n in cells), key=degree.__getitem__)
 
-    grid = _Grid(list(shape), neighbors)
-    return _Drawn(_walk(grid, grid.index[a], grid.index[b], range(len(shape)),
-                        LoopConstraint(), nodes))
+    return _Drawn(path_search(shape, shape, LoopConstraint, neighbors)(a, b, nodes))
 
 
 def _combinations(drawn: list[_Drawn]):

@@ -281,7 +281,7 @@ def gadget_audit(turns: int, traversals, paths):
     (goal,) = GADGET.place((0, 0), turns, [GADGET_BLOCKED_CELL])
     exits = sorted({d for pair in traversals for d in pair}, key=lambda d: d.name)
     counts = {frozenset({a, blocked}):
-              len(paths(GADGET.board_exit((0, 0), turns, a), goal).loops) for a in exits}
+              len(paths(GADGET.board_exit((0, 0), turns, a), goal)) for a in exits}
     return counts, ()
 
 

@@ -865,6 +865,8 @@ EDGE_BOARDS = ("aon 3 3\nA B C\nC C C\nC C C\n", "aon 4 2\nA A B B\nA A B B\n")
 # leaves no other region unvisited, so the cell walk, which takes the one
 # cell as dead, misses it
 ENCLOSED_BOARD = "aon 4 3\nH H H H\nH D H H\nH H H H\n"
+# two 4x4 regions side by side: every loop stays inside one of them
+TWO_BLOCKS = "aon 8 4\n" + "A A A A B B B B\n" * 4
 
 
 def _frontier_board():
@@ -984,6 +986,31 @@ class TestRegionSolve:
             return solve_aon(two, mode="all", cap=cap).nodes
 
         assert nodes(5_000) - nodes(2_000) >= 3_000
+
+    @pytest.mark.parametrize("cap, found, nodes", [(1, 1, 16), (6, 6, 81), (7, 7, 183),
+                                                   (None, 164, 852)])
+    def test_a_capped_search_stops_at_its_cap(self, cap, found, nodes):
+        # each block holds 6 loops alone, found first, A's in 81 nodes; the
+        # other 152 visit both.  A capped search stops walking B once the
+        # cap is met, not once B has given it a cap of its own, so it holds
+        # a budget of the nodes it returns
+        inst = parse_aon(TWO_BLOCKS)
+        res = solve_aon(inst, mode="all", cap=cap)
+        assert (len(res.loops), res.nodes, res.exhausted) == (found, nodes, cap is None)
+        assert solve_aon(inst, mode="all", cap=cap, budget=nodes) == res
+        if cap is None:
+            assert [len(l.cells) for l in res.loops[:13]] == [16] * 12 + [32]
+            assert sorted(l.cells for l in res.loops) == \
+                sorted(l.cells for l in solve_aon_by_cells(inst, mode="all").loops)
+
+    @pytest.mark.parametrize("mode, cap, paths", [("first", None, 2), ("all", 20, 21)])
+    def test_row_walks_match_the_oracle_walks(self, mode, cap, paths):
+        # the rows of the 2x2 compile are walked by the engine's one walk,
+        # so both oracle walks stand in for it there
+        two = compile_aon(full_grid(2, 2), plan_for(full_grid(2, 2)))
+        trace = check_against_full_fill(solve_aon, two, mode, None, cap, budget=200)
+        check_against_unsplit(solve_aon, two, mode, None, cap, budget=200)
+        assert [event[0] for event in trace] == ["path"] * paths
 
     def test_repeat_solves_and_budgets_agree(self, aon_fixture):
         # a solve keeps nothing for the next: a repeat gives the same loops,

@@ -144,6 +144,27 @@ def brute_paths(cells, start, goal, required):
     return sorted(found)
 
 
+@pytest.mark.parametrize("width, height, holes, count", [
+    (2, 3, (), 1), (3, 4, (), 2), (4, 4, (), 6), (4, 5, (), 14),
+    (4, 5, ((0, 0), (3, 0)), 4), (4, 4, ((1, 1), (2, 1)), 1),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_cycles_through_any_cell_order(width, height, holes, count, seed):
+    # both oracle walks close a loop by comparing cells, so they cannot
+    # check the engine's rule on an order that is not the cells' own: each
+    # cycle once, rooted at cells[0], its second cell before its last in
+    # cells, whatever the order of the cells and of each cell's neighbors
+    rng = random.Random(f"order/{width}x{height}/{holes}/{seed}")
+    cells = [(x, y) for x in range(width) for y in range(height) if (x, y) not in holes]
+    rng.shuffle(cells)
+    order = {c: rng.sample(orthogonal_neighbors(c), 4) for c in cells}
+    position = {c: i for i, c in enumerate(cells)}
+    cycles = list(cycles_through(cells, order.__getitem__))
+    assert sorted(LoopPath(c).canonical().cells for c in cycles) == brute_loops(cells, cells)
+    assert len(cycles) == count
+    assert all(c[0] == cells[0] and position[c[1]] < position[c[-1]] for c in cycles)
+
+
 @pytest.mark.parametrize("cells, required, count", [
     (BRIDGE, [(0, 0)], 7),
     (BRIDGE, [(0, 0), (6, 2)], 0),

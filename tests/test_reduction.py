@@ -27,7 +27,11 @@ from loopforge.reduction import (
     roundtrip_experiment,
 )
 
-from oracles import check_against_full_fill, check_against_unsplit
+from oracles import (
+    check_against_full_fill,
+    check_against_unsplit,
+    check_budgeted_against_full_fill,
+)
 
 # exhaustively measured traversal counts of the 11x11 gadget, pinned as
 # regression values after the first complete enumeration
@@ -370,6 +374,12 @@ class TestCertificates:
         trace = check_against_full_fill(certify_gadget, "ww", None, turns, budget=50)
         check_against_unsplit(certify_gadget, "ww", None, turns, budget=50)
         assert sum(1 for event in trace if event[0] == "path") == 7
+
+    def test_aon_walks_match_full_fill_within_a_budget(self):
+        # the certificate's 69,623 nodes compared over their first 2,000:
+        # the first 30 traversals of the E-N pair
+        trace = check_budgeted_against_full_fill(certify_gadget, "aon", None, 0)
+        assert [event[0] for event in trace] == ["path"] * 30 + ["budget", "raised"]
 
     def test_harness_and_audit_are_looked_up_at_call_time(self, monkeypatch):
         calls = []
