@@ -106,15 +106,21 @@ its free cells and, for a loop, its second cell, which the closing
 direction reads: every free cell must be entered, no rule reads the cells
 before the head, and each prune rejects only dead branches, so the walk
 finds every completion and finds them in the order of the neighbor
-lists.  When a node is popped, its subtree done, the table maps its key
-(those three packed into one int) to the keys of its children that have
-completions, in the order found: a DAG, in which a key with no entry is a
-node that closed.  A node that was a leaf is not stored, since walking it
-again costs what finding it costs.  Keys are looked up only once the table
-holds one.  A node whose key is there costs its node and yields its path
-extended by each completion, read from the DAG with a stack, in the order
-its first walk found them, and is not expanded.  So the paths and their
-order are the unmemoized walk's, at fewer nodes.
+lists.  The free cells and the head fix a loop's second cell, or the
+node has no completion whichever it is: every loop walk that keeps a
+table starts at its smallest cell, which has no neighbor west or south,
+so a loop takes both its neighbors.  Past the start, one free means the
+other is second; neither free, the loop can close only if the head is
+one, and then the other is second.  When a node is popped, its subtree
+done, the table maps its key (the free cells and the head packed into
+one int) to the keys of its children that have completions, in the
+order found: a DAG, in which a key with no entry is a node that closed.
+A node that was a leaf is not stored, since walking it again costs what
+finding it costs.  Keys are looked up only once the table holds one.  A
+node whose key is there costs its node and yields its path extended by
+each completion, read from the DAG with a stack, in the order its first
+walk found them, and is not expanded.  So the paths and their order are
+the unmemoized walk's, at fewer nodes.
 
 Budgets are counted in search nodes (one per path extension considered);
 running out raises :class:`SearchBudgetExceeded`, which callers must treat
@@ -195,7 +201,8 @@ class _Grid:
     (the order of ``ORTHO_STEPS``).
 
     ``reads`` holds, per cell, :meth:`reads_of` once a walk has asked for
-    it, so every walk on the grid shares what earlier walks found."""
+    it, shared by every walk on the grid: a certificate's exit pairs, or
+    the rows of one region shape in a region search."""
 
     def __init__(self, cells: list[Cell], neighbors=orthogonal_neighbors):
         self.cells = cells
@@ -204,7 +211,7 @@ class _Grid:
         x0, y0 = min(xs), min(ys)
         self.height = h = max(ys) - y0 + 1
         self.pos = pos = [(x - x0) * h + y - y0 for x, y in cells]
-        self.top = top = max(pos, default=0)
+        top = max(pos, default=0)
         # per bit, highest first: 1 for a cell, 2 << k for a cell with a
         # neighbor at ORTHO_STEPS[k]
         flags = bytearray(top + 1)
@@ -237,14 +244,6 @@ class _Grid:
         near = [(f >> 1 & 1) << h + 1 | (f >> 2 & 1) << 2 * h | (f >> 3 & 1) << h - 1
                 | f >> 4 & 1 for f in range(32)]
         return [near[f] << p >> h for p, f in enumerate(reversed(self._flags))]
-
-    def mask(self, indices: Iterable[int]) -> int:
-        """The set of the cells at ``indices``."""
-        flags = bytearray(self.top + 1)
-        top, pos = self.top, self.pos
-        for i in indices:
-            flags[top - pos[i]] = 1
-        return int(flags.translate(_DIGITS[0]), 2)
 
     def reads_of(self, head: int) -> tuple[tuple[int, int], ...]:
         """The cells whose occupancy decides whether ``head`` is simple,
@@ -314,10 +313,10 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     pending = len(req_idx)
     path_idx: list[int] = []
     # sets of cells: the free ones, the neighbors of the start and the cells
-    # pending while free (the required ones and a path's goal)
+    # pending while free (the required ones and a path's goal, counted once)
     free = grid.full
-    start_nbrs = grid.mask(nbrs[end])
-    pend_cells = 0 if exact else grid.mask(req_idx if loop else [*req_idx, end])
+    start_nbrs = sum({1 << pos[i] for i in nbrs[end]})
+    pend_cells = 0 if exact else sum({1 << pos[i] for i in (req_idx if loop else [*req_idx, end])})
     goal = 0 if loop else 1 << pos[end]
     around = None if exact else grid.around  # only the pocket test reads it
 
@@ -464,10 +463,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     low = (1 << shift) - 1
 
     def key() -> int:
-        """The top node's state: its free cells, a loop's second cell and
-        its head."""
-        second = path_idx[1] if loop and len(path_idx) > 1 else 0
-        return (free << shift | second) << shift | path_idx[-1]
+        """The top node's state: its free cells and its head."""
+        return free << shift | path_idx[-1]
 
     def replay(stored: tuple[int, ...]) -> Iterator[tuple[Cell, ...]]:
         """The top node's path extended by each completion in the table
@@ -621,17 +618,16 @@ def search_loops(
     return _collect(walk_loops(allowed, required, make_constraint, nodes), cap, nodes)
 
 
-def cycles_through(cells: list[Cell], neighbors: Callable[[Cell], Iterable[Cell]],
+def cycles_through(cells: Iterable[Cell], neighbors: Callable[[Cell], Iterable[Cell]],
                    budget: int | None = None) -> Iterator[tuple[Cell, ...]]:
     """Lazily yield every cycle through all of ``cells`` under the adjacency
-    ``neighbors``, each once: rooted at ``cells[0]``, in the direction whose
-    second cell comes before its last in ``cells`` (for sorted ``cells``,
-    the smaller one).  A neighbor among ``cells`` must be an orthogonal unit
-    step from its cell; any other step between two of ``cells`` raises
-    :class:`ValueError` at the call.  The iterator raises
-    :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
+    ``neighbors``, each once and in canonical form: rooted at the smallest
+    cell, its second cell smaller than its last.  A neighbor among ``cells``
+    must be an orthogonal unit step from its cell; any other step between
+    two of ``cells`` raises :class:`ValueError` at the call.  The iterator
+    raises :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
     nodes = _Nodes(budget)
-    grid = _Grid(cells, neighbors)
+    grid = _Grid(sorted(cells), neighbors)
     if any(len(adj) < 2 for adj in grid.nbrs):
         return iter(())
     return _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), nodes)

@@ -10,10 +10,12 @@ the region alone, ticking the search's node meter, so budgets and node
 counts see its nodes.  The walk tries a cell's neighbors fewest neighbors
 first (Warnsdorff's rule).
 
-Rows are kept for one search, keyed on the region's shape up to
-translation and rotation (its canonical frame) with the port pair
-unordered: every big region of a metacell compile has the gadget's shape,
-so a compile searches three rows.  A row keeps the walk that decided it:
+A region's frame shape is its cells turned and shifted into a canonical
+frame.  Each frame shape a search meets gets one path search, its grid
+and neighbor order built once and shared by all its rows, each keyed by
+its port pair in the frame, unordered: every big region of a metacell
+compile has the gadget's shape, so a compile builds one grid and searches
+three rows on it.  A row keeps the walk that decided it:
 a pair's other traversals are that walk's later paths, walked on only
 when the combinations of a cycle that closes need them, so a search that
 stops at its first loop walks no row past its first path.  A traversal
@@ -68,23 +70,21 @@ class _Drawn:
         return i < len(self.paths)
 
 
-def _find_row(shape, a: Cell, b: Cell, nodes: _Nodes) -> _Drawn:
-    """The Hamiltonian paths of ``shape`` from ``a`` to ``b``, drawn as they
-    are asked for from one walk on ``nodes``: the first decides the row, the
-    rest are walked on from there.
-
-    The walk tries each cell's neighbors fewest own neighbors in the shape
-    first, ties in ``ORTHO_STEPS`` order (Warnsdorff's rule): a path must
-    take a cell with few ways in while it still can.  On the gadget a row's
-    first path then takes 76 to 206 nodes; in ``ORTHO_STEPS`` order it took
-    up to 14,293, by the end and the turn of the shape it started from."""
+def _row_search(shape: tuple[Cell, ...]):
+    """The path search for the rows of ``shape``, its Hamiltonian paths
+    between two cells.  Its walk tries each cell's neighbors fewest own
+    neighbors in the shape first, ties in ``ORTHO_STEPS`` order
+    (Warnsdorff's rule): a path must take a cell with few ways in while it
+    still can.  On the gadget a row's first path then takes 76 to 206
+    nodes; in ``ORTHO_STEPS`` order it took up to 14,293, by the end and
+    the turn of the shape it started from."""
     cells = set(shape)
     degree = {c: sum(n in cells for n in orthogonal_neighbors(c)) for c in shape}
 
     def neighbors(c: Cell) -> list[Cell]:
         return sorted((n for n in orthogonal_neighbors(c) if n in cells), key=degree.__getitem__)
 
-    return _Drawn(path_search(shape, shape, LoopConstraint, neighbors)(a, b, nodes))
+    return path_search(shape, shape, LoopConstraint, neighbors)
 
 
 def _combinations(drawn: list[_Drawn]):
@@ -127,11 +127,12 @@ class RegionCycles:
                 if out:
                     self.ports[r].append(c)
                     self.cross[c] = out
-        self.shapes: dict[frozenset, tuple] = {}  # per region shape at the origin, its frame
-        # per region, its frame and, per move, each cell's frame cell and back
+        # per frame shape, its row search and its rows: per end pair a < b
+        # in the frame, the traversals from a to b
+        self.searches: dict[tuple, tuple] = {}
+        self.shapes: dict[frozenset, tuple] = {}  # per shape at the origin, its search, rows, moves
+        # per region, its search, rows and, per move, each cell's frame cell and back
         self.frames: dict[int, tuple] = {}
-        # per row key (shape, a, b) in the frame, its traversals from a to b
-        self.rows: dict[tuple, _Drawn] = {}
 
     def pair(self, r: int, a: Cell, b: Cell) -> tuple[_Drawn, dict[Cell, Cell], bool]:
         """The traversals of region ``r`` from ``a`` to ``b`` (none when no
@@ -142,25 +143,23 @@ class RegionCycles:
             return _Drawn(iter([(a,)])), {a: a}, False
         if r not in self.frames:
             cells = self.cells[r]
-            tx = min(x for x, _ in cells)
-            ty = min(y for _, y in cells)
+            tx, ty = min(x for x, _ in cells), min(y for _, y in cells)
             at_origin = frozenset((x - tx, y - ty) for x, y in cells)
             if at_origin not in self.shapes:
-                self.shapes[at_origin] = _frame(at_origin)
-            shape, moves = self.shapes[at_origin]
-            maps = []
-            for move in moves:
-                onto = {(x + tx, y + ty): f for (x, y), f in move.items()}
-                maps.append((onto, {f: c for c, f in onto.items()}))
-            self.frames[r] = shape, maps
-        shape, maps = self.frames[r]
+                shape, moves = _frame(at_origin)
+                if shape not in self.searches:
+                    self.searches[shape] = _row_search(shape), {}
+                self.shapes[at_origin] = *self.searches[shape], moves
+            search, rows, moves = self.shapes[at_origin]
+            ontos = [{(x + tx, y + ty): f for (x, y), f in move.items()} for move in moves]
+            self.frames[r] = search, rows, [(o, {f: c for c, f in o.items()}) for o in ontos]
+        search, rows, maps = self.frames[r]
         # the first move in turn order among those giving the least ends
         onto, back = min(maps, key=lambda m: sorted((m[0][a], m[0][b])))
-        ends = sorted((onto[a], onto[b]))
-        row = (shape, *ends)
-        if row not in self.rows:
-            self.rows[row] = _find_row(*row, self.nodes)
-        return self.rows[row], back, onto[a] != ends[0]
+        ends = tuple(sorted((onto[a], onto[b])))
+        if ends not in rows:
+            rows[ends] = _Drawn(search(*ends, self.nodes))
+        return rows[ends], back, onto[a] != ends[0]
 
     def exits(self, r: int, a: Cell):
         """The ports of region ``r`` that a traversal entering at ``a`` can

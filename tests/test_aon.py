@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from loopforge import aon, regionsearch
+from loopforge import aon, loopsearch, regionsearch
 from loopforge.errors import CompileError, MalformedLoopError, ParseError, SearchBudgetExceeded
 from loopforge.framework import Direction, emit_exit_plan, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
@@ -943,9 +943,10 @@ class TestRegionSolve:
     @pytest.mark.parametrize("rule", ["lex", "antilex"])
     def test_rows_shared_across_rotations(self, rule):
         # every big region has the gadget's shape, at each of the four
-        # turns here, so all its port pairs are answered by three rows;
-        # each pair's first traversal, mapped onto the board, is a
-        # Hamiltonian path of its region between the pair's ports
+        # turns here, so all its port pairs are answered by three rows of
+        # one path search on one grid; each pair's first traversal, mapped
+        # onto the board, is a Hamiltonian path of its region between the
+        # pair's ports
         g, _ = serpentine(4)
         plan = plan_for(g, rule)
         inst = compile_aon(g, plan)
@@ -955,18 +956,26 @@ class TestRegionSolve:
         nodes = _Nodes(None)
         search = RegionCycles(inst.regions, [r for r in range(region_count(inst.regions))
                                              if r not in dead], nodes)
-        for r in big_region_ids(inst, tiling):
-            for a in search.ports[r]:
-                for b in search.ports[r]:
-                    if a != b:
-                        row, back, flip = search.pair(r, a, b)
-                        assert row.has(0)
-                        first = row.paths[0]
-                        path = tuple(map(back.__getitem__, first[::-1] if flip else first))
-                        assert (path[0], path[-1]) == (a, b)
-                        assert sorted(path) == inst.regions.regions[r]
-                        assert all(map(are_orthogonal, path, path[1:]))
-        assert (len(search.rows), nodes.count) == (3, 338)
+        grids = []
+
+        class CountedGrid(loopsearch._Grid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                grids.append(self)
+
+        with mock.patch.object(loopsearch, "_Grid", CountedGrid):
+            pairs = [(r, a, b) for r in big_region_ids(inst, tiling)
+                     for a in search.ports[r] for b in search.ports[r] if a != b]
+            for r, a, b in pairs:
+                row, back, flip = search.pair(r, a, b)
+                assert row.has(0)
+                first = row.paths[0]
+                path = tuple(map(back.__getitem__, first[::-1] if flip else first))
+                assert (path[0], path[-1]) == (a, b)
+                assert sorted(path) == inst.regions.regions[r]
+                assert all(map(are_orthogonal, path, path[1:]))
+        [(_, rows)] = search.searches.values()
+        assert (len(grids), len(rows), nodes.count) == (1, 3, 338)
 
     def test_traversals_reach_the_board_only_in_loops(self):
         # each region shape is turned once, 4 times its cells: the gadget's
