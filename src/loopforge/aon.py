@@ -228,8 +228,9 @@ def parse_aon(text: str) -> AonInstance:
 def board_text(inst: AonInstance, marked=frozenset()) -> str:
     """Board rows, top row first: each cell's region id, or ``#`` on a
     ``marked`` cell, padded to the longest id."""
-    names, ids, h = inst.region_names, inst.regions.ids, inst.height
-    return AON_BOARD.write(inst.width, inst.height, lambda c: names[ids[c[0] * h + c[1]]], marked)
+    names = inst.region_names
+    return AON_BOARD.write(inst.width, inst.height, map(names.__getitem__, inst.regions.ids),
+                           marked)
 
 
 def emit_aon(inst: AonInstance) -> str:

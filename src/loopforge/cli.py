@@ -169,74 +169,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "Water Walk puzzles; solve, verify, lift, and certify.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    # the flags several commands share, each defined once in a parent parser
+    puzzle, infile, size, budget, out = (argparse.ArgumentParser(add_help=False)
+                                         for _ in range(5))
+    puzzle.add_argument("--puzzle", choices=PUZZLES, required=True)
+    infile.add_argument("--in", dest="infile", required=True)
+    size.add_argument("--rows", type=int, required=True)
+    size.add_argument("--cols", type=int, required=True)
+    budget.add_argument("--budget", type=int, default=None)
+    out.add_argument("--out", default=None)
+
+    def add(name, fn, parents, **kwargs):
+        sp = sub.add_parser(name, parents=parents, **kwargs)
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("gen", cmd_gen, help="emit random degree-{2,3} candidate subgraphs")
-    sp.add_argument("--rows", type=int, required=True)
-    sp.add_argument("--cols", type=int, required=True)
+    sp = add("gen", cmd_gen, [size], help="emit random degree-{2,3} candidate subgraphs")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--out", required=True)
 
-    sp = add("ham", cmd_ham, help="find a Hamiltonian cycle of a graph file")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--out", default=None)
+    add("ham", cmd_ham, [infile, budget, out], help="find a Hamiltonian cycle of a graph file")
+    add("orient", cmd_orient, [infile, out], help="dump the per-vertex exit plan")
+    add("compile", cmd_compile, [puzzle, infile, out],
+        help="compile a graph into a puzzle instance")
 
-    sp = add("orient", cmd_orient, help="dump the per-vertex exit plan")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-
-    sp = add("compile", cmd_compile, help="compile a graph into a puzzle instance")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-
-    sp = add("solve", cmd_solve, help="solve a puzzle instance")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = add("solve", cmd_solve, [puzzle, infile, budget, out], help="solve a puzzle instance")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--out", default=None)
 
-    sp = add("verify", cmd_verify, help="check a loop against an instance")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = add("verify", cmd_verify, [puzzle, infile, out],
+             help="check a loop against an instance")
     sp.add_argument("--loop", required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("lift", cmd_lift, help="map a puzzle solution back to a cycle")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
+    sp = add("lift", cmd_lift, [puzzle, out], help="map a puzzle solution back to a cycle")
     sp.add_argument("--in", dest="infile", required=True,
                     help="source graph file (the instance is recompiled)")
     sp.add_argument("--loop", required=True)
-    sp.add_argument("--out", default=None)
 
-    sp = add("roundtrip", cmd_roundtrip,
+    sp = add("roundtrip", cmd_roundtrip, [puzzle, size, budget, out],
              help="equivalence experiment over all candidate subgraphs")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
-    sp.add_argument("--rows", type=int, required=True)
-    sp.add_argument("--cols", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--dump", default=None, help="directory for counterexample files")
-    sp.add_argument("--out", default=None)
 
-    sp = add("lab", cmd_lab, help="certify gadget traversal counts")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
+    sp = add("lab", cmd_lab, [puzzle, out], help="certify gadget traversal counts")
     sp.add_argument("--budget", type=int, default=50_000_000,
                     help="node budget of the whole certificate, all of its searches together")
-    sp.add_argument("--out", default=None)
 
-    sp = add("render", cmd_render, help="render an instance (optionally with a loop)")
-    sp.add_argument("--puzzle", choices=PUZZLES, required=True)
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = add("render", cmd_render, [puzzle, infile, out],
+             help="render an instance (optionally with a loop)")
     sp.add_argument("--loop", default=None)
     sp.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    sp.add_argument("--out", default=None)
 
     return p
 
@@ -253,10 +235,7 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return BUDGET
-    except (ParseError, MalformedLoopError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return BAD_INPUT
-    except FileNotFoundError as e:
+    except (ParseError, MalformedLoopError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return BAD_INPUT
     except (LoopforgeError, ValueError) as e:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse
+from itertools import compress, count, filterfalse
 from operator import itemgetter, not_
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ParseError
 from .model import Cell, GridGraph, LoopPath, canonical_edge, grid_graph
@@ -110,19 +110,20 @@ class BoardFormat:
             rows.append(tokens)
         return width, height, rows
 
-    def write(self, width: int, height: int, token: Callable[[Cell], str],
-              marked=frozenset()) -> str:
-        """Board rows, top row first: each cell's ``token``, or ``#`` on a
+    def write(self, width: int, height: int, tokens: Iterable[str], marked=frozenset()) -> str:
+        """Board rows, top row first, of the cells' ``tokens`` in board
+        order (row ``y`` is ``tokens[y::height]``), with ``#`` on each
         ``marked`` cell."""
-        rows = [[token((x, y)) for x in range(width)] for y in range(height - 1, -1, -1)]
-        wide = max(map(len, chain.from_iterable(rows))) if self.spaced else 1
+        tokens = list(tokens)
+        wide = max(map(len, tokens)) if self.spaced else 1
         for x, y in marked:
             if 0 <= x < width and 0 <= y < height:
-                rows[height - 1 - y][x] = "#"
+                tokens[x * height + y] = "#"
         if wide > 1:
-            rows = [[tok.ljust(wide) for tok in row] for row in rows]
+            tokens = [tok.ljust(wide) for tok in tokens]
         sep = " " if self.spaced else ""
-        return "".join(sep.join(row).rstrip() + "\n" for row in rows)
+        return "".join(sep.join(tokens[y::height]).rstrip() + "\n"
+                       for y in range(height - 1, -1, -1))
 
 
 AON_BOARD = BoardFormat("aon", True, str.isalnum, "region id {!r} is not alphanumeric")

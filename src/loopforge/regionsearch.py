@@ -21,6 +21,8 @@ when the combinations of a cycle that closes need them, so a search that
 stops at its first loop walks no row past its first path.  A traversal
 stays in its row's frame until it is joined into a loop, where the frame
 cell map of its region, made once per region, places it on the board.
+A region's answer for a port pair (its row, that map and the direction)
+is worked out once per search and kept, so a region step is a lookup.
 
 The search over cycles keeps an explicit stack, so it never recurses.
 """
@@ -133,14 +135,20 @@ class RegionCycles:
         self.shapes: dict[frozenset, tuple] = {}  # per shape at the origin, its search, rows, moves
         # per region, its search, rows and, per move, each cell's frame cell and back
         self.frames: dict[int, tuple] = {}
+        # per region and port pair, :meth:`pair`'s answer
+        self.answers: dict[tuple[int, Cell, Cell], tuple] = {}
 
     def pair(self, r: int, a: Cell, b: Cell) -> tuple[_Drawn, dict[Cell, Cell], bool]:
         """The traversals of region ``r`` from ``a`` to ``b`` (none when no
         path joins them) as the row that holds them, the map from its frame
         cells to board cells, and whether the row's paths run from ``b``.
-        A traversal reaches the board only in a loop, through the map."""
+        A traversal reaches the board only in a loop, through the map.
+        Each answer for two ports is worked out once per search and kept."""
         if a == b:
             return _Drawn(iter([(a,)])), {a: a}, False
+        answer = self.answers.get((r, a, b))
+        if answer is not None:
+            return answer
         if r not in self.frames:
             cells = self.cells[r]
             tx, ty = min(x for x, _ in cells), min(y for _, y in cells)
@@ -159,7 +167,8 @@ class RegionCycles:
         ends = tuple(sorted((onto[a], onto[b])))
         if ends not in rows:
             rows[ends] = _Drawn(search(*ends, self.nodes))
-        return rows[ends], back, onto[a] != ends[0]
+        answer = self.answers[r, a, b] = rows[ends], back, onto[a] != ends[0]
+        return answer
 
     def exits(self, r: int, a: Cell):
         """The ports of region ``r`` that a traversal entering at ``a`` can

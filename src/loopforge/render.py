@@ -27,9 +27,11 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
 
     Nothing is formatted per cell: a board row joins the elements, each
     made once per column with the row's height left open, that a mask over
-    the row selects, and fills in its height once.  The mask is a Water
-    Walk row's water, or where an All or Nothing row's region ``ids``, a
-    list in board order, differ from their east or north neighbours'."""
+    the row selects, and fills in its height once.  Both boards are in
+    board order, so row ``y`` is every ``height``-th cell from ``y``: the
+    mask is where a Water Walk row's ``cells`` are water, or where an All
+    or Nothing row's region ``ids`` differ from their east or north
+    neighbours'."""
     w, h = inst.width * CELL, inst.height * CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -37,24 +39,17 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
     if isinstance(inst, waterwalk.WwInstance):
-        width = inst.width
         # per column, the start of a water cell's rect, which the row's
-        # tail, its height and the rest, completes; and the board's water,
-        # row by row from the bottom
-        heads = [f'<rect x="{x * CELL}" y="' for x in range(width)]
-        wet = bytearray(b"\x01") * (width * inst.height)
-        for x, y in inst.ground:
-            wet[y * width + x] = 0
+        # tail, its height and the rest, completes
+        heads = [f'<rect x="{x * CELL}" y="' for x in range(inst.width)]
         for y in range(inst.height):
             tail = f'{h - (y + 1) * CELL}" width="{CELL}" height="{CELL}" fill="#bfe4f2"/>'
-            rects = (tail + "\n").join(compress(heads, wet[y * width:(y + 1) * width]))
+            wet = map("~".__eq__, inst.cells[y::inst.height])
+            rects = (tail + "\n").join(compress(heads, wet))
             parts += [rects + tail] if rects else []
-        for c in sorted(inst.numbers):
-            cx = c[0] * CELL + CELL // 2
-            cy = (inst.height - c[1]) * CELL - CELL // 2
-            parts.append(
-                f'<text x="{cx:.0f}" y="{cy + 5:.0f}" font-size="14" '
-                f'text-anchor="middle">{inst.numbers[c]}</text>')
+        for (x, y), n in inst.numbers.items():
+            cx, cy = x * CELL + CELL // 2, (inst.height - y) * CELL - CELL // 2 + 5
+            parts.append(f'<text x="{cx}" y="{cy}" font-size="14" text-anchor="middle">{n}</text>')
         parts.append(_svg_grid_lines(inst))
     elif isinstance(inst, aon.AonInstance):
         parts.append(_svg_grid_lines(inst))

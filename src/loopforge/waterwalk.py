@@ -8,14 +8,18 @@ Rules enforced by the verifier:
 3. the loop never passes through three consecutive water cells.
 
 Runs are cyclic, so wrap-around runs count.
+
+A board is one string of cell tokens in board order, as the board file
+spells them (:class:`WwInstance`); parsing joins the file's columns into
+it, and compiling joins the columns of the gadget's rotations.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Iterable
 
 from .errors import CompileError
 from .fileio import WW_BOARD
@@ -26,6 +30,7 @@ from .model import (
     LoopPath,
     Verdict,
     Violation,
+    board_cells,
     loop_runs_with_cells,
     orthogonal_neighbors,
     path_runs,
@@ -98,61 +103,60 @@ check_crossings(GADGET)
 GADGET_BLOCKED_CELL = (0, 2)
 
 
+_LAND, _CLUE = re.compile("[^~]"), re.compile("[1-9]")  # a ground cell's token, a clue's
+
+
 @dataclass(frozen=True)
 class WwInstance:
+    """A Water Walk board.  ``cells`` holds one token per cell in board
+    order, by x and then y, so cell ``(x, y)`` is at index
+    ``x * height + y``: ``~`` water, ``.`` ground, ``1``-``9`` a clue on
+    ground.  ``ground`` and ``numbers`` are built from it on first use, so
+    equality compares the tokens alone."""
+
     width: int
     height: int
-    ground: frozenset[Cell]
-    numbers: dict[Cell, int]
+    cells: str
 
     def __post_init__(self):
-        for c in self.ground:
-            if not self.on_board(c):
-                raise ValueError(f"ground cell {c} off the board")
-        for c, n in self.numbers.items():
-            if c not in self.ground:
-                raise ValueError(f"number on water cell {c}")
-            if not 1 <= n <= 9:
-                raise ValueError(f"number out of range at {c}: {n}")
+        if len(self.cells) != self.width * self.height or not all(map(WW_BOARD.valid, self.cells)):
+            raise ValueError(f"a {self.width}x{self.height} board needs one token of "
+                             f"'~', '.' or '1'-'9' per cell")
 
-    def on_board(self, c: Cell) -> bool:
-        return 0 <= c[0] < self.width and 0 <= c[1] < self.height
+    @cached_property
+    def ground(self) -> frozenset[Cell]:
+        h = self.height
+        return frozenset(divmod(m.start(), h) for m in _LAND.finditer(self.cells))
+
+    @cached_property
+    def numbers(self) -> dict[Cell, int]:
+        """Each clue cell's number, in board order, which is sorted order."""
+        h = self.height
+        return {divmod(m.start(), h): int(m.group()) for m in _CLUE.finditer(self.cells)}
 
     def terrain(self, c: Cell) -> str:
         return GROUND if c in self.ground else WATER
 
 
-_LAND = re.compile("[^~]")  # a ground cell's token in a board row
-
-
-def _board(width: int, height: int, tokens: Iterable[tuple[Cell, str]]) -> WwInstance:
-    """The board whose cells hold the ``(cell, token)`` pairs ``tokens``:
-    ``~`` water, ``.`` ground, a digit a clue on ground."""
-    ground, numbers = set(), {}
-    for cell, tok in tokens:
-        if tok != "~":
-            ground.add(cell)
-            if tok != ".":
-                numbers[cell] = int(tok)
-    return WwInstance(width, height, frozenset(ground), numbers)
+def gadget_board(turns: int) -> WwInstance:
+    """The gadget rotated by ``turns`` alone on its frame: the tokens it
+    lays, written into place."""
+    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
+    board = bytearray(FRAME * FRAME)
+    for (x, y), tok in zip(cells, tokens):
+        board[x * FRAME + y] = ord(tok)
+    return WwInstance(FRAME, FRAME, board.decode())
 
 
 def parse_ww(text: str) -> WwInstance:
     width, height, rows = WW_BOARD.read_rows(text)
-    return _board(width, height, (((m.start(), y), m.group())
-                                  for y, row in zip(range(height - 1, -1, -1), rows)
-                                  for m in _LAND.finditer(row)))
+    return WwInstance(width, height, "".join(chain.from_iterable(map(reversed, zip(*rows)))))
 
 
 def board_text(inst: WwInstance, marked=frozenset()) -> str:
     """Board rows, top row first: ``#`` on a ``marked`` cell, else the
-    cell's clue, ``.`` for ground or ``~`` for water."""
-    numbers, ground = inst.numbers, inst.ground
-
-    def token(c: Cell) -> str:
-        return str(numbers[c]) if c in numbers else "." if c in ground else "~"
-
-    return WW_BOARD.write(inst.width, inst.height, token, marked)
+    cell's token."""
+    return WW_BOARD.write(inst.width, inst.height, inst.cells, marked)
 
 
 def emit_ww(inst: WwInstance) -> str:
@@ -162,12 +166,17 @@ def emit_ww(inst: WwInstance) -> str:
 def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
     """Tile one rotated gadget per vertex on a 5x5-per-metacell board.
 
-    Every graph edge crosses two water exit cells flanked by ground, as
+    In board order a board column is a metacell column from each vertex up
+    the grid, so the board is one join of the columns of the rotations the
+    tiling uses, each laid once (:func:`gadget_board`).  Every graph edge
+    crosses two water exit cells flanked by ground, as
     :func:`check_crossings` checked once for the gadget, so the board is
     laid without looking at the edges again."""
-    laid = GADGET.lay(GADGET.tile(g, plan))
-    return _board(FRAME * g.cols, FRAME * g.rows,
-                  chain.from_iterable(zip(cells, tokens) for _, cells, tokens in laid))
+    tiling, n = GADGET.tile(g, plan), FRAME
+    rotated = {t: gadget_board(t).cells for t in set(tiling.values())}
+    return WwInstance(n * g.cols, n * g.rows, "".join(
+        rotated[tiling[x, y]][i:i + n]
+        for x in range(g.cols) for i in range(0, n * n, n) for y in range(g.rows)))
 
 
 def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:
@@ -181,7 +190,7 @@ def _violations(inst: WwInstance, cells: tuple[Cell, ...], runs) -> tuple[Violat
     violations = []
     on_loop = set(cells)
 
-    for c in sorted(inst.numbers):
+    for c in inst.numbers:
         if c not in on_loop:
             violations.append(Violation(1, f"numbered cell {c} is not on the loop", (c,)))
 
@@ -266,10 +275,8 @@ def gadget_harness(turns: int):
     """Search domain of the gadget certificate with the gadget rotated by
     ``turns``: every frame cell, the clue cells as required, and the rules
     on the lone gadget, whose runs end at the frame."""
-    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
-    inst = _board(FRAME, FRAME, zip(cells, tokens))
-    cells = [(x, y) for x in range(FRAME) for y in range(FRAME)]
-    return cells, sorted(inst.numbers), lambda: WwLoopRules(inst)
+    inst = gadget_board(turns)
+    return board_cells(FRAME, FRAME), list(inst.numbers), lambda: WwLoopRules(inst)
 
 
 def gadget_audit(turns: int, traversals, paths):
@@ -297,17 +304,8 @@ def solve_ww(
     cap = solver_cap(mode, cap)
     # a water run is at most 2 long, so every water cell on a loop has a
     # ground loop-neighbor; cells with no adjacent ground can never be used
-    cells = [
-        (x, y)
-        for x in range(inst.width)
-        for y in range(inst.height)
-        if (x, y) in inst.ground
-        or any(n in inst.ground for n in orthogonal_neighbors((x, y)))
-    ]
-    return search_loops(
-        cells,
-        sorted(inst.numbers),
-        lambda: WwLoopRules(inst),
-        cap=cap,
-        budget=budget,
-    )
+    ground = inst.ground
+    cells = [c for c in board_cells(inst.width, inst.height)
+             if c in ground or any(n in ground for n in orthogonal_neighbors(c))]
+    return search_loops(cells, list(inst.numbers), lambda: WwLoopRules(inst),
+                        cap=cap, budget=budget)

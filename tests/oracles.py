@@ -14,7 +14,11 @@ the region labels must reproduce.  Each puzzle's own gadget placement,
 from before the shared tiler, is kept too, and so is the All or Nothing
 solver from before it searched by region, ``solve_aon_by_cells``: the
 cell walk the region search is checked against.  ``regions_from_labels_by_cells``
-is the label fill from before it filled runs: one cell at a time.
+is the label fill from before it filled runs: one cell at a time.  So are
+the Water Walk board builder and row writer from before a board was one
+token string, which filled a set of ground cells and a dict of clues and
+asked for each cell's token (``ww_terrain_by_cells``,
+``ww_board_text_by_cells``).
 """
 
 import operator
@@ -1131,6 +1135,44 @@ def ww_terrain_by_vertex(tiling):
         numbers.update(clues)
     return frozenset(ground), numbers
 
+
+
+# ---------------------------------------------------------------------------
+# Water Walk boards as they were built and written before a board was one
+# board-order token string: a set of ground cells and a dict of clues,
+# filled one (cell, token) pair at a time, and rows written by asking for
+# each cell's token.
+
+def ww_terrain_by_cells(pairs):
+    """Ground cells and clues of ``(cell, token)`` pairs: ``~`` water,
+    ``.`` ground, a digit a clue on ground."""
+    ground, numbers = set(), {}
+    for cell, tok in pairs:
+        if tok != "~":
+            ground.add(cell)
+            if tok != ".":
+                numbers[cell] = int(tok)
+    return frozenset(ground), numbers
+
+
+def _ww_token(cell, ground, numbers):
+    assert numbers.keys() <= ground, "a clue on water"
+    return str(numbers[cell]) if cell in numbers else "." if cell in ground else "~"
+
+
+def ww_board_text_by_cells(width, height, ground, numbers, marked=frozenset()):
+    """Board rows, top row first, each cell's token or ``#`` on a
+    ``marked`` cell."""
+    return "".join(
+        "".join("#" if (x, y) in marked else _ww_token((x, y), ground, numbers)
+                for x in range(width)) + "\n"
+        for y in range(height - 1, -1, -1))
+
+
+def ww_board(width, height, ground, numbers):
+    """The Water Walk board with ``ground`` cells and ``numbers`` clues."""
+    return ww.WwInstance(width, height, "".join(
+        _ww_token(c, ground, numbers) for c in board_cells(width, height)))
 
 _AON_GADGET_TOKENS = {(x, FRAME - 1 - k): tok
                       for k, row in enumerate(aon.GADGET_ROWS.splitlines())

@@ -946,7 +946,7 @@ class TestRegionSolve:
         # turns here, so all its port pairs are answered by three rows of
         # one path search on one grid; each pair's first traversal, mapped
         # onto the board, is a Hamiltonian path of its region between the
-        # pair's ports
+        # pair's ports; each pair is worked out once
         g, _ = serpentine(4)
         plan = plan_for(g, rule)
         inst = compile_aon(g, plan)
@@ -966,14 +966,19 @@ class TestRegionSolve:
         with mock.patch.object(loopsearch, "_Grid", CountedGrid):
             pairs = [(r, a, b) for r in big_region_ids(inst, tiling)
                      for a in search.ports[r] for b in search.ports[r] if a != b]
+            answers = []
             for r, a, b in pairs:
-                row, back, flip = search.pair(r, a, b)
+                answers.append(search.pair(r, a, b))
+                row, back, flip = answers[-1]
                 assert row.has(0)
                 first = row.paths[0]
                 path = tuple(map(back.__getitem__, first[::-1] if flip else first))
                 assert (path[0], path[-1]) == (a, b)
                 assert sorted(path) == inst.regions.regions[r]
                 assert all(map(are_orthogonal, path, path[1:]))
+            # a region step reads the kept answer: a repeat call returns
+            # the very tuple of the first
+            assert all(search.pair(*p) is answer for p, answer in zip(pairs, answers))
         [(_, rows)] = search.searches.values()
         assert (len(grids), len(rows), nodes.count) == (1, 3, 338)
 

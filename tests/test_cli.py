@@ -3,7 +3,7 @@ import time
 import pytest
 
 import loopforge.reduction
-from loopforge.cli import main
+from loopforge.cli import build_parser, main
 from loopforge.errors import ParseError
 from loopforge.fileio import emit_graph, parse_graph, parse_loop
 from loopforge.framework import plan_for
@@ -17,6 +17,57 @@ def square_graph_file(tmp_path):
     path = tmp_path / "g.graph"
     path.write_text(emit_graph(full_grid(2, 2)))
     return path
+
+
+# a minimal command line of each command, its required flags as (flag,
+# value) pairs after the command, and the flags it parses to
+FLAG_PINS = {
+    "gen": ([("--rows", "2"), ("--cols", "3"), ("--out", "g")],
+            {"command": "gen", "rows": 2, "cols": 3, "seed": 0, "count": 1, "out": "g"}),
+    "ham": ([("--in", "g")],
+            {"command": "ham", "infile": "g", "budget": None, "out": None}),
+    "orient": ([("--in", "g")],
+               {"command": "orient", "infile": "g", "out": None}),
+    "compile": ([("--puzzle", "ww"), ("--in", "g")],
+                {"command": "compile", "puzzle": "ww", "infile": "g", "out": None}),
+    "solve": ([("--puzzle", "aon"), ("--in", "b")],
+              {"command": "solve", "puzzle": "aon", "infile": "b", "all": False,
+               "cap": None, "budget": None, "out": None}),
+    "verify": ([("--puzzle", "ww"), ("--in", "b"), ("--loop", "l")],
+               {"command": "verify", "puzzle": "ww", "infile": "b", "loop": "l", "out": None}),
+    "lift": ([("--puzzle", "aon"), ("--in", "g"), ("--loop", "l")],
+             {"command": "lift", "puzzle": "aon", "infile": "g", "loop": "l", "out": None}),
+    "roundtrip": ([("--puzzle", "ww"), ("--rows", "2"), ("--cols", "2")],
+                  {"command": "roundtrip", "puzzle": "ww", "rows": 2, "cols": 2,
+                   "budget": None, "dump": None, "out": None}),
+    "lab": ([("--puzzle", "aon")],
+            {"command": "lab", "puzzle": "aon", "budget": 50_000_000, "out": None}),
+    "render": ([("--puzzle", "ww"), ("--in", "b")],
+               {"command": "render", "puzzle": "ww", "infile": "b", "loop": None,
+                "format": "ascii", "out": None}),
+}
+
+
+class TestFlags:
+    """Every command's flags, their destinations and defaults, pinned on
+    a minimal command line."""
+
+    @pytest.mark.parametrize("command", FLAG_PINS)
+    def test_minimal_command_line(self, command):
+        required, parsed = FLAG_PINS[command]
+        argv = [command] + [part for flag in required for part in flag]
+        got = vars(build_parser().parse_args(argv))
+        assert callable(got.pop("fn"))
+        assert got == parsed
+
+    @pytest.mark.parametrize("command, left_out", [
+        (command, flag) for command, (required, _) in FLAG_PINS.items()
+        for flag, _ in required])
+    def test_each_required_flag_is_required(self, command, left_out, capsys):
+        required, _ = FLAG_PINS[command]
+        argv = [command] + [part for flag in required if flag[0] != left_out for part in flag]
+        assert main(argv) == 3
+        assert left_out in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -11,6 +11,7 @@ from loopforge.errors import CompileError, MalformedLoopError, ParseError
 from loopforge.framework import Direction, direction_between, plan_for, rotate_cell
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
 from loopforge.model import LoopPath, full_grid
+from loopforge.render import render_ascii
 from loopforge.waterwalk import (
     FRAME,
     GADGET,
@@ -46,15 +47,22 @@ def loop(*cells):
     return LoopPath(tuple(cells))
 
 
-def random_boards():
-    """25 seeded 4x4 boards: ground at 55%, a clue of 1-4 on 30% of it."""
+def random_terrains():
+    """25 seeded 4x4 terrains, each its ground cells and clues: ground at
+    55%, a clue of 1-4 on 30% of it."""
     rng = random.Random(7)
     for _ in range(25):
         ground = frozenset((x, y) for x in range(4) for y in range(4)
                            if rng.random() < 0.55)
         numbers = {c: rng.randint(1, 4) for c in sorted(ground)
                    if rng.random() < 0.3}
-        yield WwInstance(4, 4, ground, numbers)
+        yield ground, numbers
+
+
+def random_boards():
+    """The boards of :func:`random_terrains`."""
+    for ground, numbers in random_terrains():
+        yield oracles.ww_board(4, 4, ground, numbers)
 
 
 def gadget_terrain():
@@ -123,9 +131,10 @@ class TestInstanceFile:
     def test_sample_roundtrip(self, ww_fixture, data_dir):
         assert emit_ww(ww_fixture) == (data_dir / "sample_ww.txt").read_text()
 
-    def test_number_on_water_rejected(self):
+    @pytest.mark.parametrize("cells", ["~.3", "~.0~"], ids=["wrong-length", "unknown-token"])
+    def test_malformed_cells_rejected(self, cells):
         with pytest.raises(ValueError):
-            WwInstance(2, 2, frozenset(), {(0, 0): 3})
+            WwInstance(2, 2, cells)
 
     def test_bad_character_rejected(self):
         with pytest.raises(ParseError) as e:
@@ -173,6 +182,53 @@ class TestInstanceFile:
         b = parse_ww("ww 2 1\n.2\n")
         c = parse_ww("ww 2 1\n.3\n")
         assert a != b and a == c
+
+
+def border_ring(width, height):
+    """The loop around the board's border cells, clockwise from (0, 0)."""
+    return LoopPath(tuple([(0, y) for y in range(height)]
+                          + [(x, height - 1) for x in range(1, width)]
+                          + [(width - 1, y) for y in range(height - 2, -1, -1)]
+                          + [(x, 0) for x in range(width - 2, 0, -1)]))
+
+
+def reference_cases(data_dir):
+    """Boards with their ground cells and clues as the set-based builder in
+    ``tests/oracles.py`` fills them: the random boards, every 2x3 compile,
+    from the tokens the gadget lays, and the fixture, from its file's
+    characters."""
+    for ground, numbers in random_terrains():
+        yield oracles.ww_board(4, 4, ground, numbers), ground, numbers
+    for g in enumerate_candidate_subgraphs(2, 3):
+        plan = plan_for(g)
+        laid = GADGET.lay(GADGET.tile(g, plan))
+        yield (compile_ww(g, plan),
+               *oracles.ww_terrain_by_cells((cell, tok) for _, cells, tokens in laid
+                                            for cell, tok in zip(cells, tokens)))
+    text = (data_dir / "sample_ww.txt").read_text()
+    rows = text.splitlines()[1:]
+    yield parse_ww(text), *oracles.ww_terrain_by_cells(
+        ((x, len(rows) - 1 - k), tok) for k, row in enumerate(rows) for x, tok in enumerate(row))
+
+
+class TestBoardReference:
+    """Boards as one board-order token string against the set-based builder
+    and the per-cell row writer kept in ``tests/oracles.py``."""
+
+    def test_terrain_and_text_match_the_reference(self, data_dir):
+        count = 0
+        for inst, ground, numbers in reference_cases(data_dir):
+            w, h = inst.width, inst.height
+            assert inst.ground == ground
+            assert inst.numbers == numbers and list(inst.numbers) == sorted(numbers)
+            text = emit_ww(inst)
+            assert text == f"ww {w} {h}\n" + oracles.ww_board_text_by_cells(w, h, ground, numbers)
+            ring = border_ring(w, h)
+            assert render_ascii(inst, ring) == oracles.ww_board_text_by_cells(
+                w, h, ground, numbers, frozenset(ring.cells))
+            assert parse_ww(text) == inst
+            count += 1
+        assert count == 25 + sum(1 for _ in enumerate_candidate_subgraphs(2, 3)) + 1
 
 
 class TestVerify:
@@ -346,7 +402,7 @@ class TestSolve:
             assert verify_ww(ww_fixture, l).ok
 
     def test_lone_numbered_cell_in_water_unsatisfiable(self):
-        inst = WwInstance(4, 4, frozenset({(1, 1)}), {(1, 1): 1})
+        inst = oracles.ww_board(4, 4, frozenset({(1, 1)}), {(1, 1): 1})
         res = solve_ww(inst, mode="all")
         assert res.loops == [] and res.exhausted
 
@@ -449,7 +505,7 @@ class TestRooting:
             check_against_anchored(waterwalk, solve_ww, inst)
 
     def test_board_without_numbers_keeps_per_anchor_walks(self, ww_fixture):
-        inst = WwInstance(ww_fixture.width, ww_fixture.height, ww_fixture.ground, {})
+        inst = oracles.ww_board(ww_fixture.width, ww_fixture.height, ww_fixture.ground, {})
         new, old = check_against_anchored(waterwalk, solve_ww, inst)
         assert new.loops and new.nodes == old.nodes
 
