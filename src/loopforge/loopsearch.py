@@ -99,28 +99,73 @@ step leaves pockets behind.  The test runs whether or not the fill is
 skipped.  Under exact cover the parity and fill prunes leave it little
 to find, and there it costs more than it saves.
 
-A walk under exact cover with the base :class:`LoopConstraint` (no rules)
-keeps a table of its resolved nodes.  There a node's completions, the
-ways to extend its path to one the walk yields, depend only on its head,
-its free cells and, for a loop, its second cell, which the closing
-direction reads: every free cell must be entered, no rule reads the cells
-before the head, and each prune rejects only dead branches, so the walk
-finds every completion and finds them in the order of the neighbor
-lists.  The free cells and the head fix a loop's second cell, or the
-node has no completion whichever it is: every loop walk that keeps a
-table starts at its smallest cell, which has no neighbor west or south,
-so a loop takes both its neighbors.  Past the start, one free means the
-other is second; neither free, the loop can close only if the head is
-one, and then the other is second.  When a node is popped, its subtree
-done, the table maps its key (the free cells and the head packed into
-one int) to the keys of its children that have completions, in the
-order found: a DAG, in which a key with no entry is a node that closed.
-A node that was a leaf is not stored, since walking it again costs what
-finding it costs.  Keys are looked up only once the table holds one.  A
-node whose key is there costs its node and yields its path extended by
-each completion, read from the DAG with a stack, in the order its first
-walk found them, and is not expanded.  So the paths and their order are
-the unmemoized walk's, at fewer nodes.
+A walk keeps a table of its resolved nodes when a node's completions,
+the ways to extend its path to one the walk yields, depend only on a key
+it can compute.  Each prune rejects only dead branches, so the walk finds
+every completion of a node, and finds them in the order of the neighbor
+lists; nodes with equal keys thus have the same completions in the same
+order.  When a node is popped, its subtree done, the table maps its key
+to the keys of its children that have completions, in the order found,
+led by ``MARK`` when the node closed itself: a DAG, in which a listed key
+with no entry is a node that closed and had no child.  A node with no
+child is not stored, since walking it again costs what finding it
+costs.  Keys are looked up once the table holds one.  A node whose key
+is there costs its node, yields its path if it closes and then its path
+extended by each completion, read from the DAG with a stack, in the
+order its first walk found them, and is not expanded.  So the paths and
+their order are the unmemoized walk's, at fewer nodes.  Two kinds of
+walk keep a table.
+
+Under exact cover with the base :class:`LoopConstraint` (no rules), the
+key is the free cells and the head, packed into one int.  There every
+free cell must be entered and no rule reads the cells before the head;
+a loop's completions also depend on its second cell, which the closing
+direction reads, but the free cells and the head fix it, or the node has
+no completion whichever it is: every loop walk that keeps a table
+starts at its smallest cell, which has no neighbor west or south, so a
+loop takes both its neighbors.  Past the start, one free means the other
+is second; neither free, the loop can close only if the head is one, and
+then the other is second.
+
+Off exact cover, with rules that summarise themselves
+(:meth:`LoopConstraint.state`), the key is the rules' state, the node's
+core, a loop's second cell and the head.  The core is the free cells,
+the head and the end, less every cell other than the head and the end
+with fewer than two neighbors in the set, peeled until none is left.
+Peeling never removes a cell of a completion: each has two neighbors on
+the completed path, the cells before and after it, and those are in the
+set.  So a completion of a node lies in its core, and its cells are
+free in every node with the same core.  The state fixes the rules'
+verdicts on the cells that follow and at the close.  A pending cell
+outside the core can never be reached, so such a node is dead; it is
+pruned before its key is made, and in every node keyed the pending cells
+left are those of the core other than the head and a loop's start,
+which the key fixes.  The second cell fixes the closing direction, and
+a loop node is keyed only once its path has four cells: from there the
+node and each extension of it are long enough to close.  So nodes with
+equal keys have equal completions.  The core is a prune as well: the
+walk steps only into it, and it holds every pending cell (a pending cell
+with fewer than two usable neighbors is the first peeled), which
+replaces the two-neighbor test there.
+
+A node's core is made from its parent's: that core less the parent's
+head (a loop's start stays), peeled with the new head kept, in the
+shift-and-mask steps of a fill (per step, the cells with a neighbor in
+the set on each side are the set shifted through a step mask).  The new
+head is in the parent's core, so the result is the core of the node's
+own free cells, head and end: that core, with the parent's head added and
+the new head left out if it has no other neighbor there, is a set in
+which every cell but the parent's head and the end has two neighbors, so
+it lies in the parent's core.
+
+The first ``LATE`` nodes of such a walk keep no table: most walks off
+exact cover (each of a gadget certificate's, about 70 nodes, or a small
+compile's first loop, about 50) end within them, never meet a key twice
+and would pay for the bookkeeping, about a third more time a node.  At
+the next node the nodes on the path get their cores (0, no completion,
+for a node whose head is outside its parent's), and none of those above
+it is stored, since their children so far were not listed; every node
+entered after it is.
 
 Budgets are counted in search nodes (one per path extension considered);
 running out raises :class:`SearchBudgetExceeded`, which callers must treat
@@ -144,10 +189,23 @@ class LoopConstraint:
     popped, the walk's start first; rules keep the earlier cells they read.
     It must leave internal state untouched when it returns False; on True
     the engine will balance it with exactly one ``pop``.
+
+    ``state()`` summarises, in O(1), the rules' view of the cells pushed
+    and not popped: a hashable value such that two paths with the same
+    start, the same last cell and equal values get the same verdicts from
+    ``push`` on any cells that follow, and from ``close_ok`` or
+    ``finish_ok`` on the path, or on any extension of it, that visits
+    every required cell.
+    A walk that is not exact cover keys its table of resolved nodes on it.
+    ``None``, the default, says the rules cannot summarise themselves, and
+    such a walk keeps no table.
     """
 
     def push(self, cell: Cell) -> bool:
         return True
+
+    def state(self):
+        return None
 
     def pop(self) -> None:
         pass
@@ -183,6 +241,8 @@ def _simple(key: int) -> bool:
 
 
 _SIMPLE = bytes(_simple(key) for key in range(256))
+MARK = -1  # in a table entry, the node closed itself
+LATE = 128  # the nodes a walk off exact cover spends before it keeps a table
 _STEP_FLAG = {step: 2 << k for k, step in enumerate(ORTHO_STEPS)}
 # per flag bit, the table that writes a byte of flags as "1" where it is set
 _DIGITS = [bytes(b"01"[v >> f & 1] for v in range(256)) for f in range(5)]
@@ -379,6 +439,21 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 avail ^= layer
         return False
 
+    def peel(t: int, keep: int) -> int:
+        """The cells of ``t`` left once every cell outside ``keep`` with
+        fewer than two neighbors in the set is taken out, until none is:
+        per step, the cells with a neighbor in ``t`` from each side are
+        ``t`` shifted as in a fill."""
+        while True:
+            a = (t & north) << 1
+            b = (t & south) >> 1
+            c = (t & east) << h
+            e = (t & west) >> h
+            g = t & (keep | a & b | (a | b) & (c | e) | c & e)
+            if g == t:
+                return t
+            t = g
+
     def extensions(head: int):
         """The head's neighbors the node may step to: none once a prune
         shows the node dead, and after a fill with cells pending only
@@ -432,6 +507,10 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             # a loop's last cell neighbors its start, so one must be in the set
             if loop and not r & start_nbrs:
                 return ()
+        if peeled:
+            # the core holds every pending cell and every cell of a completion
+            core_d = core[d]
+            return [w for w in steps_to if core_d >> pos[w] & 1]
         # every pending cell except the end still needs two usable path
         # neighbors; since the last node only the previous cell can have
         # stopped being usable, so only its required neighbors are checked
@@ -450,43 +529,82 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         return steps_to
 
-    # under exact cover and no rules, per resolved node's key, the keys of
-    # its children that have completions, in the order found; per path
-    # depth, those keys so far, once a child there is resolved; and whether
-    # the top node, if it has no child, has a completion: it closed, or its
-    # table entry has one
-    memo: dict[int, tuple[int, ...]] | None = (
-        {} if exact and type(constraint) is LoopConstraint else None)
-    kids: list[list[int] | None] = [None] * n if memo is not None else []
+    # the table of resolved nodes: per node's key, the keys of its children
+    # that have completions in the order found, led by MARK when the node
+    # closed itself; per path depth, those keys so far once a child there is
+    # resolved, the node's key once made, whether it closed, and its core;
+    # whether the top node, if it has no child, has a completion: its table
+    # entry has one.  Nodes shallower than ``floor`` are not stored.
+    if not constraint.push(cells[start]):
+        return
+    memo = {} if exact and type(constraint) is LoopConstraint else None
+    # off exact cover, rules that summarise themselves get a table, with
+    # cores, from the walk's node LATE + 1 on
+    waiting = not exact and constraint.state() is not None
+    late = nodes.count + 1 + LATE
+    peeled = False
+    kids: list[list[int] | None] = [None] * n
+    keys: list[int | None] = [None] * n
+    closed = bytearray(n)
+    core = [0] * n
+    states: dict = {}  # per rule state seen, a small int standing for it
     complete = False
     shift = n.bit_length()
     low = (1 << shift) - 1
+    width = grid.full.bit_length()
+    end_bit = 1 << pos[end]
+    # with a core, a loop node's key is made once its path has four cells:
+    # a node of three cells cannot close, one of four or more can
+    base = 3 if loop and waiting else 0
+    floor = base
 
     def key() -> int:
-        """The top node's state: its free cells and its head."""
-        return free << shift | path_idx[-1]
+        """The top node's key in a walk with cores: the state of the
+        rules, the core, a loop's second cell and the head."""
+        s = constraint.state()
+        sid = states.get(s)
+        if sid is None:
+            sid = states[s] = len(states)
+        second = path_idx[1] if loop else 0
+        return ((sid << width | core[len(path_idx) - 1]) << shift | second) << shift | path_idx[-1]
+
+    def core_at(d: int) -> int:
+        """The core of the node at depth ``d``, from its parent's: that
+        core less the parent's head (a loop's start stays), peeled with
+        the new head kept; 0 when the head is outside the parent's core."""
+        if not d:
+            return peel(grid.full, end_bit | 1 << pos[start])
+        t, at = core[d - 1], 1 << pos[path_idx[d]]
+        return peel(t & ~(1 << pos[path_idx[d - 1]]) | end_bit, at | end_bit) if t & at else 0
 
     def replay(stored: tuple[int, ...]) -> Iterator[tuple[Cell, ...]]:
         """The top node's path extended by each completion in the table
-        from ``stored``, its children's keys, in the order found."""
+        from ``stored``, its entry, in the order found; an entry led by
+        MARK yields its node's path first."""
         path = [cells[i] for i in path_idx]
-        below = [iter(stored)]
+        it = iter(stored)
+        if stored[0] == MARK:
+            yield tuple(path)
+            next(it)
+        below = [it]
         while below:
             for k in below[-1]:
                 path.append(cells[k & low])
                 more = memo.get(k)
-                if more is None:  # a node that closed
+                if more is None:  # a node that closed and has no child
                     yield tuple(path)
                     path.pop()
                 else:
-                    below.append(iter(more))
+                    it = iter(more)
+                    if more[0] == MARK:
+                        yield tuple(path)
+                        next(it)
+                    below.append(it)
                 break
             else:
                 below.pop()
                 path.pop()
 
-    if not constraint.push(cells[start]):
-        return
     frames: list[Iterator[int]] = []  # per path cell: its untried neighbors
     head = start
     while True:
@@ -496,22 +614,48 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         pending -= req[head]
         path_idx.append(head)
         nodes.tick()
-        if loop:
-            closes = adj_end[head] and len(path_idx) >= 4 and path_idx[1] < path_idx[-1]
+        if waiting and nodes.count == late:
+            # the walk is long enough to keep a table: the nodes on the
+            # path get their cores, and none of the ones above this node
+            # is stored, as their children so far were not listed
+            waiting, peeled, memo = False, True, {}
+            floor = max(base, len(path_idx) - 1)
+            for i in range(len(path_idx) - 1):
+                core[i] = core_at(i)
+        if peeled:
+            # a node with no completion: its head is outside its parent's
+            # core, or a pending cell is outside its own
+            d = len(path_idx) - 1
+            c = core[d] = core_at(d)
+            if not c or pend_cells & free & ~c:
+                stored = ()
+            elif d >= floor:
+                k = keys[d] = key()
+                stored = memo.get(k)
+            else:
+                stored = None
+        elif memo is not None:
+            k = keys[len(path_idx) - 1] = free << shift | head
+            stored = memo.get(k)
         else:
-            closes = head == end
-        if closes and pending == 0:
-            path = tuple(cells[i] for i in path_idx)
-            if (constraint.close_ok if loop else constraint.finish_ok)(path):
-                complete = True
-                yield path
-        stored = memo.get(key()) if memo else None
+            stored = None
         if stored is not None:
-            # resolved before: its completions are the table's
+            # resolved before, or dead: its completions are the table's
             complete = bool(stored)
             frames.append(iter(()))
-            yield from replay(stored)
+            if stored:
+                yield from replay(stored)
         else:
+            if loop:
+                closes = adj_end[head] and len(path_idx) >= 4 and path_idx[1] < path_idx[-1]
+            else:
+                closes = head == end
+            if closes and pending == 0:
+                path = tuple(cells[i] for i in path_idx)
+                if (constraint.close_ok if loop else constraint.finish_ok)(path):
+                    if memo is not None:
+                        closed[len(path_idx) - 1] = 1
+                    yield path
             frames.append(iter(extensions(head) if loop or head != end else ()))
         # descend into the next extension the constraint admits, retracting
         # every cell whose extensions are used up
@@ -522,24 +666,30 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             else:
                 frames.pop()
                 if memo is not None:
-                    # a node with a child is stored, and a node with a
-                    # completion is listed under its parent
                     d = len(path_idx) - 1
-                    found = kids[d]
-                    if found is not None:
-                        kids[d] = None
-                        complete = bool(found)
-                        k = key()
-                        memo[k] = tuple(found)
-                    elif complete:
-                        k = key()
-                    if d:
-                        up = kids[d - 1]
-                        if up is None:
-                            up = kids[d - 1] = []
-                        if complete:
-                            up.append(k)
-                    complete = False
+                    if d < floor:
+                        # above the node where the table began, or too shallow
+                        floor = max(base, d)
+                    else:
+                        # a node with a child is stored, and a node with a
+                        # completion is listed under its parent
+                        found = kids[d]
+                        if closed[d]:
+                            closed[d] = 0
+                            complete = True
+                            if found is not None:
+                                found.insert(0, MARK)
+                        if found is not None:
+                            kids[d] = None
+                            complete = bool(found)
+                            memo[keys[d]] = tuple(found)
+                        if d > floor:
+                            up = kids[d - 1]
+                            if up is None:
+                                up = kids[d - 1] = []
+                            if complete:
+                                up.append(keys[d])
+                        complete = False
                 c = path_idx.pop()
                 on[c] = 0
                 free ^= 1 << pos[c]

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import CompileError
 from .fileio import WW_BOARD
@@ -129,10 +131,12 @@ class WwInstance:
         return frozenset(divmod(m.start(), h) for m in _LAND.finditer(self.cells))
 
     @cached_property
-    def numbers(self) -> dict[Cell, int]:
-        """Each clue cell's number, in board order, which is sorted order."""
+    def numbers(self) -> Mapping[Cell, int]:
+        """Each clue cell's number, in board order, which is sorted order;
+        read-only, as the board is."""
         h = self.height
-        return {divmod(m.start(), h): int(m.group()) for m in _CLUE.finditer(self.cells)}
+        return MappingProxyType({divmod(m.start(), h): int(m.group())
+                                 for m in _CLUE.finditer(self.cells)})
 
     def terrain(self, c: Cell) -> str:
         return GROUND if c in self.ground else WATER
@@ -215,52 +219,75 @@ def _violations(inst: WwInstance, cells: tuple[Cell, ...], runs) -> tuple[Violat
     return tuple(violations)
 
 
+# per cell token, its value to the rules: 0 water, 10 ground, n a clue n
+_VALUE = {"~": 0, ".": 10, **{str(n): n for n in range(1, 10)}}
+
+
 class WwLoopRules(LoopConstraint):
     """Incremental prunes for the loop search: no water triples, and no
     ground run already longer than a clue it contains.  Interior runs are
     checked exactly when they get sealed by water; runs touching the path
-    start are left to the final verification."""
+    start are left to the final verification.
+
+    Per pushed cell the stack holds the rules' state once it is pushed,
+    ``(lead, run, lo, hi)``, which is :meth:`state`:
+
+    - ``run``, ``lo``, ``hi``: the trailing run, ``-1`` or ``-2`` for one or
+      two water cells, else the ground run's length (10 for 10 or more) and
+      its smallest and largest clue (10 and 0 for none);
+    - ``lead``: 0 while the trailing run is the start's, else the start's
+      run as it was sealed: ``-1`` or ``-2`` for water, else
+      ``(length * 11 + lo) * 10 + hi``.
+
+    A length past 9 gets the verdicts of any larger one, since no clue
+    reaches it.  Later pushes read only the trailing run and whether it is
+    the start's.  At the close every run between the two ends was sealed
+    and checked, so the verdict reads only the runs at the ends and
+    whether every clue is on the path, which a search that requires the
+    clues (as :func:`solve_ww` and :func:`gadget_harness` do) has settled.
+    So paths with equal states get equal verdicts."""
 
     def __init__(self, inst: WwInstance):
         self.inst = inst
-        # per pushed cell, (run_len, run_min, run_max, run_start) for the
-        # ground run it ends, or None for water; run_start is a path index
-        self.run_stack: list[tuple[int, int, int, int] | None] = []
+        self.cells, self.height = inst.cells, inst.height
+        self.stack: list[tuple[int, int, int, int]] = []
 
     def push(self, cell) -> bool:
-        inst = self.inst
-        is_ground = cell in inst.ground
-        prev_run = self.run_stack[-1] if self.run_stack else None
-
-        if not is_ground:
-            if self.run_stack[-2:] == [None, None]:  # a third water cell in a row
-                return False
-            if prev_run is not None:
-                run_len, run_min, run_max, run_start = prev_run
-                if run_min <= 9 and run_start > 0:  # sealed interior run with a clue
-                    if not (run_min == run_max == run_len):
-                        return False
-            self.run_stack.append(None)
-            return True
-
-        if prev_run is None:
-            n = inst.numbers.get(cell)
-            entry = (1, n if n else 10, n if n else 0, len(self.run_stack))
+        x, y = cell
+        v = _VALUE[self.cells[x * self.height + y]]
+        stack = self.stack
+        if not stack:
+            top = (0, 1, v, v % 10) if v else (0, -1, 0, 0)
         else:
-            run_len, run_min, run_max, run_start = prev_run
-            n = inst.numbers.get(cell)
-            run_len += 1
-            if n:
-                run_min = min(run_min, n)
-                run_max = max(run_max, n)
-            entry = (run_len, run_min, run_max, run_start)
-        if entry[1] <= 9 and entry[0] > entry[1]:  # longer than its smallest clue
-            return False
-        self.run_stack.append(entry)
+            lead, run, lo, hi = stack[-1]
+            if not v:
+                if run == -2:  # a third water cell in a row
+                    return False
+                if run < 0:
+                    top = (lead, -2, 0, 0)
+                elif lead:
+                    if lo < 10 and not lo == hi == run:  # a sealed run that breaks its clue
+                        return False
+                    top = (lead, -1, 0, 0)
+                else:  # the start's run is sealed
+                    top = ((run * 11 + lo) * 10 + hi, -1, 0, 0)
+            elif run < 0:
+                top = (lead or run, 1, v, v % 10)
+            else:
+                lo = v if v < lo else lo
+                hi = max(hi, v % 10)
+                run = run + 1 if run < 10 else 10
+                if run > lo:  # longer than its smallest clue
+                    return False
+                top = (lead, run, lo, hi)
+        stack.append(top)
         return True
 
     def pop(self):
-        self.run_stack.pop()
+        self.stack.pop()
+
+    def state(self):
+        return self.stack[-1]
 
     def close_ok(self, cells) -> bool:
         return verify_ww(self.inst, LoopPath(cells)).ok

@@ -527,11 +527,17 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     into that component.  Past depth 1 of a search that is not exact cover
     and has required cells left, it runs the engine's pocket test, here
     over sets of indices.  Under exact cover and no rules it keeps, per
-    resolved node, a leaf too, the completions found below it, keyed on its
-    head, the cells on the path and a loop's second cell: a node with a key
-    already kept costs its node, yields its path extended by each of them
-    and goes no deeper.  Same arguments; the engine's walk must give the same paths
-    in the same order and the same node counts."""
+    resolved node with a child, the completions found below it, keyed on
+    its head, the cells on the path and a loop's second cell: a node with a
+    key already kept costs its node, yields its path extended by each of
+    them and goes no deeper.  Off exact cover, with rules that summarise
+    themselves, it does the same once it has spent ``loopsearch.LATE``
+    nodes, keyed on the head, a loop's second cell, the pending cells left,
+    the rules' state and the node's core, peeled afresh from its free
+    cells one cell at a time; from then on a node is dead when a pending
+    cell is outside its core, and steps only into it.  Same arguments; the
+    engine's walk must give the same paths in the same order and the same
+    node counts."""
     cells, nbrs = grid.cells, grid.nbrs
     n = len(cells)
     loop = start == end
@@ -583,6 +589,9 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 return ()
         if not exact and pending and len(path_idx) > 2 and pocketed(head, path_idx[-2]):
             return ()
+        if core is not None and (not core[-1] or any(
+                not on[i] and i not in core[-1] for i in req_idx + [end])):
+            return ()
         # the components of the free cells joined to the head's free
         # neighbors, numbered in the order of those neighbors
         comp_of = [None] * n
@@ -614,6 +623,9 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         if parts > 1 and pend:
             (k,) = pend
             steps_to = [w for w in steps_to if comp_of[w] == k]
+        if core is not None:
+            # every cell of a completion is in the core
+            return [w for w in steps_to if w in core[-1]]
         # every pending cell except the end still needs two usable path
         # neighbors; under exact cover only the previous cell's neighbors
         # can have lost one since the last node
@@ -632,13 +644,44 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 return ()
         return steps_to
 
-    # per resolved node's key, the cells after its head of each path found
-    # from it, in order; per path depth, those found so far
+    def peeled(d):
+        """The core of the node at depth ``d``: empty when its parent's is
+        or its head is outside it, else its free cells, head and end, less
+        every cell but the head and the end with fewer than two neighbors
+        among them, taken out one at a time until none is left."""
+        head = path_idx[d]
+        if d and head not in core[d - 1]:
+            return frozenset()
+        kept = (set(range(n)) - set(path_idx[:d + 1])) | {head, end}
+        while True:
+            thin = next((i for i in kept if i != head and i != end
+                         and sum(w in kept for w in nbrs[i]) < 2), None)
+            if thin is None:
+                return frozenset(kept)
+            kept.remove(thin)
+
+    if not constraint.push(cells[start]):
+        return
+    # per resolved node with a child, its key and the cells after its head of
+    # each path found from it, in order; per path depth, those found so far,
+    # whether a child was entered and, once a walk off exact cover whose
+    # rules summarise themselves has spent LATE nodes, the node's core
     memo = {} if exact and type(constraint) is LoopConstraint else None
+    late = -1 if exact or constraint.state() is None else nodes.count + 1 + loopsearch.LATE
+    core = None
+    # nodes shallower than floor are not stored: with a core, a loop node of
+    # three cells cannot close, one of four can
+    base = 3 if loop and late >= 0 else 0
+    floor = base
     below = []
+    entered = []
 
     def state():
-        return path_idx[-1], path_idx[1] if loop and len(path_idx) > 1 else None, bytes(on)
+        second = path_idx[1] if loop and len(path_idx) > 1 else None
+        if core is None:
+            return path_idx[-1], second, bytes(on)
+        pend = frozenset(i for i in req_idx + [end] if not on[i])
+        return path_idx[-1], second, core[-1], pend, constraint.state()
 
     def found(path):
         if memo is not None:
@@ -646,8 +689,6 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 below[d].append(path[d + 1:])
         return path
 
-    if not constraint.push(cells[start]):
-        return
     frames = []  # per path cell: its untried neighbors
     head = start
     while True:
@@ -657,8 +698,17 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         path_idx.append(head)
         path_cells.append(cells[head])
         below.append([])
+        entered.append(False)
         nodes.tick()
-        if memo is not None and state() in memo:
+        d = len(path_idx) - 1
+        if core is not None:
+            core.append(peeled(d))
+        elif nodes.count == late:
+            # the table begins: none of the nodes above this one is stored
+            memo, core, floor = {}, [], max(base, d)
+            for i in range(d + 1):
+                core.append(peeled(i))
+        if memo is not None and d >= floor and state() in memo:
             frames.append(iter(()))
             for rest in memo[state()]:
                 yield found(tuple(path_cells) + rest)
@@ -677,12 +727,19 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         while frames:
             for head in frames[-1]:
                 if not on[head] and constraint.push(cells[head]):
+                    entered[-1] = True
                     break
             else:
                 frames.pop()
-                if memo is not None:
+                d = len(path_idx) - 1
+                if memo is not None and d < floor:
+                    floor = max(base, d)
+                elif memo is not None and entered[-1]:
                     memo[state()] = below[-1]
                 below.pop()
+                entered.pop()
+                if core is not None:
+                    core.pop()
                 c = path_idx.pop()
                 path_cells.pop()
                 on[c] = 0

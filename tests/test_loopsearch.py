@@ -397,8 +397,8 @@ BASELINE_BOARDS = {
 
 
 @pytest.mark.parametrize("board, nodes, found", [
-    ("ww 3x3 seed 7", 6_858, 0),
-    ("ww 4x4 seed 7", 144, 1),
+    ("ww 3x3 seed 7", 703, 0),
+    ("ww 4x4 seed 7", 142, 1),
     ("aon 2x4 seed 7", 9_902, 1),
     ("aon certificate", 69_623, [593, 694, 853]),
     ("ww certificate", 408, [2, 2, 3]),
@@ -408,7 +408,7 @@ BASELINE_BOARDS = {
     ("aon by region 6x6 seed 7", 42_485, 0),
     ("aon by region fixture all", 164, 2),
     ("aon by region 2x2 all, cap 1", 266, 1),
-    ("ww 3x4 seed 7", 11_471, 0),
+    ("ww 3x4 seed 7", 844, 0),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):
     res = BASELINE_BOARDS[board](request)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from loopforge import aon, reduction, waterwalk
+from loopforge import aon, loopsearch, reduction, waterwalk
 from loopforge.errors import CompileError, LiftError, SearchBudgetExceeded
 from loopforge.framework import Direction, plan_for, rotate_cell
 from loopforge.fileio import emit_loop
@@ -374,6 +374,15 @@ class TestCertificates:
         trace = check_against_full_fill(certify_gadget, "ww", None, turns, budget=50)
         check_against_unsplit(certify_gadget, "ww", None, turns, budget=50)
         assert sum(1 for event in trace if event[0] == "path") == 7
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_ww_walks_with_a_table_from_the_first_node(self, turns, monkeypatch):
+        # the walks are shorter than loopsearch.LATE, so they keep no table
+        # unless it begins at once; with it the traversals stay the same
+        monkeypatch.setattr(loopsearch, "LATE", 0)
+        assert traversal_digest(certify_gadget("ww", turns=turns)) == TRAVERSAL_SHA256["ww"][turns]
+        check_against_full_fill(certify_gadget, "ww", None, turns, budget=50)
+        check_against_unsplit(certify_gadget, "ww", None, turns, budget=50)
 
     def test_aon_walks_match_full_fill_within_a_budget(self):
         # the certificate's 69,623 nodes compared over their first 2,000:

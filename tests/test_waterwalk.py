@@ -5,12 +5,19 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopforge import waterwalk
+from loopforge import loopsearch, waterwalk
 from loopforge.errors import CompileError, MalformedLoopError, ParseError
 from loopforge.framework import Direction, direction_between, plan_for, rotate_cell
-from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
+from loopforge.hamilton import (
+    enumerate_candidate_subgraphs,
+    find_hamiltonian_cycle,
+    random_candidate_subgraph,
+)
 from loopforge.model import LoopPath, full_grid
+from loopforge.reduction import lift_solution
 from loopforge.render import render_ascii
 from loopforge.waterwalk import (
     FRAME,
@@ -135,6 +142,16 @@ class TestInstanceFile:
     def test_malformed_cells_rejected(self, cells):
         with pytest.raises(ValueError):
             WwInstance(2, 2, cells)
+
+    def test_numbers_are_read_only(self, ww_fixture):
+        # a solve trusts the board to stay as it was built
+        clue = next(iter(ww_fixture.numbers))
+        with pytest.raises(TypeError):
+            ww_fixture.numbers[clue] = 9
+        with pytest.raises(TypeError):
+            del ww_fixture.numbers[clue]
+        assert not hasattr(ww_fixture.numbers, "clear")
+        assert len(solve_ww(ww_fixture, mode="all").loops) == SAMPLE_SOLUTION_COUNT
 
     def test_bad_character_rejected(self):
         with pytest.raises(ParseError) as e:
@@ -441,14 +458,15 @@ class TestSolve:
     def test_seed7_2x3_all_solutions_node_count_pinned(self):
         g = random_candidate_subgraph(2, 3, random.Random(7))
         res = solve_ww(compile_ww(g, plan_for(g)), mode="all")
-        assert res.nodes == 7472 and len(res.loops) == 144 and res.exhausted
+        assert res.nodes == 650 and len(res.loops) == 144 and res.exhausted
 
     def test_frontier0_refuted_within_its_budget(self):
         # the 4x4 board the solve benchmark runs under 50,000 nodes; the
-        # walk without the pocket test stops there undecided
+        # walk without the pocket test stops there undecided, and the one
+        # without the table of resolved nodes needs 43,189
         g = random_candidate_subgraph(4, 4, random.Random("frontier/0"))
         res = solve_ww(compile_ww(g, plan_for(g)), mode="first", budget=50_000)
-        assert res.exhausted and not res.loops and res.nodes == 43_189
+        assert res.exhausted and not res.loops and res.nodes == 785
 
     def test_seed7_2x3_anchored_oracle_keeps_the_old_counts(self):
         # rooting at the smallest clue cell, and then acting on split
@@ -486,6 +504,105 @@ class TestSolve:
             assert res.exhausted
             brute = {l.canonical().cells for l in loops if verify_ww(inst, l).ok}
             assert {l.canonical().cells for l in res.loops} == brute
+
+
+# Boards measured by the README and ROADMAP that the walk without its table
+# of resolved nodes stopped on at 2,000,000 nodes or refuted in 1,901,161
+# (6x6 seed 7): (cols, rows, seed of random_candidate_subgraph, nodes)
+BASELINE_BOARDS = [
+    (5, 5, 7, 5_398),
+    (5, 5, "ham/5/1", 4_295),
+    (6, 6, 7, 940),
+    (6, 6, "ham/6/5", 848),
+    (6, 6, "ham/6/16", 1_061),
+    (8, 8, "ham/8/51", 785),
+]
+
+
+@pytest.mark.parametrize("cols, rows, seed, nodes", BASELINE_BOARDS)
+def test_baseline_board_decided(cols, rows, seed, nodes):
+    # a first loop lifts to a Hamiltonian cycle of the source, and a
+    # refutation is exhaustive on a source that has none
+    g = random_candidate_subgraph(cols, rows, random.Random(seed))
+    plan = plan_for(g)
+    inst = compile_ww(g, plan)
+    res = solve_ww(inst, mode="first")
+    assert bool(res.loops) == (find_hamiltonian_cycle(g) is not None)
+    assert res.nodes == nodes
+    if res.loops:
+        assert verify_ww(inst, res.loops[0]).ok
+        assert lift_solution(g, plan, res.loops[0], "ww").is_cycle_of(g)
+    else:
+        assert res.exhausted
+
+
+class TestTable:
+    """The table of resolved nodes under the Water Walk rules, kept from a
+    walk's first node (``loopsearch.LATE`` at 0) or begun mid-walk, against
+    brute force, the walk that floods at every node with the same table
+    (``oracles.full_fill_walk``) and the one with no table
+    (``oracles.unsplit_walk``)."""
+
+    # a 3x4 board whose walk with a table from its first node stores nodes
+    # that closed and went on, finds a key again at four cells, the first
+    # depth that can close, and replays nodes that closed
+    BOARD = WwInstance(3, 4, "..3.~.~...~~")
+
+    @pytest.mark.parametrize("late", [0, 1, 9, 40])
+    def test_loops_that_close_and_go_on(self, late, monkeypatch):
+        monkeypatch.setattr(loopsearch, "LATE", 10**9)
+        unkept = solve_ww(self.BOARD, mode="all")
+        monkeypatch.setattr(loopsearch, "LATE", late)
+        res = solve_ww(self.BOARD, mode="all")
+        brute = {l.canonical().cells for l in all_loops_on_board(3, 4)
+                 if verify_ww(self.BOARD, l).ok}
+        assert res.exhausted and len(res.loops) == 13
+        assert {l.cells for l in res.loops} == brute
+        assert res.loops == unkept.loops and res.nodes < unkept.nodes
+        check_against_full_fill(solve_ww, self.BOARD, "all")
+        check_against_unsplit(solve_ww, self.BOARD, "all")
+
+    def test_every_small_board_from_the_first_node(self, ww_fixture, monkeypatch):
+        insts = [ww_fixture, *random_boards()]
+        insts += [compile_ww(g, plan_for(g)) for cols, rows in ((2, 2), (2, 3), (3, 2))
+                  for g in enumerate_candidate_subgraphs(cols, rows)]
+        monkeypatch.setattr(loopsearch, "LATE", 10**9)
+        unkept = [solve_ww(inst, mode="all") for inst in insts]
+        monkeypatch.setattr(loopsearch, "LATE", 0)
+        for inst, old in zip(insts, unkept):
+            res = solve_ww(inst, mode="all")
+            assert res.loops == old.loops and res.exhausted
+            check_against_full_fill(solve_ww, inst, "all")
+            check_against_unsplit(solve_ww, inst, "all")
+
+
+@st.composite
+def small_boards(draw):
+    """A Water Walk board up to 4x4, mostly ground, with at most two clues
+    of 3-6: boards with many loops, so that walks are long enough to meet
+    their keys again."""
+    width, height = draw(st.sampled_from([(3, 4), (4, 3), (4, 4)]))
+    n = width * height
+    cells = list(draw(st.text(st.sampled_from("~~......"), min_size=n, max_size=n)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        cells[i] = str(draw(st.integers(3, 6)))
+    return WwInstance(width, height, "".join(cells))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_boards(), st.integers(0, 60))
+def test_table_begun_anywhere_keeps_every_loop(board, late):
+    # the same loops in the same order as the walk with no table, never at
+    # more nodes, and exactly the loops brute force accepts
+    with mock.patch.object(loopsearch, "LATE", 10**9):
+        unkept = solve_ww(board, mode="all")
+    with mock.patch.object(loopsearch, "LATE", late):
+        res = solve_ww(board, mode="all")
+    assert res.loops == unkept.loops and res.exhausted
+    assert res.nodes <= unkept.nodes
+    brute = {l.canonical().cells for l in all_loops_on_board(board.width, board.height)
+             if verify_ww(board, l).ok}
+    assert {l.cells for l in res.loops} == brute
 
 
 class TestRooting:
@@ -528,12 +645,13 @@ class TestFullFill:
             check_against_unsplit(solve_ww, inst, "all")
 
     def test_seed7_3x4_refutation_prefix(self):
-        # the pocket test refutes the board inside the 20,000-node prefix;
-        # the unsplit walk, which has no pocket test, is still searching
-        # there, so the two are compared over a prefix the engine also spends
+        # the pocket test and the table refute the board inside the
+        # 20,000-node prefix; the unsplit walk, which has neither, is still
+        # searching there, so the two are compared over a prefix the engine
+        # also spends
         g = random_candidate_subgraph(3, 4, random.Random(7))
         inst = compile_ww(g, plan_for(g))
         trace = check_against_full_fill(solve_ww, inst, "first", 20_000)
-        assert trace == [("end", 11_471)]
-        trace = check_against_unsplit(solve_ww, inst, "first", 10_000)
-        assert trace == [("budget", 10_001), ("raised", 10_001)]
+        assert trace == [("end", 844)]
+        trace = check_against_unsplit(solve_ww, inst, "first", 800)
+        assert trace == [("budget", 801), ("raised", 801)]
