@@ -46,6 +46,8 @@ def _write(path: str | None, text: str):
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     for i in range(args.count):
         g = random_candidate_subgraph(args.cols, args.rows, rng)

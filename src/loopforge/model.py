@@ -58,14 +58,18 @@ class GridGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        if self.cols < 1 or self.rows < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.cols}x{self.rows}")
+        cols, rows = self.cols, self.rows
+        if cols < 1 or rows < 1:
+            raise ValueError(f"grid must be at least 1x1, got {cols}x{rows}")
+        # a valid edge steps east or north from its smaller end, inside the
+        # grid; the first edge that does not is named by its fault
         for u, v in self.edges:
-            if not (self.in_bounds(u) and self.in_bounds(v)):
-                raise ValueError(f"edge endpoint out of range: {u}-{v}")
-            if not are_orthogonal(u, v):
-                raise ValueError(f"edge is not between unit-distance vertices: {u}-{v}")
-            if (u, v) != canonical_edge(u, v):
+            (x0, y0), (x1, y1) = u, v
+            if not (0 <= x0 <= x1 < cols and 0 <= y0 <= y1 < rows and x1 - x0 + y1 - y0 == 1):
+                if not (self.in_bounds(u) and self.in_bounds(v)):
+                    raise ValueError(f"edge endpoint out of range: {u}-{v}")
+                if not are_orthogonal(u, v):
+                    raise ValueError(f"edge is not between unit-distance vertices: {u}-{v}")
                 raise ValueError(f"edge not stored in canonical order: {u}-{v}")
 
     def in_bounds(self, v: Vertex) -> bool:

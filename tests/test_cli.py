@@ -236,6 +236,13 @@ class TestPipelines:
             g = parse_graph((tmp_path / f"g.{i}").read_text())
             assert all(d in (2, 3) for d in degree_profile(g).values())
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_gen_count_below_one_is_input_error(self, count, tmp_path, capsys):
+        assert main(["gen", "--rows", "2", "--cols", "2", "--count", count,
+                     "--out", str(tmp_path / "g")]) == 3
+        assert "--count" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_ham_finds_cycle(self, square_graph_file, tmp_path):
         out = tmp_path / "c.loop"
         assert main(["ham", "--in", str(square_graph_file), "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from loopforge.errors import SearchBudgetExceeded
+from loopforge.fileio import emit_graph
 from loopforge.hamilton import (
     count_hamiltonian_cycles,
     enumerate_candidate_subgraphs,
@@ -135,6 +136,45 @@ class TestRandomCandidates:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             random_candidate_subgraph(1, 5, random.Random(0))
+
+
+def graph_digest(g):
+    return hashlib.sha256(emit_graph(g).encode()).hexdigest()
+
+
+class TestSampledGraphsByteForByte:
+    """The sha256 of ``emit_graph`` of sampled candidates, measured when the
+    sampler rescanned every vertex per removed edge: keeping the degree-4
+    vertices as a sorted list must draw the same graphs."""
+
+    @pytest.mark.parametrize("cols,rows,digest", [
+        (2, 2, "26dc7a1102b560664765fb6e2731d0731dc0a16d2517f25324504d3482c997f7"),
+        (2, 7, "673e8cebc70f5abf4e8901cb046d9ff3b16a59d0ef7254a5bd7620ef5591a663"),
+        (7, 2, "536b1c2c4ab35d3205666af322adb73cb484f3b41dbafaeaaa0ac2b6f82a2cc9"),
+        (5, 5, "6b0f51e4c1d58fc2cdf013d0d52a5ba7ce53d28e03da1ecc3f6f842690c2a7bb"),
+        (8, 8, "945cc33c6c5d2a418a2886ab458da6ee33e92c88fe67600b491e80b6667a264d"),
+        (13, 20, "27b795eed2063d3d1d0aabf801600233231c06aacdca3583a3047ae2e3c5cefb"),
+        (32, 32, "77d73ce59699281b339f438dd55b23048a99306d4874d2662e275339585af37a"),
+    ])
+    def test_seed_0(self, cols, rows, digest):
+        assert graph_digest(random_candidate_subgraph(cols, rows, random.Random(0))) == digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (24, "ff7e881c629217b3af7d63e4ae68ffa42a24778b3a76940ce74378350b4e0163"),
+        (174, "b639ff14e01021ad3e5d42274f9488cdedb39c7d538dc0c8304e5d0b700966bd"),
+    ])
+    def test_16x16_after_a_resample(self, seed, digest):
+        # these seeds get stuck once and sample again
+        assert graph_digest(random_candidate_subgraph(16, 16, random.Random(seed))) == digest
+
+    def test_one_rng_draws_three_graphs_in_turn(self):
+        # each call leaves the rng where the next graph's draws start
+        rng = random.Random(1)
+        assert [graph_digest(random_candidate_subgraph(12, 12, rng)) for _ in range(3)] == [
+            "9d9de98ff4f3b75cf212deaa87e0e9c1839d9d8b9f970f07102d5e7455383aef",
+            "da08345c487cc33c4e13d5932633eff5f56cbaf19f8f8843e9ab031dd93a2266",
+            "32f34a81bf46416fd5f56d03464a2cba6de6d359d157b66d827a2bbbd13b5d46",
+        ]
 
 
 class TestFullFill:

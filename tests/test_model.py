@@ -10,6 +10,7 @@ from loopforge.fileio import emit_graph, emit_loop, parse_graph, parse_loop
 from loopforge.framework import plan_for
 from loopforge.hamilton import enumerate_candidate_subgraphs
 from loopforge.model import (
+    GridGraph,
     HamCycle,
     LoopPath,
     crossings_by_region,
@@ -62,13 +63,37 @@ class TestGridGraph:
         assert len(g.edges) == 4
         assert all(d == 2 for d in degree_profile(g).values())
 
+    # the exact messages: the first edge that fails the check is named by
+    # its fault
+
     def test_non_unit_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as got:
             grid_graph(3, 1, [((0, 0), (2, 0))])
+        assert str(got.value) == "edge is not between unit-distance vertices: (0, 0)-(2, 0)"
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as got:
             grid_graph(2, 2, [((0, 0), (1, 0)), ((1, 0), (0, 0))])
+        assert str(got.value) == "duplicate edge: (1, 0)-(0, 0)"
+
+    def test_grid_below_1x1_rejected(self):
+        with pytest.raises(ValueError) as got:
+            GridGraph(0, 3, frozenset())
+        assert str(got.value) == "grid must be at least 1x1, got 0x3"
+
+    def test_off_grid_endpoint_rejected(self):
+        with pytest.raises(ValueError) as got:
+            grid_graph(2, 2, [((0, 0), (0, -1))])
+        assert str(got.value) == "edge endpoint out of range: (0, -1)-(0, 0)"
+        # one bad edge among valid ones is the one named
+        with pytest.raises(ValueError) as got:
+            grid_graph(3, 3, [*full_grid(3, 3).edges, ((2, 2), (3, 2))])
+        assert str(got.value) == "edge endpoint out of range: (2, 2)-(3, 2)"
+
+    def test_non_canonical_edge_rejected(self):
+        with pytest.raises(ValueError) as got:
+            GridGraph(2, 2, frozenset({((1, 0), (0, 0))}))
+        assert str(got.value) == "edge not stored in canonical order: (1, 0)-(0, 0)"
 
     def test_degree_profile_reports_isolated_vertices(self):
         g = grid_graph(2, 2, [])

@@ -10,6 +10,7 @@ complement queries once did) grows past it.
 """
 
 import os
+import random
 import sys
 import tracemalloc
 
@@ -19,7 +20,7 @@ import loopforge
 from loopforge.aon import compile_aon, emit_aon, parse_aon, verify_aon
 from loopforge.fileio import emit_loop, parse_loop
 from loopforge.framework import plan_for
-from loopforge.hamilton import find_hamiltonian_cycle
+from loopforge.hamilton import find_hamiltonian_cycle, random_candidate_subgraph
 from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import embed_cycle, lift_solution, puzzle_of
 from loopforge.render import render_svg
@@ -138,6 +139,10 @@ def _emit_ww_cost(n):
     return count_lines(emit_ww, compile_ww(g, plan_for(g)))
 
 
+def _grid_graph_cost(n):
+    return count_lines(grid_graph, n, n, list(full_grid(n, n).edges))
+
+
 def _layer_call(layer, puzzle, n):
     """``layer`` on serpentine n compiled for ``puzzle``: the function, its
     arguments, and the units of its cost, board cells for ``render_svg``,
@@ -176,12 +181,12 @@ def _layer_cost(layer, puzzle):
                                   _layer_cost("embed_cycle", "aon"),
                                   _layer_cost("embed_cycle", "ww"),
                                   _layer_cost("lift_solution", "aon"),
-                                  _layer_cost("lift_solution", "ww")],
+                                  _layer_cost("lift_solution", "ww"), _grid_graph_cost],
                          ids=["plan_for", "verify_aon", "compile_aon", "parse_aon",
                               "emit_aon", "compile_ww", "parse_ww", "emit_ww",
                               "render_svg_aon", "render_svg_ww", "parse_loop",
                               "embed_cycle_aon", "embed_cycle_ww",
-                              "lift_solution_aon", "lift_solution_ww"])
+                              "lift_solution_aon", "lift_solution_ww", "grid_graph"])
 def test_layer_grows_at_most_twice_linear(cost):
     small, large = (cost(n) for n in SIZES)
     assert small > 0
@@ -216,6 +221,17 @@ def test_hamiltonian_search_on_corridor_graphs_grows_at_most_twice_linear():
     # every vertex of a serpentine has two neighbors, so no head can cut
     # the free vertices and the search needs no fill past its root
     small, large = (count_lines(find_hamiltonian_cycle, serpentine(n)[0]) for n in (16, 32))
+    assert small > 0
+    assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
+
+
+def test_candidate_sampling_grows_at_most_twice_linear():
+    # seed 0 samples both sizes at the first attempt; rescanning every
+    # vertex for the degree-4 ones after each removed edge grew 10.5x.
+    # Line events count the Python work only, not the memmove of each
+    # deletion from the sorted list of degree-4 vertices
+    small, large = (count_lines(random_candidate_subgraph, n, n, random.Random(0))
+                    for n in (12, 24))
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
 
