@@ -24,9 +24,10 @@ Pruning: per node the search checks connectivity of the remaining cells,
 that the path can still reach its end, availability of two usable
 neighbors for every still-required cell, and, when every allowed cell is
 required (exact cover), the two-coloring budget that an alternating path
-over the remaining cells must meet; otherwise, that no required cell lies
-in a pocket the path has walled off.  All prunes reject only provably dead
-branches, so a completed search is exhaustive.
+over the remaining cells must meet, and for a pinned path with no rules
+that no neighbor of the head cuts cells off; otherwise, that no required
+cell lies in a pocket the path has walled off.  All prunes reject only
+provably dead branches, so a completed search is exhaustive.
 
 The connectivity prune reads the node's reach set: the free cells joined
 to the head's free neighbors.  Sets of cells are Python ints, one bit per
@@ -98,6 +99,30 @@ path cannot.  This holds for any seed cell; the previous cell is where a
 step leaves pockets behind.  The test runs whether or not the fill is
 skipped.  Under exact cover the parity and fill prunes leave it little
 to find, and there it costs more than it saves.
+
+A pinned path under exact cover with the base :class:`LoopConstraint`
+(no rules) looks for necks at the head instead.  Its rest runs from the
+head to the end through every free cell.  Let ``w`` be a free neighbor
+of the head other than the end.  If, in the free cells and the head
+less ``w``, a free cell's component holds neither the head nor the end,
+the rest would have to enter that component and leave it, both through
+``w``, which it visits once: the node is dead.  The fill prune has
+found the free cells one component, so every component left holds the
+head or a free neighbor of ``w``; a fill from each such neighbor, inside
+the free cells less ``w``, stops at its first step that touches a
+neighbor of the head or the end, and the node is dead when one stops
+growing first.  A ``w``
+simple among the free cells is skipped: the free cells less it stay one
+component, which holds the end and is joined to the head or leaves it
+alone.  The test runs only at a head with two such neighbors or more:
+from a head with one, ``w``, the path must step onto ``w``, and that
+node's fill finds it dead exactly when the test would have, since the
+free cells less ``w`` must then be one component.  The verdict depends
+only on the free cells, the head and the end, which the table's key
+fixes (below), so the table stays exact.  Loop walks keep the prunes
+above: on the serpentine boards, whose first cycle needs no backtrack,
+the same test made :func:`loopforge.hamilton.find_hamiltonian_cycle`
+about a fifth slower at 48x48.
 
 A walk keeps a table of its resolved nodes when a node's completions,
 the ways to extend its path to one the walk yields, depend only on a key
@@ -378,7 +403,9 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     start_nbrs = sum({1 << pos[i] for i in nbrs[end]})
     pend_cells = 0 if exact else sum({1 << pos[i] for i in (req_idx if loop else [*req_idx, end])})
     goal = 0 if loop else 1 << pos[end]
-    around = None if exact else grid.around  # only the pocket test reads it
+    # a rule-free pinned path under exact cover runs the neck test
+    necks = exact and not loop and type(constraint) is LoopConstraint
+    around = grid.around if necks or not exact else None  # the neck and pocket tests read it
 
     # per path depth, the reach set of the node there (a simple head's is
     # its parent's, read through the free cells), and whether it is one
@@ -388,8 +415,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     reads = grid.reads
 
     def simple(head: int) -> bool:
-        """Whether the head's free neighbors are joined to each other by
-        free cells other than the head, each neighboring two of them."""
+        """Whether the free neighbors of ``head`` are joined to each other
+        by free cells other than it, each neighboring two of them."""
         rd = reads[head]
         if rd is None:
             # on a corridor most heads come once, each with one free neighbor
@@ -437,6 +464,35 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                     break
                 seen |= layer
                 avail ^= layer
+        return False
+
+    def necked(head: int) -> bool:
+        """Whether one of the head's free neighbors other than the end,
+        when there are two or more, cuts free cells off from both the head
+        and the end: a fill from one of its other free neighbors, inside
+        the free cells less it, stops growing before it touches a neighbor
+        of the head or the end.  A neighbor simple among the free cells
+        cuts nothing."""
+        ws = [w for w in nbrs[head] if not on[w] and w != end]
+        if len(ws) < 2:
+            return False
+        stop = end_bit | around[pos[head]]
+        for w in ws:
+            if simple(w):
+                continue
+            inside = free ^ 1 << pos[w]
+            known = stop  # cells of components that touch the head or the end
+            for s in nbrs[w]:
+                if on[s]:
+                    continue
+                r = 1 << pos[s]
+                while not r & known:
+                    g = (r | (r & north) << 1 | (r & east) << h
+                         | (r & south) >> 1 | (r & west) >> h) & inside
+                    if g == r:
+                        return True
+                    r = g
+                known |= r
         return False
 
     def peel(t: int, keep: int) -> int:
@@ -527,6 +583,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                     avail += 1
             if avail < 2:
                 return ()
+        if necks and necked(head):
+            return ()
         return steps_to
 
     # the table of resolved nodes: per node's key, the keys of its children

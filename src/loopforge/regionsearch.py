@@ -116,19 +116,26 @@ class RegionCycles:
         self.nodes = nodes
         self.cells = decomp.regions
         self.need = [1 << r1 | 1 << r2 for r1, r2 in decomp.touching]
-        live_set, region_at = set(live), decomp.region_at
-        self.ports: dict[int, list[Cell]] = {}
-        # per port, the cells over the border, each with its region
-        self.cross: dict[Cell, list[tuple[Cell, int]]] = {}
+        ids, h = decomp.ids, decomp.height
+        alive = bytearray(len(self.cells))
         for r in live:
-            self.ports[r] = []
-            for c in decomp.regions[r]:
-                x, y = c
-                out = [(n, q) for n in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
-                       if (q := region_at(n)) != r and q in live_set]
-                if out:
-                    self.ports[r].append(c)
-                    self.cross[c] = out
+            alive[r] = 1
+        # per cell index with a side on another live region, the index over
+        # that side by direction: 0 north, 1 east, 2 south, 3 west
+        over: dict[int, dict[int, int]] = {}
+        for step, k in ((h, 1), (1, 0)):
+            for i, a, b in zip(range(len(ids)), ids, ids[step:]):
+                if a != b and alive[a] and alive[b] and (k or (i + 1) % h):
+                    over.setdefault(i, {})[k] = i + step
+                    over.setdefault(i + step, {})[k + 2] = i
+        # per live region, its ports in board order; per port, the cells
+        # over the border north, east, south and west, each with its region
+        self.ports: dict[int, list[Cell]] = {r: [] for r in live}
+        self.cross: dict[Cell, list[tuple[Cell, int]]] = {}
+        for i in sorted(over):
+            c = divmod(i, h)
+            self.ports[ids[i]].append(c)
+            self.cross[c] = [(divmod(j, h), ids[j]) for _, j in sorted(over[i].items())]
         # per frame shape, its row search and its rows: per end pair a < b
         # in the frame, the traversals from a to b
         self.searches: dict[tuple, tuple] = {}

@@ -526,18 +526,22 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     goal) and, for a loop, a neighbor of the start, and it then steps only
     into that component.  Past depth 1 of a search that is not exact cover
     and has required cells left, it runs the engine's pocket test, here
-    over sets of indices.  Under exact cover and no rules it keeps, per
-    resolved node with a child, the completions found below it, keyed on
-    its head, the cells on the path and a loop's second cell: a node with a
-    key already kept costs its node, yields its path extended by each of
-    them and goes no deeper.  Off exact cover, with rules that summarise
-    themselves, it does the same once it has spent ``loopsearch.LATE``
-    nodes, keyed on the head, a loop's second cell, the pending cells left,
-    the rules' state and the node's core, peeled afresh from its free
-    cells one cell at a time; from then on a node is dead when a pending
-    cell is outside its core, and steps only into it.  Same arguments; the
-    engine's walk must give the same paths in the same order and the same
-    node counts."""
+    over sets of indices.  A pinned path under exact cover and no rules,
+    at a head with two free neighbors or more other than the end, is dead
+    when one of them, taken out of the free cells and the head, leaves a
+    free cell joined to neither the head nor the end: here a search from
+    both over sets of indices, for each such neighbor.  Under exact cover
+    and no rules it keeps, per resolved node with a child, the completions
+    found below it, keyed on its head, the cells on the path and a loop's
+    second cell: a node with a key already kept costs its node, yields its
+    path extended by each of them and goes no deeper.  Off exact cover,
+    with rules that summarise themselves, it does the same once it has
+    spent ``loopsearch.LATE`` nodes, keyed on the head, a loop's second
+    cell, the pending cells left, the rules' state and the node's core,
+    peeled afresh from its free cells one cell at a time; from then on a
+    node is dead when a pending cell is outside its core, and steps only
+    into it.  Same arguments; the engine's walk must give the same paths in
+    the same order and the same node counts."""
     cells, nbrs = grid.cells, grid.nbrs
     n = len(cells)
     loop = start == end
@@ -623,6 +627,10 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         if parts > 1 and pend:
             (k,) = pend
             steps_to = [w for w in steps_to if comp_of[w] == k]
+        if necks:
+            ways = [w for w in nbrs[head] if not on[w] and w != end]
+            if len(ways) > 1 and any(cut_off(head, w) for w in ways):
+                return ()
         if core is not None:
             # every cell of a completion is in the core
             return [w for w in steps_to if w in core[-1]]
@@ -643,6 +651,19 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             if avail < 2:
                 return ()
         return steps_to
+
+    def cut_off(head, w):
+        """Whether some free cell is joined to neither the head nor the end
+        in the free cells and the head, less ``w``."""
+        kept = {i for i in range(n) if not on[i] and i != w} | {head}
+        reached = {head, end}
+        stack = [head, end]
+        while stack:
+            for x in nbrs[stack.pop()]:
+                if x in kept and x not in reached:
+                    reached.add(x)
+                    stack.append(x)
+        return bool(kept - reached)
 
     def peeled(d):
         """The core of the node at depth ``d``: empty when its parent's is
@@ -667,6 +688,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     # whether a child was entered and, once a walk off exact cover whose
     # rules summarise themselves has spent LATE nodes, the node's core
     memo = {} if exact and type(constraint) is LoopConstraint else None
+    necks = memo is not None and not loop
     late = -1 if exact or constraint.state() is None else nodes.count + 1 + loopsearch.LATE
     core = None
     # nodes shallower than floor are not stored: with a core, a loop node of
@@ -992,6 +1014,25 @@ def solve_aon_by_scan(inst, mode="first", budget=None, cap=None):
     required = [c for c in allowed if decomp.region_at(c) in required_regions]
     return search_loops(allowed, required, lambda: AonLoopRules(inst),
                         cap=1 if mode == "first" else cap, budget=budget)
+
+
+def ports_by_scan(decomp, live):
+    """``RegionCycles``' ports and the cells over their borders, found by
+    looking up the region of each neighbor of each live region's cells: per
+    live region its ports in board order, and per port its neighbors north,
+    east, south and west that lie in another live region, each with its
+    region."""
+    live_set = set(live)
+    ports, cross = {}, {}
+    for r in live:
+        ports[r] = []
+        for x, y in decomp.regions[r]:
+            out = [(c, q) for c in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
+                   if (q := decomp.region_at(c)) != r and q in live_set]
+            if out:
+                ports[r].append((x, y))
+                cross[x, y] = out
+    return ports, cross
 
 
 # The All or Nothing board as walls between cells, as the package built it

@@ -56,10 +56,10 @@ WW_CERT_SHA256 = (
     "c02b2f2281d60f1cf3e50169a1e03b1ab51bdd46a5033d1d5ce1cf8f8ef9ecdb",
 )
 AON_CERT_SHA256 = (
-    "d7c9806cd6a8ba8b8a5080fb8c6cfbf2684eb5e04b5c516ad373253fc211b81f",
-    "47ae6c0532beaebdc0e2209c029db7668c99819c18a71c3f1dfce4fe85a79c49",
-    "9af05d3663de78e2daeb24ddee90d89c8707d15b635c4e1d2eb17afc37464dc1",
-    "630f305dda938ccff4fe60a065eba7c35dd81bc0cef6ce07d8a67647fca1a89b",
+    "2cc4bb9d1eb1bfcdf86cffc3ec1d3f2a6e5bdf5333442758f3a29ede24196971",
+    "94f285099dc1c4515ce2606235cafbb664a9b87aac2150e21a8ee2b04c6f846f",
+    "6ba83b8617a8f5e577366749be229c972ccdd1520acb9ad07cfb3324e9446f77",
+    "f54270dfa5208b03fd5f4aa96d4142157b22177a25a313cabb33e0c0f82c4246",
 )
 
 # sha256 of every traversal list of certify_gadget(puzzle, turns=t), in the
@@ -347,7 +347,7 @@ class TestCertificates:
         # certificate in the process walks as many nodes as the first
         again = certify_gadget("aon")
         assert again == aon_certificate
-        assert again.nodes == aon_certificate.nodes == 69_623
+        assert again.nodes == aon_certificate.nodes == 27_496
 
     @pytest.mark.parametrize("puzzle", ["ww", "aon"])
     @pytest.mark.parametrize("turns", [4, 5, -1])
@@ -385,10 +385,10 @@ class TestCertificates:
         check_against_unsplit(certify_gadget, "ww", None, turns, budget=50)
 
     def test_aon_walks_match_full_fill_within_a_budget(self):
-        # the certificate's 69,623 nodes compared over their first 2,000:
-        # the first 30 traversals of the E-N pair
+        # the certificate's 27,496 nodes compared over their first 2,000:
+        # the first 90 traversals of the E-N pair
         trace = check_budgeted_against_full_fill(certify_gadget, "aon", None, 0)
-        assert [event[0] for event in trace] == ["path"] * 30 + ["budget", "raised"]
+        assert [event[0] for event in trace] == ["path"] * 90 + ["budget", "raised"]
 
     def test_harness_and_audit_are_looked_up_at_call_time(self, monkeypatch):
         calls = []
@@ -402,7 +402,7 @@ class TestCertificates:
         assert emit_digest(cert) == WW_CERT_SHA256[1]
 
     @pytest.mark.parametrize("puzzle, nodes, digest", [("ww", 408, WW_CERT_SHA256[0]),
-                                                       ("aon", 69_623, AON_CERT_SHA256[0])],
+                                                       ("aon", 27_496, AON_CERT_SHA256[0])],
                              ids=["ww", "aon"])
     def test_budget_bounds_the_whole_certificate(self, puzzle, nodes, digest):
         # every search of the certificate needs fewer nodes than it does
