@@ -21,13 +21,14 @@ only prune provably invalid extensions, the final ``close_ok``/``finish_ok``
 verdict is authoritative.
 
 Pruning: per node the search checks connectivity of the remaining cells,
-that the path can still reach its end, availability of two usable
-neighbors for every still-required cell, and, when every allowed cell is
-required (exact cover), the two-coloring budget that an alternating path
-over the remaining cells must meet, and for a pinned path with no rules
-that no neighbor of the head cuts cells off; otherwise, that no required
-cell lies in a pocket the path has walled off.  All prunes reject only
-provably dead branches, so a completed search is exhaustive.
+that the path can still reach its end and availability of two usable
+neighbors for every still-required cell.  When every allowed cell is
+required (exact cover) it checks the two-coloring budget that an
+alternating path over the remaining cells must meet, takes forced moves at
+the head, and for a pinned path with no rules checks that no neighbor of
+the head cuts cells off; otherwise, that no required cell lies in a pocket
+the path has walled off.  All prunes reject only provably dead branches,
+so a completed search is exhaustive.
 
 The connectivity prune reads the node's reach set: the free cells joined
 to the head's free neighbors.  Sets of cells are Python ints, one bit per
@@ -124,6 +125,38 @@ above: on the serpentine boards, whose first cycle needs no backtrack,
 the same test made :func:`loopforge.hamilton.find_hamiltonian_cycle`
 about a fifth slower at 48x48.
 
+Under exact cover the walk takes forced moves at the head, rules or none.
+A cell is usable by the rest of the path when it is free, the head or the
+end.  Every free cell other than the end lies inside the finished path,
+between two path neighbors that are usable now.  Past a loop's root the
+head has one step left, so a free neighbor ``w`` of the head other than
+the end with exactly two usable neighbors, the head among them, must be
+entered from the head: it is the next cell, the node's one extension.
+Two such neighbors cannot both be next, and one with fewer than two can
+never be entered and left, so either kills the node.  The neck test runs
+before a forced step, since another neighbor of the head may still cut
+cells off.  A loop's root is exempt: there the start is the head and the
+end and has two steps left, its second cell and its last, so a neighbor
+with two usable neighbors may be the last cell instead.  On the 2x3 grid
+the rule would make the root's neighbor (1, 0) second and lose the one
+cycle, which is walked with (0, 1) second.  A cell entered by a forced
+move has at most one free neighbor, so it is simple: the fill skip takes
+it without reading its neighborhood.
+
+The rule stands in, under exact cover, for the test that every free cell
+keeps two usable neighbors.  From the parent to the node only the
+parent's head stops being usable (the new head still is), so only its
+free neighbors can have lost one.  Where the rule ran at the parent it
+neither killed the parent for such a cell nor made it the next cell, so
+the cell had three usable neighbors or more there and keeps two.  Under
+a loop's root, where the rule did not run, the start stays usable as the
+end, so the counts are the root's, and a neighbor of the root with fewer
+than two has no free neighbor: the root's fill finds it cut off from the
+other free cells.  The rule reads the free cells, the head and the end,
+and whether the node is a loop's root, which only the root's key (its
+head is the start) can tell; so its verdict is a function of the table's
+key (below), and the table stays exact.
+
 A walk keeps a table of its resolved nodes when a node's completions,
 the ways to extend its path to one the walk yields, depend only on a key
 it can compute.  Each prune rejects only dead branches, so the walk finds
@@ -137,9 +170,12 @@ child is not stored, since walking it again costs what finding it
 costs.  Keys are looked up once the table holds one.  A node whose key
 is there costs its node, yields its path if it closes and then its path
 extended by each completion, read from the DAG with a stack, in the
-order its first walk found them, and is not expanded.  So the paths and
-their order are the unmemoized walk's, at fewer nodes.  Two kinds of
-walk keep a table.
+order its first walk found them, and is not expanded.  Most entries have
+one child (in the AoN gadget certificate 60,831 of the 64,138 table edges
+read lead into one), so the reading steps down a run of them in one
+inner loop and adds a level to its stack only where an entry branches.
+So the paths and their order are the unmemoized walk's, at fewer nodes.
+Two kinds of walk keep a table.
 
 Under exact cover with the base :class:`LoopConstraint` (no rules), the
 key is the free cells and the head, packed into one int.  There every
@@ -403,15 +439,18 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     start_nbrs = sum({1 << pos[i] for i in nbrs[end]})
     pend_cells = 0 if exact else sum({1 << pos[i] for i in (req_idx if loop else [*req_idx, end])})
     goal = 0 if loop else 1 << pos[end]
-    # a rule-free pinned path under exact cover runs the neck test
-    necks = exact and not loop and type(constraint) is LoopConstraint
-    around = grid.around if necks or not exact else None  # the neck and pocket tests read it
+    # with no rules the walk calls no push or pop, keeps a table under exact
+    # cover, and a pinned path there runs the neck test
+    bare = type(constraint) is LoopConstraint
+    necks = exact and not loop and bare
+    around = grid.around
 
     # per path depth, the reach set of the node there (a simple head's is
-    # its parent's, read through the free cells), and whether it is one
-    # component of the free cells
+    # its parent's, read through the free cells), whether it is one
+    # component of the free cells, and whether the node made a forced move
     reach = [0] * n
     whole = bytearray(n)
+    forcing = bytearray(n)
     reads = grid.reads
 
     def simple(head: int) -> bool:
@@ -420,7 +459,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         rd = reads[head]
         if rd is None:
             # on a corridor most heads come once, each with one free neighbor
-            if len([a for a in nbrs[head] if not on[a]]) < 2:
+            t = around[pos[head]] & free
+            if not t & t - 1:
                 return True
             rd = reads[head] = grid.reads_of(head)
         key = 0
@@ -466,16 +506,12 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 avail ^= layer
         return False
 
-    def necked(head: int) -> bool:
-        """Whether one of the head's free neighbors other than the end,
-        when there are two or more, cuts free cells off from both the head
-        and the end: a fill from one of its other free neighbors, inside
-        the free cells less it, stops growing before it touches a neighbor
-        of the head or the end.  A neighbor simple among the free cells
-        cuts nothing."""
-        ws = [w for w in nbrs[head] if not on[w] and w != end]
-        if len(ws) < 2:
-            return False
+    def necked(head: int, ws: list[int]) -> bool:
+        """Whether one of ``ws``, the head's free neighbors other than the
+        end, cuts free cells off from both the head and the end: a fill
+        from one of its other free neighbors, inside the free cells less
+        it, stops growing before it touches a neighbor of the head or the
+        end.  A neighbor simple among the free cells cuts nothing."""
         stop = end_bit | around[pos[head]]
         for w in ws:
             if simple(w):
@@ -527,11 +563,11 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         steps_to = nbrs[head]
         d = len(path_idx) - 1
-        if pending and d > 1 and not exact and sealed(head, path_idx[-2]):
+        if not exact and pending and d > 1 and sealed(head, path_idx[-2]):
             return ()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh fill
-        if d > 0 and whole[d - 1] and simple(head):
+        if d > 0 and whole[d - 1] and (forcing[d - 1] or simple(head)):
             r = reach[d] = reach[d - 1]
             whole[d] = 1
             # the parent's set held a free neighbor of the start
@@ -567,13 +603,34 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             # the core holds every pending cell and every cell of a completion
             core_d = core[d]
             return [w for w in steps_to if core_d >> pos[w] & 1]
-        # every pending cell except the end still needs two usable path
+        if exact:
+            if d or not loop:
+                # a free neighbor of the head other than the end with two
+                # usable neighbors (free, the head or the end) is the next
+                # cell; one with fewer, or a second such, kills the node.
+                # Besides the head, a neighbor's usable ones are the free
+                # cells and, when on the path, a loop's start
+                ws = []
+                forced = None
+                for w in steps_to:
+                    if on[w] or w == end:
+                        continue
+                    k = (around[pos[w]] & free).bit_count() + (adj_end[w] & on[end])
+                    if k < 2:
+                        if not k or forced is not None:
+                            return ()
+                        forced = w
+                    ws.append(w)
+                if necks and len(ws) > 1 and necked(head, ws):
+                    return ()
+                forcing[d] = forced is not None
+                if forced is not None:
+                    return (forced,)
+            return steps_to
+        # every required cell except the end still needs two usable path
         # neighbors; since the last node only the previous cell can have
         # stopped being usable, so only its required neighbors are checked
-        if exact:
-            check = nbrs[path_idx[-2]] if d else ()
-        else:
-            check = [w for w in nbrs[path_idx[-2]] if req[w]] if d else req_idx
+        check = [w for w in nbrs[path_idx[-2]] if req[w]] if d else req_idx
         for w in check:
             if on[w] or w == end:
                 continue
@@ -583,8 +640,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                     avail += 1
             if avail < 2:
                 return ()
-        if necks and necked(head):
-            return ()
         return steps_to
 
     # the table of resolved nodes: per node's key, the keys of its children
@@ -593,9 +648,9 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     # resolved, the node's key once made, whether it closed, and its core;
     # whether the top node, if it has no child, has a completion: its table
     # entry has one.  Nodes shallower than ``floor`` are not stored.
-    if not constraint.push(cells[start]):
+    if not (bare or constraint.push(cells[start])):
         return
-    memo = {} if exact and type(constraint) is LoopConstraint else None
+    memo = {} if exact and bare else None
     # off exact cover, rules that summarise themselves get a table, with
     # cores, from the walk's node LATE + 1 on
     waiting = not exact and constraint.state() is not None
@@ -644,24 +699,32 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         if stored[0] == MARK:
             yield tuple(path)
             next(it)
+        # per level, its entry's untried keys and the path's length there
         below = [it]
+        sizes = [len(path)]
         while below:
             for k in below[-1]:
+                del path[sizes[-1]:]
                 path.append(cells[k & low])
                 more = memo.get(k)
+                # a run of entries with one child each is stepped down at once
+                while more is not None and len(more) == 1 and more[0] != MARK:
+                    k = more[0]
+                    path.append(cells[k & low])
+                    more = memo.get(k)
                 if more is None:  # a node that closed and has no child
                     yield tuple(path)
-                    path.pop()
                 else:
                     it = iter(more)
                     if more[0] == MARK:
                         yield tuple(path)
                         next(it)
                     below.append(it)
+                    sizes.append(len(path))
                 break
             else:
                 below.pop()
-                path.pop()
+                sizes.pop()
 
     frames: list[Iterator[int]] = []  # per path cell: its untried neighbors
     head = start
@@ -719,7 +782,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         # every cell whose extensions are used up
         while frames:
             for head in frames[-1]:
-                if not on[head] and constraint.push(cells[head]):
+                if not on[head] and (bare or constraint.push(cells[head])):
                     break
             else:
                 frames.pop()
@@ -753,7 +816,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 free ^= 1 << pos[c]
                 free_color[color[c]] += 1
                 pending += req[c]
-                constraint.pop()
+                if not bare:
+                    constraint.pop()
                 continue
             break
         else:

@@ -526,7 +526,11 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     goal) and, for a loop, a neighbor of the start, and it then steps only
     into that component.  Past depth 1 of a search that is not exact cover
     and has required cells left, it runs the engine's pocket test, here
-    over sets of indices.  A pinned path under exact cover and no rules,
+    over sets of indices.  Under exact cover, past a loop's root, a free
+    neighbor of the head other than the end with two usable neighbors (in
+    a set of the free cells, the head and the end) is the one step taken;
+    one with fewer, or two such, kill the node.  A pinned path under exact
+    cover and no rules,
     at a head with two free neighbors or more other than the end, is dead
     when one of them, taken out of the free cells and the head, leaves a
     free cell joined to neither the head nor the end: here a search from
@@ -627,16 +631,31 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         if parts > 1 and pend:
             (k,) = pend
             steps_to = [w for w in steps_to if comp_of[w] == k]
+        tight = []
+        if exact and (len(path_idx) > 1 or not loop):
+            # the head has one step left (a loop's root has two), so a free
+            # neighbor of it other than the end with two usable neighbors
+            # must take it
+            usable = {i for i in range(n) if not on[i]} | {head, end}
+            degree = {w: len(usable.intersection(nbrs[w]))
+                      for w in nbrs[head] if not on[w] and w != end}
+            tight = [w for w, k in degree.items() if k == 2]
+            if min(degree.values(), default=2) < 2 or len(tight) > 1:
+                return ()
         if necks:
             ways = [w for w in nbrs[head] if not on[w] and w != end]
             if len(ways) > 1 and any(cut_off(head, w) for w in ways):
                 return ()
+        if tight:
+            steps_to = tight
         if core is not None:
             # every cell of a completion is in the core
             return [w for w in steps_to if w in core[-1]]
         # every pending cell except the end still needs two usable path
         # neighbors; under exact cover only the previous cell's neighbors
-        # can have lost one since the last node
+        # can have lost one since the last node, and the forced moves at
+        # that node leave them two, so the check there never kills: it
+        # stays so that the node-for-node comparison shows it
         if exact:
             check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
         else:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from loopforge.aon import compile_aon, solve_aon
 from loopforge.framework import plan_for
-from loopforge.hamilton import random_candidate_subgraph
+from loopforge.hamilton import hamiltonian_cycles, random_candidate_subgraph
 from loopforge.loopsearch import LoopConstraint, cycles_through, search_loops, search_paths
 from loopforge.model import LoopPath, full_grid, orthogonal_neighbors
 from loopforge.reduction import certify_gadget, puzzle_of
@@ -16,6 +16,7 @@ from oracles import (
     all_loops_on_board,
     check_against_full_fill,
     check_against_unsplit,
+    ham_cycles_by_permutation,
     solve_aon_by_cells,
 )
 
@@ -78,7 +79,7 @@ def test_cycles_through_a_root_with_four_neighbors():
     assert len(cycles) == len(every) == 14
     assert {LoopPath(c).canonical() for c in cycles} == every
     assert all(c[0] == (0, 0) and c == LoopPath(c).canonical().cells for c in cycles)
-    assert trace[-1] == ("end", 395)
+    assert trace[-1] == ("end", 313)
 
 
 # Boards on which the head often cuts the free cells, so that a node's reach
@@ -244,20 +245,109 @@ NOTCH = board("##.##",
 
 
 @pytest.mark.parametrize("cells, start, goal, count, nodes", [
-    (NOTCH, (4, 3), (2, 1), 3, 99),
-    (board("#####", "#####", "#####", "#####", "#####"), (0, 0), (4, 4), 104, 1_031),
+    (NOTCH, (4, 3), (2, 1), 3, 78),
+    (board("#####", "#####", "#####", "#####", "#####"), (0, 0), (4, 4), 104, 815),
 ], ids=["notch", "5x5 grid"])
 def test_paths_through_every_cell_die_at_a_neck(cells, start, goal, count, nodes):
     # a rule-free pinned path under exact cover is dead once a free neighbor
     # of its head cuts free cells off from both the head and the end, since
     # the path would enter and leave them through that one cell; without
-    # the rule the same paths, in the same order, took 149 and 1,203 nodes
+    # the rule the same paths, in the same order, took 149 and 1,203 nodes,
+    # and 99 and 1,031 before the walk took forced moves
     args = cells, start, goal, cells, LoopConstraint
     check_against_full_fill(search_paths, *args, budget=20)
     check_against_unsplit(search_paths, *args, budget=20)
     res = search_paths(*args)
     assert res.exhausted and res.nodes == nodes and len(res.loops) == count
     assert sorted(res.loops) == brute_paths(cells, start, goal, cells)
+
+
+# a room whose ends sit on one-cell stubs at (0, 0) and (0, 3): along the
+# stubs and the corners a free neighbor of the head often has two usable
+# neighbors, so the walk must step onto it
+CUP = board("#####",
+            ".####",
+            ".####",
+            "#####")
+
+
+def test_paths_through_every_cell_take_forced_moves():
+    # under exact cover a free neighbor of the head, not the end, with two
+    # usable neighbors is the next cell, and two such kill the node: the
+    # same 8 paths in the same order took 120 nodes without the rule
+    args = CUP, (0, 0), (0, 3), CUP, LoopConstraint
+    check_against_full_fill(search_paths, *args, budget=20)
+    check_against_unsplit(search_paths, *args, budget=20)
+    res = search_paths(*args)
+    assert res.exhausted and res.nodes == 93 and len(res.loops) == 8
+    assert sorted(res.loops) == brute_paths(CUP, (0, 0), (0, 3), CUP)
+
+
+def test_forced_moves_skip_a_loops_root():
+    # a loop's root has two steps left, its second cell and its last, so no
+    # neighbor of it is forced to come next: on the 2x3 grid the root's
+    # neighbor (1, 0) has two usable neighbors, yet the one cycle, walked
+    # with its second cell before its last, leaves the root for (0, 1)
+    g = full_grid(2, 3)
+    cycles = [c.vertices for c in hamiltonian_cycles(g)]
+    assert cycles == [((0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0))]
+    assert len(cycles) == len(ham_cycles_by_permutation(g))
+    check_against_full_fill(hamiltonian_cycles, g)
+    check_against_unsplit(hamiltonian_cycles, g)
+
+
+class Counted(LoopConstraint):
+    """No rules, as a subclass that counts the cells pushed and popped."""
+
+    def __init__(self):
+        self.pushed = self.popped = 0
+
+    def push(self, cell):
+        self.pushed += 1
+        return True
+
+    def pop(self):
+        self.popped += 1
+
+
+class Vetoed(LoopConstraint):
+    """Rejects the one cell ``cell`` and has no other rule."""
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def push(self, cell):
+        return cell != self.cell
+
+
+GRID4 = board("####", "####", "####", "####")
+
+
+@pytest.mark.parametrize("required", [[(0, 0)], GRID4], ids=["one cell", "exact"])
+def test_rules_of_a_subclass_are_consulted(required):
+    # the walk skips push and pop only for the base class itself: a
+    # subclass, even one that overrides nothing, has them called, and gets
+    # the same loops and paths as the base class, in the same order
+    def runs(make):
+        return (search_loops(GRID4, required, make).loops,
+                search_paths(GRID4, (0, 0), (3, 0), required, make).loops)
+
+    plain = runs(LoopConstraint)
+    assert all(plain)
+    assert runs(type("Plain", (LoopConstraint,), {})) == plain
+    made = []
+
+    def counted():
+        made.append(Counted())
+        return made[-1]
+
+    assert runs(counted) == plain
+    assert len(made) == 2 and all(c.pushed == c.popped > 0 for c in made)
+    # a veto of (1, 1) loses exactly the base class's loops and paths
+    # through it: some of them, or under exact cover all
+    loops, paths = runs(lambda: Vetoed((1, 1)))
+    assert loops == [l for l in plain[0] if (1, 1) not in l.cells] != plain[0]
+    assert paths == [p for p in plain[1] if (1, 1) not in p] != plain[1]
 
 
 @st.composite
@@ -458,15 +548,15 @@ BASELINE_BOARDS = {
 @pytest.mark.parametrize("board, nodes, found", [
     ("ww 3x3 seed 7", 703, 0),
     ("ww 4x4 seed 7", 142, 1),
-    ("aon 2x4 seed 7", 9_902, 1),
-    ("aon certificate", 27_496, [593, 694, 853]),
+    ("aon 2x4 seed 7", 7_985, 1),
+    ("aon certificate", 22_023, [593, 694, 853]),
     ("ww certificate", 408, [2, 2, 3]),
     ("aon fixture all", 956, 2),
-    ("aon by region 2x4 seed 7", 348, 1),
-    ("aon by region 3x4 seed 7", 489, 0),
-    ("aon by region 6x6 seed 7", 42_467, 0),
-    ("aon by region fixture all", 156, 2),
-    ("aon by region 2x2 all, cap 1", 248, 1),
+    ("aon by region 2x4 seed 7", 326, 1),
+    ("aon by region 3x4 seed 7", 467, 0),
+    ("aon by region 6x6 seed 7", 42_445, 0),
+    ("aon by region fixture all", 141, 2),
+    ("aon by region 2x2 all, cap 1", 226, 1),
     ("ww 3x4 seed 7", 844, 0),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):

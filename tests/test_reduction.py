@@ -56,10 +56,10 @@ WW_CERT_SHA256 = (
     "c02b2f2281d60f1cf3e50169a1e03b1ab51bdd46a5033d1d5ce1cf8f8ef9ecdb",
 )
 AON_CERT_SHA256 = (
-    "2cc4bb9d1eb1bfcdf86cffc3ec1d3f2a6e5bdf5333442758f3a29ede24196971",
-    "94f285099dc1c4515ce2606235cafbb664a9b87aac2150e21a8ee2b04c6f846f",
-    "6ba83b8617a8f5e577366749be229c972ccdd1520acb9ad07cfb3324e9446f77",
-    "f54270dfa5208b03fd5f4aa96d4142157b22177a25a313cabb33e0c0f82c4246",
+    "f1dea820f086ab7019718dbd2e1b0410b13eb8217ebcf9817c8fb4e26f7d03fb",
+    "139d1969b13f7b9dc6759d311b847b5704dbb24738ddcccab64350c0c97ea7ac",
+    "612b3c33a638542def2b47762a71d25fa592a4ac69a95d83e3e256f74ebe26db",
+    "dfb86b2b5f4bd19b8ebec5284b86d0e7b9be30df7f85deaece9d0692bc3d39f4",
 )
 
 # sha256 of every traversal list of certify_gadget(puzzle, turns=t), in the
@@ -347,7 +347,7 @@ class TestCertificates:
         # certificate in the process walks as many nodes as the first
         again = certify_gadget("aon")
         assert again == aon_certificate
-        assert again.nodes == aon_certificate.nodes == 27_496
+        assert again.nodes == aon_certificate.nodes == 22_023
 
     @pytest.mark.parametrize("puzzle", ["ww", "aon"])
     @pytest.mark.parametrize("turns", [4, 5, -1])
@@ -385,10 +385,10 @@ class TestCertificates:
         check_against_unsplit(certify_gadget, "ww", None, turns, budget=50)
 
     def test_aon_walks_match_full_fill_within_a_budget(self):
-        # the certificate's 27,496 nodes compared over their first 2,000:
-        # the first 90 traversals of the E-N pair
+        # the certificate's 22,023 nodes compared over their first 2,000:
+        # the first 110 traversals of the E-N pair
         trace = check_budgeted_against_full_fill(certify_gadget, "aon", None, 0)
-        assert [event[0] for event in trace] == ["path"] * 90 + ["budget", "raised"]
+        assert [event[0] for event in trace] == ["path"] * 110 + ["budget", "raised"]
 
     def test_harness_and_audit_are_looked_up_at_call_time(self, monkeypatch):
         calls = []
@@ -402,7 +402,7 @@ class TestCertificates:
         assert emit_digest(cert) == WW_CERT_SHA256[1]
 
     @pytest.mark.parametrize("puzzle, nodes, digest", [("ww", 408, WW_CERT_SHA256[0]),
-                                                       ("aon", 27_496, AON_CERT_SHA256[0])],
+                                                       ("aon", 22_023, AON_CERT_SHA256[0])],
                              ids=["ww", "aon"])
     def test_budget_bounds_the_whole_certificate(self, puzzle, nodes, digest):
         # every search of the certificate needs fewer nodes than it does
@@ -534,7 +534,7 @@ class TestRoundtrip:
     def test_aon_3x4_decided_within_the_frontier_budget(self, cols, rows):
         # the AoN solver decides every 3x4 and 4x3 compile within 5,000
         # nodes, the budget of the benchmark's AoN frontier boards, and
-        # within 600, over the costliest compile's 507
+        # within 600, over the costliest compile's 467
         for budget in (5_000, 600):
             report = roundtrip_experiment(cols, rows, "aon", solver_budget=budget)
             assert len(report.results) == report.agreements == 93
