@@ -173,12 +173,14 @@ def gadget_audit(turns: int, traversals, paths):
     big_cell, one_cell = GADGET.place(
         (0, 0), turns, [GADGET_EXIT_CELLS[Direction.W], ONE_CELL_REGION_CELL])
     big_id, one_id = decomp.region_at(big_cell), decomp.region_at(one_cell)
+    # per traversal that leaves the big region, the other regions it enters
+    inside = set(decomp.regions[big_id])
     left = [{ids[x * FRAME + y] for x, y in path} - {big_id}
-            for found in traversals.values() for path in found]
+            for found in traversals.values() for path in found if not inside.issuperset(path)]
     entered = set().union(*left)
     findings = [f"parts-entered {'yes' if entered - {one_id} else 'no'}",
                 f"one-cell-entered {'yes' if one_id in entered else 'no'}",
-                f"rule-permitted-escapes {sum(1 for regions in left if regions)}"]
+                f"rule-permitted-escapes {len(left)}"]
     parts = sorted((min(GADGET.place((0, 0), -turns, cells)), rid)
                    for rid, cells in enumerate(decomp.regions) if rid not in (big_id, one_id))
     leaves = set()

@@ -2,7 +2,7 @@
 
 The search is the package's loop engine (:mod:`loopforge.loopsearch`) run
 with every vertex required and no puzzle rules, so its prunes (parity,
-connectivity, two usable neighbors) are sound and a ``None`` answer is an
+connectivity, forced moves) are sound and a ``None`` answer is an
 exhaustive proof of absence.  Budgets are counted in search nodes and
 exhaustion is reported distinctly from "no cycle".
 """
@@ -39,7 +39,14 @@ def hamiltonian_cycles(g: GridGraph, budget: int | None = None) -> Iterator[HamC
     n = len(verts)
     if n < 4:
         raise ValueError(f"need at least 4 vertices, got {n}")
-    for cells in cycles_through(verts, lambda v: sorted(g.neighbors(v)), budget):
+    # each vertex's neighbors in sorted order, read once from the edges
+    adj = {v: [] for v in verts}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj.values():
+        nbrs.sort()
+    for cells in cycles_through(verts, adj.__getitem__, budget):
         yield HamCycle(cells)
 
 

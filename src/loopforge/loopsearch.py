@@ -20,15 +20,31 @@ cell at a time as the path grows and shrinks; its incremental checks may
 only prune provably invalid extensions, the final ``close_ok``/``finish_ok``
 verdict is authoritative.
 
-Pruning: per node the search checks connectivity of the remaining cells,
-that the path can still reach its end and availability of two usable
-neighbors for every still-required cell.  When every allowed cell is
-required (exact cover) it checks the two-coloring budget that an
-alternating path over the remaining cells must meet, takes forced moves at
-the head, and for a pinned path with no rules checks that no neighbor of
-the head cuts cells off; otherwise, that no required cell lies in a pocket
-the path has walled off.  All prunes reject only provably dead branches,
-so a completed search is exhaustive.
+The rules below reject only provably dead branches, so a completed search
+is exhaustive.  Each runs in the walks named; "exact cover" means that
+every allowed cell is required.
+
+- Root peel, in every walk with required cells, at its first node: the
+  walk is dead when a required cell is peeled off the board.
+- Connectivity, in every walk at every node: the cells still pending must
+  be reachable from the head, and a loop's start too.
+- Forced moves, in every walk past a loop's root: a required free
+  neighbor of the head with two usable neighbors is the next cell.
+- Parity, under exact cover: the two-coloring budget that an alternating
+  path over the free cells must meet.
+- Pockets, off exact cover with required cells pending, past depth 1: no
+  required cell may lie in a pocket the path has walled off.
+- Necks, for a pinned path under exact cover with no rules: no free
+  neighbor of the head may cut free cells off.
+- Cores, off exact cover with rules that summarise themselves, once the
+  walk keeps its table: every pending cell must be in the node's core,
+  and the walk steps only into it.
+
+Two kinds of walk keep a table of their resolved nodes: those under
+exact cover with no rules, and, once ``LATE`` nodes are spent, those off
+exact cover whose rules summarise themselves.  No rule tests that every
+required cell keeps two usable neighbors: the root peel and the forced
+moves imply it (below).
 
 The connectivity prune reads the node's reach set: the free cells joined
 to the head's free neighbors.  Sets of cells are Python ints, one bit per
@@ -118,44 +134,46 @@ component, which holds the end and is joined to the head or leaves it
 alone.  The test runs only at a head with two such neighbors or more:
 from a head with one, ``w``, the path must step onto ``w``, and that
 node's fill finds it dead exactly when the test would have, since the
-free cells less ``w`` must then be one component.  The verdict depends
-only on the free cells, the head and the end, which the table's key
-fixes (below), so the table stays exact.  Loop walks keep the prunes
-above: on the serpentine boards, whose first cycle needs no backtrack,
-the same test made :func:`loopforge.hamilton.find_hamiltonian_cycle`
-about a fifth slower at 48x48.
+free cells less ``w`` must then be one component.  Loop walks keep the
+prunes above: on the serpentine boards, whose first cycle needs no
+backtrack, the same test made
+:func:`loopforge.hamilton.find_hamiltonian_cycle` about a fifth slower at
+48x48.
 
-Under exact cover the walk takes forced moves at the head, rules or none.
-A cell is usable by the rest of the path when it is free, the head or the
-end.  Every free cell other than the end lies inside the finished path,
-between two path neighbors that are usable now.  Past a loop's root the
-head has one step left, so a free neighbor ``w`` of the head other than
-the end with exactly two usable neighbors, the head among them, must be
-entered from the head: it is the next cell, the node's one extension.
-Two such neighbors cannot both be next, and one with fewer than two can
-never be entered and left, so either kills the node.  The neck test runs
-before a forced step, since another neighbor of the head may still cut
-cells off.  A loop's root is exempt: there the start is the head and the
-end and has two steps left, its second cell and its last, so a neighbor
-with two usable neighbors may be the last cell instead.  On the 2x3 grid
-the rule would make the root's neighbor (1, 0) second and lose the one
-cycle, which is walked with (0, 1) second.  A cell entered by a forced
-move has at most one free neighbor, so it is simple: the fill skip takes
-it without reading its neighborhood.
+Every walk takes forced moves at the head, rules or none.  A cell is
+usable by the rest of the path when it is free, the head or the end.
+Every required free cell other than the end lies inside the finished
+path, between two path neighbors that are usable now.  Past a loop's root
+the head has one step left, so a required free neighbor ``w`` of the
+head other than the end with exactly two usable neighbors, the head among
+them, must be entered from the head: it is the next cell, the node's one
+extension.  Two such neighbors cannot both be next, and one with fewer
+than two can never be entered and left, so either kills the node.  Under
+exact cover every free cell is required.  The neck test runs before a
+forced step, since another neighbor of the head may still cut cells off.
+A loop's root is exempt: there the start is the head and the end and has
+two steps left, its second cell and its last, so a neighbor with two
+usable neighbors may be the last cell instead.  On the 2x3 grid the rule
+would make the root's neighbor (1, 0) second and lose the one cycle,
+which is walked with (0, 1) second.  A cell entered by a forced move has
+at most one free neighbor, so it is simple: the fill skip takes it
+without reading its neighborhood.
 
-The rule stands in, under exact cover, for the test that every free cell
-keeps two usable neighbors.  From the parent to the node only the
-parent's head stops being usable (the new head still is), so only its
-free neighbors can have lost one.  Where the rule ran at the parent it
-neither killed the parent for such a cell nor made it the next cell, so
-the cell had three usable neighbors or more there and keeps two.  Under
-a loop's root, where the rule did not run, the start stays usable as the
-end, so the counts are the root's, and a neighbor of the root with fewer
-than two has no free neighbor: the root's fill finds it cut off from the
-other free cells.  The rule reads the free cells, the head and the end,
-and whether the node is a loop's root, which only the root's key (its
-head is the start) can tell; so its verdict is a function of the table's
-key (below), and the table stays exact.
+At its first node a walk with required cells makes the root's core
+(below): the board peeled, the start and the end kept.  No completion
+loses a cell to the peel, so the walk is dead when a required cell is
+peeled off.
+The peel and the forced moves stand in for a test that every required
+cell other than the end keeps two usable neighbors.  At the root every
+cell is usable, and the peel leaves each required cell two neighbors.
+From the parent to the node only the parent's head stops being usable
+(the new head still is), so only its free neighbors can have lost one.
+Where the rule ran at the parent it looked at each of them that is
+required, and neither killed the parent for it nor made it the next
+cell, so the cell had three usable neighbors or more there and keeps
+two.  Under a loop's root, where the rule did not run, the start stays
+usable as the end, so the counts are the root's, two or more after the
+peel.
 
 A walk keeps a table of its resolved nodes when a node's completions,
 the ways to extend its path to one the walk yields, depend only on a key
@@ -175,7 +193,9 @@ one child (in the AoN gadget certificate 60,831 of the 64,138 table edges
 read lead into one), so the reading steps down a run of them in one
 inner loop and adds a level to its stack only where an entry branches.
 So the paths and their order are the unmemoized walk's, at fewer nodes.
-Two kinds of walk keep a table.
+A rule may read more than the key, as the forced moves read free cells
+outside a core: each rule is sound, so a node's completions are found
+whatever it reads.
 
 Under exact cover with the base :class:`LoopConstraint` (no rules), the
 key is the free cells and the head, packed into one int.  There every
@@ -205,9 +225,8 @@ which the key fixes.  The second cell fixes the closing direction, and
 a loop node is keyed only once its path has four cells: from there the
 node and each extension of it are long enough to close.  So nodes with
 equal keys have equal completions.  The core is a prune as well: the
-walk steps only into it, and it holds every pending cell (a pending cell
-with fewer than two usable neighbors is the first peeled), which
-replaces the two-neighbor test there.
+walk steps only into it, and a node with a pending cell outside it is
+dead.
 
 A node's core is made from its parent's: that core less the parent's
 head (a loop's start stays), peeled with the new head kept, in the
@@ -425,20 +444,21 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     for i in required:
         req[i] = 1
     exact = all(req)
-    req_idx = [i for i in range(n) if req[i]]
     adj_end = bytearray(n)
     for i in nbrs[end]:
         adj_end[i] = 1
     on = bytearray(n)
     free_color = [color.count(0), color.count(1)]
-    pending = len(req_idx)
+    pending = req.count(1)
     path_idx: list[int] = []
-    # sets of cells: the free ones, the neighbors of the start and the cells
-    # pending while free (the required ones and a path's goal, counted once)
+    # sets of cells: the free ones, the neighbors of the start, the required
+    # ones and those pending while free (the required ones and a path's goal)
     free = grid.full
     start_nbrs = sum({1 << pos[i] for i in nbrs[end]})
-    pend_cells = 0 if exact else sum({1 << pos[i] for i in (req_idx if loop else [*req_idx, end])})
-    goal = 0 if loop else 1 << pos[end]
+    end_bit = 1 << pos[end]
+    goal = 0 if loop else end_bit
+    req_cells = grid.full if exact else sum(1 << pos[i] for i in range(n) if req[i])
+    pend_cells = 0 if exact else req_cells | goal
     # with no rules the walk calls no push or pop, keeps a table under exact
     # cover, and a pinned path there runs the neck test
     bare = type(constraint) is LoopConstraint
@@ -563,6 +583,10 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 return ()
         steps_to = nbrs[head]
         d = len(path_idx) - 1
+        # a required cell peeled off the board, the start and the end kept
+        # (the root's core), can never be entered and left
+        if not d and req_cells and req_cells & ~core_at(0):
+            return ()
         if not exact and pending and d > 1 and sealed(head, path_idx[-2]):
             return ()
         # the free cells connected to the head: the parent's set less the
@@ -599,47 +623,32 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             # a loop's last cell neighbors its start, so one must be in the set
             if loop and not r & start_nbrs:
                 return ()
+        if d or not loop:
+            # a required free neighbor of the head other than the end with
+            # two usable neighbors (free, the head or the end) is the next
+            # cell; one with fewer, or a second such, kills the node.
+            # Besides the head, a neighbor's usable ones are the free cells
+            # and, when on the path, a loop's start
+            ws = []
+            forced = None
+            for w in steps_to:
+                if on[w] or w == end or not req[w]:
+                    continue
+                k = (around[pos[w]] & free).bit_count() + (adj_end[w] & on[end])
+                if k < 2:
+                    if not k or forced is not None:
+                        return ()
+                    forced = w
+                ws.append(w)
+            if necks and len(ws) > 1 and necked(head, ws):
+                return ()
+            forcing[d] = forced is not None
+            if forced is not None:
+                return (forced,)
         if peeled:
             # the core holds every pending cell and every cell of a completion
             core_d = core[d]
             return [w for w in steps_to if core_d >> pos[w] & 1]
-        if exact:
-            if d or not loop:
-                # a free neighbor of the head other than the end with two
-                # usable neighbors (free, the head or the end) is the next
-                # cell; one with fewer, or a second such, kills the node.
-                # Besides the head, a neighbor's usable ones are the free
-                # cells and, when on the path, a loop's start
-                ws = []
-                forced = None
-                for w in steps_to:
-                    if on[w] or w == end:
-                        continue
-                    k = (around[pos[w]] & free).bit_count() + (adj_end[w] & on[end])
-                    if k < 2:
-                        if not k or forced is not None:
-                            return ()
-                        forced = w
-                    ws.append(w)
-                if necks and len(ws) > 1 and necked(head, ws):
-                    return ()
-                forcing[d] = forced is not None
-                if forced is not None:
-                    return (forced,)
-            return steps_to
-        # every required cell except the end still needs two usable path
-        # neighbors; since the last node only the previous cell can have
-        # stopped being usable, so only its required neighbors are checked
-        check = [w for w in nbrs[path_idx[-2]] if req[w]] if d else req_idx
-        for w in check:
-            if on[w] or w == end:
-                continue
-            avail = 0
-            for x in nbrs[w]:
-                if not on[x] or x == head or x == end:
-                    avail += 1
-            if avail < 2:
-                return ()
         return steps_to
 
     # the table of resolved nodes: per node's key, the keys of its children
@@ -665,7 +674,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     shift = n.bit_length()
     low = (1 << shift) - 1
     width = grid.full.bit_length()
-    end_bit = 1 << pos[end]
     # with a core, a loop node's key is made once its path has four cells:
     # a node of three cells cannot close, one of four or more can
     base = 3 if loop and waiting else 0
@@ -900,8 +908,6 @@ def cycles_through(cells: Iterable[Cell], neighbors: Callable[[Cell], Iterable[C
     raises :class:`SearchBudgetExceeded` once ``budget`` nodes are spent."""
     nodes = _Nodes(budget)
     grid = _Grid(sorted(cells), neighbors)
-    if any(len(adj) < 2 for adj in grid.nbrs):
-        return iter(())
     return _walk(grid, 0, 0, range(len(cells)), LoopConstraint(), nodes)
 
 

@@ -526,12 +526,16 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     goal) and, for a loop, a neighbor of the start, and it then steps only
     into that component.  Past depth 1 of a search that is not exact cover
     and has required cells left, it runs the engine's pocket test, here
-    over sets of indices.  Under exact cover, past a loop's root, a free
+    over sets of indices.  At its first node a walk with required cells is
+    dead when one of them is peeled off the board, one cell at a time,
+    the start and the end kept.  Past a loop's root, a required free
     neighbor of the head other than the end with two usable neighbors (in
     a set of the free cells, the head and the end) is the one step taken;
-    one with fewer, or two such, kill the node.  A pinned path under exact
-    cover and no rules,
-    at a head with two free neighbors or more other than the end, is dead
+    one with fewer, or two such, kill the node.  Until it has a core (see
+    below) it also tests that every required cell has two usable
+    neighbors, a test that never kills.  A pinned path under exact cover
+    and no rules, at a head with two free neighbors or more other than the
+    end, is dead
     when one of them, taken out of the free cells and the head, leaves a
     free cell joined to neither the head nor the end: here a search from
     both over sets of indices, for each such neighbor.  Under exact cover
@@ -595,6 +599,9 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             steps = free_total + on[end]
             if (sc if steps & 1 else 1 - sc) != color[end]:
                 return ()
+        # a required cell peeled off the board can never be entered and left
+        if len(path_idx) == 1 and not set(req_idx) <= peeled(0):
+            return ()
         if not exact and pending and len(path_idx) > 2 and pocketed(head, path_idx[-2]):
             return ()
         if core is not None and (not core[-1] or any(
@@ -632,13 +639,13 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             (k,) = pend
             steps_to = [w for w in steps_to if comp_of[w] == k]
         tight = []
-        if exact and (len(path_idx) > 1 or not loop):
-            # the head has one step left (a loop's root has two), so a free
-            # neighbor of it other than the end with two usable neighbors
-            # must take it
+        if len(path_idx) > 1 or not loop:
+            # the head has one step left (a loop's root has two), so a
+            # required free neighbor of it other than the end with two
+            # usable neighbors must take it
             usable = {i for i in range(n) if not on[i]} | {head, end}
             degree = {w: len(usable.intersection(nbrs[w]))
-                      for w in nbrs[head] if not on[w] and w != end}
+                      for w in nbrs[head] if not on[w] and w != end and req[w]}
             tight = [w for w, k in degree.items() if k == 2]
             if min(degree.values(), default=2) < 2 or len(tight) > 1:
                 return ()
@@ -651,16 +658,12 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         if core is not None:
             # every cell of a completion is in the core
             return [w for w in steps_to if w in core[-1]]
-        # every pending cell except the end still needs two usable path
-        # neighbors; under exact cover only the previous cell's neighbors
-        # can have lost one since the last node, and the forced moves at
-        # that node leave them two, so the check there never kills: it
-        # stays so that the node-for-node comparison shows it
-        if exact:
-            check = nbrs[path_idx[-2]] if len(path_idx) >= 2 else ()
-        else:
-            check = req_idx
-        for w in check:
+        # every required cell except the end still needs two usable path
+        # neighbors; the root's peel leaves every one of them two, and
+        # since then only the previous cell's neighbors can have lost one,
+        # which the forced moves at that node leave two, so the check never
+        # kills: it stays so that the node-for-node comparison shows it
+        for w in req_idx:
             if on[w] or w == end:
                 continue
             avail = 0

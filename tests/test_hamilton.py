@@ -13,7 +13,7 @@ from loopforge.hamilton import (
     hamiltonian_cycles,
     random_candidate_subgraph,
 )
-from loopforge.model import HamCycle, degree_profile, full_grid
+from loopforge.model import HamCycle, degree_profile, full_grid, grid_graph
 
 from oracles import (
     candidate_subgraphs_by_subset,
@@ -60,6 +60,17 @@ class TestFindHamiltonianCycle:
     def test_budget_exhaustion_is_distinct(self):
         with pytest.raises(SearchBudgetExceeded):
             find_hamiltonian_cycle(full_grid(4, 4), budget=3)
+
+    def test_vertex_of_degree_one_refuted_at_the_first_node(self):
+        # the walk's root peel takes out (1, 0), left with one neighbor; a
+        # budget of 0 now stops there, where a check of every degree once
+        # answered None first
+        g = grid_graph(2, 3, full_grid(2, 3).edges - {((0, 0), (1, 0))})
+        assert find_hamiltonian_cycle(g, budget=1) is None
+        with pytest.raises(SearchBudgetExceeded) as e:
+            find_hamiltonian_cycle(g, budget=0)
+        assert e.value.nodes == 1
+        assert ham_cycles_by_permutation(g) == []
 
     def test_too_small_graph_rejected(self):
         with pytest.raises(ValueError):

@@ -220,12 +220,12 @@ def test_loops_through_a_one_cell_neck(required, count, nodes):
 
 @pytest.mark.parametrize("goal, required, count, nodes", [
     ((4, 2), [(7, 0)], 0, 335),
-    ((4, 2), [(7, 1), (2, 0)], 0, 286),
+    ((4, 2), [(7, 1), (2, 0)], 0, 282),
     ((7, 0), [], 218, 1_027),
     ((4, 2), [(4, 2), (7, 0)], 0, 335),
 ])
 def test_paths_through_a_one_cell_neck(goal, required, count, nodes):
-    # the pocket test saves four nodes on the second (290 without it); the
+    # the pocket test saves four nodes on the second (286 without it); the
     # last is the first with its goal also required, a cell pending once
     args = NECK, (0, 0), goal, required, LoopConstraint
     check_against_full_fill(search_paths, *args, budget=20)
@@ -294,6 +294,59 @@ def test_forced_moves_skip_a_loops_root():
     assert len(cycles) == len(ham_cycles_by_permutation(g))
     check_against_full_fill(hamiltonian_cycles, g)
     check_against_unsplit(hamiltonian_cycles, g)
+
+
+# a 4x2 room with a two-cell spur hanging from its corner (0, 1): a path
+# through (0, 2) would have to enter it from (0, 1) and leave it the same way
+SPUR = board("####",
+             "####",
+             "#...",
+             "#...")
+
+
+@pytest.mark.parametrize("search, args", [
+    (search_loops, (SPUR, [(0, 0), (0, 2)], LoopConstraint)),
+    (search_paths, (SPUR, (0, 0), (3, 0), [(0, 2)], LoopConstraint)),
+], ids=["loop", "path"])
+def test_a_required_cell_in_a_spur_is_refuted_at_the_root(search, args):
+    # the root peels the board, the start and the end kept: (0, 3) goes,
+    # then (0, 2), which is required, so the walk ends at its first node;
+    # (0, 2) has two neighbors, and the loop took 14 nodes and the path 7
+    # when only a required cell with fewer than two stopped a walk there
+    check_against_full_fill(search, *args, budget=20)
+    check_against_unsplit(search, *args, budget=20)
+    res = search(*args)
+    assert res.exhausted and res.nodes == 1 and res.loops == []
+    if search is search_loops:
+        assert brute_loops(SPUR, args[1]) == []
+    else:
+        assert brute_paths(SPUR, (0, 0), (3, 0), [(0, 2)]) == []
+
+
+def test_forced_moves_off_exact_cover():
+    # only CUP's rim is required, so its four inner cells may be left out;
+    # a required free neighbor of the head with two usable neighbors is
+    # still the next cell: the same 11 paths in the same order took 175
+    # nodes when only exact-cover walks took forced moves
+    rim = [(x, y) for x, y in CUP if x in (1, 4) or y in (0, 3)]
+    args = CUP, (0, 0), (0, 3), rim, LoopConstraint
+    check_against_full_fill(search_paths, *args, budget=20)
+    check_against_unsplit(search_paths, *args, budget=20)
+    res = search_paths(*args)
+    assert res.exhausted and res.nodes == 151 and len(res.loops) == 11
+    assert sorted(res.loops) == brute_paths(CUP, (0, 0), (0, 3), rim)
+
+
+def test_cycles_through_a_cell_with_one_neighbor():
+    # without the side (0, 0)-(1, 0) the root's peel takes (1, 0) out, so
+    # the walk ends at its first node, where a check of every cell's degree
+    # once returned before any node
+    g = full_grid(2, 3)
+    cells = [(x, y) for x in range(2) for y in range(3)]
+    nbrs = {c: [w for w in g.neighbors(c) if {c, w} != {(0, 0), (1, 0)}] for c in cells}
+    trace = check_against_full_fill(cycles_through, cells, nbrs.__getitem__)
+    check_against_unsplit(cycles_through, cells, nbrs.__getitem__)
+    assert trace == [("end", 1)]
 
 
 class Counted(LoopConstraint):
@@ -550,12 +603,12 @@ BASELINE_BOARDS = {
     ("ww 4x4 seed 7", 142, 1),
     ("aon 2x4 seed 7", 7_985, 1),
     ("aon certificate", 22_023, [593, 694, 853]),
-    ("ww certificate", 408, [2, 2, 3]),
+    ("ww certificate", 402, [2, 2, 3]),
     ("aon fixture all", 956, 2),
     ("aon by region 2x4 seed 7", 326, 1),
     ("aon by region 3x4 seed 7", 467, 0),
     ("aon by region 6x6 seed 7", 42_445, 0),
-    ("aon by region fixture all", 141, 2),
+    ("aon by region fixture all", 115, 2),
     ("aon by region 2x2 all, cap 1", 226, 1),
     ("ww 3x4 seed 7", 844, 0),
 ])

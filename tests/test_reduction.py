@@ -50,10 +50,10 @@ WW_PAIR_COUNTS = {
 # sha256 of emit_certificate(certify_gadget(puzzle, turns=t)) for t = 0..3:
 # the certificates are pinned byte for byte, counts, findings and nodes
 WW_CERT_SHA256 = (
-    "cb1ac7148572cc9ea1db72b087238f8730f0d9cf94604df1f900ce6327fd3daf",
-    "3acc48acf577cd4205571c594cb5c4bdb454d43e94f457091c1bdc4958f9ff17",
-    "84cfeac8219a63059ea0c1dfe20f8fa73a154ca60c3fd2b607a43a8573d57820",
-    "c02b2f2281d60f1cf3e50169a1e03b1ab51bdd46a5033d1d5ce1cf8f8ef9ecdb",
+    "932d03c06ccd9964134999004e034b64f03903588ccb415e52e739cf6197017a",
+    "5e95fa954aa090fa27fdf38084d0283016b17004637d01f8229a2a5fecb1329f",
+    "78d2c12b6ca4f157bf0665ec711225cb8cc8c54cd70e225123994fbc7e832f11",
+    "1a61451aa796b1e95b2aaaa9d47e938c333047b08863236168a6d4c7b0c06fac",
 )
 AON_CERT_SHA256 = (
     "f1dea820f086ab7019718dbd2e1b0410b13eb8217ebcf9817c8fb4e26f7d03fb",
@@ -401,7 +401,7 @@ class TestCertificates:
         assert calls == ["gadget_harness", "gadget_audit"]
         assert emit_digest(cert) == WW_CERT_SHA256[1]
 
-    @pytest.mark.parametrize("puzzle, nodes, digest", [("ww", 408, WW_CERT_SHA256[0]),
+    @pytest.mark.parametrize("puzzle, nodes, digest", [("ww", 402, WW_CERT_SHA256[0]),
                                                        ("aon", 22_023, AON_CERT_SHA256[0])],
                              ids=["ww", "aon"])
     def test_budget_bounds_the_whole_certificate(self, puzzle, nodes, digest):
