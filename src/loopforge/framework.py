@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 from .errors import CompileError
 from .fileio import BoardFormat
@@ -171,8 +171,6 @@ class Orientation:
         return self._arc_index[2].get(v, 0)
 
 
-SeedRule = Literal["lex", "antilex"]
-
 # Walk nodes: real vertices are themselves; each half-edge gets a private
 # endpoint node so components decompose into plain paths and cycles.
 _Node = tuple
@@ -185,24 +183,18 @@ def _node_key(node: _Node):
     return (he.vertex[0], he.vertex[1], DIRECTION_ORDER.index(he.direction))
 
 
-def orient_complement(h: ComplementGraph, seed_rule: SeedRule = "lex") -> Orientation:
+def orient_complement(h: ComplementGraph) -> Orientation:
     """Orient every H component consistently head-to-tail.
 
     The structure on vertices has maximum degree 2 (half-edges act as path
     endpoints), so components are simple paths and cycles; walking each one
     in a fixed direction gives every interior vertex exactly one incoming
-    and one outgoing incidence.  Free choices are resolved by the order of
-    the candidate walks: "lex" keeps the smallest, "antilex" the largest,
-    so both rules yield valid orientations and each is reproducible.  The
-    smallest walk starts at the component's smallest end (its smallest
-    node, for a cycle) and steps to that node's smaller neighbour; the
-    largest starts at the largest and steps to the larger.  That walk is
-    taken directly, so the work is linear in the size of H.
+    and one outgoing incidence.  Free choices are resolved by keeping the
+    smallest candidate walk, so the orientation is reproducible.  That
+    walk starts at the component's smallest end (its smallest node, for a
+    cycle) and steps to that node's smaller neighbour; it is taken
+    directly, so the work is linear in the size of H.
     """
-    if seed_rule not in ("lex", "antilex"):
-        raise ValueError(f"unknown seed rule: {seed_rule!r}")
-    pick = min if seed_rule == "lex" else max
-
     adj: dict[_Node, list[_Node]] = {}
     for a, b in h.internal_edges:
         adj.setdefault(("v", a), []).append(("v", b))
@@ -225,8 +217,8 @@ def orient_complement(h: ComplementGraph, seed_rule: SeedRule = "lex") -> Orient
                     seen.add(n)
                     comp.append(n)
         ends = [n for n in comp if len(adj[n]) == 1]
-        first = pick(ends or comp, key=_node_key)
-        walk = [first, pick(adj[first], key=_node_key)]
+        first = min(ends or comp, key=_node_key)
+        walk = [first, min(adj[first], key=_node_key)]
         while True:
             step = [n for n in adj[walk[-1]] if n != walk[-2]]
             if not step or step[0] == first:
@@ -289,9 +281,9 @@ def exit_plan(g: GridGraph, o: Orientation) -> ExitPlan:
     return ExitPlan(g, non_exits)
 
 
-def plan_for(g: GridGraph, seed_rule: SeedRule = "lex") -> ExitPlan:
+def plan_for(g: GridGraph) -> ExitPlan:
     """Convenience chain: complement, orientation, exit plan."""
-    return exit_plan(g, orient_complement(build_complement(g), seed_rule))
+    return exit_plan(g, orient_complement(build_complement(g)))
 
 
 @dataclass(frozen=True)

@@ -151,13 +151,13 @@ extension.  Two such neighbors cannot both be next, and one with fewer
 than two can never be entered and left, so either kills the node.  Under
 exact cover every free cell is required.  The neck test runs before a
 forced step, since another neighbor of the head may still cut cells off.
-A loop's root is exempt: there the start is the head and the end and has
-two steps left, its second cell and its last, so a neighbor with two
-usable neighbors may be the last cell instead.  On the 2x3 grid the rule
-would make the root's neighbor (1, 0) second and lose the one cycle,
-which is walked with (0, 1) second.  A cell entered by a forced move has
-at most one free neighbor, so it is simple: the fill skip takes it
-without reading its neighborhood.
+At a loop's root the start has two steps left, its second cell and its
+last, yet the rule never fires there: the start is counted as the head
+and again as the end, so a neighbor is forced only when it has no free
+neighbor, and such a required cell is one the root's peel (below) has
+already refuted.  A cell entered by a forced move has at most one free
+neighbor, so it is simple: the fill skip takes it without reading its
+neighborhood.
 
 At its first node a walk with required cells makes the root's core
 (below): the board peeled, the start and the end kept.  No completion
@@ -171,9 +171,9 @@ From the parent to the node only the parent's head stops being usable
 Where the rule ran at the parent it looked at each of them that is
 required, and neither killed the parent for it nor made it the next
 cell, so the cell had three usable neighbors or more there and keeps
-two.  Under a loop's root, where the rule did not run, the start stays
-usable as the end, so the counts are the root's, two or more after the
-peel.
+two.  Under a loop's root, where the rule counted the start twice, the
+start stays usable as the end, so the counts are the root's, two or
+more after the peel.
 
 A walk keeps a table of its resolved nodes when a node's completions,
 the ways to extend its path to one the walk yields, depend only on a key
@@ -342,7 +342,7 @@ class _Grid:
 
     ``reads`` holds, per cell, :meth:`reads_of` once a walk has asked for
     it, shared by every walk on the grid: a certificate's exit pairs, or
-    the rows of one region shape in a region search."""
+    the rows of one region shape in every region search of the process."""
 
     def __init__(self, cells: list[Cell], neighbors=orthogonal_neighbors):
         self.cells = cells
@@ -623,28 +623,27 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             # a loop's last cell neighbors its start, so one must be in the set
             if loop and not r & start_nbrs:
                 return ()
-        if d or not loop:
-            # a required free neighbor of the head other than the end with
-            # two usable neighbors (free, the head or the end) is the next
-            # cell; one with fewer, or a second such, kills the node.
-            # Besides the head, a neighbor's usable ones are the free cells
-            # and, when on the path, a loop's start
-            ws = []
-            forced = None
-            for w in steps_to:
-                if on[w] or w == end or not req[w]:
-                    continue
-                k = (around[pos[w]] & free).bit_count() + (adj_end[w] & on[end])
-                if k < 2:
-                    if not k or forced is not None:
-                        return ()
-                    forced = w
-                ws.append(w)
-            if necks and len(ws) > 1 and necked(head, ws):
-                return ()
-            forcing[d] = forced is not None
-            if forced is not None:
-                return (forced,)
+        # a required free neighbor of the head other than the end with two
+        # usable neighbors (free, the head or the end) is the next cell; one
+        # with fewer, or a second such, kills the node.  Besides the head, a
+        # neighbor's usable ones are the free cells and, when on the path, a
+        # loop's start
+        ws = []
+        forced = None
+        for w in steps_to:
+            if on[w] or w == end or not req[w]:
+                continue
+            k = (around[pos[w]] & free).bit_count() + (adj_end[w] & on[end])
+            if k < 2:
+                if not k or forced is not None:
+                    return ()
+                forced = w
+            ws.append(w)
+        if necks and len(ws) > 1 and necked(head, ws):
+            return ()
+        forcing[d] = forced is not None
+        if forced is not None:
+            return (forced,)
         if peeled:
             # the core holds every pending cell and every cell of a completion
             core_d = core[d]

@@ -11,35 +11,39 @@ counts see its nodes.  The walk tries a cell's neighbors fewest neighbors
 first (Warnsdorff's rule).
 
 A region's frame shape is its cells turned and shifted into a canonical
-frame.  Each frame shape a search meets gets one path search, its grid
-and neighbor order built once and shared by all its rows, each keyed by
-its port pair in the frame, unordered: every big region of a metacell
-compile has the gadget's shape, so a compile builds one grid and searches
-three rows on it.  A row keeps the walk that decided it:
-a pair's other traversals are that walk's later paths, walked on only
-when the combinations of a cycle that closes need them, so a search that
-stops at its first loop walks no row past its first path.  A traversal
-stays in its row's frame until it is joined into a loop, where the frame
-cell map of its region, made once per region, places it on the board.
-A region's answer for a port pair (its row, that map and the direction)
-is worked out once per search and kept, so a region step is a lookup.
+frame.  A shape's frame moves and its path search, a grid and neighbor
+order shared by all its rows, are built once per process: every big
+region of a metacell compile has the gadget's shape, so a process builds
+one grid for all its compiles.  Each row, keyed by its shape and its port
+pair in the frame, unordered, is walked afresh by each search on its node
+meter, so a compile searches three rows and its nodes do not depend on
+earlier solves.  A row keeps the walk that decided it: a pair's other
+traversals are that walk's later paths, walked on only when the
+combinations of a cycle that closes need them, so a search that stops at
+its first loop walks no row past its first path.  A traversal stays in
+its row's frame until it is joined into a loop, where the frame cell map
+of its region, made once per region, places it on the board.  A region's
+answer for a port pair (its row, that map and the direction) is worked
+out once per search and kept, so a region step is a lookup.
 
 The search over cycles keeps an explicit stack, so it never recurses.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 from .loopsearch import LoopConstraint, _Nodes, path_search
 from .model import Cell, LoopPath, RegionDecomposition, orthogonal_neighbors, turn
 
 
+@lru_cache(maxsize=None)
 def _frame(cells: frozenset[Cell]) -> tuple[tuple[Cell, ...], tuple[dict[Cell, Cell], ...]]:
     """The canonical frame of a region's ``cells``: their least sorted
     tuple over the four turns, shifted to the origin, and for each move
     that takes the cells there (a turn, then a shift), in turn order, each
-    cell's frame cell."""
+    cell's frame cell.  Kept for the process, so the maps are only read."""
     best, moves = None, []
     for k in range(4):
         turned = [turn(c, k) for c in cells]
@@ -72,14 +76,15 @@ class _Drawn:
         return i < len(self.paths)
 
 
+@lru_cache(maxsize=None)
 def _row_search(shape: tuple[Cell, ...]):
     """The path search for the rows of ``shape``, its Hamiltonian paths
-    between two cells.  Its walk tries each cell's neighbors fewest own
-    neighbors in the shape first, ties in ``ORTHO_STEPS`` order
-    (Warnsdorff's rule): a path must take a cell with few ways in while it
-    still can.  On the gadget a row's first path then takes 76 to 206
-    nodes; in ``ORTHO_STEPS`` order it took up to 14,293, by the end and
-    the turn of the shape it started from."""
+    between two cells, kept for the process.  Its walk tries each cell's
+    neighbors fewest own neighbors in the shape first, ties in
+    ``ORTHO_STEPS`` order (Warnsdorff's rule): a path must take a cell
+    with few ways in while it still can.  On the gadget a row's first path
+    then takes 76 to 206 nodes; in ``ORTHO_STEPS`` order it took up to
+    14,293, by the end and the turn of the shape it started from."""
     cells = set(shape)
     degree = {c: sum(n in cells for n in orthogonal_neighbors(c)) for c in shape}
 
@@ -136,11 +141,10 @@ class RegionCycles:
             c = divmod(i, h)
             self.ports[ids[i]].append(c)
             self.cross[c] = [(divmod(j, h), ids[j]) for _, j in sorted(over[i].items())]
-        # per frame shape, its row search and its rows: per end pair a < b
-        # in the frame, the traversals from a to b
-        self.searches: dict[tuple, tuple] = {}
-        self.shapes: dict[frozenset, tuple] = {}  # per shape at the origin, its search, rows, moves
-        # per region, its search, rows and, per move, each cell's frame cell and back
+        # per frame shape and end pair a < b in the frame, the traversals
+        # from a to b
+        self.rows: dict[tuple, _Drawn] = {}
+        # per region, its frame shape and, per move, each cell's frame cell and back
         self.frames: dict[int, tuple] = {}
         # per region and port pair, :meth:`pair`'s answer
         self.answers: dict[tuple[int, Cell, Cell], tuple] = {}
@@ -159,22 +163,17 @@ class RegionCycles:
         if r not in self.frames:
             cells = self.cells[r]
             tx, ty = min(x for x, _ in cells), min(y for _, y in cells)
-            at_origin = frozenset((x - tx, y - ty) for x, y in cells)
-            if at_origin not in self.shapes:
-                shape, moves = _frame(at_origin)
-                if shape not in self.searches:
-                    self.searches[shape] = _row_search(shape), {}
-                self.shapes[at_origin] = *self.searches[shape], moves
-            search, rows, moves = self.shapes[at_origin]
+            shape, moves = _frame(frozenset((x - tx, y - ty) for x, y in cells))
             ontos = [{(x + tx, y + ty): f for (x, y), f in move.items()} for move in moves]
-            self.frames[r] = search, rows, [(o, {f: c for c, f in o.items()}) for o in ontos]
-        search, rows, maps = self.frames[r]
+            self.frames[r] = shape, [(o, {f: c for c, f in o.items()}) for o in ontos]
+        shape, maps = self.frames[r]
         # the first move in turn order among those giving the least ends
         onto, back = min(maps, key=lambda m: sorted((m[0][a], m[0][b])))
         ends = tuple(sorted((onto[a], onto[b])))
-        if ends not in rows:
-            rows[ends] = _Drawn(search(*ends, self.nodes))
-        answer = self.answers[r, a, b] = rows[ends], back, onto[a] != ends[0]
+        row = self.rows.get((shape, ends))
+        if row is None:
+            row = self.rows[shape, ends] = _Drawn(_row_search(shape)(*ends, self.nodes))
+        answer = self.answers[r, a, b] = row, back, onto[a] != ends[0]
         return answer
 
     def exits(self, r: int, a: Cell):

@@ -33,7 +33,15 @@ from loopforge.aon import (
     analyze_dead_regions,
     verify_aon,
 )
-from loopforge.framework import DIRECTION_ORDER, Direction, Orientation, direction_between
+from loopforge.framework import (
+    DIRECTION_ORDER,
+    Direction,
+    Orientation,
+    build_complement,
+    direction_between,
+    exit_plan,
+    plan_for,
+)
 from loopforge import aon, loopsearch
 from loopforge import waterwalk as ww
 from loopforge.errors import SearchBudgetExceeded
@@ -297,6 +305,16 @@ def orient_by_candidate_walks(h, seed_rule="lex"):
             else:
                 half_out[b[1]] = True
     return Orientation(edge_heads, half_out)
+
+
+def plan_by_rule(g, rule):
+    """The exit plan of ``g`` that keeps the smallest candidate walks
+    ("lex", the package's :func:`plan_for`) or the largest ("antilex",
+    through :func:`orient_by_candidate_walks`): a second valid plan for
+    tests that compile a graph both ways."""
+    if rule == "lex":
+        return plan_for(g)
+    return exit_plan(g, orient_by_candidate_walks(build_complement(g), rule))
 
 
 def anchored_search_loops(allowed, required, make_constraint, *, cap=None, budget=None):

@@ -28,7 +28,12 @@ from loopforge.reduction import (
 )
 from loopforge.waterwalk import verify_ww
 
-from oracles import big_region_ids, candidate_subgraphs_by_subset, ham_cycles_by_permutation
+from oracles import (
+    big_region_ids,
+    candidate_subgraphs_by_subset,
+    ham_cycles_by_permutation,
+    plan_by_rule,
+)
 
 
 def _report(n, elapsed, detail):
@@ -117,7 +122,7 @@ def test_criterion_4_dead_region_suite_on_compiled_instances():
     for dims in ((2, 2), (2, 3)):
         for g in enumerate_candidate_subgraphs(*dims):
             for rule in ("lex", "antilex"):
-                plan = plan_for(g, rule)
+                plan = plan_by_rule(g, rule)
                 inst = compile_aon(g, plan)
                 instances += 1
                 report = analyze_dead_regions(inst)
@@ -211,7 +216,7 @@ def test_criterion_8_mutual_facing_soundness():
     for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
         for g in enumerate_candidate_subgraphs(*dims):
             for rule in ("lex", "antilex"):
-                assert mutual_facing_holds(g, plan_for(g, rule))
+                assert mutual_facing_holds(g, plan_by_rule(g, rule))
                 checked += 1
     rng = random.Random(20240)
     for _ in range(200):

@@ -49,6 +49,7 @@ from oracles import (
     check_budgeted_against_full_fill,
     compiled_walls,
     gadget_walls,
+    plan_by_rule,
     ports_by_scan,
     region_count,
     regions_from_boundaries,
@@ -283,7 +284,7 @@ class TestCompile:
     @pytest.mark.parametrize("rule", sorted(PINNED_6X6_DIGESTS))
     def test_output_pinned_byte_for_byte(self, rule):
         g = random_candidate_subgraph(6, 6, random.Random(7))
-        plan = plan_for(g, rule)
+        plan = plan_by_rule(g, rule)
 
         def digest(text):
             return hashlib.sha256(text.encode()).hexdigest()
@@ -359,7 +360,7 @@ class TestCompile:
             g, _ = serpentine(int(source[len("serpentine"):]))
         else:
             g = random_candidate_subgraph(16, 16, random.Random(source))
-        plan = plan_for(g, rule)
+        plan = plan_by_rule(g, rule)
         assert_compile_matches_labels(compile_aon(g, plan), GADGET.tile(g, plan))
 
     def test_replaced_gadget_is_decomposed_afresh(self, monkeypatch):
@@ -390,7 +391,7 @@ class TestCompile:
     def test_no_two_dead_regions_adjacent(self, dims):
         for g in enumerate_candidate_subgraphs(*dims):
             for rule in ("lex", "antilex"):
-                inst = compile_aon(g, plan_for(g, rule))
+                inst = compile_aon(g, plan_by_rule(g, rule))
                 report = analyze_dead_regions(inst)
                 dead = report.dead_ids()
                 region_at = inst.regions.region_at
@@ -540,7 +541,7 @@ class TestWallOracle:
     def test_small_compiles_match_walls(self, dims):
         for g in enumerate_candidate_subgraphs(*dims):
             for rule in ("lex", "antilex"):
-                assert_compile_matches_walls(g, plan_for(g, rule))
+                assert_compile_matches_walls(g, plan_by_rule(g, rule))
 
     def test_random_compiles_match_walls(self):
         rng = random.Random(5)
@@ -677,7 +678,7 @@ class TestSolve:
         with mock.patch.object(oracles, "search_loops", recorded):
             for g in graphs:
                 for seed_rule in ("lex", "antilex"):
-                    solve_aon_by_cells(compile_aon(g, plan_for(g, seed_rule)))
+                    solve_aon_by_cells(compile_aon(g, plan_by_rule(g, seed_rule)))
         assert len(calls) == 2 * len(graphs) == 118
         for allowed, required in calls:
             assert required and allowed == required
@@ -958,6 +959,26 @@ class TestRegionSolve:
             assert list(search.ports.items()) == list(ports.items())
             assert search.cross == cross
 
+    @staticmethod
+    def clear_shape_caches():
+        """Empty the per-process caches of region shapes, so a count taken
+        next does not depend on the tests before it."""
+        regionsearch._frame.cache_clear()
+        regionsearch._row_search.cache_clear()
+
+    def counted_grids(self):
+        """A patch of the cell engine's ``_Grid`` that lists each grid
+        built under it, and that list, the shape caches cleared first."""
+        self.clear_shape_caches()
+        grids = []
+
+        class CountedGrid(loopsearch._Grid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                grids.append(self)
+
+        return mock.patch.object(loopsearch, "_Grid", CountedGrid), grids
+
     @pytest.mark.parametrize("rule", ["lex", "antilex"])
     def test_rows_shared_across_rotations(self, rule):
         # every big region has the gadget's shape, at each of the four
@@ -966,7 +987,7 @@ class TestRegionSolve:
         # onto the board, is a Hamiltonian path of its region between the
         # pair's ports; each pair is worked out once
         g, _ = serpentine(4)
-        plan = plan_for(g, rule)
+        plan = plan_by_rule(g, rule)
         inst = compile_aon(g, plan)
         tiling = GADGET.tile(g, plan)
         assert set(tiling.values()) == {0, 1, 2, 3}
@@ -974,14 +995,8 @@ class TestRegionSolve:
         nodes = _Nodes(None)
         search = RegionCycles(inst.regions, [r for r in range(region_count(inst.regions))
                                              if r not in dead], nodes)
-        grids = []
-
-        class CountedGrid(loopsearch._Grid):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                grids.append(self)
-
-        with mock.patch.object(loopsearch, "_Grid", CountedGrid):
+        patch, grids = self.counted_grids()
+        with patch:
             pairs = [(r, a, b) for r in big_region_ids(inst, tiling)
                      for a in search.ports[r] for b in search.ports[r] if a != b]
             answers = []
@@ -997,14 +1012,28 @@ class TestRegionSolve:
             # a region step reads the kept answer: a repeat call returns
             # the very tuple of the first
             assert all(search.pair(*p) is answer for p, answer in zip(pairs, answers))
-        [(_, rows)] = search.searches.values()
-        assert (len(grids), len(rows), nodes.count) == (1, 3, 298)
+        assert (len(grids), len(search.rows), nodes.count) == (1, 3, 298)
+
+    def test_a_second_solve_builds_no_grid(self):
+        # a region shape's row search is built once per process: the first
+        # solve builds one grid, on the gadget's 71 big cells, and a repeat
+        # builds none; its rows are walked afresh by each solve, so the
+        # repeat gives the same loop in the same nodes
+        inst = _frontier_board()
+        patch, grids = self.counted_grids()
+        with patch:
+            first = solve_aon(inst)
+            assert [len(grid.cells) for grid in grids] == [71]
+            second = solve_aon(inst)
+        assert len(grids) == 1 and len(first.loops) == 1
+        assert second == first
 
     def test_traversals_reach_the_board_only_in_loops(self):
         # each region shape is turned once, 4 times its cells: the gadget's
         # 71 big cells at each of the 4 turns the 3x4 compile uses
         g = random_candidate_subgraph(3, 4, random.Random(7))
         inst = compile_aon(g, plan_for(g))
+        self.clear_shape_caches()
         with mock.patch.object(regionsearch, "turn", wraps=regionsearch.turn) as turn:
             solve_aon(inst)
         assert turn.call_count <= 1_136

@@ -31,6 +31,7 @@ from oracles import (
     check_against_full_fill,
     check_against_unsplit,
     check_budgeted_against_full_fill,
+    plan_by_rule,
 )
 
 # exhaustively measured traversal counts of the 11x11 gadget, pinned as
@@ -152,7 +153,7 @@ class TestEmbed:
     @pytest.mark.parametrize("puzzle, rule", sorted(EMBED_4X4_SHA256))
     def test_embedding_pinned_byte_for_byte(self, puzzle, rule):
         g = random_candidate_subgraph(4, 4, random.Random(7))
-        loop = embed_cycle(g, plan_for(g, rule), find_hamiltonian_cycle(g), puzzle).loop
+        loop = embed_cycle(g, plan_by_rule(g, rule), find_hamiltonian_cycle(g), puzzle).loop
         digest = hashlib.sha256(emit_loop(loop).encode()).hexdigest()
         assert digest == EMBED_4X4_SHA256[(puzzle, rule)]
 

@@ -245,9 +245,8 @@ def test_hamiltonian_search_memory_on_corridor_graphs_grows_at_most_twice_linear
     assert large / small <= MAX_GROWTH, f"{small} -> {large} bytes"
 
 
-@pytest.mark.parametrize("rule", ["lex", "antilex"])
-def test_orientation_of_complement_cycles_grows_at_most_twice_linear(rule):
-    small, large = (count_lines(plan_for, concentric_rings(n), rule) for n in (8, 16))
+def test_orientation_of_complement_cycles_grows_at_most_twice_linear():
+    small, large = (count_lines(plan_for, concentric_rings(n)) for n in (8, 16))
     assert small > 0
     assert large / small <= MAX_GROWTH, f"{small} -> {large} line events"
 

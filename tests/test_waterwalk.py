@@ -41,6 +41,7 @@ from oracles import (
     check_against_anchored,
     check_against_full_fill,
     check_against_unsplit,
+    plan_by_rule,
     unsplit_walk,
     ww_path_valid,
 )
@@ -311,7 +312,7 @@ class TestCompile:
     @pytest.mark.parametrize("rule", sorted(PINNED_6X6_SHA256))
     def test_output_pinned_byte_for_byte(self, rule):
         g = random_candidate_subgraph(6, 6, random.Random(7))
-        text = emit_ww(compile_ww(g, plan_for(g, rule)))
+        text = emit_ww(compile_ww(g, plan_by_rule(g, rule)))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_6X6_SHA256[rule]
 
     def test_square_board_counts(self):
@@ -345,7 +346,7 @@ class TestCompile:
         # inward from them are ground, water, water, ground
         for g in enumerate_candidate_subgraphs(2, 3):
             for rule in ("lex", "antilex"):
-                plan = plan_for(g, rule)
+                plan = plan_by_rule(g, rule)
                 inst = compile_ww(g, plan)
                 tiling = GADGET.tile(g, plan)
                 for u, w in sorted(g.edges):
