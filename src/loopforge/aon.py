@@ -144,8 +144,9 @@ def gadget_harness(turns: int):
 
     The two pinned exit cells stand for the loop stubs continuing
     off-frame, so a valid traversal never steps into another region (that
-    would cross the big region's border a third time); :func:`gadget_audit`
-    reports every traversal that does.
+    would cross the big region's border a third time).  The domain is the
+    big region alone, so no traversal found here can: the entered findings
+    of :func:`gadget_audit` hold by this domain and are not observed.
     """
     decomp = gadget_board(turns).regions
     (exit_cell,) = GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])
@@ -160,12 +161,14 @@ def gadget_audit(turns: int, traversals, paths):
 
     The ``traversals`` the certificate enumerated give the entered
     findings: whether one steps into a filler part or into the one-cell
-    region, and how many leave the big region (0 expected).  The
-    dead-region analysis ``solve_aon`` relies on gives the rest: each
-    filler part's leaf count, the part named by its smallest cell in
-    canonical orientation, the marker cells among the parts' leaves, and 1
-    when the one-cell region is dead, enclosed by the big region alone
-    (else 0).
+    region, and how many leave the big region.  Over the domain of
+    :func:`gadget_harness`, the big region alone, they are "no", "no" and
+    0 by that domain, since no traversal can leave it; a wider domain would
+    show an escape.  The dead-region analysis ``solve_aon`` relies on gives
+    the rest: each filler part's leaf count, the part named by its smallest
+    cell in canonical orientation, the marker cells among the parts'
+    leaves, and 1 when the one-cell region is dead, enclosed by the big
+    region alone (else 0).
     """
     inst = gadget_board(turns)
     decomp, report = inst.regions, analyze_dead_regions(inst)

@@ -34,8 +34,8 @@ every allowed cell is required.
   path over the free cells must meet.
 - Pockets, off exact cover with required cells pending, past depth 1: no
   required cell may lie in a pocket the path has walled off.
-- Necks, for a pinned path under exact cover with no rules: no free
-  neighbor of the head may cut free cells off.
+- Necks, for a pinned path under exact cover: no free neighbor of the
+  head may cut free cells off.
 - Cores, off exact cover with rules that summarise themselves, once the
   walk keeps its table: every pending cell must be in the node's core,
   and the walk steps only into it.
@@ -63,14 +63,13 @@ When the head cuts the free cells into components, the path leaves the
 head into one of them and, the head being on the path, can never come back
 to another.  So:
 
-- under exact cover the node is dead unless the free cells are one
-  component: the fill from the head's first free neighbor must reach every
-  free cell;
-- otherwise, when cells are pending, the one component the path enters
-  must hold all of them.  The fill starts from a pending cell; the node is
-  dead unless that component holds every pending cell and a free neighbor
-  of the head.  The node takes the component over: it becomes its reach
-  set, and the node steps only into it;
+- when cells are pending, the one component the path enters must hold all
+  of them.  The fill starts from the head's first free neighbor when that
+  cell is pending, else from the lowest pending cell; the node is dead
+  unless that component holds every pending cell and a free neighbor of
+  the head.  The node takes the component over: it becomes its reach set,
+  and the node steps only into it.  Under exact cover every free cell is
+  pending, so the node is dead unless the free cells are one component;
 - a loop with nothing pending fills the component of the head's first free
   neighbor, and when another free neighbor lies outside it, fills on to
   every component joined to the head and keeps them all.
@@ -86,10 +85,8 @@ set is exactly the parent's less the head, and it is one component again.
 The node shares the parent's int and reads it through the free cells.
 Then:
 
-- under exact cover the parent's set held every free cell, so this node's
-  set still does;
-- every pending cell is in the parent's set and is not the head, so it is
-  still in;
+- every pending cell (under exact cover, every free cell) is in the
+  parent's set and is not the head, so it is still in;
 - the parent's set held a free neighbor of the start; only when the head
   is one is the set tested again.
 
@@ -117,9 +114,9 @@ step leaves pockets behind.  The test runs whether or not the fill is
 skipped.  Under exact cover the parity and fill prunes leave it little
 to find, and there it costs more than it saves.
 
-A pinned path under exact cover with the base :class:`LoopConstraint`
-(no rules) looks for necks at the head instead.  Its rest runs from the
-head to the end through every free cell.  Let ``w`` be a free neighbor
+A pinned path under exact cover looks for necks at the head instead,
+whatever its rules: the argument reads none of them.  Its rest runs from
+the head to the end through every free cell.  Let ``w`` be a free neighbor
 of the head other than the end.  If, in the free cells and the head
 less ``w``, a free cell's component holds neither the head nor the end,
 the rest would have to enter that component and leave it, both through
@@ -449,7 +446,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         adj_end[i] = 1
     on = bytearray(n)
     free_color = [color.count(0), color.count(1)]
-    pending = req.count(1)
     path_idx: list[int] = []
     # sets of cells: the free ones, the neighbors of the start, the required
     # ones and those pending while free (the required ones and a path's goal)
@@ -458,11 +454,11 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     end_bit = 1 << pos[end]
     goal = 0 if loop else end_bit
     req_cells = grid.full if exact else sum(1 << pos[i] for i in range(n) if req[i])
-    pend_cells = 0 if exact else req_cells | goal
-    # with no rules the walk calls no push or pop, keeps a table under exact
-    # cover, and a pinned path there runs the neck test
+    pend_cells = req_cells | goal
+    # with no rules the walk calls no push or pop, and keeps a table under
+    # exact cover; a pinned path under exact cover runs the neck test
     bare = type(constraint) is LoopConstraint
-    necks = exact and not loop and bare
+    necks = exact and not loop
     around = grid.around
 
     # per path depth, the reach set of the node there (a simple head's is
@@ -587,7 +583,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         # (the root's core), can never be entered and left
         if not d and req_cells and req_cells & ~core_at(0):
             return ()
-        if not exact and pending and d > 1 and sealed(head, path_idx[-2]):
+        if not exact and d > 1 and req_cells & free and sealed(head, path_idx[-2]):
             return ()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh fill
@@ -602,19 +598,19 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             seeds = [w for w in steps_to if not on[w]]
             if pend:
                 # the path can enter one component only, and must reach
-                # every pending cell: take over their component
-                r = fill(pend & -pend)
+                # every pending cell: take over their component, grown from
+                # the head's first free neighbor when it is pending (always
+                # under exact cover), else from the lowest pending cell
+                s = 1 << pos[seeds[0]] if seeds else 0
+                r = fill(s if s & pend else pend & -pend)
                 if r & pend != pend:
                     return ()
                 steps_to = tuple(w for w in seeds if r >> pos[w] & 1)
                 whole[d] = 1
             else:
-                # the component of the head's first free neighbor, which
-                # under exact cover must hold every free cell; else also
-                # every other component joined to the head
+                # the component of the head's first free neighbor and every
+                # other component joined to the head
                 r = fill(1 << pos[seeds[0]]) if seeds else 0
-                if exact and r != free:
-                    return ()
                 rest = sum(1 << pos[w] for w in seeds) & ~r
                 if rest:
                     r = fill(r | rest)
@@ -739,7 +735,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         on[head] = 1
         free ^= 1 << pos[head]
         free_color[color[head]] -= 1
-        pending -= req[head]
         path_idx.append(head)
         nodes.tick()
         if waiting and nodes.count == late:
@@ -778,7 +773,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 closes = adj_end[head] and len(path_idx) >= 4 and path_idx[1] < path_idx[-1]
             else:
                 closes = head == end
-            if closes and pending == 0:
+            if closes and not req_cells & free:
                 path = tuple(cells[i] for i in path_idx)
                 if (constraint.close_ok if loop else constraint.finish_ok)(path):
                     if memo is not None:
@@ -822,7 +817,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 on[c] = 0
                 free ^= 1 << pos[c]
                 free_color[color[c]] += 1
-                pending += req[c]
                 if not bare:
                     constraint.pop()
                 continue

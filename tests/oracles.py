@@ -551,12 +551,11 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     a set of the free cells, the head and the end) is the one step taken;
     one with fewer, or two such, kill the node.  Until it has a core (see
     below) it also tests that every required cell has two usable
-    neighbors, a test that never kills.  A pinned path under exact cover
-    and no rules, at a head with two free neighbors or more other than the
-    end, is dead
-    when one of them, taken out of the free cells and the head, leaves a
-    free cell joined to neither the head nor the end: here a search from
-    both over sets of indices, for each such neighbor.  Under exact cover
+    neighbors, a test that never kills.  A pinned path under exact cover,
+    rules or none, at a head with two free neighbors or more other than
+    the end, is dead when one of them, taken out of the free cells and the
+    head, leaves a free cell joined to neither the head nor the end: here a
+    search from both over sets of indices, for each such neighbor.  Under exact cover
     and no rules it keeps, per resolved node with a child, the completions
     found below it, keyed on its head, the cells on the path and a loop's
     second cell: a node with a key already kept costs its node, yields its
@@ -728,7 +727,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     # whether a child was entered and, once a walk off exact cover whose
     # rules summarise themselves has spent LATE nodes, the node's core
     memo = {} if exact and type(constraint) is LoopConstraint else None
-    necks = memo is not None and not loop
+    necks = exact and not loop
     late = -1 if exact or constraint.state() is None else nodes.count + 1 + loopsearch.LATE
     core = None
     # nodes shallower than floor are not stored: with a core, a loop node of
