@@ -1,10 +1,10 @@
 """Hamiltonian-cycle search and candidate-subgraph enumeration on grid graphs.
 
 The search is the package's loop engine (:mod:`loopforge.loopsearch`) run
-with every vertex required and no puzzle rules, so its prunes (parity,
-connectivity, forced moves) are sound and a ``None`` answer is an
-exhaustive proof of absence.  Budgets are counted in search nodes and
-exhaustion is reported distinctly from "no cycle".
+with every vertex required and no puzzle rules, so its prunes (color
+counts and a peel at the root, connectivity, forced moves) are sound and
+a ``None`` answer is an exhaustive proof of absence.  Budgets are counted
+in search nodes and exhaustion is reported distinctly from "no cycle".
 """
 
 from __future__ import annotations

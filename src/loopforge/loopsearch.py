@@ -24,14 +24,17 @@ The rules below reject only provably dead branches, so a completed search
 is exhaustive.  Each runs in the walks named; "exact cover" means that
 every allowed cell is required.
 
-- Root peel, in every walk with required cells, at its first node: the
-  walk is dead when a required cell is peeled off the board.
+- Root check, at the walk's first node: under exact cover, the colors of
+  the start and the end and the walk's color counts must allow a path
+  that alternates colors over every cell; with required cells, the walk
+  is dead when a required cell is peeled off the board.  Every step is an
+  orthogonal unit step, onto a free cell of the other color, so a node
+  whose parent met the color counts meets them too: no step can change
+  that verdict, and no node past the root tests it.
 - Connectivity, in every walk at every node: the cells still pending must
   be reachable from the head, and a loop's start too.
 - Forced moves, in every walk past a loop's root: a required free
   neighbor of the head with two usable neighbors is the next cell.
-- Parity, under exact cover: the two-coloring budget that an alternating
-  path over the free cells must meet.
 - Pockets, off exact cover with required cells pending, past depth 1: no
   required cell may lie in a pocket the path has walled off.
 - Necks, for a pinned path under exact cover: no free neighbor of the
@@ -111,8 +114,8 @@ can reach a sealed set only through its one-cell layer (or not at all).
 It would have to enter and leave through that one cell, which a simple
 path cannot.  This holds for any seed cell; the previous cell is where a
 step leaves pockets behind.  The test runs whether or not the fill is
-skipped.  Under exact cover the parity and fill prunes leave it little
-to find, and there it costs more than it saves.
+skipped.  Under exact cover the fill prune leaves it little to find, and
+there it costs more than it saves.
 
 A pinned path under exact cover looks for necks at the head instead,
 whatever its rules: the argument reads none of them.  Its rest runs from
@@ -144,10 +147,12 @@ path, between two path neighbors that are usable now.  Past a loop's root
 the head has one step left, so a required free neighbor ``w`` of the
 head other than the end with exactly two usable neighbors, the head among
 them, must be entered from the head: it is the next cell, the node's one
-extension.  Two such neighbors cannot both be next, and one with fewer
-than two can never be entered and left, so either kills the node.  Under
-exact cover every free cell is required.  The neck test runs before a
-forced step, since another neighbor of the head may still cut cells off.
+extension.  Two such neighbors cannot both be next, so they kill the
+node.  None has fewer than two: the root peel and the forced moves leave
+every required free cell two usable neighbors (below), the head one of
+them.  Under exact cover every free cell is required.  The neck test
+runs before a forced step, since another neighbor of the head may still
+cut cells off.
 At a loop's root the start has two steps left, its second cell and its
 last, yet the rule never fires there: the start is counted as the head
 and again as the end, so a neighbor is forced only when it has no free
@@ -252,7 +257,6 @@ as "no verdict", never as "no solution".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import SearchBudgetExceeded
@@ -335,7 +339,8 @@ class _Grid:
     column-major order: ``pos`` holds each cell's bit and ``height`` is the
     distance of a step east.  ``full`` is the set of every cell, and
     ``steps`` the sets of cells with a neighbor north, east, south and west
-    (the order of ``ORTHO_STEPS``).
+    (the order of ``ORTHO_STEPS``), and ``around``, per bit, the set of its
+    cell's neighbors (0 for a bit of no cell).
 
     ``reads`` holds, per cell, :meth:`reads_of` once a walk has asked for
     it, shared by every walk on the grid: a certificate's exit pairs, or
@@ -368,19 +373,12 @@ class _Grid:
             nbrs.append(tuple(adj))
             flags[top - p] = f
         self.full, *self.steps = (int(flags.translate(t), 2) for t in _DIGITS)
-        self.reads: list = [None] * len(cells)
-        self._flags = flags
-
-    @cached_property
-    def around(self) -> list[int]:
-        """Per bit, the set of its cell's neighbors (0 for a bit of no
-        cell)."""
-        h = self.height
         # per byte of flags, the neighbors of a cell at bit h: north at
         # h + 1, east at 2h, south at h - 1 and west at 0
         near = [(f >> 1 & 1) << h + 1 | (f >> 2 & 1) << 2 * h | (f >> 3 & 1) << h - 1
                 | f >> 4 & 1 for f in range(32)]
-        return [near[f] << p >> h for p, f in enumerate(reversed(self._flags))]
+        self.around = [near[f] << p >> h for p, f in enumerate(reversed(flags))]
+        self.reads: list = [None] * len(cells)
 
     def reads_of(self, head: int) -> tuple[tuple[int, int], ...]:
         """The cells whose occupancy decides whether ``head`` is simple,
@@ -436,16 +434,20 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     h = grid.height
     n = len(cells)
     loop = start == end
-    color = [(c[0] + c[1]) & 1 for c in cells]
     req = bytearray(n)
     for i in required:
         req[i] = 1
     exact = all(req)
+    # under exact cover the walk enters the cells in alternating colors from
+    # the start's: that color must hold (n + 1) // 2 of them, and the end,
+    # n - 1 steps on (n for a loop), must have the color of that step
+    color = sum(cells[start]) & 1
+    miscolored = exact and (sum(sum(c) & 1 == color for c in cells) != (n + 1) // 2
+                            or (color + sum(cells[end]) + n - 1 + loop) & 1)
     adj_end = bytearray(n)
     for i in nbrs[end]:
         adj_end[i] = 1
     on = bytearray(n)
-    free_color = [color.count(0), color.count(1)]
     path_idx: list[int] = []
     # sets of cells: the free ones, the neighbors of the start, the required
     # ones and those pending while free (the required ones and a path's goal)
@@ -566,22 +568,12 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         """The head's neighbors the node may step to: none once a prune
         shows the node dead, and after a fill with cells pending only
         those in the component that holds them."""
-        free_total = free_color[0] + free_color[1]
-        if exact and free_total:
-            # the free cells are entered in alternating colors, starting
-            # opposite the head; the walk's last step, onto the end, is
-            # step free_total + 1 for a loop and free_total for a path
-            sc = 1 - color[head]
-            if free_color[sc] != (free_total + 1) // 2:
-                return ()
-            steps = free_total + on[end]
-            if (sc if steps & 1 else 1 - sc) != color[end]:
-                return ()
         steps_to = nbrs[head]
         d = len(path_idx) - 1
-        # a required cell peeled off the board, the start and the end kept
-        # (the root's core), can never be entered and left
-        if not d and req_cells and req_cells & ~core_at(0):
+        # at the root: the colors cannot alternate, or a required cell is
+        # peeled off the board, the start and the end kept (the root's
+        # core), and can never be entered and left
+        if not d and (miscolored or req_cells and req_cells & ~core_at(0)):
             return ()
         if not exact and d > 1 and req_cells & free and sealed(head, path_idx[-2]):
             return ()
@@ -620,18 +612,16 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if loop and not r & start_nbrs:
                 return ()
         # a required free neighbor of the head other than the end with two
-        # usable neighbors (free, the head or the end) is the next cell; one
-        # with fewer, or a second such, kills the node.  Besides the head, a
-        # neighbor's usable ones are the free cells and, when on the path, a
-        # loop's start
+        # usable neighbors (free, the head or the end) is the next cell, and
+        # a second such kills the node.  Besides the head, a neighbor's
+        # usable ones are the free cells and a loop's start
         ws = []
         forced = None
         for w in steps_to:
             if on[w] or w == end or not req[w]:
                 continue
-            k = (around[pos[w]] & free).bit_count() + (adj_end[w] & on[end])
-            if k < 2:
-                if not k or forced is not None:
+            if (around[pos[w]] & free).bit_count() + (adj_end[w] & loop) < 2:
+                if forced is not None:
                     return ()
                 forced = w
             ws.append(w)
@@ -734,7 +724,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     while True:
         on[head] = 1
         free ^= 1 << pos[head]
-        free_color[color[head]] -= 1
         path_idx.append(head)
         nodes.tick()
         if waiting and nodes.count == late:
@@ -816,7 +805,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 c = path_idx.pop()
                 on[c] = 0
                 free ^= 1 << pos[c]
-                free_color[color[c]] += 1
                 if not bare:
                     constraint.pop()
                 continue

@@ -107,6 +107,36 @@ class TestExitCodes:
                      "--budget", "3", "--out", str(tmp_path / "w.loop")])
         assert code == 2
 
+    def test_roundtrip_budget_stop_code(self, capsys):
+        # a Hamiltonian search stopped by the budget is a timeout, never "no"
+        assert main(["roundtrip", "--puzzle", "ww", "--cols", "2", "--rows", "2",
+                     "--budget", "0"]) == 2
+        assert "timeouts 1" in capsys.readouterr().out
+
+    def test_lift_of_a_loop_the_board_rejects(self, square_graph_file, tmp_path, capsys):
+        # the 2x2 grid's Water Walk compile rejects the loop round its
+        # four corner cells by rule 3
+        bad, out = tmp_path / "bad.loop", tmp_path / "c.loop"
+        bad.write_text("loop 4\n0 0\n1 0\n1 1\n0 1\n")
+        assert main(["lift", "--puzzle", "ww", "--in", str(square_graph_file),
+                     "--loop", str(bad), "--out", str(out)]) == 1
+        assert any(line.startswith("rule 3: ")
+                   for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loop, code", [(None, 0), ("loop 4\n0 0\n1 0\n1 1\n0 1\n", 1)])
+    def test_verify_writes_the_verdict_it_prints(self, loop, code, data_dir, tmp_path, capsys):
+        loop_path = data_dir / "sample_ww_loop.txt"
+        if loop is not None:
+            loop_path = tmp_path / "other.loop"
+            loop_path.write_text(loop)
+        out = tmp_path / "verdict.txt"
+        assert main(["verify", "--puzzle", "ww", "--in", str(data_dir / "sample_ww.txt"),
+                     "--loop", str(loop_path), "--out", str(out)]) == code
+        text = out.read_text()
+        assert text == capsys.readouterr().err
+        assert (text == "accept\n") == (code == 0)
+
     def test_aon_all_capped_at_one_stops_at_its_first_loop(self, square_graph_file, tmp_path):
         # the first loop of `solve --all --cap 1` on the compiled 2x2 board
         # comes within the 574 nodes a first-loop solve spends (before the

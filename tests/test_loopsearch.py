@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from loopforge.aon import compile_aon, solve_aon
 from loopforge.framework import plan_for
 from loopforge.hamilton import hamiltonian_cycles, random_candidate_subgraph
-from loopforge.loopsearch import LoopConstraint, cycles_through, search_loops, search_paths
+from loopforge.loopsearch import (
+    LoopConstraint,
+    SearchResult,
+    cycles_through,
+    search_loops,
+    search_paths,
+)
 from loopforge.model import LoopPath, full_grid, orthogonal_neighbors
 from loopforge.reduction import certify_gadget, puzzle_of
 
@@ -48,6 +54,30 @@ def test_search_paths_rejects_cap_below_one(cap):
 def test_cap_of_one_stops_after_one_loop():
     res = search_loops(BOARD, [], LoopConstraint, cap=1)
     assert len(res.loops) == 1 and not res.exhausted
+
+
+@pytest.mark.parametrize("start, goal", [((0, 0), (0, 0)), ((9, 9), (2, 2)), ((0, 0), (9, 9))])
+def test_search_paths_rejects_a_start_or_goal_it_cannot_use(start, goal):
+    with pytest.raises(ValueError, match="distinct allowed cells"):
+        search_paths(BOARD, start, goal, [], LoopConstraint)
+
+
+def test_a_required_cell_outside_the_board_finds_nothing_at_no_cost():
+    empty = SearchResult([], 0, True)
+    assert search_paths(BOARD, (0, 0), (2, 2), [(9, 9)], LoopConstraint) == empty
+    assert search_loops(BOARD, [(1, 1), (9, 9)], LoopConstraint) == empty
+
+
+class Refusing(LoopConstraint):
+    """Rules that admit no cell, the walk's start included."""
+
+    def push(self, cell):
+        return False
+
+
+@pytest.mark.parametrize("required", [[], [(1, 1)]])
+def test_a_start_the_rules_refuse_spends_no_node(required):
+    assert search_loops(BOARD, required, Refusing) == SearchResult([], 0, True)
 
 
 @pytest.mark.parametrize("step", [(1, 1), (2, 0), (0, -2), (0, 0)])

@@ -521,6 +521,21 @@ class TestRoundtrip:
         assert report.timeouts == len(report.results)
         assert all(r.agreement is None for r in report.results)
 
+    def test_a_hamiltonian_budget_stop_is_a_timeout(self):
+        # a Hamiltonian search stopped by its budget gives no verdict, so
+        # the instance is neither an agreement nor a disagreement
+        report = roundtrip_experiment(2, 2, "ww", ham_budget=0)
+        (r,) = report.results
+        assert r.hamiltonian == "timeout" and r.agreement is None
+        assert report.timeouts == 1
+        assert report.agreements == report.disagreements == 0
+
+    def test_budget_stops_on_both_sides_are_timeouts(self):
+        report = roundtrip_experiment(2, 3, "aon", ham_budget=0, solver_budget=0)
+        assert len(report.results) == 2
+        assert all(r.hamiltonian == r.solvable == "timeout" for r in report.results)
+        assert report.timeouts == 2 and report.agreements == report.disagreements == 0
+
     def test_3x3_candidates_all_unsolvable(self):
         # the largest exhaustible size is entirely non-Hamiltonian (odd
         # vertex count), so both solvers must prove every compile empty
