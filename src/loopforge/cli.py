@@ -1,8 +1,9 @@
 """Command-line surface: thin wrappers over the library operations.
 
-Exit codes: 0 accept/solved/agreement, 1 reject/unsatisfiable/disagreement,
-2 budget exhaustion, 3 malformed or missing input or a usage error, 4
-internal error (a crash, which must never read as a verdict).
+Exit codes: 0 accept/solved/agreement, 1 reject/unsatisfiable/disagreement
+(for ``roundtrip``, also a found loop that fails to lift), 2 budget
+exhaustion, 3 malformed or missing input or a usage error, 4 internal error
+(a crash, which must never read as a verdict).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def cmd_roundtrip(args) -> int:
         solver_budget=args.budget, ham_budget=args.budget,
         dump_dir=args.dump)
     _write(args.out, emit_roundtrip_report(report))
-    if report.disagreements:
+    if report.disagreements or any(r.lift_ok is False for r in report.results):
         return REJECT
     if report.timeouts:
         return BUDGET

@@ -32,7 +32,7 @@ every allowed cell is required.
   whose parent met the color counts meets them too: no step can change
   that verdict, and no node past the root tests it.
 - Connectivity, in every walk at every node: the cells still pending must
-  be reachable from the head, and a loop's start too.
+  be reachable from the head, and a finishing cell too.
 - Forced moves, in every walk past a loop's root: a required free
   neighbor of the head with two usable neighbors is the next cell.
 - Pockets, off exact cover with required cells pending, past depth 1: no
@@ -77,8 +77,14 @@ to another.  So:
   neighbor, and when another free neighbor lies outside it, fills on to
   every component joined to the head and keeps them all.
 
-A loop's last cell neighbors its start, so some free neighbor of the start
-must be in the reach set.
+A path ends on one of its finishing cells: a pinned path's end, or a
+neighbor of a loop's start.  A loop is yielded in the direction whose
+second cell comes before its last in ``grid.cells``, so its finishing
+cells are the start's neighbors, and once its second cell is placed those
+after that cell.  Some free finishing cell must be in the reach set.  A
+node closes when its head is a finishing cell and no required cell is
+free: a grid graph has no triangle, so no path of three cells ends next
+to its start.
 
 The fill is skipped when the parent's reach set was one component and the
 new head is simple: its free neighbors are joined to each other by free
@@ -90,8 +96,8 @@ Then:
 
 - every pending cell (under exact cover, every free cell) is in the
   parent's set and is not the head, so it is still in;
-- the parent's set held a free neighbor of the start; only when the head
-  is one is the set tested again.
+- the set is tested again for a free finishing cell: the head may have
+  been the parent's last, and a loop's second cell narrows them.
 
 Whether a head is simple depends only on which of its neighbors and of
 the diagonal cells linking two of them are free, so it is read from a
@@ -143,23 +149,26 @@ backtrack, the same test made
 Every walk takes forced moves at the head, rules or none.  A cell is
 usable by the rest of the path when it is free, the head or the end.
 Every required free cell other than the end lies inside the finished
-path, between two path neighbors that are usable now.  Past a loop's root
-the head has one step left, so a required free neighbor ``w`` of the
-head other than the end with exactly two usable neighbors, the head among
-them, must be entered from the head: it is the next cell, the node's one
-extension.  Two such neighbors cannot both be next, so they kill the
-node.  None has fewer than two: the root peel and the forced moves leave
-every required free cell two usable neighbors (below), the head one of
-them.  Under exact cover every free cell is required.  The neck test
-runs before a forced step, since another neighbor of the head may still
-cut cells off.
+path, between two path neighbors that are usable now; a loop's start is
+one only for a finishing cell, the start's one path neighbor still to
+come.  Past a loop's root the head has one step left, so a required free
+neighbor ``w`` of the head other than the end with exactly two usable
+neighbors, the head among them and the start counted only for a
+finishing cell, must be entered from the head: it is the next cell, the
+node's one extension.  Two such neighbors cannot both be next, so they
+kill the node.  None has fewer than two: with the head alone, ``w``
+would have no free neighbor and be no finishing cell, a component of the
+free cells holding neither a finishing cell nor a goal, and the
+connectivity prune has already found such a node dead.  Under exact
+cover every free cell is required.  The neck test runs before a forced
+step, since another neighbor of the head may still cut cells off.
 At a loop's root the start has two steps left, its second cell and its
-last, yet the rule never fires there: the start is counted as the head
-and again as the end, so a neighbor is forced only when it has no free
-neighbor, and such a required cell is one the root's peel (below) has
-already refuted.  A cell entered by a forced move has at most one free
-neighbor, so it is simple: the fill skip takes it without reading its
-neighborhood.
+last, yet the rule never fires there: every neighbor of the start is a
+finishing cell, so the start is counted as the head and again as the
+end, and a neighbor is forced only when it has no free neighbor, a
+required cell that the root's peel (below) has already refuted.  A cell
+entered by a forced move has at most one free neighbor, so it is simple:
+the fill skip takes it without reading its neighborhood.
 
 At its first node a walk with required cells makes the root's core
 (below): the board peeled, the start and the end kept.  No completion
@@ -202,13 +211,12 @@ whatever it reads.
 Under exact cover with the base :class:`LoopConstraint` (no rules), the
 key is the free cells and the head, packed into one int.  There every
 free cell must be entered and no rule reads the cells before the head;
-a loop's completions also depend on its second cell, which the closing
-direction reads, but the free cells and the head fix it, or the node has
-no completion whichever it is: every loop walk that keeps a table
-starts at its smallest cell, which has no neighbor west or south, so a
-loop takes both its neighbors.  Past the start, one free means the other
-is second; neither free, the loop can close only if the head is one, and
-then the other is second.
+a loop's completions also depend on its finishing cells, which its
+second cell fixes.  The free cells and the head fix that cell, or the
+node has no completion: every loop walk that keeps a table starts at its
+smallest cell, whose neighbors are at most the ones north and east of
+it.  One of them free means the other is second; neither free, the node
+completes only by closing at once, at the east one, after the north one.
 
 Off exact cover, with rules that summarise themselves
 (:meth:`LoopConstraint.state`), the key is the rules' state, the node's
@@ -223,12 +231,13 @@ verdicts on the cells that follow and at the close.  A pending cell
 outside the core can never be reached, so such a node is dead; it is
 pruned before its key is made, and in every node keyed the pending cells
 left are those of the core other than the head and a loop's start,
-which the key fixes.  The second cell fixes the closing direction, and
-a loop node is keyed only once its path has four cells: from there the
-node and each extension of it are long enough to close.  So nodes with
-equal keys have equal completions.  The core is a prune as well: the
-walk steps only into it, and a node with a pending cell outside it is
-dead.
+which the key fixes.  A loop's second cell fixes its finishing cells,
+so the key fixes whether the node or an extension of it closes; a start
+with three neighbors or more has more than one set of them, so the key
+cannot drop that cell.  A root is keyed with second cell 0.  So nodes
+with equal keys have equal completions.  The core is a prune as well:
+the walk steps only into it, and a node with a pending cell outside it
+is dead.
 
 A node's core is made from its parent's: that core less the parent's
 head (a loop's start stays), peeled with the new head kept, in the
@@ -426,8 +435,9 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     start (which is on the path from the outset) and is yielded once, in
     the direction whose second cell comes before its last in ``grid.cells``.
     Otherwise ``end`` is a free, terminal goal: a path stops there and is
-    yielded when it ends there.  Cell tuples are built only for paths that
-    close or finish.
+    yielded when it ends there.  Either way a path ends on a finishing
+    cell (see the module docstring).  Cell tuples are built only for paths
+    that close or finish.
     """
     cells, nbrs, pos = grid.cells, grid.nbrs, grid.pos
     north, east, south, west = grid.steps
@@ -444,16 +454,16 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     color = sum(cells[start]) & 1
     miscolored = exact and (sum(sum(c) & 1 == color for c in cells) != (n + 1) // 2
                             or (color + sum(cells[end]) + n - 1 + loop) & 1)
-    adj_end = bytearray(n)
-    for i in nbrs[end]:
-        adj_end[i] = 1
     on = bytearray(n)
     path_idx: list[int] = []
-    # sets of cells: the free ones, the neighbors of the start, the required
-    # ones and those pending while free (the required ones and a path's goal)
+    # sets of cells: the free ones, the finishing ones (a path's end, a
+    # loop's start's neighbors, narrowed once its second cell is placed),
+    # the required ones and those pending while free (the required ones
+    # and a path's goal)
     free = grid.full
-    start_nbrs = sum({1 << pos[i] for i in nbrs[end]})
     end_bit = 1 << pos[end]
+    around = grid.around
+    finish = around[pos[end]] if loop else end_bit
     goal = 0 if loop else end_bit
     req_cells = grid.full if exact else sum(1 << pos[i] for i in range(n) if req[i])
     pend_cells = req_cells | goal
@@ -461,7 +471,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     # exact cover; a pinned path under exact cover runs the neck test
     bare = type(constraint) is LoopConstraint
     necks = exact and not loop
-    around = grid.around
 
     # per path depth, the reach set of the node there (a simple head's is
     # its parent's, read through the free cells), whether it is one
@@ -501,7 +510,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         """Whether a pending cell lies in a pocket grown from a free
         neighbor of ``prev``: free cells, the goal aside, that the path
         could enter and leave only through one cell."""
-        stop = start_nbrs | around[pos[head]]
+        stop = around[pos[end]] | around[pos[head]]
         inside = free ^ goal
         for s in nbrs[prev]:
             if on[s] or s == end:
@@ -582,8 +591,10 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         if d > 0 and whole[d - 1] and (forcing[d - 1] or simple(head)):
             r = reach[d] = reach[d - 1]
             whole[d] = 1
-            # the parent's set held a free neighbor of the start
-            if loop and adj_end[head] and not r & free & start_nbrs:
+            # the path ends on a finishing cell, so a free one must be in
+            # the set: the head may have been the parent's last, and a
+            # loop's second cell narrows them
+            if not r & finish & free:
                 return ()
         else:
             pend = pend_cells & free
@@ -608,19 +619,20 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                     r = fill(r | rest)
                 whole[d] = not rest
             reach[d] = r
-            # a loop's last cell neighbors its start, so one must be in the set
-            if loop and not r & start_nbrs:
+            # the path ends on a finishing cell, so one must be in the set
+            if not r & finish:
                 return ()
         # a required free neighbor of the head other than the end with two
         # usable neighbors (free, the head or the end) is the next cell, and
         # a second such kills the node.  Besides the head, a neighbor's
-        # usable ones are the free cells and a loop's start
+        # usable ones are the free cells and, for a finishing cell, a
+        # loop's start
         ws = []
         forced = None
         for w in steps_to:
             if on[w] or w == end or not req[w]:
                 continue
-            if (around[pos[w]] & free).bit_count() + (adj_end[w] & loop) < 2:
+            if (around[pos[w]] & free).bit_count() + (finish >> pos[w] & 1) < 2:
                 if forced is not None:
                     return ()
                 forced = w
@@ -659,10 +671,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     shift = n.bit_length()
     low = (1 << shift) - 1
     width = grid.full.bit_length()
-    # with a core, a loop node's key is made once its path has four cells:
-    # a node of three cells cannot close, one of four or more can
-    base = 3 if loop and waiting else 0
-    floor = base
+    floor = 0
 
     def key() -> int:
         """The top node's key in a walk with cores: the state of the
@@ -671,7 +680,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         sid = states.get(s)
         if sid is None:
             sid = states[s] = len(states)
-        second = path_idx[1] if loop else 0
+        second = path_idx[1] if loop and len(path_idx) > 1 else 0
         return ((sid << width | core[len(path_idx) - 1]) << shift | second) << shift | path_idx[-1]
 
     def core_at(d: int) -> int:
@@ -726,12 +735,15 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
         free ^= 1 << pos[head]
         path_idx.append(head)
         nodes.tick()
+        if loop and len(path_idx) == 2:
+            # the loop ends on a neighbor of its start after its second cell
+            finish = sum(1 << pos[i] for i in nbrs[start] if i > head)
         if waiting and nodes.count == late:
             # the walk is long enough to keep a table: the nodes on the
             # path get their cores, and none of the ones above this node
             # is stored, as their children so far were not listed
             waiting, peeled, memo = False, True, {}
-            floor = max(base, len(path_idx) - 1)
+            floor = len(path_idx) - 1
             for i in range(len(path_idx) - 1):
                 core[i] = core_at(i)
         if peeled:
@@ -758,11 +770,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             if stored:
                 yield from replay(stored)
         else:
-            if loop:
-                closes = adj_end[head] and len(path_idx) >= 4 and path_idx[1] < path_idx[-1]
-            else:
-                closes = head == end
-            if closes and not req_cells & free:
+            if finish >> pos[head] & 1 and not req_cells & free:
                 path = tuple(cells[i] for i in path_idx)
                 if (constraint.close_ok if loop else constraint.finish_ok)(path):
                     if memo is not None:
@@ -780,8 +788,8 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 if memo is not None:
                     d = len(path_idx) - 1
                     if d < floor:
-                        # above the node where the table began, or too shallow
-                        floor = max(base, d)
+                        # above the node where the table began
+                        floor = d
                     else:
                         # a node with a child is stored, and a node with a
                         # completion is listed under its parent

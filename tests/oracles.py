@@ -360,10 +360,22 @@ def check_against_anchored(module, solve, inst):
     return new, old
 
 
+def allowed_last(grid, start, end, path_cells):
+    """The cells a path of a walk may end on: a pinned path's end, and a
+    loop's start's neighbors, once the path has its second cell only those
+    greater than it as cells."""
+    if start != end:
+        return {end}
+    if len(path_cells) < 2:
+        return set(grid.nbrs[end])
+    return {w for w in grid.nbrs[end] if grid.cells[w] > path_cells[1]}
+
+
 def unsplit_walk(grid, start, end, required, constraint, nodes):
     """``loopsearch._walk`` as it was before it acted on split fills: a node
-    whose head cuts the free cells survives unless a required cell or the
-    end is out of reach, and a fill stamps all its components with one
+    whose head cuts the free cells survives unless a required cell, the
+    end or, for a loop, every allowed last cell (:func:`allowed_last`) is
+    out of reach, and a fill stamps all its components with one
     generation.  Same arguments; the engine's walk must give the same paths
     in the same order, never with more nodes."""
     cells, nbrs = grid.cells, grid.nbrs
@@ -467,10 +479,11 @@ def unsplit_walk(grid, start, end, required, constraint, nodes):
                 if not on[i] and stamp[i] < b:
                     return False
         # the path must still be able to reach its end: a loop's final cell
-        # neighbors the start, a pinned path's final cell is the goal
+        # is one of its allowed last cells, a pinned path's is the goal
         if on[end]:
-            if not adj_end[head]:
-                for w in nbrs[end]:
+            last = allowed_last(grid, start, end, path_cells)
+            if head not in last:
+                for w in last:
                     if not on[w] and stamp[w] >= b:
                         break
                 else:
@@ -541,27 +554,28 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     node and no reach set taken over from the parent.  It acts on a split
     fill as the engine does: under exact cover the node is dead; otherwise
     it is dead unless one component holds every pending cell (and a path's
-    goal) and, for a loop, a neighbor of the start, and it then steps only
-    into that component.  Past depth 1 of a search that is not exact cover
-    and has required cells left, it runs the engine's pocket test, here
-    over sets of indices.  At its first node a walk with required cells is
-    dead when one of them is peeled off the board, one cell at a time,
-    the start and the end kept.  Past a loop's root, a required free
-    neighbor of the head other than the end with two usable neighbors (in
-    a set of the free cells, the head and the end) is the one step taken;
-    one with fewer, or two such, kill the node.  Until it has a core (see
-    below) it also tests that every required cell has two usable
-    neighbors, a test that never kills.  A pinned path under exact cover,
-    rules or none, at a head with two free neighbors or more other than
-    the end, is dead when one of them, taken out of the free cells and the
-    head, leaves a free cell joined to neither the head nor the end: here a
-    search from both over sets of indices, for each such neighbor.  Under exact cover
-    and no rules it keeps, per resolved node with a child, the completions
-    found below it, keyed on its head, the cells on the path and a loop's
-    second cell: a node with a key already kept costs its node, yields its
-    path extended by each of them and goes no deeper.  Off exact cover,
-    with rules that summarise themselves, it does the same once it has
-    spent ``loopsearch.LATE`` nodes, keyed on the head, a loop's second
+    goal) and, for a loop, an allowed last cell (:func:`allowed_last`), and
+    it then steps only into that component.  Past depth 1 of a search that
+    is not exact cover and has required cells left, it runs the engine's
+    pocket test, here over sets of indices.  At its first node a walk with
+    required cells is dead when one of them is peeled off the board, one
+    cell at a time, the start and the end kept.  Past a loop's root, a
+    required free neighbor of the head other than the end with two usable
+    neighbors (in a set of the free cells and the head, and a loop's start
+    for an allowed last cell) is the one step taken; one with fewer, or two
+    such, kill the node.  Until it has a core (see below) it also tests that
+    every required cell has two neighbors among the free cells, the head and
+    the end, a test that never kills.  A pinned path under exact cover,
+    rules or none, at a head with two free neighbors or more other than the
+    end, is dead when one of them, taken out of the free cells and the head,
+    leaves a free cell joined to neither the head nor the end: here a search
+    from both over sets of indices, for each such neighbor.  Under exact
+    cover and no rules it keeps, per resolved node with a child, the
+    completions found below it, keyed on its head, the cells on the path and
+    a loop's second cell: a node with a key already kept costs its node,
+    yields its path extended by each of them and goes no deeper.  Off exact
+    cover, with rules that summarise themselves, it does the same once it
+    has spent ``loopsearch.LATE`` nodes, keyed on the head, a loop's second
     cell, the pending cells left, the rules' state and the node's core,
     peeled afresh from its free cells one cell at a time; from then on a
     node is dead when a pending cell is outside its core, and steps only
@@ -645,10 +659,11 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         pend = {comp_of[i] for i in req_idx + [end] if not on[i]}
         if None in pend or len(pend) > 1:
             return ()
-        # a loop's last cell neighbors its start, so one must be in reach:
-        # in that component when there is one
+        # a loop's last cell is one of its allowed last cells, so one must
+        # be in reach: in that component when there is one
+        last = allowed_last(grid, start, end, path_cells)
         if loop:
-            closing = {comp_of[w] for w in nbrs[end] if not on[w]} - {None}
+            closing = {comp_of[w] for w in last if not on[w]} - {None}
             if not closing or not pend <= closing:
                 return ()
         steps_to = nbrs[head]
@@ -659,9 +674,10 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
         if len(path_idx) > 1 or not loop:
             # the head has one step left (a loop's root has two), so a
             # required free neighbor of it other than the end with two
-            # usable neighbors must take it
-            usable = {i for i in range(n) if not on[i]} | {head, end}
-            degree = {w: len(usable.intersection(nbrs[w]))
+            # usable neighbors must take it; a loop's start is usable only
+            # by an allowed last cell
+            usable = {i for i in range(n) if not on[i]} | {head}
+            degree = {w: len(usable.intersection(nbrs[w])) + (w in last)
                       for w in nbrs[head] if not on[w] and w != end and req[w]}
             tight = [w for w, k in degree.items() if k == 2]
             if min(degree.values(), default=2) < 2 or len(tight) > 1:
@@ -730,10 +746,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
     necks = exact and not loop
     late = -1 if exact or constraint.state() is None else nodes.count + 1 + loopsearch.LATE
     core = None
-    # nodes shallower than floor are not stored: with a core, a loop node of
-    # three cells cannot close, one of four can
-    base = 3 if loop and late >= 0 else 0
-    floor = base
+    floor = 0  # nodes shallower than this are not stored
     below = []
     entered = []
 
@@ -766,7 +779,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
             core.append(peeled(d))
         elif nodes.count == late:
             # the table begins: none of the nodes above this one is stored
-            memo, core, floor = {}, [], max(base, d)
+            memo, core, floor = {}, [], d
             for i in range(d + 1):
                 core.append(peeled(i))
         if memo is not None and d >= floor and state() in memo:
@@ -794,7 +807,7 @@ def full_fill_walk(grid, start, end, required, constraint, nodes):
                 frames.pop()
                 d = len(path_idx) - 1
                 if memo is not None and d < floor:
-                    floor = max(base, d)
+                    floor = d
                 elif memo is not None and entered[-1]:
                     memo[state()] = below[-1]
                 below.pop()

@@ -4,7 +4,7 @@ import pytest
 
 import loopforge.reduction
 from loopforge.cli import build_parser, main
-from loopforge.errors import ParseError
+from loopforge.errors import LiftError, ParseError
 from loopforge.fileio import emit_graph, parse_graph, parse_loop
 from loopforge.framework import plan_for
 from loopforge.model import HamCycle, full_grid, grid_graph
@@ -112,6 +112,18 @@ class TestExitCodes:
         assert main(["roundtrip", "--puzzle", "ww", "--cols", "2", "--rows", "2",
                      "--budget", "0"]) == 2
         assert "timeouts 1" in capsys.readouterr().out
+
+    def test_roundtrip_lift_failure_code(self, monkeypatch, capsys):
+        # a found loop that does not lift is a soundness failure, though
+        # Hamiltonicity and solvability agree
+        def refuse(*args):
+            raise LiftError("refused")
+
+        monkeypatch.setattr(loopforge.reduction, "lift_solution", refuse)
+        assert main(["roundtrip", "--puzzle", "ww", "--cols", "2", "--rows", "2"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "instance 0 hamiltonian yes solvable yes lift FAIL agreement yes"
+        assert out[-1] == "summary instances 1 agreements 1 disagreements 0 timeouts 0"
 
     def test_lift_of_a_loop_the_board_rejects(self, square_graph_file, tmp_path, capsys):
         # the 2x2 grid's Water Walk compile rejects the loop round its

@@ -308,6 +308,12 @@ class TestGadget:
                     assert gadget.board_exit(v, turns, side) == \
                         (gadget.frame * v[0] + ex, gadget.frame * v[1] + ey)
 
+    @pytest.mark.parametrize("gadget", [aon.GADGET, waterwalk.GADGET], ids=["aon", "ww"])
+    def test_a_cell_outside_the_frame_cannot_be_placed(self, gadget):
+        n = gadget.frame
+        with pytest.raises(ValueError, match=rf"^cell \({n}, 0\) outside {n}x{n} frame$"):
+            gadget.place((0, 0), 1, [(0, 0), (n, 0)])
+
     @pytest.mark.parametrize("gadget, side, cell", [
         (aon.GADGET, Direction.W, (0, 4)),
         (waterwalk.GADGET, Direction.E, (4, 1)),

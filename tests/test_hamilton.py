@@ -38,8 +38,8 @@ class TestFindHamiltonianCycle:
         assert count_hamiltonian_cycles(g) == len(ham_cycles_by_permutation(g)) == 1
 
     @pytest.mark.parametrize("cols, rows, cycles, nodes, digest", [
-        (6, 6, 1_072, 13_815, "676c7b934297ff8d5869ccf66f1cc72dd7c43591907c43caf410fbdd0486c1da"),
-        (6, 7, 5_320, 52_795, "79946441b48213b521d33f3c37e35d600eb91c38e2b8a32e9a4f4d5afd3f71bb"),
+        (6, 6, 1_072, 6_909, "676c7b934297ff8d5869ccf66f1cc72dd7c43591907c43caf410fbdd0486c1da"),
+        (6, 7, 5_320, 25_840, "79946441b48213b521d33f3c37e35d600eb91c38e2b8a32e9a4f4d5afd3f71bb"),
     ], ids=["6x6", "6x7"])
     def test_full_grid_cycles_pinned(self, cols, rows, cycles, nodes, digest):
         # every cycle once, in the order found (the sha256 of one line per
@@ -202,7 +202,7 @@ class TestFullFill:
     def test_concentric_rings(self):
         trace = check_against_full_fill(hamiltonian_cycles, concentric_rings(8))
         check_against_unsplit(hamiltonian_cycles, concentric_rings(8))
-        assert trace == [("end", 7)]
+        assert trace == [("end", 5)]
 
     def test_serpentine(self):
         g, cycle = serpentine(8)

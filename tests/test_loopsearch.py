@@ -109,7 +109,7 @@ def test_cycles_through_a_root_with_four_neighbors():
     assert len(cycles) == len(every) == 14
     assert {LoopPath(c).canonical() for c in cycles} == every
     assert all(c[0] == (0, 0) and c == LoopPath(c).canonical().cells for c in cycles)
-    assert trace[-1] == ("end", 313)
+    assert trace[-1] == ("end", 160)
 
 
 # Boards on which the head often cuts the free cells, so that a node's reach
@@ -234,10 +234,10 @@ NECK = board("#####.##",
 
 
 @pytest.mark.parametrize("required, count, nodes", [
-    ([(0, 0), (7, 0)], 0, 119),
-    ([(1, 1), (6, 1)], 0, 147),
-    ([(7, 0)], 1, 9),
-    ([(0, 0)], 48, 498),
+    ([(0, 0), (7, 0)], 0, 78),
+    ([(1, 1), (6, 1)], 0, 95),
+    ([(7, 0)], 1, 6),
+    ([(0, 0)], 48, 265),
 ])
 def test_loops_through_a_one_cell_neck(required, count, nodes):
     check_against_full_fill(search_loops, NECK, required, LoopConstraint, budget=20)
@@ -637,18 +637,18 @@ BASELINE_BOARDS = {
 
 
 @pytest.mark.parametrize("board, nodes, found", [
-    ("ww 3x3 seed 7", 703, 0),
+    ("ww 3x3 seed 7", 568, 0),
     ("ww 4x4 seed 7", 142, 1),
     ("aon 2x4 seed 7", 7_985, 1),
     ("aon certificate", 22_023, [593, 694, 853]),
     ("ww certificate", 402, [2, 2, 3]),
-    ("aon fixture all", 956, 2),
+    ("aon fixture all", 343, 2),
     ("aon by region 2x4 seed 7", 326, 1),
     ("aon by region 3x4 seed 7", 467, 0),
     ("aon by region 6x6 seed 7", 42_445, 0),
     ("aon by region fixture all", 115, 2),
     ("aon by region 2x2 all, cap 1", 226, 1),
-    ("ww 3x4 seed 7", 844, 0),
+    ("ww 3x4 seed 7", 747, 0),
 ])
 def test_baseline_node_counts_pinned(board, nodes, found, request):
     res = BASELINE_BOARDS[board](request)

@@ -123,6 +123,10 @@ class TestGraphFile:
             parse_graph("grid 3 1\nedge 0 0 2 0\n")
         assert e.value.line == 2
 
+    def test_grid_without_columns_rejected(self):
+        with pytest.raises(ParseError, match="^line 1: grid dimensions must be positive, got 0x3$"):
+            parse_graph("grid 0 3\n")
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ParseError):
             parse_graph("grid 2 2\nedge 0 0 1 0\nedge 1 0 0 0\n")
@@ -255,6 +259,14 @@ class TestLoopPath:
         rotated = LoopPath(((0, 0), (1, 0), (1, 1), (0, 1)))
         reversed_ = LoopPath(tuple(reversed(loop.cells)))
         assert loop.canonical() == rotated.canonical() == reversed_.canonical()
+
+    @pytest.mark.parametrize("vertices, message", [
+        (((0, 0), (0, 1), (1, 1), (0, 1)), "cycle repeats a vertex"),
+        (((0, 0), (0, 1), (1, 1)), "a grid-graph cycle needs at least 4 vertices"),
+    ], ids=["repeated", "three"])
+    def test_ham_cycle_rejects_a_bad_sequence(self, vertices, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HamCycle(vertices)
 
     def test_ham_cycle_canonical(self):
         a = HamCycle(((0, 0), (0, 1), (1, 1), (1, 0)))

@@ -7,7 +7,13 @@ import pytest
 
 from loopforge import aon, loopsearch, reduction, waterwalk
 from loopforge.errors import CompileError, LiftError, SearchBudgetExceeded
-from loopforge.framework import Direction, plan_for, rotate_cell
+from loopforge.framework import (
+    Direction,
+    ExitPlan,
+    mutual_facing_holds,
+    plan_for,
+    rotate_cell,
+)
 from loopforge.fileio import emit_loop
 from loopforge.hamilton import (
     enumerate_candidate_subgraphs,
@@ -16,7 +22,14 @@ from loopforge.hamilton import (
     random_candidate_subgraph,
 )
 from loopforge.loopsearch import LoopConstraint, search_loops, search_paths
-from loopforge.model import LoopPath, board_cells, full_grid, regions_from_labels
+from loopforge.model import (
+    LoopPath,
+    board_cells,
+    canonical_edge,
+    full_grid,
+    grid_graph,
+    regions_from_labels,
+)
 from loopforge.reduction import (
     certify_gadget,
     emit_certificate,
@@ -265,6 +278,23 @@ class TestLift:
         moved = LoopPath(tuple((x + dx * frame, y + dy * frame) for x, y in cells))
         with pytest.raises(LiftError):
             lift_solution(g, plan, moved, puzzle)
+
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    def test_crossing_over_a_side_that_is_no_graph_edge_fails(self, puzzle):
+        # the full 2x3 grid's cycle, lifted against the grid less one of its
+        # edges under the same exit sides: every crossing is at an exit, yet
+        # one is over a side that is no edge of that graph, as the plan's
+        # mutual-facing check tells
+        g = full_grid(2, 3)
+        plan = plan_for(g)
+        (cycle,) = hamiltonian_cycles(g)
+        loop = embed_cycle(g, plan, cycle, puzzle).loop
+        cut = grid_graph(2, 3, g.edges - {canonical_edge(*cycle.vertices[:2])})
+        cut_plan = ExitPlan(cut, plan.non_exits)
+        assert mutual_facing_holds(g, plan) and not mutual_facing_holds(cut, cut_plan)
+        with pytest.raises(LiftError, match="^induced vertex sequence is not a "
+                                            "Hamiltonian cycle of the graph$"):
+            lift_solution(cut, cut_plan, loop, puzzle)
 
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])
     def test_solver_solutions_lift_to_hamiltonian_cycles(self, puzzle):
