@@ -7,10 +7,13 @@ complement structure H, whose edges join grid-adjacent vertex pairs that
 are *not* graph edges (plus a half-edge for every board-border side).
 Orienting each H component consistently gives every vertex indegree and
 outdegree at most one, and the third exit faces the outgoing incidence.
+All three steps read one 4-bit side mask per vertex, in board order: bit
+``d.bit`` stands for side ``d``, in ``DIRECTION_ORDER``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -19,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import CompileError
 from .fileio import BoardFormat
-from .model import Cell, GridGraph, Vertex, canonical_edge, degree_profile, turn
+from .model import ORTHO_STEPS, Cell, GridGraph, Vertex, board_cells, turn
 
 
 class Direction(Enum):
@@ -35,6 +38,7 @@ class Direction(Enum):
     def __init__(self, dx: int, dy: int):
         self.dx = dx
         self.dy = dy
+        self.bit = ORTHO_STEPS.index((dx, dy))  # its place in DIRECTION_ORDER
 
     def opposite(self) -> "Direction":
         return self.rotated(2)
@@ -50,6 +54,9 @@ DIRECTION_ORDER = (Direction.N, Direction.E, Direction.S, Direction.W)
 _STEPS = {d.value: d for d in DIRECTION_ORDER}
 _ROTATIONS = {d.value: tuple(Direction(turn(d.value, k)) for k in range(4))
               for d in DIRECTION_ORDER}
+# per side mask, its sides in DIRECTION_ORDER, and the masks of two or three sides
+_SIDES = [tuple(d for d in DIRECTION_ORDER if m >> d.bit & 1) for m in range(16)]
+_TWO_OR_THREE = frozenset(m for m, sides in enumerate(_SIDES) if len(sides) in (2, 3))
 
 
 def direction_between(u: Vertex, v: Vertex) -> Direction:
@@ -61,7 +68,7 @@ def direction_between(u: Vertex, v: Vertex) -> Direction:
 
 def turns_between(src: Direction, dst: Direction) -> int:
     """Quarter turns (counterclockwise) mapping ``src`` onto ``dst``."""
-    return (DIRECTION_ORDER.index(src) - DIRECTION_ORDER.index(dst)) % 4
+    return (src.bit - dst.bit) % 4
 
 
 def rotate_cell(size: int, quarter_turns: int, cell: tuple[int, int]) -> tuple[int, int]:
@@ -91,41 +98,46 @@ class ComplementGraph:
     half_edges: frozenset[HalfEdge]
 
     @cached_property
-    def _incidence_index(self) -> dict[Vertex, list[Direction]]:
-        index: dict[Vertex, list[Direction]] = {}
+    def incidence_masks(self) -> tuple[list[int], list[int]]:
+        """Per vertex in board order (``(x, y)`` at ``x * rows + y``), the
+        side mask of its incidences, and of its half-edges alone."""
+        rows = self.rows
+        edges, halves = [0] * (self.cols * rows), [0] * (self.cols * rows)
         for a, b in self.internal_edges:
-            index.setdefault(a, []).append(direction_between(a, b))
-            index.setdefault(b, []).append(direction_between(b, a))
+            k = direction_between(a, b).bit
+            edges[a[0] * rows + a[1]] |= 1 << k
+            edges[b[0] * rows + b[1]] |= 1 << (k ^ 2)  # the opposite side
         for h in self.half_edges:
-            index.setdefault(h.vertex, []).append(h.direction)
-        for dirs in index.values():
-            dirs.sort(key=DIRECTION_ORDER.index)
-        return index
+            halves[h.vertex[0] * rows + h.vertex[1]] |= 1 << h.direction.bit
+        return [e | f for e, f in zip(edges, halves)], halves
 
     def incidences(self, v: Vertex) -> list[Direction]:
-        return list(self._incidence_index.get(v, ()))
+        x, y = v
+        inside = 0 <= x < self.cols and 0 <= y < self.rows
+        return list(_SIDES[self.incidence_masks[0][x * self.rows + y]]) if inside else []
 
 
 def build_complement(g: GridGraph) -> ComplementGraph:
     """H has an internal edge for every grid-adjacent non-edge of g and a
     half-edge for every board-border side, giving each vertex 4 - deg(v)
-    incidences.  Requires every degree in {2, 3}."""
-    deg = degree_profile(g)
-    for v, d in sorted(deg.items()):
-        if d not in (2, 3):
-            raise ValueError(f"vertex {v} has degree {d}, expected 2 or 3")
-    internal = set()
-    halves = set()
-    for v in g.vertices():
-        for d in DIRECTION_ORDER:
-            w = (v[0] + d.dx, v[1] + d.dy)
-            if not g.in_bounds(w):
-                halves.add(HalfEdge(v, d))
-            elif not g.has_edge(v, w):
-                internal.add(tuple(sorted((v, w))))
-    h = ComplementGraph(g.cols, g.rows, frozenset(internal), frozenset(halves))
-    for v in g.vertices():
-        assert len(h.incidences(v)) == 4 - deg[v], f"incidence count off at {v}"
+    incidences: the sides its side mask lacks.  Requires every degree in
+    {2, 3}, else names the first vertex in board order that breaks it."""
+    vertices, masks, cols, rows = g.vertices(), g.side_masks, g.cols, g.rows
+    if not _TWO_OR_THREE.issuperset(masks):
+        v, m = next((v, m) for v, m in zip(vertices, masks) if m not in _TWO_OR_THREE)
+        raise ValueError(f"vertex {v} has degree {len(_SIDES[m])}, expected 2 or 3")
+    # each non-edge from its smaller end: north inside the column, east inside the board
+    internal = [(v, vertices[i + 1]) for i, v in enumerate(vertices)
+                if not masks[i] & 1 and (i + 1) % rows]
+    internal += [(v, vertices[i + rows]) for i, v in enumerate(vertices[:-rows])
+                 if not masks[i] & 2]
+    halves = [HalfEdge((x, y), d) for x in range(cols)
+              for y, d in ((rows - 1, Direction.N), (0, Direction.S))]
+    halves += [HalfEdge((x, y), d) for y in range(rows)
+               for x, d in ((cols - 1, Direction.E), (0, Direction.W))]
+    h = ComplementGraph(cols, rows, frozenset(internal), frozenset(halves))
+    assert h.incidence_masks[0] == [15 ^ m for m in masks], "incidences off at " \
+        f"{next(v for v, a, m in zip(vertices, h.incidence_masks[0], masks) if a != 15 ^ m)}"
     return h
 
 
@@ -145,21 +157,15 @@ class Orientation:
     def _arc_index(self) -> tuple[dict[Vertex, Direction], dict[Vertex, int], dict[Vertex, int]]:
         """First outgoing direction (edge arcs in ``edge_heads`` order, then
         half-edges), indegree and outdegree of every vertex with an arc."""
-        out: dict[Vertex, Direction] = {}
-        indeg: dict[Vertex, int] = {}
-        outdeg: dict[Vertex, int] = {}
-        for (a, b), head in self.edge_heads.items():
-            tail = a if head == b else b
-            out.setdefault(tail, direction_between(tail, head))
-            indeg[head] = indeg.get(head, 0) + 1
-            outdeg[tail] = outdeg.get(tail, 0) + 1
+        heads = list(self.edge_heads.values())
+        tails = [a if head == b else b for (a, b), head in self.edge_heads.items()]
+        sides = list(map(direction_between, tails, heads))
         for h, is_out in self.half_out.items():
+            (tails if is_out else heads).append(h.vertex)
             if is_out:
-                out.setdefault(h.vertex, h.direction)
-                outdeg[h.vertex] = outdeg.get(h.vertex, 0) + 1
-            else:
-                indeg[h.vertex] = indeg.get(h.vertex, 0) + 1
-        return out, indeg, outdeg
+                sides.append(h.direction)
+        # reversed, so that each tail keeps its first arc
+        return dict(zip(reversed(tails), reversed(sides))), Counter(heads), Counter(tails)
 
     def outgoing(self, v: Vertex) -> Direction | None:
         return self._arc_index[0].get(v)
@@ -171,79 +177,69 @@ class Orientation:
         return self._arc_index[2].get(v, 0)
 
 
-# Walk nodes: real vertices are themselves; each half-edge gets a private
-# endpoint node so components decompose into plain paths and cycles.
-_Node = tuple
-
-
-def _node_key(node: _Node):
-    if node[0] == "v":
-        return (node[1][0], node[1][1], -1)
-    he: HalfEdge = node[1]
-    return (he.vertex[0], he.vertex[1], DIRECTION_ORDER.index(he.direction))
-
-
 def orient_complement(h: ComplementGraph) -> Orientation:
     """Orient every H component consistently head-to-tail.
 
-    The structure on vertices has maximum degree 2 (half-edges act as path
-    endpoints), so components are simple paths and cycles; walking each one
-    in a fixed direction gives every interior vertex exactly one incoming
-    and one outgoing incidence.  Free choices are resolved by keeping the
-    smallest candidate walk, so the orientation is reproducible.  That
-    walk starts at the component's smallest end (its smallest node, for a
-    cycle) and steps to that node's smaller neighbour; it is taken
-    directly, so the work is linear in the size of H.
+    Every vertex has at most two incidences, so components are paths, ended
+    by half-edges or one-incidence vertices, and cycles; a walk along each
+    gives every interior vertex one incoming and one outgoing incidence.
+    The walk kept is the smallest candidate, nodes by vertex in board order
+    and a vertex before its half-edges in ``DIRECTION_ORDER``: from a path's
+    smaller end, or from a cycle's smallest vertex towards its smaller
+    neighbour.  Components come in the order of their smallest node, always
+    a vertex.  Walks step over incidence masks, so the work is linear in H.
     """
-    adj: dict[_Node, list[_Node]] = {}
-    for a, b in h.internal_edges:
-        adj.setdefault(("v", a), []).append(("v", b))
-        adj.setdefault(("v", b), []).append(("v", a))
-    for he in h.half_edges:
-        adj.setdefault(("v", he.vertex), []).append(("h", he))
-        adj[("h", he)] = [("v", he.vertex)]
+    masks, halves = h.incidence_masks
+    vertices, rows = board_cells(h.cols, h.rows), h.rows
+    step = (1, rows, -1, -rows)  # per side, the board-order step to its neighbour
+    seen = [False] * len(masks)
+
+    def walk(i: int, k: int) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+        """The arcs (vertex, side) of the walk out of vertex ``i`` by side ``k``, and
+        its end: a half-edge (vertex, side), a vertex (vertex, -1), or None at ``i``."""
+        arcs, start = [], i
+        while True:
+            arcs.append((i, k))
+            if halves[i] >> k & 1:
+                return arcs, (i, k)
+            i += step[k]
+            seen[i] = True
+            if i == start:
+                return arcs, None
+            rest = masks[i] ^ 1 << (k ^ 2)  # its sides but the one walked in by
+            if not rest:
+                return arcs, (i, -1)
+            k = _SIDES[rest][0].bit
 
     edge_heads: dict[tuple[Vertex, Vertex], Vertex] = {}
     half_out: dict[HalfEdge, bool] = {}
-    seen: set[_Node] = set()
-    for start in sorted(adj, key=_node_key):  # components by smallest node
-        if start in seen:
+    for i, m in enumerate(masks):
+        if not m or seen[i]:
             continue
-        comp = [start]
-        seen.add(start)
-        for c in comp:
-            for n in adj[c]:
-                if n not in seen:
-                    seen.add(n)
-                    comp.append(n)
-        ends = [n for n in comp if len(adj[n]) == 1]
-        first = min(ends or comp, key=_node_key)
-        walk = [first, min(adj[first], key=_node_key)]
-        while True:
-            step = [n for n in adj[walk[-1]] if n != walk[-2]]
-            if not step or step[0] == first:
-                break
-            walk.append(step[0])
-        if not ends:
-            walk.append(first)  # the arc that closes the cycle
-        for a, b in zip(walk, walk[1:]):
-            if a[0] == "v" and b[0] == "v":
-                edge_heads[canonical_edge(a[1], b[1])] = b[1]
-            elif a[0] == "h":
-                half_out[a[1]] = False  # entering the board
+        # i is its component's smallest vertex: a cycle meets it from north, the smaller, and east
+        k = _SIDES[m][0].bit
+        arcs, end = walk(i, k)
+        if m != 1 << k and end:  # a path through i: walk it from its smaller end
+            back, other = walk(i, _SIDES[m ^ 1 << k][0].bit)
+            if end < other:
+                arcs, back, other = back, arcs, end
+            if other[1] >= 0:  # it enters the board by a half-edge
+                half_out[HalfEdge(vertices[other[0]], DIRECTION_ORDER[other[1]])] = False
+                back.pop()
+            arcs = [(j + step[d], d ^ 2) for j, d in reversed(back)] + arcs
+        for j, d in arcs:
+            if halves[j] >> d & 1:
+                half_out[HalfEdge(vertices[j], DIRECTION_ORDER[d])] = True
             else:
-                half_out[b[1]] = True  # leaving the board
+                v, w = vertices[j], vertices[j + step[d]]
+                edge_heads[(v, w) if d < 2 else (w, v)] = w  # north and east lead up
 
     o = Orientation(edge_heads, half_out)
-    for node, nbrs in adj.items():
-        if node[0] != "v":
-            continue
-        v = node[1]
-        assert o.indegree(v) <= 1 and o.outdegree(v) <= 1, \
-            f"orientation degree bound broken at {v}"
-        if len(nbrs) == 2:
-            assert o.outdegree(v) == 1, \
-                f"vertex {v} with two incidences lacks an outgoing one"
+    out, indeg, outdeg = o._arc_index
+    # at most one arc in and one out at every vertex, one out where two meet
+    bad = [v for v, n in chain(indeg.items(), outdeg.items()) if n > 1]
+    bad += [v for v, m in zip(vertices, masks) if len(_SIDES[m]) == 2 and v not in out]
+    assert not bad, f"orientation degree bound broken at {bad[0]}"
     return o
 
 
@@ -266,18 +262,16 @@ class ExitPlan:
 
 
 def exit_plan(g: GridGraph, o: Orientation) -> ExitPlan:
-    """Exit sides per vertex: all graph-edge directions, plus the outgoing
-    H incidence for degree-2 vertices."""
-    deg = degree_profile(g)
+    """Exit sides per vertex: its graph-edge sides, its side mask, plus the
+    outgoing H incidence at degree 2; its non-exit side is the one left."""
     non_exits = {}
-    for v in g.vertices():
-        exits = {direction_between(v, w) for w in g.neighbors(v)}
-        if deg[v] == 2:
+    for v, m in zip(g.vertices(), g.side_masks):
+        if len(_SIDES[m]) == 2:
             out = o.outgoing(v)
             assert out is not None, f"degree-2 vertex {v} has no outgoing incidence"
-            exits.add(out)
-        assert len(exits) == 3, f"vertex {v} ended with exits {exits}"
-        (non_exits[v],) = [d for d in DIRECTION_ORDER if d not in exits]
+            m |= 1 << out.bit
+        assert len(_SIDES[m]) == 3, f"vertex {v} ended with exits {set(_SIDES[m])}"
+        non_exits[v] = _SIDES[15 ^ m][0]
     return ExitPlan(g, non_exits)
 
 
@@ -331,7 +325,13 @@ class Gadget:
         ``plan`` was built for another graph."""
         if plan.graph != g:
             raise CompileError("exit plan was built for a different graph")
-        return {v: turns_between(self.non_exit, plan.non_exit(v)) for v in g.vertices()}
+        turns, non_exits = self._turns_to, plan.non_exits
+        return {v: turns[non_exits[v]] for v in g.vertices()}
+
+    @cached_property
+    def _turns_to(self) -> dict[Direction, int]:
+        """Per plan non-exit side, the quarter turns that put the gadget's there."""
+        return {d: turns_between(self.non_exit, d) for d in DIRECTION_ORDER}
 
     def lay(
         self, tiling: dict[Vertex, int]

@@ -76,7 +76,24 @@ class GridGraph:
         return 0 <= v[0] < self.cols and 0 <= v[1] < self.rows
 
     def vertices(self) -> list[Vertex]:
-        return [(x, y) for x in range(self.cols) for y in range(self.rows)]
+        return board_cells(self.cols, self.rows)
+
+    @cached_property
+    def side_masks(self) -> list[int]:
+        """Per vertex in board order (``(x, y)`` at index ``x * rows + y``),
+        the sides its edges leave by as a 4-bit mask: bit ``k`` for the
+        side of ``ORTHO_STEPS[k]``, north, east, south and west."""
+        rows = self.rows
+        masks = [0] * (self.cols * rows)
+        for (x, y), (x1, _) in self.edges:  # each edge steps north or east
+            i = x * rows + y
+            if x1 == x:
+                masks[i] |= 1
+                masks[i + 1] |= 4
+            else:
+                masks[i] |= 2
+                masks[i + rows] |= 8
+        return masks
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return canonical_edge(u, v) in self.edges

@@ -1049,7 +1049,8 @@ class TestRegionSolve:
         assert nodes(5_000) - nodes(2_000) >= 3_000
 
     @pytest.mark.parametrize("cap, found, nodes", [(1, 1, 16), (6, 6, 65), (7, 7, 85),
-                                                   (None, 164, 581)])
+                                                   (None, 164, 581)],
+                             ids=["cap 1", "cap 6", "cap 7", "no cap"])
     def test_a_capped_search_stops_at_its_cap(self, cap, found, nodes):
         # each block holds 6 loops alone, found first, A's in 65 nodes; the
         # other 152 visit both.  A capped search stops walking B once the

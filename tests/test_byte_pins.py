@@ -1,19 +1,22 @@
 """Byte pins of the SVG rendering and of the board and loop file round
 trips, on two compiles whose embedded cycle is known: the All or Nothing
-compile of serpentine 6 and the Water Walk compile of serpentine 12.
+compile of serpentine 6 and the Water Walk compile of serpentine 12; and
+of the exit plan dump of three larger graphs.
 
 Each digest is the sha256 of the text; a change to any of these layers
 that alters a single byte of its output fails here.
 """
 
 import hashlib
+import random
 from functools import lru_cache
 
 import pytest
-from test_scaling import serpentine
+from test_scaling import concentric_rings, serpentine
 
 from loopforge.fileio import emit_loop, parse_loop
-from loopforge.framework import plan_for
+from loopforge.framework import emit_exit_plan, plan_for
+from loopforge.hamilton import random_candidate_subgraph
 from loopforge.reduction import embed_cycle, puzzle_of
 from loopforge.render import render_svg
 
@@ -60,3 +63,22 @@ def text_of(puzzle, n, what):
 def test_output_pinned_byte_for_byte(puzzle, n, what):
     digest = hashlib.sha256(text_of(puzzle, n, what).encode()).hexdigest()
     assert digest == PINNED_SHA256[puzzle, n][what]
+
+
+# the largest serpentine and random graphs of the benchmark's pipeline and
+# a graph whose complement is all cycles, each with the sha256 of its exit
+# plan dump as measured when orientation sorted a node key per component
+PLAN_GRAPHS = {
+    "serpentine48": (lambda: serpentine(48)[0],
+                     "ef11110a57889e4462bf21760897ba57f1bce60f012815de565b808338b2ca8f"),
+    "rings16": (lambda: concentric_rings(16),
+                "a1f72d33a9c16fd312708634f821d44b886ee9723759caa4db7f785ea637256c"),
+    "random32": (lambda: random_candidate_subgraph(32, 32, random.Random("1/pipeline/32")),
+                 "57171d8a49ab2baae24b5a4ce3ae70170087326f4a735a3d226fbccee4ce5799"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAN_GRAPHS))
+def test_exit_plan_pinned_byte_for_byte(name):
+    graph, digest = PLAN_GRAPHS[name]
+    assert hashlib.sha256(emit_exit_plan(plan_for(graph())).encode()).hexdigest() == digest

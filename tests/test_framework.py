@@ -6,6 +6,7 @@ import pytest
 
 from loopforge import aon, waterwalk
 from loopforge.framework import (
+    ComplementGraph,
     Direction,
     HalfEdge,
     Orientation,
@@ -35,7 +36,7 @@ from oracles import (
     ww_terrain_by_vertex,
 )
 from test_model import graph_3x4
-from test_scaling import concentric_rings
+from test_scaling import concentric_rings, serpentine
 
 
 class TestDirections:
@@ -207,6 +208,9 @@ def _oracle_graphs():
         yield from enumerate_candidate_subgraphs(*dims)
     for n in (4, 6, 8, 12):
         yield concentric_rings(n)
+    yield serpentine(16)[0]
+    for seed in ("1/pipeline/16", "1/pipeline/16.1"):
+        yield random_candidate_subgraph(16, 16, random.Random(seed))
 
 
 @pytest.mark.parametrize("rule", ["lex"])
@@ -229,6 +233,8 @@ class TestIndexesMatchScans:
             h = build_complement(g)
             for v in g.vertices():
                 assert h.incidences(v) == incidences_by_scan(h, v)
+            for v in ((-1, 0), (g.cols, 0), (0, -1), (0, g.rows)):
+                assert h.incidences(v) == incidences_by_scan(h, v) == []
 
     @pytest.mark.parametrize("rule", ["lex", "antilex"])
     def test_orientation_queries(self, rule):
@@ -239,6 +245,19 @@ class TestIndexesMatchScans:
                 assert o.outgoing(v) == outgoing_by_scan(o, v)
                 assert o.indegree(v) == indegree_by_scan(o, v)
                 assert o.outdegree(v) == outdegree_by_scan(o, v)
+
+    def test_hand_built_complement_reads_its_own_edges(self):
+        # the incidence masks come from H's edges, stored either way round,
+        # and not from the graph it was built from
+        for g in _small_and_random_graphs():
+            h = build_complement(g)
+            reversed_edges = frozenset((b, a) for a, b in h.internal_edges)
+            flipped = ComplementGraph(h.cols, h.rows, reversed_edges, h.half_edges)
+            for v in g.vertices():
+                assert flipped.incidences(v) == incidences_by_scan(flipped, v)
+            got, want = orient_complement(flipped), orient_complement(h)
+            assert list(got.edge_heads.items()) == list(want.edge_heads.items())
+            assert list(got.half_out.items()) == list(want.half_out.items())
 
     def test_outgoing_takes_first_edge_arc_before_half_edges(self):
         # a hand-built orientation where (1, 0) has two outgoing arcs: the

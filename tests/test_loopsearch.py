@@ -238,7 +238,7 @@ NECK = board("#####.##",
     ([(1, 1), (6, 1)], 0, 95),
     ([(7, 0)], 1, 6),
     ([(0, 0)], 48, 265),
-])
+], ids=["far corners", "across the neck", "pocket corner", "room corner"])
 def test_loops_through_a_one_cell_neck(required, count, nodes):
     check_against_full_fill(search_loops, NECK, required, LoopConstraint, budget=20)
     check_against_unsplit(search_loops, NECK, required, LoopConstraint, budget=20)
@@ -253,7 +253,7 @@ def test_loops_through_a_one_cell_neck(required, count, nodes):
     ((4, 2), [(7, 1), (2, 0)], 0, 282),
     ((7, 0), [], 218, 1_027),
     ((4, 2), [(4, 2), (7, 0)], 0, 335),
-])
+], ids=["pocket corner", "pocket and room", "goal in the pocket", "goal required"])
 def test_paths_through_a_one_cell_neck(goal, required, count, nodes):
     # the pocket test saves four nodes on the second (286 without it); the
     # last is the first with its goal also required, a cell pending once

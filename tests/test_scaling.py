@@ -19,7 +19,7 @@ import pytest
 import loopforge
 from loopforge.aon import compile_aon, emit_aon, parse_aon, verify_aon
 from loopforge.fileio import emit_loop, parse_loop
-from loopforge.framework import plan_for
+from loopforge.framework import build_complement, exit_plan, orient_complement, plan_for
 from loopforge.hamilton import find_hamiltonian_cycle, random_candidate_subgraph
 from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import embed_cycle, lift_solution, puzzle_of
@@ -100,6 +100,21 @@ def _plan_for_cost(n):
     return count_lines(plan_for, g)
 
 
+def _metacell_cost(layer):
+    """The cost of one step of ``plan_for`` on serpentine n, given what the
+    steps before it return; ``build_complement`` reads a graph whose side
+    masks are not built yet."""
+    def cost(n):
+        g, _ = serpentine(n)
+        if layer == "build_complement":
+            return count_lines(build_complement, g)
+        h = build_complement(g)
+        if layer == "orient_complement":
+            return count_lines(orient_complement, h)
+        return count_lines(exit_plan, g, orient_complement(h))
+    return cost
+
+
 def _verify_aon_cost(n):
     g, cycle = serpentine(n)
     plan = plan_for(g)
@@ -172,7 +187,9 @@ def _layer_cost(layer, puzzle):
     return cost
 
 
-@pytest.mark.parametrize("cost", [_plan_for_cost, _verify_aon_cost,
+@pytest.mark.parametrize("cost", [_plan_for_cost, _metacell_cost("build_complement"),
+                                  _metacell_cost("orient_complement"),
+                                  _metacell_cost("exit_plan"), _verify_aon_cost,
                                   _compile_aon_cost, _parse_aon_cost, _emit_aon_cost,
                                   _compile_ww_cost, _parse_ww_cost, _emit_ww_cost,
                                   _layer_cost("render_svg", "aon"),
@@ -182,7 +199,8 @@ def _layer_cost(layer, puzzle):
                                   _layer_cost("embed_cycle", "ww"),
                                   _layer_cost("lift_solution", "aon"),
                                   _layer_cost("lift_solution", "ww"), _grid_graph_cost],
-                         ids=["plan_for", "verify_aon", "compile_aon", "parse_aon",
+                         ids=["plan_for", "build_complement", "orient_complement",
+                              "exit_plan", "verify_aon", "compile_aon", "parse_aon",
                               "emit_aon", "compile_ww", "parse_ww", "emit_ww",
                               "render_svg_aon", "render_svg_ww", "parse_loop",
                               "embed_cycle_aon", "embed_cycle_ww",
