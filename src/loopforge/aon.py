@@ -317,10 +317,11 @@ def verify_aon(inst: AonInstance, loop: LoopPath) -> Verdict:
     sizes = Counter(ids)
     hits = Counter(ids[x * h + y] for x, y in loop.cells)
     crossings_of = crossings_by_region(loop, decomp)
-    on_loop = set(loop.cells)
-    violations = []
+    violations, on_loop = [], None
     for rid in sorted(hits):
         size, hit, crossings = sizes[rid], hits[rid], crossings_of.get(rid, 0)
+        if on_loop is None and (hit < size or crossings not in (0, 2)):
+            on_loop = set(loop.cells)  # only a violation names cells by it
         if hit < size:
             violations.append(Violation(
                 1, f"region {names[rid]} is only partly visited ({hit} of {size} cells)",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CompileError
 from .fileio import BoardFormat
@@ -41,7 +41,7 @@ class Direction(Enum):
         self.bit = ORTHO_STEPS.index((dx, dy))  # its place in DIRECTION_ORDER
 
     def opposite(self) -> "Direction":
-        return self.rotated(2)
+        return DIRECTION_ORDER[self.bit ^ 2]
 
     def rotated(self, quarter_turns: int) -> "Direction":
         """Counterclockwise rotation: one quarter turn maps N->W->S->E->N."""
@@ -64,6 +64,15 @@ def direction_between(u: Vertex, v: Vertex) -> Direction:
         return _STEPS[v[0] - u[0], v[1] - u[1]]
     except KeyError:
         raise ValueError(f"{u} and {v} are not grid-adjacent") from None
+
+
+def directions_between(us: Sequence[Vertex], vs: Sequence[Vertex]) -> list[Direction]:
+    """:func:`direction_between` of each vertex of ``us`` and the one at the
+    same place in ``vs``, each read from the step table."""
+    try:
+        return [_STEPS[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(us, vs)]
+    except KeyError:  # name the first pair that is not grid-adjacent
+        return list(map(direction_between, us, vs))
 
 
 def turns_between(src: Direction, dst: Direction) -> int:
@@ -287,7 +296,9 @@ class Gadget:
     its one non-exit side, the border cell of each exit, and stored local
     traversals per exit pair (the first of each is canonical).  Construction
     asserts that every exit cell sits on its side's midline at each of the
-    four rotations, so no tiling needs to check it again."""
+    four rotations, so no tiling needs to check it again.  Its tables per
+    quarter turn, of exit cells and of placed traversals, are built on
+    first use."""
 
     rows: str
     board: BoardFormat
@@ -364,7 +375,25 @@ class Gadget:
     def board_exit(self, v: Vertex, turns: int, side: Direction) -> Cell:
         """Board cell of the exit on ``side`` of the gadget rotated by
         ``turns`` in the metacell of ``v``."""
-        return self.place(v, turns, [self.exit_cells[side.rotated(-turns)]])[0]
+        x, y = self.exits_at[turns % 4][side]
+        return self.frame * v[0] + x, self.frame * v[1] + y
+
+    @cached_property
+    def exits_at(self) -> list[dict[Direction, Cell]]:
+        """Per quarter turn 0-3, the frame cell of each exit of the gadget
+        turned so, keyed by the side it faces then."""
+        return [{side.rotated(turns): self._turned[turns][cell]
+                 for side, cell in self.exit_cells.items()} for turns in range(4)]
+
+    @cached_property
+    def pieces(self) -> dict[tuple[int, Direction, Direction], list[Cell]]:
+        """Per quarter turn 0-3 and (entry, exit) pair of the sides the
+        exits face with the gadget turned so, the canonical traversal
+        between them placed in the frame."""
+        return {(turns, entry.rotated(turns), exit_.rotated(turns)):
+                self.place((0, 0), turns, self.local_path(entry, exit_))
+                for turns in range(4) for pair in self.paths
+                for entry, exit_ in (tuple(pair), tuple(pair)[::-1])}
 
     def local_path(self, entry: Direction, exit_: Direction) -> tuple[Cell, ...]:
         """Canonical traversal from the ``entry`` exit to the ``exit_`` exit,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, product, repeat
-from operator import and_, eq, itemgetter, ne, or_, sub
+from operator import and_, eq, ne, or_
 from typing import Callable, Iterable
 
 from .errors import MalformedLoopError
@@ -96,7 +96,7 @@ class GridGraph:
         return masks
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return canonical_edge(u, v) in self.edges
+        return ((u, v) if u <= v else (v, u)) in self.edges
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         return [w for w in orthogonal_neighbors(v) if self.in_bounds(w) and self.has_edge(v, w)]
@@ -157,10 +157,12 @@ class HamCycle:
             raise ValueError("a grid-graph cycle needs at least 4 vertices")
 
     def is_cycle_of(self, g: GridGraph) -> bool:
-        if set(self.vertices) != set(g.vertices()):
+        vs = self.vertices
+        if set(vs) != set(g.vertices()):
             return False
-        n = len(self.vertices)
-        return all(g.has_edge(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n))
+        # every step, the closing one last, is an edge, its smaller end first
+        return g.edges.issuperset([(u, v) if u <= v else (v, u)
+                                   for u, v in zip(vs, vs[1:] + vs[:1])])
 
     def canonical(self) -> "HamCycle":
         return HamCycle(_canonical_cycle(self.vertices))
@@ -179,9 +181,10 @@ class LoopPath:
         if len(set(self.cells)) != n:
             raise MalformedLoopError("loop revisits a cell")
         ring = self.cells + self.cells[:1]
-        xs, ys = list(map(itemgetter(0), ring)), list(map(itemgetter(1), ring))
-        # every step, the closing one last, is one of the four unit steps
-        if not _UNIT_STEPS.issuperset(zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))):
+        # every step, the closing one last, is one of the four unit steps,
+        # which are the integer steps one long in x and y together
+        lengths = [abs(x1 - x0) + abs(y1 - y0) for (x0, y0), (x1, y1) in zip(ring, ring[1:])]
+        if lengths.count(1) != n:
             a, b = next((a, b) for a, b in zip(ring, ring[1:])
                         if (b[0] - a[0], b[1] - a[1]) not in _UNIT_STEPS)
             raise MalformedLoopError(f"cells {a} and {b} are not orthogonally adjacent")
@@ -193,9 +196,9 @@ class LoopPath:
         return LoopPath(_canonical_cycle(self.cells))
 
     def check_on_board(self, width: int, height: int) -> None:
-        for x, y in self.cells:
-            if not (0 <= x < width and 0 <= y < height):
-                raise MalformedLoopError(f"loop cell ({x}, {y}) is off the {width}x{height} board")
+        off = [(x, y) for x, y in self.cells if not (0 <= x < width and 0 <= y < height)]
+        if off:  # name the first in loop order
+            raise MalformedLoopError(f"loop cell {off[0]} is off the {width}x{height} board")
 
 
 @dataclass(frozen=True)
@@ -332,13 +335,8 @@ def loop_runs_with_cells(
     """Cyclic runs of the loop's cells under a labelling, each with its
     cells: a loop with a single label is one run of the full length,
     otherwise adjacent runs (cyclically) carry distinct labels.  Each cell
-    is classified once: the path's first and last runs join when the loop
-    closes inside one run, and that run comes last."""
-    runs = path_runs(loop.cells, classify)
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        (lab, tail), head = runs.pop(), runs.pop(0)
-        runs.append((lab, tail + head[1]))
-    return runs
+    is classified once, as :func:`labelled_runs` joins them."""
+    return labelled_runs(loop.cells, map(classify, loop.cells), closed=True)
 
 
 def path_runs(
@@ -346,14 +344,25 @@ def path_runs(
 ) -> list[tuple[object, tuple[Cell, ...]]]:
     """Maximal runs of equally labelled consecutive cells of an open path,
     in path order, each with its cells."""
-    runs: list[tuple[object, list[Cell]]] = []
-    for c in cells:
-        lab = classify(c)
-        if runs and runs[-1][0] == lab:
-            runs[-1][1].append(c)
-        else:
-            runs.append((lab, [c]))
-    return [(lab, tuple(cs)) for lab, cs in runs]
+    cells = tuple(cells)
+    return labelled_runs(cells, map(classify, cells))
+
+
+def labelled_runs(
+    cells: tuple[Cell, ...], labels: Iterable[object], closed: bool = False
+) -> list[tuple[object, tuple[Cell, ...]]]:
+    """Maximal runs of equal consecutive ``labels``, one per cell of
+    ``cells``, in order, each with its cells.  The runs' ends are found in
+    C-level passes, so the Python work is per run.  When ``closed``, the
+    cells are a loop: if it closes inside one run, the path's first and
+    last runs join, and that run comes last."""
+    labels = list(labels)
+    ends = [*compress(count(1), map(ne, labels, islice(labels, 1, None))), len(labels)]
+    runs = [(labels[i], cells[i:j]) for i, j in zip([0, *ends], ends)] if labels else []
+    if closed and len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        (lab, tail), head = runs.pop(), runs.pop(0)
+        runs.append((lab, tail + head[1]))
+    return runs
 
 
 def crossings_by_region(loop: LoopPath, r: RegionDecomposition) -> dict[int, int]:

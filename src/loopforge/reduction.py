@@ -6,9 +6,10 @@ equivalence experiments at desk scale.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import floordiv, itemgetter, ne, or_
+from itertools import chain, compress
+from operator import ne, or_
 from typing import Callable
 
 from . import aon, waterwalk
@@ -17,7 +18,7 @@ from .framework import (
     Direction,
     ExitPlan,
     Gadget,
-    direction_between,
+    directions_between,
     plan_for,
 )
 from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
@@ -84,21 +85,22 @@ class TraversalWitness:
 
 def embed_cycle(g: GridGraph, plan: ExitPlan, cycle: HamCycle, puzzle: str) -> TraversalWitness:
     """Assemble a puzzle loop from a Hamiltonian cycle by concatenating one
-    rotated local gadget traversal per metacell.  Raises
-    :class:`CompileError` when ``plan`` was built for another graph."""
+    rotated local gadget traversal per metacell, each read from the
+    gadget's table of placed pieces.  Raises :class:`CompileError` when
+    ``plan`` was built for another graph."""
     gadget = puzzle_of(puzzle).gadget
     if not cycle.is_cycle_of(g):
         raise ValueError("not a Hamiltonian cycle of the given graph")
     tiling = gadget.tile(g, plan)
     verts = cycle.vertices
     # per vertex, its sides toward the vertices before and after it
-    sides = tuple(zip(map(direction_between, verts, verts[-1:] + verts[:-1]),
-                      map(direction_between, verts, verts[1:] + verts[:1])))
+    sides = tuple(zip(directions_between(verts, verts[-1:] + verts[:-1]),
+                      directions_between(verts, verts[1:] + verts[:1])))
+    pieces, n = gadget.pieces, gadget.frame
     cells: list[Cell] = []
-    for v, (entry, exit_) in zip(verts, sides):
-        turns = tiling[v]
-        piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
-        cells += gadget.place(v, turns, piece)
+    for (x, y), turns, (entry, exit_) in zip(verts, map(tiling.__getitem__, verts), sides):
+        ox, oy = n * x, n * y
+        cells += [(ox + a, oy + b) for a, b in pieces[turns, entry, exit_]]
     return TraversalWitness(puzzle, tuple(verts), sides, LoopPath(tuple(cells)))
 
 
@@ -113,44 +115,46 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
     """
     gadget = puzzle_of(puzzle).gadget
     tiling = gadget.tile(g, plan)
-    cells = loop.cells
+    cells, frame = loop.cells, gadget.frame
     n = len(cells)
     # the metacell of every cell, as its column and its row, in one pass
     # over the loop, and the steps that cross into another metacell
-    mx = list(map(floordiv, map(itemgetter(0), cells), repeat(gadget.frame)))
-    my = list(map(floordiv, map(itemgetter(1), cells), repeat(gadget.frame)))
+    mx = [x // frame for x, _ in cells]
+    my = [y // frame for _, y in cells]
     steps = list(compress(range(n), map(or_, map(ne, mx, mx[1:] + mx[:1]),
                                         map(ne, my, my[1:] + my[:1]))))
 
-    crossings: dict[tuple[int, int], int] = {}
-    for i in steps:
-        j = (i + 1) % n
-        a, b = cells[i], cells[j]
-        ma, mb = (mx[i], my[i]), (mx[j], my[j])
-        crossings[ma] = crossings.get(ma, 0) + 1
-        crossings[mb] = crossings.get(mb, 0) + 1
-        d = direction_between(ma, mb)
-        for v, cell, side in ((ma, a, d), (mb, b, d.opposite())):
-            if v not in tiling:
-                raise LiftError(f"loop enters metacell {v} outside the graph")
-            if side not in plan.exits(v):
-                raise LiftError(f"loop crosses a non-exit side {side.name} of metacell {v}")
-            if cell != gadget.board_exit(v, tiling[v], side):
-                raise LiftError(
-                    f"crossing at {cell} is off the exit midline of metacell {v}")
+    # both ends of every crossing in loop order, the near end first: the
+    # cell, its metacell and the side of that metacell it crosses
+    heads = [i + 1 for i in steps]
+    if heads and heads[-1] == n:
+        heads[-1] = 0
+    ends = list(chain.from_iterable(zip(steps, heads)))
+    metas = [(mx[i], my[i]) for i in ends]
+    sides = directions_between(metas, list(chain.from_iterable(zip(metas[1::2], metas[::2]))))
+    exits_at, non_exits = gadget.exits_at, plan.non_exits
+    for i, v, side in zip(ends, metas, sides):
+        if v not in tiling:
+            raise LiftError(f"loop enters metacell {v} outside the graph")
+        if side is non_exits[v]:
+            raise LiftError(f"loop crosses a non-exit side {side.name} of metacell {v}")
+        x, y = exits_at[tiling[v]][side]
+        if cells[i] != (frame * v[0] + x, frame * v[1] + y):
+            raise LiftError(f"crossing at {cells[i]} is off the exit midline of metacell {v}")
 
-    for v in g.vertices():
-        got = crossings.get(v, 0)
-        if got != 2:
-            raise LiftError(f"metacell {v} is crossed {got} times, expected 2")
+    # every metacell crossed is a vertex, as checked: each is crossed twice
+    vertices, crossings = g.vertices(), Counter(metas)
+    if len(crossings) < len(vertices) or set(crossings.values()) - {2}:
+        v = next(v for v in vertices if crossings[v] != 2)  # the first in board order
+        raise LiftError(f"metacell {v} is crossed {crossings[v]} times, expected 2")
 
     # the metacell of each piece of the loop, in loop order: cell 0's, and
     # each crossing's far end's but that of the crossing back to cell 0
-    firsts = [0] + [i + 1 for i in steps if i + 1 < n]
+    firsts = [0, *filter(None, heads)]
     order = list(zip(map(mx.__getitem__, firsts), map(my.__getitem__, firsts)))
     if order and order[0] == order[-1]:
         order.pop()
-    if len(order) != len(g.vertices()):
+    if len(order) != len(vertices):
         raise LiftError("loop visits some metacell in more than one piece")
     cycle = HamCycle(tuple(order))
     if not cycle.is_cycle_of(g):

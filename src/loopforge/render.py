@@ -65,8 +65,8 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
         pts = " ".join(map(add, map(cx.__getitem__, xs), map(cy.__getitem__, ys)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="#2a8f2a" stroke-width="4"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # the empty last part ends the text with a newline
+    return "\n".join(parts)
 
 
 def _svg_grid_lines(inst) -> str:

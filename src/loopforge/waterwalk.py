@@ -33,9 +33,8 @@ from .model import (
     Verdict,
     Violation,
     board_cells,
-    loop_runs_with_cells,
+    labelled_runs,
     orthogonal_neighbors,
-    path_runs,
 )
 from .loopsearch import LoopConstraint, SearchResult, search_loops, solver_cap
 
@@ -185,37 +184,39 @@ def compile_ww(g: GridGraph, plan: ExitPlan) -> WwInstance:
 
 def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:
     loop.check_on_board(inst.width, inst.height)
-    return Verdict(_violations(inst, loop.cells, loop_runs_with_cells(loop, inst.terrain)))
+    cells = loop.cells
+    runs = labelled_runs(cells, _terrain(inst, cells), closed=True)
+    return Verdict(_violations(inst, cells, runs))
+
+
+# per cell token, its terrain
+_TERRAIN = {"~": WATER, ".": GROUND, **dict.fromkeys("123456789", GROUND)}
+
+
+def _terrain(inst: WwInstance, cells: tuple[Cell, ...]) -> list[str]:
+    """The terrain of each of ``cells``, all on the board, read from its
+    token in board order, at ``x * height + y``."""
+    tokens, h = inst.cells, inst.height
+    return [_TERRAIN[tokens[x * h + y]] for x, y in cells]
 
 
 def _violations(inst: WwInstance, cells: tuple[Cell, ...], runs) -> tuple[Violation, ...]:
     """Rule breaches of a loop or an open path through ``cells``, whose
     terrain ``runs`` are cyclic for a loop and end at a path's ends."""
-    violations = []
+    numbers = inst.numbers
     on_loop = set(cells)
-
-    for c in inst.numbers:
-        if c not in on_loop:
-            violations.append(Violation(1, f"numbered cell {c} is not on the loop", (c,)))
-
+    violations = [Violation(1, f"numbered cell {c} is not on the loop", (c,))
+                  for c in numbers if c not in on_loop]
     for label, run in runs:
         if label == GROUND:
-            numbered = [c for c in run if c in inst.numbers]
-            for c in numbered:
-                n = inst.numbers[c]
+            for c in filter(numbers.__contains__, run):
+                n = numbers[c]
                 if len(run) != n:
                     violations.append(Violation(
-                        2,
-                        f"ground run through {c} has length {len(run)}, clue says {n}",
-                        tuple(run),
-                    ))
-        else:
-            if len(run) >= 3:
-                violations.append(Violation(
-                    3,
-                    f"loop passes {len(run)} consecutive water cells starting {run[0]}",
-                    tuple(run),
-                ))
+                        2, f"ground run through {c} has length {len(run)}, clue says {n}", run))
+        elif len(run) >= 3:
+            violations.append(Violation(
+                3, f"loop passes {len(run)} consecutive water cells starting {run[0]}", run))
     return tuple(violations)
 
 
@@ -295,7 +296,7 @@ class WwLoopRules(LoopConstraint):
     def finish_ok(self, cells) -> bool:
         # open-path variant (pinned gadget traversal): runs end at the
         # path's ends, inside the frame
-        return not _violations(self.inst, cells, path_runs(cells, self.inst.terrain))
+        return not _violations(self.inst, cells, labelled_runs(cells, _terrain(self.inst, cells)))
 
 
 def gadget_harness(turns: int):

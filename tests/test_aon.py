@@ -215,7 +215,9 @@ class TestVerify:
             LoopPath(aon_fixture_loop.cells[:-1])
 
     def test_off_board_loop_is_malformed(self, aon_fixture):
-        with pytest.raises(MalformedLoopError):
+        # the first cell off the board in loop order is named
+        with pytest.raises(MalformedLoopError,
+                           match=r"^loop cell \(5, 4\) is off the 5x5 board$"):
             verify_aon(aon_fixture, loop((4, 4), (5, 4), (5, 5), (4, 5)))
 
     # at least three negatives per rule, tagged with that rule

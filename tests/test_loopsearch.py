@@ -636,7 +636,7 @@ BASELINE_BOARDS = {
 }
 
 
-@pytest.mark.parametrize("board, nodes, found", [
+BASELINE_COUNTS = [
     ("ww 3x3 seed 7", 568, 0),
     ("ww 4x4 seed 7", 142, 1),
     ("aon 2x4 seed 7", 7_985, 1),
@@ -649,7 +649,13 @@ BASELINE_BOARDS = {
     ("aon by region fixture all", 115, 2),
     ("aon by region 2x2 all, cap 1", 226, 1),
     ("ww 3x4 seed 7", 747, 0),
-])
+]
+
+
+# each case is named by its board alone, so a pinned count that moves
+# leaves the test's id as it is
+@pytest.mark.parametrize("board, nodes, found", BASELINE_COUNTS,
+                         ids=[board for board, _, _ in BASELINE_COUNTS])
 def test_baseline_node_counts_pinned(board, nodes, found, request):
     res = BASELINE_BOARDS[board](request)
     if isinstance(found, int):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -246,7 +247,8 @@ class TestLift:
         g = full_grid(2, 2)
         plan = plan_for(g)
         bad = LoopPath(((4, 0), (5, 0), (5, 1), (4, 1)))
-        with pytest.raises(LiftError):
+        with pytest.raises(LiftError, match=r"^crossing at \(4, 0\) is off the exit midline "
+                                            r"of metacell \(0, 0\)$"):
             lift_solution(g, plan, bad, "ww")
 
     def test_unvisited_metacell_fails(self):
@@ -254,8 +256,23 @@ class TestLift:
         plan = plan_for(g)
         # valid-shaped loop inside a single metacell
         bad = LoopPath(((1, 1), (2, 1), (2, 2), (1, 2)))
-        with pytest.raises(LiftError):
+        with pytest.raises(LiftError, match=r"^metacell \(0, 0\) is crossed 0 times, expected 2$"):
             lift_solution(g, plan, bad, "ww")
+
+    @pytest.mark.parametrize("puzzle", ["aon", "ww"])
+    def test_crossing_over_a_non_exit_side_fails(self, puzzle):
+        # the 2x3 ring: vertex (1, 1) has no edge to (0, 1), and its
+        # non-exit side faces it; a square on that side's midline crosses
+        # it from (1, 1) first
+        g = grid_graph(2, 3, full_grid(2, 3).edges - {((0, 1), (1, 1))})
+        plan = plan_for(g)
+        assert plan.non_exits[1, 1] is Direction.W
+        n = puzzle_of(puzzle).gadget.frame
+        mid = n + n // 2
+        bad = LoopPath(((n, mid), (n - 1, mid), (n - 1, mid + 1), (n, mid + 1)))
+        with pytest.raises(LiftError, match=r"^loop crosses a non-exit side W of metacell "
+                                            r"\(1, 1\)$"):
+            lift_solution(g, plan, bad, puzzle)
 
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])
     def test_plan_for_another_graph_rejected(self, puzzle):
@@ -269,14 +286,19 @@ class TestLift:
     @pytest.mark.parametrize("dx, dy", [(-1, 0), (1, 0), (0, -1), (0, 1)])
     def test_crossing_into_a_metacell_outside_the_graph_fails(self, puzzle, dx, dy):
         # the embedded loop moved one frame over crosses into metacells
-        # beyond the 2x2 graph
+        # beyond the 2x2 graph.  Moved north, it first leaves metacell
+        # (0, 1) by its north side, a non-exit, and that is named first
         g = full_grid(2, 2)
         plan = plan_for(g)
         (cycle,) = hamiltonian_cycles(g)
         frame = puzzle_of(puzzle).gadget.frame
         cells = embed_cycle(g, plan, cycle, puzzle).loop.cells
         moved = LoopPath(tuple((x + dx * frame, y + dy * frame) for x, y in cells))
-        with pytest.raises(LiftError):
+        message = {(-1, 0): "loop enters metacell (-1, 0) outside the graph",
+                   (1, 0): "loop enters metacell (2, 1) outside the graph",
+                   (0, -1): "loop enters metacell (0, -1) outside the graph",
+                   (0, 1): "loop crosses a non-exit side N of metacell (0, 1)"}[dx, dy]
+        with pytest.raises(LiftError, match=f"^{re.escape(message)}$"):
             lift_solution(g, plan, moved, puzzle)
 
     @pytest.mark.parametrize("puzzle", ["aon", "ww"])

@@ -24,7 +24,7 @@ from loopforge.hamilton import find_hamiltonian_cycle, random_candidate_subgraph
 from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import embed_cycle, lift_solution, puzzle_of
 from loopforge.render import render_svg
-from loopforge.waterwalk import compile_ww, emit_ww, parse_ww
+from loopforge.waterwalk import compile_ww, emit_ww, parse_ww, verify_ww
 
 PACKAGE_DIR = os.path.dirname(loopforge.__file__) + os.sep
 SIZES = (6, 12)
@@ -177,6 +177,8 @@ def _layer_call(layer, puzzle, n):
         return parse_loop, (emit_loop(loop),), len(loop)
     if layer == "embed_cycle":
         return embed_cycle, (g, plan, cycle, puzzle), len(loop)
+    if layer == "verify_ww":
+        return verify_ww, (inst, loop), len(loop)
     return lift_solution, (g, plan, loop, puzzle), len(loop)
 
 
@@ -198,13 +200,15 @@ def _layer_cost(layer, puzzle):
                                   _layer_cost("embed_cycle", "aon"),
                                   _layer_cost("embed_cycle", "ww"),
                                   _layer_cost("lift_solution", "aon"),
-                                  _layer_cost("lift_solution", "ww"), _grid_graph_cost],
+                                  _layer_cost("lift_solution", "ww"),
+                                  _layer_cost("verify_ww", "ww"), _grid_graph_cost],
                          ids=["plan_for", "build_complement", "orient_complement",
                               "exit_plan", "verify_aon", "compile_aon", "parse_aon",
                               "emit_aon", "compile_ww", "parse_ww", "emit_ww",
                               "render_svg_aon", "render_svg_ww", "parse_loop",
                               "embed_cycle_aon", "embed_cycle_ww",
-                              "lift_solution_aon", "lift_solution_ww", "grid_graph"])
+                              "lift_solution_aon", "lift_solution_ww", "verify_ww",
+                              "grid_graph"])
 def test_layer_grows_at_most_twice_linear(cost):
     small, large = (cost(n) for n in SIZES)
     assert small > 0
@@ -224,6 +228,7 @@ PER_CELL_LINES = {
     ("embed_cycle", "ww"): 20.6,
     ("lift_solution", "aon"): 12.0,
     ("lift_solution", "ww"): 24.6,
+    ("verify_ww", "ww"): 12.0,
 }
 
 
@@ -233,6 +238,15 @@ def test_layer_makes_at_most_half_its_per_cell_line_events(layer, puzzle):
     fn, args, units = _layer_call(layer, puzzle, 12)
     per_unit = count_lines(fn, *args) / units
     assert per_unit <= PER_CELL_LINES[layer, puzzle] / 2, f"{per_unit:.2f} line events per unit"
+
+
+def test_render_svg_holds_its_output_at_most_twice():
+    # its parts and their one join; adding the closing newline to the
+    # joined text made a third copy, for a peak of 3.2 times the text
+    fn, args, _ = _layer_call("render_svg", "ww", 24)
+    size = len(fn(*args))
+    peak = peak_bytes(fn, *args)
+    assert peak <= 2.5 * size, f"{peak} bytes at peak for {size} bytes of SVG"
 
 
 def test_hamiltonian_search_on_corridor_graphs_grows_at_most_twice_linear():

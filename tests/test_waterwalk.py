@@ -16,7 +16,7 @@ from loopforge.hamilton import (
     find_hamiltonian_cycle,
     random_candidate_subgraph,
 )
-from loopforge.model import LoopPath, full_grid
+from loopforge.model import LoopPath, Violation, full_grid
 from loopforge.reduction import lift_solution
 from loopforge.render import render_ascii
 from loopforge.waterwalk import (
@@ -255,7 +255,9 @@ class TestVerify:
 
     def test_off_board_loop_is_malformed(self, ww_fixture):
         bad = loop((4, 4), (5, 4), (5, 5), (4, 5))
-        with pytest.raises(MalformedLoopError):
+        # the first cell off the board in loop order is named
+        with pytest.raises(MalformedLoopError,
+                           match=r"^loop cell \(5, 4\) is off the 5x5 board$"):
             verify_ww(ww_fixture, bad)
 
     # at least three negatives per rule, each carrying that rule's tag
@@ -293,6 +295,35 @@ class TestVerify:
     def test_rule3_negatives(self, ww_fixture, cells):
         verdict = verify_ww(ww_fixture, loop(*cells))
         assert not verdict.ok and 3 in verdict.rules_broken()
+
+    @pytest.mark.parametrize("cells, violations", [
+        (((2, 0), (2, 1), (1, 1), (1, 0)), (
+            Violation(1, "numbered cell (0, 1) is not on the loop", ((0, 1),)),
+            Violation(1, "numbered cell (3, 1) is not on the loop", ((3, 1),)),
+            Violation(1, "numbered cell (3, 2) is not on the loop", ((3, 2),)))),
+        # the ground run through the 2 clue wraps round the loop's first cell
+        (((0, 1), (1, 1), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2),
+          (3, 2), (2, 2), (2, 3), (1, 3), (1, 2), (0, 2)), (
+            Violation(2, "ground run through (0, 1) has length 3, clue says 2",
+                      ((0, 2), (0, 1), (1, 1))),)),
+        # one run breaks two clues
+        (((3, 1), (3, 2), (4, 2), (4, 1)), (
+            Violation(1, "numbered cell (0, 1) is not on the loop", ((0, 1),)),
+            Violation(2, "ground run through (3, 1) has length 2, clue says 3",
+                      ((3, 1), (3, 2))),
+            Violation(2, "ground run through (3, 2) has length 2, clue says 1",
+                      ((3, 1), (3, 2))))),
+        (((3, 3), (4, 3), (4, 4), (3, 4)), (
+            Violation(1, "numbered cell (0, 1) is not on the loop", ((0, 1),)),
+            Violation(1, "numbered cell (3, 1) is not on the loop", ((3, 1),)),
+            Violation(1, "numbered cell (3, 2) is not on the loop", ((3, 2),)),
+            Violation(3, "loop passes 3 consecutive water cells starting (4, 3)",
+                      ((4, 3), (4, 4), (3, 4))))),
+    ], ids=["rule 1", "rule 2", "rule 2 twice", "rule 3"])
+    def test_violations_pinned(self, ww_fixture, cells, violations):
+        # every rule's breaches in order, with their messages and cells:
+        # the missed clues in board order, then the runs in loop order
+        assert verify_ww(ww_fixture, loop(*cells)).violations == violations
 
     def test_rule2_negative_is_pure(self, ww_fixture):
         cells = ((0, 1), (1, 1), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2),
