@@ -5,15 +5,16 @@ exits on exactly three sides.  Sides carrying graph edges are always exits;
 a degree-2 vertex gets its third exit from the orientation of the
 complement structure H, whose edges join grid-adjacent vertex pairs that
 are *not* graph edges (plus a half-edge for every board-border side).
-Orienting each H component consistently gives every vertex indegree and
-outdegree at most one, and the third exit faces the outgoing incidence.
-All three steps read one 4-bit side mask per vertex, in board order: bit
-``d.bit`` stands for side ``d``, in ``DIRECTION_ORDER``.
+Orienting each H component consistently gives every vertex at most one
+incoming and one outgoing incidence, and the third exit faces the
+outgoing one.  Sides are 4-bit masks, bit ``d.bit`` for side ``d`` in
+``DIRECTION_ORDER``, kept per vertex in board order from graph to exit
+plan: the graph's edge sides, H's incidence and half-edge sides, and the
+orientation's one out side, ``d.bit`` or -1 for none.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CompileError
 from .fileio import BoardFormat
-from .model import ORTHO_STEPS, Cell, GridGraph, Vertex, board_cells, turn
+from .model import ORTHO_STEPS, Cell, GridGraph, Vertex, turn
 
 
 class Direction(Enum):
@@ -92,38 +93,17 @@ def rotate_cell(size: int, quarter_turns: int, cell: tuple[int, int]) -> tuple[i
 
 
 @dataclass(frozen=True)
-class HalfEdge:
-    """An H incidence pointing off the board at a border vertex."""
-
-    vertex: Vertex
-    direction: Direction
-
-
-@dataclass(frozen=True)
 class ComplementGraph:
+    """H as two side masks per vertex, in board order (``(x, y)`` at
+    ``x * rows + y``): ``masks`` holds each vertex's incidences, the sides
+    its graph side mask lacks, and ``halves`` the board-border sides among
+    them, H's half-edges.  Every other incidence is an internal edge of H,
+    seen from each of its two ends."""
+
     cols: int
     rows: int
-    internal_edges: frozenset[tuple[Vertex, Vertex]]
-    half_edges: frozenset[HalfEdge]
-
-    @cached_property
-    def incidence_masks(self) -> tuple[list[int], list[int]]:
-        """Per vertex in board order (``(x, y)`` at ``x * rows + y``), the
-        side mask of its incidences, and of its half-edges alone."""
-        rows = self.rows
-        edges, halves = [0] * (self.cols * rows), [0] * (self.cols * rows)
-        for a, b in self.internal_edges:
-            k = direction_between(a, b).bit
-            edges[a[0] * rows + a[1]] |= 1 << k
-            edges[b[0] * rows + b[1]] |= 1 << (k ^ 2)  # the opposite side
-        for h in self.half_edges:
-            halves[h.vertex[0] * rows + h.vertex[1]] |= 1 << h.direction.bit
-        return [e | f for e, f in zip(edges, halves)], halves
-
-    def incidences(self, v: Vertex) -> list[Direction]:
-        x, y = v
-        inside = 0 <= x < self.cols and 0 <= y < self.rows
-        return list(_SIDES[self.incidence_masks[0][x * self.rows + y]]) if inside else []
+    masks: tuple[int, ...]
+    halves: tuple[int, ...]
 
 
 def build_complement(g: GridGraph) -> ComplementGraph:
@@ -131,59 +111,33 @@ def build_complement(g: GridGraph) -> ComplementGraph:
     half-edge for every board-border side, giving each vertex 4 - deg(v)
     incidences: the sides its side mask lacks.  Requires every degree in
     {2, 3}, else names the first vertex in board order that breaks it."""
-    vertices, masks, cols, rows = g.vertices(), g.side_masks, g.cols, g.rows
+    masks, cols, rows = g.side_masks, g.cols, g.rows
     if not _TWO_OR_THREE.issuperset(masks):
-        v, m = next((v, m) for v, m in zip(vertices, masks) if m not in _TWO_OR_THREE)
+        v, m = next((v, m) for v, m in zip(g.vertices(), masks) if m not in _TWO_OR_THREE)
         raise ValueError(f"vertex {v} has degree {len(_SIDES[m])}, expected 2 or 3")
-    # each non-edge from its smaller end: north inside the column, east inside the board
-    internal = [(v, vertices[i + 1]) for i, v in enumerate(vertices)
-                if not masks[i] & 1 and (i + 1) % rows]
-    internal += [(v, vertices[i + rows]) for i, v in enumerate(vertices[:-rows])
-                 if not masks[i] & 2]
-    halves = [HalfEdge((x, y), d) for x in range(cols)
-              for y, d in ((rows - 1, Direction.N), (0, Direction.S))]
-    halves += [HalfEdge((x, y), d) for y in range(rows)
-               for x, d in ((cols - 1, Direction.E), (0, Direction.W))]
-    h = ComplementGraph(cols, rows, frozenset(internal), frozenset(halves))
-    assert h.incidence_masks[0] == [15 ^ m for m in masks], "incidences off at " \
-        f"{next(v for v, a, m in zip(vertices, h.incidence_masks[0], masks) if a != 15 ^ m)}"
-    return h
+    n, e, s, w = (1 << d.bit for d in DIRECTION_ORDER)
+    # every column's south and north border sides, then the west and east columns'
+    column = [s * (y == 0) | n * (y == rows - 1) for y in range(rows)]
+    halves = column * cols
+    halves[:rows] = [m | w for m in column]
+    halves[-rows:] = [m | e for m in halves[-rows:]]
+    return ComplementGraph(cols, rows, tuple([15 ^ m for m in masks]), tuple(halves))
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """Direction assignment for every H incidence.
+    """Each vertex's outgoing side in board order, as its ``d.bit``, or -1
+    for a vertex with none."""
 
-    ``edge_heads`` maps each internal edge (canonical order) to its head
-    vertex; ``half_out`` maps each half-edge to True when it points off the
-    board (outward).
-    """
-
-    edge_heads: dict[tuple[Vertex, Vertex], Vertex]
-    half_out: dict[HalfEdge, bool]
-
-    @cached_property
-    def _arc_index(self) -> tuple[dict[Vertex, Direction], dict[Vertex, int], dict[Vertex, int]]:
-        """First outgoing direction (edge arcs in ``edge_heads`` order, then
-        half-edges), indegree and outdegree of every vertex with an arc."""
-        heads = list(self.edge_heads.values())
-        tails = [a if head == b else b for (a, b), head in self.edge_heads.items()]
-        sides = list(map(direction_between, tails, heads))
-        for h, is_out in self.half_out.items():
-            (tails if is_out else heads).append(h.vertex)
-            if is_out:
-                sides.append(h.direction)
-        # reversed, so that each tail keeps its first arc
-        return dict(zip(reversed(tails), reversed(sides))), Counter(heads), Counter(tails)
+    cols: int
+    rows: int
+    out: tuple[int, ...]
 
     def outgoing(self, v: Vertex) -> Direction | None:
-        return self._arc_index[0].get(v)
-
-    def indegree(self, v: Vertex) -> int:
-        return self._arc_index[1].get(v, 0)
-
-    def outdegree(self, v: Vertex) -> int:
-        return self._arc_index[2].get(v, 0)
+        x, y = v
+        if 0 <= x < self.cols and 0 <= y < self.rows and self.out[x * self.rows + y] >= 0:
+            return DIRECTION_ORDER[self.out[x * self.rows + y]]
+        return None
 
 
 def orient_complement(h: ComplementGraph) -> Orientation:
@@ -195,13 +149,13 @@ def orient_complement(h: ComplementGraph) -> Orientation:
     The walk kept is the smallest candidate, nodes by vertex in board order
     and a vertex before its half-edges in ``DIRECTION_ORDER``: from a path's
     smaller end, or from a cycle's smallest vertex towards its smaller
-    neighbour.  Components come in the order of their smallest node, always
-    a vertex.  Walks step over incidence masks, so the work is linear in H.
+    neighbour.  Each arc of the walk sets its tail's out side.  Walks step
+    over side masks, so the work is linear in H.
     """
-    masks, halves = h.incidence_masks
-    vertices, rows = board_cells(h.cols, h.rows), h.rows
+    masks, halves, rows = h.masks, h.halves, h.rows
     step = (1, rows, -1, -rows)  # per side, the board-order step to its neighbour
     seen = [False] * len(masks)
+    out = [-1] * len(masks)
 
     def walk(i: int, k: int) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
         """The arcs (vertex, side) of the walk out of vertex ``i`` by side ``k``, and
@@ -220,8 +174,6 @@ def orient_complement(h: ComplementGraph) -> Orientation:
                 return arcs, (i, -1)
             k = _SIDES[rest][0].bit
 
-    edge_heads: dict[tuple[Vertex, Vertex], Vertex] = {}
-    half_out: dict[HalfEdge, bool] = {}
     for i, m in enumerate(masks):
         if not m or seen[i]:
             continue
@@ -232,24 +184,16 @@ def orient_complement(h: ComplementGraph) -> Orientation:
             back, other = walk(i, _SIDES[m ^ 1 << k][0].bit)
             if end < other:
                 arcs, back, other = back, arcs, end
-            if other[1] >= 0:  # it enters the board by a half-edge
-                half_out[HalfEdge(vertices[other[0]], DIRECTION_ORDER[other[1]])] = False
+            if other[1] >= 0:  # it enters the board by a half-edge, no vertex's out side
                 back.pop()
             arcs = [(j + step[d], d ^ 2) for j, d in reversed(back)] + arcs
         for j, d in arcs:
-            if halves[j] >> d & 1:
-                half_out[HalfEdge(vertices[j], DIRECTION_ORDER[d])] = True
-            else:
-                v, w = vertices[j], vertices[j + step[d]]
-                edge_heads[(v, w) if d < 2 else (w, v)] = w  # north and east lead up
-
-    o = Orientation(edge_heads, half_out)
-    out, indeg, outdeg = o._arc_index
-    # at most one arc in and one out at every vertex, one out where two meet
-    bad = [v for v, n in chain(indeg.items(), outdeg.items()) if n > 1]
-    bad += [v for v, m in zip(vertices, masks) if len(_SIDES[m]) == 2 and v not in out]
-    assert not bad, f"orientation degree bound broken at {bad[0]}"
-    return o
+            assert out[j] < 0, f"orientation degree bound broken at {divmod(j, rows)}"
+            out[j] = d
+    # one out side where two incidences meet
+    bad = [j for j, m in enumerate(masks) if out[j] < 0 and len(_SIDES[m]) == 2]
+    assert not bad, f"orientation degree bound broken at {divmod(bad[0], rows)}"
+    return Orientation(h.cols, rows, tuple(out))
 
 
 # the three exit sides of a metacell, keyed by its non-exit side
@@ -266,19 +210,16 @@ class ExitPlan:
     def exits(self, v: Vertex) -> frozenset[Direction]:
         return _EXITS[self.non_exits[v]]
 
-    def non_exit(self, v: Vertex) -> Direction:
-        return self.non_exits[v]
-
 
 def exit_plan(g: GridGraph, o: Orientation) -> ExitPlan:
-    """Exit sides per vertex: its graph-edge sides, its side mask, plus the
-    outgoing H incidence at degree 2; its non-exit side is the one left."""
+    """Exit sides per vertex: its graph-edge sides, its side mask, plus its
+    out side in ``o`` at degree 2; its non-exit side is the one left."""
+    assert (o.cols, o.rows) == (g.cols, g.rows), "orientation of another board"
     non_exits = {}
-    for v, m in zip(g.vertices(), g.side_masks):
+    for v, m, out in zip(g.vertices(), g.side_masks, o.out):
         if len(_SIDES[m]) == 2:
-            out = o.outgoing(v)
-            assert out is not None, f"degree-2 vertex {v} has no outgoing incidence"
-            m |= 1 << out.bit
+            assert out >= 0, f"degree-2 vertex {v} has no outgoing incidence"
+            m |= 1 << out
         assert len(_SIDES[m]) == 3, f"vertex {v} ended with exits {set(_SIDES[m])}"
         non_exits[v] = _SIDES[15 ^ m][0]
     return ExitPlan(g, non_exits)

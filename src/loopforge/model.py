@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, product, repeat
 from operator import and_, eq, ne, or_
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import MalformedLoopError
 
@@ -327,25 +327,6 @@ def union_root(parent: list[int], p: int) -> int:
     while parent[p] != p:
         parent[p] = p = parent[parent[p]]
     return p
-
-
-def loop_runs_with_cells(
-    loop: LoopPath, classify: Callable[[Cell], object]
-) -> list[tuple[object, tuple[Cell, ...]]]:
-    """Cyclic runs of the loop's cells under a labelling, each with its
-    cells: a loop with a single label is one run of the full length,
-    otherwise adjacent runs (cyclically) carry distinct labels.  Each cell
-    is classified once, as :func:`labelled_runs` joins them."""
-    return labelled_runs(loop.cells, map(classify, loop.cells), closed=True)
-
-
-def path_runs(
-    cells: Iterable[Cell], classify: Callable[[Cell], object]
-) -> list[tuple[object, tuple[Cell, ...]]]:
-    """Maximal runs of equally labelled consecutive cells of an open path,
-    in path order, each with its cells."""
-    cells = tuple(cells)
-    return labelled_runs(cells, map(classify, cells))
 
 
 def labelled_runs(

@@ -65,7 +65,7 @@ from loopforge.model import (
     degree_profile,
     full_grid,
     grid_graph,
-    loop_runs_with_cells,
+    labelled_runs,
     orthogonal_neighbors,
 )
 from loopforge.waterwalk import GROUND, WATER
@@ -143,8 +143,9 @@ def degree_bounds(g):
 
 def loop_runs(loop, classify):
     """Cyclic run-length encoding of the loop's cells under a labelling:
-    ``(label, length)`` pairs of :func:`loop_runs_with_cells`' runs."""
-    return [(lab, len(cells)) for lab, cells in loop_runs_with_cells(loop, classify)]
+    ``(label, length)`` pairs of :func:`labelled_runs`' closed runs."""
+    runs = labelled_runs(loop.cells, map(classify, loop.cells), closed=True)
+    return [(lab, len(cells)) for lab, cells in runs]
 
 
 def boundary_crossings(loop, r, region_id):
@@ -201,42 +202,6 @@ def ww_path_valid(inst, cells):
     return True
 
 
-# Per-vertex queries on the complement H and its orientation, answered by
-# scanning every H edge on each call: the definitions the per-vertex
-# indexes of ComplementGraph and Orientation must reproduce.
-
-def incidences_by_scan(h, v):
-    dirs = [direction_between(v, b if a == v else a)
-            for a, b in h.internal_edges if v in (a, b)]
-    dirs.extend(he.direction for he in h.half_edges if he.vertex == v)
-    return sorted(dirs, key=DIRECTION_ORDER.index)
-
-
-def outgoing_by_scan(o, v):
-    for (a, b), head in o.edge_heads.items():
-        if a == v and head == b:
-            return direction_between(v, b)
-        if b == v and head == a:
-            return direction_between(v, a)
-    for he, out in o.half_out.items():
-        if he.vertex == v and out:
-            return he.direction
-    return None
-
-
-def indegree_by_scan(o, v):
-    n = sum(1 for head in o.edge_heads.values() if head == v)
-    n += sum(1 for he, out in o.half_out.items() if he.vertex == v and not out)
-    return n
-
-
-def outdegree_by_scan(o, v):
-    n = sum(1 for (a, b), head in o.edge_heads.items()
-            if (a == v and head == b) or (b == v and head == a))
-    n += sum(1 for he, out in o.half_out.items() if he.vertex == v and out)
-    return n
-
-
 def perimeter(width, height):
     """Cell pairs of every border side of a width x height board, each
     pairing a board cell with the off-board cell beyond it."""
@@ -252,21 +217,26 @@ def orient_by_candidate_walks(h, seed_rule="lex"):
     """Orientation of the complement ``h`` by building every candidate walk
     of each component (from each end of a path; from each node, both ways,
     around a cycle) and keeping the smallest ("lex") or largest ("antilex")
-    in node-key order.  Quadratic on cycles; the reference that picking the
-    walk directly must reproduce, ``edge_heads`` insertion order included."""
+    in node-key order.  The node graph is built from ``h``'s side masks: a
+    node per vertex and per half-edge, each vertex joined to the neighbour
+    or the half-edge behind each incidence side.  Quadratic on cycles; the
+    reference that picking the walk directly must reproduce."""
 
     def key(node):
         if node[0] == "v":
             return (node[1][0], node[1][1], -1)
-        return (node[1].vertex[0], node[1].vertex[1], DIRECTION_ORDER.index(node[1].direction))
+        (x, y), d = node[1]
+        return (x, y, DIRECTION_ORDER.index(d))
 
     adj = {}
-    for a, b in sorted(h.internal_edges):
-        adj.setdefault(("v", a), []).append(("v", b))
-        adj.setdefault(("v", b), []).append(("v", a))
-    for he in h.half_edges:
-        adj.setdefault(("v", he.vertex), []).append(("h", he))
-        adj[("h", he)] = [("v", he.vertex)]
+    for (x, y), m, half in zip(board_cells(h.cols, h.rows), h.masks, h.halves):
+        v = ("v", (x, y))
+        for d in DIRECTION_ORDER:
+            if half >> d.bit & 1:
+                adj.setdefault(v, []).append(("h", ((x, y), d)))
+                adj[("h", ((x, y), d))] = [v]
+            elif m >> d.bit & 1:
+                adj.setdefault(v, []).append(("v", (x + d.dx, y + d.dy)))
     for nbrs in adj.values():
         nbrs.sort(key=key)
 
@@ -278,7 +248,7 @@ def orient_by_candidate_walks(h, seed_rule="lex"):
                 return walk
             walk.append(options[0])
 
-    edge_heads, half_out = {}, {}
+    out = {}
     seen = set()
     for start in sorted(adj, key=key):
         if start in seen:
@@ -298,13 +268,10 @@ def orient_by_candidate_walks(h, seed_rule="lex"):
         walks.sort(key=lambda w: [key(n) for n in w])
         walk = walks[0] if seed_rule == "lex" else walks[-1]
         for a, b in zip(walk, walk[1:]):
-            if a[0] == "v" and b[0] == "v":
-                edge_heads[tuple(sorted((a[1], b[1])))] = b[1]
-            elif a[0] == "h":
-                half_out[a[1]] = False
-            else:
-                half_out[b[1]] = True
-    return Orientation(edge_heads, half_out)
+            if a[0] == "v":  # an arc out of a vertex, to a vertex or off the board
+                out[a[1]] = direction_between(a[1], b[1]) if b[0] == "v" else b[1][1]
+    sides = [out[v].bit if v in out else -1 for v in board_cells(h.cols, h.rows)]
+    return Orientation(h.cols, h.rows, tuple(sides))
 
 
 def plan_by_rule(g, rule):

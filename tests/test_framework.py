@@ -6,13 +6,13 @@ import pytest
 
 from loopforge import aon, waterwalk
 from loopforge.framework import (
+    DIRECTION_ORDER,
     ComplementGraph,
     Direction,
-    HalfEdge,
-    Orientation,
     build_complement,
     direction_between,
     emit_exit_plan,
+    exit_plan,
     mutual_facing_holds,
     orient_complement,
     plan_for,
@@ -20,16 +20,12 @@ from loopforge.framework import (
     turns_between,
 )
 from loopforge.hamilton import enumerate_candidate_subgraphs, random_candidate_subgraph
-from loopforge.model import degree_profile, full_grid, grid_graph, regions_from_labels
+from loopforge.model import board_cells, degree_profile, full_grid, grid_graph, regions_from_labels
 
 from oracles import (
     aon_gadget_labels,
     aon_labels_by_offsets,
-    incidences_by_scan,
-    indegree_by_scan,
     orient_by_candidate_walks,
-    outdegree_by_scan,
-    outgoing_by_scan,
     plan_by_rule,
     rotate_corner,
     ww_gadget_terrain,
@@ -112,34 +108,62 @@ class TestRotation:
             rotate_cell(5, 1, (5, 0))
 
 
+def sides(mask):
+    """The sides of a 4-bit side mask."""
+    return {d for d in Direction if mask >> d.bit & 1}
+
+
+def at(h, v):
+    """The board-order index of vertex ``v`` of ``h``."""
+    return v[0] * h.rows + v[1]
+
+
+def internal_edges(h):
+    """H's internal edges read from its masks, each from its end that
+    reaches the other to the north or east."""
+    return {(v, (v[0] + d.dx, v[1] + d.dy)) for v in board_cells(h.cols, h.rows)
+            for d in sides(h.masks[at(h, v)] & ~h.halves[at(h, v)])
+            if d in (Direction.N, Direction.E)}
+
+
 class TestComplement:
     def test_interior_degree2_vertex_has_two_incidences(self):
         # 2x3 ring: middle vertices have degree 2 with one grid non-edge
         g = grid_graph(2, 3, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)),
                               ((0, 1), (0, 2)), ((1, 1), (1, 2)), ((0, 2), (1, 2))])
         h = build_complement(g)
-        assert len(h.incidences((0, 1))) == 2
-        assert ((0, 1), (1, 1)) in h.internal_edges
+        assert sides(h.masks[at(h, (0, 1))]) == {Direction.E, Direction.W}
+        assert sides(h.halves[at(h, (0, 1))]) == {Direction.W}
+        assert ((0, 1), (1, 1)) in internal_edges(h)
 
     def test_corner_degree2_has_two_half_edges(self):
         h = build_complement(full_grid(2, 2))
-        assert h.internal_edges == frozenset()
-        assert {he for he in h.half_edges if he.vertex == (0, 0)} == {
-            HalfEdge((0, 0), Direction.S), HalfEdge((0, 0), Direction.W)}
+        assert internal_edges(h) == set()
+        assert h.masks == h.halves
+        assert sides(h.halves[at(h, (0, 0))]) == {Direction.S, Direction.W}
 
     def test_example_graph_internal_edges(self):
         h = build_complement(graph_3x4())
-        assert h.internal_edges == frozenset({
+        assert internal_edges(h) == {
             ((0, 1), (1, 1)), ((0, 2), (1, 2)), ((1, 2), (1, 3)), ((2, 1), (2, 2)),
-        })
-        assert len(h.half_edges) == 14
+        }
+        assert sum(len(sides(m)) for m in h.halves) == 14
 
     def test_incidence_count_is_four_minus_degree(self):
         g = graph_3x4()
         h = build_complement(g)
         deg = degree_profile(g)
         for v in g.vertices():
-            assert len(h.incidences(v)) == 4 - deg[v]
+            assert len(sides(h.masks[at(h, v)])) == 4 - deg[v]
+
+    def test_masks_are_the_missing_sides_and_halves_the_border_ones(self):
+        for g in _small_and_random_graphs():
+            h = build_complement(g)
+            assert (h.cols, h.rows) == (g.cols, g.rows)
+            assert h.masks == tuple(15 ^ m for m in g.side_masks)
+            for v in g.vertices():
+                off = {d for d in Direction if not g.in_bounds((v[0] + d.dx, v[1] + d.dy))}
+                assert sides(h.halves[at(h, v)]) == off
 
     def test_degree_out_of_range_names_vertex(self):
         g = grid_graph(2, 2, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1))])
@@ -147,41 +171,60 @@ class TestComplement:
             build_complement(g)
 
 
+def assert_vertex_bounds(h, o):
+    """Every out side of ``o`` is one of its vertex's incidences, and every
+    vertex without one has a single incidence: each two-incidence vertex
+    has an out side."""
+    assert (o.cols, o.rows) == (h.cols, h.rows) and len(o.out) == len(h.masks)
+    for v, m, k in zip(board_cells(h.cols, h.rows), h.masks, o.out):
+        assert m >> k & 1 if k >= 0 else len(sides(m)) == 1, v
+
+
+def assert_edges_oriented_once(h, o):
+    """Every internal edge of H has exactly one end whose out side faces it."""
+    for a, b in internal_edges(h):
+        d = direction_between(a, b)
+        assert (o.out[at(h, a)] == d.bit) + (o.out[at(h, b)] == d.opposite().bit) == 1, (a, b)
+
+
+def lex_and_antilex():
+    for g in _small_and_random_graphs():
+        h = build_complement(g)
+        yield h, orient_complement(h)
+        yield h, orient_by_candidate_walks(h, "antilex")
+
+
 class TestOrientation:
     def test_degree_bounds_hold(self):
-        for dims in [(2, 2), (2, 3), (3, 3)]:
-            for g in enumerate_candidate_subgraphs(*dims):
-                h = build_complement(g)
-                o = orient_complement(h)
-                for v in g.vertices():
-                    assert o.indegree(v) <= 1 and o.outdegree(v) <= 1
-                    if len(h.incidences(v)) == 2:
-                        assert o.outdegree(v) == 1
+        for h, o in lex_and_antilex():
+            assert_vertex_bounds(h, o)
 
     def test_deterministic(self):
         g = graph_3x4()
         h = build_complement(g)
-        a = orient_complement(h)
-        b = orient_complement(h)
-        assert a.edge_heads == b.edge_heads and a.half_out == b.half_out
+        assert orient_complement(h) == orient_complement(h)
 
     def test_seed_rules_differ_but_both_valid(self):
         g = graph_3x4()
         h = build_complement(g)
         lex = orient_complement(h)
         anti = orient_by_candidate_walks(h, "antilex")
-        assert lex.edge_heads != anti.edge_heads or lex.half_out != anti.half_out
+        assert lex.out != anti.out
         for o in (lex, anti):
-            for v in g.vertices():
-                assert o.indegree(v) <= 1 and o.outdegree(v) <= 1
+            assert_vertex_bounds(h, o)
+            assert_edges_oriented_once(h, o)
 
     def test_every_incidence_oriented_exactly_once(self):
-        for dims in [(2, 2), (2, 3), (3, 3)]:
-            for g in enumerate_candidate_subgraphs(*dims):
-                h = build_complement(g)
-                o = orient_complement(h)
-                assert set(o.edge_heads) == set(h.internal_edges)
-                assert set(o.half_out) == set(h.half_edges)
+        # a half-edge is oriented by its vertex's out side, in or out
+        for h, o in lex_and_antilex():
+            assert_edges_oriented_once(h, o)
+
+    def test_a_second_out_side_breaks_the_degree_bound(self):
+        # a hand-built H whose ends disagree: (1, 0) has an incidence west,
+        # which (0, 0), already out by its north half-edge, lacks
+        h = ComplementGraph(2, 1, (1, 8), (1, 0))
+        with pytest.raises(AssertionError, match=r"degree bound broken at \(0, 0\)$"):
+            orient_complement(h)
 
     def test_path_component_walks_from_smaller_end(self):
         # the 2x3 ring's complement is one path: half-edge, (0,1), (1,1),
@@ -189,13 +232,23 @@ class TestOrientation:
         ring = grid_graph(2, 3, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)),
                                  ((0, 1), (0, 2)), ((1, 1), (1, 2)), ((0, 2), (1, 2))])
         o = orient_complement(build_complement(ring))
-        assert o.edge_heads[((0, 1), (1, 1))] == (1, 1)
+        assert (o.outgoing((0, 1)), o.outgoing((1, 1))) == (Direction.E, Direction.E)
         anti = orient_by_candidate_walks(build_complement(ring), "antilex")
-        assert anti.edge_heads[((0, 1), (1, 1))] == (0, 1)
+        assert (anti.outgoing((0, 1)), anti.outgoing((1, 1))) == (Direction.W, Direction.W)
+
+    def test_outgoing_reads_the_out_side_and_none_off_the_board(self):
+        # an index off the board is never wrapped round to another vertex
+        for h, o in lex_and_antilex():
+            for v in board_cells(h.cols, h.rows):
+                k = o.out[at(h, v)]
+                assert o.outgoing(v) is (DIRECTION_ORDER[k] if k >= 0 else None)
+            for v in ((-1, 0), (-1, h.rows - 1), (h.cols, 0), (0, -1), (0, h.rows), (-1, -1),
+                      (h.cols, h.rows - 1), (h.cols - 1, h.rows)):
+                assert o.outgoing(v) is None
 
 
 def _small_and_random_graphs():
-    for dims in [(2, 2), (2, 3), (3, 3)]:
+    for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         yield from enumerate_candidate_subgraphs(*dims)
     rng = random.Random(88)
     for _ in range(6):
@@ -204,7 +257,7 @@ def _small_and_random_graphs():
 
 def _oracle_graphs():
     yield from _small_and_random_graphs()
-    for dims in [(3, 2), (2, 4), (2, 5)]:
+    for dims in [(2, 4), (2, 5)]:
         yield from enumerate_candidate_subgraphs(*dims)
     for n in (4, 6, 8, 12):
         yield concentric_rings(n)
@@ -216,58 +269,10 @@ def _oracle_graphs():
 @pytest.mark.parametrize("rule", ["lex"])
 def test_orientation_matches_candidate_walks(rule):
     # the directly picked walk is the one the sort of every candidate walk
-    # kept, arcs inserted in the same order
+    # kept: the same out side at every vertex
     for g in _oracle_graphs():
         h = build_complement(g)
-        got, want = orient_complement(h), orient_by_candidate_walks(h, rule)
-        assert list(got.edge_heads.items()) == list(want.edge_heads.items())
-        assert list(got.half_out.items()) == list(want.half_out.items())
-
-
-class TestIndexesMatchScans:
-    """The per-vertex indexes answer exactly what a scan over every H edge
-    answers, including the direction ``outgoing`` picks first."""
-
-    def test_incidences(self):
-        for g in _small_and_random_graphs():
-            h = build_complement(g)
-            for v in g.vertices():
-                assert h.incidences(v) == incidences_by_scan(h, v)
-            for v in ((-1, 0), (g.cols, 0), (0, -1), (0, g.rows)):
-                assert h.incidences(v) == incidences_by_scan(h, v) == []
-
-    @pytest.mark.parametrize("rule", ["lex", "antilex"])
-    def test_orientation_queries(self, rule):
-        for g in _small_and_random_graphs():
-            h = build_complement(g)
-            o = orient_complement(h) if rule == "lex" else orient_by_candidate_walks(h, rule)
-            for v in g.vertices():
-                assert o.outgoing(v) == outgoing_by_scan(o, v)
-                assert o.indegree(v) == indegree_by_scan(o, v)
-                assert o.outdegree(v) == outdegree_by_scan(o, v)
-
-    def test_hand_built_complement_reads_its_own_edges(self):
-        # the incidence masks come from H's edges, stored either way round,
-        # and not from the graph it was built from
-        for g in _small_and_random_graphs():
-            h = build_complement(g)
-            reversed_edges = frozenset((b, a) for a, b in h.internal_edges)
-            flipped = ComplementGraph(h.cols, h.rows, reversed_edges, h.half_edges)
-            for v in g.vertices():
-                assert flipped.incidences(v) == incidences_by_scan(flipped, v)
-            got, want = orient_complement(flipped), orient_complement(h)
-            assert list(got.edge_heads.items()) == list(want.edge_heads.items())
-            assert list(got.half_out.items()) == list(want.half_out.items())
-
-    def test_outgoing_takes_first_edge_arc_before_half_edges(self):
-        # a hand-built orientation where (1, 0) has two outgoing arcs: the
-        # edge arc listed first in edge_heads wins, and any edge arc beats
-        # an outgoing half-edge
-        o = Orientation({((0, 0), (1, 0)): (1, 0), ((1, 0), (2, 0)): (2, 0),
-                         ((1, 0), (1, 1)): (1, 1)},
-                        {HalfEdge((1, 0), Direction.S): True})
-        assert o.outgoing((1, 0)) == outgoing_by_scan(o, (1, 0)) == Direction.E
-        assert o.outdegree((1, 0)) == 3 and o.indegree((1, 0)) == 1
+        assert orient_complement(h).out == orient_by_candidate_walks(h, rule).out
 
 
 class TestExitPlan:
@@ -275,7 +280,7 @@ class TestExitPlan:
         g = graph_3x4()
         plan = plan_for(g)
         assert plan.exits((1, 0)) == frozenset({Direction.W, Direction.E, Direction.N})
-        assert plan.non_exit((1, 0)) is Direction.S
+        assert plan.non_exits[(1, 0)] is Direction.S
 
     def test_every_vertex_has_three_exits(self):
         for g in enumerate_candidate_subgraphs(2, 3):
@@ -283,11 +288,26 @@ class TestExitPlan:
             for v in g.vertices():
                 assert len(plan.exits(v)) == 3
 
+    def test_degree2_third_exit_faces_the_out_side(self):
+        for g in _small_and_random_graphs():
+            o = orient_complement(build_complement(g))
+            plan = exit_plan(g, o)
+            for v, m in zip(g.vertices(), g.side_masks):
+                want = sides(m) | {o.outgoing(v)} if len(sides(m)) == 2 else sides(m)
+                assert plan.exits(v) == want, v
+
+    def test_orientation_of_another_board_is_refused(self):
+        # as many vertices, the board turned a quarter
+        g = graph_3x4()
+        o = orient_complement(build_complement(random_candidate_subgraph(4, 3, random.Random(1))))
+        with pytest.raises(AssertionError, match="orientation of another board"):
+            exit_plan(g, o)
+
     def test_square_corner_exits(self):
         plan = plan_for(full_grid(2, 2))
         exits = plan.exits((0, 0))
         assert Direction.N in exits and Direction.E in exits
-        assert plan.non_exit((0, 0)) in (Direction.S, Direction.W)
+        assert plan.non_exits[(0, 0)] in (Direction.S, Direction.W)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_mutual_facing_on_all_candidates(self, dims):

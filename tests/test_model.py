@@ -17,8 +17,7 @@ from loopforge.model import (
     degree_profile,
     full_grid,
     grid_graph,
-    loop_runs_with_cells,
-    path_runs,
+    labelled_runs,
     regions_from_labels,
 )
 from loopforge.waterwalk import compile_ww
@@ -466,12 +465,12 @@ class TestLoopRuns:
     def test_path_runs_end_at_the_path_ends(self):
         cells = ((0, 0), (1, 0), (1, 1), (0, 1))
         label = {(0, 0): "a", (1, 0): "b", (1, 1): "a", (0, 1): "a"}.__getitem__
-        assert path_runs(cells, label) == [
+        assert labelled_runs(cells, map(label, cells)) == [
             ("a", ((0, 0),)), ("b", ((1, 0),)), ("a", ((1, 1), (0, 1)))]
-        assert path_runs(cells[:1], label) == [("a", ((0, 0),))]
-        assert path_runs((), label) == []
+        assert labelled_runs(cells[:1], map(label, cells[:1])) == [("a", ((0, 0),))]
+        assert labelled_runs((), ()) == []
         # closed into a loop, the first and last runs join, last
-        assert loop_runs_with_cells(LoopPath(cells), label) == [
+        assert labelled_runs(cells, map(label, cells), closed=True) == [
             ("b", ((1, 0),)), ("a", ((1, 1), (0, 1), (0, 0)))]
 
     @given(st.data())
@@ -486,7 +485,7 @@ class TestLoopRuns:
             calls.append(c)
             return label[c]
 
-        runs = loop_runs_with_cells(loop, classify)
+        runs = labelled_runs(loop.cells, map(classify, loop.cells), closed=True)
         assert len(calls) == len(loop)
         # the runs start at the loop's first label change
         cells = loop.cells

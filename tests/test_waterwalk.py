@@ -552,7 +552,11 @@ BASELINE_BOARDS = [
 ]
 
 
-@pytest.mark.parametrize("cols, rows, seed, nodes", BASELINE_BOARDS)
+# each case is named by its board alone, so a pinned count that moves
+# leaves the test's id as it is
+@pytest.mark.parametrize("cols, rows, seed, nodes", BASELINE_BOARDS, ids=[
+    f"{cols}x{rows} " + (f"seed {seed}" if isinstance(seed, int) else seed)
+    for cols, rows, seed, _ in BASELINE_BOARDS])
 def test_baseline_board_decided(cols, rows, seed, nodes):
     # a first loop lifts to a Hamiltonian cycle of the source, and a
     # refutation is exhaustive on a source that has none
