@@ -129,9 +129,9 @@ FRAME = GADGET.frame
 
 
 def gadget_board(turns: int) -> AonInstance:
-    """The gadget rotated by ``turns`` alone on its frame."""
-    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
-    decomp = regions_from_labels(FRAME, FRAME, dict(zip(cells, tokens)))
+    """The gadget turned by ``turns``, 0-3, alone on its frame: the regions
+    of its tokens at that turn, in board order."""
+    decomp = regions_from_labels(FRAME, FRAME, GADGET.boards[turns])
     names = tuple(map(region_token, range(len(decomp.regions))))
     return AonInstance(FRAME, FRAME, decomp, names)
 
@@ -149,7 +149,7 @@ def gadget_harness(turns: int):
     of :func:`gadget_audit` hold by this domain and are not observed.
     """
     decomp = gadget_board(turns).regions
-    (exit_cell,) = GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])
+    (exit_cell,) = GADGET.place(turns, [GADGET_EXIT_CELLS[Direction.W]])
     big = decomp.regions[decomp.region_at(exit_cell)]
     return big, big, LoopConstraint
 
@@ -174,7 +174,7 @@ def gadget_audit(turns: int, traversals, paths):
     decomp, report = inst.regions, analyze_dead_regions(inst)
     ids = decomp.ids  # traversals stay on the frame
     big_cell, one_cell = GADGET.place(
-        (0, 0), turns, [GADGET_EXIT_CELLS[Direction.W], ONE_CELL_REGION_CELL])
+        turns, [GADGET_EXIT_CELLS[Direction.W], ONE_CELL_REGION_CELL])
     big_id, one_id = decomp.region_at(big_cell), decomp.region_at(one_cell)
     # per traversal that leaves the big region, the other regions it enters
     inside = set(decomp.regions[big_id])
@@ -184,14 +184,14 @@ def gadget_audit(turns: int, traversals, paths):
     findings = [f"parts-entered {'yes' if entered - {one_id} else 'no'}",
                 f"one-cell-entered {'yes' if one_id in entered else 'no'}",
                 f"rule-permitted-escapes {len(left)}"]
-    parts = sorted((min(GADGET.place((0, 0), -turns, cells)), rid)
+    parts = sorted((min(GADGET.place(-turns, cells)), rid)
                    for rid, cells in enumerate(decomp.regions) if rid not in (big_id, one_id))
     leaves = set()
     for (x, y), rid in parts:
         leaves.update(decomp.leaves[rid])
         findings.append(f"part {x} {y} leaves {report.leaf_counts[rid]}")
     for name, markers in (("fixed", FIXED_LEAF_CELLS), ("rim", RIM_LEAF_CELLS)):
-        placed = GADGET.place((0, 0), turns, markers)
+        placed = GADGET.place(turns, markers)
         findings.append(f"{name}-markers-leaves {sum(1 for c in placed if c in leaves)}")
     findings.append(f"one-cell-enclosed-by {int(report.enclosing.get(one_id) == big_id)}")
     return {}, tuple(findings)
@@ -250,10 +250,8 @@ def _rotation(rows: str, turns: int):
     the filler parts (neither big nor the one-cell region) with the pairs
     of them that touch in the frame.  Cached under the gadget's ``rows``
     too, so a replaced ``GADGET`` is read afresh."""
-    decomp = gadget_board(turns).regions
-    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
-    token_of = dict(zip(cells, tokens))
-    kinds = [token_of[cs[0]] for cs in decomp.regions]
+    decomp, tokens = gadget_board(turns).regions, GADGET.boards[turns]
+    kinds = [tokens[x * FRAME + y] for (x, y), *_ in decomp.regions]
     filler = {p for p, kind in enumerate(kinds) if kind not in ("B", "D")}
     inner = [pair for pair in decomp.touching if filler.issuperset(pair)]
     return decomp.ids, kinds, filler, inner

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, product
-from typing import Iterable, Iterator, Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from .errors import CompileError
 from .fileio import BoardFormat
@@ -235,11 +235,14 @@ class Gadget:
     """A puzzle's metacell gadget in canonical orientation: its square frame
     written as board rows of its puzzle's ``board`` format, top row first,
     its one non-exit side, the border cell of each exit, and stored local
-    traversals per exit pair (the first of each is canonical).  Construction
-    asserts that every exit cell sits on its side's midline at each of the
-    four rotations, so no tiling needs to check it again.  Its tables per
-    quarter turn, of exit cells and of placed traversals, are built on
-    first use."""
+    traversals per exit pair (the first of each is canonical).  A tiling
+    turns every gadget a quarter turn 0-3, so the gadget keeps one table
+    per turn, each read in frame cells: its tokens in board order
+    (``boards``), its exit cells (``exits_at``) and its canonical
+    traversals (``pieces``).  Construction asserts that every exit cell
+    sits on its side's midline at each of the four turns and that every
+    stored traversal starts at one of its pair's two exit cells, so no
+    tiling needs to check either again."""
 
     rows: str
     board: BoardFormat
@@ -249,27 +252,20 @@ class Gadget:
 
     def __post_init__(self):
         mid = self.frame // 2
-        for turns in range(4):
-            for side, cell in self.exit_cells.items():
-                x, y = rotate_cell(self.frame, turns, cell)
-                out = side.rotated(turns)
+        for turns, exits in enumerate(self.exits_at):
+            for out, (x, y) in exits.items():
                 assert (x if out.dx == 0 else y) == mid, \
                     f"exit cell off midline on side {out.name} at {turns} turns"
+        for pair, found in self.paths.items():
+            ends = {self.exit_cells[d] for d in pair}
+            for cells in found:
+                assert cells[0] in ends, \
+                    f"traversal {'-'.join(sorted(d.name for d in pair))} starts off its exits"
 
     @cached_property
     def frame(self) -> int:
         """Side of the square frame: the number of rows."""
         return len(self.rows.splitlines())
-
-    @cached_property
-    def _layout(self) -> tuple[tuple[str, ...], list[list[Cell]]]:
-        """The token of every frame cell, read from ``rows``, and in the
-        same order the cells they land on with the gadget at 0-3 turns."""
-        n = self.frame
-        _, _, rows = self.board.read_rows(f"{self.board.kind} {n} {n}\n{self.rows}")
-        cells = [(x, y) for y in range(n - 1, -1, -1) for x in range(n)]
-        return tuple(chain.from_iterable(rows)), [self.place((0, 0), turns, cells)
-                                                  for turns in range(4)]
 
     def tile(self, g: GridGraph, plan: ExitPlan) -> dict[Vertex, int]:
         """Quarter turns at every vertex of ``g`` that put the gadget's
@@ -285,65 +281,43 @@ class Gadget:
         """Per plan non-exit side, the quarter turns that put the gadget's there."""
         return {d: turns_between(self.non_exit, d) for d in DIRECTION_ORDER}
 
-    def lay(
-        self, tiling: dict[Vertex, int]
-    ) -> Iterator[tuple[Vertex, list[Cell], tuple[str, ...]]]:
-        """Each vertex of ``tiling`` (the turns per vertex, as :meth:`tile`
-        gives them) with every board cell of its metacell and, in the same
-        order, the tokens of the gadget rotated there."""
-        tokens, rotations = self._layout
-        for v, turns in tiling.items():
-            ox, oy = self.frame * v[0], self.frame * v[1]
-            yield v, [(ox + x, oy + y) for x, y in rotations[turns % 4]], tokens
+    def place(self, turns: int, cells: Iterable[Cell]) -> list[Cell]:
+        """Frame cells of the gadget-local ``cells`` with the gadget turned
+        by ``turns``; a cell outside the frame raises ``ValueError``."""
+        return [rotate_cell(self.frame, turns, c) for c in cells]
 
     @cached_property
-    def _turned(self) -> list[dict[Cell, Cell]]:
-        """Per quarter turn 0-3, every frame cell and the cell it lands on."""
-        cells = list(product(range(self.frame), repeat=2))
-        return [{c: rotate_cell(self.frame, turns, c) for c in cells} for turns in range(4)]
-
-    def place(self, v: Vertex, turns: int, cells: Iterable[Cell]) -> list[Cell]:
-        """Board cells of the gadget-local ``cells`` with the gadget rotated
-        by ``turns`` in the metacell of ``v``.  Each rotated cell is read
-        from the gadget's table for that turn; a cell outside the frame
-        raises ``ValueError``."""
-        ox, oy = self.frame * v[0], self.frame * v[1]
-        try:
-            return [(ox + x, oy + y) for x, y in map(self._turned[turns % 4].__getitem__, cells)]
-        except KeyError as e:
-            raise ValueError(f"cell {e.args[0]} outside {self.frame}x{self.frame} frame") from None
-
-    def board_exit(self, v: Vertex, turns: int, side: Direction) -> Cell:
-        """Board cell of the exit on ``side`` of the gadget rotated by
-        ``turns`` in the metacell of ``v``."""
-        x, y = self.exits_at[turns % 4][side]
-        return self.frame * v[0] + x, self.frame * v[1] + y
+    def boards(self) -> list[tuple[str, ...]]:
+        """Per quarter turn 0-3, the token of every frame cell with the
+        gadget turned so, in board order: ``(x, y)`` at ``x * frame + y``,
+        read from ``rows`` at the cell that turns onto it."""
+        n = self.frame
+        rows = [row.split() if self.board.spaced else row for row in self.rows.splitlines()]
+        cells = list(product(range(n), repeat=2))
+        return [tuple(rows[n - 1 - y][x] for x, y in self.place(-turns, cells))
+                for turns in range(4)]
 
     @cached_property
     def exits_at(self) -> list[dict[Direction, Cell]]:
         """Per quarter turn 0-3, the frame cell of each exit of the gadget
         turned so, keyed by the side it faces then."""
-        return [{side.rotated(turns): self._turned[turns][cell]
+        return [{side.rotated(turns): rotate_cell(self.frame, turns, cell)
                  for side, cell in self.exit_cells.items()} for turns in range(4)]
 
     @cached_property
     def pieces(self) -> dict[tuple[int, Direction, Direction], list[Cell]]:
         """Per quarter turn 0-3 and (entry, exit) pair of the sides the
         exits face with the gadget turned so, the canonical traversal
-        between them placed in the frame."""
-        return {(turns, entry.rotated(turns), exit_.rotated(turns)):
-                self.place((0, 0), turns, self.local_path(entry, exit_))
-                for turns in range(4) for pair in self.paths
-                for entry, exit_ in (tuple(pair), tuple(pair)[::-1])}
-
-    def local_path(self, entry: Direction, exit_: Direction) -> tuple[Cell, ...]:
-        """Canonical traversal from the ``entry`` exit to the ``exit_`` exit,
-        in canonical orientation."""
-        cells = self.paths[frozenset({entry, exit_})][0]
-        if cells[0] == self.exit_cells[entry]:
-            return cells
-        assert cells[0] == self.exit_cells[exit_]
-        return tuple(reversed(cells))
+        between them placed in the frame, stored or reversed."""
+        pieces = {}
+        for pair, (cells, *_) in self.paths.items():
+            (entry,) = (d for d in pair if self.exit_cells[d] == cells[0])
+            (exit_,) = pair - {entry}
+            for turns in range(4):
+                a, b = entry.rotated(turns), exit_.rotated(turns)
+                pieces[turns, a, b] = placed = self.place(turns, cells)
+                pieces[turns, b, a] = placed[::-1]
+        return pieces
 
 
 def mutual_facing_holds(g: GridGraph, plan: ExitPlan) -> bool:

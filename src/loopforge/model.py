@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, product, repeat
 from operator import and_, eq, ne, or_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import MalformedLoopError
 
@@ -97,9 +97,6 @@ class GridGraph:
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
-
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        return [w for w in orthogonal_neighbors(v) if self.in_bounds(w) and self.has_edge(v, w)]
 
 
 def grid_graph(cols: int, rows: int, edges: Iterable[tuple[Vertex, Vertex]]) -> GridGraph:
@@ -281,7 +278,7 @@ def board_cells(width: int, height: int) -> list[Cell]:
 
 
 def regions_from_labels(width: int, height: int,
-                        labels: dict[Cell, object] | list) -> RegionDecomposition:
+                        labels: dict[Cell, object] | Sequence) -> RegionDecomposition:
     """Fill the board into regions: maximal orthogonally connected sets of
     equally labelled cells.  ``labels`` maps every board cell, and no
     other, to its label, or lists the labels in board order (else

@@ -203,7 +203,7 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     ``budget`` bounds the certificate's nodes, every search's together.
     ``turns`` rotates the whole harness; counts must not depend on it.
     """
-    p = puzzle_of(puzzle)
+    p, turns = puzzle_of(puzzle), turns % 4
     gadget = p.gadget
     t0 = time.perf_counter()
     nodes = _Nodes(budget)
@@ -213,11 +213,11 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
         return tuple(search(start, goal, nodes))
 
     exits = [d.rotated(turns) for d in sorted(gadget.exit_cells, key=lambda d: d.name)]
+    exits_at = gadget.exits_at[turns]
     traversals: dict[frozenset[Direction], tuple] = {}
     for i, a in enumerate(exits):
         for b in exits[i + 1:]:
-            traversals[frozenset({a, b})] = paths(gadget.board_exit((0, 0), turns, a),
-                                                  gadget.board_exit((0, 0), turns, b))
+            traversals[frozenset({a, b})] = paths(exits_at[a], exits_at[b])
     pair_counts = {pair: len(found) for pair, found in traversals.items()}
     blocked_counts, findings = p.gadget_audit(turns, traversals, paths)
 

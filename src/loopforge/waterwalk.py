@@ -87,13 +87,12 @@ def check_crossings(gadget: Gadget) -> None:
     the cells and the exit cells sit on their sides' midlines, so across
     every graph edge of a compile the loop then passes ground, water,
     water, ground."""
-    ((_, cells, tokens),) = gadget.lay({(0, 0): 0})
-    token_of = dict(zip(cells, tokens))
+    board, n = gadget.boards[0], gadget.frame
     for side, (x, y) in gadget.exit_cells.items():
         inward = (x - side.dx, y - side.dy)
-        if token_of[x, y] != "~":
+        if board[x * n + y] != "~":
             raise CompileError(f"exit cell {(x, y)} on side {side.name} is not water")
-        if token_of[inward] == "~":
+        if board[inward[0] * n + inward[1]] == "~":
             raise CompileError(f"exit on side {side.name} has no ground at {inward}")
 
 
@@ -137,18 +136,11 @@ class WwInstance:
         return MappingProxyType({divmod(m.start(), h): int(m.group())
                                  for m in _CLUE.finditer(self.cells)})
 
-    def terrain(self, c: Cell) -> str:
-        return GROUND if c in self.ground else WATER
-
 
 def gadget_board(turns: int) -> WwInstance:
-    """The gadget rotated by ``turns`` alone on its frame: the tokens it
-    lays, written into place."""
-    ((_, cells, tokens),) = GADGET.lay({(0, 0): turns})
-    board = bytearray(FRAME * FRAME)
-    for (x, y), tok in zip(cells, tokens):
-        board[x * FRAME + y] = ord(tok)
-    return WwInstance(FRAME, FRAME, board.decode())
+    """The gadget turned by ``turns``, 0-3, alone on its frame: its tokens
+    at that turn, already in board order."""
+    return WwInstance(FRAME, FRAME, "".join(GADGET.boards[turns]))
 
 
 def parse_ww(text: str) -> WwInstance:
@@ -313,10 +305,10 @@ def gadget_audit(turns: int, traversals, paths):
     ``traversals`` to the blocked side's midline cell (0 expected), and no
     finding of its own."""
     blocked = GADGET_NON_EXIT.rotated(turns)
-    (goal,) = GADGET.place((0, 0), turns, [GADGET_BLOCKED_CELL])
+    (goal,) = GADGET.place(turns, [GADGET_BLOCKED_CELL])
     exits = sorted({d for pair in traversals for d in pair}, key=lambda d: d.name)
-    counts = {frozenset({a, blocked}):
-              len(paths(GADGET.board_exit((0, 0), turns, a), goal)) for a in exits}
+    exits_at = GADGET.exits_at[turns]
+    counts = {frozenset({a, blocked}): len(paths(exits_at[a], goal)) for a in exits}
     return counts, ()
 
 

@@ -187,7 +187,7 @@ def ww_path_valid(inst, cells):
             return False
     runs = []
     for c in cells:
-        label = inst.terrain(c)
+        label = GROUND if c in inst.ground else WATER
         if runs and runs[-1][0] == label:
             runs[-1][1].append(c)
         else:
@@ -1150,8 +1150,9 @@ def big_region_ids(inst, tiling):
     ``tiling``: the region of its placed W exit cell, as
     :func:`~loopforge.aon.gadget_harness` finds it."""
     region_at = inst.regions.region_at
-    return {region_at(GADGET.place(v, turns, [GADGET_EXIT_CELLS[Direction.W]])[0])
-            for v, turns in tiling.items()}
+    return {region_at((FRAME * vx + x, FRAME * vy + y))
+            for (vx, vy), turns in tiling.items()
+            for x, y in GADGET.place(turns, [GADGET_EXIT_CELLS[Direction.W]])}
 
 
 def regions_from_boundaries(width, height, walls):
@@ -1226,31 +1227,41 @@ def regions_from_boundaries(width, height, walls):
 
 
 # ---------------------------------------------------------------------------
-# Gadget placement as each puzzle did it before ``Gadget.lay``: the Water
-# Walk gadget as literal ground cells and clues, and All or Nothing's
-# ``GADGET_ROWS`` split into letters, rotated once per turn count and
-# offset into each metacell by hand.
+# Gadget placement as each puzzle did it before ``Gadget.boards``: the
+# Water Walk gadget as literal ground cells and clues, and All or
+# Nothing's ``GADGET_ROWS`` split into letters, rotated cell by cell once
+# per turn count and offset into each metacell by hand.
 
 WW_GADGET_GROUND = frozenset({(2, 1), (2, 2), (2, 3), (3, 2)})
 WW_GADGET_NUMBERS = {(2, 2): 3}
 
 
-def ww_gadget_terrain(v, turns):
+def ww_gadget_terrain(turns):
     """Ground cells and clues of the Water Walk gadget rotated by ``turns``
-    in the metacell of ``v``."""
-    clues = zip(ww.GADGET.place(v, turns, WW_GADGET_NUMBERS), WW_GADGET_NUMBERS.values())
-    return ww.GADGET.place(v, turns, WW_GADGET_GROUND), dict(clues)
+    in its frame."""
+    clues = zip(ww.GADGET.place(turns, WW_GADGET_NUMBERS), WW_GADGET_NUMBERS.values())
+    return ww.GADGET.place(turns, WW_GADGET_GROUND), dict(clues)
 
 
 def ww_terrain_by_vertex(tiling):
     """Ground cells and clues of a Water Walk board tiled by ``tiling``
     (turns per vertex), one metacell at a time."""
     ground, numbers = set(), {}
-    for v, turns in tiling.items():
-        cells, clues = ww_gadget_terrain(v, turns)
-        ground.update(cells)
-        numbers.update(clues)
+    for (vx, vy), turns in tiling.items():
+        cells, clues = ww_gadget_terrain(turns)
+        ox, oy = ww.FRAME * vx, ww.FRAME * vy
+        ground.update((ox + x, oy + y) for x, y in cells)
+        numbers.update(((ox + x, oy + y), n) for (x, y), n in clues.items())
     return frozenset(ground), numbers
+
+
+def tiled_tokens(gadget, tiling):
+    """``(vertex, board cell, token)`` for every cell of a board tiled by
+    ``tiling`` (turns per vertex): each metacell's tokens read from
+    ``gadget.boards`` at its turn and offset into the metacell by hand."""
+    n = gadget.frame
+    return [(v, (n * v[0] + x, n * v[1] + y), tok) for v, turns in tiling.items()
+            for (x, y), tok in zip(board_cells(n, n), gadget.boards[turns])]
 
 
 
@@ -1299,7 +1310,7 @@ _AON_GADGET_TOKENS = {(x, FRAME - 1 - k): tok
 def aon_gadget_labels(turns):
     """Every frame cell of the All or Nothing gadget rotated by ``turns``
     with its letter in ``GADGET_ROWS``."""
-    return tuple(zip(GADGET.place((0, 0), turns, _AON_GADGET_TOKENS),
+    return tuple(zip(GADGET.place(turns, _AON_GADGET_TOKENS),
                      _AON_GADGET_TOKENS.values()))
 
 

@@ -473,13 +473,13 @@ def assert_same_regions(labelled, walled):
 
 def assert_compile_matches_labels(inst, tiling):
     """``inst``, compiled with ``tiling``, decomposes as
-    :func:`regions_from_labels` does over the labels of the gadget
-    ``aon.GADGET`` lays: its own label on each metacell's big and one-cell
-    cells, one label on every filler cell.  Each metacell's W exit cell
-    lies in its big cells' region."""
+    :func:`regions_from_labels` does over the labels of the boards
+    ``aon.GADGET`` holds per turn, each offset into its metacell: its own
+    label on each metacell's big and one-cell cells, one label on every
+    filler cell.  Each metacell's W exit cell lies in its big cells'
+    region."""
     labels = {cell: (v, tok) if tok in ("B", "D") else None
-              for v, cells, tokens in aon.GADGET.lay(tiling)
-              for cell, tok in zip(cells, tokens)}
+              for v, cell, tok in oracles.tiled_tokens(aon.GADGET, tiling)}
     filled = regions_from_labels(inst.width, inst.height, labels)
     assert_same_regions(inst.regions, filled)
     assert region_count(inst.regions) == region_count(filled)
@@ -518,8 +518,8 @@ class TestWallOracle:
             ra, rb = decomp.region_at(a), decomp.region_at(b)
             if ra is not None and rb is not None:
                 assert ra != rb
-        big = decomp.region_at(GADGET.place((0, 0), turns, [GADGET_EXIT_CELLS[Direction.W]])[0])
-        one = decomp.region_at(GADGET.place((0, 0), turns, [ONE_CELL_REGION_CELL])[0])
+        big = decomp.region_at(GADGET.place(turns, [GADGET_EXIT_CELLS[Direction.W]])[0])
+        one = decomp.region_at(GADGET.place(turns, [ONE_CELL_REGION_CELL])[0])
         for pair in decomp.touching:
             assert big in pair or one in pair
 
@@ -528,7 +528,7 @@ class TestWallOracle:
         # so filler cells that meet across a metacell side are never
         # walled apart, and one label for all filler cells is exact
         decomp = gadget_board(turns).regions
-        exits = GADGET.place((0, 0), turns, GADGET_EXIT_CELLS.values())
+        exits = GADGET.place(turns, GADGET_EXIT_CELLS.values())
         big = decomp.regions[decomp.region_at(exits[0])]
         flanked = set()
         for a, b in gadget_walls(turns):

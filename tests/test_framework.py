@@ -28,6 +28,7 @@ from oracles import (
     orient_by_candidate_walks,
     plan_by_rule,
     rotate_corner,
+    tiled_tokens,
     ww_gadget_terrain,
     ww_terrain_by_vertex,
 )
@@ -334,24 +335,22 @@ class TestExitPlan:
             assert int(parts[6]) in (0, 90, 180, 270)
 
 
-class TestGadget:
-    @pytest.mark.parametrize("gadget", [aon.GADGET, waterwalk.GADGET], ids=["aon", "ww"])
-    def test_board_exit_is_the_exit_cell_offset_into_the_metacell(self, gadget):
-        for v in ((0, 0), (2, 1), (1, 3)):
-            for turns in range(4):
-                for side in Direction:
-                    if side is gadget.non_exit.rotated(turns):
-                        continue
-                    canonical = gadget.exit_cells[side.rotated(-turns)]
-                    ex, ey = rotate_cell(gadget.frame, turns, canonical)
-                    assert gadget.board_exit(v, turns, side) == \
-                        (gadget.frame * v[0] + ex, gadget.frame * v[1] + ey)
+GADGETS = pytest.mark.parametrize("gadget", [aon.GADGET, waterwalk.GADGET], ids=["aon", "ww"])
 
-    @pytest.mark.parametrize("gadget", [aon.GADGET, waterwalk.GADGET], ids=["aon", "ww"])
+
+class TestGadget:
+    @GADGETS
+    def test_exits_at_are_the_rotated_exit_cells(self, gadget):
+        for turns in range(4):
+            assert gadget.exits_at[turns] == {
+                side.rotated(turns): rotate_cell(gadget.frame, turns, cell)
+                for side, cell in gadget.exit_cells.items()}
+
+    @GADGETS
     def test_a_cell_outside_the_frame_cannot_be_placed(self, gadget):
         n = gadget.frame
         with pytest.raises(ValueError, match=rf"^cell \({n}, 0\) outside {n}x{n} frame$"):
-            gadget.place((0, 0), 1, [(0, 0), (n, 0)])
+            gadget.place(1, [(0, 0), (n, 0)])
 
     @pytest.mark.parametrize("gadget, side, cell", [
         (aon.GADGET, Direction.W, (0, 4)),
@@ -360,6 +359,20 @@ class TestGadget:
     def test_exit_moved_off_its_midline_fails_construction(self, gadget, side, cell):
         with pytest.raises(AssertionError, match="off midline"):
             dataclasses.replace(gadget, exit_cells={**gadget.exit_cells, side: cell})
+
+    @GADGETS
+    def test_traversal_starting_off_its_exits_fails_construction(self, gadget):
+        for pair, (cells, *rest) in gadget.paths.items():
+            with pytest.raises(AssertionError, match="starts off its exits"):
+                dataclasses.replace(gadget, paths={**gadget.paths, pair: (cells[1:], *rest)})
+            with pytest.raises(AssertionError, match="starts off its exits"):
+                dataclasses.replace(gadget, paths={**gadget.paths, pair: (cells, cells[1:])})
+
+    @GADGETS
+    def test_pieces_orient_a_traversal_stored_either_way(self, gadget):
+        reversed_paths = {pair: tuple(cells[::-1] for cells in found)
+                          for pair, found in gadget.paths.items()}
+        assert dataclasses.replace(gadget, paths=reversed_paths).pieces == gadget.pieces
 
 
 def small_and_random_graphs():
@@ -376,15 +389,11 @@ def small_and_random_graphs():
 
 
 def laid_cells(gadget, tiling):
-    """``gadget.lay(tiling)`` as (vertex, cell, token) triples, after
-    checking that it lays each vertex once, in ``tiling``'s order, on a
-    frame's worth of distinct cells."""
-    laid = list(gadget.lay(tiling))
-    assert [v for v, _, _ in laid] == list(tiling)
-    assert all(len(cells) == len(tokens) for _, cells, tokens in laid)
-    triples = [(v, cell, tok) for v, cells, tokens in laid for cell, tok in zip(cells, tokens)]
-    assert len({cell for _, cell, _ in triples}) == len(triples) == gadget.frame ** 2 * len(tiling)
-    return triples
+    """:func:`~oracles.tiled_tokens` of ``gadget`` and ``tiling``, after
+    checking that each of ``gadget.boards`` holds one token per frame
+    cell."""
+    assert [len(board) for board in gadget.boards] == [gadget.frame ** 2] * 4
+    return tiled_tokens(gadget, tiling)
 
 
 def ww_terrain(triples):
@@ -394,14 +403,14 @@ def ww_terrain(triples):
 
 
 class TestTiler:
-    """``Gadget.lay`` against each puzzle's own placement from before it,
-    kept in ``tests/oracles.py``."""
+    """``Gadget.boards``, each metacell offset by hand, against each
+    puzzle's own placement from before it, kept in ``tests/oracles.py``."""
 
     @pytest.mark.parametrize("turns", range(4))
     def test_lone_gadget(self, turns):
         laid = laid_cells(aon.GADGET, {(0, 0): turns})
-        assert [(cell, tok) for _, cell, tok in laid] == list(aon_gadget_labels(turns))
-        ground, numbers = ww_gadget_terrain((0, 0), turns)
+        assert [(cell, tok) for _, cell, tok in laid] == sorted(aon_gadget_labels(turns))
+        ground, numbers = ww_gadget_terrain(turns)
         laid = laid_cells(waterwalk.GADGET, {(0, 0): turns})
         assert ww_terrain(laid) == (frozenset(ground), numbers)
 

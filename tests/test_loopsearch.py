@@ -381,7 +381,8 @@ def test_cycles_through_a_cell_with_one_neighbor():
     # once returned before any node
     g = full_grid(2, 3)
     cells = [(x, y) for x in range(2) for y in range(3)]
-    nbrs = {c: [w for w in g.neighbors(c) if {c, w} != {(0, 0), (1, 0)}] for c in cells}
+    nbrs = {c: [w for w in orthogonal_neighbors(c)
+                if g.has_edge(c, w) and {c, w} != {(0, 0), (1, 0)}] for c in cells}
     trace = check_against_full_fill(cycles_through, cells, nbrs.__getitem__)
     check_against_unsplit(cycles_through, cells, nbrs.__getitem__)
     assert trace == [("end", 1)]

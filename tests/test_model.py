@@ -421,7 +421,7 @@ class TestRunFill:
     @pytest.mark.parametrize("cols,rows", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_every_compiled_board(self, cols, rows):
         # an All or Nothing board's region names and a Water Walk board's
-        # terrain, each as labels
+        # terrain, ground or not, each as labels
         for g in enumerate_candidate_subgraphs(cols, rows):
             plan = plan_for(g)
             inst = compile_aon(g, plan)
@@ -429,7 +429,7 @@ class TestRunFill:
             assert_fills_agree(inst.width, inst.height, names)
             ww = compile_ww(g, plan)
             cells = product(range(ww.width), range(ww.height))
-            assert_fills_agree(ww.width, ww.height, list(map(ww.terrain, cells)))
+            assert_fills_agree(ww.width, ww.height, [c in ww.ground for c in cells])
 
 
 class TestLoopRuns:
@@ -443,9 +443,9 @@ class TestLoopRuns:
         assert [length for _, length in runs] == [1, 1, 1, 1]
 
     def test_sample_solution_runs(self, ww_fixture, ww_fixture_loop):
-        runs = loop_runs(ww_fixture_loop, ww_fixture.terrain)
-        water = sorted(n for lab, n in runs if lab == "water")
-        ground = sorted(n for lab, n in runs if lab == "ground")
+        runs = loop_runs(ww_fixture_loop, ww_fixture.ground.__contains__)
+        water = sorted(n for on_ground, n in runs if not on_ground)
+        ground = sorted(n for on_ground, n in runs if on_ground)
         assert water == [1, 2, 2, 2]
         assert ground == [1, 1, 2, 3]
 

@@ -155,7 +155,7 @@ class TestEmbed:
         frame = gadget.frame
         for v, (entry, exit_) in zip(witness.vertex_order, witness.sides):
             turns = gadget.tile(g, plan)[v]
-            piece = gadget.local_path(entry.rotated(-turns), exit_.rotated(-turns))
+            piece = gadget.paths[frozenset({entry.rotated(-turns), exit_.rotated(-turns)})][0]
             expected = {
                 (frame * v[0] + rotate_cell(frame, turns, c)[0],
                  frame * v[1] + rotate_cell(frame, turns, c)[1])
@@ -489,7 +489,7 @@ class TestCertificates:
             if t != turns:
                 return inst
             marker, exit_cell = aon.GADGET.place(
-                (0, 0), t, [aon.FIXED_LEAF_CELLS[0], aon.GADGET_EXIT_CELLS[Direction.W]])
+                t, [aon.FIXED_LEAF_CELLS[0], aon.GADGET_EXIT_CELLS[Direction.W]])
             labels = dict(zip(board_cells(aon.FRAME, aon.FRAME), inst.regions.ids))
             labels[marker] = labels[exit_cell]
             return dataclasses.replace(

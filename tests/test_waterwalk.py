@@ -84,6 +84,13 @@ def harness_board(turns):
     return waterwalk.gadget_harness(turns)[2]().inst
 
 
+def metacell_exit(v, turns, side):
+    """Board cell of the exit on ``side`` of the gadget turned by ``turns``
+    in the metacell of ``v``: its frame cell offset into the metacell."""
+    x, y = GADGET.exits_at[turns][side]
+    return FRAME * v[0] + x, FRAME * v[1] + y
+
+
 class TestGadgetData:
     def test_ground_cluster(self):
         ground, numbers = gadget_terrain()
@@ -213,16 +220,14 @@ def border_ring(width, height):
 def reference_cases(data_dir):
     """Boards with their ground cells and clues as the set-based builder in
     ``tests/oracles.py`` fills them: the random boards, every 2x3 compile,
-    from the tokens the gadget lays, and the fixture, from its file's
-    characters."""
+    from the gadget's tokens per turn offset into each metacell, and the
+    fixture, from its file's characters."""
     for ground, numbers in random_terrains():
         yield oracles.ww_board(4, 4, ground, numbers), ground, numbers
     for g in enumerate_candidate_subgraphs(2, 3):
         plan = plan_for(g)
-        laid = GADGET.lay(GADGET.tile(g, plan))
-        yield (compile_ww(g, plan),
-               *oracles.ww_terrain_by_cells((cell, tok) for _, cells, tokens in laid
-                                            for cell, tok in zip(cells, tokens)))
+        laid = oracles.tiled_tokens(GADGET, GADGET.tile(g, plan))
+        yield compile_ww(g, plan), *oracles.ww_terrain_by_cells((c, tok) for _, c, tok in laid)
     text = (data_dir / "sample_ww.txt").read_text()
     rows = text.splitlines()[1:]
     yield parse_ww(text), *oracles.ww_terrain_by_cells(
@@ -382,12 +387,11 @@ class TestCompile:
                 tiling = GADGET.tile(g, plan)
                 for u, w in sorted(g.edges):
                     d = direction_between(u, w)
-                    a = GADGET.board_exit(u, tiling[u], d)
-                    b = GADGET.board_exit(w, tiling[w], d.opposite())
+                    a = metacell_exit(u, tiling[u], d)
+                    b = metacell_exit(w, tiling[w], d.opposite())
                     assert b == (a[0] + d.dx, a[1] + d.dy)
                     crossing = [(a[0] - d.dx, a[1] - d.dy), a, b, (b[0] + d.dx, b[1] + d.dy)]
-                    assert [inst.terrain(c) for c in crossing] == \
-                        [waterwalk.GROUND, waterwalk.WATER, waterwalk.WATER, waterwalk.GROUND]
+                    assert [c in inst.ground for c in crossing] == [True, False, False, True]
 
     @pytest.mark.parametrize("side", sorted(GADGET_EXIT_CELLS, key=lambda d: d.name))
     def test_crossing_check_rejects_a_dry_exit_or_a_wet_inward_cell(self, side):
@@ -424,8 +428,8 @@ class TestCompile:
                 ground = {rotate_cell(FRAME, turns_a, c) for c in ground_0}
                 ground |= {(x + FRAME, y) for x, y in
                            (rotate_cell(FRAME, turns_b, c) for c in ground_0)}
-                a = GADGET.board_exit((0, 0), turns_a, Direction.E)
-                b = GADGET.board_exit((1, 0), turns_b, Direction.W)
+                a = metacell_exit((0, 0), turns_a, Direction.E)
+                b = metacell_exit((1, 0), turns_b, Direction.W)
                 assert a[1] == b[1] and b[0] - a[0] == 1  # aligned midlines
                 crossing = [(a[0] - 1, a[1]), a, b, (b[0] + 1, b[1])]
                 labels = ["g" if c in ground else "w" for c in crossing]
