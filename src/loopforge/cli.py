@@ -28,7 +28,7 @@ from .reduction import (
     puzzle_of,
     roundtrip_experiment,
 )
-from .render import render_ascii, render_svg
+from .render import render_svg
 
 OK, REJECT, BUDGET, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
 
@@ -156,11 +156,13 @@ def cmd_lab(args) -> int:
 
 
 def cmd_render(args) -> int:
-    inst = puzzle_of(args.puzzle).parse(_read(args.infile))
+    p = puzzle_of(args.puzzle)
+    inst = p.parse(_read(args.infile))
     loop = parse_loop(_read(args.loop)) if args.loop else None
     if loop is not None:
         loop.check_on_board(inst.width, inst.height)
-    text = render_ascii(inst, loop) if args.format == "ascii" else render_svg(inst, loop)
+    marked = frozenset(loop.cells if loop else ())
+    text = p.board_text(inst, marked) if args.format == "ascii" else render_svg(inst, loop)
     _write(args.out, text)
     return OK
 

@@ -60,20 +60,9 @@ _SIDES = [tuple(d for d in DIRECTION_ORDER if m >> d.bit & 1) for m in range(16)
 _TWO_OR_THREE = frozenset(m for m, sides in enumerate(_SIDES) if len(sides) in (2, 3))
 
 
-def direction_between(u: Vertex, v: Vertex) -> Direction:
-    try:
-        return _STEPS[v[0] - u[0], v[1] - u[1]]
-    except KeyError:
-        raise ValueError(f"{u} and {v} are not grid-adjacent") from None
-
-
 def directions_between(us: Sequence[Vertex], vs: Sequence[Vertex]) -> list[Direction]:
-    """:func:`direction_between` of each vertex of ``us`` and the one at the
-    same place in ``vs``, each read from the step table."""
-    try:
-        return [_STEPS[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(us, vs)]
-    except KeyError:  # name the first pair that is not grid-adjacent
-        return list(map(direction_between, us, vs))
+    """The side of each vertex of ``us`` facing its grid neighbour at its place in ``vs``."""
+    return [_STEPS[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(us, vs)]
 
 
 def turns_between(src: Direction, dst: Direction) -> int:
@@ -132,12 +121,6 @@ class Orientation:
     cols: int
     rows: int
     out: tuple[int, ...]
-
-    def outgoing(self, v: Vertex) -> Direction | None:
-        x, y = v
-        if 0 <= x < self.cols and 0 <= y < self.rows and self.out[x * self.rows + y] >= 0:
-            return DIRECTION_ORDER[self.out[x * self.rows + y]]
-        return None
 
 
 def orient_complement(h: ComplementGraph) -> Orientation:

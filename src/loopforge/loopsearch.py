@@ -473,22 +473,21 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     necks = exact and not loop
 
     # per path depth, the reach set of the node there (a simple head's is
-    # its parent's, read through the free cells), whether it is one
-    # component of the free cells, and whether the node made a forced move
+    # its parent's, read through the free cells), and whether it is one
+    # component of the free cells
     reach = [0] * n
     whole = bytearray(n)
-    forcing = bytearray(n)
     reads = grid.reads
 
     def simple(head: int) -> bool:
         """Whether the free neighbors of ``head`` are joined to each other
         by free cells other than it, each neighboring two of them."""
+        # at most one free neighbor, as on a corridor or after a forced move
+        t = around[pos[head]] & free
+        if not t & t - 1:
+            return True
         rd = reads[head]
         if rd is None:
-            # on a corridor most heads come once, each with one free neighbor
-            t = around[pos[head]] & free
-            if not t & t - 1:
-                return True
             rd = reads[head] = grid.reads_of(head)
         key = 0
         for i, bit in rd:
@@ -588,7 +587,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             return ()
         # the free cells connected to the head: the parent's set less the
         # head when the head cannot cut it, else a fresh fill
-        if d > 0 and whole[d - 1] and (forcing[d - 1] or simple(head)):
+        if d > 0 and whole[d - 1] and simple(head):
             r = reach[d] = reach[d - 1]
             whole[d] = 1
             # the path ends on a finishing cell, so a free one must be in
@@ -639,7 +638,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             ws.append(w)
         if necks and len(ws) > 1 and necked(head, ws):
             return ()
-        forcing[d] = forced is not None
         if forced is not None:
             return (forced,)
         if peeled:
@@ -748,16 +746,15 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 core[i] = core_at(i)
         if peeled:
             # a node with no completion: its head is outside its parent's
-            # core, or a pending cell is outside its own
+            # core, or a pending cell is outside its own.  None is shallower
+            # than ``floor``, which falls only to the depth of a node popped
             d = len(path_idx) - 1
             c = core[d] = core_at(d)
             if not c or pend_cells & free & ~c:
                 stored = ()
-            elif d >= floor:
+            else:
                 k = keys[d] = key()
                 stored = memo.get(k)
-            else:
-                stored = None
         elif memo is not None:
             k = keys[len(path_idx) - 1] = free << shift | head
             stored = memo.get(k)

@@ -5,9 +5,8 @@ equivalence experiments at desk scale.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 from operator import ne, or_
 from typing import Callable
@@ -27,14 +26,15 @@ from .hamilton import enumerate_candidate_subgraphs, find_hamiltonian_cycle
 from .loopsearch import _Nodes, path_search, search_paths  # noqa: F401
 from .model import Cell, GridGraph, HamCycle, LoopPath
 
-PUZZLES = ("aon", "ww")
+_MODULES = {"aon": aon, "ww": waterwalk}
+PUZZLES = tuple(_MODULES)
 
 
 @dataclass(frozen=True)
 class Puzzle:
     """What one puzzle adds to the shared reduction: its gadget, its
-    board's compile, verify, solve, parse and emit operations, and its
-    gadget certificate's search domain and audit.
+    board's compile, verify, solve, parse and emit operations, its board
+    rows as text, and its gadget certificate's search domain and audit.
 
     ``gadget_harness(turns)`` gives the allowed cells, the required cells
     and the rules factory of the pinned traversal search with the gadget
@@ -51,6 +51,7 @@ class Puzzle:
     solve: Callable
     parse: Callable
     emit: Callable
+    board_text: Callable
     gadget_harness: Callable
     gadget_audit: Callable
 
@@ -60,16 +61,13 @@ def puzzle_of(name: str) -> Puzzle:
     ``ValueError``.  The record is read from the puzzle's module on every
     call, so a function rebound there (a tracing wrapper, say) is the one
     the record holds."""
-    if name == "aon":
-        mod = aon
-    elif name == "ww":
-        mod = waterwalk
-    else:
+    mod = _MODULES.get(name)
+    if mod is None:
         raise ValueError(f"unknown puzzle kind: {name!r}")
     ops = {op: getattr(mod, f"{op}_{name}")
            for op in ("compile", "verify", "solve", "parse", "emit")}
-    return Puzzle(name, mod.GADGET, **ops, gadget_harness=mod.gadget_harness,
-                  gadget_audit=mod.gadget_audit)
+    return Puzzle(name, mod.GADGET, **ops, board_text=mod.board_text,
+                  gadget_harness=mod.gadget_harness, gadget_audit=mod.gadget_audit)
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,8 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
         if cells[i] != (frame * v[0] + x, frame * v[1] + y):
             raise LiftError(f"crossing at {cells[i]} is off the exit midline of metacell {v}")
 
-    # every metacell crossed is a vertex, as checked: each is crossed twice
+    # every metacell crossed is a vertex, as checked: each is crossed twice,
+    # so the loop visits each in one piece
     vertices, crossings = g.vertices(), Counter(metas)
     if len(crossings) < len(vertices) or set(crossings.values()) - {2}:
         v = next(v for v in vertices if crossings[v] != 2)  # the first in board order
@@ -154,8 +153,6 @@ def lift_solution(g: GridGraph, plan: ExitPlan, loop: LoopPath, puzzle: str) -> 
     order = list(zip(map(mx.__getitem__, firsts), map(my.__getitem__, firsts)))
     if order and order[0] == order[-1]:
         order.pop()
-    if len(order) != len(vertices):
-        raise LiftError("loop visits some metacell in more than one piece")
     cycle = HamCycle(tuple(order))
     if not cycle.is_cycle_of(g):
         raise LiftError("induced vertex sequence is not a Hamiltonian cycle of the graph")
@@ -176,7 +173,6 @@ class GadgetCertificate:
     traversals: dict[frozenset[Direction], tuple[tuple[Cell, ...], ...]]
     findings: tuple[str, ...]
     nodes: int
-    elapsed: float = field(compare=False)  # wall time, not part of the result
 
 
 def _pair_key(a: Direction, b: Direction) -> str:
@@ -205,7 +201,6 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
     """
     p, turns = puzzle_of(puzzle), turns % 4
     gadget = p.gadget
-    t0 = time.perf_counter()
     nodes = _Nodes(budget)
     search = path_search(*p.gadget_harness(turns))
 
@@ -223,9 +218,8 @@ def certify_gadget(puzzle: str, budget: int | None = 50_000_000,
 
     unique = all(c <= 1 for c in pair_counts.values())
     findings = (*findings, f"locally-unique {'yes' if unique else 'no'}")
-    elapsed = time.perf_counter() - t0
     return GadgetCertificate(puzzle, pair_counts, blocked_counts,
-                             traversals, findings, nodes.count, elapsed)
+                             traversals, findings, nodes.count)
 
 
 @dataclass(frozen=True)

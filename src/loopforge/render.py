@@ -1,4 +1,4 @@
-"""Deterministic ASCII and SVG renderings of puzzle boards and loops."""
+"""Deterministic SVG renderings of puzzle boards and loops."""
 
 from __future__ import annotations
 
@@ -9,16 +9,6 @@ from . import aon, waterwalk
 from .model import LoopPath
 
 CELL = 20  # SVG units per cell
-
-
-def render_ascii(inst, loop: LoopPath | None = None) -> str:
-    """The instance file's board rows, with ``#`` on the loop's cells."""
-    marked = frozenset(loop.cells) if loop else frozenset()
-    if isinstance(inst, waterwalk.WwInstance):
-        return waterwalk.board_text(inst, marked)
-    if isinstance(inst, aon.AonInstance):
-        return aon.board_text(inst, marked)
-    raise TypeError(f"cannot render {type(inst).__name__}")
 
 
 def render_svg(inst, loop: LoopPath | None = None) -> str:

@@ -38,7 +38,6 @@ from loopforge.framework import (
     Direction,
     Orientation,
     build_complement,
-    direction_between,
     exit_plan,
     plan_for,
 )
@@ -269,7 +268,8 @@ def orient_by_candidate_walks(h, seed_rule="lex"):
         walk = walks[0] if seed_rule == "lex" else walks[-1]
         for a, b in zip(walk, walk[1:]):
             if a[0] == "v":  # an arc out of a vertex, to a vertex or off the board
-                out[a[1]] = direction_between(a[1], b[1]) if b[0] == "v" else b[1][1]
+                u, w = a[1], b[1]
+                out[u] = Direction((w[0] - u[0], w[1] - u[1])) if b[0] == "v" else w[1]
     sides = [out[v].bit if v in out else -1 for v in board_cells(h.cols, h.rows)]
     return Orientation(h.cols, h.rows, tuple(sides))
 

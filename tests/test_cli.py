@@ -9,7 +9,7 @@ from loopforge.fileio import emit_graph, parse_graph, parse_loop
 from loopforge.framework import plan_for
 from loopforge.model import HamCycle, full_grid, grid_graph
 from loopforge.reduction import puzzle_of
-from loopforge.render import render_ascii, render_svg
+from loopforge.render import render_svg
 
 
 @pytest.fixture
@@ -343,7 +343,7 @@ class TestPipelines:
         assert HamCycle(parse_loop(cycle_path.read_text()).cells).is_cycle_of(g)
         assert main(["render", "--puzzle", puzzle, "--in", str(inst_path),
                      "--loop", str(loop_path), "--out", str(render_path)]) == 0
-        assert render_path.read_text() == render_ascii(expected, loop)
+        assert render_path.read_text() == p.board_text(expected, frozenset(loop.cells))
 
     def test_orient_dump(self, square_graph_file, tmp_path):
         out = tmp_path / "plan.txt"
@@ -406,18 +406,28 @@ class TestPipelines:
         assert err.startswith("3 solutions") and "not exhaustive" in err
 
 
+def board_text(puzzle, inst, loop=None):
+    """The board rows the ``render`` command prints, ``#`` on the loop."""
+    return puzzle_of(puzzle).board_text(inst, frozenset(loop.cells) if loop else frozenset())
+
+
 class TestRender:
     def test_ww_ascii_without_loop_matches_file_body(self, data_dir, ww_fixture):
         body = (data_dir / "sample_ww.txt").read_text().split("\n", 1)[1]
-        assert render_ascii(ww_fixture) == body
+        assert board_text("ww", ww_fixture) == body
 
     def test_ww_ascii_overlays_loop(self, ww_fixture, ww_fixture_loop):
-        text = render_ascii(ww_fixture, ww_fixture_loop)
+        text = board_text("ww", ww_fixture, ww_fixture_loop)
         assert text.count("#") == 14
 
     def test_aon_ascii_without_loop_matches_file_body(self, data_dir, aon_fixture):
         body = (data_dir / "sample_aon.txt").read_text().split("\n", 1)[1]
-        assert render_ascii(aon_fixture) == body
+        assert board_text("aon", aon_fixture) == body
+
+    def test_svg_of_a_non_board_is_a_type_error(self, aon_fixture, aon_fixture_loop):
+        # a board's regions have its width and height, yet are no board
+        with pytest.raises(TypeError, match=r"^cannot render RegionDecomposition$"):
+            render_svg(aon_fixture.regions, aon_fixture_loop)
 
     def test_svg_contains_loop_polyline(self, ww_fixture, ww_fixture_loop):
         svg = render_svg(ww_fixture, ww_fixture_loop)
@@ -427,8 +437,8 @@ class TestRender:
     def test_render_deterministic(self, ww_fixture, ww_fixture_loop):
         assert render_svg(ww_fixture, ww_fixture_loop) == render_svg(
             ww_fixture, ww_fixture_loop)
-        assert render_ascii(ww_fixture, ww_fixture_loop) == render_ascii(
-            ww_fixture, ww_fixture_loop)
+        assert board_text("ww", ww_fixture, ww_fixture_loop) == board_text(
+            "ww", ww_fixture, ww_fixture_loop)
 
     def test_render_command_ascii(self, data_dir, tmp_path, capsys):
         code = main(["render", "--puzzle", "ww",

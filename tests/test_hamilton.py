@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from loopforge import hamilton
 from loopforge.errors import SearchBudgetExceeded
 from loopforge.fileio import emit_graph
 from loopforge.hamilton import (
@@ -148,6 +149,11 @@ class TestRandomCandidates:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             random_candidate_subgraph(1, 5, random.Random(0))
+
+    def test_running_out_of_attempts_names_the_size(self, monkeypatch):
+        monkeypatch.setattr(hamilton, "SAMPLE_ATTEMPTS", 0)
+        with pytest.raises(ValueError, match=r"^could not sample a candidate subgraph on 4x3$"):
+            random_candidate_subgraph(4, 3, random.Random(0))
 
 
 def graph_digest(g):

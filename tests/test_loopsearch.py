@@ -62,6 +62,12 @@ def test_search_paths_rejects_a_start_or_goal_it_cannot_use(start, goal):
         search_paths(BOARD, start, goal, [], LoopConstraint)
 
 
+def test_search_result_repr_counts_the_loops_instead_of_listing_them():
+    res = search_loops(BOARD, [], LoopConstraint, cap=2)
+    assert repr(res) == f"SearchResult(2 found, nodes={res.nodes}, exhausted=False)"
+    assert repr(SearchResult([], 0, True)) == "SearchResult(0 found, nodes=0, exhausted=True)"
+
+
 def test_a_required_cell_outside_the_board_finds_nothing_at_no_cost():
     empty = SearchResult([], 0, True)
     assert search_paths(BOARD, (0, 0), (2, 2), [(9, 9)], LoopConstraint) == empty

@@ -309,6 +309,13 @@ class TestRegions:
         assert r.leaves == [[], [], []]
         assert r.neighbours == [0b010, 0b101, 0b010]
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("labels", [[], {}], ids=["list", "dict"])
+    def test_an_empty_board_has_no_regions(self, width, height, labels):
+        r = regions_from_labels(width, height, labels)
+        assert (r.width, r.height, r.ids) == (width, height, [])
+        assert r.regions == [] and r.leaves == []
+
     def test_labels_must_cover_the_board_exactly(self):
         with pytest.raises(ValueError):
             regions_from_labels(2, 2, labels(2, 1))
