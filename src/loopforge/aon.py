@@ -216,8 +216,7 @@ class AonInstance:
 
 
 def parse_aon(text: str) -> AonInstance:
-    width, height, rows = AON_BOARD.read_rows(text)
-    labels = list(chain.from_iterable(map(reversed, zip(*rows))))  # board order
+    width, height, labels = AON_BOARD.read(text)
     decomp = regions_from_labels(width, height, labels)
     ids = decomp.ids  # each region is named by its label where its id first appears
     names = tuple(compress(labels, map(gt, ids, chain([-1], accumulate(ids, max)))))

@@ -20,6 +20,7 @@ from .framework import emit_exit_plan, plan_for
 from .hamilton import find_hamiltonian_cycle, random_candidate_subgraph
 from .model import LoopPath
 from .reduction import (
+    CERTIFICATE_BUDGET,
     PUZZLES,
     certify_gadget,
     emit_certificate,
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", default=None, help="directory for counterexample files")
 
     sp = add("lab", cmd_lab, [puzzle, out], help="certify gadget traversal counts")
-    sp.add_argument("--budget", type=int, default=50_000_000,
+    sp.add_argument("--budget", type=int, default=CERTIFICATE_BUDGET,
                     help="node budget of the whole certificate, all of its searches together")
 
     sp = add("render", cmd_render, [puzzle, infile, out],

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse
 from operator import itemgetter, not_
 from typing import Callable, Iterable
 
@@ -89,9 +89,9 @@ class BoardFormat:
     valid: Callable[[str], bool]
     invalid: str
 
-    def read_rows(self, text: str) -> tuple[int, int, list]:
-        """The width and height of a board file and its rows, top row
-        first, each the sequence of its cells' tokens."""
+    def read(self, text: str) -> tuple[int, int, list[str]]:
+        """The width and height of a board file and its cells' tokens in
+        board order, the order :meth:`write` takes."""
         lineno, (width, height), numbers, lines = _headed(
             text, "instance", f"{self.kind} <width> <height>")
         if width < 1 or height < 1:
@@ -108,7 +108,8 @@ class BoardFormat:
             if bad is not None:
                 raise ParseError(self.invalid.format(bad), lineno)
             rows.append(tokens)
-        return width, height, rows
+        # the rows are top row first, so each column, reversed, runs up
+        return width, height, list(chain.from_iterable(map(reversed, zip(*rows))))
 
     def write(self, width: int, height: int, tokens: Iterable[str], marked=frozenset()) -> str:
         """Board rows, top row first, of the cells' ``tokens`` in board

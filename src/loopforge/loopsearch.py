@@ -193,10 +193,10 @@ every completion of a node, and finds them in the order of the neighbor
 lists; nodes with equal keys thus have the same completions in the same
 order.  When a node is popped, its subtree done, the table maps its key
 to the keys of its children that have completions, in the order found,
-led by ``MARK`` when the node closed itself: a DAG, in which a listed key
-with no entry is a node that closed and had no child.  A node with no
-child is not stored, since walking it again costs what finding it
-costs.  Keys are looked up once the table holds one.  A node whose key
+led by ``MARK`` when the node closed itself (``(MARK,)`` with no child):
+a DAG in which every listed key has an entry.  Another node with no
+child is not stored, since walking it again costs what finding it costs.
+Keys are looked up once the table holds one.  A node whose key
 is there costs its node, yields its path if it closes and then its path
 extended by each completion, read from the DAG with a stack, in the
 order its first walk found them, and is not expanded.  Most entries have
@@ -648,9 +648,9 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
 
     # the table of resolved nodes: per node's key, the keys of its children
     # that have completions in the order found, led by MARK when the node
-    # closed itself; per path depth, those keys so far once a child there is
-    # resolved, the node's key once made, whether it closed, and its core;
-    # whether the top node, if it has no child, has a completion: its table
+    # closed itself; per path depth, that list so far once the node closes
+    # or a child there is resolved, the node's key once made, and its core;
+    # whether the top node, if it has no list, has a completion: its table
     # entry has one.  Nodes shallower than ``floor`` are not stored.
     if not (bare or constraint.push(cells[start])):
         return
@@ -662,7 +662,6 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
     peeled = False
     kids: list[list[int] | None] = [None] * n
     keys: list[int | None] = [None] * n
-    closed = bytearray(n)
     core = [0] * n
     states: dict = {}  # per rule state seen, a small int standing for it
     complete = False
@@ -706,21 +705,18 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
             for k in below[-1]:
                 del path[sizes[-1]:]
                 path.append(cells[k & low])
-                more = memo.get(k)
+                more = memo[k]
                 # a run of entries with one child each is stepped down at once
-                while more is not None and len(more) == 1 and more[0] != MARK:
+                while len(more) == 1 and more[0] != MARK:
                     k = more[0]
                     path.append(cells[k & low])
-                    more = memo.get(k)
-                if more is None:  # a node that closed and has no child
+                    more = memo[k]
+                it = iter(more)
+                if more[0] == MARK:
                     yield tuple(path)
-                else:
-                    it = iter(more)
-                    if more[0] == MARK:
-                        yield tuple(path)
-                        next(it)
-                    below.append(it)
-                    sizes.append(len(path))
+                    next(it)
+                below.append(it)
+                sizes.append(len(path))
                 break
             else:
                 below.pop()
@@ -771,7 +767,7 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                 path = tuple(cells[i] for i in path_idx)
                 if (constraint.close_ok if loop else constraint.finish_ok)(path):
                     if memo is not None:
-                        closed[len(path_idx) - 1] = 1
+                        kids[len(path_idx) - 1] = [MARK]
                     yield path
             frames.append(iter(extensions(head) if loop or head != end else ()))
         # descend into the next extension the constraint admits, retracting
@@ -788,14 +784,9 @@ def _walk(grid: _Grid, start: int, end: int, required: Iterable[int],
                         # above the node where the table began
                         floor = d
                     else:
-                        # a node with a child is stored, and a node with a
-                        # completion is listed under its parent
+                        # a node that closed or has a child is stored, and a
+                        # node with a completion is listed under its parent
                         found = kids[d]
-                        if closed[d]:
-                            closed[d] = 0
-                            complete = True
-                            if found is not None:
-                                found.insert(0, MARK)
                         if found is not None:
                             kids[d] = None
                             complete = bool(found)

@@ -22,6 +22,8 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
     mask is where a Water Walk row's ``cells`` are water, or where an All
     or Nothing row's region ``ids`` differ from their east or north
     neighbours'."""
+    if not isinstance(inst, (waterwalk.WwInstance, aon.AonInstance)):
+        raise TypeError(f"cannot render {type(inst).__name__}")
     w, h = inst.width * CELL, inst.height * CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -41,11 +43,9 @@ def render_svg(inst, loop: LoopPath | None = None) -> str:
             cx, cy = x * CELL + CELL // 2, (inst.height - y) * CELL - CELL // 2 + 5
             parts.append(f'<text x="{cx}" y="{cy}" font-size="14" text-anchor="middle">{n}</text>')
         parts.append(_svg_grid_lines(inst))
-    elif isinstance(inst, aon.AonInstance):
+    else:
         parts.append(_svg_grid_lines(inst))
         parts.append(_svg_region_borders(inst))
-    else:
-        raise TypeError(f"cannot render {type(inst).__name__}")
 
     if loop is not None:
         ring = loop.cells + loop.cells[:1]

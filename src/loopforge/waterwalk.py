@@ -9,9 +9,9 @@ Rules enforced by the verifier:
 
 Runs are cyclic, so wrap-around runs count.
 
-A board is one string of cell tokens in board order, as the board file
-spells them (:class:`WwInstance`); parsing joins the file's columns into
-it, and compiling joins the columns of the gadget's rotations.
+A board is one string of the board file's cell tokens in board order
+(:class:`WwInstance`): parsing joins them as ``WW_BOARD`` reads them, and
+compiling joins the columns of the gadget's rotations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -37,9 +36,6 @@ from .model import (
     orthogonal_neighbors,
 )
 from .loopsearch import LoopConstraint, SearchResult, search_loops, solver_cap
-
-GROUND = "ground"
-WATER = "water"
 
 # Canonical gadget as a Water Walk board, top row first: non-exit side W;
 # a 4-cell ground cluster with a single "3" clue, everything else water.
@@ -144,8 +140,8 @@ def gadget_board(turns: int) -> WwInstance:
 
 
 def parse_ww(text: str) -> WwInstance:
-    width, height, rows = WW_BOARD.read_rows(text)
-    return WwInstance(width, height, "".join(chain.from_iterable(map(reversed, zip(*rows)))))
+    width, height, tokens = WW_BOARD.read(text)
+    return WwInstance(width, height, "".join(tokens))
 
 
 def board_text(inst: WwInstance, marked=frozenset()) -> str:
@@ -181,15 +177,11 @@ def verify_ww(inst: WwInstance, loop: LoopPath) -> Verdict:
     return Verdict(_violations(inst, cells, runs))
 
 
-# per cell token, its terrain
-_TERRAIN = {"~": WATER, ".": GROUND, **dict.fromkeys("123456789", GROUND)}
-
-
-def _terrain(inst: WwInstance, cells: tuple[Cell, ...]) -> list[str]:
-    """The terrain of each of ``cells``, all on the board, read from its
-    token in board order, at ``x * height + y``."""
+def _terrain(inst: WwInstance, cells: tuple[Cell, ...]) -> list[bool]:
+    """Whether each of ``cells``, all on the board, is ground: whether its
+    token, in board order at ``x * height + y``, is not ``~``."""
     tokens, h = inst.cells, inst.height
-    return [_TERRAIN[tokens[x * h + y]] for x, y in cells]
+    return [tokens[x * h + y] != "~" for x, y in cells]
 
 
 def _violations(inst: WwInstance, cells: tuple[Cell, ...], runs) -> tuple[Violation, ...]:
@@ -199,8 +191,8 @@ def _violations(inst: WwInstance, cells: tuple[Cell, ...], runs) -> tuple[Violat
     on_loop = set(cells)
     violations = [Violation(1, f"numbered cell {c} is not on the loop", (c,))
                   for c in numbers if c not in on_loop]
-    for label, run in runs:
-        if label == GROUND:
+    for ground, run in runs:
+        if ground:
             for c in filter(numbers.__contains__, run):
                 n = numbers[c]
                 if len(run) != n:

@@ -67,7 +67,9 @@ from loopforge.model import (
     labelled_runs,
     orthogonal_neighbors,
 )
-from loopforge.waterwalk import GROUND, WATER
+
+# the oracle's own terrain labels, independent of the package's
+GROUND, WATER = "ground", "water"
 
 
 def all_loops_on_board(width, height):

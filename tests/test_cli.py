@@ -1,3 +1,4 @@
+import inspect
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from loopforge.errors import LiftError, ParseError
 from loopforge.fileio import emit_graph, parse_graph, parse_loop
 from loopforge.framework import plan_for
 from loopforge.model import HamCycle, full_grid, grid_graph
-from loopforge.reduction import puzzle_of
+from loopforge.reduction import CERTIFICATE_BUDGET, certify_gadget, puzzle_of
 from loopforge.render import render_svg
 
 
@@ -59,6 +60,13 @@ class TestFlags:
         got = vars(build_parser().parse_args(argv))
         assert callable(got.pop("fn"))
         assert got == parsed
+
+    def test_lab_budget_default_is_the_certificate_budget(self):
+        # the same object, not an equal literal written twice: the default
+        # is named once, in reduction, and read by lab and certify_gadget
+        got = build_parser().parse_args(["lab", "--puzzle", "ww"]).budget
+        assert got is CERTIFICATE_BUDGET
+        assert inspect.signature(certify_gadget).parameters["budget"].default is got
 
     @pytest.mark.parametrize("command, left_out", [
         (command, flag) for command, (required, _) in FLAG_PINS.items()
@@ -425,9 +433,11 @@ class TestRender:
         assert board_text("aon", aon_fixture) == body
 
     def test_svg_of_a_non_board_is_a_type_error(self, aon_fixture, aon_fixture_loop):
-        # a board's regions have its width and height, yet are no board
-        with pytest.raises(TypeError, match=r"^cannot render RegionDecomposition$"):
-            render_svg(aon_fixture.regions, aon_fixture_loop)
+        # a board's regions have its width and height, yet are no board; a
+        # graph has neither, and is refused before they are read
+        for inst in (aon_fixture.regions, full_grid(2, 2)):
+            with pytest.raises(TypeError, match=rf"^cannot render {type(inst).__name__}$"):
+                render_svg(inst, aon_fixture_loop)
 
     def test_svg_contains_loop_polyline(self, ww_fixture, ww_fixture_loop):
         svg = render_svg(ww_fixture, ww_fixture_loop)
